@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -277,6 +278,17 @@ class VectorField:
         f = sx.as_expr(factor)
         return VectorField(self.domain, tuple(sx.mul(f, c) for c in self.components))
 
+    @cached_property
+    def value_at(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Compiled ``x -> components at x`` (coordinates in domain order),
+        built on first use and kept for the field's lifetime."""
+        return sx.lambdify(self.components, self.domain.names)
+
+    @cached_property
+    def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Compiled ``x -> (components, Jacobian)`` at a point, built once."""
+        return _compile_jet(self.components, self.domain.names)
+
 
 def basis_vector(domain: CoordinateDomain, name: str) -> VectorField:
     """The coordinate vector field d/d<name>."""
@@ -311,6 +323,24 @@ class SmoothMap:
         """Rows indexed by target coordinates, columns by source coordinates."""
         src = self.source.names
         return tuple(tuple(sx.diff(c, n) for n in src) for c in self.components)
+
+    @cached_property
+    def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Compiled ``x -> (value, Jacobian)`` at a source point, without
+        angular wrapping; built on first use and kept for the map's lifetime."""
+        return _compile_jet(self.components, self.source.names)
+
+
+def _compile_jet(components: tuple[Expr, ...], names: tuple[str, ...]):
+    """One compiled function for components and their Jacobian (row-major)."""
+    rows, cols = len(components), len(names)
+    func = sx.lambdify(components + tuple(sx.diff(c, n) for c in components for n in names), names)
+
+    def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = func(x)
+        return out[:rows], out[rows:].reshape(rows, cols)
+
+    return jet
 
 
 def identity_map(domain: CoordinateDomain) -> SmoothMap:

@@ -125,17 +125,6 @@ def model_liouville(n: int) -> LcsStructure:
     return LcsStructure(f"liouville_{n}", EXACT, (chart,), metadata={"n": n})
 
 
-def contact_sphere_form(N: int, domain: CoordinateDomain | None = None) -> DifferentialForm:
-    """The standard contact generator (1/2) sum (y_j dx_j - x_j dy_j) on R^(2N)."""
-    dom = domain if domain is not None else forms.linear_domain(f"r{2*N}", interleaved_names(N))
-    coeffs: dict[tuple[int, ...], Expr] = {}
-    for j in range(N):
-        xi, yi = dom.index(f"x{j+1}"), dom.index(f"y{j+1}")
-        coeffs[(xi,)] = sx.mul(sx.Const(0.5), sx.var(f"y{j+1}"))
-        coeffs[(yi,)] = sx.mul(sx.Const(-0.5), sx.var(f"x{j+1}"))
-    return DifferentialForm(dom, 1, coeffs)
-
-
 def reeb_components(N: int) -> dict[str, Expr]:
     """Ambient components of the contact Reeb field 2 sum (y_j d/dx_j - x_j d/dy_j)."""
     comps: dict[str, Expr] = {}

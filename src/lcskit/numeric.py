@@ -10,14 +10,15 @@ Flows integrate in unwrapped coordinates; angular coordinates are treated
 as ordinary reals during integration (fields on such domains are periodic
 by construction), and only :func:`wrap_point` reduces them modulo 1.
 Linear coordinates are watched with terminal events: leaving the declared
-chart box raises :class:`FlowEscapeError`.
+chart box raises :class:`FlowEscapeError`.  Flow right-hand sides and
+symbolic point maps run the compiled evaluators each field and map builds
+once (``VectorField.value_at``/``jet_at``, ``SmoothMap.jet_at``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -41,52 +42,7 @@ class FlowEscapeError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# compiling symbolic objects to vector callables
-
-
-def compile_exprs(exprs: Sequence[sx.Expr], names: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
-    """Turn expressions into a function of a coordinate vector (name order)."""
-    exprs = tuple(exprs)
-    names = tuple(names)
-
-    def func(x: np.ndarray) -> np.ndarray:
-        env = {n: float(v) for n, v in zip(names, x)}
-        return np.array([sx.evaluate(e, env) for e in exprs], dtype=float)
-
-    return func
-
-
-def field_function(X: VectorField) -> Callable[[np.ndarray], np.ndarray]:
-    return compile_exprs(X.components, X.domain.names)
-
-
-def field_jacobian_function(X: VectorField) -> Callable[[np.ndarray], np.ndarray]:
-    names = X.domain.names
-    jac_exprs = [[sx.diff(c, n) for n in names] for c in X.components]
-    flat = [e for row in jac_exprs for e in row]
-    func = compile_exprs(flat, names)
-    d = X.domain.dim
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return func(x).reshape(d, d)
-
-    return jac
-
-
-def map_function(F: SmoothMap) -> Callable[[np.ndarray], np.ndarray]:
-    return compile_exprs(F.components, F.source.names)
-
-
-def map_jacobian_function(F: SmoothMap) -> Callable[[np.ndarray], np.ndarray]:
-    rows = F.jacobian()
-    flat = [e for row in rows for e in row]
-    func = compile_exprs(flat, F.source.names)
-    shape = (F.target.dim, F.source.dim)
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return func(x).reshape(shape)
-
-    return jac
+# points
 
 
 def wrap_point(domain: CoordinateDomain, x: np.ndarray) -> np.ndarray:
@@ -131,25 +87,26 @@ def flow(
     """
     d = X.domain.dim
     x0 = np.asarray(x0, dtype=float)
-    f = field_function(X)
-    Df = field_jacobian_function(X) if with_jacobian else None
+    if time == 0.0:
+        return FlowResult(x0.copy(), np.eye(d) if with_jacobian else None)
 
     if with_jacobian:
+        jet = X.jet_at
+
         def rhs(t, state):
-            x = state[:d]
-            J = state[d:].reshape(d, d)
-            return np.concatenate([f(x), (Df(x) @ J).ravel()])
+            f, Df = jet(state[:d])
+            return np.concatenate([f, (Df @ state[d:].reshape(d, d)).ravel()])
 
         y0 = np.concatenate([x0, np.eye(d).ravel()])
     else:
+        f = X.value_at
+
         def rhs(t, state):
             return f(state)
 
         y0 = x0
 
     events = _escape_events(X.domain, d, box_slack) if check_escape else None
-    if time == 0.0:
-        return FlowResult(x0.copy(), np.eye(d) if with_jacobian else None)
     sol = solve_ivp(
         rhs, (0.0, time), y0, method="RK45", rtol=rtol, atol=atol,
         events=events, dense_output=False,
@@ -211,12 +168,9 @@ class SymbolicPointMap(PointMap):
         self.source = F.source
         self.target = F.target
         self.map = F
-        self._value = map_function(F)
-        self._jac = map_jacobian_function(F)
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        return self._value(x), self._jac(x)
+        return self.map.jet_at(x)
 
 
 class ComposedPointMap(PointMap):

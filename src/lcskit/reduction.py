@@ -192,6 +192,47 @@ def _pulled_two_form(tensor: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.einsum("ain,abn,bjn->ijn", J, tensor, J)
 
 
+def _form_values(a: DifferentialForm, env, n: int) -> np.ndarray:
+    """Covectors (dim, n) of a one-form, or value tensors (dim, dim, n) of a two-form."""
+    return _batched_covector(a, env, n) if a.degree == 1 else _form_value_tensor(a, env, n)
+
+
+def _pulled_at_points(a: DifferentialForm, env, jacobians: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Values of a one- or two-form over the stacked points of ``env``, each
+    pulled back through the Jacobian at its point.
+
+    The coefficients are evaluated in one batch.  Each pullback runs on a
+    contiguous one-sample slice, the shapes a single-point evaluation gives,
+    so its sums are the same bit for bit.
+    """
+    vals = _form_values(a, env, len(jacobians))
+    pull = _pulled_one_form if a.degree == 1 else _pulled_two_form
+    return [
+        pull(np.ascontiguousarray(vals[..., k : k + 1]), J[:, :, None])[..., 0]
+        for k, J in enumerate(jacobians)
+    ]
+
+
+def _surviving_images(point_map: numeric.PointMap, env, samples: int):
+    """Push each sample through a point map, skipping chart escapes.
+
+    Returns the kept sample indices, their wrapped images stacked into an env
+    on the map's target, and the map's Jacobian at each kept sample.
+    """
+    kept, images, jacobians = [], [], []
+    for i in range(samples):
+        try:
+            value, J = point_map(_point_at(point_map.source, env, i))
+        except numeric.FlowEscapeError:
+            continue
+        kept.append(i)
+        images.append(numeric.wrap_point(point_map.target, value))
+        jacobians.append(J)
+    target = point_map.target
+    stacked = np.reshape(images, (len(kept), target.dim)).T
+    return kept, dict(zip(target.names, stacked)), jacobians
+
+
 def _point_at(domain: CoordinateDomain, env, i: int) -> np.ndarray:
     return np.array([float(np.atleast_1d(env[n])[i % np.atleast_1d(env[n]).size]) for n in domain.names])
 
@@ -297,27 +338,16 @@ def verify_strong_reducibility(
             residuals[label] = float(np.max(np.abs(got - want))) if got.size else 0.0
         used, skipped = samples, 0
     else:
-        used = skipped = 0
-        rdom = data.reduced.domain
-        for i in range(samples):
-            y = _point_at(cdom, env, i)
-            try:
-                value, J = data.quotient(y)
-            except numeric.FlowEscapeError:
-                skipped += 1
-                continue
-            used += 1
+        kept, image_env, jacobians = _surviving_images(data.quotient, env, samples)
+        used, skipped = len(kept), samples - len(kept)
+        for i, J in zip(kept, jacobians):
             gap = max(gap, numeric.subspace_gap(kernels[i], numeric.kernel_basis(J, rank_threshold)))
-            value_env = numeric.point_env(rdom, numeric.wrap_point(rdom, value))
-            point_env = {n: np.atleast_1d(env[n])[i % np.atleast_1d(env[n]).size] for n in cdom.names}
-            for label, reduced_form, restricted in reduced_forms:
-                if reduced_form.degree == 1:
-                    got = _pulled_one_form(_batched_covector(reduced_form, value_env, 1), J[:, :, None])[:, 0]
-                    want = _batched_covector(restricted, point_env, 1)[:, 0]
-                else:
-                    got = _pulled_two_form(_form_value_tensor(reduced_form, value_env, 1), J[:, :, None])[:, :, 0]
-                    want = _form_value_tensor(restricted, point_env, 1)[:, :, 0]
-                residuals[label] = max(residuals[label], float(np.max(np.abs(got - want))))
+        kept_env = {n: env[n][kept] for n in cdom.names}
+        for label, reduced_form, restricted in reduced_forms:
+            got = _pulled_at_points(reduced_form, image_env, jacobians)
+            want = _form_values(restricted, kept_env, used)
+            for k, g in enumerate(got):
+                residuals[label] = max(residuals[label], float(np.max(np.abs(g - want[..., k]))))
         if used < min_survival * samples:
             raise ReductionError(
                 f"only {used}/{samples} quotient samples of {data.name!r} stayed inside the chart"
@@ -562,8 +592,6 @@ class FlowQuotient(numeric.PointMap):
         self.target = base_chart.domain
         self._b = base_chart.b_field
         self._e = base_chart.anti_lee
-        self._b_func = numeric.field_function(self._b)
-        self._e_func = numeric.field_function(self._e)
         self._rtol = rtol
         self._atol = atol
 
@@ -575,8 +603,8 @@ class FlowQuotient(numeric.PointMap):
         value = second.point
         d = x.size
         J = np.zeros((d, d + 2))
-        J[:, 0] = second.jacobian @ self._b_func(first.point)
-        J[:, 1] = self._e_func(value)
+        J[:, 0] = second.jacobian @ self._b.value_at(first.point)
+        J[:, 1] = self._e.value_at(value)
         J[:, 2:] = second.jacobian @ first.jacobian
         return value, J
 
@@ -833,8 +861,6 @@ class _BackwardGraph(numeric.PointMap):
         self._section = numeric.SymbolicPointMap(section)
         self._b = base_chart.b_field
         self._e = base_chart.anti_lee
-        self._b_func = numeric.field_function(self._b)
-        self._e_func = numeric.field_function(self._e)
         self._rtol = rtol
         self._atol = atol
 
@@ -849,8 +875,8 @@ class _BackwardGraph(numeric.PointMap):
         J = np.zeros((d + 2, y.size))
         J[0, 0] = 1.0
         J[1, 1] = 1.0
-        J[2:, 0] = -self._b_func(x)
-        J[2:, 1] = back_b.jacobian @ (-self._e_func(back_e.point))
+        J[2:, 0] = -self._b.value_at(x)
+        J[2:, 1] = back_b.jacobian @ (-self._e.value_at(back_e.point))
         J[2:, 2:] = back_b.jacobian @ back_e.jacobian @ J0
         return np.concatenate(([s, u], x)), J
 
@@ -863,7 +889,7 @@ def concatenation_residual(
     seed: int = 0,
     margin: float = 0.5,
     min_survival: float = 0.5,
-) -> float:
+) -> tuple[float, int, int]:
     """Compare two-stage reduction with the direct one-stage reduction.
 
     Pull the stage-two graph back over the stage-one section: the combined
@@ -871,7 +897,8 @@ def concatenation_residual(
     direct quotient is the plain projection onto the original chart, and the
     residual is the worst mismatch between the original forms pulled through
     that projection and the stage-two forms pulled through the combined
-    embedding.
+    embedding.  Samples whose flows leave the chart are skipped; returns
+    ``(residual, samples used, samples skipped)``.
     """
     if step2.data is None or step1.data is None:
         raise ReductionError("concatenation needs the reduction data of both stages")
@@ -897,28 +924,18 @@ def concatenation_residual(
     env = c_dom.sample_points(samples, seed, margin)
     Jp = _batched_jacobian(projection, env, samples)
     p_env = forms.evaluate_map(projection, env)
+    kept, image_env, jacobians = _surviving_images(into_m2, env, samples)
+    kept_p_env = {n: p_env[n][kept] for n in base_dom.names}
     worst = 0.0
-    used = 0
-    for i in range(samples):
-        y = _point_at(c_dom, env, i)
-        try:
-            value, J = into_m2(y)
-        except numeric.FlowEscapeError:
-            continue
-        used += 1
-        value_env = numeric.point_env(m2_chart.domain, numeric.wrap_point(m2_chart.domain, value))
-        pe = {n: np.atleast_1d(p_env[n])[i % np.atleast_1d(p_env[n]).size] for n in base_dom.names}
-        for _, base_form, m2_form in expected:
-            if base_form.degree == 1:
-                got = _pulled_one_form(_batched_covector(m2_form, value_env, 1), J[:, :, None])[:, 0]
-                want = _pulled_one_form(_batched_covector(base_form, pe, 1), Jp[:, :, i][:, :, None])[:, 0]
-            else:
-                got = _pulled_two_form(_form_value_tensor(m2_form, value_env, 1), J[:, :, None])[:, :, 0]
-                want = _pulled_two_form(_form_value_tensor(base_form, pe, 1), Jp[:, :, i][:, :, None])[:, :, 0]
-            worst = max(worst, float(np.max(np.abs(got - want))))
+    for _, base_form, m2_form in expected:
+        got = _pulled_at_points(m2_form, image_env, jacobians)
+        want = _pulled_at_points(base_form, kept_p_env, [Jp[:, :, i] for i in kept])
+        for g, w in zip(got, want):
+            worst = max(worst, float(np.max(np.abs(g - w))))
+    used = len(kept)
     if used < min_survival * samples:
         raise ReductionError(f"only {used}/{samples} combined samples stayed inside the chart")
-    return worst
+    return worst, used, samples - used
 
 
 # ---------------------------------------------------------------------------
@@ -927,11 +944,17 @@ def concatenation_residual(
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Certified four-stage chain starting from one chart."""
+    """Certified four-stage chain starting from one chart.
+
+    ``concatenation_samples_used``/``_skipped`` count the two-stage check's
+    samples that stayed inside the chart and those skipped as escapes.
+    """
 
     steps: tuple[StepResult, ...]
     concatenation: float
     concatenation_tol: float
+    concatenation_samples_used: int
+    concatenation_samples_skipped: int
     passed: bool
 
     def step(self, name: str) -> StepResult:
@@ -978,12 +1001,12 @@ def run_reduction_chain(
         step3.chart, step1.chart, transplant, mu,
         samples=samples, tol=tol, seed=seed, verify_samples=min(verify_samples, 60),
     )
-    concat = concatenation_residual(
+    concat, concat_used, concat_skipped = concatenation_residual(
         step1, step2, chart, samples=concat_samples, seed=seed, margin=margin,
     )
     steps = (step1, step2, step3, step4)
     passed = all(s.passed for s in steps) and concat <= concat_tol
-    return ChainResult(steps, concat, concat_tol, passed)
+    return ChainResult(steps, concat, concat_tol, concat_used, concat_skipped, passed)
 
 
 # ---------------------------------------------------------------------------

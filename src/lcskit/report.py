@@ -595,7 +595,10 @@ def _run_chain(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> l
             anchor="two-stage against one-stage quotient agreement",
             max_residual=chain.concatenation,
             tolerance=chain.concatenation_tol,
-            rank_data={},
+            rank_data={
+                "samples_used": chain.concatenation_samples_used,
+                "samples_skipped": chain.concatenation_samples_skipped,
+            },
             passed=chain.concatenation <= chain.concatenation_tol,
         )
     )

@@ -11,7 +11,9 @@ equality is decided numerically (see :func:`is_zero`), never structurally.
 Evaluation is vectorised over numpy arrays.  Any non-finite value (a
 negative radicand, division by zero, the derivative of ``sqrt`` at 0)
 raises :class:`EvaluationDomainError` carrying the offending sample point
-rather than silently propagating ``nan``.
+rather than silently propagating ``nan``.  :func:`lambdify` compiles
+expressions evaluated at many single points into straight-line code with
+the same values, bit for bit, as the tree walk of :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -338,10 +340,6 @@ def diff(e: Expr, name: str) -> Expr:
     raise TypeError(f"unknown node {e!r}")
 
 
-def gradient(e: Expr, names: Iterable[str]) -> tuple[Expr, ...]:
-    return tuple(diff(e, n) for n in names)
-
-
 def substitute(e: Expr, mapping: Mapping[str, ExprLike]) -> Expr:
     """Replace variables by expressions, rebuilding through the constructors."""
     if isinstance(e, Const):
@@ -418,6 +416,103 @@ def evaluate(e: Expr, env: Mapping[str, "np.ndarray | float"]):
             f"non-finite value evaluating '{to_string(e)}' at {point}", point
         )
     return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# compilation
+
+_KERNELS = {"_power": np.power, "_sin": np.sin, "_cos": np.cos, "_exp": np.exp}
+
+
+def lambdify(exprs: Iterable[Expr], names: Sequence[str]) -> Callable[[Sequence[float]], np.ndarray]:
+    """Compile expressions into one function of a coordinate vector.
+
+    The returned function maps a point (coordinates ordered as ``names``) to
+    the array of expression values.  It runs straight-line code that shares
+    subexpressions by node identity and applies exactly the numpy kernels
+    and left-to-right association of :func:`evaluate`, so its values are
+    bit-identical to the tree walk.  Compiling pays off for expressions
+    evaluated at many single points (flow right-hand sides, point maps); a
+    one-shot batch is cheaper to walk.
+
+    A non-finite value re-evaluates the expressions in order with
+    :func:`evaluate`, which raises :class:`EvaluationDomainError` with its
+    usual message and witness point.  Expressions naming a coordinate outside
+    ``names`` are always walked, so :class:`UnknownCoordinateError` is raised
+    as before.
+    """
+    exprs = tuple(exprs)
+    names = tuple(names)
+
+    def walk(xs: list[float]) -> np.ndarray:
+        env = dict(zip(names, xs))
+        return np.array([evaluate(e, env) for e in exprs], dtype=float)
+
+    raw = _generate(exprs, names)
+    if raw is None:
+        return lambda x: walk(np.asarray(x, dtype=float).tolist())
+
+    def compiled(x: Sequence[float]) -> np.ndarray:
+        xs = np.asarray(x, dtype=float).tolist()
+        with np.errstate(all="ignore"):
+            out = np.array(raw(*xs), dtype=float)
+        if not np.isfinite(out).all():
+            return walk(xs)
+        return out
+
+    return compiled
+
+
+def _generate(exprs: tuple[Expr, ...], names: tuple[str, ...]):
+    """Source-compile ``exprs`` to ``f(x0, x1, ...) -> tuple``; None if an
+    expression names a coordinate outside ``names``."""
+    args = {n: f"x{i}" for i, n in enumerate(names)}
+    namespace = dict(_KERNELS)
+    lines: list[str] = []
+    codes: dict[int, str] = {}  # id(node) -> local name or literal, this compilation only
+
+    def emit(e: Expr) -> str:
+        code = codes.get(id(e))
+        if code is not None:
+            return code
+        if isinstance(e, Const):
+            if not math.isfinite(e.value):
+                code = f"c{len(namespace)}"
+                namespace[code] = e.value
+            else:
+                code = repr(e.value)
+                code = f"({code})" if code.startswith("-") else code
+        elif isinstance(e, Var):
+            code = args[e.name]
+        else:
+            if isinstance(e, Add):
+                rhs = " + ".join(emit(t) for t in e.terms)
+            elif isinstance(e, Mul):
+                rhs = " * ".join(emit(f) for f in e.factors)
+            elif isinstance(e, Pow):
+                q = e.exponent
+                if q.denominator == 1:
+                    rhs = f"_power({emit(e.base)}, {q.numerator}, dtype=float)"
+                else:
+                    rhs = f"_power({emit(e.base)}, {float(q)!r})"
+            elif isinstance(e, Call):
+                rhs = f"_{e.fn}({emit(e.arg)})"
+            else:
+                raise TypeError(f"unknown node {e!r}")
+            code = f"t{len(lines)}"
+            lines.append(f"    {code} = {rhs}")
+        codes[id(e)] = code
+        return code
+
+    try:
+        results = [emit(e) for e in exprs]
+    except KeyError:
+        return None
+    source = "\n".join(
+        [f"def _compiled({', '.join(args.values())}):", *lines, f"    return ({''.join(r + ', ' for r in results)})"]
+    )
+    exec(compile(source, "<lambdify>", "exec"), namespace)
+    return namespace["_compiled"]
 
 
 # ---------------------------------------------------------------------------

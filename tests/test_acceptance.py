@@ -6,6 +6,9 @@ up as a failed test with the measured numbers in the assertion message.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -199,3 +202,31 @@ def test_criterion_8_selftest_determinism():
         runs.append(json.dumps(rep.stable_dict(), sort_keys=True))
     assert runs[0] == runs[1], "reports differ beyond timestamps"
     _announce(8, "bundled self-test deterministic modulo timestamps")
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_PRINT_SELFTEST = (
+    "import json, sys\n"
+    "from lcskit import report\n"
+    "rep = report.run_manifest(report.load_manifest('selftest'))\n"
+    "sys.stdout.write(json.dumps(rep.stable_dict(), sort_keys=True))\n"
+)
+
+
+def test_selftest_identical_across_blas_thread_counts():
+    reports = {}
+    for threads in ("1", "2"):
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=SRC + (os.pathsep + path if path else ""),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _PRINT_SELFTEST], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        reports[threads] = done.stdout
+    assert json.loads(reports["1"])["records"]
+    assert reports["1"] == reports["2"], "self-test report depends on the BLAS thread count"

@@ -239,6 +239,27 @@ def test_obstruction_in_dimension_three():
     assert report.distance > 0.1
 
 
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_obstruction_distance_is_one_in_dimension_three(m):
+    """The area cochain is orthogonal to the coboundary image at every n, so
+    its normalized distance from that image is exactly its full norm."""
+    report = coh.ot_obstruction_check(3, m)
+    assert abs(report.distance - 1.0) < 1e-12
+    assert report.passed
+
+
+def test_obstruction_distance_outside_its_bound_raises(monkeypatch):
+    rng = np.random.default_rng(0)
+
+    def off_image_solution(D, b, rcond=None):
+        # D @ x lies in the image, orthogonal to the area, so the residual grows
+        return (rng.standard_normal(D.shape[1]),)
+
+    monkeypatch.setattr(coh.np.linalg, "lstsq", off_image_solution)
+    with pytest.raises(coh.CohomologyError, match="left its bound"):
+        coh.ot_obstruction_check(2, 4)
+
+
 def test_obstruction_orthogonality_identity():
     """The area cochain is exactly orthogonal to the coboundary image, an
     independent certificate that its distance is the full norm."""

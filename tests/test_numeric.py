@@ -69,10 +69,42 @@ def test_composed_point_map_chain_rule():
     x0 = np.array([0.25, -0.5])
     val, J = comp(x0)
     sym_comp = forms.compose(G, F)
-    want_val = numeric.map_function(sym_comp)(x0)
-    want_J = numeric.map_jacobian_function(sym_comp)(x0)
+    want_val, want_J = sym_comp.jet_at(x0)
     assert np.allclose(val, want_val, atol=1e-12)
     assert np.allclose(J, want_J, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_flow_domain_error_keeps_tree_walk_message_and_witness(with_jacobian):
+    radicand = sx.var("x") - sx.Const(0.5)
+    X = VectorField(R2, (sx.sqrt(radicand), sx.var("y")))
+    x0 = np.array([0.25, -0.75])
+    with pytest.raises(sx.EvaluationDomainError) as want:
+        sx.evaluate(X.components[0], {"x": 0.25, "y": -0.75})
+    with pytest.raises(sx.EvaluationDomainError) as got:
+        numeric.flow(X, x0, 0.1, with_jacobian=with_jacobian)
+    assert str(got.value) == str(want.value)
+    assert got.value.point == want.value.point == {"x": 0.25, "y": -0.75}
+
+
+def test_flow_of_field_naming_a_missing_coordinate_raises():
+    X = VectorField(R2, (sx.var("z"), sx.ONE))
+    with pytest.raises(sx.UnknownCoordinateError, match="'z'"):
+        numeric.flow(X, np.array([0.0, 0.0]), 0.1)
+
+
+def test_compiled_evaluators_are_built_once_per_object():
+    X = VectorField(R2, (sx.var("x") * sx.var("y"), sx.sin(sx.var("x"))))
+    numeric.flow(X, np.array([0.3, 0.2]), 0.4, with_jacobian=True)
+    jet = X.jet_at
+    numeric.flow(X, np.array([0.1, 0.2]), 0.4, with_jacobian=True)
+    assert X.jet_at is jet
+    F = SmoothMap(R2, R3, (sx.var("x"), sx.var("y"), sx.var("x") * sx.var("y")))
+    pm = numeric.SymbolicPointMap(F)
+    value, J = pm(np.array([0.5, 2.0]))
+    assert F.jet_at is F.jet_at
+    assert value.tolist() == [0.5, 2.0, 1.0]
+    assert J.tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 0.5]]
 
 
 def test_numerical_rank_and_kernel():

@@ -6,6 +6,7 @@ verifier and the independent numerics must agree.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -83,6 +84,15 @@ def test_plane_chain_passes(plane_chain):
     assert all(s.first_kind.passed for s in plane_chain.steps)
 
 
+@pytest.mark.parametrize("fixture", ["plane_chain", "sphere_chain"])
+def test_concatenation_counts_every_sample(fixture, request):
+    chain = request.getfixturevalue(fixture)
+    concat_samples = inspect.signature(reduction.run_reduction_chain).parameters["concat_samples"].default
+    used, skipped = chain.concatenation_samples_used, chain.concatenation_samples_skipped
+    assert used + skipped == concat_samples
+    assert used >= 0.5 * concat_samples
+
+
 def test_plane_chain_deterministic(plane_chain):
     chart, decomp, factory = reduction.plane_chain_input()
     again = reduction.run_reduction_chain(chart, decomp, factory)
@@ -135,8 +145,8 @@ def test_flow_quotient_value_against_rk4(sphere_chain):
     q = sphere_chain.steps[1].data.quotient
     src = q.source
     env = src.sample_points(3, 11, 0.6)
-    b_func = numeric.field_function(sphere_chain.steps[0].chart.b_field)
-    e_func = numeric.field_function(sphere_chain.steps[0].chart.anti_lee)
+    b_func = sphere_chain.steps[0].chart.b_field.value_at
+    e_func = sphere_chain.steps[0].chart.anti_lee.value_at
     for i in range(3):
         y = np.array([env[n][i] for n in src.names])
         value, _ = q(y)

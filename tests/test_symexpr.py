@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcskit import symexpr as sx
-from lcskit.forms import linear_domain
+from lcskit.forms import linear_domain, make_domain, random_polynomial_form
 from oracle_utils import central_difference
 
 X, Y = sx.var("x"), sx.var("y")
@@ -252,3 +252,94 @@ def test_substitute_then_evaluate_agrees(e, seed):
     swapped = sx.substitute(e, {"x": sx.Const(a), "y": sx.Const(b)})
     direct = sx.evaluate(e, {"x": a, "y": b})
     assert sx.evaluate(swapped, {}) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against the tree walk (the oracle)
+
+
+MIX = make_domain("mix", [("x", "linear", -1.5, 1.5), ("y", "linear", -1.5, 1.5), ("t", "angular")])
+_OPS = ("add", "mul", "sin", "cos", "exp", "root", "power", "recip")
+
+
+def _build_dag(steps, leaves):
+    """Grow a pool of expressions whose operands are earlier pool entries, so
+    later entries share subtrees (a DAG, not a tree)."""
+    pool = list(leaves)
+    for op, i, j in steps:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "add":
+            e = a + b
+        elif op == "mul":
+            e = a * b
+        elif op == "sin":
+            e = sx.sin(a)
+        elif op == "cos":
+            e = sx.cos(a)
+        elif op == "exp":
+            e = sx.exp(sx.sin(a))
+        elif op == "root":  # rational power of a positive base
+            e = sx.pow_(1 + a * a, Fraction(1 + j % 5, 2 + i % 3))
+        elif op == "power":
+            e = sx.pow_(a, 2 + j % 2)
+        else:
+            e = sx.pow_(1 + a * a, -(1 + j % 2))
+        pool.append(e)
+    return pool
+
+
+_dag_steps = st.lists(
+    st.tuples(st.sampled_from(_OPS), st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _dag_steps,
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=3, max_size=3),
+)
+def test_compiled_equals_tree_walk_bit_for_bit(steps, width, seed, point):
+    T = sx.var("t")
+    pool = _build_dag(steps, (X, Y, T, sx.Const(0.5), sx.Const(-1.5)))
+    coeffs = tuple(random_polynomial_form(MIX, 1, seed).coeffs.values())
+    exprs = tuple(pool[-width:]) + coeffs + (pool[-1] * coeffs[0],)
+    compiled = sx.lambdify(exprs, MIX.names)
+    env = dict(zip(MIX.names, point))
+    try:
+        want = np.array([sx.evaluate(e, env) for e in exprs], dtype=float)
+    except sx.EvaluationDomainError as err:
+        with pytest.raises(sx.EvaluationDomainError) as got:
+            compiled(point)
+        assert str(got.value) == str(err)
+        assert got.value.point == err.point
+        return
+    got = compiled(np.array(point))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_compiled_domain_error_keeps_message_and_witness():
+    exprs = (X + Y, sx.sqrt(X) * sx.exp(Y), sx.pow_(X, -1))
+    point = {"x": -0.25, "y": 0.5}
+    with pytest.raises(sx.EvaluationDomainError) as want:
+        sx.evaluate(exprs[1], point)
+    with pytest.raises(sx.EvaluationDomainError) as got:
+        sx.lambdify(exprs, ("x", "y"))(np.array([-0.25, 0.5]))
+    assert str(got.value) == str(want.value)
+    assert got.value.point == want.value.point == point
+
+
+def test_compiled_unknown_coordinate_raises():
+    with pytest.raises(sx.UnknownCoordinateError, match="'z'"):
+        sx.lambdify((X, X * sx.var("z")), ("x", "y"))([0.5, 0.5])
+
+
+def test_compiled_shares_subexpressions_and_constants():
+    shared = sx.sin(X * Y)
+    decay = sx.exp(sx.Const(-math.inf) * X)  # a non-finite constant inside a finite value
+    exprs = (shared, shared * shared, sx.Const(-2.0), decay)
+    got = sx.lambdify(exprs, ("x", "y"))([0.3, 0.7])
+    s = math.sin(0.3 * 0.7)
+    assert got.tolist() == [s, s * s, -2.0, 0.0]
+    assert got[3] == sx.evaluate(decay, {"x": 0.3, "y": 0.7})
