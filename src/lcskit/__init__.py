@@ -19,6 +19,8 @@ Layers, bottom up:
 * :mod:`lcskit.cli` — manifest-driven verification runs with JSON reports.
 """
 
+__version__ = "0.1.0"  # the package's only version declaration; pyproject.toml reads it
+
 from . import (
     cli,
     cohomology,
@@ -44,5 +46,3 @@ __all__ = [
     "symexpr",
     "twisted",
 ]
-
-__version__ = "0.1.0"

@@ -48,12 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--fail-fast", action="store_true", help="stop after the first failing task"
         )
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads recorded in the report; tasks always run sequentially",
-        )
         cmd.add_argument("-q", "--quiet", action="store_true", help="suppress the summary table")
 
     add_run_command("run", "execute every task in a manifest")
@@ -81,7 +75,7 @@ def _default_output(manifest_path: str) -> str:
 
 
 def _print_report(rep: RunReport, stream) -> None:
-    print(f"manifest: {rep.manifest}   seed: {rep.seed}   threads: {rep.threads}", file=stream)
+    print(f"manifest: {rep.manifest}   seed: {rep.seed}", file=stream)
     env = rep.environment
     print(
         f"environment: package {env.get('package')} / python {env.get('python')} / "
@@ -120,7 +114,6 @@ def _execute(args: argparse.Namespace) -> int:
         tol=args.tol,
         samples=args.samples,
         fail_fast=args.fail_fast,
-        threads=max(1, args.threads),
     )
     rep = run_manifest(manifest, opts)
     output = args.output or _default_output(args.manifest)

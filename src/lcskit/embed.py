@@ -148,9 +148,7 @@ def radius_bound(
         env = dom.sample_points(samples, seed)
         total = np.zeros(samples)
         for e in exprs:
-            total += np.broadcast_to(
-                np.asarray(sx.evaluate(sx.pow_(e, 2), env), dtype=float), (samples,)
-            )
+            total += sx.evaluate(sx.pow_(e, 2), env)
         if total.size:
             sup = max(sup, float(np.sqrt(np.max(total))))
     if sup == 0.0:
@@ -191,11 +189,7 @@ def _half_product_sum(pairs: Sequence[tuple[Expr, Expr]]) -> Expr:
 
 
 def _check_radicand(expr: Expr, dom: CoordinateDomain, samples: int, seed: int, where: str):
-    vals = np.broadcast_to(
-        np.asarray(sx.evaluate(expr, dom.sample_points(samples, seed)), dtype=float),
-        (samples,),
-    )
-    worst = float(np.min(vals))
+    worst = float(np.min(sx.evaluate(expr, dom.sample_points(samples, seed))))
     if worst <= 0.0:
         raise RadiusError(f"{where}: sphere radicand dips to {worst:.3g} at a sample")
 
@@ -609,7 +603,7 @@ def build_lcs_embedding(
             if not check.passed:
                 raise CertificationError(f"{label} on chart {chart.name!r}", check)
             certs.append((chart.name, label, check))
-        ranks.append(_min_jacobian_rank(psi, samples=min(40, samples), seed=seed + 4))
+        ranks.append(numeric.map_min_rank(psi, samples=min(40, samples), seed=seed + 4))
         dmin, npairs = _image_separation(
             psi, injectivity_samples, seed + 5, min_source_distance
         )
@@ -639,10 +633,6 @@ def build_lcs_embedding(
         structure.name, solution, target, tuple(maps), c, tuple(certs),
         morphism, min(ranks), structure.dim, injectivity,
     )
-
-
-def _min_jacobian_rank(psi: SmoothMap, samples: int, seed: int) -> int:
-    return numeric.map_min_rank(psi, samples=samples, seed=seed)
 
 
 def _image_separation(

@@ -287,7 +287,9 @@ class VectorField:
     @cached_property
     def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """Compiled ``x -> (components, Jacobian)`` at a point, built once."""
-        return _compile_jet(self.components, self.domain.names)
+        names = self.domain.names
+        jacobian = tuple(tuple(sx.diff(c, n) for n in names) for c in self.components)
+        return _compile_jet(self.components, jacobian, names)
 
 
 def basis_vector(domain: CoordinateDomain, name: str) -> VectorField:
@@ -319,8 +321,11 @@ class SmoothMap:
     def component(self, target_name: str) -> Expr:
         return self.components[self.target.index(target_name)]
 
+    @cached_property
     def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
-        """Rows indexed by target coordinates, columns by source coordinates."""
+        """Symbolic Jacobian, derived on first use and kept for the map's
+        lifetime: rows indexed by target coordinates, columns by source
+        coordinates."""
         src = self.source.names
         return tuple(tuple(sx.diff(c, n) for n in src) for c in self.components)
 
@@ -328,13 +333,13 @@ class SmoothMap:
     def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """Compiled ``x -> (value, Jacobian)`` at a source point, without
         angular wrapping; built on first use and kept for the map's lifetime."""
-        return _compile_jet(self.components, self.source.names)
+        return _compile_jet(self.components, self.jacobian, self.source.names)
 
 
-def _compile_jet(components: tuple[Expr, ...], names: tuple[str, ...]):
+def _compile_jet(components: tuple[Expr, ...], jacobian: tuple[tuple[Expr, ...], ...], names: tuple[str, ...]):
     """One compiled function for components and their Jacobian (row-major)."""
     rows, cols = len(components), len(names)
-    func = sx.lambdify(components + tuple(sx.diff(c, n) for c in components for n in names), names)
+    func = sx.lambdify(components + tuple(e for row in jacobian for e in row), names)
 
     def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = func(x)
@@ -359,18 +364,11 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
 def evaluate_map(F: SmoothMap, env: Mapping[str, np.ndarray], wrap: bool = True) -> dict[str, np.ndarray]:
     """Evaluate a map at sample points, wrapping angular targets into [0, 1).
 
-    Results are broadcast to the common sample shape, so constant
-    components come back as full arrays too.
+    Each component comes back as a fresh array of the env's batch shape.
     """
-    batch: tuple[int, ...] = ()
-    for v in env.values():
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim > 0:
-            batch = arr.shape
-            break
     out: dict[str, np.ndarray] = {}
     for coord, comp in zip(F.target.coords, F.components):
-        vals = np.broadcast_to(np.asarray(sx.evaluate(comp, env), dtype=float), batch).copy()
+        vals = np.array(sx.evaluate(comp, env))
         if wrap and coord.kind == ANGULAR:
             vals = np.mod(vals, 1.0)
         out[coord.name] = vals
@@ -521,7 +519,7 @@ def pullback(F: SmoothMap, a: DifferentialForm) -> DifferentialForm:
         return function_form(src, sx.substitute(a.coefficient(()), repl))
     if k > src.dim:
         return DifferentialForm(src, k, {})
-    jac = F.jacobian()
+    jac = F.jacobian
     out: dict[tuple[int, ...], list[Expr]] = {}
     composed = {J: sx.substitute(c, repl) for J, c in a.coeffs.items()}
     for I in itertools.combinations(range(src.dim), k):
@@ -551,18 +549,7 @@ def form_matrix(phi: DifferentialForm, env: Mapping[str, np.ndarray]) -> np.ndar
     """Evaluate a two-form into antisymmetric matrices, shape (*batch, d, d)."""
     if phi.degree != 2:
         raise DegreeError("form_matrix expects a two-form")
-    d = phi.domain.dim
-    batch = None
-    for v in env.values():
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
-        batch = arr.shape[0] if batch is None else batch
-    n = batch or 1
-    M = np.zeros((n, d, d))
-    for (i, j), c in phi.coeffs.items():
-        vals = np.broadcast_to(np.asarray(sx.evaluate(c, env), dtype=float), (n,))
-        M[:, i, j] += vals
-        M[:, j, i] -= vals
-    return M
+    return np.moveaxis(form_values(phi, env), (0, 1), (-2, -1))
 
 
 def sharp(phi: DifferentialForm, a: DifferentialForm, point: Mapping[str, float]) -> np.ndarray:
@@ -571,11 +558,8 @@ def sharp(phi: DifferentialForm, a: DifferentialForm, point: Mapping[str, float]
         raise DegreeError("sharp expects a one-form")
     _check_domains(phi.domain, a.domain)
     d = phi.domain.dim
-    env = {k: np.asarray([float(v)]) for k, v in point.items()}
-    M = form_matrix(phi, env)[0]
-    rhs = np.zeros(d)
-    for (i,), c in a.coeffs.items():
-        rhs[i] = float(sx.evaluate(c, point))
+    M = form_matrix(phi, point)
+    rhs = form_values(a, point)
     # i_v phi as a covector is v . M (row vector), i.e. M^T v = rhs with M^T = -M.
     rank = int(np.linalg.matrix_rank(M, tol=_rank_tol(M)))
     if rank < d:
@@ -642,8 +626,30 @@ def field_is_zero(
 
 
 def evaluate_form(a: DifferentialForm, env: Mapping[str, np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
-    """Evaluate all coefficients at sample points."""
-    return {idx: np.asarray(sx.evaluate(c, env), dtype=float) for idx, c in a.coeffs.items()}
+    """Evaluate all coefficients at sample points (floats at a single
+    point given by scalars)."""
+    return {idx: sx.evaluate(c, env) for idx, c in a.coeffs.items()}
+
+
+def form_values(a: DifferentialForm, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Dense values of a one-form, shape (dim, *batch), or of a two-form,
+    antisymmetric in the first two axes, shape (dim, dim, *batch)."""
+    if a.degree not in (1, 2):
+        raise DegreeError(f"form_values expects a one- or two-form, got degree {a.degree}")
+    out = np.zeros((a.domain.dim,) * a.degree + sx.batch_shape(env))
+    for idx, c in a.coeffs.items():
+        vals = sx.evaluate(c, env)
+        if a.degree == 1:
+            out[idx] = vals
+        else:
+            out[idx] += vals
+            out[idx[::-1]] -= vals
+    return out
+
+
+def evaluate_jacobian(F: SmoothMap, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Jacobian of a map at sample points, shape (tgt, src, *batch)."""
+    return np.array([[sx.evaluate(e, env) for e in row] for row in F.jacobian])
 
 
 # ---------------------------------------------------------------------------

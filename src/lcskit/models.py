@@ -264,7 +264,7 @@ def sphere_overlap_report(
             comps.append(ci.parametrization.component(n))
         T = SmoothMap(ci.domain, cj.domain, tuple(comps))
         env = ci.domain.sample_points(samples, seed + pairs)
-        val_dj = np.asarray(sx.evaluate(ci.parametrization.component(drop_j), env))
+        val_dj = sx.evaluate(ci.parametrization.component(drop_j), env)
         keep = sign_j * val_dj > min_clearance
         if not np.any(keep):
             pairs += 1
@@ -274,9 +274,7 @@ def sphere_overlap_report(
         for a_i, a_j in ((ci.alpha, cj.alpha), (ci.phi, cj.phi), (ci.lee, cj.lee)):
             delta = a_i - pullback(T, a_j)
             for c in delta.coeffs.values():
-                vals = np.atleast_1d(np.asarray(sx.evaluate(c, env_kept), dtype=float))
-                if vals.size:
-                    worst = max(worst, float(np.max(np.abs(vals))))
+                worst = max(worst, float(np.max(np.abs(sx.evaluate(c, env_kept)))))
         pairs += 1
     return OverlapReport(worst <= tol, worst, pairs, used, tol)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import forms, symexpr as sx
+from . import forms
 from .forms import ANGULAR, LINEAR, CoordinateDomain, DifferentialForm, SmoothMap, VectorField
 
 
@@ -52,10 +52,6 @@ def wrap_point(domain: CoordinateDomain, x: np.ndarray) -> np.ndarray:
         if c.kind == ANGULAR:
             out[i] = out[i] % 1.0
     return out
-
-
-def point_env(domain: CoordinateDomain, x: np.ndarray) -> dict[str, float]:
-    return {n: float(v) for n, v in zip(domain.names, x)}
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +194,7 @@ def numeric_pullback(
     if a.domain != point_map.target:
         raise forms.DomainMismatchError("form does not live on the map's target")
     value, J = point_map(x)
-    env = point_env(a.domain, value)
-    coeff_vals = {idx: float(sx.evaluate(c, env)) for idx, c in a.coeffs.items()}
+    coeff_vals = forms.evaluate_form(a, dict(zip(a.domain.names, value)))
     k = a.degree
     src_dim = point_map.source.dim
     out: dict[tuple[int, ...], float] = {}
@@ -214,19 +209,12 @@ def numeric_pullback(
     return out
 
 
-def symbolic_form_values_at(
-    a: DifferentialForm, x: np.ndarray
-) -> dict[tuple[int, ...], float]:
-    env = point_env(a.domain, x)
-    return {idx: float(sx.evaluate(c, env)) for idx, c in a.coeffs.items()}
-
-
 def pullback_residual_at(
     symbolic: DifferentialForm, a: DifferentialForm, point_map: PointMap, x: np.ndarray
 ) -> float:
     """Max coefficient gap between a symbolic form and a numeric pullback."""
     got = numeric_pullback(a, point_map, x)
-    want = symbolic_form_values_at(symbolic, x)
+    want = forms.evaluate_form(symbolic, dict(zip(symbolic.domain.names, x)))
     keys = set(got) | set(want)
     return max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in keys) if keys else 0.0
 
@@ -237,18 +225,7 @@ def pullback_residual_at(
 
 def map_min_rank(F: SmoothMap, samples: int = 40, seed: int = 0, margin: float = 0.0) -> int:
     """Minimum numerical rank of a map's Jacobian over sampled points."""
-    env = F.source.sample_points(samples, seed, margin)
-    rows = []
-    for row in F.jacobian():
-        rows.append(
-            [
-                np.broadcast_to(
-                    np.atleast_1d(np.asarray(sx.evaluate(e, env), dtype=float)), (samples,)
-                )
-                for e in row
-            ]
-        )
-    J = np.array(rows)  # (target_dim, source_dim, samples)
+    J = forms.evaluate_jacobian(F, F.source.sample_points(samples, seed, margin))
     worst = min(F.source.dim, F.target.dim)
     for i in range(samples):
         worst = min(worst, numerical_rank(J[:, :, i]))

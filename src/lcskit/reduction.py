@@ -153,88 +153,45 @@ class StrongReducibilityReport:
         return max((r for _, r in self.pullback_residuals), default=0.0)
 
 
-def _batched(e: sx.Expr, env, n: int) -> np.ndarray:
-    vals = np.atleast_1d(np.asarray(sx.evaluate(e, env), dtype=float))
-    return np.broadcast_to(vals, (n,)) if vals.size == 1 else vals
+def _pulled(values: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Pull one-form values (tgt, n) or two-form values (tgt, tgt, n) back
+    through Jacobians (tgt, src, n)."""
+    if values.ndim == 2:
+        return np.einsum("an,ain->in", values, J)
+    return np.einsum("ain,abn,bjn->ijn", J, values, J)
 
 
-def _batched_jacobian(F: SmoothMap, env, n: int) -> np.ndarray:
-    """Jacobian of a symbolic map at n sample points, shape (tgt, src, n)."""
-    return np.array([[_batched(e, env, n) for e in row] for row in F.jacobian()])
+def _images(quotient: "SmoothMap | numeric.PointMap", env, samples: int):
+    """Push the samples of ``env`` through a quotient.
 
-
-def _batched_covector(a: DifferentialForm, env, n: int) -> np.ndarray:
-    """Coefficient vectors of a one-form at n samples, shape (dim, n)."""
-    out = np.zeros((a.domain.dim, n))
-    for (i,), c in a.coeffs.items():
-        out[i] = _batched(c, env, n)
-    return out
-
-
-def _form_value_tensor(a: DifferentialForm, env, n: int) -> np.ndarray:
-    """Dense antisymmetric value tensor of a two-form, shape (dim, dim, n)."""
-    d = a.domain.dim
-    out = np.zeros((d, d, n))
-    for (i, j), c in a.coeffs.items():
-        vals = _batched(c, env, n)
-        out[i, j] += vals
-        out[j, i] -= vals
-    return out
-
-
-def _pulled_one_form(cov: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Pull coefficient vectors (tgt, n) through Jacobians (tgt, src, n)."""
-    return np.einsum("an,ain->in", cov, J)
-
-
-def _pulled_two_form(tensor: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Pull dense two-form values (tgt, tgt, n) through Jacobians."""
-    return np.einsum("ain,abn,bjn->ijn", J, tensor, J)
-
-
-def _form_values(a: DifferentialForm, env, n: int) -> np.ndarray:
-    """Covectors (dim, n) of a one-form, or value tensors (dim, dim, n) of a two-form."""
-    return _batched_covector(a, env, n) if a.degree == 1 else _form_value_tensor(a, env, n)
-
-
-def _pulled_at_points(a: DifferentialForm, env, jacobians: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Values of a one- or two-form over the stacked points of ``env``, each
-    pulled back through the Jacobian at its point.
-
-    The coefficients are evaluated in one batch.  Each pullback runs on a
-    contiguous one-sample slice, the shapes a single-point evaluation gives,
-    so its sums are the same bit for bit.
+    Returns the kept sample indices, their wrapped images as an env on the
+    quotient's target, and the quotient's Jacobians stacked as (tgt, src,
+    kept).  A symbolic map is evaluated over the whole batch and keeps every
+    sample; a point map is called per sample, skipping chart escapes.
     """
-    vals = _form_values(a, env, len(jacobians))
-    pull = _pulled_one_form if a.degree == 1 else _pulled_two_form
-    return [
-        pull(np.ascontiguousarray(vals[..., k : k + 1]), J[:, :, None])[..., 0]
-        for k, J in enumerate(jacobians)
-    ]
-
-
-def _surviving_images(point_map: numeric.PointMap, env, samples: int):
-    """Push each sample through a point map, skipping chart escapes.
-
-    Returns the kept sample indices, their wrapped images stacked into an env
-    on the map's target, and the map's Jacobian at each kept sample.
-    """
+    if isinstance(quotient, SmoothMap):
+        return list(range(samples)), forms.evaluate_map(quotient, env), forms.evaluate_jacobian(quotient, env)
     kept, images, jacobians = [], [], []
     for i in range(samples):
         try:
-            value, J = point_map(_point_at(point_map.source, env, i))
+            value, J = quotient(_point_at(quotient.source, env, i))
         except numeric.FlowEscapeError:
             continue
         kept.append(i)
-        images.append(numeric.wrap_point(point_map.target, value))
+        images.append(numeric.wrap_point(quotient.target, value))
         jacobians.append(J)
-    target = point_map.target
-    stacked = np.reshape(images, (len(kept), target.dim)).T
-    return kept, dict(zip(target.names, stacked)), jacobians
+    tgt, src = quotient.target, quotient.source
+    stacked = np.reshape(images, (len(kept), tgt.dim)).T
+    J = np.reshape(jacobians, (len(kept), tgt.dim, src.dim)).transpose(1, 2, 0)
+    return kept, dict(zip(tgt.names, stacked)), J
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x))) if x.size else 0.0
 
 
 def _point_at(domain: CoordinateDomain, env, i: int) -> np.ndarray:
-    return np.array([float(np.atleast_1d(env[n])[i % np.atleast_1d(env[n]).size]) for n in domain.names])
+    return np.array([env[n][i] for n in domain.names], dtype=float)
 
 
 def _witness(domain: CoordinateDomain, env, i: int) -> dict[str, float]:
@@ -274,9 +231,9 @@ def verify_strong_reducibility(
     image_env = forms.evaluate_map(C, env)
 
     # tangency of the structure fields along the submanifold
-    JC = _batched_jacobian(C, env, samples)
-    b_vals = np.array([_batched(c, image_env, samples) for c in amb.b_field.components])
-    e_vals = np.array([_batched(c, image_env, samples) for c in amb.anti_lee.components])
+    JC = forms.evaluate_jacobian(C, env)
+    b_vals = np.array([sx.evaluate(c, image_env) for c in amb.b_field.components])
+    e_vals = np.array([sx.evaluate(c, image_env) for c in amb.anti_lee.components])
     b_tan = e_tan = 0.0
     for i in range(samples):
         Ji = JC[:, :, i]
@@ -290,10 +247,10 @@ def verify_strong_reducibility(
 
     # candidate foliation distribution: common kernel of the restricted Lee
     # form, potential, and potential derivative
-    lee_rows = _batched_covector(lee_c, env, samples)
-    alpha_rows = _batched_covector(alpha_c, env, samples)
-    dalpha_tensor = _form_value_tensor(dalpha_c, env, samples)
-    phi_tensor = _form_value_tensor(phi_c, env, samples)
+    lee_rows = forms.form_values(lee_c, env)
+    alpha_rows = forms.form_values(alpha_c, env)
+    dalpha_tensor = forms.form_values(dalpha_c, env)
+    phi_tensor = forms.form_values(phi_c, env)
 
     kernels: list[np.ndarray] = []
     dist_ranks: list[int] = []
@@ -314,46 +271,24 @@ def verify_strong_reducibility(
     two_form_kernel_rank = min(phi_ranks)
     ranks_agree = all(r == distribution_rank for r in phi_ranks)
 
-    reduced_forms = (
-        ("alpha", data.reduced.alpha, alpha_c),
-        ("lee", data.reduced.lee, lee_c),
-        ("phi", data.reduced.phi, phi_c),
-    )
-
+    kept, q_env, Jq = _images(data.quotient, env, samples)
+    used, skipped = len(kept), samples - len(kept)
+    if used < min_survival * samples:
+        raise ReductionError(
+            f"only {used}/{samples} quotient samples of {data.name!r} stayed inside the chart"
+        )
     gap = 0.0
-    residuals = {label: 0.0 for label, _, _ in reduced_forms}
-    if isinstance(data.quotient, SmoothMap):
-        q = data.quotient
-        Jq = _batched_jacobian(q, env, samples)
-        q_env = forms.evaluate_map(q, env)
-        for i in range(samples):
-            gap = max(gap, numeric.subspace_gap(kernels[i], numeric.kernel_basis(Jq[:, :, i], rank_threshold)))
-        for label, reduced_form, restricted in reduced_forms:
-            if reduced_form.degree == 1:
-                got = _pulled_one_form(_batched_covector(reduced_form, q_env, samples), Jq)
-                want = _batched_covector(restricted, env, samples)
-            else:
-                got = _pulled_two_form(_form_value_tensor(reduced_form, q_env, samples), Jq)
-                want = _form_value_tensor(restricted, env, samples)
-            residuals[label] = float(np.max(np.abs(got - want))) if got.size else 0.0
-        used, skipped = samples, 0
-    else:
-        kept, image_env, jacobians = _surviving_images(data.quotient, env, samples)
-        used, skipped = len(kept), samples - len(kept)
-        for i, J in zip(kept, jacobians):
-            gap = max(gap, numeric.subspace_gap(kernels[i], numeric.kernel_basis(J, rank_threshold)))
-        kept_env = {n: env[n][kept] for n in cdom.names}
-        for label, reduced_form, restricted in reduced_forms:
-            got = _pulled_at_points(reduced_form, image_env, jacobians)
-            want = _form_values(restricted, kept_env, used)
-            for k, g in enumerate(got):
-                residuals[label] = max(residuals[label], float(np.max(np.abs(g - want[..., k]))))
-        if used < min_survival * samples:
-            raise ReductionError(
-                f"only {used}/{samples} quotient samples of {data.name!r} stayed inside the chart"
-            )
-
-    pullback_residuals = tuple((label, residuals[label]) for label, _, _ in reduced_forms)
+    for k, i in enumerate(kept):
+        gap = max(gap, numeric.subspace_gap(kernels[i], numeric.kernel_basis(Jq[:, :, k], rank_threshold)))
+    # the restricted forms were evaluated at every sample above; keep the survivors
+    pullback_residuals = tuple(
+        (label, _max_abs(_pulled(forms.form_values(reduced_form, q_env), Jq) - restricted[..., kept]))
+        for label, reduced_form, restricted in (
+            ("alpha", data.reduced.alpha, alpha_rows),
+            ("lee", data.reduced.lee, lee_rows),
+            ("phi", data.reduced.phi, phi_tensor),
+        )
+    )
     passed = (
         b_tan <= tol
         and e_tan <= tol
@@ -613,7 +548,7 @@ def _fiber_bound(alpha: DifferentialForm, samples: int, seed: int, factor: float
     env = alpha.domain.sample_points(samples, seed)
     worst = 0.0
     for vals in forms.evaluate_form(alpha, env).values():
-        worst = max(worst, float(np.max(np.abs(np.atleast_1d(vals)))))
+        worst = max(worst, float(np.max(np.abs(vals))))
     return max(1.0, factor * worst)
 
 
@@ -725,7 +660,7 @@ def build_step3(
             )
 
     env = m2_dom.sample_points(min(samples, 60), seed)
-    J = _batched_jacobian(shear, env, min(samples, 60))
+    J = forms.evaluate_jacobian(shear, env)
     det_offset = float(np.max(np.abs(np.linalg.det(np.moveaxis(J, 2, 0)) - 1.0)))
     if det_offset > tol * 10:
         raise ReductionError(f"shear is not unipotent (determinant offset {det_offset:.3e})")
@@ -916,25 +851,21 @@ def concatenation_residual(
     base_dom = base_chart.domain
     projection = SmoothMap(c_dom, base_dom, tuple(sx.var(n) for n in base_dom.names))
     expected = (
-        ("alpha", base_chart.alpha, m2_chart.alpha),
-        ("lee", base_chart.lee, m2_chart.lee),
-        ("phi", base_chart.phi, m2_chart.phi),
+        (base_chart.alpha, m2_chart.alpha),
+        (base_chart.lee, m2_chart.lee),
+        (base_chart.phi, m2_chart.phi),
     )
 
     env = c_dom.sample_points(samples, seed, margin)
-    Jp = _batched_jacobian(projection, env, samples)
-    p_env = forms.evaluate_map(projection, env)
-    kept, image_env, jacobians = _surviving_images(into_m2, env, samples)
-    kept_p_env = {n: p_env[n][kept] for n in base_dom.names}
-    worst = 0.0
-    for _, base_form, m2_form in expected:
-        got = _pulled_at_points(m2_form, image_env, jacobians)
-        want = _pulled_at_points(base_form, kept_p_env, [Jp[:, :, i] for i in kept])
-        for g, w in zip(got, want):
-            worst = max(worst, float(np.max(np.abs(g - w))))
+    kept, image_env, J = _images(into_m2, env, samples)
     used = len(kept)
     if used < min_survival * samples:
         raise ReductionError(f"only {used}/{samples} combined samples stayed inside the chart")
+    _, p_env, Jp = _images(projection, {n: env[n][kept] for n in c_dom.names}, used)
+    worst = max(
+        _max_abs(_pulled(forms.form_values(m2_form, image_env), J) - _pulled(forms.form_values(base_form, p_env), Jp))
+        for base_form, m2_form in expected
+    )
     return worst, used, samples - used
 
 

@@ -24,11 +24,10 @@ from importlib import resources
 import numpy as np
 import scipy
 
-from . import cohomology, embed, forms, models, reduction
+from . import __version__, cohomology, embed, forms, models, reduction
 from . import symexpr as sx
 
-REPORT_FORMAT = "lcskit-report-v1"
-PACKAGE_VERSION = "0.1.0"
+REPORT_FORMAT = "lcskit-report-v2"
 
 _VOLATILE_KEYS = ("started_utc", "wall_time_s")
 
@@ -80,7 +79,7 @@ class CheckRecord:
 
 def environment_stamp() -> dict:
     return {
-        "package": PACKAGE_VERSION,
+        "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -94,7 +93,6 @@ class RunReport:
 
     seed: int
     manifest: str
-    threads: int
     environment: dict
     started_utc: str
     wall_time_s: float
@@ -109,7 +107,6 @@ class RunReport:
             "format": REPORT_FORMAT,
             "seed": self.seed,
             "manifest": self.manifest,
-            "threads": self.threads,
             "environment": dict(self.environment),
             "started_utc": self.started_utc,
             "wall_time_s": self.wall_time_s,
@@ -124,7 +121,6 @@ class RunReport:
         return RunReport(
             seed=d["seed"],
             manifest=d["manifest"],
-            threads=d["threads"],
             environment=dict(d["environment"]),
             started_utc=d["started_utc"],
             wall_time_s=d["wall_time_s"],
@@ -382,7 +378,6 @@ class RunOptions:
     tol: float | None = None
     samples: int | None = None
     fail_fast: bool = False
-    threads: int = 1
 
 
 def _opt(override, task_value, default):
@@ -716,7 +711,6 @@ def run_manifest(manifest: Manifest, opts: RunOptions | None = None) -> RunRepor
     return RunReport(
         seed=seed,
         manifest=manifest.path,
-        threads=opts.threads,
         environment=environment_stamp(),
         started_utc=started,
         wall_time_s=round(time.perf_counter() - clock, 3),

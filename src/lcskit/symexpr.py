@@ -394,24 +394,30 @@ def _eval_raw(e: Expr, env: Mapping[str, np.ndarray]):
     raise TypeError(f"unknown node {e!r}")
 
 
+def batch_shape(env: Mapping[str, "np.ndarray | float"]) -> tuple[int, ...]:
+    """Shape of the batch an env describes: that of its first non-scalar
+    value, or ``()`` when every value is a scalar."""
+    return next((np.shape(v) for v in env.values() if np.ndim(v)), ())
+
+
 def evaluate(e: Expr, env: Mapping[str, "np.ndarray | float"]):
     """Evaluate ``e`` on scalars or equal-length arrays.
 
-    Raises :class:`EvaluationDomainError` (with the first offending sample
-    point) if the result is not finite everywhere, and
-    :class:`UnknownCoordinateError` for unbound variables.
+    The result has the batch shape of ``env`` (see :func:`batch_shape`): an
+    array whenever any env value is an array, constants included, and a
+    float for an all-scalar env.  Raises :class:`EvaluationDomainError`
+    (with the first offending sample point) if the result is not finite
+    everywhere, and :class:`UnknownCoordinateError` for unbound variables.
     """
     env_arr = {k: np.asarray(v, dtype=float) for k, v in env.items()}
     with np.errstate(all="ignore"):
         out = _eval_raw(e, env_arr)
     out = np.asarray(out, dtype=float)
+    if out.ndim == 0:
+        out = np.full(batch_shape(env_arr), out)
     if not np.all(np.isfinite(out)):
-        bad = np.nonzero(~np.isfinite(np.atleast_1d(out)))[0]
-        idx = int(bad[0])
-        point = {
-            k: float(v) if v.ndim == 0 else float(np.atleast_1d(v)[idx % v.size])
-            for k, v in env_arr.items()
-        }
+        idx = int(np.flatnonzero(~np.isfinite(out))[0])
+        point = {k: float(v) if v.ndim == 0 else float(v.flat[idx]) for k, v in env_arr.items()}
         raise EvaluationDomainError(
             f"non-finite value evaluating '{to_string(e)}' at {point}", point
         )
@@ -561,14 +567,12 @@ def is_zero(
     for e in exprs:
         if is_structural_zero(e):
             continue
-        vals = np.atleast_1d(np.asarray(evaluate(e, env), dtype=float))
-        if vals.size == 1 and samples > 1:
-            vals = np.repeat(vals, samples)
-        idx = int(np.argmax(np.abs(vals)))
-        r = float(abs(vals[idx]))
+        vals = np.abs(evaluate(e, env))
+        r = float(np.max(vals))
         if r > worst:
             worst = r
-            worst_point = {k: float(np.atleast_1d(v)[idx % np.atleast_1d(v).size]) for k, v in env.items()}
+            idx = int(np.argmax(vals))
+            worst_point = {k: float(v[idx]) for k, v in env.items()}
     return ZeroCheck(worst <= tol, worst, worst_point, samples, tol)
 
 
@@ -594,7 +598,7 @@ def _wrap(e: Expr, parent: str) -> str:
 
 
 def _const_str(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 

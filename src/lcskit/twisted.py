@@ -201,13 +201,13 @@ def extract_lee(
     n_tri = len(triples)
 
     def point_system(i: int) -> tuple[np.ndarray, np.ndarray]:
-        pv = {idx: float(np.atleast_1d(v)[i % np.atleast_1d(v).size]) for idx, v in phi_vals.items()}
+        pv = {idx: float(v[i]) for idx, v in phi_vals.items()}
         A, _ = _triple_matrix(pv, dim)
         b = np.zeros(n_tri)
         for row, T in enumerate(triples):
             v = dphi_vals.get(T)
             if v is not None:
-                b[row] = float(np.atleast_1d(v)[i % np.atleast_1d(v).size])
+                b[row] = v[i]
         return A, b
 
     if ansatz is None:
@@ -225,7 +225,7 @@ def extract_lee(
             values[i] = nu
             if r > worst:
                 worst = r
-                worst_point = {k: float(np.atleast_1d(v)[i]) for k, v in env.items()}
+                worst_point = {k: float(v[i]) for k, v in env.items()}
         if worst > tol:
             raise NotConformalError(
                 f"no pointwise Lee form fits d(phi) (residual {worst:.3g} > {tol:g})",
@@ -243,13 +243,13 @@ def extract_lee(
         for row, T in enumerate(triples):
             v = wb_vals.get(T)
             if v is not None:
-                col[row::n_tri] = np.broadcast_to(np.atleast_1d(v), (samples,))
+                col[row::n_tri] = v
         cols.append(col)
     rhs = np.zeros(samples * n_tri)
     for row, T in enumerate(triples):
         v = dphi_vals.get(T)
         if v is not None:
-            rhs[row::n_tri] = np.broadcast_to(np.atleast_1d(v), (samples,))
+            rhs[row::n_tri] = v
     A = np.column_stack(cols) if cols else np.zeros((samples * n_tri, 0))
     coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     omega = forms.zero_form(phi.domain, 1)

@@ -407,3 +407,40 @@ def test_evaluate_form_values():
     a = DifferentialForm(R2, 1, {(0,): sx.var("y")})
     vals = evaluate_form(a, {"x": np.array([0.0, 1.0]), "y": np.array([2.0, 3.0])})
     assert np.allclose(vals[(0,)], [2.0, 3.0])
+
+
+_CONSTANT_AND_POLY = DifferentialForm(R4, 2, {(0, 2): sx.Const(0.75), (1, 3): sx.var("x") * sx.var("w")})
+
+
+@pytest.mark.parametrize("phi", [random_polynomial_form(R4, 2, seed=5), _CONSTANT_AND_POLY])
+def test_form_values_two_form_against_multilinear_oracle(phi):
+    """Dense two-form values are antisymmetric, equal phi(e_i, e_j) from the
+    multilinear oracle at every sample (constant coefficients included), and
+    form_matrix holds the same values with the batch axis first."""
+    env = R4.sample_points(7, seed=2)
+    vals = forms.form_values(phi, env)
+    assert vals.shape == (4, 4, 7)
+    assert np.array_equal(vals, -np.swapaxes(vals, 0, 1))
+    basis = np.eye(4)
+    for k in range(7):
+        coeffs = {idx: sx.evaluate(c, {n: env[n][k] for n in R4.names}) for idx, c in phi.coeffs.items()}
+        for i, j in itertools.product(range(4), repeat=2):
+            want = oracle.eval_form_on_vectors(coeffs, [basis[i], basis[j]])
+            assert vals[i, j, k] == pytest.approx(want, abs=1e-14)
+    assert np.array_equal(forms.form_matrix(phi, env), np.moveaxis(vals, -1, 0))
+    assert forms.form_values(phi, {n: env[n][0] for n in R4.names}).shape == (4, 4)
+
+
+def test_evaluate_jacobian_against_finite_differences():
+    x, y = sx.var("x"), sx.var("y")
+    F = SmoothMap(R2, R3, (x * y, sx.Const(2.0), sx.sin(x) + y))
+    env = R2.sample_points(5, seed=1)
+    J = forms.evaluate_jacobian(F, env)
+    assert J.shape == (3, 2, 5)
+
+    def value(p):
+        return np.array([sx.evaluate(c, dict(zip(R2.names, p))) for c in F.components])
+
+    for k in range(5):
+        point = np.array([env[n][k] for n in R2.names])
+        assert np.allclose(J[:, :, k], oracle.fd_jacobian(value, point), atol=1e-8)

@@ -141,6 +141,21 @@ def test_verifier_matches_pointwise_pullback_route(plane_chain):
     assert abs(got - 0.01) < 1e-12
 
 
+@pytest.mark.parametrize("fixture, stage", [("plane_chain", 0), ("plane_chain", 3), ("sphere_chain", 0)])
+def test_symbolic_quotient_report_matches_point_map_route(fixture, stage, request):
+    """The verifier evaluates a symbolic quotient over the whole batch and a
+    point map sample by sample (through its compiled jet); the same quotient
+    taken either way must give the same report, bit for bit."""
+    data = request.getfixturevalue(fixture).steps[stage].data
+    assert isinstance(data.quotient, forms.SmoothMap)
+    as_points = dataclasses.replace(data, quotient=numeric.SymbolicPointMap(data.quotient))
+    for seed in (0, 3):
+        want = reduction.verify_strong_reducibility(data, samples=40, seed=seed)
+        got = reduction.verify_strong_reducibility(as_points, samples=40, seed=seed)
+        assert got == want
+        assert got.samples_used == 40 and got.samples_skipped == 0
+
+
 def test_flow_quotient_value_against_rk4(sphere_chain):
     q = sphere_chain.steps[1].data.quotient
     src = q.source

@@ -73,6 +73,20 @@ def test_division_by_zero_is_domain_error():
         sx.evaluate(1 / X, {"x": np.array([1.0, 0.0, 2.0])})
 
 
+def test_non_finite_constant_prints_and_raises_domain_error():
+    e = sx.mul(sx.Const(math.inf), X)
+    assert str(e) == "inf * x"
+    with pytest.raises(sx.EvaluationDomainError) as err:
+        sx.evaluate(e, {"x": 0.0})
+    assert str(err.value) == "non-finite value evaluating 'inf * x' at {'x': 0.0}"
+    assert err.value.point == {"x": 0.0}
+
+
+def test_to_string_of_non_finite_constants():
+    assert sx.to_string(sx.Const(math.nan)) == "nan"
+    assert sx.to_string(sx.Const(-math.inf)) == "-inf"
+
+
 def test_unknown_coordinate_error():
     with pytest.raises(sx.UnknownCoordinateError):
         sx.evaluate(X + Y, {"x": 1.0})
@@ -343,3 +357,43 @@ def test_compiled_shares_subexpressions_and_constants():
     s = math.sin(0.3 * 0.7)
     assert got.tolist() == [s, s * s, -2.0, 0.0]
     assert got[3] == sx.evaluate(decay, {"x": 0.3, "y": 0.7})
+
+
+# ---------------------------------------------------------------------------
+# batch shape of the tree walk against a per-point loop of scalar walks
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _dag_steps,
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-1.5, max_value=1.5),
+            st.floats(min_value=-1.5, max_value=1.5),
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_batched_evaluate_has_batch_shape_and_matches_scalar_walks(steps, points):
+    T = sx.var("t")
+    pool = _build_dag(steps, (X, Y, T, sx.Const(0.5), sx.Const(-1.5)))
+    # bare and folded constants, plus the newest entries (which share subtrees)
+    exprs = (sx.Const(2.0), sx.sin(sx.Const(0.5)) * 3, *pool[-3:])
+    columns = np.array(points, dtype=float).T
+    env = dict(zip(MIX.names, columns))
+    n = len(points)
+    for e in exprs:
+        scalar_envs = [dict(zip(MIX.names, p)) for p in points]
+        try:
+            want = np.array([sx.evaluate(e, point) for point in scalar_envs], dtype=float)
+        except sx.EvaluationDomainError as err:
+            with pytest.raises(sx.EvaluationDomainError) as got:
+                sx.evaluate(e, env)
+            assert str(got.value) == str(err)
+            assert got.value.point == err.point
+            continue
+        got = sx.evaluate(e, env)
+        assert isinstance(got, np.ndarray) and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
