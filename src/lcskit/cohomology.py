@@ -8,12 +8,12 @@ weight e^(-mu_j), so the product of weights around the j-th axis loop is
 the character value of that loop.  Coboundaries square to zero exactly
 in floating point — cancelling terms multiply the same floats.
 
-Betti numbers use column-pivoted QR ranks with a relative threshold
-(tests cross-check against a dense SVD route).  The averaging operator
-and the obstruction report discretize a non-exactness mechanism: the
-area class in degree two stays at positive distance from the coboundary
-image while every translation-invariant one-cochain is closed, so no
-invariant primitive can exist.
+Betti numbers use column-pivoted QR ranks under the package's rank rule,
+:func:`lcskit.numeric.count_significant` (tests cross-check against a dense
+SVD route).  The averaging operator and the obstruction report discretize
+a non-exactness mechanism: the area class in degree two stays at positive
+distance from the coboundary image while every translation-invariant
+one-cochain is closed, so no invariant primitive can exist.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse
+
+from .numeric import RANK_RTOL, count_significant
 
 DENSE_BUDGET = 40_000_000
 """Largest dense matrix (entry count) the rank routines will materialize."""
@@ -153,48 +155,22 @@ def _dense(M: "sparse.spmatrix | np.ndarray", budget: int) -> np.ndarray:
     return M.toarray() if sparse.issparse(M) else np.asarray(M, dtype=float)
 
 
-def matrix_rank_qr(
-    M: "sparse.spmatrix | np.ndarray", rel_threshold: float = 1e-10, budget: int = DENSE_BUDGET
-) -> int:
-    """Rank via column-pivoted QR: diagonal entries above a relative threshold."""
-    A = _dense(M, budget)
-    if A.size == 0 or not np.any(A):
-        return 0
-    R = scipy.linalg.qr(A, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(R))
-    top = diag[0] if diag.size and diag[0] > 0 else 1.0
-    return int(np.sum(diag > rel_threshold * top))
+def matrix_rank_qr(M: "sparse.spmatrix | np.ndarray", budget: int = DENSE_BUDGET) -> int:
+    """Rank via column-pivoted QR: the shared rank rule on |diag R|."""
+    R = scipy.linalg.qr(_dense(M, budget), mode="r", pivoting=True)[0]
+    return int(count_significant(np.abs(np.diag(R))))
 
 
-def complex_betti(
-    coboundaries,
-    cells,
-    rel_threshold: float = 1e-10,
-    budget: int = DENSE_BUDGET,
-) -> list[int]:
-    """Betti numbers of a cochain complex given its coboundary matrices."""
-    ranks = [matrix_rank_qr(D, rel_threshold, budget) for D in coboundaries]
-    betti = []
-    for k in range(len(cells)):
-        rk = ranks[k] if k < len(ranks) else 0
-        rkm1 = ranks[k - 1] if k > 0 else 0
-        betti.append(int(cells[k]) - rk - rkm1)
-    return betti
+def complex_betti(coboundaries, cells, budget: int = DENSE_BUDGET) -> list[int]:
+    """Betti numbers b_k = c_k - r_k - r_(k-1) of a cochain complex given its
+    coboundary matrices (r_k = 0 outside them)."""
+    ranks = [0, *(matrix_rank_qr(D, budget) for D in coboundaries), *[0] * len(cells)]
+    return [int(c) - ranks[k + 1] - ranks[k] for k, c in enumerate(cells)]
 
 
-def twisted_betti(
-    C: TwistedCochainComplex, rel_threshold: float = 1e-10, budget: int = DENSE_BUDGET
-) -> list[int]:
+def twisted_betti(C: TwistedCochainComplex, budget: int = DENSE_BUDGET) -> list[int]:
     """Betti numbers b^0..b^n of the twisted complex."""
-    return complex_betti(C.coboundaries, C.cells, rel_threshold, budget)
-
-
-def euler_characteristic_check(C: TwistedCochainComplex, budget: int = DENSE_BUDGET) -> bool:
-    """Whether the twisted alternating sum matches the untwisted one."""
-    twisted_sum = sum((-1) ** k * b for k, b in enumerate(twisted_betti(C, budget=budget)))
-    plain = build_torus_complex(C.n, C.m, None, C.cuts)
-    plain_sum = sum((-1) ** k * b for k, b in enumerate(twisted_betti(plain, budget=budget)))
-    return twisted_sum == plain_sum
+    return complex_betti(C.coboundaries, C.cells, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +302,10 @@ def ot_obstruction_check(
     C = build_torus_complex(n, m)
     D1 = _dense(C.coboundaries[1], budget)
     area = constant_area_cochain(C)
-    # Cut singular values at the relative threshold of matrix_rank_qr.  With
-    # its default cutoff scipy's gelsd returned distances far above 1 at n=3
-    # (5.22 at m=4), varying with the BLAS thread count.
-    solution = np.linalg.lstsq(D1, area, rcond=1e-10)[0]
+    # Cut singular values at the package's rank threshold.  With its default
+    # cutoff scipy's gelsd returned distances far above 1 at n=3 (5.22 at
+    # m=4), varying with the BLAS thread count.
+    solution = np.linalg.lstsq(D1, area, rcond=RANK_RTOL)[0]
     residual = area - D1 @ solution
     distance = float(np.linalg.norm(residual) / np.linalg.norm(area))
     if not 0.0 <= distance <= 1.0 + 1e-12:

@@ -32,7 +32,6 @@ from .forms import (
     DifferentialForm,
     SmoothMap,
     ext_d,
-    form_is_zero,
     forms_equal,
     function_form,
     pullback,
@@ -613,7 +612,7 @@ def build_lcs_embedding(
 
     first = structure.charts[0]
     src_loops = models.structure_lee_loops(structure)
-    tgt_loops = [_target_circle_loop(target, N)]
+    tgt_loops = [_target_circle_loop(target)]
     morphism = twisted.classify_morphism(
         dict(maps)[first.name],
         first.lee,
@@ -664,7 +663,7 @@ def _image_separation(
     return float(np.min(dt)), int(np.sum(keep))
 
 
-def _target_circle_loop(target: CoordinateDomain, N: int) -> SmoothMap:
+def _target_circle_loop(target: CoordinateDomain) -> SmoothMap:
     unit = forms.linear_domain("target_loop", ["t"], 0.0, 1.0)
     comps = []
     for n in target.names:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -561,7 +561,9 @@ def sharp(phi: DifferentialForm, a: DifferentialForm, point: Mapping[str, float]
     M = form_matrix(phi, point)
     rhs = form_values(a, point)
     # i_v phi as a covector is v . M (row vector), i.e. M^T v = rhs with M^T = -M.
-    rank = int(np.linalg.matrix_rank(M, tol=_rank_tol(M)))
+    from . import numeric  # numeric imports forms at load, so not at module level
+
+    rank = numeric.numerical_rank(M)
     if rank < d:
         raise NondegenerateError(
             f"two-form on {phi.domain.name!r} is degenerate (rank {rank} < {d})",
@@ -570,29 +572,16 @@ def sharp(phi: DifferentialForm, a: DifferentialForm, point: Mapping[str, float]
     return np.linalg.solve(-M, rhs)
 
 
-def _rank_tol(M: np.ndarray) -> float:
-    scale = float(np.max(np.abs(M))) if M.size else 0.0
-    return 1e-10 * max(scale, 1.0)
-
-
-def nondegeneracy_rank(
-    phi: DifferentialForm,
-    samples: int = 50,
-    seed: int = 0,
-    rel_threshold: float = 1e-10,
-) -> tuple[int, bool]:
+def nondegeneracy_rank(phi: DifferentialForm, samples: int = 50, seed: int = 0) -> tuple[int, bool]:
     """Minimum numerical rank of a two-form over sampled points.
 
-    Singular values below ``rel_threshold`` times the largest one count as
-    zero.  Returns (min rank, whether that equals the domain dimension).
+    Returns (min rank, whether that equals the domain dimension).
     """
     if phi.degree != 2:
         raise DegreeError("nondegeneracy_rank expects a two-form")
-    env = phi.domain.sample_points(samples, seed)
-    M = form_matrix(phi, env)
-    svals = np.linalg.svd(M, compute_uv=False)
-    top = np.maximum(svals[:, :1], 1e-300)
-    ranks = np.sum(svals > rel_threshold * top, axis=1)
+    from . import numeric  # numeric imports forms at load, so not at module level
+
+    ranks = numeric.numerical_rank(form_matrix(phi, phi.domain.sample_points(samples, seed)))
     min_rank = int(ranks.min()) if ranks.size else 0
     return min_rank, min_rank == phi.domain.dim
 

@@ -4,7 +4,9 @@ Provides ODE flows of symbolic vector fields (with variational Jacobians,
 so that derivative data stays integrator-accurate instead of relying on
 finite differences), point maps that exist only numerically (flow
 compositions), pointwise pullbacks through such maps, and small linear
-algebra helpers (numerical rank, kernels, subspace distances).
+algebra helpers (numerical rank, kernels, subspace distances).  Every rank
+in the package is decided here, by :func:`count_significant` at the
+relative threshold :data:`RANK_RTOL`.
 
 Flows integrate in unwrapped coordinates; angular coordinates are treated
 as ordinary reals during integration (fields on such domains are periodic
@@ -25,6 +27,11 @@ from scipy.integrate import solve_ivp
 
 from . import forms
 from .forms import ANGULAR, LINEAR, CoordinateDomain, DifferentialForm, SmoothMap, VectorField
+
+
+RANK_RTOL = 1e-10
+"""Relative rank threshold: a singular value or pivot counts as nonzero when
+it is above ``RANK_RTOL`` times the largest one."""
 
 
 class FlowEscapeError(Exception):
@@ -102,7 +109,7 @@ def flow(
 
         y0 = x0
 
-    events = _escape_events(X.domain, d, box_slack) if check_escape else None
+    events = _escape_events(X.domain, box_slack) if check_escape else None
     sol = solve_ivp(
         rhs, (0.0, time), y0, method="RK45", rtol=rtol, atol=atol,
         events=events, dense_output=False,
@@ -124,7 +131,7 @@ def flow(
     return FlowResult(end, None)
 
 
-def _escape_events(domain: CoordinateDomain, d: int, slack: float):
+def _escape_events(domain: CoordinateDomain, slack: float):
     events = []
     for i, c in enumerate(domain.coords):
         if c.kind != LINEAR:
@@ -223,33 +230,35 @@ def pullback_residual_at(
 # linear algebra helpers
 
 
+def count_significant(values: np.ndarray, rel_threshold: float = RANK_RTOL) -> np.ndarray:
+    """The package's one rank rule, over the last axis of nonnegative ``values``.
+
+    Counts the entries above ``rel_threshold`` times the largest; an all-zero
+    (or empty) row counts 0.
+    """
+    top = np.max(values, axis=-1, keepdims=True, initial=0.0)
+    return np.sum(values > rel_threshold * top, axis=-1)
+
+
+def numerical_rank(M: np.ndarray, rel_threshold: float = RANK_RTOL) -> int | np.ndarray:
+    """Rank of a matrix (an ``int``) or of each matrix in a stack ``(..., r, c)``
+    (an int array), by :func:`count_significant` of the singular values."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    ranks = count_significant(np.linalg.svd(M, compute_uv=False), rel_threshold)
+    return int(ranks) if M.ndim == 2 else ranks
+
+
 def map_min_rank(F: SmoothMap, samples: int = 40, seed: int = 0, margin: float = 0.0) -> int:
     """Minimum numerical rank of a map's Jacobian over sampled points."""
     J = forms.evaluate_jacobian(F, F.source.sample_points(samples, seed, margin))
-    worst = min(F.source.dim, F.target.dim)
-    for i in range(samples):
-        worst = min(worst, numerical_rank(J[:, :, i]))
-    return worst
+    ranks = numerical_rank(np.moveaxis(J, -1, 0))
+    return int(ranks.min(initial=min(F.source.dim, F.target.dim)))
 
 
-def numerical_rank(M: np.ndarray, rel_threshold: float = 1e-10) -> int:
-    """Rank by singular values above ``rel_threshold`` times the largest."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_threshold * s[0]))
-
-
-def kernel_basis(M: np.ndarray, rel_threshold: float = 1e-10) -> np.ndarray:
+def kernel_basis(M: np.ndarray, rel_threshold: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space of M."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    u, s, vt = np.linalg.svd(M)
-    top = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > rel_threshold * top))
-    return vt[rank:].T
+    _, s, vt = np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)))
+    return vt[int(count_significant(s, rel_threshold)):].T
 
 
 def subspace_gap(A: np.ndarray, B: np.ndarray) -> float:

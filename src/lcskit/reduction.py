@@ -28,7 +28,7 @@ reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -254,13 +254,12 @@ def verify_strong_reducibility(
 
     kernels: list[np.ndarray] = []
     dist_ranks: list[int] = []
-    phi_ranks: list[int] = []
     for i in range(samples):
         A = np.vstack([lee_rows[:, i][None, :], alpha_rows[:, i][None, :], dalpha_tensor[:, :, i]])
         K = numeric.kernel_basis(A, rank_threshold)
         kernels.append(K)
         dist_ranks.append(K.shape[1])
-        phi_ranks.append(d - numeric.numerical_rank(phi_tensor[:, :, i], rank_threshold))
+    phi_ranks = d - numeric.numerical_rank(np.moveaxis(phi_tensor, -1, 0), rank_threshold)
     lo, hi = int(np.argmin(dist_ranks)), int(np.argmax(dist_ranks))
     if dist_ranks[lo] != dist_ranks[hi]:
         raise NonConstantRankError(
@@ -268,8 +267,8 @@ def verify_strong_reducibility(
             ((_witness(cdom, env, lo), dist_ranks[lo]), (_witness(cdom, env, hi), dist_ranks[hi])),
         )
     distribution_rank = dist_ranks[0]
-    two_form_kernel_rank = min(phi_ranks)
-    ranks_agree = all(r == distribution_rank for r in phi_ranks)
+    two_form_kernel_rank = int(phi_ranks.min())
+    ranks_agree = bool(np.all(phi_ranks == distribution_rank))
 
     kept, q_env, Jq = _images(data.quotient, env, samples)
     used, skipped = len(kept), samples - len(kept)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,10 +27,8 @@ from scipy.integrate import quad
 from . import forms, numeric, symexpr as sx
 from .forms import (
     ANGULAR,
-    CoordinateDomain,
     DifferentialForm,
     SmoothMap,
-    VectorField,
     ext_d,
     form_is_zero,
     pullback,
@@ -175,7 +172,6 @@ def extract_lee(
     seed: int = 0,
     ansatz: Sequence[DifferentialForm] | None = None,
     tol: float = 1e-8,
-    rank_threshold: float = 1e-10,
 ) -> LeeData:
     """Recover the Lee form of a nondegenerate two-form from d(phi) = omega ^ phi.
 
@@ -216,7 +212,7 @@ def extract_lee(
         worst_point: dict[str, float] = {}
         for i in range(samples):
             A, b = point_system(i)
-            if numeric.numerical_rank(A, rank_threshold) < dim:
+            if numeric.numerical_rank(A) < dim:
                 raise ExtractionRankError(
                     f"wedge map with the two-form is rank deficient at sample {i}"
                 )

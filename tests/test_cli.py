@@ -7,6 +7,7 @@ import subprocess
 import pytest
 
 import lcskit.cli as cli
+import lcskit.cohomology as coh
 import lcskit.report as report
 
 
@@ -157,6 +158,22 @@ def test_cohomology_expectation_mismatch(tmp_path):
     assert not betti_record.passed
     assert "expected" in betti_record.detail
     assert betti_record.rank_data["betti"] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("extra_rank", [0, 1])
+def test_euler_record_fails_on_inconsistent_ranks(tmp_path, monkeypatch, extra_rank):
+    # b_k = c_k - r_k - r_(k-1) keeps the alternating sum at 0 for any ranks,
+    # so only b_k >= 0 can catch ranks that over-count
+    exact = coh.matrix_rank_qr
+    monkeypatch.setattr(coh, "matrix_rank_qr", lambda *args, **kwargs: exact(*args, **kwargs) + extra_rank)
+    task = {"kind": "cohomology", "n": 2, "m": 4, "mu": [1.0, 0.0]}
+    path = write_manifest(tmp_path, {"seed": 0, "tasks": [task]})
+    rep = report.run_manifest(report.load_manifest(path))
+    euler = next(r for r in rep.records if r.name.endswith(":euler"))
+    assert euler.rank_data["alternating_sum"] == 0
+    assert euler.passed == (extra_rank == 0)
+    betti = next(r for r in rep.records if r.name.endswith(":betti")).rank_data["betti"]
+    assert betti == ([0, 0, 0] if extra_rank == 0 else [-1, -2, -1])
 
 
 def test_task_exceptions_become_failing_records(tmp_path):

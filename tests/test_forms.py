@@ -378,9 +378,13 @@ def test_nondegeneracy_rank_reports_minimum():
 
 
 def test_nondegeneracy_threshold_is_relative():
-    # scale should not change the rank decision
-    symp = DifferentialForm(R4, 2, {(0, 1): sx.Const(1e-8), (2, 3): sx.Const(1e-8)})
-    assert forms.nondegeneracy_rank(symp) == (4, True)
+    # scale should not change the rank decision, in the sampled rank or in sharp
+    for eps in (1e-8, 1e-12):
+        symp = DifferentialForm(R4, 2, {(0, 1): sx.Const(eps), (2, 3): sx.Const(eps)})
+        assert forms.nondegeneracy_rank(symp) == (4, True)
+        # i_v (eps dx^dy + eps dz^dw) = dy  <=>  v = (1/eps) d/dx
+        v = forms.sharp(symp, R4.one_form("y"), {n: 0.1 for n in R4.names})
+        assert np.allclose(v, [1.0 / eps, 0.0, 0.0, 0.0], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcskit import forms, numeric, symexpr as sx
+from lcskit import cohomology, forms, numeric, symexpr as sx
 from lcskit.forms import SmoothMap, VectorField, linear_domain, pullback, random_polynomial_form
 import oracle_utils as oracle
 
@@ -113,6 +115,48 @@ def test_numerical_rank_and_kernel():
     K = numeric.kernel_basis(M)
     assert K.shape == (3, 2)
     assert np.allclose(M @ K, 0.0, atol=1e-12)
+
+
+def _planted_rank_stack(seed: int, batch: int, rows: int, cols: int) -> tuple[np.ndarray, list[int]]:
+    """Matrices U diag(s) V^T with orthonormal U, V and s in [1, 10]: every
+    nonzero singular value is at least a tenth of the largest, and every zero
+    one sits at round-off, far from the rank threshold on either side."""
+    rng = np.random.default_rng(seed)
+    ranks = [int(rng.integers(0, min(rows, cols) + 1)) for _ in range(batch)]
+    stack = np.zeros((batch, rows, cols))
+    for i, k in enumerate(ranks):
+        U = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, :k]
+        V = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:, :k]
+        stack[i] = (U * rng.uniform(1.0, 10.0, k)) @ V.T
+    return stack, ranks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 6),
+    rows=st.integers(1, 7),
+    cols=st.integers(1, 7),
+)
+def test_numerical_rank_of_a_stack_matches_numpy_and_qr(seed, batch, rows, cols):
+    stack, planted = _planted_rank_stack(seed, batch, rows, cols)
+    stacked = numeric.numerical_rank(stack)
+    assert stacked.shape == (batch,)
+    per_matrix = [numeric.numerical_rank(M) for M in stack]
+    assert all(type(r) is int for r in per_matrix)
+    assert stacked.tolist() == per_matrix == planted
+    # independent routes: numpy's own relative-threshold rank, and pivoted QR
+    assert [int(np.linalg.matrix_rank(M, rtol=numeric.RANK_RTOL)) for M in stack] == planted
+    assert [cohomology.matrix_rank_qr(M) for M in stack] == planted
+
+
+def test_numerical_rank_edge_cases():
+    assert numeric.numerical_rank(np.zeros((3, 4))) == 0
+    assert numeric.numerical_rank(np.zeros((0, 4))) == 0
+    assert numeric.numerical_rank(np.zeros((2, 0, 3))).tolist() == [0, 0]
+    assert numeric.numerical_rank([1.0, 2.0]) == 1
+    assert cohomology.matrix_rank_qr(np.zeros((3, 4))) == cohomology.matrix_rank_qr(np.zeros((0, 4))) == 0
+    assert numeric.count_significant(np.array([[3.0, 1e-12, 0.0], [0.0, 0.0, 0.0]])).tolist() == [1, 0]
 
 
 def test_subspace_gap():
