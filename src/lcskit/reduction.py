@@ -238,7 +238,7 @@ def verify_strong_reducibility(
     for i in range(samples):
         Ji = JC[:, :, i]
         for vec, which in ((b_vals[:, i], "b"), (e_vals[:, i], "e")):
-            sol, *_ = np.linalg.lstsq(Ji, vec, rcond=None)
+            sol, *_ = np.linalg.lstsq(Ji, vec, rcond=numeric.RANK_RTOL)
             res = float(np.max(np.abs(Ji @ sol - vec))) / max(1.0, float(np.max(np.abs(vec))))
             if which == "b":
                 b_tan = max(b_tan, res)

@@ -216,7 +216,7 @@ def extract_lee(
                 raise ExtractionRankError(
                     f"wedge map with the two-form is rank deficient at sample {i}"
                 )
-            nu, *_ = np.linalg.lstsq(A, b, rcond=None)
+            nu, *_ = np.linalg.lstsq(A, b, rcond=numeric.RANK_RTOL)
             r = float(np.max(np.abs(A @ nu - b))) if n_tri else 0.0
             values[i] = nu
             if r > worst:
@@ -247,7 +247,7 @@ def extract_lee(
         if v is not None:
             rhs[row::n_tri] = v
     A = np.column_stack(cols) if cols else np.zeros((samples * n_tri, 0))
-    coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=numeric.RANK_RTOL)
     omega = forms.zero_form(phi.domain, 1)
     for c, beta in zip(coeffs, basis):
         omega = omega + beta.scaled(sx.Const(float(c)))

@@ -73,3 +73,43 @@ def test_scanner_sees_string_annotations_and_flags_dead_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names_rank_rtol(node: ast.expr | None) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "RANK_RTOL") or (
+        isinstance(node, ast.Attribute) and node.attr == "RANK_RTOL"
+    )
+
+
+def lstsq_without_rank_rule(source: str) -> list[int]:
+    """Lines of ``lstsq`` calls whose ``rcond`` is not ``RANK_RTOL``.
+
+    numpy's default cutoff (machine epsilon times the larger dimension) would
+    be a second, implicit rank rule next to ``numeric.count_significant``.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "lstsq":
+            rcond = next((kw.value for kw in node.keywords if kw.arg == "rcond"), None)
+            if not _names_rank_rtol(rcond):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_lstsq_scanner_flags_default_and_none_cutoffs():
+    source = (
+        "import numpy as np\n"
+        "from .numeric import RANK_RTOL\n"
+        "from . import numeric\n"
+        "np.linalg.lstsq(A, b)\n"
+        "np.linalg.lstsq(A, b, rcond=None)\n"
+        "np.linalg.lstsq(A, b, rcond=1e-10)\n"
+        "np.linalg.lstsq(A, b, rcond=RANK_RTOL)\n"
+        "np.linalg.lstsq(A, b, rcond=numeric.RANK_RTOL)\n"
+    )
+    assert lstsq_without_rank_rule(source) == [4, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lstsq_cuts_at_rank_rtol(path):
+    assert lstsq_without_rank_rule(path.read_text()) == []

@@ -1,4 +1,8 @@
+import copy
+import gc
 import math
+import pickle
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcskit import report
 from lcskit import symexpr as sx
 from lcskit.forms import linear_domain, make_domain, random_polynomial_form
 from oracle_utils import central_difference
@@ -397,3 +402,180 @@ def test_batched_evaluate_has_batch_shape_and_matches_scalar_walks(steps, points
         got = sx.evaluate(e, env)
         assert isinstance(got, np.ndarray) and got.shape == (n,)
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# interned nodes: one object per structure, a derivative slot on the node
+
+
+def _structural_key(e, memo=None):
+    """Nested-tuple key of ``e``'s structure, ``Const`` keyed on its float bits
+    (so 0.0 and -0.0 differ and every nan with the same bits agrees)."""
+    memo = {} if memo is None else memo
+    key = memo.get(id(e))
+    if key is not None:
+        return key
+    if isinstance(e, sx.Const):
+        key = ("const", struct.pack("<d", e.value))
+    elif isinstance(e, sx.Var):
+        key = ("var", e.name)
+    elif isinstance(e, sx.Add):
+        key = ("add", tuple(_structural_key(t, memo) for t in e.terms))
+    elif isinstance(e, sx.Mul):
+        key = ("mul", tuple(_structural_key(f, memo) for f in e.factors))
+    elif isinstance(e, sx.Pow):
+        key = ("pow", _structural_key(e.base, memo), e.exponent)
+    else:
+        key = ("call", e.fn, _structural_key(e.arg, memo))
+    memo[id(e)] = key
+    return key
+
+
+_SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 2.0)
+_RAW_OPS = ("add", "mul", "sin", "exp", "root", "power", "raw-add", "raw-mul", "raw-pow")
+
+
+def _build_raw_dag(steps):
+    """Like ``_build_dag``, over leaves that include +-0.0, nan and +-inf, and
+    with raw node constructors next to the smart ones (they keep constants the
+    smart constructors would fold away).  Builds only, never evaluates."""
+    pool = [X, Y, *(sx.Const(v) for v in _SPECIAL)]
+    for op, i, j in steps:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "add":
+            e = a + b
+        elif op == "mul":
+            e = a * b
+        elif op == "sin":  # raw: folding sin(inf) with math.sin would raise
+            e = sx.Call("sin", a)
+        elif op == "exp":
+            e = sx.Call("exp", a)
+        elif op == "root":
+            e = sx.pow_(a, Fraction(1 + j % 5, 2 + i % 3))
+        elif op == "power":
+            e = sx.pow_(a, -(1 + j % 3))
+        elif op == "raw-add":
+            e = sx.Add((a, b))
+        elif op == "raw-mul":
+            e = sx.Mul((sx.Const(_SPECIAL[i % len(_SPECIAL)]), a, b))
+        else:
+            e = sx.Pow(a, Fraction(j % 7 - 3, 1 + i % 4))
+        pool.append(e)
+    return pool
+
+
+_raw_steps = st.lists(
+    st.tuples(st.sampled_from(_RAW_OPS), st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_steps, _raw_steps)
+def test_interning_gives_one_node_per_structure(steps, other_steps):
+    first = _build_raw_dag(steps)
+    again = _build_raw_dag(steps)
+    assert all(a is b for a, b in zip(first, again))
+    nodes = first + _build_raw_dag(other_steps)
+    memo: dict = {}
+    keys = [_structural_key(e, memo) for e in nodes]
+    for a, ka in zip(nodes, keys):
+        for b, kb in zip(nodes, keys):
+            assert (ka == kb) == (a is b)
+            assert (a == b) == (a is b)
+
+
+def test_const_is_keyed_on_float_bits():
+    assert sx.Const(0.0) is not sx.Const(-0.0)
+    assert sx.Const(-0.0) is sx.Const(-0.0)
+    assert sx.Const(math.nan) is sx.Const(float("nan"))
+    assert sx.Const(1) is sx.Const(1.0) is sx.ONE
+    assert sx.Pow(X, 2) is sx.Pow(X, Fraction(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_dag_steps)
+def test_diff_is_the_same_node_from_a_cold_or_a_warmed_slot(steps):
+    T = sx.var("t")
+    leaves = (X, Y, T, sx.Const(0.5), sx.Const(-1.5))
+    gc.collect()  # nodes of earlier examples held only by cycles die here
+    pool = _build_dag(steps, leaves)
+    cold = sx.diff(pool[-1], "x")
+    want = _structural_key(cold)
+    del pool
+    gc.collect()
+    pool = _build_dag(steps, leaves)
+    for e in reversed(pool):  # other names and other nodes first
+        sx.diff(e, "t")
+        sx.diff(e, "y")
+    for e in reversed(pool[:-1]):
+        sx.diff(e, "x")
+    warm = sx.diff(pool[-1], "x")
+    assert warm is cold
+    assert _structural_key(warm) == want
+    assert sx.diff(pool[-1], "x") is warm
+
+
+@settings(max_examples=40, deadline=None)
+@given(_dag_steps, st.lists(st.floats(min_value=-1.2, max_value=1.2), min_size=3, max_size=3))
+def test_diff_of_shared_dags_matches_central_difference(steps, point):
+    T = sx.var("t")
+    pool = _build_dag(steps, (X, Y, T, sx.Const(0.5), sx.Const(-1.5)))
+    env = dict(zip(("x", "y", "t"), point))
+    for e in pool[-3:]:
+        for name in ("x", "t"):
+            f = _as_func(e)
+            sym = sx.evaluate(sx.diff(e, name), env)
+            fd = central_difference(f, env, name)
+            assert abs(sym - fd) <= 1e-5 * (1.0 + abs(sym) + abs(f(env)))
+
+
+def _live_nodes() -> int:
+    return sum(len(cls._table) for cls in (sx.Const, sx.Var, sx.Add, sx.Mul, sx.Pow, sx.Call))
+
+
+def test_no_node_outlives_a_run():
+    gc.collect()
+    before = _live_nodes()
+    manifest = report.load_manifest("selftest")
+    rep = report.run_manifest(manifest)
+    assert rep.green
+    assert _live_nodes() > before
+    del manifest, rep
+    gc.collect()
+    assert _live_nodes() == before
+
+
+def test_nodes_copy_and_pickle_to_themselves():
+    e = sx.exp(sx.sqrt(1 + X**2)) * sx.sin(Y) - sx.Const(-0.0) * X
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert copy.deepcopy([e, {"k": e}])[1]["k"] is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert pickle.loads(pickle.dumps(sx.Const(-0.0))) is sx.Const(-0.0)
+
+
+def test_nodes_are_immutable():
+    e = X * Y + 1
+    for node, field in ((e, "terms"), (sx.ONE, "value"), (X, "name"), (sx.sin(X), "other")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+
+
+def test_evaluate_computes_a_shared_subtree_once(monkeypatch):
+    calls = []
+    real_sin = np.sin
+
+    def counting_sin(a):
+        calls.append(1)
+        return real_sin(a)
+
+    monkeypatch.setattr(np, "sin", counting_sin)
+    shared = sx.sin(X * Y)
+    e = shared + shared * shared + sx.sin(X * Y) ** 2
+    env = {"x": np.array([0.3, -0.8]), "y": np.array([0.7, 0.2])}
+    got = sx.evaluate(e, env)
+    assert len(calls) == 1
+    s = real_sin(env["x"] * env["y"])
+    assert got.tobytes() == (s + s * s + np.power(s, 2, dtype=float)).tobytes()
