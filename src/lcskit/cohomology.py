@@ -21,12 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-from scipy import sparse
 
 from .numeric import RANK_RTOL, count_significant
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DENSE_BUDGET = 40_000_000
 """Largest dense matrix (entry count) the rank routines will materialize."""
@@ -83,12 +85,17 @@ def build_torus_complex(
     m: int,
     mu: "tuple[float, ...] | list[float] | None" = None,
     cuts: "tuple[int, ...] | None" = None,
+    budget: int = DENSE_BUDGET,
 ) -> TwistedCochainComplex:
     """Assemble the twisted cubical cochain complex of the grid torus.
 
     ``mu`` defaults to all zeros (ordinary cochain complex); ``cuts``
-    defaults to the last slice ``m - 1`` on every axis.
+    defaults to the last slice ``m - 1`` on every axis.  Every rank here is
+    dense, so a complex with a coboundary of more than ``budget`` dense
+    entries is refused before anything is allocated.
     """
+    from scipy import sparse
+
     if n < 1:
         raise CohomologyError(f"torus dimension must be at least 1, got {n}")
     if m < 2:
@@ -100,9 +107,11 @@ def build_torus_complex(
     if len(cuts) != n or not all(0 <= c < m for c in cuts):
         raise CohomologyError(f"cuts must be {n} positions in [0, {m})")
     weights = tuple(math.exp(-x) for x in mu)
+    V = m**n
+    for k in range(n):
+        _require_budget(math.comb(n, k + 1) * V, math.comb(n, k) * V, budget)
 
     shape = (m,) * n
-    V = m**n
     vidx = np.arange(V)
     coords = np.array(np.unravel_index(vidx, shape))  # (n, V)
     shifted = []
@@ -145,18 +154,25 @@ def build_torus_complex(
 # ranks and Betti numbers
 
 
-def _dense(M: "sparse.spmatrix | np.ndarray", budget: int) -> np.ndarray:
-    rows, cols = M.shape
+def _require_budget(rows: int, cols: int, budget: int) -> None:
     if rows * cols > budget:
         raise CohomologyError(
             f"dense rank of a {rows} x {cols} matrix exceeds the budget of {budget} entries; "
             "use a smaller grid resolution m"
         )
+
+
+def _dense(M: "sparse.spmatrix | np.ndarray", budget: int) -> np.ndarray:
+    from scipy import sparse
+
+    _require_budget(*M.shape, budget)
     return M.toarray() if sparse.issparse(M) else np.asarray(M, dtype=float)
 
 
 def matrix_rank_qr(M: "sparse.spmatrix | np.ndarray", budget: int = DENSE_BUDGET) -> int:
     """Rank via column-pivoted QR: the shared rank rule on |diag R|."""
+    import scipy.linalg
+
     R = scipy.linalg.qr(_dense(M, budget), mode="r", pivoting=True)[0]
     return int(count_significant(np.abs(np.diag(R))))
 
@@ -196,6 +212,8 @@ def gauge_conjugate(
     its base vertex.  Conjugation is an isomorphism of complexes, so all
     Betti numbers are unchanged whatever the potential.
     """
+    from scipy import sparse
+
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (C.vertex_count,):
         raise CohomologyError(
@@ -299,7 +317,7 @@ def ot_obstruction_check(
     """
     if n < 2:
         raise CohomologyError("the obstruction check needs dimension at least 2")
-    C = build_torus_complex(n, m)
+    C = build_torus_complex(n, m, budget=budget)
     D1 = _dense(C.coboundaries[1], budget)
     area = constant_area_cochain(C)
     # Cut singular values at the package's rank threshold.  With its default

@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import forms
 from .forms import ANGULAR, LINEAR, CoordinateDomain, DifferentialForm, SmoothMap, VectorField
@@ -63,6 +62,18 @@ def wrap_point(domain: CoordinateDomain, x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # flows
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """:func:`scipy.integrate.solve_ivp`, imported on the first call.
+
+    ``scipy.integrate`` takes most of a cold start, and only flows need it.
+    :func:`flow` calls this module-level name, so patching
+    ``numeric.solve_ivp`` intercepts every integration.
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(fun, t_span, y0, **options)
 
 
 @dataclass

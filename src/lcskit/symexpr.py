@@ -322,13 +322,16 @@ def pow_(base: ExprLike, exponent: Number) -> Expr:
 
 
 def _pow_const(value: float, q: Fraction) -> float | None:
-    if q.denominator == 1:
-        if value == 0.0 and q < 0:
-            return None
-        return float(value ** q.numerator)
-    if value > 0.0 or (value == 0.0 and q > 0):
-        return float(value) ** float(q)
-    return None  # invalid or complex: leave for evaluation to report
+    try:
+        if q.denominator == 1:
+            if value == 0.0 and q < 0:
+                return None
+            return float(value ** q.numerator)
+        if value > 0.0 or (value == 0.0 and q > 0):
+            return float(value) ** float(q)
+    except OverflowError:
+        pass
+    return None  # invalid, complex or out of range: leave for evaluation to report
 
 
 def neg(e: ExprLike) -> Expr:
@@ -342,7 +345,10 @@ def sqrt(e: ExprLike) -> Expr:
 def _call(fn: str, arg: ExprLike) -> Expr:
     arg = as_expr(arg)
     if isinstance(arg, Const):
-        return Const(getattr(math, fn)(arg.value))
+        try:
+            return Const(getattr(math, fn)(arg.value))
+        except (OverflowError, ValueError):
+            pass  # out of range: leave for evaluation to report
     return Call(fn, arg)
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import forms, numeric, symexpr as sx
 from .forms import (
@@ -293,6 +292,8 @@ def period(
     closure_tol: float = 1e-9,
 ) -> float:
     """Integral of a one-form over a loop via adaptive quadrature."""
+    from scipy.integrate import quad
+
     if omega.degree != 1:
         raise forms.DegreeError("periods are defined for one-forms")
     gap = loop_closure_residual(loop)
@@ -529,6 +530,8 @@ def scaling_potential(
     in all intended uses).  The potential is unique up to the additive
     constant fixed by the basepoint.
     """
+    from scipy.integrate import quad
+
     if delta.degree != 1:
         raise forms.DegreeError("potential recovery expects a one-form")
     names = delta.domain.names

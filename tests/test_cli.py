@@ -131,6 +131,26 @@ def test_wrong_lee_weight_fails_with_one_record(tmp_path):
     assert "lee(B) - 1" in rep.records[0].detail
 
 
+def test_overflowing_chart_constant_fails_one_record_with_domain_error(tmp_path):
+    payload = plane_manifest()
+    payload["structures"]["plane"]["chart"]["alpha"] = {"b": "exp(1000)*a"}
+    path = write_manifest(tmp_path, payload)
+    out = tmp_path / "overflow.report.json"
+    assert cli.main(["run", path, "-q", "-o", str(out)]) == 1
+    rep = report.load_report(str(out))
+    assert len(rep.records) == 1 and not rep.records[0].passed
+    assert rep.records[0].detail.startswith("EvaluationDomainError: non-finite value evaluating")
+
+
+def test_oversized_torus_fails_one_record(tmp_path):
+    path = write_manifest(tmp_path, {"seed": 0, "tasks": [{"kind": "cohomology", "n": 2, "m": 500}]})
+    out = tmp_path / "oversized.report.json"
+    assert cli.main(["run", path, "-q", "-o", str(out)]) == 1
+    rep = report.load_report(str(out))
+    assert len(rep.records) == 1 and not rep.records[0].passed
+    assert rep.records[0].detail.startswith("CohomologyError: dense rank of a 500000 x 250000 matrix")
+
+
 def test_fail_fast_stops_after_first_red_task(tmp_path):
     payload = plane_manifest(lee="2")
     payload["structures"]["good"] = {"chart": PLANE_CHART}

@@ -6,6 +6,7 @@ independent least-squares call and an exact orthogonality identity.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,29 @@ def test_memory_budget_error_mentions_resolution():
     C = coh.build_torus_complex(2, 8)
     with pytest.raises(coh.CohomologyError, match="smaller grid resolution"):
         coh.twisted_betti(C, budget=1000)
+
+
+def test_build_refuses_exactly_the_largest_coboundary_over_budget():
+    # on (Z/4)^3 the largest coboundary is D_1, 192 x 192
+    assert coh.build_torus_complex(3, 4, budget=192 * 192).cells == (64, 192, 192, 64)
+    with pytest.raises(coh.CohomologyError, match="dense rank of a 192 x 192 matrix"):
+        coh.build_torus_complex(3, 4, budget=192 * 192 - 1)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda: coh.build_torus_complex(2, 500), lambda: coh.ot_obstruction_check(2, 500)],
+    ids=["betti", "obstruction"],
+)
+def test_oversized_torus_is_refused_before_assembly(check):
+    tracemalloc.start()
+    try:
+        with pytest.raises(coh.CohomologyError, match="smaller grid resolution"):
+            check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_euler_characteristic():

@@ -113,3 +113,67 @@ def test_lstsq_scanner_flags_default_and_none_cutoffs():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_lstsq_cuts_at_rank_rtol(path):
     assert lstsq_without_rank_rule(path.read_text()) == []
+
+
+def _runs_on_import(body: list[ast.stmt]):
+    """Statements of ``body`` that run when the module is imported: function
+    bodies and ``if TYPE_CHECKING:`` blocks are skipped, other compound
+    statements (classes, ``if``, ``try``, ``with``) are entered."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            yield from _runs_on_import(node.orelse)
+            continue
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _runs_on_import(getattr(node, field, []))
+
+
+def scipy_subpackage_imports(source: str) -> list[int]:
+    """Lines that load a scipy subpackage when the module is imported.
+
+    A bare ``import scipy`` is cheap and loads no subpackage; ``scipy.integrate``
+    and friends are imported inside the functions that use them.
+    """
+    lines = []
+    for node in _runs_on_import(ast.parse(source).body):
+        if isinstance(node, ast.Import):
+            if any(alias.name.startswith("scipy.") for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            if node.module == "scipy" or node.module.startswith("scipy."):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_scanner_flags_module_level_subpackages_only():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import scipy\n"
+        "import scipy as sp\n"
+        "import numpy, scipy.linalg\n"
+        "from scipy import sparse\n"
+        "from scipy.integrate import quad\n"
+        "if TYPE_CHECKING:\n"
+        "    from scipy import sparse\n"
+        "else:\n"
+        "    import scipy.optimize\n"
+        "try:\n"
+        "    import scipy.special\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class A:\n"
+        "    from scipy.sparse import csr_matrix\n"
+        "    def f(self):\n"
+        "        from scipy.linalg import qr\n"
+        "def g():\n"
+        "    import scipy.integrate\n"
+        "    from scipy import sparse\n"
+    )
+    assert scipy_subpackage_imports(source) == [4, 5, 6, 10, 12, 16]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_scipy_subpackage_imports(path):
+    assert scipy_subpackage_imports(path.read_text()) == []

@@ -47,6 +47,28 @@ def test_flow_zero_time_is_identity():
     assert np.allclose(res.jacobian, np.eye(2))
 
 
+def test_patching_module_solve_ivp_intercepts_every_flow(monkeypatch):
+    # Profilers count integrator work by replacing ``numeric.solve_ivp``.
+    original = numeric.solve_ivp
+    nfev = []
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        nfev.append(result.nfev)
+        return result
+
+    x0 = np.array([1.0, 0.0])
+    want = numeric.flow(ROTATION, x0, 0.8, with_jacobian=True)
+    monkeypatch.setattr(numeric, "solve_ivp", counting)
+    got = numeric.flow(ROTATION, x0, 0.8, with_jacobian=True)
+    numeric.flow(ROTATION, x0, 0.8)
+    numeric.flow(ROTATION, x0, 0.0)  # time zero: nothing to integrate
+    with pytest.raises(numeric.FlowEscapeError):
+        numeric.flow(VectorField(R2, (sx.ONE, sx.ZERO)), np.array([1.5, 0.0]), 5.0)
+    assert len(nfev) == 3 and min(nfev) > 0
+    assert np.array_equal(got.point, want.point) and np.array_equal(got.jacobian, want.jacobian)
+
+
 def test_numeric_pullback_agrees_with_symbolic():
     x, y = sx.var("x"), sx.var("y")
     F = SmoothMap(R2, R3, (x * y, sx.sin(x), x + y**2))

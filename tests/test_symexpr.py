@@ -177,6 +177,27 @@ def test_constant_call_folds():
     assert sx.exp(sx.Const(0.0)) == sx.Const(1.0)
 
 
+@pytest.mark.parametrize(
+    "build,text",
+    [
+        (lambda: sx.exp(sx.Const(1000.0)), "exp(1000)"),
+        (lambda: sx.sin(sx.Const(math.inf)), "sin(inf)"),
+        (lambda: sx.pow_(sx.Const(1e200), 2), "1e+200^2"),
+        (lambda: sx.pow_(sx.Const(1e300), Fraction(3, 2)), "1e+300^(3/2)"),
+        (lambda: sx.parse("exp(1000)*x"), "exp(1000) * x"),
+    ],
+    ids=["exp-overflow", "sin-of-inf", "power-overflow", "root-overflow", "parsed-exp-overflow"],
+)
+def test_constant_out_of_range_is_left_for_evaluation(build, text):
+    e = build()
+    assert not isinstance(e, sx.Const) and str(e) == text
+    message = f"non-finite value evaluating '{text}' at {{'x': 0.5}}"
+    for run in (lambda: sx.evaluate(e, {"x": 0.5}), lambda: sx.lambdify([e], ["x"])([0.5])):
+        with pytest.raises(sx.EvaluationDomainError) as err:
+            run()
+        assert str(err.value) == message and err.value.point == {"x": 0.5}
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -446,7 +467,7 @@ def _build_raw_dag(steps):
             e = a + b
         elif op == "mul":
             e = a * b
-        elif op == "sin":  # raw: folding sin(inf) with math.sin would raise
+        elif op == "sin":  # raw: a constant argument stays unfolded
             e = sx.Call("sin", a)
         elif op == "exp":
             e = sx.Call("exp", a)
