@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -80,6 +81,20 @@ class TwistedCochainComplex:
         return self.subset_offset(degree, dirs) * self.vertex_count + flat
 
 
+def _holonomy_weight(j: int, mu_j: float) -> float:
+    """e^(-mu_j), refused unless it is a finite normal float above 0: an
+    underflowing weight is no invertible holonomy."""
+    try:
+        w = math.exp(-mu_j)
+    except OverflowError:
+        w = math.inf
+    if not sys.float_info.min <= w < math.inf:  # also refuses a nan mu_j
+        raise CohomologyError(
+            f"holonomy weight e^(-mu[{j}]) for mu[{j}] = {mu_j!r} is not a finite normal float above 0"
+        )
+    return w
+
+
 def build_torus_complex(
     n: int,
     m: int,
@@ -90,7 +105,8 @@ def build_torus_complex(
     """Assemble the twisted cubical cochain complex of the grid torus.
 
     ``mu`` defaults to all zeros (ordinary cochain complex); ``cuts``
-    defaults to the last slice ``m - 1`` on every axis.  Every rank here is
+    defaults to the last slice ``m - 1`` on every axis.  Each holonomy
+    weight e^(-mu_j) must be a finite normal float above 0.  Every rank here is
     dense, so a complex with a coboundary of more than ``budget`` dense
     entries is refused before anything is allocated.
     """
@@ -106,7 +122,7 @@ def build_torus_complex(
     cuts = tuple(m - 1 for _ in range(n)) if cuts is None else tuple(int(c) for c in cuts)
     if len(cuts) != n or not all(0 <= c < m for c in cuts):
         raise CohomologyError(f"cuts must be {n} positions in [0, {m})")
-    weights = tuple(math.exp(-x) for x in mu)
+    weights = tuple(_holonomy_weight(j, x) for j, x in enumerate(mu))
     V = m**n
     for k in range(n):
         _require_budget(math.comb(n, k + 1) * V, math.comb(n, k) * V, budget)

@@ -146,8 +146,8 @@ def radius_bound(
     for dom, exprs in pieces:
         env = dom.sample_points(samples, seed)
         total = np.zeros(samples)
-        for e in exprs:
-            total += sx.evaluate(sx.pow_(e, 2), env)
+        for vals in sx.evaluate_all([sx.pow_(e, 2) for e in exprs], env):
+            total += vals
         if total.size:
             sup = max(sup, float(np.sqrt(np.max(total))))
     if sup == 0.0:

@@ -7,7 +7,9 @@ coefficients keyed by strictly increasing k-tuples of coordinate indices.
 The exterior calculus (wedge, d, interior product, Lie derivative,
 pullback, flat/sharp) is implemented symbolically on top of the
 :mod:`lcskit.symexpr` kernel; equality of forms is always decided by
-sampled residuals, never structurally.
+sampled residuals, never structurally.  Values at points come from one
+:func:`symexpr.evaluate_all` call per object and sample set, and
+:func:`forms_are_zero` tests several forms and fields in one such call.
 
 Sign conventions used throughout the package:
     * wedge ordering follows the shuffle sign of merging index tuples;
@@ -367,8 +369,8 @@ def evaluate_map(F: SmoothMap, env: Mapping[str, np.ndarray], wrap: bool = True)
     Each component comes back as a fresh array of the env's batch shape.
     """
     out: dict[str, np.ndarray] = {}
-    for coord, comp in zip(F.target.coords, F.components):
-        vals = np.array(sx.evaluate(comp, env))
+    for coord, vals in zip(F.target.coords, sx.evaluate_all(F.components, env)):
+        vals = np.array(vals)
         if wrap and coord.kind == ANGULAR:
             vals = np.mod(vals, 1.0)
         out[coord.name] = vals
@@ -590,13 +592,31 @@ def nondegeneracy_rank(phi: DifferentialForm, samples: int = 50, seed: int = 0) 
 # sampled residuals
 
 
+def forms_are_zero(
+    items: Sequence["DifferentialForm | VectorField"], samples: int = 200, tol: float = 1e-9, seed: int = 0
+) -> list[ZeroCheck]:
+    """Sampled zero tests of forms and vector fields on one domain, one
+    :class:`ZeroCheck` per item, over all coefficients or components.
+
+    Every item is tested on the same points, drawn once, and in one
+    evaluation (see :func:`symexpr.zero_checks`), so the subexpressions the
+    items share are computed once.
+    """
+    if not items:
+        return []
+    domain = items[0].domain
+    for item in items[1:]:
+        _check_domains(domain, item.domain)
+    groups = [item.coeffs.values() if isinstance(item, DifferentialForm) else item.components for item in items]
+    return sx.zero_checks(groups, domain, samples, tol, seed)
+
+
 def form_is_zero(
     a: DifferentialForm, samples: int = 200, tol: float = 1e-9, seed: int = 0
 ) -> ZeroCheck:
-    """Sampled zero test over all coefficients of a form."""
-    if a.is_structurally_zero:
-        return ZeroCheck(True, 0.0, {}, samples, tol)
-    return sx.is_zero(tuple(a.coeffs.values()), a.domain, samples, tol, seed)
+    """Sampled zero test over all coefficients of a form: the one-item case
+    of :func:`forms_are_zero`."""
+    return forms_are_zero((a,), samples, tol, seed)[0]
 
 
 def forms_equal(
@@ -605,19 +625,10 @@ def forms_equal(
     return form_is_zero(a - b, samples, tol, seed)
 
 
-def field_is_zero(
-    X: VectorField, samples: int = 200, tol: float = 1e-9, seed: int = 0
-) -> ZeroCheck:
-    nonzero = tuple(c for c in X.components if not sx.is_structural_zero(c))
-    if not nonzero:
-        return ZeroCheck(True, 0.0, {}, samples, tol)
-    return sx.is_zero(nonzero, X.domain, samples, tol, seed)
-
-
 def evaluate_form(a: DifferentialForm, env: Mapping[str, np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
     """Evaluate all coefficients at sample points (floats at a single
     point given by scalars)."""
-    return {idx: sx.evaluate(c, env) for idx, c in a.coeffs.items()}
+    return dict(zip(a.coeffs, sx.evaluate_all(a.coeffs.values(), env)))
 
 
 def form_values(a: DifferentialForm, env: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -626,8 +637,7 @@ def form_values(a: DifferentialForm, env: Mapping[str, np.ndarray]) -> np.ndarra
     if a.degree not in (1, 2):
         raise DegreeError(f"form_values expects a one- or two-form, got degree {a.degree}")
     out = np.zeros((a.domain.dim,) * a.degree + sx.batch_shape(env))
-    for idx, c in a.coeffs.items():
-        vals = sx.evaluate(c, env)
+    for idx, vals in zip(a.coeffs, sx.evaluate_all(a.coeffs.values(), env)):
         if a.degree == 1:
             out[idx] = vals
         else:
@@ -638,7 +648,8 @@ def form_values(a: DifferentialForm, env: Mapping[str, np.ndarray]) -> np.ndarra
 
 def evaluate_jacobian(F: SmoothMap, env: Mapping[str, np.ndarray]) -> np.ndarray:
     """Jacobian of a map at sample points, shape (tgt, src, *batch)."""
-    return np.array([[sx.evaluate(e, env) for e in row] for row in F.jacobian])
+    vals = sx.evaluate_all([e for row in F.jacobian for e in row], env)
+    return np.array(vals).reshape(F.target.dim, F.source.dim, *sx.batch_shape(env))
 
 
 # ---------------------------------------------------------------------------

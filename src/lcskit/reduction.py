@@ -232,8 +232,8 @@ def verify_strong_reducibility(
 
     # tangency of the structure fields along the submanifold
     JC = forms.evaluate_jacobian(C, env)
-    b_vals = np.array([sx.evaluate(c, image_env) for c in amb.b_field.components])
-    e_vals = np.array([sx.evaluate(c, image_env) for c in amb.anti_lee.components])
+    fields = sx.evaluate_all(amb.b_field.components + amb.anti_lee.components, image_env)
+    b_vals, e_vals = np.array(fields[: amb.domain.dim]), np.array(fields[amb.domain.dim :])
     b_tan = e_tan = 0.0
     for i in range(samples):
         Ji = JC[:, :, i]

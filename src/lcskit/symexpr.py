@@ -10,16 +10,18 @@ identities); no general simplification is attempted.
 Nodes are interned: building a node returns the one live node with the same
 fields, so ``==`` is identity, which is structural equality decided in
 O(1).  Mathematical equality is still decided numerically, by
-:func:`is_zero`.  :func:`diff` keeps its results on sum, power and call
-nodes, and the tree walk of :func:`evaluate` computes each shared
-subexpression once per call.
+:func:`zero_checks` and its one-group case :func:`is_zero`.  :func:`diff`
+keeps its results on sum, power and call nodes.
 
-Evaluation is vectorised over numpy arrays.  Any non-finite value (a
+Evaluation is vectorised over numpy arrays.  :func:`evaluate_all` is the one
+tree walk: it evaluates several expressions on one env and computes each
+shared subexpression once per call, that is once per sample set;
+:func:`evaluate` is its one-expression case.  Any non-finite value (a
 negative radicand, division by zero, the derivative of ``sqrt`` at 0)
 raises :class:`EvaluationDomainError` carrying the offending sample point
 rather than silently propagating ``nan``.  :func:`lambdify` compiles
 expressions evaluated at many single points into straight-line code with
-the same values, bit for bit, as the tree walk of :func:`evaluate`.
+the same values, bit for bit, as the tree walk.
 """
 
 from __future__ import annotations
@@ -487,7 +489,7 @@ def substitute(e: Expr, mapping: Mapping[str, ExprLike]) -> Expr:
 
 def _eval_raw(e: Expr, env: Mapping[str, np.ndarray], seen: dict):
     """Value of ``e`` on ``env``; ``seen`` maps each compound node already
-    evaluated in this call to its value, so shared subtrees run once."""
+    evaluated on this env to its value, so shared subtrees run once."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -529,28 +531,45 @@ def batch_shape(env: Mapping[str, "np.ndarray | float"]) -> tuple[int, ...]:
     return next((np.shape(v) for v in env.values() if np.ndim(v)), ())
 
 
-def evaluate(e: Expr, env: Mapping[str, "np.ndarray | float"]):
-    """Evaluate ``e`` on scalars or equal-length arrays.
+def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> list:
+    """Evaluate several expressions on one env, each subexpression once.
 
-    The result has the batch shape of ``env`` (see :func:`batch_shape`): an
-    array whenever any env value is an array, constants included, and a
-    float for an all-scalar env.  Raises :class:`EvaluationDomainError`
-    (with the first offending sample point) if the result is not finite
-    everywhere, and :class:`UnknownCoordinateError` for unbound variables.
+    One memo spans the whole call, so a node shared between (or within)
+    the expressions is computed once on this env.  Each result has the
+    batch shape of ``env`` (see :func:`batch_shape`): an array whenever any
+    env value is an array, constants included, and a float for an
+    all-scalar env.  Results are checked in order, and the first
+    expression with a non-finite value raises
+    :class:`EvaluationDomainError` (with the first offending sample point),
+    and one naming an unbound variable raises
+    :class:`UnknownCoordinateError`; expressions after it are not
+    evaluated.  The same node gives the same object twice, and a bare
+    variable gives the env's own array: read results, do not write them.
     """
     env_arr = {k: np.asarray(v, dtype=float) for k, v in env.items()}
+    shape = batch_shape(env_arr)
+    seen: dict = {}
+    results = []
     with np.errstate(all="ignore"):
-        out = _eval_raw(e, env_arr, {})
-    out = np.asarray(out, dtype=float)
-    if out.ndim == 0:
-        out = np.full(batch_shape(env_arr), out)
-    if not np.all(np.isfinite(out)):
-        idx = int(np.flatnonzero(~np.isfinite(out))[0])
-        point = {k: float(v) if v.ndim == 0 else float(v.flat[idx]) for k, v in env_arr.items()}
-        raise EvaluationDomainError(
-            f"non-finite value evaluating '{to_string(e)}' at {point}", point
-        )
-    return out if out.ndim else float(out)
+        for e in exprs:
+            out = np.asarray(_eval_raw(e, env_arr, seen), dtype=float)
+            if out.ndim == 0:
+                out = np.full(shape, out)
+            if not np.all(np.isfinite(out)):
+                idx = int(np.flatnonzero(~np.isfinite(out))[0])
+                point = {k: float(v) if v.ndim == 0 else float(v.flat[idx]) for k, v in env_arr.items()}
+                raise EvaluationDomainError(
+                    f"non-finite value evaluating '{to_string(e)}' at {point}", point
+                )
+            results.append(out if out.ndim else float(out))
+    return results
+
+
+def evaluate(e: Expr, env: Mapping[str, "np.ndarray | float"]):
+    """Evaluate one expression on scalars or equal-length arrays: the
+    one-expression case of :func:`evaluate_all`, with its result shape and
+    errors."""
+    return evaluate_all((e,), env)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +584,13 @@ def lambdify(exprs: Iterable[Expr], names: Sequence[str]) -> Callable[[Sequence[
     The returned function maps a point (coordinates ordered as ``names``) to
     the array of expression values.  It runs straight-line code that shares
     subexpressions by node identity and applies exactly the numpy kernels
-    and left-to-right association of :func:`evaluate`, so its values are
-    bit-identical to the tree walk.  Compiling pays off for expressions
+    and left-to-right association of :func:`evaluate_all`, so its values
+    are bit-identical to the tree walk.  Compiling pays off for expressions
     evaluated at many single points (flow right-hand sides, point maps); a
     one-shot batch is cheaper to walk.
 
     A non-finite value re-evaluates the expressions in order with
-    :func:`evaluate`, which raises :class:`EvaluationDomainError` with its
+    :func:`evaluate_all`, which raises :class:`EvaluationDomainError` with its
     usual message and witness point.  Expressions naming a coordinate outside
     ``names`` are always walked, so :class:`UnknownCoordinateError` is raised
     as before.
@@ -580,8 +599,7 @@ def lambdify(exprs: Iterable[Expr], names: Sequence[str]) -> Callable[[Sequence[
     names = tuple(names)
 
     def walk(xs: list[float]) -> np.ndarray:
-        env = dict(zip(names, xs))
-        return np.array([evaluate(e, env) for e in exprs], dtype=float)
+        return np.array(evaluate_all(exprs, dict(zip(names, xs))), dtype=float)
 
     raw = _generate(exprs, names)
     if raw is None:
@@ -673,6 +691,42 @@ class ZeroCheck:
     tol: float
 
 
+def zero_checks(
+    groups: Iterable[Iterable[Expr]],
+    domain,
+    samples: int = 200,
+    tol: float = 1e-9,
+    seed: int = 0,
+) -> list[ZeroCheck]:
+    """Test whether each group of expressions vanishes on one sample set.
+
+    ``domain`` is any object with ``sample_points(samples, seed)`` returning
+    a name -> array mapping (see ``forms.CoordinateDomain``).  The points are
+    drawn once and every expression is evaluated in one
+    :func:`evaluate_all` call, so subexpressions shared across groups are
+    computed once.  Each group gets the :class:`ZeroCheck` of its largest
+    |value|; structural zeros are skipped, so an empty group passes with
+    residual 0.  Deterministic: fixed (domain, samples, seed) always draws
+    identical points.
+    """
+    groups = [[e for e in g if not is_structural_zero(e)] for g in groups]
+    env = domain.sample_points(samples, seed)
+    values = iter(evaluate_all([e for g in groups for e in g], env))
+    checks = []
+    for g in groups:
+        worst = 0.0
+        worst_point: dict[str, float] = {}
+        for _ in g:
+            vals = np.abs(next(values))
+            r = float(np.max(vals))
+            if r > worst:
+                worst = r
+                idx = int(np.argmax(vals))
+                worst_point = {k: float(v[idx]) for k, v in env.items()}
+        checks.append(ZeroCheck(worst <= tol, worst, worst_point, samples, tol))
+    return checks
+
+
 def is_zero(
     exprs: "Expr | Iterable[Expr]",
     domain,
@@ -680,29 +734,9 @@ def is_zero(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> ZeroCheck:
-    """Test whether expression(s) vanish on a sampled coordinate domain.
-
-    ``domain`` is any object with ``sample_points(samples, seed)`` returning
-    a name -> array mapping (see ``forms.CoordinateDomain``).  Deterministic:
-    fixed (domain, samples, seed) always draws identical points.
-    """
-    if isinstance(exprs, Expr):
-        exprs = (exprs,)
-    else:
-        exprs = tuple(exprs)
-    env = domain.sample_points(samples, seed)
-    worst = 0.0
-    worst_point: dict[str, float] = {}
-    for e in exprs:
-        if is_structural_zero(e):
-            continue
-        vals = np.abs(evaluate(e, env))
-        r = float(np.max(vals))
-        if r > worst:
-            worst = r
-            idx = int(np.argmax(vals))
-            worst_point = {k: float(v[idx]) for k, v in env.items()}
-    return ZeroCheck(worst <= tol, worst, worst_point, samples, tol)
+    """Test whether expression(s) vanish on a sampled coordinate domain: the
+    one-group case of :func:`zero_checks`."""
+    return zero_checks([(exprs,) if isinstance(exprs, Expr) else exprs], domain, samples, tol, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -544,8 +544,8 @@ def scaling_potential(
         def integrand(t: float) -> float:
             env = {n: float(v) for n, v in zip(names, x0 + t * direction)}
             total = 0.0
-            for (j,), c in delta.coeffs.items():
-                total += float(sx.evaluate(c, env)) * direction[j]
+            for (j,), v in zip(delta.coeffs, sx.evaluate_all(delta.coeffs.values(), env)):
+                total += v * direction[j]
             return total
 
         val, _ = quad(integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol, limit=200)

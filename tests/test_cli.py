@@ -151,6 +151,16 @@ def test_oversized_torus_fails_one_record(tmp_path):
     assert rep.records[0].detail.startswith("CohomologyError: dense rank of a 500000 x 250000 matrix")
 
 
+def test_unusable_holonomy_exponent_fails_one_record(tmp_path):
+    task = {"kind": "cohomology", "n": 2, "m": 4, "mu": [1000.0, 0.0]}
+    path = write_manifest(tmp_path, {"seed": 0, "tasks": [task]})
+    out = tmp_path / "mu.report.json"
+    assert cli.main(["run", path, "-q", "-o", str(out)]) == 1
+    rep = report.load_report(str(out))
+    assert len(rep.records) == 1 and not rep.records[0].passed
+    assert rep.records[0].detail.startswith("CohomologyError: holonomy weight e^(-mu[0]) for mu[0] = 1000.0")
+
+
 def test_fail_fast_stops_after_first_red_task(tmp_path):
     payload = plane_manifest(lee="2")
     payload["structures"]["good"] = {"chart": PLANE_CHART}

@@ -46,6 +46,20 @@ def test_weights_are_holonomies():
     assert all(w > 0 for w in C.weights)
 
 
+@pytest.mark.parametrize("mu", [(-1000.0, 0.0), (1000.0, 0.0), (math.nan, 0.0)], ids=["overflow", "underflow", "nan"])
+def test_weight_outside_the_normal_floats_is_refused(mu):
+    # e^1000 overflows, e^-1000 underflows to 0.0 (no invertible holonomy), e^-nan is nan
+    with pytest.raises(coh.CohomologyError, match=r"holonomy weight e\^\(-mu\[0\]\)"):
+        coh.build_torus_complex(2, 4, mu)
+
+
+def test_weights_at_the_edge_of_the_normal_floats():
+    assert coh.build_torus_complex(1, 4, (708.0,)).weights == (math.exp(-708.0),)
+    assert coh.build_torus_complex(1, 4, (-709.0,)).weights == (math.exp(709.0),)
+    with pytest.raises(coh.CohomologyError):
+        coh.build_torus_complex(1, 4, (709.0,))  # e^-709 is subnormal
+
+
 @pytest.mark.parametrize("n,m,mu", [(2, 4, (1.0, SQRT2)), (3, 3, (0.3, 0.0, 2.0))])
 def test_coboundary_squares_to_zero_exactly(n, m, mu):
     C = coh.build_torus_complex(n, m, mu)

@@ -5,6 +5,7 @@ The validator results are cross-checked here against raw-array oracles
 and the oracles must agree independently.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 
 import lcskit.forms as forms
 import lcskit.models as models
+import lcskit.report as report
 import lcskit.symexpr as sx
 import lcskit.twisted as twisted
 from oracle_utils import eval_form_on_vectors, fd_jacobian
+from test_cli import PLANE_CHART
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +119,88 @@ def test_validate_requires_distinguished_fields():
         models.validate_first_kind(
             models.LcsStructure(S.name, S.kind, (stripped,), metadata=S.metadata)
         )
+
+
+# ---------------------------------------------------------------------------
+# one sample set per chart against one zero test per identity
+
+def _inline_plane():
+    manifest = report.parse_manifest({"seed": 0, "structures": {"plane": {"chart": PLANE_CHART}}, "tasks": []})
+    return manifest.structure("plane")
+
+
+def _pairing(lee, X):
+    return sx.add(*(sx.mul(c, X.components[i]) for (i,), c in lee.coeffs.items()))
+
+
+def first_kind_one_test_per_identity(S, samples, tol, seed):
+    """The first-kind report built with one ``form_is_zero``/``is_zero`` call
+    per identity, each drawing its own points and walking its own trees."""
+    checks, min_rank = [], None
+    for chart in S.charts:
+        dom, B, E = chart.domain, chart.b_field, chart.anti_lee
+        identities = [
+            ("d(phi) - lee ^ phi", forms.ext_d(chart.phi) - forms.wedge(chart.lee, chart.phi)),
+            ("d_lee(alpha) - phi", twisted.d_twisted(chart.lee, chart.alpha) - chart.phi),
+            ("i_B(phi) + alpha", forms.interior(B, chart.phi) + chart.alpha),
+            ("i_E(phi) + lee", forms.interior(E, chart.phi) + chart.lee),
+            ("lee(B) - 1", forms.function_form(dom, _pairing(chart.lee, B) - sx.ONE)),
+            ("lee(E)", forms.function_form(dom, _pairing(chart.lee, E))),
+            ("L_B(phi)", forms.lie_derivative(B, chart.phi)),
+            ("d(lee)", forms.ext_d(chart.lee)),
+        ]
+        for label, delta in identities:
+            checks.append((chart.name, label, forms.form_is_zero(delta, samples, tol, seed)))
+        bracket = forms.lie_bracket(B, E).components
+        checks.append((chart.name, "[B, E]", sx.is_zero(bracket, dom, samples, tol, seed)))
+        rank, _ = forms.nondegeneracy_rank(chart.phi, samples=min(samples, 60), seed=seed)
+        min_rank = rank if min_rank is None else min(min_rank, rank)
+    nondeg = min_rank == S.dim
+    passed = nondeg and all(c.passed for _, _, c in checks)
+    return models.FirstKindReport(S.name, tuple(checks), min_rank, nondeg, passed)
+
+
+FIRST_KIND_CASES = {
+    "sphere_circle_N2": lambda: models.model_sphere_circle(2, q=1.0),
+    "sphere_circle_N3": lambda: models.model_sphere_circle(3, q=2.0),
+    "universal_k2": lambda: models.model_reduction_universal(2, 3, (1.0, np.sqrt(2.0))),
+    "inline_plane": _inline_plane,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_KIND_CASES))
+def test_first_kind_report_equals_one_test_per_identity(case):
+    S = FIRST_KIND_CASES[case]()
+    rep = models.validate_first_kind(S, samples=70, tol=1e-9, seed=4)
+    assert rep.passed
+    assert rep == first_kind_one_test_per_identity(S, 70, 1e-9, 4)
+
+
+def _first_sphere_chart():
+    S = models.model_sphere_circle(2, q=1.0)
+    return dataclasses.replace(S, charts=S.charts[:1])
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [FIRST_KIND_CASES["universal_k2"], _first_sphere_chart],
+    ids=["universal_k2", "sphere_circle_N2_one_chart"],
+)
+def test_first_kind_chart_computes_each_compound_node_once(monkeypatch, structure):
+    S = structure()
+    assert len(S.charts) == 1
+    samples = 90  # the rank check samples at most 60 points, on a sample set of its own
+    computed = collections.Counter()
+    walk = sx._eval_raw
+
+    def counting(e, env, seen):
+        if isinstance(e, (sx.Add, sx.Mul, sx.Pow, sx.Call)) and e not in seen and sx.batch_shape(env) == (samples,):
+            computed[e] += 1
+        return walk(e, env, seen)
+
+    monkeypatch.setattr(sx, "_eval_raw", counting)
+    assert models.validate_first_kind(S, samples=samples, seed=1).passed
+    assert computed and max(computed.values()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcskit import cohomology, forms, numeric, symexpr as sx
+from lcskit import cohomology, forms, numeric, report, symexpr as sx
 from lcskit.forms import SmoothMap, VectorField, linear_domain, pullback, random_polynomial_form
 import oracle_utils as oracle
 
@@ -67,6 +67,42 @@ def test_patching_module_solve_ivp_intercepts_every_flow(monkeypatch):
         numeric.flow(VectorField(R2, (sx.ONE, sx.ZERO)), np.array([1.5, 0.0]), 5.0)
     assert len(nfev) == 3 and min(nfev) > 0
     assert np.array_equal(got.point, want.point) and np.array_equal(got.jacobian, want.jacobian)
+
+
+SPHERE_CHAIN = {"samples": 40, "verify_samples": 30, "flow_samples": 10, "concat_samples": 4}
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "embed", "corpus": "circle"},
+        {"kind": "reduce-chain", "input": "sphere_circle", "structure": "sphere2", **SPHERE_CHAIN},
+    ],
+    ids=["embed", "reduce-chain"],
+)
+def test_patching_module_evaluate_sees_symbolic_and_flow_tasks(monkeypatch, task):
+    # Profilers count single-expression evaluations by replacing
+    # ``symexpr.evaluate``, and need some on symbolic and on flow-driven runs.
+    # Batched callers (zero tests, form values, Jacobians, point maps, so every
+    # verify task and the plane chain) go through ``evaluate_all`` instead;
+    # the sphere radicand check and the quadrature of Lee-form periods remain.
+    original = sx.evaluate
+    calls = []
+
+    def counting(e, env):
+        calls.append(e)
+        return original(e, env)
+
+    monkeypatch.setattr(sx, "evaluate", counting)
+    manifest = report.parse_manifest(
+        {
+            "seed": 0,
+            "structures": {"sphere2": {"catalog": "sphere_circle", "args": {"N": 2, "q": 1.0}}},
+            "tasks": [task],
+        }
+    )
+    assert report.run_manifest(manifest).green
+    assert calls
 
 
 def test_numeric_pullback_agrees_with_symbolic():

@@ -600,3 +600,100 @@ def test_evaluate_computes_a_shared_subtree_once(monkeypatch):
     assert len(calls) == 1
     s = real_sin(env["x"] * env["y"])
     assert got.tobytes() == (s + s * s + np.power(s, 2, dtype=float)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one walk for several expressions against one walk per expression
+
+
+def _outcome(run):
+    """``("ok", values)`` or ``(error type, message, witness)`` of a call."""
+    try:
+        return "ok", run()
+    except (sx.EvaluationDomainError, sx.UnknownCoordinateError) as err:
+        return type(err), str(err), getattr(err, "point", None)
+
+
+def _same_values(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+_points = st.lists(
+    st.tuples(
+        st.floats(min_value=-1.5, max_value=1.5),
+        st.floats(min_value=-1.5, max_value=1.5),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _env(points, scalar):
+    if scalar:
+        return dict(zip(MIX.names, points[0]))
+    return dict(zip(MIX.names, np.array(points, dtype=float).T))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _dag_steps,
+    _points,
+    st.booleans(),
+    st.lists(st.integers(0, 63), min_size=1, max_size=8),
+    st.integers(0, 8),
+)
+def test_evaluate_all_equals_one_evaluate_per_expression(steps, points, scalar, picks, bad_at):
+    pool = _build_dag(steps, (X, Y, sx.var("t"), sx.Const(0.5), sx.Const(-1.5)))
+    # picks repeat pool entries, and later entries share subtrees with earlier ones
+    exprs = [pool[i % len(pool)] for i in picks] + [sx.Const(2.0)]
+    # a radicand that is negative on part of the domain, at a drawn position
+    exprs.insert(bad_at % (len(exprs) + 1), sx.sqrt(X) * pool[-1])
+    env = _env(points, scalar)
+    want = _outcome(lambda: [sx.evaluate(e, env) for e in exprs])
+    got = _outcome(lambda: sx.evaluate_all(exprs, env))
+    if want[0] != "ok":
+        assert got == want
+        return
+    assert got[0] == "ok"
+    _same_values(got[1], want[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_dag_steps, _points, st.booleans(), st.integers(0, 8))
+def test_evaluate_all_raises_unknown_coordinate_where_the_loop_does(steps, points, scalar, at):
+    pool = _build_dag(steps, (X, Y, sx.var("t"), sx.Const(0.5), sx.Const(-1.5)))
+    exprs = [*pool[-4:], sx.sqrt(X)]
+    exprs.insert(at % (len(exprs) + 1), pool[-1] * sx.var("z"))
+    env = _env(points, scalar)
+    want = _outcome(lambda: [sx.evaluate(e, env) for e in exprs])
+    assert want[0] in (sx.UnknownCoordinateError, sx.EvaluationDomainError)
+    assert _outcome(lambda: sx.evaluate_all(exprs, env)) == want
+
+
+def test_evaluate_all_of_nothing_and_of_scalars():
+    assert sx.evaluate_all([], {"x": np.zeros(3)}) == []
+    got = sx.evaluate_all([X * Y, sx.Const(3.0)], {"x": 2.0, "y": 0.25})
+    assert got == [0.5, 3.0] and all(type(v) is float for v in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _dag_steps,
+    st.lists(st.lists(st.integers(0, 63), max_size=4), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+)
+def test_zero_checks_equal_one_is_zero_per_group(steps, group_picks, seed, with_bad):
+    pool = _build_dag(steps, (X, Y, sx.var("t"), sx.Const(0.5), sx.Const(-1.5)))
+    extras = [sx.ZERO, pool[-1] - pool[-1]]  # structural zeros are skipped
+    if with_bad:
+        extras.append(sx.sqrt(X))
+    candidates = pool + extras
+    groups = [[candidates[i % len(candidates)] for i in picks] for picks in group_picks]
+    want = _outcome(lambda: [sx.is_zero(g, MIX, 12, 1e-9, seed) for g in groups])
+    # ZeroCheck equality compares every field: flag, residual, witness, samples, tol
+    assert _outcome(lambda: sx.zero_checks(groups, MIX, 12, 1e-9, seed)) == want
