@@ -8,10 +8,19 @@ weight e^(-mu_j), so the product of weights around the j-th axis loop is
 the character value of that loop.  Coboundaries square to zero exactly
 in floating point — cancelling terms multiply the same floats.
 
-Betti numbers use column-pivoted QR ranks under the package's rank rule,
-:func:`lcskit.numeric.count_significant` (tests cross-check against a dense
-SVD route).  The averaging operator and the obstruction report discretize
-a non-exactness mechanism: the area class in degree two stays at positive
+Betti numbers are ranked on the spread complex in Fourier blocks.  The
+gauge potential p(v) = sum_j mu_j ((v_j - cut_j - 1) mod m) / m spreads each
+holonomy weight evenly, w_j^(1/m) on every edge along axis j, which makes
+the complex translation invariant.  A unitary DFT per axis then splits each
+coboundary into one small Koszul block per frequency l, v -> lambda ^ v with
+lambda_j = w_j^(1/m) e^(2 pi i l_j / m) - 1.  The blocks are ranked by
+column-pivoted QR under the package's rank rule,
+:func:`lcskit.numeric.count_significant`.  Spreading is a diagonal map, not
+a unitary one, so ranks are decided on the spread complex; the tests
+cross-check them on the cut complex with dense QR and dense SVD.
+
+The averaging operator and the obstruction report discretize a
+non-exactness mechanism: the area class in degree two stays at positive
 distance from the coboundary image while every translation-invariant
 one-cochain is closed, so no invariant primitive can exist.
 """
@@ -32,7 +41,8 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 DENSE_BUDGET = 40_000_000
-"""Largest dense matrix (entry count) the rank routines will materialize."""
+"""Largest nominal matrix size (rows x columns) that a rank or the
+obstruction check accepts."""
 
 
 class CohomologyError(Exception):
@@ -53,6 +63,9 @@ class TwistedCochainComplex:
         cells: number of k-cells for k = 0..n.
         coboundaries: sparse D_k mapping k-cochains to (k+1)-cochains,
             for k = 0..n-1.
+        spectral: the spread D_k after a unitary DFT per axis, complex and
+            sparse, with rows and columns ordered (frequency, direction
+            subset) so that each frequency's Koszul block is contiguous.
         subsets: per degree, the ordered direction subsets indexing cell blocks.
     """
 
@@ -63,6 +76,7 @@ class TwistedCochainComplex:
     cuts: tuple[int, ...]
     cells: tuple[int, ...]
     coboundaries: tuple[sparse.csr_matrix, ...]
+    spectral: tuple[sparse.csr_matrix, ...]
     subsets: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
@@ -106,9 +120,10 @@ def build_torus_complex(
 
     ``mu`` defaults to all zeros (ordinary cochain complex); ``cuts``
     defaults to the last slice ``m - 1`` on every axis.  Each holonomy
-    weight e^(-mu_j) must be a finite normal float above 0.  Every rank here is
-    dense, so a complex with a coboundary of more than ``budget`` dense
-    entries is refused before anything is allocated.
+    weight e^(-mu_j) must be a finite normal float above 0.  A complex with a
+    coboundary of more than ``budget`` dense entries is refused before
+    anything is allocated.  The cut coboundaries and their Fourier blocks
+    (``spectral``) are assembled together.
     """
     from scipy import sparse
 
@@ -136,18 +151,24 @@ def build_torus_complex(
         moved[j] = (moved[j] + 1) % m
         shifted.append(np.ravel_multi_index(tuple(moved), shape))
     crossing = [np.where(coords[j] == cuts[j], weights[j], 1.0) for j in range(n)]
+    # frequency l = vertex index: lambda_j(l) = w_j^(1/m) e^(2 pi i l_j / m) - 1
+    phase = np.exp(2j * np.pi * np.arange(m) / m)
+    lam = [math.exp(-mu[j] / m) * phase[coords[j]] - 1.0 for j in range(n)]
 
     subsets = tuple(tuple(itertools.combinations(range(n), k)) for k in range(n + 1))
     cells = tuple(len(subsets[k]) * V for k in range(n + 1))
 
-    coboundaries = []
+    coboundaries, spectral = [], []
     for k in range(n):
         offset_lower = {S: i for i, S in enumerate(subsets[k])}
+        n_lower, n_upper = len(subsets[k]), len(subsets[k + 1])
         rows, cols, data = [], [], []
+        f_rows, f_cols, f_data = [], [], []
         for upper_offset, T in enumerate(subsets[k + 1]):
             row = upper_offset * V + vidx
             for i, t in enumerate(T):
-                lower = offset_lower[T[:i] + T[i + 1:]] * V
+                lower_offset = offset_lower[T[:i] + T[i + 1:]]
+                lower = lower_offset * V
                 sign = 1.0 if i % 2 == 0 else -1.0
                 rows.append(row)
                 cols.append(lower + shifted[t])
@@ -155,14 +176,19 @@ def build_torus_complex(
                 rows.append(row)
                 cols.append(lower + vidx)
                 data.append(np.full(V, -sign))
-        D = sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(cells[k + 1], cells[k]),
-        )
-        coboundaries.append(D)
+                f_rows.append(vidx * n_upper + upper_offset)
+                f_cols.append(vidx * n_lower + lower_offset)
+                f_data.append(sign * lam[t])
+        size = (cells[k + 1], cells[k])
+        coboundaries.append(sparse.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=size
+        ))
+        spectral.append(sparse.csr_matrix(
+            (np.concatenate(f_data), (np.concatenate(f_rows), np.concatenate(f_cols))), shape=size
+        ))
 
     return TwistedCochainComplex(
-        n, m, mu, weights, cuts, cells, tuple(coboundaries), subsets
+        n, m, mu, weights, cuts, cells, tuple(coboundaries), tuple(spectral), subsets
     )
 
 
@@ -178,19 +204,59 @@ def _require_budget(rows: int, cols: int, budget: int) -> None:
         )
 
 
-def _dense(M: "sparse.spmatrix | np.ndarray", budget: int) -> np.ndarray:
-    from scipy import sparse
-
-    _require_budget(*M.shape, budget)
-    return M.toarray() if sparse.issparse(M) else np.asarray(M, dtype=float)
+def _component_positions(labels: np.ndarray, count: int) -> np.ndarray:
+    """Position of each node within its component, in index order."""
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    positions = np.empty_like(labels)
+    positions[order] = np.arange(labels.size) - starts[labels[order]]
+    return positions
 
 
 def matrix_rank_qr(M: "sparse.spmatrix | np.ndarray", budget: int = DENSE_BUDGET) -> int:
-    """Rank via column-pivoted QR: the shared rank rule on |diag R|."""
-    import scipy.linalg
+    """Rank via column-pivoted QR: the shared rank rule on |diag R|.
 
-    R = scipy.linalg.qr(_dense(M, budget), mode="r", pivoting=True)[0]
-    return int(count_significant(np.abs(np.diag(R))))
+    Rows and columns are split into the connected components of the
+    nonzero pattern, and each component's dense block is factored by LAPACK
+    ``geqp3``; rows and columns that hold only zeros add nothing.  Pivoted QR
+    of a block-diagonal matrix interleaves the blocks' own pivoted QRs, so
+    the pooled |diag R| is the one the whole matrix would give.  A dense or
+    connected matrix is one block.  ``budget`` bounds the nominal size.
+    """
+    from scipy import sparse
+    from scipy.linalg import lapack
+    from scipy.sparse import csgraph
+
+    rows, cols = M.shape
+    _require_budget(rows, cols, budget)
+    A = sparse.coo_matrix(M)
+    A.sum_duplicates()
+    nonzero = A.data != 0
+    r, c, v = A.row[nonzero], A.col[nonzero], A.data[nonzero]
+    # bipartite graph: row i is node i, column j is node rows + j
+    graph = sparse.coo_matrix((np.ones(r.size), (r, rows + c)), shape=(rows + cols,) * 2)
+    count, labels = csgraph.connected_components(graph, directed=False)
+    row_label, col_label = labels[:rows], labels[rows:]
+    row_pos = _component_positions(row_label, count)
+    col_pos = _component_positions(col_label, count)
+    heights = np.bincount(row_label, minlength=count)
+    widths = np.bincount(col_label, minlength=count)
+    label = row_label[r]
+    dtype = np.result_type(v.dtype, np.float64)
+    diagonals = []
+    shapes = np.stack([heights, widths], axis=1)[(heights > 0) & (widths > 0)]
+    for h, w in np.unique(shapes, axis=0).tolist():
+        members = np.flatnonzero((heights == h) & (widths == w))
+        slot = np.empty(count, dtype=np.intp)
+        slot[members] = np.arange(members.size)
+        entries = (heights[label] == h) & (widths[label] == w)
+        stack = np.zeros((members.size, h, w), dtype=dtype)
+        stack[slot[label[entries]], row_pos[r[entries]], col_pos[c[entries]]] = v[entries]
+        geqp3, = lapack.get_lapack_funcs(("geqp3",), (stack,))
+        factored = np.array([geqp3(block)[0] for block in stack])
+        diagonals.append(np.abs(np.diagonal(factored, axis1=1, axis2=2)).ravel())
+    return int(count_significant(np.concatenate([np.zeros(0), *diagonals])))
 
 
 def complex_betti(coboundaries, cells, budget: int = DENSE_BUDGET) -> list[int]:
@@ -201,8 +267,9 @@ def complex_betti(coboundaries, cells, budget: int = DENSE_BUDGET) -> list[int]:
 
 
 def twisted_betti(C: TwistedCochainComplex, budget: int = DENSE_BUDGET) -> list[int]:
-    """Betti numbers b^0..b^n of the twisted complex."""
-    return complex_betti(C.coboundaries, C.cells, budget)
+    """Betti numbers b^0..b^n of the twisted complex, ranked in the Fourier
+    blocks of the spread complex (``C.spectral``)."""
+    return complex_betti(C.spectral, C.cells, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +400,8 @@ def ot_obstruction_check(
     """
     if n < 2:
         raise CohomologyError("the obstruction check needs dimension at least 2")
-    C = build_torus_complex(n, m, budget=budget)
-    D1 = _dense(C.coboundaries[1], budget)
+    C = build_torus_complex(n, m, budget=budget)  # refuses any D_k over budget
+    D1 = C.coboundaries[1].toarray()
     area = constant_area_cochain(C)
     # Cut singular values at the package's rank threshold.  With its default
     # cutoff scipy's gelsd returned distances far above 1 at n=3 (5.22 at

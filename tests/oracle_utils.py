@@ -157,6 +157,16 @@ def betti_numbers_svd(boundaries, dims, tol: float = 1e-10) -> list[int]:
     return betti
 
 
+def kunneth_betti(n: int, mu) -> list[int]:
+    """Twisted Betti numbers of the n-torus by the Kuenneth formula: the circle
+    with holonomy e^(-mu_j) has Betti numbers (1, 1) when mu_j = 0 and (0, 0)
+    otherwise, so the product has C(n, k) when every mu_j is 0 and all zeros
+    as soon as one is not."""
+    if all(float(v) == 0.0 for v in mu):
+        return [math.comb(n, k) for k in range(n + 1)]
+    return [0] * (n + 1)
+
+
 def quad_line_integral(component_func, a: float, b: float, n: int = 2001) -> float:
     """Composite Simpson quadrature of a scalar function on [a, b]."""
     if n % 2 == 0:

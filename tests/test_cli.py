@@ -190,6 +190,15 @@ def test_cohomology_expectation_mismatch(tmp_path):
     assert betti_record.rank_data["betti"] == [0, 0, 0]
 
 
+def test_strong_twist_has_the_kunneth_betti_numbers(tmp_path):
+    # e^30 on one cut edge used to swamp the rank threshold: [7, 7] was reported
+    task = {"kind": "cohomology", "n": 1, "m": 8, "mu": [-30.0], "expect_betti": [0, 0]}
+    path = write_manifest(tmp_path, {"seed": 0, "tasks": [task]})
+    out = tmp_path / "strong.report.json"
+    assert cli.main(["run", path, "-q", "-o", str(out)]) == 0
+    assert report.load_report(str(out)).records[0].rank_data["betti"] == [0, 0]
+
+
 @pytest.mark.parametrize("extra_rank", [0, 1])
 def test_euler_record_fails_on_inconsistent_ranks(tmp_path, monkeypatch, extra_rank):
     # b_k = c_k - r_k - r_(k-1) keeps the alternating sum at 0 for any ranks,

@@ -1,8 +1,10 @@
 """Twisted cubical complexes on grid tori: ranks, averaging, obstruction.
 
-Betti numbers from the pivoted-QR route are cross-checked against the
-dense SVD oracle; the obstruction distance is re-derived through an
-independent least-squares call and an exact orthogonality identity.
+Betti numbers from the Fourier blocks of the spread complex are
+cross-checked against pivoted QR and the dense SVD oracle on the cut
+complex, and against the Kuenneth closed form; the obstruction distance is
+re-derived through an independent least-squares call and an exact
+orthogonality identity.
 """
 
 import math
@@ -10,9 +12,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lcskit.cohomology as coh
-from oracle_utils import betti_numbers_svd
+from lcskit import numeric, report
+from oracle_utils import betti_numbers_svd, kunneth_betti
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,6 +136,103 @@ def test_cut_placement_invariance():
         default = coh.twisted_betti(coh.build_torus_complex(2, 6, mu))
         moved = coh.twisted_betti(coh.build_torus_complex(2, 6, mu, (2, 4)))
         assert default == moved
+
+
+def twists(bound):
+    """0, or a twist with 1e-6 <= |mu| <= bound.  A twist below about
+    m * 1e-9 sits under the rank rule's relative threshold on any route."""
+    return st.one_of(st.just(0.0), st.floats(1e-6, bound), st.floats(-bound, -1e-6))
+
+
+@st.composite
+def kunneth_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 5 if n == 3 else 8))
+    return n, m, draw(st.lists(twists(700.0), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kunneth_cases())
+@example(case=(1, 8, [-30.0]))
+@example(case=(2, 8, [-22.0, 0.0]))
+@example(case=(3, 4, [0.0, -700.0, 700.0]))
+def test_betti_equal_the_kunneth_closed_form(case):
+    # From about mu_j = -22 on, the cut complex carries e^(-mu_j) on one edge
+    # and 1 on the rest, which swamps the relative threshold there: pivoted QR
+    # and SVD on the cut matrices both report nonzero Betti numbers.
+    n, m, mu = case
+    assert coh.twisted_betti(coh.build_torus_complex(n, m, mu)) == kunneth_betti(n, mu)
+
+
+def _spread_potential(C):
+    """p(v) = sum_j mu_j ((v_j - cut_j - 1) mod m) / m: conjugating by e^p puts
+    the weight w_j^(1/m) on every edge along axis j."""
+    coords = np.array(np.unravel_index(np.arange(C.vertex_count), (C.m,) * C.n))
+    return sum(C.mu[j] * ((coords[j] - C.cuts[j] - 1) % C.m) / C.m for j in range(C.n))
+
+
+def _unitary_dft(n, m):
+    """The unitary DFT of (Z/m)^n on vertex-indexed vectors, one axis at a time."""
+    axis = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / math.sqrt(m)
+    F = np.ones((1, 1))
+    for _ in range(n):
+        F = np.kron(F, axis)
+    return F
+
+
+@st.composite
+def small_twisted_tori(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 5))
+    mu = draw(st.lists(twists(5.0), min_size=n, max_size=n))
+    cuts = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    return coh.build_torus_complex(n, m, mu, cuts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=small_twisted_tori())
+def test_inverse_dft_of_the_blocks_is_the_spread_complex(C):
+    V = C.vertex_count
+    F = _unitary_dft(C.n, C.m)
+    spread = coh.gauge_conjugate(C, _spread_potential(C))
+    for k, block in enumerate(C.spectral):
+        upper, lower = len(C.subsets[k + 1]), len(C.subsets[k])
+        # rows and columns (frequency, subset) -> (subset, vertex) of the cut complex
+        S = block.toarray().reshape(V, upper, V, lower).transpose(1, 0, 3, 2).reshape(upper * V, lower * V)
+        rebuilt = np.kron(np.eye(upper), F.conj().T) @ S @ np.kron(np.eye(lower), F)
+        D = spread[k].toarray()
+        # a few ulp per entry, growing like the square root of the DFT length
+        ulps = 8 * math.sqrt(V)
+        assert np.max(np.abs(rebuilt - D)) <= ulps * np.finfo(float).eps * np.max(np.abs(D))
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=small_twisted_tori())
+def test_spectral_betti_equal_dense_routes_on_the_cut_complex(C):
+    # the complex spectral blocks are not passed to the SVD oracle: it casts to float
+    betti = coh.twisted_betti(C)
+    assert betti == coh.complex_betti(C.coboundaries, C.cells)
+    assert betti == betti_numbers_svd(C.coboundaries, C.cells)
+
+
+def test_betti_task_ranks_each_coboundary_once_as_a_matrix(monkeypatch):
+    # The benchmark's tracer wraps ``cohomology.matrix_rank_qr`` and reads
+    # ``M.shape`` as (rows, cols); torus ranks must all pass through it.
+    exact = coh.matrix_rank_qr
+    shapes = []
+
+    def counting(M, budget=coh.DENSE_BUDGET):
+        shapes.append(M.shape)
+        return exact(M, budget)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the torus path ranks through cohomology.matrix_rank_qr only")
+
+    monkeypatch.setattr(coh, "matrix_rank_qr", counting)
+    monkeypatch.setattr(numeric, "numerical_rank", refused)
+    task = {"kind": "cohomology", "n": 3, "m": 8, "expect_betti": [1, 3, 3, 1]}
+    assert report.run_manifest(report.parse_manifest({"seed": 0, "tasks": [task]})).green
+    assert shapes == [(1536, 512), (1536, 1536), (512, 1536)]
 
 
 def test_memory_budget_error_mentions_resolution():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from lcskit import cohomology, forms, numeric, report, symexpr as sx
 from lcskit.forms import SmoothMap, VectorField, linear_domain, pullback, random_polynomial_form
@@ -206,6 +207,43 @@ def test_numerical_rank_of_a_stack_matches_numpy_and_qr(seed, batch, rows, cols)
     # independent routes: numpy's own relative-threshold rank, and pivoted QR
     assert [int(np.linalg.matrix_rank(M, rtol=numeric.RANK_RTOL)) for M in stack] == planted
     assert [cohomology.matrix_rank_qr(M) for M in stack] == planted
+
+
+def _planted_block(rng, rows, cols, dtype):
+    k = int(rng.integers(0, min(rows, cols) + 1))
+    U = np.linalg.qr(rng.standard_normal((rows, rows)).astype(dtype))[0][:, :k]
+    V = np.linalg.qr(rng.standard_normal((cols, cols)).astype(dtype))[0][:, :k]
+    if dtype is complex:
+        U = U * np.exp(2j * np.pi * rng.random(rows))[:, None]
+        V = V * np.exp(2j * np.pi * rng.random(cols))[:, None]
+    return (U * rng.uniform(1.0, 10.0, k)) @ V.conj().T, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=6),
+    zero_rows=st.integers(0, 3),
+    zero_cols=st.integers(0, 3),
+    dtype=st.sampled_from([float, complex]),
+)
+def test_qr_rank_of_a_permuted_block_diagonal_is_the_sum_of_block_ranks(
+    seed, shapes, zero_rows, zero_cols, dtype
+):
+    # blocks of mixed shapes, plus zero rows and columns, under random row and
+    # column permutations: one pivoted QR per connected component
+    rng = np.random.default_rng(seed)
+    rows = sum(h for h, _ in shapes) + zero_rows
+    cols = sum(w for _, w in shapes) + zero_cols
+    M = np.zeros((rows, cols), dtype=dtype)
+    planted, r0, c0 = 0, 0, 0
+    for h, w in shapes:
+        M[r0:r0 + h, c0:c0 + w], k = _planted_block(rng, h, w, dtype)
+        planted, r0, c0 = planted + k, r0 + h, c0 + w
+    M = M[rng.permutation(rows)][:, rng.permutation(cols)]
+    assert cohomology.matrix_rank_qr(M) == planted
+    assert cohomology.matrix_rank_qr(sparse.csr_matrix(M)) == planted
+    assert int(np.linalg.matrix_rank(M, rtol=numeric.RANK_RTOL)) == planted
 
 
 def test_numerical_rank_edge_cases():
