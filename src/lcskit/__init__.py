@@ -6,10 +6,10 @@ Layers, bottom up:
   numerical zero-testing;
 * :mod:`lcskit.forms` — coordinate domains, differential forms, vector
   fields, smooth maps, exterior calculus;
-* :mod:`lcskit.numeric` — numerical flows, Jacobians, and pointwise
-  pullbacks for maps that exist only numerically;
-* :mod:`lcskit.twisted` — twisted differential, conformal rescaling, Lee
-  form extraction, period lattices, morphism classification;
+* :mod:`lcskit.numeric` — numerical flows with Jacobians, maps that exist
+  only numerically, and the package's one rank rule;
+* :mod:`lcskit.twisted` — twisted differential, Lee form extraction,
+  period lattices, morphism classification;
 * :mod:`lcskit.models` — catalog of first-kind structures and their
   validators;
 * :mod:`lcskit.embed` — spherical embedding pipeline for exact structures;

@@ -19,10 +19,10 @@ column-pivoted QR under the package's rank rule,
 a unitary one, so ranks are decided on the spread complex; the tests
 cross-check them on the cut complex with dense QR and dense SVD.
 
-The averaging operator and the obstruction report discretize a
-non-exactness mechanism: the area class in degree two stays at positive
-distance from the coboundary image while every translation-invariant
-one-cochain is closed, so no invariant primitive can exist.
+The obstruction report discretizes a non-exactness mechanism: the area
+class in degree two stays at positive distance from the coboundary image
+while every translation-invariant one-cochain is closed, so no invariant
+primitive can exist.
 """
 
 from __future__ import annotations
@@ -273,76 +273,7 @@ def twisted_betti(C: TwistedCochainComplex, budget: int = DENSE_BUDGET) -> list[
 
 
 # ---------------------------------------------------------------------------
-# gauge conjugation
-
-
-def axis_rescaling_potential(C: TwistedCochainComplex, axis: int, c: float) -> np.ndarray:
-    """Vertex potential whose conjugation multiplies the cut-crossing weights
-    of one axis by e^(-c), moving the compensating factor to the next slice."""
-    if not 0 <= axis < C.n:
-        raise CohomologyError(f"axis {axis} out of range for dimension {C.n}")
-    coords = np.array(np.unravel_index(np.arange(C.vertex_count), (C.m,) * C.n))
-    target = (C.cuts[axis] + 1) % C.m
-    return np.where(coords[axis] == target, float(c), 0.0)
-
-
-def gauge_conjugate(
-    C: TwistedCochainComplex, potential: np.ndarray
-) -> tuple[sparse.csr_matrix, ...]:
-    """Conjugate every coboundary by the diagonal rescaling e^(potential).
-
-    ``potential`` is a per-vertex array; a k-cochain rescales by the value at
-    its base vertex.  Conjugation is an isomorphism of complexes, so all
-    Betti numbers are unchanged whatever the potential.
-    """
-    from scipy import sparse
-
-    potential = np.asarray(potential, dtype=float)
-    if potential.shape != (C.vertex_count,):
-        raise CohomologyError(
-            f"potential must have one value per vertex ({C.vertex_count}), got {potential.shape}"
-        )
-    scale = np.exp(potential)
-    out = []
-    for k, D in enumerate(C.coboundaries):
-        upper = len(C.subsets[k + 1])
-        lower = len(C.subsets[k])
-        S_up = sparse.diags(np.tile(scale, upper))
-        S_down_inv = sparse.diags(np.tile(1.0 / scale, lower))
-        out.append((S_up @ D @ S_down_inv).tocsr())
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# averaging and invariant cochains
-
-
-def _require_degree(C: TwistedCochainComplex, degree: int, a: np.ndarray) -> np.ndarray:
-    if not 0 <= degree <= C.n:
-        raise CohomologyError(f"degree {degree} out of range 0..{C.n}")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (C.cells[degree],):
-        raise CohomologyError(
-            f"a degree-{degree} cochain has {C.cells[degree]} entries, got {a.shape}"
-        )
-    return a
-
-
-def average_cochain(C: TwistedCochainComplex, degree: int, a: np.ndarray) -> np.ndarray:
-    """Average a cochain over all grid translations (trivial weights only).
-
-    Averaging is the orthogonal projection onto translation-invariant
-    cochains; with trivial weights the coboundaries are translation
-    equivariant, so averaging commutes with them exactly.
-    """
-    if any(w != 1.0 for w in C.weights):
-        raise CohomologyError(
-            "averaging uses the translation action; it needs trivial weights (mu = 0)"
-        )
-    a = _require_degree(C, degree, a)
-    blocks = a.reshape(len(C.subsets[degree]), C.vertex_count)
-    means = blocks.mean(axis=1)
-    return np.repeat(means, C.vertex_count)
+# invariant cochains
 
 
 def invariant_cochain_basis(C: TwistedCochainComplex, degree: int) -> np.ndarray:

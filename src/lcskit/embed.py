@@ -6,7 +6,8 @@ an embedding into a round sphere that pulls the scaled standard contact
 generator back to the given one-form exactly:
 
 * stage 1 interleaves the pair functions with a sphere-closing coordinate;
-  its pullback is the given form minus ``d(phi)``, ``phi = (1/2) sum f_k x_k``;
+  its pullback is the given form minus ``d(phi)``, ``phi = (1/2) sum f_k x_k``.
+  It is not built on its own: stage 2 starts from the same pairs;
 * stage 2 appends a closing pair ``(2 phi, 1)`` whose pullback contribution
   ``d(phi)`` cancels the stage-1 defect (the variant pair ``(phi, 1)``
   contributes only half and leaves a measured defect of ``(1/2) d(phi)``);
@@ -198,24 +199,8 @@ def _check_radicand(expr: Expr, dom: CoordinateDomain, samples: int, seed: int, 
 
 
 @dataclass(frozen=True)
-class Stage1Result:
-    """Interleaved map onto a sphere of radius r1 with measured defect d(phi)."""
-
-    problem: EmbeddingProblem
-    maps: tuple[tuple[str, SmoothMap], ...]
-    ambient: CoordinateDomain
-    r1: float
-    phi: tuple[tuple[str, Expr], ...]
-    certifications: tuple[tuple[str, ZeroCheck], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for _, c in self.certifications)
-
-
-@dataclass(frozen=True)
 class EmbeddingSolution:
-    """Sphere map with its radii and compensating constant.
+    """Sphere map with its stage-2 radius and compensating constant.
 
     ``stage`` is 2 (radius-r2 sphere) or 3 (unit sphere); ``scale`` is the
     constant c with pullback(map, c * eta) equal to the given one-form, and
@@ -228,7 +213,6 @@ class EmbeddingSolution:
     maps: tuple[tuple[str, SmoothMap], ...]
     ambient: CoordinateDomain
     pairs: int
-    r1: float
     r2: float
     scale: float | None
     phi: tuple[tuple[str, Expr], ...]
@@ -250,50 +234,6 @@ class EmbeddingSolution:
 
 # ---------------------------------------------------------------------------
 # stage builders
-
-
-def build_psi1(
-    problem: EmbeddingProblem, tol: float = 1e-9, seed: int = 0
-) -> Stage1Result:
-    """First stage: pairs plus a sphere-closing coordinate, defect d(phi)."""
-    pairs_by_chart = {n: problem.chart_pairs(F) for n, F in problem.charts}
-    bound = radius_bound(
-        [
-            (F.source, [e for fg in pairs_by_chart[n] for e in fg])
-            for n, F in problem.charts
-        ],
-        problem.rho,
-        problem.samples,
-        seed,
-    )
-    r1 = bound.value
-    p = problem.pairs
-    target = _sphere_target(f"{problem.name}_stage1", p + 1, r1)
-    maps = []
-    phis = []
-    certs = []
-    eta = _eta_on(target, p + 1)
-    for cname, F in problem.charts:
-        pairs = pairs_by_chart[cname]
-        comps: list[Expr] = []
-        for f, g in pairs:
-            comps.extend([g, f])
-        radicand = sx.add(sx.Const(r1 * r1), sx.neg(_sum_squares([e for fg in pairs for e in fg])))
-        _check_radicand(radicand, F.source, problem.samples, seed + 1, f"stage 1 chart {cname!r}")
-        comps.extend([sx.sqrt(radicand), sx.ZERO])
-        psi = SmoothMap(F.source, target, tuple(comps))
-        phi = _half_product_sum(pairs)
-        expected = problem.chart_form(F) - ext_d(function_form(F.source, phi))
-        check = forms_equal(pullback(psi, eta), expected, problem.samples, tol, seed + 1)
-        if not check.passed:
-            raise CertificationError(f"stage 1 pullback on chart {cname!r}", check)
-        sph = _sphere_residual(psi, r1, problem.samples, seed + 1)
-        if not sph.passed:
-            raise CertificationError(f"stage 1 sphere constraint on chart {cname!r}", sph)
-        maps.append((cname, psi))
-        phis.append((cname, phi))
-        certs.extend([(f"{cname}:pullback", check), (f"{cname}:sphere", sph)])
-    return Stage1Result(problem, tuple(maps), target, r1, tuple(phis), tuple(certs))
 
 
 def _sphere_residual(psi: SmoothMap, radius: float, samples: int, seed: int) -> ZeroCheck:
@@ -335,15 +275,6 @@ def build_psi2(
     p = problem.pairs
     target = _sphere_target(f"{problem.name}_stage2", p + 2, r2)
     eta = _eta_on(target, p + 2)
-    r1 = radius_bound(
-        [
-            (F.source, [e for fg in stage1_pairs[n] for e in fg])
-            for n, F in problem.charts
-        ],
-        problem.rho,
-        problem.samples,
-        seed,
-    ).value
     maps = []
     certs = []
     defects = []
@@ -378,7 +309,7 @@ def build_psi2(
             defects.append((f"{cname}:defect-is-half-dphi", agree))
         maps.append((cname, psi))
     return EmbeddingSolution(
-        problem, 2, tuple(maps), target, p + 2, r1, r2, None,
+        problem, 2, tuple(maps), target, p + 2, r2, None,
         tuple(sorted(phis.items())), doubled_pair, tuple(certs), tuple(defects),
     )
 
@@ -424,7 +355,7 @@ def build_psi3(
             raise CertificationError(f"stage 3 sphere constraint on chart {cname!r}", sph)
         certs.extend([(f"{cname}:pullback", check), (f"{cname}:sphere", sph)])
     return EmbeddingSolution(
-        solution.problem, 3, maps, target, solution.pairs, solution.r1, r2, c,
+        solution.problem, 3, maps, target, solution.pairs, r2, c,
         solution.phi, solution.doubled_pair, tuple(certs), (),
     )
 
@@ -462,7 +393,7 @@ def pad_to_dimension(
             raise CertificationError(f"padded pullback on chart {cname!r}", check)
         certs.append((f"{cname}:pullback", check))
     return EmbeddingSolution(
-        solution.problem, 3, maps, target, N, solution.r1, solution.r2,
+        solution.problem, 3, maps, target, N, solution.r2,
         solution.scale, solution.phi, solution.doubled_pair, tuple(certs), (),
     )
 

@@ -5,7 +5,7 @@ coordinates, each either ``linear`` (an interval) or ``angular`` (period 1,
 sampled in [0, 1)).  A degree-k :class:`DifferentialForm` stores symbolic
 coefficients keyed by strictly increasing k-tuples of coordinate indices.
 The exterior calculus (wedge, d, interior product, Lie derivative,
-pullback, flat/sharp) is implemented symbolically on top of the
+pullback) is implemented symbolically on top of the
 :mod:`lcskit.symexpr` kernel; equality of forms is always decided by
 sampled residuals, never structurally.  Values at points come from one
 :func:`symexpr.evaluate_all` call per object and sample set, and
@@ -13,7 +13,6 @@ sampled residuals, never structurally.  Values at points come from one
 
 Sign conventions used throughout the package:
     * wedge ordering follows the shuffle sign of merging index tuples;
-    * ``flat(phi, v) = interior(v, phi)`` (no extra sign);
     * ``lie_derivative`` is Cartan's formula ``i_X d + d i_X``.
 """
 
@@ -43,22 +42,6 @@ class DegreeError(FormError):
 
 class DomainMismatchError(FormError):
     """Objects from different coordinate domains were combined."""
-
-
-class NondegenerateError(FormError):
-    """A two-form expected to be nondegenerate has a kernel.
-
-    Attributes:
-        rank: numerical rank found.
-        expected: full rank that was required.
-        point: sample at which the defect was observed.
-    """
-
-    def __init__(self, message: str, rank: int, expected: int, point=None):
-        super().__init__(message)
-        self.rank = rank
-        self.expected = expected
-        self.point = point
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +337,6 @@ def identity_map(domain: CoordinateDomain) -> SmoothMap:
     return SmoothMap(domain, domain, tuple(sx.Var(n) for n in domain.names))
 
 
-def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    """``outer`` after ``inner`` (source of ``outer`` = target of ``inner``)."""
-    _check_domains(outer.source, inner.target)
-    repl = dict(zip(outer.source.names, inner.components))
-    return SmoothMap(
-        inner.source, outer.target, tuple(sx.substitute(c, repl) for c in outer.components)
-    )
-
-
 def evaluate_map(F: SmoothMap, env: Mapping[str, np.ndarray], wrap: bool = True) -> dict[str, np.ndarray]:
     """Evaluate a map at sample points, wrapping angular targets into [0, 1).
 
@@ -537,14 +511,7 @@ def pullback(F: SmoothMap, a: DifferentialForm) -> DifferentialForm:
 
 
 # ---------------------------------------------------------------------------
-# musical maps and rank
-
-
-def flat(phi: DifferentialForm, X: VectorField) -> DifferentialForm:
-    """Lower an index: flat(phi, v) = i_v phi."""
-    if phi.degree != 2:
-        raise DegreeError("flat expects a two-form")
-    return interior(X, phi)
+# two-form matrices and rank
 
 
 def form_matrix(phi: DifferentialForm, env: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -552,26 +519,6 @@ def form_matrix(phi: DifferentialForm, env: Mapping[str, np.ndarray]) -> np.ndar
     if phi.degree != 2:
         raise DegreeError("form_matrix expects a two-form")
     return np.moveaxis(form_values(phi, env), (0, 1), (-2, -1))
-
-
-def sharp(phi: DifferentialForm, a: DifferentialForm, point: Mapping[str, float]) -> np.ndarray:
-    """Solve i_v phi = a at a point; raises NondegenerateError if singular."""
-    if a.degree != 1:
-        raise DegreeError("sharp expects a one-form")
-    _check_domains(phi.domain, a.domain)
-    d = phi.domain.dim
-    M = form_matrix(phi, point)
-    rhs = form_values(a, point)
-    # i_v phi as a covector is v . M (row vector), i.e. M^T v = rhs with M^T = -M.
-    from . import numeric  # numeric imports forms at load, so not at module level
-
-    rank = numeric.numerical_rank(M)
-    if rank < d:
-        raise NondegenerateError(
-            f"two-form on {phi.domain.name!r} is degenerate (rank {rank} < {d})",
-            rank, d, dict(point),
-        )
-    return np.linalg.solve(-M, rhs)
 
 
 def nondegeneracy_rank(phi: DifferentialForm, samples: int = 50, seed: int = 0) -> tuple[int, bool]:
@@ -650,32 +597,3 @@ def evaluate_jacobian(F: SmoothMap, env: Mapping[str, np.ndarray]) -> np.ndarray
     """Jacobian of a map at sample points, shape (tgt, src, *batch)."""
     vals = sx.evaluate_all([e for row in F.jacobian for e in row], env)
     return np.array(vals).reshape(F.target.dim, F.source.dim, *sx.batch_shape(env))
-
-
-# ---------------------------------------------------------------------------
-# seeded test forms
-
-
-def _coordinate_basis_expr(c: Coordinate) -> Expr:
-    if c.kind == ANGULAR:
-        return sx.sin(sx.mul(sx.Const(2.0 * np.pi), sx.Var(c.name)))
-    return sx.Var(c.name)
-
-
-def random_polynomial_form(
-    domain: CoordinateDomain, degree: int, seed: int = 0, amplitude: float = 1.0
-) -> DifferentialForm:
-    """Seeded smooth test form: low-order polynomial/trigonometric coefficients.
-
-    Linear coordinates enter as themselves, angular ones as sin(2*pi*x), so
-    coefficients always respect periodicity.  Deterministic in (domain,
-    degree, seed).
-    """
-    rng = np.random.default_rng(seed)
-    basis = [_coordinate_basis_expr(c) for c in domain.coords]
-    coeffs: dict[tuple[int, ...], Expr] = {}
-    for I in itertools.combinations(range(domain.dim), degree):
-        c0, c1 = rng.uniform(-amplitude, amplitude, size=2)
-        pick = int(rng.integers(0, domain.dim))
-        coeffs[I] = sx.add(sx.Const(c0), sx.mul(sx.Const(c1), basis[pick]))
-    return DifferentialForm(domain, degree, coeffs)

@@ -20,7 +20,6 @@ tautological one-form on R^(2n) with zero Lee form).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -236,60 +235,6 @@ def _eta_named_coeffs(N: int) -> list[tuple[str, Expr]]:
     return out
 
 
-def sphere_overlap_report(
-    structure: LcsStructure, samples: int = 60, tol: float = 1e-9, seed: int = 0,
-    min_clearance: float = 0.15,
-) -> "OverlapReport":
-    """Chart-to-chart consistency of the sphere-circle atlas.
-
-    For every ordered chart pair with different dropped coordinates, samples
-    of the first chart whose image lies well inside the second chart's
-    hemisphere are mapped across, and all structure forms are compared.
-    """
-    if structure.ambient is None:
-        raise ModelError("overlap checks need an atlas-based structure")
-    charts = structure.charts
-    worst = 0.0
-    pairs = 0
-    used = 0
-    for ci, cj in itertools.permutations(charts, 2):
-        drop_i, drop_j = _dropped_name(ci), _dropped_name(cj)
-        if drop_i == drop_j:
-            continue  # same graph direction: transition is the identity
-        sign_j = 1.0 if cj.name.endswith("plus") else -1.0
-        # transition: express chart-j coordinates in chart-i coordinates
-        comps = []
-        for n in cj.domain.names:
-            comps.append(ci.parametrization.component(n))
-        T = SmoothMap(ci.domain, cj.domain, tuple(comps))
-        env = ci.domain.sample_points(samples, seed + pairs)
-        val_dj = sx.evaluate(ci.parametrization.component(drop_j), env)
-        keep = sign_j * val_dj > min_clearance
-        if not np.any(keep):
-            pairs += 1
-            continue
-        env_kept = {k: v[keep] for k, v in env.items()}
-        used += int(np.sum(keep))
-        deltas = [a_i - pullback(T, a_j) for a_i, a_j in ((ci.alpha, cj.alpha), (ci.phi, cj.phi), (ci.lee, cj.lee))]
-        for vals in sx.evaluate_all([c for delta in deltas for c in delta.coeffs.values()], env_kept):
-            worst = max(worst, float(np.max(np.abs(vals))))
-        pairs += 1
-    return OverlapReport(worst <= tol, worst, pairs, used, tol)
-
-
-def _dropped_name(chart: StructureChart) -> str:
-    return chart.name.rsplit("_", 1)[0]
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    passed: bool
-    max_residual: float
-    pairs_checked: int
-    samples_used: int
-    tol: float
-
-
 # ---------------------------------------------------------------------------
 # universal reduction models
 
@@ -415,82 +360,6 @@ def _pair(one_form: DifferentialForm, X: VectorField) -> Expr:
     """Pointwise pairing of a one-form with a vector field."""
     terms = [sx.mul(c, X.components[i]) for (i,), c in one_form.coeffs.items()]
     return sx.add(*terms) if terms else sx.ZERO
-
-
-# ---------------------------------------------------------------------------
-# integer torus action on the universal models
-
-
-@dataclass(frozen=True)
-class TorusActionReport:
-    matrix: tuple[tuple[int, ...], ...]
-    mu_out: tuple[float, ...]
-    alpha_residual: float
-    lee_residual: float
-    phi_residual: float
-    passed: bool
-
-
-def sl_action(
-    A: Sequence[Sequence[int]],
-    structure: LcsStructure,
-    samples: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> tuple[LcsStructure, TorusActionReport]:
-    """Act by an integer unimodular matrix on a universal model.
-
-    Torus angles transform by ``A``, their momenta by the inverse
-    transpose, and the Lee coefficients ``mu`` by the inverse transpose as
-    well; the potential, Lee form, and two-form are certified to pull back
-    on the nose, so the action preserves the first-kind presentation.
-    """
-    meta = structure.metadata
-    if "mu" not in meta:
-        raise ModelError("sl_action expects a universal reduction model")
-    k, N, mu = meta["k"], meta["N"], np.asarray(meta["mu"], dtype=float)
-    A = np.asarray(A, dtype=float)
-    if A.shape != (k, k):
-        raise ModelError(f"matrix shape {A.shape} does not match k = {k}")
-    if not np.allclose(A, np.round(A)):
-        raise ModelError("matrix must be integer")
-    A = np.round(A)
-    det = round(float(np.linalg.det(A)))
-    if abs(det) != 1:
-        raise ModelError(f"matrix must be unimodular, got determinant {det}")
-    Ainv = np.round(np.linalg.inv(A)).astype(int)
-    if not np.array_equal(A.astype(int) @ Ainv, np.eye(k, dtype=int)):
-        raise ModelError("integer inverse check failed")
-    AinvT = Ainv.T
-    mu_out = tuple(float(v) for v in AinvT @ mu)
-    target = model_reduction_universal(k, N, mu_out)
-    src, tgt = structure.charts[0], target.charts[0]
-
-    comps = []
-    for n in tgt.domain.names:
-        if n.startswith("th"):
-            i = int(n[2:]) - 1
-            comps.append(sx.add(*(sx.mul(sx.Const(float(A[i, j])), sx.var(f"th{j+1}")) for j in range(k))))
-        elif n.startswith("pth"):
-            i = int(n[3:]) - 1
-            comps.append(sx.add(*(sx.mul(sx.Const(float(AinvT[i, j])), sx.var(f"pth{j+1}")) for j in range(k))))
-        else:
-            comps.append(sx.var(n))
-    F = SmoothMap(src.domain, tgt.domain, tuple(comps))
-
-    res_alpha, res_lee, res_phi = forms.forms_are_zero(
-        [pullback(F, tgt.alpha) - src.alpha, pullback(F, tgt.lee) - src.lee, pullback(F, tgt.phi) - src.phi],
-        samples, tol, seed,
-    )
-    report = TorusActionReport(
-        tuple(tuple(int(v) for v in row) for row in A.astype(int)),
-        mu_out,
-        res_alpha.max_residual,
-        res_lee.max_residual,
-        res_phi.max_residual,
-        res_alpha.passed and res_lee.passed and res_phi.passed,
-    )
-    return target, report
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Provides ODE flows of symbolic vector fields (with variational Jacobians,
 so that derivative data stays integrator-accurate instead of relying on
 finite differences), point maps that exist only numerically (flow
-compositions), pointwise pullbacks through such maps, and small linear
-algebra helpers (numerical rank, kernels, subspace distances).  Every rank
+compositions), and small linear algebra helpers (numerical rank, kernels,
+subspace distances).  Every rank
 in the package is decided here, by :func:`count_significant` at the
 relative threshold :data:`RANK_RTOL`.
 
@@ -19,13 +19,12 @@ once (``VectorField.value_at``/``jet_at``, ``SmoothMap.jet_at``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forms
-from .forms import ANGULAR, LINEAR, CoordinateDomain, DifferentialForm, SmoothMap, VectorField
+from .forms import ANGULAR, LINEAR, CoordinateDomain, SmoothMap, VectorField
 
 
 RANK_RTOL = 1e-10
@@ -200,41 +199,6 @@ class ComposedPointMap(PointMap):
         mid, J1 = self.inner(x)
         out, J2 = self.outer(mid)
         return out, J2 @ J1
-
-
-def numeric_pullback(
-    a: DifferentialForm, point_map: PointMap, x: np.ndarray
-) -> dict[tuple[int, ...], float]:
-    """Coefficients of (F* a) at ``x`` for a pointwise-defined F.
-
-    Returns a dict over increasing multi-indices of the source domain.
-    """
-    if a.domain != point_map.target:
-        raise forms.DomainMismatchError("form does not live on the map's target")
-    value, J = point_map(x)
-    coeff_vals = forms.evaluate_form(a, dict(zip(a.domain.names, value)))
-    k = a.degree
-    src_dim = point_map.source.dim
-    out: dict[tuple[int, ...], float] = {}
-    if k == 0:
-        return {(): sum(coeff_vals.values())} if coeff_vals else {(): 0.0}
-    for I in itertools.combinations(range(src_dim), k):
-        total = 0.0
-        cols = J[:, I]
-        for Jidx, c in coeff_vals.items():
-            total += c * float(np.linalg.det(cols[Jidx, :]))
-        out[I] = total
-    return out
-
-
-def pullback_residual_at(
-    symbolic: DifferentialForm, a: DifferentialForm, point_map: PointMap, x: np.ndarray
-) -> float:
-    """Max coefficient gap between a symbolic form and a numeric pullback."""
-    got = numeric_pullback(a, point_map, x)
-    want = forms.evaluate_form(symbolic, dict(zip(symbolic.domain.names, x)))
-    keys = set(got) | set(want)
-    return max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in keys) if keys else 0.0
 
 
 # ---------------------------------------------------------------------------

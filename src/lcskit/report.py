@@ -218,8 +218,8 @@ def parse_manifest(data, path: str = "<memory>") -> Manifest:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ManifestError("seed must be an integer")
     samples = data.get("samples")
-    if samples is not None and (not isinstance(samples, int) or samples <= 0):
-        raise ManifestError("samples must be a positive integer")
+    if samples is not None:
+        _sample_count(samples, "samples")
     structures = data.get("structures", {})
     if not isinstance(structures, dict):
         raise ManifestError("structures must be an object of named declarations")
@@ -380,6 +380,18 @@ class RunOptions:
     fail_fast: bool = False
 
 
+def _sample_count(value, key: str) -> int:
+    """A sample count from a manifest or ``--samples``: a positive integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ManifestError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _task_samples(task: dict) -> int | None:
+    value = task.get("samples")
+    return None if value is None else _sample_count(value, f"{task['kind']} task samples")
+
+
 def _opt(override, task_value, default):
     if override is not None:
         return override
@@ -405,7 +417,7 @@ def _run_verify(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> 
     if not isinstance(sname, str):
         raise ManifestError("verify task needs a 'structure' name")
     S = manifest.structure(sname)
-    samples = _opt(opts.samples, task.get("samples"), manifest.samples or 200)
+    samples = _opt(opts.samples, _task_samples(task), manifest.samples or 200)
     tol = _opt(opts.tol, task.get("tol"), 1e-9)
     rep = models.validate_first_kind(S, samples=samples, tol=tol, seed=seed)
     failing = [f"{chart}:{label}" for chart, label, c in rep.checks if not c.passed]
@@ -474,7 +486,7 @@ def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> l
     if not isinstance(sname, str):
         raise ManifestError("embed task needs either a 'corpus' entry or a 'structure' name")
     S = manifest.structure(sname)
-    samples = _opt(opts.samples, task.get("samples"), manifest.samples or 200)
+    samples = _opt(opts.samples, _task_samples(task), manifest.samples or 200)
     prob, tau = embed.problem_from_sphere_circle(
         S, rho=float(task.get("rho", 1.2)), samples=max(samples, 200)
     )
@@ -523,6 +535,8 @@ def _chain_kwargs(task: dict, opts: RunOptions, manifest: Manifest) -> dict:
     ):
         if key in task:
             kwargs[key] = task[key]
+            if key.endswith("samples"):
+                _sample_count(task[key], f"reduce-chain task {key}")
     if opts.samples is not None:
         kwargs["samples"] = opts.samples
     elif "samples" not in kwargs and manifest.samples is not None:
@@ -694,6 +708,8 @@ def run_manifest(manifest: Manifest, opts: RunOptions | None = None) -> RunRepor
     records and the run continues unless ``opts.fail_fast``.
     """
     opts = opts or RunOptions()
+    if opts.samples is not None:
+        _sample_count(opts.samples, "--samples")
     seed = opts.seed if opts.seed is not None else manifest.seed
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     clock = time.perf_counter()

@@ -378,28 +378,6 @@ def const(value: Number) -> Expr:
 # structural queries
 
 
-def variables(e: Expr) -> frozenset[str]:
-    """Set of variable names occurring in ``e``."""
-    out: set[str] = set()
-    _collect_vars(e, out)
-    return frozenset(out)
-
-
-def _collect_vars(e: Expr, out: set[str]) -> None:
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_vars(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_vars(f, out)
-    elif isinstance(e, Pow):
-        _collect_vars(e.base, out)
-    elif isinstance(e, Call):
-        _collect_vars(e.arg, out)
-
-
 def is_structural_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 

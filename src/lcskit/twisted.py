@@ -2,11 +2,12 @@
 
 Core objects: for a closed one-form ``omega`` (the Lee form), the twisted
 differential ``d_omega a = d a - omega ^ a`` squares to zero exactly when
-``omega`` is closed; the conformal action rescales a form by ``e^f`` while
-shifting the Lee form by ``df``; period lattices of Lee forms over loop
-families are finitely generated subgroups of the reals; and maps between
-structures are classified as strict / conformal / neither by comparing
-pulled-back Lee forms up to exact terms.
+``omega`` is closed; the Lee form of a nondegenerate two-form can be
+recovered from ``d phi = omega ^ phi``; period lattices of Lee forms over
+loop families are finitely generated subgroups of the reals; and maps
+between structures are classified as strict / conformal / neither by
+comparing pulled-back Lee forms up to exact terms (a conformal change by
+``e^f`` shifts the Lee form by ``df``).
 
 Lattice bookkeeping uses no LLL-style machinery: pairwise commensurability
 is detected through continued-fraction convergents (honouring a large
@@ -33,7 +34,6 @@ from .forms import (
     pullback,
     wedge,
 )
-from .symexpr import Expr, ZeroCheck
 
 
 class TwistedError(Exception):
@@ -63,7 +63,7 @@ class LoopError(TwistedError):
 
 
 # ---------------------------------------------------------------------------
-# twisted differential and conformal action
+# twisted differential
 
 
 def d_twisted(omega: DifferentialForm, a: DifferentialForm) -> DifferentialForm:
@@ -72,51 +72,6 @@ def d_twisted(omega: DifferentialForm, a: DifferentialForm) -> DifferentialForm:
         raise forms.DegreeError("the twisting form must be a one-form")
     forms._check_domains(omega.domain, a.domain)
     return ext_d(a) - wedge(omega, a)
-
-
-def conformal_rescale(
-    f: "Expr | DifferentialForm", a: DifferentialForm, omega: DifferentialForm
-) -> tuple[DifferentialForm, DifferentialForm]:
-    """Apply the conformal action: ``a -> e^f a``, ``omega -> omega + df``.
-
-    Returns the rescaled form and the shifted Lee form.  The defining
-    property (certified in tests, not here): ``d_{omega+df}(e^f a) =
-    e^f d_omega(a)``.
-    """
-    if isinstance(f, DifferentialForm):
-        if f.degree != 0:
-            raise forms.DegreeError("scaling exponent must be a function")
-        f = f.coefficient(())
-    scale = sx.exp(f)
-    new_a = a.scaled(scale)
-    df = ext_d(forms.function_form(a.domain, f))
-    return new_a, omega + df
-
-
-def twisted_pullback(F: SmoothMap, f: "Expr | float", beta: DifferentialForm) -> DifferentialForm:
-    """Conformally corrected pullback ``e^{-f} F* beta``.
-
-    With ``f`` the scaling function satisfying ``F* omega' - omega = df``,
-    this operation intertwines the twisted differentials of target and
-    source (see the certificate helper below).
-    """
-    return pullback(F, beta).scaled(sx.exp(sx.neg(sx.as_expr(f))))
-
-
-def twisted_naturality_residual(
-    F: SmoothMap,
-    f: "Expr | float",
-    beta: DifferentialForm,
-    omega_source: DifferentialForm,
-    omega_target: DifferentialForm,
-    samples: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> ZeroCheck:
-    """Residual of ``d_omega(e^{-f} F* beta) = e^{-f} F* (d_omega' beta)``."""
-    lhs = d_twisted(omega_source, twisted_pullback(F, f, beta))
-    rhs = twisted_pullback(F, f, d_twisted(omega_target, beta))
-    return form_is_zero(lhs - rhs, samples, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +246,12 @@ def period(
     quad_tol: float = 1e-11,
     closure_tol: float = 1e-9,
 ) -> float:
-    """Integral of a one-form over a loop via adaptive quadrature."""
+    """Integral of a one-form over a loop via adaptive quadrature.
+
+    Raises :class:`TwistedError` when quadrature's own error estimate
+    exceeds ``max(quad_tol, quad_tol * |value|)``: an unconverged period is
+    not returned.
+    """
     from scipy.integrate import quad
 
     if omega.degree != 1:
@@ -310,6 +270,10 @@ def period(
         return float(sx.evaluate(coeff, {src.name: t}))
 
     value, err = quad(integrand, lo, hi, epsabs=quad_tol, epsrel=quad_tol, limit=200)
+    if not err <= max(quad_tol, quad_tol * abs(value)):
+        raise TwistedError(
+            f"period quadrature did not converge: error estimate {err:.3g} on value {value:.6g}"
+        )
     return float(value)
 
 
@@ -511,43 +475,3 @@ def classify_morphism(
         source_lattice=src_lat,
         target_lattice=tgt_lat,
     )
-
-
-# ---------------------------------------------------------------------------
-# scaling potential recovery
-
-
-def scaling_potential(
-    delta: DifferentialForm,
-    basepoint: dict[str, float],
-    points: Sequence[dict[str, float]],
-    quad_tol: float = 1e-11,
-) -> np.ndarray:
-    """Integrate an exact one-form from a basepoint along straight segments.
-
-    Returns potential values f with df = delta and f(basepoint) = 0,
-    working in unwrapped coordinates (the segment stays inside the chart
-    in all intended uses).  The potential is unique up to the additive
-    constant fixed by the basepoint.
-    """
-    from scipy.integrate import quad
-
-    if delta.degree != 1:
-        raise forms.DegreeError("potential recovery expects a one-form")
-    names = delta.domain.names
-    x0 = np.array([float(basepoint[n]) for n in names])
-    out = np.zeros(len(points))
-    for i, pt in enumerate(points):
-        x1 = np.array([float(pt[n]) for n in names])
-        direction = x1 - x0
-
-        def integrand(t: float) -> float:
-            env = {n: float(v) for n, v in zip(names, x0 + t * direction)}
-            total = 0.0
-            for (j,), v in zip(delta.coeffs, sx.evaluate_all(delta.coeffs.values(), env)):
-                total += v * direction[j]
-            return total
-
-        val, _ = quad(integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-        out[i] = val
-    return out

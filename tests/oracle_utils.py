@@ -1,18 +1,32 @@
 """Independent numerical oracles shared by the test suite.
 
-Everything in this file is deliberately written against *raw callables and
-arrays*, not against the package's symbolic machinery, so that the library
-implementation and the oracle can only agree by computing the same
-mathematics.  Frozen: tests may add new call sites but should not alter
-the numerics here.
+The oracles in the first part are deliberately written against *raw
+callables and arrays*, not against the package's symbolic machinery, so
+that the library implementation and the oracle can only agree by computing
+the same mathematics.  Frozen: tests may add new call sites but should not
+alter the numerics here.
+
+The second part holds helpers built on the package's types that no run
+needs: a seeded test-form generator, symbolic composition, the pointwise
+determinant pullback, gauge conjugation and translation averaging of torus
+cochains, and the sphere atlas overlap check.  Tests use them as generators
+and as second routes to the code that runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+
+from lcskit import forms, symexpr as sx
+from lcskit.cohomology import CohomologyError, TwistedCochainComplex
+from lcskit.forms import ANGULAR, Coordinate, CoordinateDomain, DifferentialForm, SmoothMap
+from lcskit.models import LcsStructure, ModelError, StructureChart
+from lcskit.numeric import PointMap
 
 
 def central_difference(f, point: dict, name: str, h: float = 1e-6) -> float:
@@ -177,3 +191,196 @@ def quad_line_integral(component_func, a: float, b: float, n: int = 2001) -> flo
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float((b - a) / (n - 1) / 3.0 * np.sum(w * ys))
+
+
+# ---------------------------------------------------------------------------
+# helpers on the package's types: generators and second routes
+
+
+def random_polynomial_form(
+    domain: CoordinateDomain, degree: int, seed: int = 0, amplitude: float = 1.0
+) -> DifferentialForm:
+    """Seeded smooth test form: low-order polynomial/trigonometric coefficients.
+
+    Linear coordinates enter as themselves, angular ones as sin(2*pi*x), so
+    coefficients always respect periodicity.  Deterministic in (domain,
+    degree, seed).
+    """
+    rng = np.random.default_rng(seed)
+    basis = [_coordinate_basis_expr(c) for c in domain.coords]
+    coeffs: dict[tuple[int, ...], sx.Expr] = {}
+    for I in itertools.combinations(range(domain.dim), degree):
+        c0, c1 = rng.uniform(-amplitude, amplitude, size=2)
+        pick = int(rng.integers(0, domain.dim))
+        coeffs[I] = sx.add(sx.Const(c0), sx.mul(sx.Const(c1), basis[pick]))
+    return DifferentialForm(domain, degree, coeffs)
+
+
+def _coordinate_basis_expr(c: Coordinate) -> sx.Expr:
+    if c.kind == ANGULAR:
+        return sx.sin(sx.mul(sx.Const(2.0 * np.pi), sx.Var(c.name)))
+    return sx.Var(c.name)
+
+
+def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
+    """``outer`` after ``inner`` (source of ``outer`` = target of ``inner``),
+    by symbolic substitution."""
+    forms._check_domains(outer.source, inner.target)
+    repl = dict(zip(outer.source.names, inner.components))
+    return SmoothMap(
+        inner.source, outer.target, tuple(sx.substitute(c, repl) for c in outer.components)
+    )
+
+
+def numeric_pullback(
+    a: DifferentialForm, point_map: PointMap, x: np.ndarray
+) -> dict[tuple[int, ...], float]:
+    """Coefficients of (F* a) at ``x`` for a pointwise-defined F, by minors of
+    the Jacobian.  Returns a dict over increasing multi-indices of the source
+    domain."""
+    if a.domain != point_map.target:
+        raise forms.DomainMismatchError("form does not live on the map's target")
+    value, J = point_map(x)
+    coeff_vals = forms.evaluate_form(a, dict(zip(a.domain.names, value)))
+    k = a.degree
+    src_dim = point_map.source.dim
+    out: dict[tuple[int, ...], float] = {}
+    if k == 0:
+        return {(): sum(coeff_vals.values())} if coeff_vals else {(): 0.0}
+    for I in itertools.combinations(range(src_dim), k):
+        total = 0.0
+        cols = J[:, I]
+        for Jidx, c in coeff_vals.items():
+            total += c * float(np.linalg.det(cols[Jidx, :]))
+        out[I] = total
+    return out
+
+
+def pullback_residual_at(
+    symbolic: DifferentialForm, a: DifferentialForm, point_map: PointMap, x: np.ndarray
+) -> float:
+    """Max coefficient gap between a symbolic form and a numeric pullback."""
+    got = numeric_pullback(a, point_map, x)
+    want = forms.evaluate_form(symbolic, dict(zip(symbolic.domain.names, x)))
+    keys = set(got) | set(want)
+    return max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in keys) if keys else 0.0
+
+
+def axis_rescaling_potential(C: TwistedCochainComplex, axis: int, c: float) -> np.ndarray:
+    """Vertex potential whose conjugation multiplies the cut-crossing weights
+    of one axis by e^(-c), moving the compensating factor to the next slice."""
+    if not 0 <= axis < C.n:
+        raise CohomologyError(f"axis {axis} out of range for dimension {C.n}")
+    coords = np.array(np.unravel_index(np.arange(C.vertex_count), (C.m,) * C.n))
+    target = (C.cuts[axis] + 1) % C.m
+    return np.where(coords[axis] == target, float(c), 0.0)
+
+
+def gauge_conjugate(
+    C: TwistedCochainComplex, potential: np.ndarray
+) -> tuple[sparse.csr_matrix, ...]:
+    """Conjugate every coboundary by the diagonal rescaling e^(potential).
+
+    ``potential`` is a per-vertex array; a k-cochain rescales by the value at
+    its base vertex.  Conjugation is an isomorphism of complexes, so all
+    Betti numbers are unchanged whatever the potential.
+    """
+    potential = np.asarray(potential, dtype=float)
+    if potential.shape != (C.vertex_count,):
+        raise CohomologyError(
+            f"potential must have one value per vertex ({C.vertex_count}), got {potential.shape}"
+        )
+    scale = np.exp(potential)
+    out = []
+    for k, D in enumerate(C.coboundaries):
+        upper = len(C.subsets[k + 1])
+        lower = len(C.subsets[k])
+        S_up = sparse.diags(np.tile(scale, upper))
+        S_down_inv = sparse.diags(np.tile(1.0 / scale, lower))
+        out.append((S_up @ D @ S_down_inv).tocsr())
+    return tuple(out)
+
+
+def _require_degree(C: TwistedCochainComplex, degree: int, a: np.ndarray) -> np.ndarray:
+    if not 0 <= degree <= C.n:
+        raise CohomologyError(f"degree {degree} out of range 0..{C.n}")
+    a = np.asarray(a, dtype=float)
+    if a.shape != (C.cells[degree],):
+        raise CohomologyError(
+            f"a degree-{degree} cochain has {C.cells[degree]} entries, got {a.shape}"
+        )
+    return a
+
+
+def average_cochain(C: TwistedCochainComplex, degree: int, a: np.ndarray) -> np.ndarray:
+    """Average a cochain over all grid translations (trivial weights only).
+
+    Averaging is the orthogonal projection onto translation-invariant
+    cochains; with trivial weights the coboundaries are translation
+    equivariant, so averaging commutes with them exactly.
+    """
+    if any(w != 1.0 for w in C.weights):
+        raise CohomologyError(
+            "averaging uses the translation action; it needs trivial weights (mu = 0)"
+        )
+    a = _require_degree(C, degree, a)
+    blocks = a.reshape(len(C.subsets[degree]), C.vertex_count)
+    means = blocks.mean(axis=1)
+    return np.repeat(means, C.vertex_count)
+
+
+@dataclass(frozen=True)
+class OverlapReport:
+    passed: bool
+    max_residual: float
+    pairs_checked: int
+    samples_used: int
+    tol: float
+
+
+def _dropped_name(chart: StructureChart) -> str:
+    return chart.name.rsplit("_", 1)[0]
+
+
+def sphere_overlap_report(
+    structure: LcsStructure, samples: int = 60, tol: float = 1e-9, seed: int = 0,
+    min_clearance: float = 0.15,
+) -> OverlapReport:
+    """Chart-to-chart consistency of the sphere-circle atlas.
+
+    For every ordered chart pair with different dropped coordinates, samples
+    of the first chart whose image lies well inside the second chart's
+    hemisphere are mapped across, and all structure forms are compared.
+    """
+    if structure.ambient is None:
+        raise ModelError("overlap checks need an atlas-based structure")
+    charts = structure.charts
+    worst = 0.0
+    pairs = 0
+    used = 0
+    for ci, cj in itertools.permutations(charts, 2):
+        drop_i, drop_j = _dropped_name(ci), _dropped_name(cj)
+        if drop_i == drop_j:
+            continue  # same graph direction: transition is the identity
+        sign_j = 1.0 if cj.name.endswith("plus") else -1.0
+        # transition: express chart-j coordinates in chart-i coordinates
+        comps = []
+        for n in cj.domain.names:
+            comps.append(ci.parametrization.component(n))
+        T = SmoothMap(ci.domain, cj.domain, tuple(comps))
+        env = ci.domain.sample_points(samples, seed + pairs)
+        val_dj = sx.evaluate(ci.parametrization.component(drop_j), env)
+        keep = sign_j * val_dj > min_clearance
+        if not np.any(keep):
+            pairs += 1
+            continue
+        env_kept = {k: v[keep] for k, v in env.items()}
+        used += int(np.sum(keep))
+        deltas = [
+            a_i - forms.pullback(T, a_j)
+            for a_i, a_j in ((ci.alpha, cj.alpha), (ci.phi, cj.phi), (ci.lee, cj.lee))
+        ]
+        for vals in sx.evaluate_all([c for delta in deltas for c in delta.coeffs.values()], env_kept):
+            worst = max(worst, float(np.max(np.abs(vals))))
+        pairs += 1
+    return OverlapReport(worst <= tol, worst, pairs, used, tol)

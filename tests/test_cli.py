@@ -97,6 +97,41 @@ def test_expression_parse_error_is_input_error(tmp_path, capsys):
     assert "lee[a]" in err
 
 
+@pytest.mark.parametrize("value", [0, True])
+def test_manifest_samples_must_be_a_positive_integer(tmp_path, capsys, value):
+    path = write_manifest(tmp_path, {"seed": 0, "samples": value, "tasks": []})
+    assert cli.main(["run", path, "-q", "-o", str(tmp_path / "r.json")]) == 2
+    assert "samples must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("reduce-chain", "concat_samples", 0),
+        ("reduce-chain", "verify_samples", 0),
+        ("reduce-chain", "flow_samples", -3),
+        ("reduce-chain", "samples", "40"),
+        ("verify", "samples", 0),
+        ("embed", "samples", "40"),
+    ],
+)
+def test_task_sample_counts_must_be_positive_integers(tmp_path, capsys, kind, key, value):
+    payload = plane_manifest()
+    payload["structures"]["sphere2"] = {"catalog": "sphere_circle", "args": {"N": 2, "q": 1.0}}
+    target = {"reduce-chain": {"input": "plane"}, "verify": {"structure": "plane"}, "embed": {"structure": "sphere2"}}
+    payload["tasks"] = [{"kind": kind, **target[kind], key: value}]
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    assert f"{kind} task {key} must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_samples_override_must_be_a_positive_integer(tmp_path, capsys):
+    path = write_manifest(tmp_path, plane_manifest())
+    assert cli.main(["run", path, "-q", "--samples", "0", "-o", str(tmp_path / "r.json")]) == 2
+    assert "--samples must be a positive integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # runs and exit codes
 

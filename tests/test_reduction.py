@@ -17,7 +17,7 @@ import lcskit.numeric as numeric
 import lcskit.reduction as reduction
 import lcskit.symexpr as sx
 import lcskit.twisted as twisted
-from oracle_utils import fd_jacobian, rk4_flow
+from oracle_utils import fd_jacobian, pullback_residual_at, rk4_flow
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_verifier_matches_pointwise_pullback_route(plane_chain):
     worst = 0.0
     for i in range(60):
         y = np.array([env[n][i] for n in bad.submanifold.source.names])
-        worst = max(worst, numeric.pullback_residual_at(restricted, bumped.alpha, qpm, y))
+        worst = max(worst, pullback_residual_at(restricted, bumped.alpha, qpm, y))
     assert abs(worst - got) < 1e-12
     assert abs(got - 0.01) < 1e-12
 
@@ -326,10 +326,16 @@ def test_sphere_chain_stage_reports(sphere_chain):
 
 
 def test_sphere_chain_universal_stage_conjugation(sphere_chain):
+    # th1 -> -th1, pth1 -> -pth1 pulls the universal model with mu = (-1,)
+    # back onto the chain's universal stage, whose mu is (1,)
     universal = sphere_chain.steps[3].structure
-    _, report = models.sl_action(np.array([[-1]]), universal, samples=60)
-    assert report.passed
-    assert report.mu_out == (-1.0,)
+    assert universal.metadata["k"] == 1 and universal.metadata["mu"] == (1.0,)
+    src = universal.charts[0]
+    tgt = models.model_reduction_universal(1, universal.metadata["N"], (-1.0,)).charts[0]
+    comps = tuple(sx.neg(sx.var(n)) if n in ("th1", "pth1") else sx.var(n) for n in tgt.domain.names)
+    F = forms.SmoothMap(src.domain, tgt.domain, comps)
+    residuals = [forms.pullback(F, getattr(tgt, f)) - getattr(src, f) for f in ("alpha", "lee", "phi")]
+    assert all(c.passed for c in forms.forms_are_zero(residuals, samples=60))
 
 
 def test_sphere_chain_nonzero_gauge_function():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from lcskit import report
 from lcskit import symexpr as sx
-from lcskit.forms import linear_domain, make_domain, random_polynomial_form
-from oracle_utils import central_difference
+from lcskit.forms import linear_domain, make_domain
+from oracle_utils import central_difference, random_polynomial_form
 
 X, Y = sx.var("x"), sx.var("y")
 BOX = linear_domain("box", ["x", "y"])
