@@ -8,11 +8,16 @@ subspace distances).  Every rank
 in the package is decided here, by :func:`count_significant` at the
 relative threshold :data:`RANK_RTOL`.
 
-Flows integrate in unwrapped coordinates; angular coordinates are treated
-as ordinary reals during integration (fields on such domains are periodic
-by construction), and only :func:`wrap_point` reduces them modulo 1.
-Linear coordinates are watched with terminal events: leaving the declared
-chart box raises :class:`FlowEscapeError`.  Flow right-hand sides and
+Flows integrate with :func:`solve_ivp`, a numpy Dormand–Prince 5(4) that
+takes the steps of scipy's RK45 bit for bit (Dormand & Prince 1980; Hairer,
+Nørsett & Wanner, *Solving ODEs I*, §II.4–5), in unwrapped coordinates;
+angular coordinates are treated as ordinary reals during integration
+(fields on such domains are periodic by construction), and only
+:func:`wrap_point` reduces them modulo 1.  Linear coordinates are watched
+with terminal events: an event fires when its function changes sign
+between two step ends, its time is located by bisection on the step's
+dense interpolant, and leaving the declared chart box raises
+:class:`FlowEscapeError` with that time and point.  Flow right-hand sides and
 symbolic point maps run the compiled evaluators each field and map builds
 once (``VectorField.value_at``/``jet_at``, ``SmoothMap.jet_at``).
 """
@@ -63,16 +68,197 @@ def wrap_point(domain: CoordinateDomain, x: np.ndarray) -> np.ndarray:
 # flows
 
 
-def solve_ivp(fun, t_span, y0, **options):
-    """:func:`scipy.integrate.solve_ivp`, imported on the first call.
+# Dormand–Prince 5(4) (Dormand & Prince 1980; Hairer, Nørsett & Wanner,
+# *Solving ODEs I*, §II.4–5): scipy's RK45 tableau, error weights and
+# quartic dense-output matrix (Shampine's optimal c_6).
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_EPS = np.finfo(float).eps
 
-    ``scipy.integrate`` takes most of a cold start, and only flows need it.
-    :func:`flow` calls this module-level name, so patching
-    ``numeric.solve_ivp`` intercepts every integration.
+
+@dataclass
+class IvpSolution:
+    """Outcome of :func:`solve_ivp`, with the fields of scipy's result that
+    flows read.
+
+    ``y`` holds the start and the end state as columns (the end is the
+    escape point after a terminal event); ``t_events`` holds, per event, the
+    located time of the event that stopped the integration (empty arrays
+    otherwise, ``None`` without events); ``nfev`` counts right-hand-side
+    calls.
     """
-    from scipy.integrate import solve_ivp
 
-    return solve_ivp(fun, t_span, y0, **options)
+    y: np.ndarray
+    t_events: list[np.ndarray] | None
+    success: bool
+    message: str
+    nfev: int
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=None) -> IvpSolution:
+    """Integrate ``y' = fun(t, y)`` over ``t_span`` with Dormand–Prince 5(4).
+
+    A numpy port of ``scipy.integrate.solve_ivp(method="RK45")`` that takes
+    the same steps in the same order of floating-point operations: scipy's
+    initial step selection, RMS error norm, step factors (safety 0.9,
+    within [0.2, 10], no growth right after a rejected step) and smallest
+    step ``10·|nextafter(t) − t|``.  Endpoints and ``nfev`` equal scipy's bit
+    for bit (``tests/test_numeric.py`` holds them to it).
+
+    Every event ``g(t, y)`` is terminal.  It fires, as in scipy, when g
+    changes sign (or reaches zero) between two step ends; its time is then
+    located by bisection of g on the step's quartic dense interpolant, and
+    the state there ends the solution.  :func:`flow` calls this
+    module-level name, so patching ``numeric.solve_ivp`` intercepts every
+    integration.
+    """
+    t0, tf = map(float, t_span)
+    y0 = np.asarray(y0).astype(float, copy=False)
+    rtol = max(rtol, 100 * _EPS)
+    events = list(events or ())
+    nfev = 0
+
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    direction = np.sign(tf - t0) if tf != t0 else 1
+    t, y, fy = t0, y0, f(t0, y0)
+    h_abs = _initial_step(f, t0, y0, tf, fy, direction, rtol, atol)
+    K = np.empty((len(_DP_C) + 1, y0.size))
+    g = [event(t0, y0) for event in events]
+    t_events = [np.empty(0) for _ in events] if events else None
+    while t != tf:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return IvpSolution(
+                    np.column_stack([y0, y]), t_events, False,
+                    "Required step size is less than spacing between numbers.", nfev,
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = _dp_step(f, t, y, fy, h, K)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        h_abs *= min(1, factor) if rejected else factor
+        t_old, y_old = t, y
+        t, y, fy = t_new, y_new, f_new
+        if not events:
+            continue
+        g_new = [event(t, y) for event in events]
+        fired = [i for i, (a, b) in enumerate(zip(g, g_new)) if a <= 0 <= b or b <= 0 <= a]
+        if fired:
+            dense = _dense_output(K, t_old, t, y_old)
+            roots = {i: _bisect_event(events[i], dense, t_old, t, g[i]) for i in fired}
+            first = min(fired, key=lambda i: direction * roots[i])
+            t_events[first] = np.array([roots[first]])
+            return IvpSolution(
+                np.column_stack([y0, dense(roots[first])]), t_events, True,
+                "A termination event occurred.", nfev,
+            )
+        g = g_new
+    return IvpSolution(
+        np.column_stack([y0, y]), t_events, True,
+        "The solver successfully reached the end of the integration interval.", nfev,
+    )
+
+
+def _dp_step(f, t, y, fy, h, K):
+    """One Dormand–Prince step from (t, y) with slope ``fy``: the fifth-order
+    state at t + h and its slope, with the seven stages left in ``K``."""
+    K[0] = fy
+    for s in range(1, len(_DP_C)):
+        dy = np.dot(K[:s].T, _DP_A[s, :s]) * h
+        K[s] = f(t + _DP_C[s] * h, y + dy)
+    y_new = y + h * np.dot(K[:-1].T, _DP_B)
+    K[-1] = f_new = f(t + h, y_new)
+    return y_new, f_new
+
+
+def _dense_output(K, t_old: float, t: float, y_old: np.ndarray):
+    """RK45's quartic interpolant of the step from t_old to t."""
+    h, Q = t - t_old, K.T.dot(_DP_P)
+
+    def at(s: float) -> np.ndarray:
+        return h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, 4))) + y_old
+
+    return at
+
+
+def _initial_step(f, t0, y0, t_bound, f0, direction, rtol, atol) -> float:
+    """scipy's ``select_initial_step`` for an error estimator of order 4
+    (Hairer, Nørsett & Wanner, §II.4), with no maximum step."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = f(t0 + h0 * direction, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _bisect_event(event, dense, t_old: float, t_new: float, g_old: float) -> float:
+    """Time in [t_old, t_new] where ``event`` reaches zero on the dense
+    interpolant, by bisection to 4·eps relative.  The end on the far side of
+    the zero is returned, so the state there has crossed."""
+    if g_old == 0:
+        return t_old
+    lo, hi = t_old, t_new
+    while abs(hi - lo) > 4 * _EPS * (1 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        g_mid = event(mid, dense(mid))
+        if (g_mid > 0) == (g_old > 0) and g_mid != 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass
@@ -120,10 +306,7 @@ def flow(
         y0 = x0
 
     events = _escape_events(X.domain, box_slack) if check_escape else None
-    sol = solve_ivp(
-        rhs, (0.0, time), y0, method="RK45", rtol=rtol, atol=atol,
-        events=events, dense_output=False,
-    )
+    sol = solve_ivp(rhs, (0.0, time), y0, rtol=rtol, atol=atol, events=events)
     if events and any(len(t) for t in sol.t_events):
         t_esc = min(float(t[0]) for t in sol.t_events if len(t))
         state = sol.y[:d, -1]
@@ -154,8 +337,6 @@ def _escape_events(domain: CoordinateDomain, slack: float):
         def high_event(t, y, i=i, hi=hi):
             return hi - y[i]
 
-        low_event.terminal = True
-        high_event.terminal = True
         events.extend([low_event, high_event])
     return events or None
 

@@ -12,6 +12,7 @@ same seed produce identical reports apart from timestamps.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import tempfile
@@ -387,9 +388,22 @@ def _sample_count(value, key: str) -> int:
     return value
 
 
+def _positive_real(value, key: str) -> float:
+    """A tolerance or threshold from a manifest or ``--tol``: a finite real
+    above zero (a bool or a string is refused, not coerced)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ManifestError(f"{key} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 def _task_samples(task: dict) -> int | None:
     value = task.get("samples")
     return None if value is None else _sample_count(value, f"{task['kind']} task samples")
+
+
+def _task_tol(task: dict) -> float | None:
+    value = task.get("tol")
+    return None if value is None else _positive_real(value, f"{task['kind']} task tol")
 
 
 def _opt(override, task_value, default):
@@ -418,7 +432,7 @@ def _run_verify(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> 
         raise ManifestError("verify task needs a 'structure' name")
     S = manifest.structure(sname)
     samples = _opt(opts.samples, _task_samples(task), manifest.samples or 200)
-    tol = _opt(opts.tol, task.get("tol"), 1e-9)
+    tol = _opt(opts.tol, _task_tol(task), 1e-9)
     rep = models.validate_first_kind(S, samples=samples, tol=tol, seed=seed)
     failing = [f"{chart}:{label}" for chart, label, c in rep.checks if not c.passed]
     return [
@@ -447,7 +461,7 @@ _CORPUS = {
 
 
 def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
-    tol = _opt(opts.tol, task.get("tol"), 1e-9)
+    tol = _opt(opts.tol, _task_tol(task), 1e-9)
     records: list[CheckRecord] = []
     if "corpus" in task:
         entry = task["corpus"]
@@ -537,6 +551,8 @@ def _chain_kwargs(task: dict, opts: RunOptions, manifest: Manifest) -> dict:
             kwargs[key] = task[key]
             if key.endswith("samples"):
                 _sample_count(task[key], f"reduce-chain task {key}")
+            elif key.endswith("tol"):
+                kwargs[key] = _positive_real(task[key], f"reduce-chain task {key}")
     if opts.samples is not None:
         kwargs["samples"] = opts.samples
     elif "samples" not in kwargs and manifest.samples is not None:
@@ -625,7 +641,7 @@ def _run_cohomology(manifest: Manifest, task: dict, opts: RunOptions, seed: int)
     except KeyError as exc:
         raise ManifestError(f"cohomology task needs {exc.args[0]!r}") from exc
     if task.get("obstruction"):
-        threshold = float(task.get("threshold", 0.1))
+        threshold = _positive_real(task.get("threshold", 0.1), "cohomology task threshold")
         rep = cohomology.ot_obstruction_check(n, m, threshold=threshold)
         return [
             CheckRecord(
@@ -710,6 +726,8 @@ def run_manifest(manifest: Manifest, opts: RunOptions | None = None) -> RunRepor
     opts = opts or RunOptions()
     if opts.samples is not None:
         _sample_count(opts.samples, "--samples")
+    if opts.tol is not None:
+        _positive_real(opts.tol, "--tol")
     seed = opts.seed if opts.seed is not None else manifest.seed
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     clock = time.perf_counter()

@@ -132,6 +132,43 @@ def test_samples_override_must_be_a_positive_integer(tmp_path, capsys):
     assert "--samples must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("verify", "tol", "1e-9"),
+        ("verify", "tol", 0.0),
+        ("embed", "tol", True),
+        ("reduce-chain", "tol", -1e-8),
+        ("reduce-chain", "flow_tol", float("nan")),
+        ("reduce-chain", "concat_tol", float("inf")),
+        ("cohomology", "threshold", -1.0),
+        ("cohomology", "threshold", "0.1"),
+    ],
+)
+def test_task_tolerances_must_be_positive_finite_numbers(tmp_path, capsys, kind, key, value):
+    # a threshold <= 0 used to make the obstruction record vacuously green
+    payload = plane_manifest()
+    payload["structures"]["sphere2"] = {"catalog": "sphere_circle", "args": {"N": 2, "q": 1.0}}
+    target = {
+        "reduce-chain": {"input": "plane"},
+        "verify": {"structure": "plane"},
+        "embed": {"structure": "sphere2"},
+        "cohomology": {"n": 2, "m": 4, "obstruction": True},
+    }
+    payload["tasks"] = [{"kind": kind, **target[kind], key: value}]
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    assert f"{kind} task {key} must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])
+def test_tol_override_must_be_a_positive_finite_number(tmp_path, capsys, value):
+    path = write_manifest(tmp_path, plane_manifest())
+    assert cli.main(["run", path, "-q", f"--tol={value}", "-o", str(tmp_path / "r.json")]) == 2
+    assert "--tol must be a positive finite number" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # runs and exit codes
 

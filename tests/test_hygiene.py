@@ -180,6 +180,63 @@ def test_no_module_level_scipy_subpackage_imports(path):
 
 
 
+BANNED_SCIPY = ("scipy.integrate", "scipy.optimize")
+
+
+def _names_banned_scipy(module: str) -> bool:
+    return any(module == b or module.startswith(b + ".") for b in BANNED_SCIPY)
+
+
+def banned_scipy_imports(source: str) -> list[int]:
+    """Lines that import ``scipy.integrate`` or ``scipy.optimize`` anywhere:
+    at module level, in functions and classes, or by ``import_module`` /
+    ``__import__`` of a literal name.  The package integrates its flows and
+    periods itself; the two subpackages serve as oracles in the tests only."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            names = [str(node.args[0].value)] if called in ("import_module", "__import__") else []
+        else:
+            continue
+        if any(_names_banned_scipy(name) for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_banned_scipy_scanner_finds_imports_at_any_depth():
+    source = (
+        "import scipy\n"
+        "import scipy.integrate\n"
+        "from scipy import optimize\n"
+        "from scipy.integrate import solve_ivp as ivp\n"
+        "import numpy, scipy.optimize.linesearch\n"
+        "from scipy import sparse, linalg\n"
+        "import scipy.integrated_stuff\n"
+        "def f():\n"
+        "    from scipy.integrate import quad\n"
+        "    class A:\n"
+        "        def g(self):\n"
+        "            import scipy.optimize as so\n"
+        "    import importlib\n"
+        "    importlib.import_module('scipy.integrate')\n"
+        "    __import__('scipy.optimize')\n"
+        "    importlib.import_module('scipy.linalg')\n"
+        "    from .integrate import quad\n"
+    )
+    assert banned_scipy_imports(source) == [2, 3, 4, 5, 9, 12, 14, 15]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_integrate_or_optimize(path):
+    assert banned_scipy_imports(path.read_text()) == []
+
+
 # -- reachability ------------------------------------------------------------
 
 # Every run enters through the command line; module-level statements run on import.

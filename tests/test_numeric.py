@@ -1,10 +1,14 @@
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.integrate
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from lcskit import cohomology, forms, numeric, report, symexpr as sx
+from lcskit import cohomology, forms, models, numeric, reduction, report, symexpr as sx
 from lcskit.forms import SmoothMap, VectorField, linear_domain, pullback
 import oracle_utils as oracle
 from oracle_utils import random_polynomial_form
@@ -69,6 +73,111 @@ def test_patching_module_solve_ivp_intercepts_every_flow(monkeypatch):
         numeric.flow(VectorField(R2, (sx.ONE, sx.ZERO)), np.array([1.5, 0.0]), 5.0)
     assert len(nfev) == 3 and min(nfev) > 0
     assert np.array_equal(got.point, want.point) and np.array_equal(got.jacobian, want.jacobian)
+
+
+@functools.cache
+def _oracle_fields() -> dict[str, VectorField]:
+    """ROTATION and the structure fields that the reduction chain flows: those
+    of the stage-one charts over the plane and over sphere x circle (N=2)."""
+    fields = {"rotation": ROTATION}
+    sphere = models.model_sphere_circle(2)
+    for label, (chart, decomp, _) in (
+        ("plane", reduction.plane_chain_input()),
+        ("sphere", reduction.sphere_circle_chain_input(sphere)),
+    ):
+        stage1 = reduction.build_step1(chart, decomp, samples=20, verify_samples=20).chart
+        fields[f"{label}:b"] = stage1.b_field
+        fields[f"{label}:e"] = stage1.anti_lee
+    return fields
+
+
+def _captured_integrations(X, x0, time, with_jacobian):
+    """Run ``numeric.flow`` and return its escape (or None) and each
+    ``numeric.solve_ivp`` call it made, with the arguments and the result."""
+    calls = []
+    original = numeric.solve_ivp
+
+    def capture(fun, t_span, y0, **options):
+        sol = original(fun, t_span, y0, **options)
+        calls.append((fun, t_span, y0, options, sol))
+        return sol
+
+    with mock.patch.object(numeric, "solve_ivp", capture):
+        try:
+            numeric.flow(X, x0, time, with_jacobian=with_jacobian)
+            escape = None
+        except numeric.FlowEscapeError as exc:
+            escape = exc
+    return escape, calls
+
+
+def _assert_flow_matches_scipy_rk45(X, x0, time, with_jacobian):
+    """Oracle: scipy's RK45 on the very right-hand side, span and events that
+    ``numeric.flow`` hands its integrator.  Returns the flow's escape."""
+    escape, calls = _captured_integrations(X, x0, time, with_jacobian)
+    assert len(calls) == 1
+    fun, t_span, y0, options, ours = calls[0]
+    for event in options["events"] or ():
+        event.terminal = True
+    want = scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", **options)
+    assert ours.nfev == want.nfev
+    fired = [i for i, t in enumerate(want.t_events or []) if len(t)]
+    assert [i for i, t in enumerate(ours.t_events or []) if len(t)] == fired
+    assert (escape is not None) == bool(fired)
+    if fired:
+        (i,) = fired
+        assert abs(ours.t_events[i][0] - want.t_events[i][0]) <= 1e-12
+        assert escape.time == ours.t_events[i][0]
+        assert np.allclose(escape.point, want.y[:X.domain.dim, -1], rtol=0.0, atol=1e-12)
+    else:
+        assert np.array_equal(ours.y[:, -1], want.y[:, -1])
+    return escape
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["rotation", "plane:b", "plane:e", "sphere:b", "sphere:e"]),
+    unit=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+    time=st.floats(-3.0, 3.0).filter(lambda t: abs(t) > 1e-3),
+    with_jacobian=st.booleans(),
+)
+def test_dormand_prince_reproduces_scipy_rk45(field, unit, time, with_jacobian):
+    X = _oracle_fields()[field]
+    x0 = np.array([
+        u if c.kind == forms.ANGULAR else c.lower + u * (c.upper - c.lower)
+        for c, u in zip(X.domain.coords, unit)
+    ])
+    _assert_flow_matches_scipy_rk45(X, x0, time, with_jacobian)
+
+
+@pytest.mark.parametrize(
+    "field, x0, time",
+    [
+        ("plane:b", [0.5, 0.0], 3.0),  # unit drift along a on [-1, 1]^2
+        ("plane:e", [0.0, 0.5], -3.0),
+        ("rotation", [1.9, 1.0], 2.0),  # radius 2.15 crosses y = 2
+        ("sphere:e", [0.5, 0.0, 0.0, 0.3, 0.1, 0.2], 2.0),
+        ("sphere:e", [0.5, 0.0, 0.0, 0.3, 0.1, 0.2], -2.0),
+    ],
+)
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_dormand_prince_escapes_where_scipy_rk45_does(field, x0, time, with_jacobian):
+    escape = _assert_flow_matches_scipy_rk45(_oracle_fields()[field], np.array(x0), time, with_jacobian)
+    assert escape is not None and 0 < escape.time / time < 1
+
+
+def test_dormand_prince_gives_up_where_scipy_rk45_does():
+    # y' = y^2 from y(0) = 1 blows up at t = 1: both shrink the step below
+    # the spacing of floats at the same state after the same calls
+    def blow_up(t, y):
+        return y * y
+
+    ours = numeric.solve_ivp(blow_up, (0.0, 2.0), np.array([1.0]), rtol=1e-10, atol=1e-12)
+    want = scipy.integrate.solve_ivp(blow_up, (0.0, 2.0), np.array([1.0]), method="RK45", rtol=1e-10, atol=1e-12)
+    assert not ours.success and not want.success
+    assert ours.message == want.message
+    assert ours.nfev == want.nfev
+    assert np.array_equal(ours.y[:, -1], want.y[:, -1])
 
 
 SPHERE_CHAIN = {"samples": 40, "verify_samples": 30, "flow_samples": 10, "concat_samples": 4}

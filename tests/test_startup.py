@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 SELFTEST = SRC / "lcskit" / "manifests" / "selftest.json"
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
@@ -46,3 +48,14 @@ def test_cohomology_run_never_loads_the_integrators(tmp_path):
     )
     loaded = heavy_modules_after(code)
     assert "scipy.linalg" in loaded and "scipy.integrate" not in loaded
+
+
+@pytest.mark.parametrize("command", ["verify", "embed", "reduce-chain"])
+def test_symbolic_embedding_and_flow_runs_load_no_heavy_subpackage(tmp_path, command):
+    # flows and loop periods are integrated in numpy; only cohomology needs scipy
+    out = tmp_path / f"{command}.report.json"
+    code = (
+        "from lcskit import cli\n"
+        f"assert cli.main([{command!r}, {str(SELFTEST)!r}, '-q', '-o', {str(out)!r}]) == 0\n"
+    )
+    assert heavy_modules_after(code) == []

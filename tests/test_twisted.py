@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.special
+from scipy.integrate import quad
 
-from lcskit import forms, symexpr as sx, twisted
+from lcskit import embed, forms, models, reduction, symexpr as sx, twisted
 from lcskit.forms import (
     ANGULAR,
     DifferentialForm,
@@ -191,16 +195,100 @@ def test_period_against_simpson_oracle():
     assert got == pytest.approx(-np.pi, abs=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+CIRCLE = make_domain("s1", [("th", ANGULAR)])
+TURN = make_domain("turn", [("t", ANGULAR)])
+
+
+def _circle_period(integrand: sx.Expr, source) -> float:
+    """Period of integrand(th) dth over the loop t -> t of the circle."""
+    omega = DifferentialForm(CIRCLE, 1, {(0,): integrand})
+    return twisted.period(omega, SmoothMap(source, CIRCLE, (sx.var("t"),)))
+
+
+def _cos_wave(cycles: float) -> sx.Expr:
+    return sx.cos(sx.Const(2.0 * np.pi * cycles) * sx.var("th"))
+
+
 def test_unconverged_period_raises():
-    # exp(cos(1000 pi th)) makes 500 bumps on the circle: 200 adaptive
-    # subintervals cannot bring quad's error estimate down to 1e-11
-    circle = make_domain("s1", [("th", ANGULAR)])
+    # exp(cos(2 pi 2^20 th)) makes 2^20 bumps on the circle: the node cap
+    # (2^16) cannot resolve them, and neither rule's shifted copy agrees
+    bumps = sx.exp(_cos_wave(2**20))
+    for source in (UNIT, TURN):
+        with pytest.raises(twisted.TwistedError, match="did not converge"):
+            _circle_period(bumps, source)
+
+
+@pytest.mark.parametrize("source", [UNIT, TURN], ids=["interval", "angular"])
+def test_five_hundred_bumps_integrate_to_bessel_i0(source):
+    # exp(cos(1000 pi th)) over a turn is I_0(1), whatever the bump count
     bumps = sx.exp(sx.cos(sx.Const(1000.0 * np.pi) * sx.var("th")))
-    omega = DifferentialForm(circle, 1, {(0,): bumps})
-    loop = SmoothMap(UNIT, circle, (sx.var("t"),))
+    assert _circle_period(bumps, source) == pytest.approx(scipy.special.i0(1.0), abs=1e-11)
+
+
+@pytest.mark.parametrize("source", [UNIT, TURN], ids=["interval", "angular"])
+def test_aliased_period_is_never_confident(source):
+    # cos(2 pi 2^16 t) repeats with every node spacing up to 2^-16, so plain
+    # doubling sees 1.0 at each level; the true value is 0
+    try:
+        value = _circle_period(_cos_wave(2**16), source)
+    except twisted.TwistedError as exc:
+        assert "did not converge" in str(exc)
+    else:
+        assert abs(value) <= 1e-11
+
+
+def test_period_refuses_a_rule_that_agrees_only_with_itself():
+    # the shifted copy alone stops an aliased estimate: with it disabled the
+    # trapezoid rule returns 1.0 for cos(2 pi 2^16 t), the aliasing it guards
+    with mock.patch.object(twisted, "_SHIFT", 0.0):
+        assert _circle_period(_cos_wave(2**16), TURN) == 1.0
     with pytest.raises(twisted.TwistedError, match="did not converge"):
-        twisted.period(omega, loop)
+        _circle_period(_cos_wave(2**16), TURN)
+
+
+def _corpus_period_calls() -> list[tuple[DifferentialForm, SmoothMap, float]]:
+    """Every period the corpora take: the product embedding's morphism
+    classification (sphere x circle, N=2), the chain decompositions over
+    sphere x circle (N=2, 3), and each catalog Lee form of the bundled
+    manifests over its structure loops."""
+    calls = []
+    original = twisted.period
+
+    def record(omega, loop, *args, **kwargs):
+        value = original(omega, loop, *args, **kwargs)
+        calls.append((omega, loop, value))
+        return value
+
+    catalog = [models.model_sphere_circle(N, q) for N, q in ((2, 1.0), (3, 2.0), (4, 1.0))]
+    catalog += [
+        models.model_reduction_universal(k, N, mu)
+        for k, N, mu in ((1, 2, [1.0]), (1, 3, [np.sqrt(2.0)]), (2, 3, [1.0, np.sqrt(2.0)]))
+    ]
+    with mock.patch.object(twisted, "period", record):
+        S = catalog[0]
+        prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
+        embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=0, samples=40)
+        for S in catalog[:2]:
+            chart, decomp, _ = reduction.sphere_circle_chain_input(S)
+            reduction.certify_decomposition(chart, decomp)
+        for S in catalog:
+            twisted.period_lattice(S.charts[0].lee, models.structure_lee_loops(S))
+    return calls
+
+
+def test_periods_match_quad_on_every_corpus_loop():
+    quad_tol = 1e-11
+    calls = _corpus_period_calls()
+    assert len(calls) >= 10 and any(abs(value) > 0.5 for _, _, value in calls)
+    for omega, loop, value in calls:
+        coefficient = pullback(loop, omega).coefficient((0,))
+        src = loop.source.coords[0]
+        lo, hi = (0.0, 1.0) if src.kind == ANGULAR else (src.lower, src.upper)
+        want, _ = quad(
+            lambda t: float(sx.evaluate(coefficient, {src.name: t})), lo, hi,
+            epsabs=quad_tol, epsrel=quad_tol, limit=200,
+        )
+        assert abs(value - want) <= max(quad_tol, quad_tol * abs(want))
 
 
 def test_open_loop_raises():
