@@ -381,19 +381,28 @@ class RunOptions:
     fail_fast: bool = False
 
 
-def _sample_count(value, key: str) -> int:
-    """A sample count from a manifest or ``--samples``: a positive integer."""
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ManifestError(f"{key} must be a positive integer, got {value!r}")
+def _checked(value, key: str, kinds, accept: Callable, what: str):
+    """A number from a manifest or the command line, of ``kinds`` and passing
+    ``accept``; a bool, a string, or a float where an integer belongs is
+    refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, kinds) or not accept(value):
+        raise ManifestError(f"{key} must be {what}, got {value!r}")
     return value
 
 
+def _sample_count(value, key: str) -> int:
+    return _checked(value, key, int, lambda v: v > 0, "a positive integer")
+
+
 def _positive_real(value, key: str) -> float:
-    """A tolerance or threshold from a manifest or ``--tol``: a finite real
-    above zero (a bool or a string is refused, not coerced)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise ManifestError(f"{key} must be a positive finite number, got {value!r}")
-    return float(value)
+    """A tolerance, threshold or window: a finite real above zero."""
+    return float(_checked(value, key, (int, float), lambda v: 0 < v < math.inf, "a positive finite number"))
+
+
+def _grid_integer(value, key: str, low: int, high: float = math.inf) -> int:
+    """A torus size or cut position: an integer in [low, high)."""
+    span = f"at least {low}" if high == math.inf else f"in [{low}, {high})"
+    return _checked(value, key, int, lambda v: low <= v < high, f"an integer {span}")
 
 
 def _task_samples(task: dict) -> int | None:
@@ -551,8 +560,11 @@ def _chain_kwargs(task: dict, opts: RunOptions, manifest: Manifest) -> dict:
             kwargs[key] = task[key]
             if key.endswith("samples"):
                 _sample_count(task[key], f"reduce-chain task {key}")
-            elif key.endswith("tol"):
+            elif key.endswith("tol") or key == "window":
                 kwargs[key] = _positive_real(task[key], f"reduce-chain task {key}")
+            elif key == "margin":  # shrinks each chart interval toward its midpoint
+                kwargs[key] = float(_checked(task[key], f"reduce-chain task {key}", (int, float),
+                                             lambda v: 0 <= v < 1, "a finite number in [0, 1)"))
     if opts.samples is not None:
         kwargs["samples"] = opts.samples
     elif "samples" not in kwargs and manifest.samples is not None:
@@ -635,11 +647,12 @@ def _mu_label(mu) -> str:
 
 
 def _run_cohomology(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
-    try:
-        n = int(task["n"])
-        m = int(task["m"])
-    except KeyError as exc:
-        raise ManifestError(f"cohomology task needs {exc.args[0]!r}") from exc
+    for key in ("n", "m"):
+        if key not in task:
+            raise ManifestError(f"cohomology task needs {key!r}")
+    # the obstruction lives on two-cells, so it needs a torus of dimension 2 or more
+    n = _grid_integer(task["n"], "cohomology task n", 2 if task.get("obstruction") else 1)
+    m = _grid_integer(task["m"], "cohomology task m", 2)
     if task.get("obstruction"):
         threshold = _positive_real(task.get("threshold", 0.1), "cohomology task threshold")
         rep = cohomology.ot_obstruction_check(n, m, threshold=threshold)
@@ -656,6 +669,10 @@ def _run_cohomology(manifest: Manifest, task: dict, opts: RunOptions, seed: int)
         ]
     mu = [float(v) for v in task.get("mu", [0.0] * n)]
     cuts = task.get("cuts")
+    if cuts is not None:
+        if not isinstance(cuts, list) or len(cuts) != n:
+            raise ManifestError(f"cohomology task cuts must be a list of {n} grid positions, got {cuts!r}")
+        cuts = [_grid_integer(c, "cohomology task cuts", 0, m) for c in cuts]
     C = cohomology.build_torus_complex(n, m, mu, cuts)
     betti = cohomology.twisted_betti(C)
     base = f"cohomology:T{n}:m{m}:mu{_mu_label(mu)}"

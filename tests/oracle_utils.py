@@ -8,8 +8,9 @@ alter the numerics here.
 
 The second part holds helpers built on the package's types that no run
 needs: a seeded test-form generator, symbolic composition, the pointwise
-determinant pullback, gauge conjugation and translation averaging of torus
-cochains, and the sphere atlas overlap check.  Tests use them as generators
+determinant pullback, the sparse cut complex of a grid torus with its gauge
+conjugation, translation averaging and dense least-squares obstruction
+distance, and the sphere atlas overlap check.  Tests use them as generators
 and as second routes to the code that runs.
 """
 
@@ -26,7 +27,7 @@ from lcskit import forms, symexpr as sx
 from lcskit.cohomology import CohomologyError, TwistedCochainComplex
 from lcskit.forms import ANGULAR, Coordinate, CoordinateDomain, DifferentialForm, SmoothMap
 from lcskit.models import LcsStructure, ModelError, StructureChart
-from lcskit.numeric import PointMap
+from lcskit.numeric import RANK_RTOL, PointMap
 
 
 def central_difference(f, point: dict, name: str, h: float = 1e-6) -> float:
@@ -276,10 +277,44 @@ def axis_rescaling_potential(C: TwistedCochainComplex, axis: int, c: float) -> n
     return np.where(coords[axis] == target, float(c), 0.0)
 
 
+def cut_coboundaries(C: TwistedCochainComplex) -> tuple[sparse.csr_matrix, ...]:
+    """The coboundaries D_0..D_(n-1) of the cut complex as sparse matrices,
+    rows and columns ordered (direction subset, vertex) as ``C.cell_index``.
+
+    The block of D_k from subset T - t to T, t = T[i], is (-1)^i times the
+    weighted difference along axis t, x(v) -> c_t(v) x(v + e_t) - x(v), with
+    c_t(v) the holonomy weight of axis t where v sits on its cut and 1
+    elsewhere.  Cancelling terms of D_(k+1) D_k multiply the same floats, so
+    the coboundaries square to zero exactly.
+    """
+    m, n = C.m, C.n
+    shift = sparse.csr_matrix((np.ones(m), (np.arange(m), (np.arange(m) + 1) % m)), shape=(m, m))
+    differences = []
+    for t in range(n):
+        step = sparse.diags(np.where(np.arange(m) == C.cuts[t], C.weights[t], 1.0)) @ shift - sparse.identity(m)
+        differences.append(sparse.kron(sparse.kron(sparse.identity(m**t), step), sparse.identity(m ** (n - 1 - t))))
+    out = []
+    for k in range(n):
+        blocks = [[None] * len(C.subsets[k]) for _ in C.subsets[k + 1]]
+        for upper, T in enumerate(C.subsets[k + 1]):
+            for i, t in enumerate(T):
+                blocks[upper][C.subsets[k].index(T[:i] + T[i + 1:])] = (-1) ** i * differences[t]
+        out.append(sparse.bmat(blocks, format="csr"))
+    return tuple(out)
+
+
+def lstsq_image_distance(C: TwistedCochainComplex, a: np.ndarray) -> float:
+    """Normalized distance of a two-cochain from the image of the cut D_1 by
+    a dense least-squares solve, its singular values cut at ``RANK_RTOL``."""
+    D1 = cut_coboundaries(C)[1].toarray()
+    solution = np.linalg.lstsq(D1, a, rcond=RANK_RTOL)[0]
+    return float(np.linalg.norm(a - D1 @ solution) / np.linalg.norm(a))
+
+
 def gauge_conjugate(
     C: TwistedCochainComplex, potential: np.ndarray
 ) -> tuple[sparse.csr_matrix, ...]:
-    """Conjugate every coboundary by the diagonal rescaling e^(potential).
+    """Conjugate every cut coboundary by the diagonal rescaling e^(potential).
 
     ``potential`` is a per-vertex array; a k-cochain rescales by the value at
     its base vertex.  Conjugation is an isomorphism of complexes, so all
@@ -292,7 +327,7 @@ def gauge_conjugate(
         )
     scale = np.exp(potential)
     out = []
-    for k, D in enumerate(C.coboundaries):
+    for k, D in enumerate(cut_coboundaries(C)):
         upper = len(C.subsets[k + 1])
         lower = len(C.subsets[k])
         S_up = sparse.diags(np.tile(scale, upper))

@@ -20,7 +20,7 @@ import lcskit.forms as forms
 import lcskit.models as models
 import lcskit.reduction as reduction
 import lcskit.report as report
-from oracle_utils import average_cochain, betti_numbers_svd
+from oracle_utils import average_cochain, betti_numbers_svd, cut_coboundaries
 
 SQRT2 = math.sqrt(2.0)
 
@@ -152,7 +152,7 @@ def test_criterion_6_twisted_cohomology():
     twisted = coh.build_torus_complex(2, 8, (1.0, 0.0))
     assert coh.twisted_betti(twisted) == [0, 0, 0]
     for C in (flat, twisted):
-        assert coh.twisted_betti(C) == betti_numbers_svd(C.coboundaries, C.cells)
+        assert coh.twisted_betti(C) == betti_numbers_svd(cut_coboundaries(C), C.cells)
         assert sum((-1) ** k * b for k, b in enumerate(coh.twisted_betti(C))) == 0
     for mu in [(1.0, 0.0), (0.0, SQRT2), (1.0, 1.0)]:
         b = coh.twisted_betti(coh.build_torus_complex(2, 8, mu))
@@ -177,13 +177,14 @@ def test_criterion_7_obstruction_skeleton():
     assert rep.invariant_residual == 0.0
     C = coh.build_torus_complex(2, 8)
     basis = coh.invariant_cochain_basis(C, 1)
-    assert np.max(np.abs(C.coboundaries[1] @ basis)) == 0.0
+    D1 = cut_coboundaries(C)[1]
+    assert np.max(np.abs(D1 @ basis)) == 0.0
     rng = np.random.default_rng(0)
     a = rng.standard_normal(C.cells[1])
     avg = average_cochain(C, 1, a)
     again = average_cochain(C, 1, avg)
     assert np.max(np.abs(again - avg)) < 1e-14, "averaging not idempotent"
-    commute = C.coboundaries[1] @ avg - average_cochain(C, 2, C.coboundaries[1] @ a)
+    commute = D1 @ avg - average_cochain(C, 2, D1 @ a)
     assert np.max(np.abs(commute)) < 1e-13, "averaging does not commute with D"
     _announce(7, "area-cochain distance > 0.1; invariant cochains exactly closed")
 

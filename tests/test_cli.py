@@ -162,6 +162,57 @@ def test_task_tolerances_must_be_positive_finite_numbers(tmp_path, capsys, kind,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": 2.7}, "cohomology task n must be an integer at least 1, got 2.7"),
+        ({"n": True}, "cohomology task n must be an integer at least 1, got True"),
+        ({"n": 0}, "cohomology task n must be an integer at least 1, got 0"),
+        ({"n": 1, "obstruction": True}, "cohomology task n must be an integer at least 2, got 1"),
+        ({"m": "4"}, "cohomology task m must be an integer at least 2, got '4'"),
+        ({"m": 1}, "cohomology task m must be an integer at least 2, got 1"),
+        ({"m": 4.0}, "cohomology task m must be an integer at least 2, got 4.0"),
+        ({"cuts": [0.9, 1.5]}, "cohomology task cuts must be an integer in [0, 4), got 0.9"),
+        ({"cuts": [0, 4]}, "cohomology task cuts must be an integer in [0, 4), got 4"),
+        ({"cuts": [0, -1]}, "cohomology task cuts must be an integer in [0, 4), got -1"),
+        ({"cuts": [0, False]}, "cohomology task cuts must be an integer in [0, 4), got False"),
+        ({"cuts": [0]}, "cohomology task cuts must be a list of 2 grid positions, got [0]"),
+        ({"cuts": "0,1"}, "cohomology task cuts must be a list of 2 grid positions, got '0,1'"),
+    ],
+)
+def test_cohomology_sizes_and_cuts_must_be_integers_in_range(tmp_path, capsys, fields, message):
+    # int() used to truncate 2.7 to T2 and (0.9, 1.5) to cuts (0, 1), and run True as T1
+    task = {"kind": "cohomology", "n": 2, "m": 4, **fields}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, {"seed": 0, "tasks": [task]}), "-q", "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("window", 0, "window must be a positive finite number"),
+        ("window", -1.0, "window must be a positive finite number"),
+        ("window", float("inf"), "window must be a positive finite number"),
+        ("window", "0.25", "window must be a positive finite number"),
+        ("margin", -5.0, "margin must be a finite number in [0, 1)"),
+        ("margin", 1.0, "margin must be a finite number in [0, 1)"),
+        ("margin", float("nan"), "margin must be a finite number in [0, 1)"),
+        ("margin", "x", "margin must be a finite number in [0, 1)"),
+        ("margin", True, "margin must be a finite number in [0, 1)"),
+    ],
+)
+def test_chain_window_and_margin_are_checked(tmp_path, capsys, key, value, message):
+    # margin -5.0 used to spread the samples over six times the chart box and
+    # still write green records; window 0 ended as an opaque FormError record
+    payload = {"seed": 0, "tasks": [{"kind": "reduce-chain", "input": "plane", key: value}]}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    assert f"reduce-chain task {message}, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])
 def test_tol_override_must_be_a_positive_finite_number(tmp_path, capsys, value):
     path = write_manifest(tmp_path, plane_manifest())
@@ -215,12 +266,14 @@ def test_overflowing_chart_constant_fails_one_record_with_domain_error(tmp_path)
 
 
 def test_oversized_torus_fails_one_record(tmp_path):
-    path = write_manifest(tmp_path, {"seed": 0, "tasks": [{"kind": "cohomology", "n": 2, "m": 500}]})
+    path = write_manifest(tmp_path, {"seed": 0, "tasks": [{"kind": "cohomology", "n": 2, "m": 5000}]})
     out = tmp_path / "oversized.report.json"
     assert cli.main(["run", path, "-q", "-o", str(out)]) == 1
     rep = report.load_report(str(out))
     assert len(rep.records) == 1 and not rep.records[0].passed
-    assert rep.records[0].detail.startswith("CohomologyError: dense rank of a 500000 x 250000 matrix")
+    assert rep.records[0].detail.startswith(
+        "CohomologyError: 25000000 blocks of 2 x 1 (50000000 entries) exceed the budget of 40000000 entries"
+    )
 
 
 def test_unusable_holonomy_exponent_fails_one_record(tmp_path):

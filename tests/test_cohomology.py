@@ -1,10 +1,10 @@
 """Twisted cubical complexes on grid tori: ranks, averaging, obstruction.
 
-Betti numbers from the Fourier blocks of the spread complex are
-cross-checked against pivoted QR and the dense SVD oracle on the cut
-complex, and against the Kuenneth closed form; the obstruction distance is
-re-derived through an independent least-squares call and an exact
-orthogonality identity.
+Betti numbers from the Koszul stacks of the spread complex are
+cross-checked against the dense SVD oracle on the sparse cut complex
+(``oracle_utils.cut_coboundaries``) and against the Kuenneth closed form;
+the per-mode obstruction distance is re-derived through a dense
+least-squares solve on the cut complex and an exact orthogonality identity.
 """
 
 import math
@@ -21,8 +21,10 @@ from oracle_utils import (
     average_cochain,
     axis_rescaling_potential,
     betti_numbers_svd,
+    cut_coboundaries,
     gauge_conjugate,
     kunneth_betti,
+    lstsq_image_distance,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -35,7 +37,8 @@ SQRT2 = math.sqrt(2.0)
 def test_cell_counts():
     C = coh.build_torus_complex(2, 4)
     assert C.cells == (16, 32, 16)
-    assert [D.shape for D in C.coboundaries] == [(32, 16), (16, 32)]
+    assert [S.shape for S in C.stacks] == [(16, 2, 1), (16, 1, 2)]
+    assert [D.shape for D in cut_coboundaries(C)] == [(32, 16), (16, 32)]
     C3 = coh.build_torus_complex(3, 3)
     assert C3.cells == (27, 81, 81, 27)
 
@@ -74,9 +77,15 @@ def test_weights_at_the_edge_of_the_normal_floats():
 @pytest.mark.parametrize("n,m,mu", [(2, 4, (1.0, SQRT2)), (3, 3, (0.3, 0.0, 2.0))])
 def test_coboundary_squares_to_zero_exactly(n, m, mu):
     C = coh.build_torus_complex(n, m, mu)
+    D = cut_coboundaries(C)
     for k in range(n - 1):
-        product = (C.coboundaries[k + 1] @ C.coboundaries[k]).toarray()
-        assert np.max(np.abs(product)) == 0.0
+        assert np.max(np.abs((D[k + 1] @ D[k]).toarray())) == 0.0
+        # Koszul: each entry is lambda_a lambda_b - lambda_b lambda_a, which a
+        # fused multiply-add may round to a few ulp of |lambda|^2 instead of 0
+        product = C.stacks[k + 1] @ C.stacks[k]
+        bound = 4 * np.finfo(float).eps * np.max(np.abs(C.stacks[k])) ** 2
+        assert np.max(np.abs(product)) <= bound
+
 
 
 def test_cell_index_roundtrip():
@@ -90,7 +99,7 @@ def test_cell_index_roundtrip():
 
 def test_weighted_difference_operator_injective():
     C = coh.build_torus_complex(1, 8, (1.0,))
-    D0 = C.coboundaries[0].toarray()
+    D0 = cut_coboundaries(C)[0].toarray()
     assert np.linalg.matrix_rank(D0) == 8
     assert coh.twisted_betti(C) == [0, 0]
 
@@ -121,7 +130,7 @@ def test_twisted_betti_vanish():
 )
 def test_betti_against_svd_oracle(n, m, mu):
     C = coh.build_torus_complex(n, m, mu)
-    assert coh.twisted_betti(C) == betti_numbers_svd(C.coboundaries, C.cells)
+    assert coh.twisted_betti(C) == betti_numbers_svd(cut_coboundaries(C), C.cells)
 
 
 @pytest.mark.parametrize("mu", [(0.25, 0.0), (1.0, 1.0), (0.0, SQRT2)])
@@ -201,10 +210,13 @@ def test_inverse_dft_of_the_blocks_is_the_spread_complex(C):
     V = C.vertex_count
     F = _unitary_dft(C.n, C.m)
     spread = gauge_conjugate(C, _spread_potential(C))
-    for k, block in enumerate(C.spectral):
+    for k, stack in enumerate(C.stacks):
         upper, lower = len(C.subsets[k + 1]), len(C.subsets[k])
-        # rows and columns (frequency, subset) -> (subset, vertex) of the cut complex
-        S = block.toarray().reshape(V, upper, V, lower).transpose(1, 0, 3, 2).reshape(upper * V, lower * V)
+        # block l of the stack -> the (subset, l) x (subset, l) entries of a
+        # matrix ordered as the cut complex
+        S = np.zeros((upper, V, lower, V), dtype=complex)
+        S[:, np.arange(V), :, np.arange(V)] = stack
+        S = S.reshape(upper * V, lower * V)
         rebuilt = np.kron(np.eye(upper), F.conj().T) @ S @ np.kron(np.eye(lower), F)
         D = spread[k].toarray()
         # a few ulp per entry, growing like the square root of the DFT length
@@ -215,21 +227,41 @@ def test_inverse_dft_of_the_blocks_is_the_spread_complex(C):
 @settings(max_examples=40, deadline=None)
 @given(C=small_twisted_tori())
 def test_spectral_betti_equal_dense_routes_on_the_cut_complex(C):
-    # the complex spectral blocks are not passed to the SVD oracle: it casts to float
-    betti = coh.twisted_betti(C)
-    assert betti == coh.complex_betti(C.coboundaries, C.cells)
-    assert betti == betti_numbers_svd(C.coboundaries, C.cells)
+    # the complex Koszul stacks are not passed to the SVD oracle: it casts to float
+    assert coh.twisted_betti(C) == betti_numbers_svd(cut_coboundaries(C), C.cells)
+
+
+@pytest.mark.parametrize("n,m", [(3, 12), (4, 8), (5, 6)])
+@pytest.mark.parametrize("twist", [0.0, SQRT2, -0.5], ids=["untwisted", "sqrt2", "minus-half"])
+def test_betti_of_large_tori_equal_the_kunneth_closed_form(n, m, twist):
+    # far past the dense route on the cut complex: (5,6) has 46,656 two-cells
+    mu = (twist,) + (0.0,) * (n - 1)
+    assert coh.twisted_betti(coh.build_torus_complex(n, m, mu)) == kunneth_betti(n, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=small_twisted_tori(), seed=st.integers(0, 2**32 - 1))
+def test_shift_stencil_is_the_cut_coboundary(C, seed):
+    # the same n terms per entry, summed in another order: a few ulp apart
+    x = np.random.default_rng(seed).standard_normal((max(C.cells), 2))
+    scale = max(1.0, *C.weights)
+    for k, D in enumerate(cut_coboundaries(C)):
+        xk = x[: C.cells[k]]
+        gap = np.max(np.abs(coh.apply_coboundary(C, k, xk) - D @ xk))
+        assert gap <= 4 * C.n * np.finfo(float).eps * scale * np.max(np.abs(xk))
+        assert np.array_equal(coh.apply_coboundary(C, k, xk[:, 0]), coh.apply_coboundary(C, k, xk)[:, 0])
 
 
 def test_betti_task_ranks_each_coboundary_once_as_a_matrix(monkeypatch):
     # The benchmark's tracer wraps ``cohomology.matrix_rank_qr`` and reads
-    # ``M.shape`` as (rows, cols); torus ranks must all pass through it.
+    # ``M.shape`` as (rows, cols), the entries factored; torus ranks must all
+    # pass through it, one row-stacked Koszul stack per degree.
     exact = coh.matrix_rank_qr
     shapes = []
 
-    def counting(M, budget=coh.DENSE_BUDGET):
-        shapes.append(M.shape)
-        return exact(M, budget)
+    def counting(M, block_rows, budget=coh.DENSE_BUDGET):
+        shapes.append((M.shape, block_rows))
+        return exact(M, block_rows, budget)
 
     def refused(*args, **kwargs):
         raise AssertionError("the torus path ranks through cohomology.matrix_rank_qr only")
@@ -238,25 +270,26 @@ def test_betti_task_ranks_each_coboundary_once_as_a_matrix(monkeypatch):
     monkeypatch.setattr(numeric, "numerical_rank", refused)
     task = {"kind": "cohomology", "n": 3, "m": 8, "expect_betti": [1, 3, 3, 1]}
     assert report.run_manifest(report.parse_manifest({"seed": 0, "tasks": [task]})).green
-    assert shapes == [(1536, 512), (1536, 1536), (512, 1536)]
+    assert shapes == [((1536, 1), 3), ((1536, 3), 3), ((512, 3), 1)]
 
 
 def test_memory_budget_error_mentions_resolution():
-    C = coh.build_torus_complex(2, 8)
+    C = coh.build_torus_complex(2, 32)  # D_0 stacks 1024 blocks of 2 x 1
     with pytest.raises(coh.CohomologyError, match="smaller grid resolution"):
         coh.twisted_betti(C, budget=1000)
 
 
 def test_build_refuses_exactly_the_largest_coboundary_over_budget():
-    # on (Z/4)^3 the largest coboundary is D_1, 192 x 192
-    assert coh.build_torus_complex(3, 4, budget=192 * 192).cells == (64, 192, 192, 64)
-    with pytest.raises(coh.CohomologyError, match="dense rank of a 192 x 192 matrix"):
-        coh.build_torus_complex(3, 4, budget=192 * 192 - 1)
+    # on (Z/4)^3 the largest Koszul stack is that of D_1: 64 blocks of 3 x 3
+    assert coh.build_torus_complex(3, 4, budget=576).cells == (64, 192, 192, 64)
+    with pytest.raises(coh.CohomologyError, match=r"64 blocks of 3 x 3 \(576 entries\) exceed the budget of 575"):
+        coh.build_torus_complex(3, 4, budget=575)
 
 
 @pytest.mark.parametrize(
     "check",
-    [lambda: coh.build_torus_complex(2, 500), lambda: coh.ot_obstruction_check(2, 500)],
+    # D_0 would stack 25,000,000 blocks of 2 x 1: 50,000,000 entries
+    [lambda: coh.build_torus_complex(2, 5000), lambda: coh.ot_obstruction_check(2, 5000)],
     ids=["betti", "obstruction"],
 )
 def test_oversized_torus_is_refused_before_assembly(check):
@@ -280,8 +313,8 @@ def test_euler_characteristic():
 def test_determinism():
     A = coh.build_torus_complex(2, 6, (1.0, SQRT2))
     B = coh.build_torus_complex(2, 6, (1.0, SQRT2))
-    for Da, Db in zip(A.coboundaries, B.coboundaries):
-        assert np.array_equal(Da.toarray(), Db.toarray())
+    for Sa, Sb in zip(A.stacks, B.stacks):
+        assert np.array_equal(Sa, Sb)
     assert coh.twisted_betti(A) == coh.twisted_betti(B)
 
 
@@ -311,8 +344,8 @@ def test_average_commutes_with_coboundary():
     C = coh.build_torus_complex(2, 6)
     rng = np.random.default_rng(11)
     a = rng.standard_normal(C.cells[1])
-    avg_then_d = C.coboundaries[1] @ average_cochain(C, 1, a)
-    d_then_avg = average_cochain(C, 2, C.coboundaries[1] @ a)
+    avg_then_d = coh.apply_coboundary(C, 1, average_cochain(C, 1, a))
+    d_then_avg = average_cochain(C, 2, coh.apply_coboundary(C, 1, a))
     # invariant cochains are exactly closed, so the first route is exactly zero
     assert np.max(np.abs(avg_then_d)) == 0.0
     assert np.max(np.abs(avg_then_d - d_then_avg)) < 1e-13
@@ -341,7 +374,7 @@ def test_gauge_conjugation_preserves_betti():
     rng = np.random.default_rng(3)
     potential = rng.uniform(-1.0, 1.0, C.vertex_count)
     conjugated = gauge_conjugate(C, potential)
-    assert coh.complex_betti(conjugated, C.cells) == coh.twisted_betti(C)
+    assert betti_numbers_svd(conjugated, C.cells) == coh.twisted_betti(C)
 
 
 def test_axis_rescaling_moves_cut_weight():
@@ -350,12 +383,13 @@ def test_axis_rescaling_moves_cut_weight():
     moved = gauge_conjugate(C, axis_rescaling_potential(C, 0, c))[0]
     cut_row = C.cell_index(1, (0,), (3, 0))
     cut_col = C.cell_index(0, (), (0, 0))
-    original = C.coboundaries[0][cut_row, cut_col]
+    D0 = cut_coboundaries(C)[0]
+    original = D0[cut_row, cut_col]
     assert np.isclose(original, math.exp(-1.0))
     assert np.isclose(moved[cut_row, cut_col], original * math.exp(-c))
     next_row = C.cell_index(1, (0,), (0, 0))
     next_col = C.cell_index(0, (), (1, 0))
-    assert np.isclose(C.coboundaries[0][next_row, next_col], 1.0)
+    assert np.isclose(D0[next_row, next_col], 1.0)
     assert np.isclose(moved[next_row, next_col], math.exp(c))
 
 
@@ -394,14 +428,14 @@ def test_obstruction_distance_is_one_in_dimension_three(m):
 
 
 def test_obstruction_distance_outside_its_bound_raises(monkeypatch):
-    rng = np.random.default_rng(0)
+    exact = np.fft.fftn
 
-    def off_image_solution(D, b, rcond=None):
-        # D @ x lies in the image, orthogonal to the area, so the residual grows
-        return (rng.standard_normal(D.shape[1]),)
+    def unnormalized(a, axes=None, norm=None):
+        # a DFT that is not unitary scales every mode by sqrt(V) = 4
+        return exact(a, axes=axes)
 
-    monkeypatch.setattr(coh.np.linalg, "lstsq", off_image_solution)
-    with pytest.raises(coh.CohomologyError, match="left its bound"):
+    monkeypatch.setattr(coh.np.fft, "fftn", unnormalized)
+    with pytest.raises(coh.CohomologyError, match=r"obstruction distance 4\.0.* left its bound"):
         coh.ot_obstruction_check(2, 4)
 
 
@@ -410,19 +444,52 @@ def test_obstruction_orthogonality_identity():
     independent certificate that its distance is the full norm."""
     C = coh.build_torus_complex(2, 8)
     area = coh.constant_area_cochain(C)
-    assert np.max(np.abs(C.coboundaries[1].T @ area)) == 0.0
+    assert np.max(np.abs(cut_coboundaries(C)[1].T @ area)) == 0.0
     report = coh.ot_obstruction_check(2, 8)
     assert abs(report.distance - 1.0) < 1e-10
 
 
 def test_obstruction_matches_independent_least_squares():
     C = coh.build_torus_complex(2, 6)
-    D1 = C.coboundaries[1].toarray()
+    D1 = cut_coboundaries(C)[1].toarray()
     area = coh.constant_area_cochain(C)
     x = np.linalg.lstsq(D1, area, rcond=None)[0]
     expected = float(np.linalg.norm(area - D1 @ x) / np.linalg.norm(area))
     report = coh.ot_obstruction_check(2, 6)
     assert abs(report.distance - expected) < 1e-12
+
+
+TORI_WITH_DENSE_D1 = [(2, m) for m in range(2, 9)] + [(3, m) for m in range(2, 7)]
+
+
+@pytest.mark.parametrize("n,m", TORI_WITH_DENSE_D1)
+def test_per_mode_distance_equals_the_dense_least_squares_distance(n, m):
+    # both read 1 to within a couple of rounding steps; 4 ulp of 1.0 bounds the gap
+    C = coh.build_torus_complex(n, m)
+    area = coh.constant_area_cochain(C)
+    gap = coh.image_distance(C, area) - lstsq_image_distance(C, area)
+    assert abs(gap) <= 4 * np.finfo(float).eps
+    assert coh.ot_obstruction_check(n, m).distance == coh.image_distance(C, area)
+
+
+@pytest.mark.parametrize("n,m", TORI_WITH_DENSE_D1)
+def test_per_mode_projection_removes_a_planted_coboundary(n, m):
+    # area + D_1 x has the area as its residual, so the distance is
+    # ||area|| / ||area + D_1 x|| < 1, reached only if the image part is removed
+    C = coh.build_torus_complex(n, m)
+    area = coh.constant_area_cochain(C)
+    planted = area + coh.apply_coboundary(C, 1, np.random.default_rng(m).standard_normal(C.cells[1]))
+    distance = coh.image_distance(C, planted)
+    assert distance < 0.9
+    assert abs(distance - np.linalg.norm(area) / np.linalg.norm(planted)) <= 8 * np.finfo(float).eps
+    assert abs(distance - lstsq_image_distance(C, planted)) <= 8 * np.finfo(float).eps
+
+
+def test_per_mode_distance_and_stencil_refuse_what_they_cannot_compute():
+    with pytest.raises(coh.CohomologyError, match="trivial weights"):
+        coh.image_distance(coh.build_torus_complex(2, 4, (1.0, 0.0)), np.ones(16))
+    with pytest.raises(coh.CohomologyError, match="no coboundary leaves degree 2 on T2"):
+        coh.apply_coboundary(coh.build_torus_complex(2, 4), 2, np.ones(16))
 
 
 def test_obstruction_requires_surface_directions():

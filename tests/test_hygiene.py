@@ -180,7 +180,7 @@ def test_no_module_level_scipy_subpackage_imports(path):
 
 
 
-BANNED_SCIPY = ("scipy.integrate", "scipy.optimize")
+BANNED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 
 def _names_banned_scipy(module: str) -> bool:
@@ -188,10 +188,12 @@ def _names_banned_scipy(module: str) -> bool:
 
 
 def banned_scipy_imports(source: str) -> list[int]:
-    """Lines that import ``scipy.integrate`` or ``scipy.optimize`` anywhere:
-    at module level, in functions and classes, or by ``import_module`` /
-    ``__import__`` of a literal name.  The package integrates its flows and
-    periods itself; the two subpackages serve as oracles in the tests only."""
+    """Lines that import a banned scipy subpackage anywhere: at module
+    level, in functions and classes, or by ``import_module`` / ``__import__``
+    of a literal name.  The package integrates its flows and periods and
+    ranks its torus complexes with numpy; ``scipy.integrate``,
+    ``scipy.optimize``, ``scipy.sparse`` (with ``csgraph``) and ``scipy.linalg``
+    serve as oracles in the tests only."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -228,8 +230,15 @@ def test_banned_scipy_scanner_finds_imports_at_any_depth():
         "    __import__('scipy.optimize')\n"
         "    importlib.import_module('scipy.linalg')\n"
         "    from .integrate import quad\n"
+        "from scipy.sparse import csgraph\n"
+        "import scipy.sparse.csgraph as cg\n"
+        "from scipy.linalg import lapack\n"
+        "def h():\n"
+        "    from scipy.linalg.lapack import get_lapack_funcs\n"
+        "    from scipy import special\n"
+        "    import scipy.linalgebra\n"
     )
-    assert banned_scipy_imports(source) == [2, 3, 4, 5, 9, 12, 14, 15]
+    assert banned_scipy_imports(source) == [2, 3, 4, 5, 6, 9, 12, 14, 15, 16, 18, 19, 20, 22]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
