@@ -337,7 +337,7 @@ def identity_map(domain: CoordinateDomain) -> SmoothMap:
     return SmoothMap(domain, domain, tuple(sx.Var(n) for n in domain.names))
 
 
-def evaluate_map(F: SmoothMap, env: Mapping[str, np.ndarray], wrap: bool = True) -> dict[str, np.ndarray]:
+def evaluate_map(F: SmoothMap, env: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Evaluate a map at sample points, wrapping angular targets into [0, 1).
 
     Each component comes back as a fresh array of the env's batch shape.
@@ -345,7 +345,7 @@ def evaluate_map(F: SmoothMap, env: Mapping[str, np.ndarray], wrap: bool = True)
     out: dict[str, np.ndarray] = {}
     for coord, vals in zip(F.target.coords, sx.evaluate_all(F.components, env)):
         vals = np.array(vals)
-        if wrap and coord.kind == ANGULAR:
+        if coord.kind == ANGULAR:
             vals = np.mod(vals, 1.0)
         out[coord.name] = vals
     return out

@@ -3,10 +3,11 @@
 Provides ODE flows of symbolic vector fields (with variational Jacobians,
 so that derivative data stays integrator-accurate instead of relying on
 finite differences), point maps that exist only numerically (flow
-compositions), and small linear algebra helpers (numerical rank, kernels,
-subspace distances).  Every rank
-in the package is decided here, by :func:`count_significant` at the
-relative threshold :data:`RANK_RTOL`.
+compositions), and the linear algebra of matrix stacks ``(..., r, c)``:
+numerical ranks, orthonormal kernel bases and the gaps between their spans,
+each one stacked SVD for the whole stack.  Every rank in the package is
+decided here, by :func:`count_significant` (at the relative threshold
+:data:`RANK_RTOL` unless a caller passes its own).
 
 Flows integrate with :func:`solve_ivp`, a numpy Dormand–Prince 5(4) that
 takes the steps of scipy's RK45 bit for bit (Dormand & Prince 1980; Hairer,
@@ -274,7 +275,6 @@ def flow(
     with_jacobian: bool = False,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    box_slack: float = 0.0,
     check_escape: bool = True,
 ) -> FlowResult:
     """Integrate the flow of ``X`` for ``time`` starting at ``x0``.
@@ -282,7 +282,7 @@ def flow(
     With ``with_jacobian`` the variational equation dJ/dt = DX(x) J is
     integrated alongside, so the returned Jacobian of the time-T flow map
     has integrator accuracy.  Leaving the chart box (linear coordinates
-    only, with ``box_slack``) raises :class:`FlowEscapeError`.
+    only) raises :class:`FlowEscapeError`.
     """
     d = X.domain.dim
     x0 = np.asarray(x0, dtype=float)
@@ -305,7 +305,7 @@ def flow(
 
         y0 = x0
 
-    events = _escape_events(X.domain, box_slack) if check_escape else None
+    events = _escape_events(X.domain) if check_escape else None
     sol = solve_ivp(rhs, (0.0, time), y0, rtol=rtol, atol=atol, events=events)
     if events and any(len(t) for t in sol.t_events):
         t_esc = min(float(t[0]) for t in sol.t_events if len(t))
@@ -324,12 +324,12 @@ def flow(
     return FlowResult(end, None)
 
 
-def _escape_events(domain: CoordinateDomain, slack: float):
+def _escape_events(domain: CoordinateDomain):
     events = []
     for i, c in enumerate(domain.coords):
         if c.kind != LINEAR:
             continue
-        lo, hi = c.lower - slack, c.upper + slack
+        lo, hi = c.lower, c.upper
 
         def low_event(t, y, i=i, lo=lo):
             return y[i] - lo
@@ -404,30 +404,31 @@ def numerical_rank(M: np.ndarray, rel_threshold: float = RANK_RTOL) -> int | np.
     return int(ranks) if M.ndim == 2 else ranks
 
 
-def map_min_rank(F: SmoothMap, samples: int = 40, seed: int = 0, margin: float = 0.0) -> int:
+def map_min_rank(F: SmoothMap, samples: int = 40, seed: int = 0) -> int:
     """Minimum numerical rank of a map's Jacobian over sampled points."""
-    J = forms.evaluate_jacobian(F, F.source.sample_points(samples, seed, margin))
+    J = forms.evaluate_jacobian(F, F.source.sample_points(samples, seed))
     ranks = numerical_rank(np.moveaxis(J, -1, 0))
     return int(ranks.min(initial=min(F.source.dim, F.target.dim)))
 
 
-def kernel_basis(M: np.ndarray, rel_threshold: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical null space of M."""
-    _, s, vt = np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)))
-    return vt[int(count_significant(s, rel_threshold)):].T
+def kernel_bases(M: np.ndarray, rel_threshold: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal null-space bases of a stack ``(..., r, c)`` and their
+    dimensions: each basis fills the last ``nullity`` columns of a
+    ``(..., c, c)`` array, zeros the others, so kernels of any dimension stack."""
+    _, s, vt = np.linalg.svd(np.asarray(M, dtype=float))
+    rank = count_significant(s, rel_threshold)
+    cols = vt.shape[-1]
+    in_kernel = np.arange(cols) >= rank[..., None]
+    return np.swapaxes(vt, -1, -2) * in_kernel[..., None, :], cols - rank
 
 
-def subspace_gap(A: np.ndarray, B: np.ndarray) -> float:
-    """Distance between column spans: sine of the largest principal angle.
-
-    Returns 2.0 if the spans have different dimensions (incomparable).
+def subspace_gaps(A: np.ndarray, a_dim: np.ndarray, B: np.ndarray, b_dim: np.ndarray) -> np.ndarray:
+    """Sine of the largest principal angle between the spans of stacked
+    orthonormal bases padded with zero columns (as :func:`kernel_bases` gives
+    them), ``||B - A A^T B||_2`` (Björck & Golub 1973): it resolves small
+    angles, where ``sqrt(1 - cos^2)`` floors at ``sqrt(eps)``.  It is 2.0
+    where the dimensions differ (incomparable) and 0 where both spans are zero.
     """
-    qa, _ = np.linalg.qr(np.atleast_2d(A))
-    qb, _ = np.linalg.qr(np.atleast_2d(B))
-    if qa.shape[1] != qb.shape[1]:
-        return 2.0
-    if qa.shape[1] == 0:
-        return 0.0
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    cos_min = float(np.clip(s.min(), -1.0, 1.0))
-    return float(np.sqrt(max(0.0, 1.0 - cos_min**2)))
+    R = B - A @ (np.swapaxes(A, -1, -2) @ B)
+    sines = np.max(np.linalg.svd(R, compute_uv=False), axis=-1, initial=0.0)
+    return np.where(np.asarray(a_dim) == np.asarray(b_dim), sines, 2.0)

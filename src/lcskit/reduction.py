@@ -15,7 +15,8 @@ verifier certifies, at seeded samples, that
 
 The rank of the kernel of the restricted two-form is computed alongside and
 *reported* against the distribution rank; agreement is recorded, never
-assumed, since the two need not coincide in general.
+assumed, since the two need not coincide in general.  The verifier's linear
+algebra is one stacked SVD over all samples per matrix family.
 
 On top of the verifier, :func:`run_reduction_chain` builds the four-stage
 enlargement of a compatible chart — cotangent-torus extension, jet-space
@@ -198,6 +199,20 @@ def _witness(domain: CoordinateDomain, env, i: int) -> dict[str, float]:
     return dict(zip(domain.names, _point_at(domain, env, i)))
 
 
+def _off_span(J: np.ndarray, fields: np.ndarray) -> tuple[float, ...]:
+    """Per field (rows, fields, samples), the worst part off the column span of
+    J (rows, cols, samples), scaled by 1/max(1, max|v|) per sample: the
+    residual of least squares cut by gelsd's own rule, ``RANK_RTOL``."""
+    U, s, _ = np.linalg.svd(np.moveaxis(J, -1, 0), full_matrices=False)
+    span = U * (np.arange(s.shape[-1]) < numeric.count_significant(s)[:, None])[:, None, :]
+    V = np.moveaxis(fields, -1, 0)
+    off = np.max(np.abs(V - span @ (np.swapaxes(span, 1, 2) @ V)), axis=1)
+    return tuple(map(float, np.max(off / np.maximum(1.0, np.max(np.abs(V), axis=1)), axis=0)))
+
+
+MIN_SURVIVAL = 0.5  # share of flow samples that must stay inside the chart
+
+
 def verify_strong_reducibility(
     data: ReducibleData,
     samples: int = 200,
@@ -207,12 +222,11 @@ def verify_strong_reducibility(
     pullback_tol: float | None = None,
     gap_tol: float = 1e-6,
     rank_threshold: float = 1e-8,
-    min_survival: float = 0.5,
 ) -> StrongReducibilityReport:
     """Certify a reducible datum at seeded samples.
 
     Flow-defined quotients may lose samples to chart escapes; escaped samples
-    are skipped, and fewer than ``min_survival * samples`` survivors raise
+    are skipped, and fewer than ``MIN_SURVIVAL * samples`` survivors raise
     :class:`ReductionError`.  A rank jump in the candidate distribution
     raises :class:`NonConstantRankError` with two witness points.
     """
@@ -220,7 +234,6 @@ def verify_strong_reducibility(
     C = data.submanifold
     cdom = C.source
     pb_tol = tol if pullback_tol is None else pullback_tol
-    d = cdom.dim
 
     lee_c = pullback(C, amb.lee)
     alpha_c = pullback(C, amb.alpha)
@@ -231,19 +244,10 @@ def verify_strong_reducibility(
     image_env = forms.evaluate_map(C, env)
 
     # tangency of the structure fields along the submanifold
-    JC = forms.evaluate_jacobian(C, env)
     fields = sx.evaluate_all(amb.b_field.components + amb.anti_lee.components, image_env)
-    b_vals, e_vals = np.array(fields[: amb.domain.dim]), np.array(fields[amb.domain.dim :])
-    b_tan = e_tan = 0.0
-    for i in range(samples):
-        Ji = JC[:, :, i]
-        for vec, which in ((b_vals[:, i], "b"), (e_vals[:, i], "e")):
-            sol, *_ = np.linalg.lstsq(Ji, vec, rcond=numeric.RANK_RTOL)
-            res = float(np.max(np.abs(Ji @ sol - vec))) / max(1.0, float(np.max(np.abs(vec))))
-            if which == "b":
-                b_tan = max(b_tan, res)
-            else:
-                e_tan = max(e_tan, res)
+    b_tan, e_tan = _off_span(
+        forms.evaluate_jacobian(C, env), np.reshape(fields, (2, amb.domain.dim, samples)).transpose(1, 0, 2)
+    )
 
     # candidate foliation distribution: common kernel of the restricted Lee
     # form, potential, and potential derivative
@@ -252,33 +256,28 @@ def verify_strong_reducibility(
     dalpha_tensor = forms.form_values(dalpha_c, env)
     phi_tensor = forms.form_values(phi_c, env)
 
-    kernels: list[np.ndarray] = []
-    dist_ranks: list[int] = []
-    for i in range(samples):
-        A = np.vstack([lee_rows[:, i][None, :], alpha_rows[:, i][None, :], dalpha_tensor[:, :, i]])
-        K = numeric.kernel_basis(A, rank_threshold)
-        kernels.append(K)
-        dist_ranks.append(K.shape[1])
-    phi_ranks = d - numeric.numerical_rank(np.moveaxis(phi_tensor, -1, 0), rank_threshold)
+    systems = np.concatenate([lee_rows[None], alpha_rows[None], dalpha_tensor]).transpose(2, 0, 1)
+    kernels, dist_ranks = numeric.kernel_bases(systems, rank_threshold)
+    phi_ranks = cdom.dim - numeric.numerical_rank(np.moveaxis(phi_tensor, -1, 0), rank_threshold)
     lo, hi = int(np.argmin(dist_ranks)), int(np.argmax(dist_ranks))
     if dist_ranks[lo] != dist_ranks[hi]:
         raise NonConstantRankError(
             f"distribution rank of {data.name!r} jumps from {dist_ranks[lo]} to {dist_ranks[hi]}",
-            ((_witness(cdom, env, lo), dist_ranks[lo]), (_witness(cdom, env, hi), dist_ranks[hi])),
+            ((_witness(cdom, env, lo), int(dist_ranks[lo])), (_witness(cdom, env, hi), int(dist_ranks[hi]))),
         )
-    distribution_rank = dist_ranks[0]
+    distribution_rank = int(dist_ranks[0])
     two_form_kernel_rank = int(phi_ranks.min())
     ranks_agree = bool(np.all(phi_ranks == distribution_rank))
 
     kept, q_env, Jq = _images(data.quotient, env, samples)
     used, skipped = len(kept), samples - len(kept)
-    if used < min_survival * samples:
+    if used < MIN_SURVIVAL * samples:
         raise ReductionError(
             f"only {used}/{samples} quotient samples of {data.name!r} stayed inside the chart"
         )
-    gap = 0.0
-    for k, i in enumerate(kept):
-        gap = max(gap, numeric.subspace_gap(kernels[i], numeric.kernel_basis(Jq[:, :, k], rank_threshold)))
+    q_kernels, q_dims = numeric.kernel_bases(np.moveaxis(Jq, -1, 0), rank_threshold)
+    gaps = numeric.subspace_gaps(kernels[kept], dist_ranks[kept], q_kernels, q_dims)
+    gap = float(np.max(gaps, initial=0.0))
     # the restricted forms were evaluated at every sample above; keep the survivors
     pullback_residuals = tuple(
         (label, _max_abs(_pulled(forms.form_values(reduced_form, q_env), Jq) - restricted[..., kept]))
@@ -521,19 +520,17 @@ class FlowQuotient(numeric.PointMap):
     field for the first slab coordinate, then by the second field for the
     second, with Jacobians assembled from the variational flows."""
 
-    def __init__(self, source: CoordinateDomain, base_chart: StructureChart, rtol: float = 1e-10, atol: float = 1e-12):
+    def __init__(self, source: CoordinateDomain, base_chart: StructureChart):
         self.source = source
         self.target = base_chart.domain
         self._b = base_chart.b_field
         self._e = base_chart.anti_lee
-        self._rtol = rtol
-        self._atol = atol
 
     def __call__(self, y: np.ndarray):
         y = np.asarray(y, dtype=float)
         s, u, x = y[0], y[1], y[2:]
-        first = numeric.flow(self._b, x, s, with_jacobian=True, rtol=self._rtol, atol=self._atol)
-        second = numeric.flow(self._e, first.point, u, with_jacobian=True, rtol=self._rtol, atol=self._atol)
+        first = numeric.flow(self._b, x, s, with_jacobian=True)
+        second = numeric.flow(self._e, first.point, u, with_jacobian=True)
         value = second.point
         d = x.size
         J = np.zeros((d, d + 2))
@@ -789,21 +786,19 @@ class _BackwardGraph(numeric.PointMap):
     first, producing the stage-two graph point over the same slab values."""
 
     def __init__(self, source: CoordinateDomain, section: SmoothMap, base_chart: StructureChart,
-                 graph_dom: CoordinateDomain, rtol: float = 1e-10, atol: float = 1e-12):
+                 graph_dom: CoordinateDomain):
         self.source = source
         self.target = graph_dom
         self._section = numeric.SymbolicPointMap(section)
         self._b = base_chart.b_field
         self._e = base_chart.anti_lee
-        self._rtol = rtol
-        self._atol = atol
 
     def __call__(self, y: np.ndarray):
         y = np.asarray(y, dtype=float)
         s, u, params = y[0], y[1], y[2:]
         z0, J0 = self._section(params)
-        back_e = numeric.flow(self._e, z0, -u, with_jacobian=True, rtol=self._rtol, atol=self._atol)
-        back_b = numeric.flow(self._b, back_e.point, -s, with_jacobian=True, rtol=self._rtol, atol=self._atol)
+        back_e = numeric.flow(self._e, z0, -u, with_jacobian=True)
+        back_b = numeric.flow(self._b, back_e.point, -s, with_jacobian=True)
         x = back_b.point
         d = x.size
         J = np.zeros((d + 2, y.size))
@@ -822,7 +817,6 @@ def concatenation_residual(
     samples: int = 20,
     seed: int = 0,
     margin: float = 0.5,
-    min_survival: float = 0.5,
 ) -> tuple[float, int, int]:
     """Compare two-stage reduction with the direct one-stage reduction.
 
@@ -858,7 +852,7 @@ def concatenation_residual(
     env = c_dom.sample_points(samples, seed, margin)
     kept, image_env, J = _images(into_m2, env, samples)
     used = len(kept)
-    if used < min_survival * samples:
+    if used < MIN_SURVIVAL * samples:
         raise ReductionError(f"only {used}/{samples} combined samples stayed inside the chart")
     _, p_env, Jp = _images(projection, {n: env[n][kept] for n in c_dom.names}, used)
     worst = max(

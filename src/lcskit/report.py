@@ -259,13 +259,15 @@ def _catalog_structure(name: str, decl: dict) -> models.LcsStructure:
     args = decl.get("args", {})
     if not isinstance(args, dict):
         raise ManifestError(f"structure {name!r}: args must be an object")
+    where = f"structure {name!r} argument"
     factories: dict[str, Callable] = {
-        "liouville": lambda: models.model_liouville(int(args["n"])),
+        "liouville": lambda: models.model_liouville(_grid_integer(args["n"], f"{where} n", 1)),
         "sphere_circle": lambda: models.model_sphere_circle(
-            int(args["N"]), float(args.get("q", 1.0))
+            _grid_integer(args["N"], f"{where} N", 2), _finite_real(args.get("q", 1.0), f"{where} q")
         ),
         "reduction_universal": lambda: models.model_reduction_universal(
-            int(args["k"]), int(args["N"]), [float(v) for v in args["mu"]]
+            _grid_integer(args["k"], f"{where} k", 0), _grid_integer(args["N"], f"{where} N", 0),
+            _number_list(args["mu"], f"{where} mu", _finite_real),
         ),
     }
     if entry not in factories:
@@ -399,8 +401,20 @@ def _positive_real(value, key: str) -> float:
     return float(_checked(value, key, (int, float), lambda v: 0 < v < math.inf, "a positive finite number"))
 
 
+def _finite_real(value, key: str) -> float:
+    return float(_checked(value, key, (int, float), math.isfinite, "a finite number"))
+
+
+def _number_list(value, key: str, check: Callable) -> list:
+    """A list of manifest numbers, each passed through ``check(v, key)``."""
+    if not isinstance(value, list):
+        raise ManifestError(f"{key} must be a list, got {value!r}")
+    return [check(v, key) for v in value]
+
+
 def _grid_integer(value, key: str, low: int, high: float = math.inf) -> int:
-    """A torus size or cut position: an integer in [low, high)."""
+    """An integer in [low, high): a torus size, cut position, Betti number,
+    catalog dimension, pair count or chart index."""
     span = f"at least {low}" if high == math.inf else f"in [{low}, {high})"
     return _checked(value, key, int, lambda v: low <= v < high, f"an integer {span}")
 
@@ -471,6 +485,10 @@ _CORPUS = {
 
 def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
     tol = _opt(opts.tol, _task_tol(task), 1e-9)
+    rho = _positive_real(task.get("rho", 1.2), "embed task rho")
+    pairs = task.get("pairs")
+    if pairs is not None:
+        pairs = _grid_integer(pairs, "embed task pairs", 1)
     records: list[CheckRecord] = []
     if "corpus" in task:
         entry = task["corpus"]
@@ -478,8 +496,8 @@ def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> l
             raise ManifestError(
                 f"unknown corpus entry {entry!r} (expected one of {', '.join(sorted(_CORPUS))})"
             )
-        prob = _CORPUS[entry](rho=float(task.get("rho", 1.2)))
-        sol = embed.build_sphere_pipeline(prob, N=task.get("pairs"), tol=tol, seed=seed)
+        prob = _CORPUS[entry](rho=rho)
+        sol = embed.build_sphere_pipeline(prob, N=pairs, tol=tol, seed=seed)
         worst = max((c.max_residual for _, c in sol.certifications), default=0.0)
         records.append(
             CheckRecord(
@@ -510,11 +528,9 @@ def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> l
         raise ManifestError("embed task needs either a 'corpus' entry or a 'structure' name")
     S = manifest.structure(sname)
     samples = _opt(opts.samples, _task_samples(task), manifest.samples or 200)
-    prob, tau = embed.problem_from_sphere_circle(
-        S, rho=float(task.get("rho", 1.2)), samples=max(samples, 200)
-    )
+    prob, tau = embed.problem_from_sphere_circle(S, rho=rho, samples=max(samples, 200))
     res = embed.build_lcs_embedding(
-        S, prob, tau, N=int(task.get("pairs", 10)), tol=tol, seed=seed, samples=samples
+        S, prob, tau, N=10 if pairs is None else pairs, tol=tol, seed=seed, samples=samples
     )
     worst = max((c.max_residual for _, _, c in res.certifications), default=0.0)
     records.append(
@@ -584,9 +600,8 @@ def _run_chain(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> l
         if not isinstance(sname, str):
             raise ManifestError("reduce-chain task on a sphere model needs a 'structure' name")
         S = manifest.structure(sname)
-        chart, decomp, factory = reduction.sphere_circle_chain_input(
-            S, chart_index=int(task.get("chart_index", 0))
-        )
+        index = _grid_integer(task.get("chart_index", 0), "reduce-chain task chart_index", 0, len(S.charts))
+        chart, decomp, factory = reduction.sphere_circle_chain_input(S, chart_index=index)
         label = sname
     else:
         raise ManifestError(f"unknown chain input {source!r} (expected 'plane' or 'sphere_circle')")
@@ -667,18 +682,20 @@ def _run_cohomology(manifest: Manifest, task: dict, opts: RunOptions, seed: int)
                 detail=f"distance={rep.distance!r} threshold={threshold!r}",
             )
         ]
-    mu = [float(v) for v in task.get("mu", [0.0] * n)]
+    mu = _number_list(task.get("mu", [0.0] * n), "cohomology task mu", _finite_real)
     cuts = task.get("cuts")
     if cuts is not None:
         if not isinstance(cuts, list) or len(cuts) != n:
             raise ManifestError(f"cohomology task cuts must be a list of {n} grid positions, got {cuts!r}")
         cuts = [_grid_integer(c, "cohomology task cuts", 0, m) for c in cuts]
+    expected = task.get("expect_betti")
+    if expected is not None:
+        expected = _number_list(expected, "cohomology task expect_betti", lambda b, k: _grid_integer(b, k, 0))
     C = cohomology.build_torus_complex(n, m, mu, cuts)
     betti = cohomology.twisted_betti(C)
     base = f"cohomology:T{n}:m{m}:mu{_mu_label(mu)}"
     records = []
-    expected = task.get("expect_betti")
-    matched = expected is None or [int(b) for b in expected] == betti
+    matched = expected is None or expected == betti
     records.append(
         CheckRecord(
             name=f"{base}:betti",

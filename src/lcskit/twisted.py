@@ -3,11 +3,12 @@
 Core objects: for a closed one-form ``omega`` (the Lee form), the twisted
 differential ``d_omega a = d a - omega ^ a`` squares to zero exactly when
 ``omega`` is closed; the Lee form of a nondegenerate two-form can be
-recovered from ``d phi = omega ^ phi``; period lattices of Lee forms over
-loop families are finitely generated subgroups of the reals; and maps
-between structures are classified as strict / conformal / neither by
-comparing pulled-back Lee forms up to exact terms (a conformal change by
-``e^f`` shifts the Lee form by ``df``).
+recovered from ``d phi = omega ^ phi`` (pointwise, by one stacked SVD of the
+wedge maps at all samples, or as constant coefficients on an ansatz basis);
+period lattices of Lee forms over loop families are finitely generated
+subgroups of the reals; and maps between structures are classified as
+strict / conformal / neither by comparing pulled-back Lee forms up to exact
+terms (a conformal change by ``e^f`` shifts the Lee form by ``df``).
 
 Periods are integrated by doubling quadrature (a periodic trapezoid rule
 on an angular source, composite Gauss–Legendre on an interval) that
@@ -115,15 +116,16 @@ class LeeData:
     sample_values: np.ndarray | None = None
 
 
-def _triple_matrix(phi_vals: dict[tuple[int, int], float], dim: int) -> tuple[np.ndarray, list]:
-    """Matrix of ``nu -> nu ^ phi`` on one-forms at a point (rows = triples)."""
-    triples = list(itertools.combinations(range(dim), 3))
-    A = np.zeros((len(triples), dim))
-    for row, (a, b, c) in enumerate(triples):
-        A[row, a] += phi_vals.get((b, c), 0.0)
-        A[row, b] -= phi_vals.get((a, c), 0.0)
-        A[row, c] += phi_vals.get((a, b), 0.0)
-    return A, triples
+def _triple_values(three_forms: Sequence[DifferentialForm], env, triples) -> np.ndarray:
+    """Values of three-forms on the coordinate triples: (samples, triples, forms)."""
+    batch = next(iter(env.values())).shape
+    out = np.zeros((*batch, len(triples), len(three_forms)))
+    for j, form in enumerate(three_forms):
+        vals = forms.evaluate_form(form, env)
+        for row, T in enumerate(triples):
+            if T in vals:
+                out[..., row, j] = vals[T]
+    return out
 
 
 def extract_lee(
@@ -150,64 +152,35 @@ def extract_lee(
     if dim < 4:
         raise forms.DegreeError("Lee extraction needs at least four dimensions")
     env = phi.domain.sample_points(samples, seed)
-    dphi = ext_d(phi)
-    phi_vals = forms.evaluate_form(phi, env)
-    dphi_vals = forms.evaluate_form(dphi, env)
     triples = list(itertools.combinations(range(dim), 3))
-    n_tri = len(triples)
-
-    def point_system(i: int) -> tuple[np.ndarray, np.ndarray]:
-        pv = {idx: float(v[i]) for idx, v in phi_vals.items()}
-        A, _ = _triple_matrix(pv, dim)
-        b = np.zeros(n_tri)
-        for row, T in enumerate(triples):
-            v = dphi_vals.get(T)
-            if v is not None:
-                b[row] = v[i]
-        return A, b
+    rhs = _triple_values([ext_d(phi)], env, triples)
 
     if ansatz is None:
-        values = np.zeros((samples, dim))
-        worst = 0.0
-        worst_point: dict[str, float] = {}
-        for i in range(samples):
-            A, b = point_system(i)
-            if numeric.numerical_rank(A) < dim:
-                raise ExtractionRankError(
-                    f"wedge map with the two-form is rank deficient at sample {i}"
-                )
-            nu, *_ = np.linalg.lstsq(A, b, rcond=numeric.RANK_RTOL)
-            r = float(np.max(np.abs(A @ nu - b))) if n_tri else 0.0
-            values[i] = nu
-            if r > worst:
-                worst = r
-                worst_point = {k: float(v[i]) for k, v in env.items()}
+        # column j holds dx_j ^ phi; one stacked SVD gives every sample's rank
+        # check and least-squares solve
+        A = _triple_values([wedge(phi.domain.one_form(n), phi) for n in phi.domain.names], env, triples)
+        U, sv, vt = np.linalg.svd(A, full_matrices=False)
+        deficient = np.flatnonzero(numeric.count_significant(sv) < dim)
+        if deficient.size:
+            raise ExtractionRankError(
+                f"wedge map with the two-form is rank deficient at sample {deficient[0]}"
+            )
+        nu = np.swapaxes(vt, 1, 2) @ (np.swapaxes(U, 1, 2) @ rhs / sv[..., None])
+        misfit = np.max(np.abs(A @ nu - rhs), axis=(1, 2), initial=0.0)
+        i = int(np.argmax(misfit))
+        worst = float(misfit[i])
         if worst > tol:
             raise NotConformalError(
                 f"no pointwise Lee form fits d(phi) (residual {worst:.3g} > {tol:g})",
-                worst, worst_point,
+                worst, {k: float(v[i]) for k, v in env.items()},
             )
-        return LeeData(None, worst, None, sample_values=values)
+        return LeeData(None, worst, None, sample_values=nu[..., 0])
 
-    # ansatz route: constant coefficients on a user-supplied basis
+    # ansatz route: constant coefficients on a user-supplied basis, one least
+    # squares over all samples
     basis = list(ansatz)
-    cols = []
-    for beta in basis:
-        wb = wedge(beta, phi)
-        wb_vals = forms.evaluate_form(wb, env)
-        col = np.zeros(samples * n_tri)
-        for row, T in enumerate(triples):
-            v = wb_vals.get(T)
-            if v is not None:
-                col[row::n_tri] = v
-        cols.append(col)
-    rhs = np.zeros(samples * n_tri)
-    for row, T in enumerate(triples):
-        v = dphi_vals.get(T)
-        if v is not None:
-            rhs[row::n_tri] = v
-    A = np.column_stack(cols) if cols else np.zeros((samples * n_tri, 0))
-    coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=numeric.RANK_RTOL)
+    A = _triple_values([wedge(beta, phi) for beta in basis], env, triples)
+    coeffs, *_ = np.linalg.lstsq(A.reshape(rhs.size, -1), rhs.ravel(), rcond=numeric.RANK_RTOL)
     omega = forms.zero_form(phi.domain, 1)
     for c, beta in zip(coeffs, basis):
         omega = omega + beta.scaled(sx.Const(float(c)))

@@ -8,7 +8,8 @@ alter the numerics here.
 
 The second part holds helpers built on the package's types that no run
 needs: a seeded test-form generator, symbolic composition, the pointwise
-determinant pullback, the sparse cut complex of a grid torus with its gauge
+determinant pullback, the reducibility verifier's per-sample tangency,
+kernel and subspace-gap route, the sparse cut complex of a grid torus with its gauge
 conjugation, translation averaging and dense least-squares obstruction
 distance, and the sphere atlas overlap check.  Tests use them as generators
 and as second routes to the code that runs.
@@ -23,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from lcskit import forms, symexpr as sx
+from lcskit import forms, reduction, symexpr as sx
 from lcskit.cohomology import CohomologyError, TwistedCochainComplex
 from lcskit.forms import ANGULAR, Coordinate, CoordinateDomain, DifferentialForm, SmoothMap
 from lcskit.models import LcsStructure, ModelError, StructureChart
-from lcskit.numeric import RANK_RTOL, PointMap
+from lcskit.numeric import RANK_RTOL, PointMap, count_significant
 
 
 def central_difference(f, point: dict, name: str, h: float = 1e-6) -> float:
@@ -265,6 +266,84 @@ def pullback_residual_at(
     want = forms.evaluate_form(symbolic, dict(zip(symbolic.domain.names, x)))
     keys = set(got) | set(want)
     return max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in keys) if keys else 0.0
+
+
+def kernel_basis(M: np.ndarray, rel_threshold: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical null space of M."""
+    _, s, vt = np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)))
+    return vt[int(count_significant(s, rel_threshold)):].T
+
+
+def subspace_gap(A: np.ndarray, B: np.ndarray) -> float:
+    """Distance between column spans: sine of the largest principal angle.
+
+    Returns 2.0 if the spans have different dimensions (incomparable).
+    """
+    qa, _ = np.linalg.qr(np.atleast_2d(A))
+    qb, _ = np.linalg.qr(np.atleast_2d(B))
+    if qa.shape[1] != qb.shape[1]:
+        return 2.0
+    if qa.shape[1] == 0:
+        return 0.0
+    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
+    cos_min = float(np.clip(s.min(), -1.0, 1.0))
+    return float(np.sqrt(max(0.0, 1.0 - cos_min**2)))
+
+
+@dataclass(frozen=True)
+class PointwiseReducibility:
+    """The verifier's linear-algebra readings, taken one sample at a time."""
+
+    b_tangency: float
+    e_tangency: float
+    distribution_ranks: list[int]
+    quotient_kernel_dims: list[int]
+    gap: float
+    samples_used: int
+
+
+def pointwise_reducibility(
+    data: reduction.ReducibleData, samples: int, seed: int = 0, margin: float = 0.3,
+    rank_threshold: float = 1e-8,
+) -> PointwiseReducibility:
+    """Tangency, distribution kernels and quotient-kernel gap of a reducible
+    datum by per-sample loops: ``lstsq`` at ``rcond=RANK_RTOL`` for
+    tangency, :func:`kernel_basis` per matrix, and the QR-plus-cosine
+    :func:`subspace_gap`.  The reference route for the stacked verifier."""
+    amb, C = data.ambient, data.submanifold
+    env = C.source.sample_points(samples, seed, margin)
+    image_env = forms.evaluate_map(C, env)
+    JC = forms.evaluate_jacobian(C, env)
+    fields = sx.evaluate_all(amb.b_field.components + amb.anti_lee.components, image_env)
+    b_vals, e_vals = np.array(fields[: amb.domain.dim]), np.array(fields[amb.domain.dim :])
+    b_tan = e_tan = 0.0
+    for i in range(samples):
+        Ji = JC[:, :, i]
+        for vec, which in ((b_vals[:, i], "b"), (e_vals[:, i], "e")):
+            sol, *_ = np.linalg.lstsq(Ji, vec, rcond=RANK_RTOL)
+            res = float(np.max(np.abs(Ji @ sol - vec))) / max(1.0, float(np.max(np.abs(vec))))
+            if which == "b":
+                b_tan = max(b_tan, res)
+            else:
+                e_tan = max(e_tan, res)
+
+    alpha_c = forms.pullback(C, amb.alpha)
+    lee_rows = forms.form_values(forms.pullback(C, amb.lee), env)
+    alpha_rows = forms.form_values(alpha_c, env)
+    dalpha_tensor = forms.form_values(forms.ext_d(alpha_c), env)
+    kernels = []
+    for i in range(samples):
+        A = np.vstack([lee_rows[:, i][None, :], alpha_rows[:, i][None, :], dalpha_tensor[:, :, i]])
+        kernels.append(kernel_basis(A, rank_threshold))
+
+    kept, _, Jq = reduction._images(data.quotient, env, samples)
+    q_kernels = [kernel_basis(Jq[:, :, k], rank_threshold) for k in range(len(kept))]
+    gap = 0.0
+    for k, i in enumerate(kept):
+        gap = max(gap, subspace_gap(kernels[i], q_kernels[k]))
+    return PointwiseReducibility(
+        b_tan, e_tan, [K.shape[1] for K in kernels], [K.shape[1] for K in q_kernels], gap, len(kept)
+    )
 
 
 def axis_rescaling_potential(C: TwistedCochainComplex, axis: int, c: float) -> np.ndarray:

@@ -213,6 +213,49 @@ def test_chain_window_and_margin_are_checked(tmp_path, capsys, key, value, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "task, structure, message",
+    [
+        # each of these used to be coerced: the Betti expectation truncated
+        # to the answer, mu ran True as 1, rho parsed "1.5", pairs 2.7 ended
+        # as a TargetTooSmallError record, chart_index True ran chart 1, and
+        # the catalog ran int()/float() of its arguments
+        ({"kind": "cohomology", "n": 2, "m": 4, "expect_betti": [1.9, 2.5, "1"]}, None,
+         "cohomology task expect_betti must be an integer at least 0, got 1.9"),
+        ({"kind": "cohomology", "n": 2, "m": 4, "mu": [True, 0.0]}, None,
+         "cohomology task mu must be a finite number, got True"),
+        ({"kind": "embed", "corpus": "circle", "rho": "1.5"}, None,
+         "embed task rho must be a positive finite number, got '1.5'"),
+        ({"kind": "embed", "structure": "model", "pairs": 2.7}, {"catalog": "sphere_circle", "args": {"N": 2}},
+         "embed task pairs must be an integer at least 1, got 2.7"),
+        ({"kind": "reduce-chain", "structure": "model", "chart_index": True},
+         {"catalog": "sphere_circle", "args": {"N": 2}},
+         "reduce-chain task chart_index must be an integer in [0, 8), got True"),
+        ({"kind": "verify", "structure": "model"}, {"catalog": "liouville", "args": {"n": 1.5}},
+         "structure 'model' argument n must be an integer at least 1, got 1.5"),
+        ({"kind": "verify", "structure": "model"}, {"catalog": "sphere_circle", "args": {"N": "2"}},
+         "structure 'model' argument N must be an integer at least 2, got '2'"),
+        ({"kind": "verify", "structure": "model"}, {"catalog": "sphere_circle", "args": {"N": 2, "q": "1.0"}},
+         "structure 'model' argument q must be a finite number, got '1.0'"),
+        ({"kind": "verify", "structure": "model"},
+         {"catalog": "reduction_universal", "args": {"k": True, "N": 2, "mu": [1.0]}},
+         "structure 'model' argument k must be an integer at least 0, got True"),
+        ({"kind": "verify", "structure": "model"},
+         {"catalog": "reduction_universal", "args": {"k": 1, "N": 2, "mu": ["1"]}},
+         "structure 'model' argument mu must be a finite number, got '1'"),
+    ],
+    ids=["expect_betti", "mu", "rho", "pairs", "chart_index", "n", "N", "q", "k", "catalog-mu"],
+)
+def test_manifest_numbers_are_refused_not_coerced(tmp_path, capsys, task, structure, message):
+    payload = {"seed": 0, "samples": 10, "tasks": [task]}
+    if structure is not None:
+        payload["structures"] = {"model": structure}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])
 def test_tol_override_must_be_a_positive_finite_number(tmp_path, capsys, value):
     path = write_manifest(tmp_path, plane_manifest())

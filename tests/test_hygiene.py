@@ -81,15 +81,20 @@ def _names_rank_rtol(node: ast.expr | None) -> bool:
     )
 
 
-def lstsq_without_rank_rule(source: str) -> list[int]:
-    """Lines of ``lstsq`` calls whose ``rcond`` is not ``RANK_RTOL``.
-
-    numpy's default cutoff (machine epsilon times the larger dimension) would
-    be a second, implicit rank rule next to ``numeric.count_significant``.
+def second_rank_rules(source: str) -> list[int]:
+    """Lines of calls that would bring a second rank rule next to
+    ``numeric.count_significant``: ``lstsq`` whose ``rcond`` is not
+    ``RANK_RTOL`` (numpy's default cutoff is machine epsilon times the larger
+    dimension), and any ``matrix_rank`` or ``pinv``, whose cutoffs are their
+    own whatever their arguments.
     """
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "lstsq":
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr in ("matrix_rank", "pinv"):
+            lines.append(node.lineno)
+        elif node.func.attr == "lstsq":
             rcond = next((kw.value for kw in node.keywords if kw.arg == "rcond"), None)
             if not _names_rank_rtol(rcond):
                 lines.append(node.lineno)
@@ -107,12 +112,26 @@ def test_lstsq_scanner_flags_default_and_none_cutoffs():
         "np.linalg.lstsq(A, b, rcond=RANK_RTOL)\n"
         "np.linalg.lstsq(A, b, rcond=numeric.RANK_RTOL)\n"
     )
-    assert lstsq_without_rank_rule(source) == [4, 5, 6]
+    assert second_rank_rules(source) == [4, 5, 6]
+
+
+def test_rank_rule_scanner_flags_matrix_rank_and_pinv():
+    source = (
+        "import numpy as np\n"
+        "from .numeric import RANK_RTOL\n"
+        "np.linalg.matrix_rank(A)\n"
+        "np.linalg.matrix_rank(A, rtol=RANK_RTOL)\n"
+        "np.linalg.pinv(A)\n"
+        "np.linalg.pinv(A, rcond=RANK_RTOL)\n"
+        "x = np.linalg.svd(A, compute_uv=False)\n"
+        "numeric.numerical_rank(A)\n"
+    )
+    assert second_rank_rules(source) == [3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_lstsq_cuts_at_rank_rtol(path):
-    assert lstsq_without_rank_rule(path.read_text()) == []
+    assert second_rank_rules(path.read_text()) == []
 
 
 def _runs_on_import(body: list[ast.stmt]):

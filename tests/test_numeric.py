@@ -280,8 +280,10 @@ def test_compiled_evaluators_are_built_once_per_object():
 def test_numerical_rank_and_kernel():
     M = np.array([[1.0, 0.0, 0.0], [0.0, 1e-14, 0.0]])
     assert numeric.numerical_rank(M) == 1
-    K = numeric.kernel_basis(M)
-    assert K.shape == (3, 2)
+    K, nullity = numeric.kernel_bases(M)
+    assert K.shape == (3, 3) and nullity == 2
+    assert np.all(K[:, 0] == 0.0)  # the padding column in front of the kernel
+    assert np.allclose(K[:, 1:].T @ K[:, 1:], np.eye(2), atol=1e-15)
     assert np.allclose(M @ K, 0.0, atol=1e-12)
 
 
@@ -313,6 +315,12 @@ def test_numerical_rank_of_a_stack_matches_numpy_and_qr(seed, batch, rows, cols)
     per_matrix = [numeric.numerical_rank(M) for M in stack]
     assert all(type(r) is int for r in per_matrix)
     assert stacked.tolist() == per_matrix == planted
+    # the stacked kernels are the per-matrix reference kernels, bit for bit
+    K, nullity = numeric.kernel_bases(stack)
+    assert nullity.tolist() == [cols - k for k in planted]
+    for Ki, k, M in zip(K, planted, stack):
+        assert np.array_equal(Ki[:, k:], oracle.kernel_basis(M))
+        assert not Ki[:, :k].any()
     # independent routes: numpy's own relative-threshold rank, and pivoted QR
     assert [int(np.linalg.matrix_rank(M, rtol=numeric.RANK_RTOL)) for M in stack] == planted
     assert [cohomology.matrix_rank_qr(M, rows) for M in stack] == planted
@@ -365,11 +373,37 @@ def test_numerical_rank_edge_cases():
 
 def test_subspace_gap():
     A = np.array([[1.0], [0.0]])
-    B = np.array([[1.0], [1e-12]])
-    assert numeric.subspace_gap(A, B) < 1e-10
+    B = np.array([[1.0], [1e-12]]) / np.hypot(1.0, 1e-12)
     C = np.array([[0.0], [1.0]])
-    assert numeric.subspace_gap(A, C) == pytest.approx(1.0)
-    assert numeric.subspace_gap(A, np.eye(2)) == 2.0
+    gaps = numeric.subspace_gaps(np.stack([A, A]), [1, 1], np.stack([B, C]), [1, 1])
+    assert gaps[0] == pytest.approx(1e-12, rel=1e-6)
+    assert gaps[1] == pytest.approx(1.0)
+    assert oracle.subspace_gap(A, C) == pytest.approx(1.0)
+    # dimensions differ: incomparable; both spans zero: no gap
+    padded = np.hstack([A, np.zeros((2, 1))])
+    assert numeric.subspace_gaps(padded, 1, np.eye(2), 2) == 2.0 == oracle.subspace_gap(A, np.eye(2))
+    assert numeric.subspace_gaps(np.zeros((2, 2)), 0, np.zeros((2, 2)), 0) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    data=st.data(),
+    log_theta=st.floats(-13.0, -2.0),
+)
+def test_subspace_gap_reads_a_planted_small_angle(seed, n, data, log_theta):
+    # spans of equal dimension k that share k - 1 directions and meet at the
+    # principal angle theta in the last: the gap is sin(theta), also far below
+    # sqrt(eps), where the cosine formula floors
+    k = data.draw(st.integers(1, n - 1))
+    theta = 10.0**log_theta
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    A = Q[:, :k]
+    B = A.copy()
+    B[:, -1] = np.cos(theta) * Q[:, k - 1] + np.sin(theta) * Q[:, k]
+    gap = float(numeric.subspace_gaps(A, k, B, k))
+    assert abs(gap - np.sin(theta)) <= 1e-6 * np.sin(theta) + 1e-15
 
 
 def test_wrap_point():

@@ -17,7 +17,7 @@ import lcskit.numeric as numeric
 import lcskit.reduction as reduction
 import lcskit.symexpr as sx
 import lcskit.twisted as twisted
-from oracle_utils import fd_jacobian, pullback_residual_at, rk4_flow
+from oracle_utils import fd_jacobian, pointwise_reducibility, pullback_residual_at, rk4_flow
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +154,39 @@ def test_symbolic_quotient_report_matches_point_map_route(fixture, stage, reques
         got = reduction.verify_strong_reducibility(as_points, samples=40, seed=seed)
         assert got == want
         assert got.samples_used == 40 and got.samples_skipped == 0
+
+
+@pytest.mark.parametrize("fixture", ["plane_chain", "sphere_chain"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stacked_verifier_matches_the_per_sample_route(fixture, seed, request):
+    """Every stage's tangency, kernel ranks and gap, stacked, against the
+    per-sample lstsq / kernel / QR-gap loops of ``oracle_utils``.  The
+    reference gap reads sqrt(1 - cos^2), which floors near 1.5e-8."""
+    for step in request.getfixturevalue(fixture).steps:
+        if step.data is None:
+            continue
+        margin = 0.5 if isinstance(step.data.quotient, reduction.FlowQuotient) else 0.3
+        rep = reduction.verify_strong_reducibility(step.data, samples=24, seed=seed, margin=margin)
+        ref = pointwise_reducibility(step.data, samples=24, seed=seed, margin=margin)
+        assert set(ref.distribution_ranks) == {rep.distribution_rank}, step.name
+        assert set(ref.quotient_kernel_dims) == {rep.distribution_rank}, step.name
+        assert (ref.samples_used, 24 - ref.samples_used) == (rep.samples_used, rep.samples_skipped)
+        assert abs(rep.b_tangency - ref.b_tangency) <= 1e-14
+        assert abs(rep.e_tangency - ref.e_tangency) <= 1e-14
+        assert abs(rep.quotient_kernel_gap - ref.gap) <= 5e-8
+
+
+def test_gap_resolves_a_quotient_kernel_tilted_by_1e_9(plane_chain):
+    # the stage-two quotient of the plane chain is (a + s, b - u); stretching
+    # its s-slope by 1 + eps tilts the kernel direction (1, 0, -1, 0) by eps/2
+    eps = 1e-9
+    data = plane_chain.steps[1].data
+    tilted = forms.SmoothMap(
+        data.submanifold.source, data.reduced.domain,
+        (sx.add(sx.var("a"), sx.mul(sx.Const(1.0 + eps), sx.var("s"))), sx.add(sx.var("b"), sx.neg(sx.var("u")))),
+    )
+    rep = reduction.verify_strong_reducibility(dataclasses.replace(data, quotient=tilted), samples=40, seed=0, margin=0.5)
+    assert 0.1 <= rep.quotient_kernel_gap / eps <= 10
 
 
 def test_flow_quotient_value_against_rk4(sphere_chain):
