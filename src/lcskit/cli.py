@@ -79,7 +79,7 @@ def _print_report(rep: RunReport, stream) -> None:
     env = rep.environment
     print(
         f"environment: package {env.get('package')} / python {env.get('python')} / "
-        f"numpy {env.get('numpy')} / scipy {env.get('scipy')}",
+        f"numpy {env.get('numpy')}",
         file=stream,
     )
     print(f"started: {rep.started_utc}   wall time: {rep.wall_time_s}s", file=stream)

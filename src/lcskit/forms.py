@@ -265,13 +265,16 @@ class VectorField:
 
     @cached_property
     def value_at(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Compiled ``x -> components at x`` (coordinates in domain order),
-        built on first use and kept for the field's lifetime."""
-        return sx.lambdify(self.components, self.domain.names)
+        """Compiled ``x -> components at x`` for points ``x`` (N, dim), in
+        domain order, giving (N, dim); built on first use and kept for the
+        field's lifetime."""
+        func = sx.lambdify(self.components, self.domain.names)
+        return lambda x: func(*np.transpose(x)).T
 
     @cached_property
     def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Compiled ``x -> (components, Jacobian)`` at a point, built once."""
+        """Compiled ``x -> (components, Jacobians)`` at points (N, dim),
+        built once."""
         names = self.domain.names
         jacobian = tuple(tuple(sx.diff(c, n) for n in names) for c in self.components)
         return _compile_jet(self.components, jacobian, names)
@@ -316,19 +319,23 @@ class SmoothMap:
 
     @cached_property
     def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Compiled ``x -> (value, Jacobian)`` at a source point, without
-        angular wrapping; built on first use and kept for the map's lifetime."""
+        """Compiled ``x -> (values, Jacobians)`` at source points (N, src),
+        without angular wrapping; built on first use and kept for the map's
+        lifetime."""
         return _compile_jet(self.components, self.jacobian, self.source.names)
 
 
 def _compile_jet(components: tuple[Expr, ...], jacobian: tuple[tuple[Expr, ...], ...], names: tuple[str, ...]):
-    """One compiled function for components and their Jacobian (row-major)."""
+    """One compiled function for components and their Jacobian (row-major),
+    run on the coordinate columns of points (N, cols): values (N, rows) and
+    Jacobians (N, rows, cols), each Jacobian contiguous."""
     rows, cols = len(components), len(names)
     func = sx.lambdify(components + tuple(e for row in jacobian for e in row), names)
 
     def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = func(x)
-        return out[:rows], out[rows:].reshape(rows, cols)
+        out = func(*np.transpose(x))
+        J = out[rows:].reshape(rows, cols, len(x)).transpose(2, 0, 1)
+        return out[:rows].T, np.ascontiguousarray(J)
 
     return jet
 

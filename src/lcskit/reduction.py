@@ -168,35 +168,24 @@ def _images(quotient: "SmoothMap | numeric.PointMap", env, samples: int):
     Returns the kept sample indices, their wrapped images as an env on the
     quotient's target, and the quotient's Jacobians stacked as (tgt, src,
     kept).  A symbolic map is evaluated over the whole batch and keeps every
-    sample; a point map is called per sample, skipping chart escapes.
+    sample; a point map runs on the whole batch too and keeps the samples
+    where it is defined, dropping those whose flows left the chart.
     """
     if isinstance(quotient, SmoothMap):
-        return list(range(samples)), forms.evaluate_map(quotient, env), forms.evaluate_jacobian(quotient, env)
-    kept, images, jacobians = [], [], []
-    for i in range(samples):
-        try:
-            value, J = quotient(_point_at(quotient.source, env, i))
-        except numeric.FlowEscapeError:
-            continue
-        kept.append(i)
-        images.append(numeric.wrap_point(quotient.target, value))
-        jacobians.append(J)
-    tgt, src = quotient.target, quotient.source
-    stacked = np.reshape(images, (len(kept), tgt.dim)).T
-    J = np.reshape(jacobians, (len(kept), tgt.dim, src.dim)).transpose(1, 2, 0)
-    return kept, dict(zip(tgt.names, stacked)), J
+        return np.arange(samples), forms.evaluate_map(quotient, env), forms.evaluate_jacobian(quotient, env)
+    points = np.column_stack([env[n] for n in quotient.source.names])
+    values, J, ok = quotient(points)
+    (kept,) = np.nonzero(ok)
+    images = numeric.wrap_point(quotient.target, values[kept])
+    return kept, dict(zip(quotient.target.names, images.T)), J[kept].transpose(1, 2, 0)
 
 
 def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def _point_at(domain: CoordinateDomain, env, i: int) -> np.ndarray:
-    return np.array([env[n][i] for n in domain.names], dtype=float)
-
-
 def _witness(domain: CoordinateDomain, env, i: int) -> dict[str, float]:
-    return dict(zip(domain.names, _point_at(domain, env, i)))
+    return {n: float(env[n][i]) for n in domain.names}
 
 
 def _off_span(J: np.ndarray, fields: np.ndarray) -> tuple[float, ...]:
@@ -211,6 +200,10 @@ def _off_span(J: np.ndarray, fields: np.ndarray) -> tuple[float, ...]:
 
 
 MIN_SURVIVAL = 0.5  # share of flow samples that must stay inside the chart
+GAP_TOL = 1e-10
+"""Bound on the sine of the largest principal angle between the quotient's
+kernel and the candidate distribution.  Correct quotients read 2.5e-16 to
+1.5e-12 (flow quotients included); a kernel tilted by 1e-6 reads 5e-7."""
 
 
 def verify_strong_reducibility(
@@ -220,7 +213,6 @@ def verify_strong_reducibility(
     margin: float = 0.3,
     tol: float = 1e-8,
     pullback_tol: float | None = None,
-    gap_tol: float = 1e-6,
     rank_threshold: float = 1e-8,
 ) -> StrongReducibilityReport:
     """Certify a reducible datum at seeded samples.
@@ -290,12 +282,12 @@ def verify_strong_reducibility(
     passed = (
         b_tan <= tol
         and e_tan <= tol
-        and gap <= gap_tol
+        and gap <= GAP_TOL
         and all(r <= pb_tol for _, r in pullback_residuals)
     )
     return StrongReducibilityReport(
         data.name, b_tan, e_tan, distribution_rank, two_form_kernel_rank, ranks_agree,
-        gap, pullback_residuals, used, skipped, tol, pb_tol, gap_tol, passed,
+        gap, pullback_residuals, used, skipped, tol, pb_tol, GAP_TOL, passed,
     )
 
 
@@ -528,24 +520,43 @@ class FlowQuotient(numeric.PointMap):
 
     def __call__(self, y: np.ndarray):
         y = np.asarray(y, dtype=float)
-        s, u, x = y[0], y[1], y[2:]
-        first = numeric.flow(self._b, x, s, with_jacobian=True)
-        second = numeric.flow(self._e, first.point, u, with_jacobian=True)
-        value = second.point
-        d = x.size
-        J = np.zeros((d, d + 2))
-        J[:, 0] = second.jacobian @ self._b.value_at(first.point)
-        J[:, 1] = self._e.value_at(value)
-        J[:, 2:] = second.jacobian @ first.jacobian
-        return value, J
+        s, u, x = y[:, 0], y[:, 1], y[:, 2:]
+        kept, (mid, J_mid), (end, J_end) = _chained_flows(self._b, x, s, self._e, u)
+        d = x.shape[1]
+        value, J = np.full((len(y), d), np.nan), np.full((len(y), d, d + 2), np.nan)
+        value[kept] = end
+        J[kept, :, 0] = np.matmul(J_end, self._b.value_at(mid)[:, :, None])[:, :, 0]
+        J[kept, :, 1] = self._e.value_at(end)
+        J[kept, :, 2:] = J_end @ J_mid
+        return value, J, np.isin(np.arange(len(y)), kept)
 
 
-def _fiber_bound(alpha: DifferentialForm, samples: int, seed: int, factor: float = 1.5) -> float:
+def _chained_flows(first_field: VectorField, x: np.ndarray, first_time: np.ndarray,
+                   second_field: VectorField, second_time: np.ndarray):
+    """Flow the points ``x`` by ``first_field`` for ``first_time``, then the
+    rows still inside the chart by ``second_field`` for ``second_time``.
+
+    Returns the indices of the rows that stayed inside through both flows,
+    and on those rows the (points, Jacobians) after the first flow and after
+    the second.
+    """
+    first = numeric.flow(first_field, x, first_time, with_jacobian=True)
+    (inside,) = np.nonzero(~first.escaped)
+    second = numeric.flow(second_field, first.point[inside], second_time[inside], with_jacobian=True)
+    stayed = ~second.escaped
+    kept = inside[stayed]
+    return kept, (first.point[kept], first.jacobian[kept]), (second.point[stayed], second.jacobian[stayed])
+
+
+FIBER_FACTOR = 1.5  # momentum box of the jet stage over the largest sampled |alpha|
+
+
+def _fiber_bound(alpha: DifferentialForm, samples: int, seed: int) -> float:
     env = alpha.domain.sample_points(samples, seed)
     worst = 0.0
     for vals in forms.evaluate_form(alpha, env).values():
         worst = max(worst, float(np.max(np.abs(vals))))
-    return max(1.0, factor * worst)
+    return max(1.0, FIBER_FACTOR * worst)
 
 
 def build_step2(
@@ -600,7 +611,7 @@ def build_step2(
 
     data = ReducibleData(f"{m1_chart.name}:stage2", m2_chart, sub, quotient, m1_chart)
     report = verify_strong_reducibility(
-        data, flow_samples, seed, margin=margin, tol=tol, pullback_tol=flow_tol, gap_tol=max(1e-6, flow_tol)
+        data, flow_samples, seed, margin=margin, tol=tol, pullback_tol=flow_tol
     )
     structure = _single_chart_structure(m2_chart.name, m2_chart, stage=2)
     first_kind = models.validate_first_kind(structure, samples=min(samples, 120), tol=tol, seed=seed)
@@ -795,19 +806,19 @@ class _BackwardGraph(numeric.PointMap):
 
     def __call__(self, y: np.ndarray):
         y = np.asarray(y, dtype=float)
-        s, u, params = y[0], y[1], y[2:]
-        z0, J0 = self._section(params)
-        back_e = numeric.flow(self._e, z0, -u, with_jacobian=True)
-        back_b = numeric.flow(self._b, back_e.point, -s, with_jacobian=True)
-        x = back_b.point
-        d = x.size
-        J = np.zeros((d + 2, y.size))
-        J[0, 0] = 1.0
-        J[1, 1] = 1.0
-        J[2:, 0] = -self._b.value_at(x)
-        J[2:, 1] = back_b.jacobian @ (-self._e.value_at(back_e.point))
-        J[2:, 2:] = back_b.jacobian @ back_e.jacobian @ J0
-        return np.concatenate(([s, u], x)), J
+        s, u, params = y[:, 0], y[:, 1], y[:, 2:]
+        z0, J0, _ = self._section(params)
+        kept, (mid, J_mid), (x, J_end) = _chained_flows(self._e, z0, -u, self._b, -s)
+        d = x.shape[1]
+        value, J = np.full((len(y), d + 2), np.nan), np.full((len(y), d + 2, y.shape[1]), np.nan)
+        value[kept] = np.column_stack([s[kept], u[kept], x])
+        J[kept] = 0.0
+        J[kept, 0, 0] = 1.0
+        J[kept, 1, 1] = 1.0
+        J[kept, 2:, 0] = -self._b.value_at(x)
+        J[kept, 2:, 1] = np.matmul(J_end, -self._e.value_at(mid)[:, :, None])[:, :, 0]
+        J[kept, 2:, 2:] = J_end @ J_mid @ J0[kept]
+        return value, J, np.isin(np.arange(len(y)), kept)
 
 
 def concatenation_residual(

@@ -23,7 +23,6 @@ from datetime import datetime, timezone
 from importlib import resources
 
 import numpy as np
-import scipy
 
 from . import __version__, cohomology, embed, forms, models, reduction
 from . import symexpr as sx
@@ -83,7 +82,6 @@ def environment_stamp() -> dict:
         "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
     }
 

@@ -20,8 +20,9 @@ shared subexpression once per call, that is once per sample set;
 negative radicand, division by zero, the derivative of ``sqrt`` at 0)
 raises :class:`EvaluationDomainError` carrying the offending sample point
 rather than silently propagating ``nan``.  :func:`lambdify` compiles
-expressions evaluated at many single points into straight-line code with
-the same values, bit for bit, as the tree walk.
+expressions evaluated again and again on batches of points into
+straight-line code run on whole coordinate columns, with the same values,
+bit for bit, as the tree walk.
 """
 
 from __future__ import annotations
@@ -556,47 +557,51 @@ def evaluate(e: Expr, env: Mapping[str, "np.ndarray | float"]):
 _KERNELS = {"_power": np.power, "_sin": np.sin, "_cos": np.cos, "_exp": np.exp}
 
 
-def lambdify(exprs: Iterable[Expr], names: Sequence[str]) -> Callable[[Sequence[float]], np.ndarray]:
-    """Compile expressions into one function of a coordinate vector.
+def lambdify(exprs: Iterable[Expr], names: Sequence[str]) -> Callable[..., np.ndarray]:
+    """Compile expressions into one function of coordinate columns.
 
-    The returned function maps a point (coordinates ordered as ``names``) to
-    the array of expression values.  It runs straight-line code that shares
-    subexpressions by node identity and applies exactly the numpy kernels
-    and left-to-right association of :func:`evaluate_all`, so its values
-    are bit-identical to the tree walk.  Compiling pays off for expressions
-    evaluated at many single points (flow right-hand sides, point maps); a
-    one-shot batch is cheaper to walk.
+    The returned function takes one array per coordinate (ordered as
+    ``names``, all of one batch shape) and returns the expression values as
+    an array ``(len(exprs), *batch shape)``.  It runs straight-line code that
+    shares subexpressions by node identity, applies exactly the numpy kernels
+    and left-to-right association of :func:`evaluate_all`, and writes each
+    result into its preallocated row (so a constant broadcasts on
+    assignment); its values are bit-identical to the tree walk.  Compiling
+    pays off for expressions evaluated again and again on batches of points
+    (flow right-hand sides, point maps); a one-shot batch is cheaper to walk.
 
     A non-finite value re-evaluates the expressions in order with
-    :func:`evaluate_all`, which raises :class:`EvaluationDomainError` with its
-    usual message and witness point.  Expressions naming a coordinate outside
+    :func:`evaluate_all` on the same columns, which raises
+    :class:`EvaluationDomainError` with its usual message and the first
+    offending point as witness.  Expressions naming a coordinate outside
     ``names`` are always walked, so :class:`UnknownCoordinateError` is raised
     as before.
     """
     exprs = tuple(exprs)
     names = tuple(names)
 
-    def walk(xs: list[float]) -> np.ndarray:
-        return np.array(evaluate_all(exprs, dict(zip(names, xs))), dtype=float)
+    def walk(columns) -> np.ndarray:
+        return np.array(evaluate_all(exprs, dict(zip(names, columns))), dtype=float)
 
     raw = _generate(exprs, names)
     if raw is None:
-        return lambda x: walk(np.asarray(x, dtype=float).tolist())
+        return lambda *columns: walk(columns)
 
-    def compiled(x: Sequence[float]) -> np.ndarray:
-        xs = np.asarray(x, dtype=float).tolist()
+    def compiled(*columns) -> np.ndarray:
+        out = np.empty((len(exprs), *np.broadcast_shapes(*map(np.shape, columns))))
         with np.errstate(all="ignore"):
-            out = np.array(raw(*xs), dtype=float)
+            raw(out, *columns)
         if not np.isfinite(out).all():
-            return walk(xs)
+            return walk(columns)
         return out
 
     return compiled
 
 
 def _generate(exprs: tuple[Expr, ...], names: tuple[str, ...]):
-    """Source-compile ``exprs`` to ``f(x0, x1, ...) -> tuple``; None if an
-    expression names a coordinate outside ``names``."""
+    """Source-compile ``exprs`` to ``f(out, x0, x1, ...)`` writing expression
+    i into ``out[i]``; None if an expression names a coordinate outside
+    ``names``."""
     args = {n: f"x{i}" for i, n in enumerate(names)}
     namespace = dict(_KERNELS)
     lines: list[str] = []
@@ -636,12 +641,12 @@ def _generate(exprs: tuple[Expr, ...], names: tuple[str, ...]):
         return code
 
     try:
-        results = [emit(e) for e in exprs]
+        for i, e in enumerate(exprs):
+            code = emit(e)  # appends the lines of its subexpressions first
+            lines.append(f"    out[{i}] = {code}")
     except KeyError:
         return None
-    source = "\n".join(
-        [f"def _compiled({', '.join(args.values())}):", *lines, f"    return ({''.join(r + ', ' for r in results)})"]
-    )
+    source = "\n".join([f"def _compiled(out, {', '.join(args.values())}):", *lines, "    return out"])
     exec(compile(source, "<lambdify>", "exec"), namespace)
     return namespace["_compiled"]
 

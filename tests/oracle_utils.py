@@ -242,7 +242,8 @@ def numeric_pullback(
     domain."""
     if a.domain != point_map.target:
         raise forms.DomainMismatchError("form does not live on the map's target")
-    value, J = point_map(x)
+    values, Js, _ = point_map(np.asarray(x, dtype=float)[None])
+    value, J = values[0], Js[0]
     coeff_vals = forms.evaluate_form(a, dict(zip(a.domain.names, value)))
     k = a.degree
     src_dim = point_map.source.dim

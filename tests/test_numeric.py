@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lcskit import cohomology, forms, models, numeric, reduction, report, symexpr as sx
@@ -18,38 +18,45 @@ R3 = linear_domain("r3", ["x", "y", "z"], -2.0, 2.0)
 ROTATION = VectorField(R2, (sx.neg(sx.var("y")), sx.var("x")))
 
 
+def _flow_one(X, x0, time, with_jacobian=False):
+    """``numeric.flow`` on a batch of one point."""
+    return numeric.flow(X, np.array([x0], dtype=float), np.array([time], dtype=float), with_jacobian)
+
+
 def test_flow_of_rotation_matches_closed_form():
     t = 0.8
-    res = numeric.flow(ROTATION, np.array([1.0, 0.0]), t, with_jacobian=True)
+    res = _flow_one(ROTATION, [1.0, 0.0], t, with_jacobian=True)
     c, s = np.cos(t), np.sin(t)
-    assert np.allclose(res.point, [c, s], atol=1e-9)
-    assert np.allclose(res.jacobian, [[c, -s], [s, c]], atol=1e-8)
+    assert np.allclose(res.point[0], [c, s], atol=1e-9)
+    assert np.allclose(res.jacobian[0], [[c, -s], [s, c]], atol=1e-8)
 
 
 def test_flow_jacobian_matches_fd_oracle():
     X = VectorField(R2, (sx.var("x") * sx.var("y"), sx.sin(sx.var("x"))))
     x0 = np.array([0.3, 0.2])
     t = 0.4
-    res = numeric.flow(X, x0, t, with_jacobian=True)
+    res = _flow_one(X, x0, t, with_jacobian=True)
 
     def flow_map(p):
-        return numeric.flow(X, p, t, check_escape=False).point
+        return _flow_one(X, p, t).point[0]
 
     J_fd = oracle.fd_jacobian(flow_map, x0)
-    assert np.allclose(res.jacobian, J_fd, atol=1e-6)
+    assert np.allclose(res.jacobian[0], J_fd, atol=1e-6)
 
 
-def test_flow_escape_raises():
+def test_flow_escape_is_masked():
     X = VectorField(R2, (sx.ONE, sx.ZERO))  # constant drift in x
-    with pytest.raises(numeric.FlowEscapeError) as err:
-        numeric.flow(X, np.array([1.5, 0.0]), 5.0)
-    assert err.value.time < 5.0
+    res = _flow_one(X, [1.5, 0.0], 5.0)
+    assert res.escaped.tolist() == [True]
+    assert res.escape_time[0] < 5.0
+    assert res.point[0].tolist() == pytest.approx([2.0, 0.0])
 
 
 def test_flow_zero_time_is_identity():
-    res = numeric.flow(ROTATION, np.array([0.4, -0.2]), 0.0, with_jacobian=True)
-    assert np.allclose(res.point, [0.4, -0.2])
-    assert np.allclose(res.jacobian, np.eye(2))
+    res = _flow_one(ROTATION, [0.4, -0.2], 0.0, with_jacobian=True)
+    assert np.allclose(res.point[0], [0.4, -0.2])
+    assert np.allclose(res.jacobian[0], np.eye(2))
+    assert not res.escaped[0] and np.isnan(res.escape_time[0])
 
 
 def test_patching_module_solve_ivp_intercepts_every_flow(monkeypatch):
@@ -62,15 +69,14 @@ def test_patching_module_solve_ivp_intercepts_every_flow(monkeypatch):
         nfev.append(result.nfev)
         return result
 
-    x0 = np.array([1.0, 0.0])
-    want = numeric.flow(ROTATION, x0, 0.8, with_jacobian=True)
+    want = _flow_one(ROTATION, [1.0, 0.0], 0.8, with_jacobian=True)
     monkeypatch.setattr(numeric, "solve_ivp", counting)
-    got = numeric.flow(ROTATION, x0, 0.8, with_jacobian=True)
-    numeric.flow(ROTATION, x0, 0.8)
-    numeric.flow(ROTATION, x0, 0.0)  # time zero: nothing to integrate
-    with pytest.raises(numeric.FlowEscapeError):
-        numeric.flow(VectorField(R2, (sx.ONE, sx.ZERO)), np.array([1.5, 0.0]), 5.0)
-    assert len(nfev) == 3 and min(nfev) > 0
+    got = _flow_one(ROTATION, [1.0, 0.0], 0.8, with_jacobian=True)
+    _flow_one(ROTATION, [1.0, 0.0], 0.8)
+    _flow_one(ROTATION, [1.0, 0.0], 0.0)  # time zero: nothing to integrate
+    escape = _flow_one(VectorField(R2, (sx.ONE, sx.ZERO)), [1.5, 0.0], 5.0)
+    assert escape.escaped[0]
+    assert len(nfev) == 4 and nfev[2] == 0 and min(nfev[:2] + nfev[3:]) > 0
     assert np.array_equal(got.point, want.point) and np.array_equal(got.jacobian, want.jacobian)
 
 
@@ -90,9 +96,10 @@ def _oracle_fields() -> dict[str, VectorField]:
     return fields
 
 
-def _captured_integrations(X, x0, time, with_jacobian):
-    """Run ``numeric.flow`` and return its escape (or None) and each
-    ``numeric.solve_ivp`` call it made, with the arguments and the result."""
+def _captured_flow(X, x0, time, with_jacobian):
+    """Run ``numeric.flow`` on the rows ``x0`` (N, d) with times (N,) and
+    return its result and each ``numeric.solve_ivp`` call it made, with the
+    arguments and the solution."""
     calls = []
     original = numeric.solve_ivp
 
@@ -102,35 +109,46 @@ def _captured_integrations(X, x0, time, with_jacobian):
         return sol
 
     with mock.patch.object(numeric, "solve_ivp", capture):
-        try:
-            numeric.flow(X, x0, time, with_jacobian=with_jacobian)
-            escape = None
-        except numeric.FlowEscapeError as exc:
-            escape = exc
-    return escape, calls
+        res = numeric.flow(X, x0, time, with_jacobian=with_jacobian)
+    return res, calls
 
 
 def _assert_flow_matches_scipy_rk45(X, x0, time, with_jacobian):
     """Oracle: scipy's RK45 on the very right-hand side, span and events that
-    ``numeric.flow`` hands its integrator.  Returns the flow's escape."""
-    escape, calls = _captured_integrations(X, x0, time, with_jacobian)
+    ``numeric.flow`` hands its integrator for a batch of one, each taken on
+    one row.  Returns the flow's escape time (None without an escape)."""
+    res, calls = _captured_flow(X, np.array([x0], dtype=float), np.array([time], dtype=float), with_jacobian)
     assert len(calls) == 1
-    fun, t_span, y0, options, ours = calls[0]
-    for event in options["events"] or ():
+    fun, (t0, t_end), y0, options, ours = calls[0]
+
+    def one_row(g):
+        return lambda t, y: g(np.array([t]), y[None])[0]
+
+    events = [one_row(event) for event in options.pop("events") or ()]
+    for event in events:
         event.terminal = True
-    want = scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", **options)
-    assert ours.nfev == want.nfev
+    want = scipy.integrate.solve_ivp(
+        one_row(fun), (t0, float(np.asarray(t_end)[0])), y0[0], method="RK45", events=events or None, **options
+    )
+    assert ours.nfev == want.nfev == ours.row_nfev[0]
     fired = [i for i, t in enumerate(want.t_events or []) if len(t)]
-    assert [i for i, t in enumerate(ours.t_events or []) if len(t)] == fired
-    assert (escape is not None) == bool(fired)
+    assert [i for i in ours.event if i >= 0] == fired
+    assert res.escaped[0] == bool(fired)
     if fired:
         (i,) = fired
-        assert abs(ours.t_events[i][0] - want.t_events[i][0]) <= 1e-12
-        assert escape.time == ours.t_events[i][0]
-        assert np.allclose(escape.point, want.y[:X.domain.dim, -1], rtol=0.0, atol=1e-12)
-    else:
-        assert np.array_equal(ours.y[:, -1], want.y[:, -1])
-    return escape
+        assert abs(ours.t[0] - want.t_events[i][0]) <= 1e-12
+        assert res.escape_time[0] == ours.t[0]
+        assert np.allclose(res.point[0], want.y[:X.domain.dim, -1], rtol=0.0, atol=1e-12)
+        return res.escape_time[0]
+    assert np.array_equal(ours.y[0], want.y[:, -1])
+    return None
+
+
+def _start(X, unit) -> np.ndarray:
+    return np.array([
+        u if c.kind == forms.ANGULAR else c.lower + u * (c.upper - c.lower)
+        for c, u in zip(X.domain.coords, unit)
+    ])
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,11 +160,7 @@ def _assert_flow_matches_scipy_rk45(X, x0, time, with_jacobian):
 )
 def test_dormand_prince_reproduces_scipy_rk45(field, unit, time, with_jacobian):
     X = _oracle_fields()[field]
-    x0 = np.array([
-        u if c.kind == forms.ANGULAR else c.lower + u * (c.upper - c.lower)
-        for c, u in zip(X.domain.coords, unit)
-    ])
-    _assert_flow_matches_scipy_rk45(X, x0, time, with_jacobian)
+    _assert_flow_matches_scipy_rk45(X, _start(X, unit), time, with_jacobian)
 
 
 @pytest.mark.parametrize(
@@ -161,8 +175,8 @@ def test_dormand_prince_reproduces_scipy_rk45(field, unit, time, with_jacobian):
 )
 @pytest.mark.parametrize("with_jacobian", [False, True])
 def test_dormand_prince_escapes_where_scipy_rk45_does(field, x0, time, with_jacobian):
-    escape = _assert_flow_matches_scipy_rk45(_oracle_fields()[field], np.array(x0), time, with_jacobian)
-    assert escape is not None and 0 < escape.time / time < 1
+    escape_time = _assert_flow_matches_scipy_rk45(_oracle_fields()[field], np.array(x0), time, with_jacobian)
+    assert escape_time is not None and 0 < escape_time / time < 1
 
 
 def test_dormand_prince_gives_up_where_scipy_rk45_does():
@@ -171,12 +185,51 @@ def test_dormand_prince_gives_up_where_scipy_rk45_does():
     def blow_up(t, y):
         return y * y
 
-    ours = numeric.solve_ivp(blow_up, (0.0, 2.0), np.array([1.0]), rtol=1e-10, atol=1e-12)
+    ours = numeric.solve_ivp(blow_up, (0.0, np.array([2.0])), np.array([[1.0]]), rtol=1e-10, atol=1e-12)
     want = scipy.integrate.solve_ivp(blow_up, (0.0, 2.0), np.array([1.0]), method="RK45", rtol=1e-10, atol=1e-12)
-    assert not ours.success and not want.success
-    assert ours.message == want.message
+    assert not want.success and ours.status.tolist() == [want.status] == [-1]
     assert ours.nfev == want.nfev
-    assert np.array_equal(ours.y[:, -1], want.y[:, -1])
+    assert np.array_equal(ours.y[0], want.y[:, -1])
+
+
+_batch_rows = st.lists(
+    st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    ),
+    min_size=2,
+    max_size=7,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(["rotation", "plane:b", "plane:e", "sphere:b", "sphere:e"]),
+    rows=_batch_rows,
+    with_jacobian=st.booleans(),
+)
+@example(  # drift along a on [-1, 1]^2: escapes forward and backward, a zero and a short row
+    field="plane:b",
+    rows=[([0.75] * 6, 3.0), ([0.5] * 6, 0.0), ([0.5] * 6, -0.25), ([0.25] * 6, -3.0), ([0.5] * 6, 0.5)],
+    with_jacobian=True,
+)
+def test_each_row_of_a_batched_flow_is_its_batch_of_one(field, rows, with_jacobian):
+    # batches mix escaping, time-zero and negative-time rows; every row takes
+    # the steps it takes alone, so its end (or escape) is the same bit for bit
+    X = _oracle_fields()[field]
+    x0 = np.array([_start(X, unit) for unit, _ in rows])
+    time = np.array([t for _, t in rows])
+    batch, [(*_, sol)] = _captured_flow(X, x0, time, with_jacobian)
+    for r in range(len(rows)):
+        alone, [(*_, sol_alone)] = _captured_flow(X, x0[r:r + 1], time[r:r + 1], with_jacobian)
+        assert batch.point[r].tobytes() == alone.point[0].tobytes()
+        assert batch.escaped[r] == alone.escaped[0]
+        assert np.array_equal(batch.escape_time[r], alone.escape_time[0], equal_nan=True)
+        if with_jacobian:
+            assert batch.jacobian[r].tobytes() == alone.jacobian[0].tobytes()
+        assert sol.row_nfev[r] == sol_alone.nfev
+        assert (sol_alone.nfev == 0) == (time[r] == 0)
+    assert sol.nfev == sol.row_nfev.sum()
 
 
 SPHERE_CHAIN = {"samples": 40, "verify_samples": 30, "flow_samples": 10, "concat_samples": 4}
@@ -236,12 +289,13 @@ def test_composed_point_map_chain_rule():
     z = sx.var("z")
     G = SmoothMap(R3, R2, (sx.var("x") + z, sx.var("y") * z))
     comp = numeric.ComposedPointMap(numeric.SymbolicPointMap(G), numeric.SymbolicPointMap(F))
-    x0 = np.array([0.25, -0.5])
-    val, J = comp(x0)
+    x0 = np.array([[0.25, -0.5]])
+    val, J, ok = comp(x0)
     sym_comp = oracle.compose(G, F)
     want_val, want_J = sym_comp.jet_at(x0)
-    assert np.allclose(val, want_val, atol=1e-12)
-    assert np.allclose(J, want_J, atol=1e-12)
+    assert ok.tolist() == [True]
+    assert np.allclose(val[0], want_val[0], atol=1e-12)
+    assert np.allclose(J[0], want_J[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("with_jacobian", [False, True])
@@ -252,7 +306,7 @@ def test_flow_domain_error_keeps_tree_walk_message_and_witness(with_jacobian):
     with pytest.raises(sx.EvaluationDomainError) as want:
         sx.evaluate(X.components[0], {"x": 0.25, "y": -0.75})
     with pytest.raises(sx.EvaluationDomainError) as got:
-        numeric.flow(X, x0, 0.1, with_jacobian=with_jacobian)
+        _flow_one(X, x0, 0.1, with_jacobian=with_jacobian)
     assert str(got.value) == str(want.value)
     assert got.value.point == want.value.point == {"x": 0.25, "y": -0.75}
 
@@ -260,21 +314,22 @@ def test_flow_domain_error_keeps_tree_walk_message_and_witness(with_jacobian):
 def test_flow_of_field_naming_a_missing_coordinate_raises():
     X = VectorField(R2, (sx.var("z"), sx.ONE))
     with pytest.raises(sx.UnknownCoordinateError, match="'z'"):
-        numeric.flow(X, np.array([0.0, 0.0]), 0.1)
+        _flow_one(X, [0.0, 0.0], 0.1)
 
 
 def test_compiled_evaluators_are_built_once_per_object():
     X = VectorField(R2, (sx.var("x") * sx.var("y"), sx.sin(sx.var("x"))))
-    numeric.flow(X, np.array([0.3, 0.2]), 0.4, with_jacobian=True)
+    _flow_one(X, [0.3, 0.2], 0.4, with_jacobian=True)
     jet = X.jet_at
-    numeric.flow(X, np.array([0.1, 0.2]), 0.4, with_jacobian=True)
+    _flow_one(X, [0.1, 0.2], 0.4, with_jacobian=True)
     assert X.jet_at is jet
     F = SmoothMap(R2, R3, (sx.var("x"), sx.var("y"), sx.var("x") * sx.var("y")))
     pm = numeric.SymbolicPointMap(F)
-    value, J = pm(np.array([0.5, 2.0]))
+    value, J, ok = pm(np.array([[0.5, 2.0]]))
     assert F.jet_at is F.jet_at
-    assert value.tolist() == [0.5, 2.0, 1.0]
-    assert J.tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 0.5]]
+    assert ok.tolist() == [True]
+    assert value[0].tolist() == [0.5, 2.0, 1.0]
+    assert J[0].tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 0.5]]
 
 
 def test_numerical_rank_and_kernel():

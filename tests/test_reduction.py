@@ -143,9 +143,9 @@ def test_verifier_matches_pointwise_pullback_route(plane_chain):
 
 @pytest.mark.parametrize("fixture, stage", [("plane_chain", 0), ("plane_chain", 3), ("sphere_chain", 0)])
 def test_symbolic_quotient_report_matches_point_map_route(fixture, stage, request):
-    """The verifier evaluates a symbolic quotient over the whole batch and a
-    point map sample by sample (through its compiled jet); the same quotient
-    taken either way must give the same report, bit for bit."""
+    """The verifier evaluates a symbolic quotient by the tree walk and a point
+    map through its compiled jet, each over the whole batch; the same
+    quotient taken either way must give the same report, bit for bit."""
     data = request.getfixturevalue(fixture).steps[stage].data
     assert isinstance(data.quotient, forms.SmoothMap)
     as_points = dataclasses.replace(data, quotient=numeric.SymbolicPointMap(data.quotient))
@@ -176,31 +176,80 @@ def test_stacked_verifier_matches_the_per_sample_route(fixture, seed, request):
         assert abs(rep.quotient_kernel_gap - ref.gap) <= 5e-8
 
 
-def test_gap_resolves_a_quotient_kernel_tilted_by_1e_9(plane_chain):
+def _tilted_stage_two(data, eps: float) -> reduction.ReducibleData:
     # the stage-two quotient of the plane chain is (a + s, b - u); stretching
     # its s-slope by 1 + eps tilts the kernel direction (1, 0, -1, 0) by eps/2
-    eps = 1e-9
-    data = plane_chain.steps[1].data
     tilted = forms.SmoothMap(
         data.submanifold.source, data.reduced.domain,
         (sx.add(sx.var("a"), sx.mul(sx.Const(1.0 + eps), sx.var("s"))), sx.add(sx.var("b"), sx.neg(sx.var("u")))),
     )
-    rep = reduction.verify_strong_reducibility(dataclasses.replace(data, quotient=tilted), samples=40, seed=0, margin=0.5)
+    return dataclasses.replace(data, quotient=tilted)
+
+
+def test_gap_resolves_a_quotient_kernel_tilted_by_1e_9(plane_chain):
+    eps = 1e-9
+    data = _tilted_stage_two(plane_chain.steps[1].data, eps)
+    rep = reduction.verify_strong_reducibility(data, samples=40, seed=0, margin=0.5)
     assert 0.1 <= rep.quotient_kernel_gap / eps <= 10
+
+
+def test_stage_two_quotient_tilted_by_1e_6_fails_on_its_gap(plane_chain):
+    # stage two runs with pullback_tol = flow_tol = 1e-6, which this tilt
+    # meets (residual eps); the gap, at its measured scale, does not
+    data = _tilted_stage_two(plane_chain.steps[1].data, 1e-6)
+    rep = reduction.verify_strong_reducibility(data, samples=30, seed=0, margin=0.5, tol=1e-8, pullback_tol=1e-6)
+    assert rep.worst_pullback() <= rep.pullback_tol
+    assert rep.quotient_kernel_gap > 100 * reduction.GAP_TOL
+    assert rep.gap_tol == reduction.GAP_TOL
+    assert not rep.passed
+
+
+def test_images_skip_exactly_the_samples_whose_flows_escape(plane_chain):
+    # the plane's stage-two quotient flows (a, b) to (a + s, b - u), and the
+    # chart box is [-1, 1]^2: a sample escapes exactly when either leaves it
+    samples = 30
+    step = reduction.build_step2(plane_chain.steps[0].chart, window=0.5, margin=0.0, flow_samples=samples, samples=40)
+    env = step.data.submanifold.source.sample_points(samples, 0, 0.0)
+    escapes = (np.abs(env["a"] + env["s"]) > 1) | (np.abs(env["b"] - env["u"]) > 1)
+    assert 0 < escapes.sum() < samples / 2
+    assert (step.report.samples_used, step.report.samples_skipped) == (samples - escapes.sum(), escapes.sum())
+    assert step.report.passed
+
+    quotient = step.data.quotient
+    kept, images, J = reduction._images(quotient, env, samples)
+    assert kept.tolist() == np.flatnonzero(~escapes).tolist()
+    assert np.allclose(images["a"], (env["a"] + env["s"])[kept], rtol=0, atol=1e-12)
+    assert np.allclose(images["b"], (env["b"] - env["u"])[kept], rtol=0, atol=1e-12)
+    points = np.column_stack([env[n] for n in quotient.source.names])
+    values, J_all, ok = quotient(points)
+    assert ok.tolist() == (~escapes).tolist() and np.isnan(values[escapes]).all()
+    for k, i in enumerate(kept):  # each kept row is what it is in a batch of one
+        value, J_one, ok_one = quotient(points[i:i + 1])
+        assert ok_one.tolist() == [True]
+        assert value[0].tobytes() == values[i].tobytes()
+        assert J_one[0].tobytes() == J[..., k].tobytes()
 
 
 def test_flow_quotient_value_against_rk4(sphere_chain):
     q = sphere_chain.steps[1].data.quotient
     src = q.source
     env = src.sample_points(3, 11, 0.6)
-    b_func = sphere_chain.steps[0].chart.b_field.value_at
-    e_func = sphere_chain.steps[0].chart.anti_lee.value_at
+    b_field = sphere_chain.steps[0].chart.b_field.value_at
+    e_field = sphere_chain.steps[0].chart.anti_lee.value_at
+
+    def b_func(x):
+        return b_field(x[None])[0]
+
+    def e_func(x):
+        return e_field(x[None])[0]
+
     for i in range(3):
         y = np.array([env[n][i] for n in src.names])
-        value, _ = q(y)
+        value, _, ok = q(y[None])
+        assert ok.tolist() == [True]
         mid = rk4_flow(b_func, y[2:], y[0], steps=400)
         end = rk4_flow(e_func, mid, y[1], steps=400)
-        assert np.max(np.abs(value - end)) < 1e-7
+        assert np.max(np.abs(value[0] - end)) < 1e-7
 
 
 def test_flow_quotient_jacobian_against_finite_differences(sphere_chain):
@@ -209,9 +258,9 @@ def test_flow_quotient_jacobian_against_finite_differences(sphere_chain):
     env = src.sample_points(2, 5, 0.6)
     for i in range(2):
         y = np.array([env[n][i] for n in src.names])
-        _, J = q(y)
-        J_fd = fd_jacobian(lambda v: q(v)[0], y, h=1e-6)
-        assert np.max(np.abs(J - J_fd)) < 1e-5
+        _, J, _ = q(y[None])
+        J_fd = fd_jacobian(lambda v: q(v[None])[0][0], y, h=1e-6)
+        assert np.max(np.abs(J[0] - J_fd)) < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Start-up contract: importing lcskit, loading a manifest, building its
 structures and running any task kind load no heavy scipy subpackage; the
-package integrates, ranks and projects with numpy alone.  Each check runs in
-a fresh interpreter."""
+package integrates, ranks and projects with numpy alone, and a flow run
+loads no scipy module at all.  Each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -16,10 +16,13 @@ SELFTEST = SRC / "lcskit" / "manifests" / "selftest.json"
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 
 
-def heavy_modules_after(code: str) -> list[str]:
-    """The heavy scipy subpackages loaded after ``code`` runs in a fresh
-    interpreter with ``src`` on the path."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(set({HEAVY!r}) & set(sys.modules))))"
+def scipy_modules_after(code: str) -> list[str]:
+    """Every scipy module loaded after ``code`` runs in a fresh interpreter
+    with ``src`` on the path."""
+    probe = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -27,6 +30,12 @@ def heavy_modules_after(code: str) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def heavy_modules_after(code: str) -> list[str]:
+    """The heavy scipy subpackages loaded after ``code`` runs in a fresh
+    interpreter with ``src`` on the path."""
+    return sorted(set(HEAVY) & set(scipy_modules_after(code)))
 
 
 def test_import_load_and_build_load_no_scipy_subpackage():
@@ -60,3 +69,15 @@ def test_symbolic_embedding_and_flow_runs_load_no_heavy_subpackage(tmp_path, com
         f"assert cli.main([{command!r}, {str(SELFTEST)!r}, '-q', '-o', {str(out)!r}]) == 0\n"
     )
     assert heavy_modules_after(code) == []
+
+
+def test_import_load_and_reduce_chain_run_load_no_scipy_at_all(tmp_path):
+    # the report's environment stamp names numpy only, and flows are numpy
+    out = tmp_path / "reduce-chain.report.json"
+    code = (
+        "import lcskit\n"
+        "from lcskit import cli, report\n"
+        f"assert report.load_manifest({str(SELFTEST)!r}).structures\n"
+        f"assert cli.main(['reduce-chain', {str(SELFTEST)!r}, '-q', '-o', {str(out)!r}]) == 0\n"
+    )
+    assert scipy_modules_after(code) == []
