@@ -4,12 +4,19 @@ Every geometric object lives on a :class:`CoordinateDomain`: a named box of
 coordinates, each either ``linear`` (an interval) or ``angular`` (period 1,
 sampled in [0, 1)).  A degree-k :class:`DifferentialForm` stores symbolic
 coefficients keyed by strictly increasing k-tuples of coordinate indices.
-The exterior calculus (wedge, d, interior product, Lie derivative,
-pullback) is implemented symbolically on top of the
-:mod:`lcskit.symexpr` kernel; equality of forms is always decided by
-sampled residuals, never structurally.  Values at points come from one
-:func:`symexpr.evaluate_all` call per object and sample set, and
-:func:`forms_are_zero` tests several forms and fields in one such call.
+The exterior calculus that builds new forms (wedge, d, interior product,
+pullback) is symbolic, on top of the :mod:`lcskit.symexpr` kernel;
+equality of forms is always decided by sampled residuals, never
+structurally.  Values at points come from one :func:`symexpr.evaluate_all`
+call per object and sample set.
+
+Identities that are only ever checked at sample points are checked there
+without building derivative trees: :func:`sample_jets` turns forms and
+fields into :class:`SampledForm` values with first derivatives, from one
+:func:`symexpr.jets` walk, and a sampled Cartan calculus runs on their
+sparse index dicts (d from antisymmetrised gradients, wedge and interior
+products pointwise, :func:`lie_derivative` by Cartan's formula and
+:func:`lie_bracket` from the fields' Jacobians).
 
 Sign conventions used throughout the package:
     * wedge ordering follows the shuffle sign of merging index tuples;
@@ -21,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -445,33 +452,6 @@ def interior(X: VectorField, a: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(a.domain, a.degree - 1, {k: sx.add(*v) for k, v in acc.items()})
 
 
-def lie_derivative(X: VectorField, a: DifferentialForm) -> DifferentialForm:
-    """Cartan's homotopy formula i_X d a + d i_X a."""
-    _check_domains(X.domain, a.domain)
-    first = interior(X, ext_d(a))
-    if a.degree == 0:
-        return first
-    return first + ext_d(interior(X, a))
-
-
-def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """Commutator [X, Y] of vector fields."""
-    _check_domains(X.domain, Y.domain)
-    names = X.domain.names
-    comps = []
-    for i in range(X.domain.dim):
-        terms = []
-        for j, nj in enumerate(names):
-            dy = sx.diff(Y.components[i], nj)
-            if not sx.is_structural_zero(dy):
-                terms.append(sx.mul(X.components[j], dy))
-            dx = sx.diff(X.components[i], nj)
-            if not sx.is_structural_zero(dx):
-                terms.append(sx.neg(sx.mul(Y.components[j], dx)))
-        comps.append(sx.add(*terms) if terms else sx.ZERO)
-    return VectorField(X.domain, tuple(comps))
-
-
 def _minor_det(jac, rows: tuple[int, ...], cols: tuple[int, ...]) -> Expr:
     """Symbolic determinant of the (rows x cols) Jacobian minor."""
     k = len(rows)
@@ -546,31 +526,12 @@ def nondegeneracy_rank(phi: DifferentialForm, samples: int = 50, seed: int = 0) 
 # sampled residuals
 
 
-def forms_are_zero(
-    items: Sequence["DifferentialForm | VectorField"], samples: int = 200, tol: float = 1e-9, seed: int = 0
-) -> list[ZeroCheck]:
-    """Sampled zero tests of forms and vector fields on one domain, one
-    :class:`ZeroCheck` per item, over all coefficients or components.
-
-    Every item is tested on the same points, drawn once, and in one
-    evaluation (see :func:`symexpr.zero_checks`), so the subexpressions the
-    items share are computed once.
-    """
-    if not items:
-        return []
-    domain = items[0].domain
-    for item in items[1:]:
-        _check_domains(domain, item.domain)
-    groups = [item.coeffs.values() if isinstance(item, DifferentialForm) else item.components for item in items]
-    return sx.zero_checks(groups, domain, samples, tol, seed)
-
-
 def form_is_zero(
     a: DifferentialForm, samples: int = 200, tol: float = 1e-9, seed: int = 0
 ) -> ZeroCheck:
-    """Sampled zero test over all coefficients of a form: the one-item case
-    of :func:`forms_are_zero`."""
-    return forms_are_zero((a,), samples, tol, seed)[0]
+    """Sampled zero test over all coefficients of a form, in one evaluation
+    (see :func:`symexpr.zero_checks`)."""
+    return sx.zero_checks([a.coeffs.values()], a.domain, samples, tol, seed)[0]
 
 
 def forms_equal(
@@ -604,3 +565,149 @@ def evaluate_jacobian(F: SmoothMap, env: Mapping[str, np.ndarray]) -> np.ndarray
     """Jacobian of a map at sample points, shape (tgt, src, *batch)."""
     vals = sx.evaluate_all([e for row in F.jacobian for e in row], env)
     return np.array(vals).reshape(F.target.dim, F.source.dim, *sx.batch_shape(env))
+
+
+# ---------------------------------------------------------------------------
+# sampled Cartan calculus on first-order jets
+
+
+class SampledForm(NamedTuple):
+    """A form (or vector field) at the points of one env.
+
+    ``values`` maps increasing index tuples to arrays of the batch shape (a
+    vector field is keyed by 1-tuples); ``grads`` maps the same keys to
+    ``{coordinate index: partial derivative}``, or is None when first
+    derivatives are not carried.  Absent keys and absent gradient entries
+    are structural zeros.  Products and contractions carry first derivatives
+    (by the product rule) only when both operands do, and d never does.
+    """
+
+    values: dict
+    grads: dict | None = None
+
+    @property
+    def flat(self) -> "SampledForm":
+        """The values alone."""
+        return SampledForm(self.values)
+
+
+def sample_jets(items: Sequence["DifferentialForm | VectorField"], env: Mapping[str, np.ndarray]) -> list[SampledForm]:
+    """Sampled forms, with first derivatives, of forms and vector fields on
+    one domain, from one :func:`symexpr.jets` walk of all their coefficients
+    and components."""
+    domain = items[0].domain
+    for item in items[1:]:
+        _check_domains(domain, item.domain)
+    keyed = [
+        item.coeffs.items() if isinstance(item, DifferentialForm)
+        else [((i,), c) for i, c in enumerate(item.components) if not sx.is_structural_zero(c)]
+        for item in items
+    ]
+    index = {name: i for i, name in enumerate(domain.names)}
+    walked = iter(sx.jets([c for pairs in keyed for _, c in pairs], env))
+    out = []
+    for pairs in keyed:
+        values, grads = {}, {}
+        for I, _ in pairs:
+            values[I], grad = next(walked)
+            grads[I] = {index[name]: d for name, d in grad.items()}
+        out.append(SampledForm(values, grads))
+    return out
+
+
+class _Accumulator:
+    """Sums signed terms into a sampled form, key by key."""
+
+    def __init__(self, with_grads: bool):
+        self.values: dict = {}
+        self.grads = {} if with_grads else None
+
+    def add(self, key: tuple[int, ...], sign: int, value, grad: dict | None = None) -> None:
+        values = self.values
+        if key in values:
+            values[key] = values[key] + value if sign > 0 else values[key] - value
+        else:
+            values[key] = value if sign > 0 else -value
+        if self.grads is not None:
+            acc = self.grads.setdefault(key, {})
+            for m, d in grad.items():
+                if m in acc:
+                    acc[m] = acc[m] + d if sign > 0 else acc[m] - d
+                else:
+                    acc[m] = d if sign > 0 else -d
+
+    def form(self) -> SampledForm:
+        return SampledForm(self.values, self.grads)
+
+
+def _product(a: SampledForm, I, b: SampledForm, J) -> tuple:
+    """Value and (when both operands carry it) gradient of a_I * b_J."""
+    x, y = a.values[I], b.values[J]
+    if a.grads is None or b.grads is None:
+        return x * y, None
+    grad = {m: d * y for m, d in a.grads[I].items()}
+    for m, d in b.grads[J].items():
+        grad[m] = grad[m] + x * d if m in grad else x * d
+    return x * y, grad
+
+
+def sampled_sum(a: SampledForm, b: SampledForm, sign: int = 1) -> SampledForm:
+    """``a + sign * b`` of two sampled forms of one degree."""
+    acc = _Accumulator(a.grads is not None and b.grads is not None)
+    for form, s in ((a, 1), (b, sign)):
+        for key, value in form.values.items():
+            acc.add(key, s, value, form.grads and form.grads[key])
+    return acc.form()
+
+
+def sampled_d(a: SampledForm) -> SampledForm:
+    """Exterior derivative from the antisymmetrised gradients."""
+    if a.grads is None:
+        raise FormError("the exterior derivative of a sampled form needs its first derivatives")
+    acc = _Accumulator(False)
+    for I, grad in a.grads.items():
+        for m, d in grad.items():
+            ins = _insert_index(m, I)
+            if ins is not None:
+                acc.add(ins[1], ins[0], d)
+    return acc.form()
+
+
+def sampled_wedge(a: SampledForm, b: SampledForm) -> SampledForm:
+    """Exterior product, pointwise."""
+    acc = _Accumulator(a.grads is not None and b.grads is not None)
+    for I in a.values:
+        for J in b.values:
+            merged = _merge_indices(I, J)
+            if merged is not None:
+                acc.add(merged[1], merged[0], *_product(a, I, b, J))
+    return acc.form()
+
+
+def sampled_interior(X: SampledForm, a: SampledForm) -> SampledForm:
+    """Interior product i_X a, pointwise; for a one-form a, the pairing
+    a(X) under the key ``()``."""
+    acc = _Accumulator(X.grads is not None and a.grads is not None)
+    for I in a.values:
+        for pos, i in enumerate(I):
+            if (i,) in X.values:
+                acc.add(I[:pos] + I[pos + 1 :], -1 if pos % 2 else 1, *_product(X, (i,), a, I))
+    return acc.form()
+
+
+def lie_derivative(X: SampledForm, a: SampledForm) -> SampledForm:
+    """Lie derivative of a sampled form along a sampled field, both with
+    first derivatives, by Cartan's formula i_X d a + d i_X a."""
+    return sampled_sum(sampled_interior(X.flat, sampled_d(a)), sampled_d(sampled_interior(X, a)))
+
+
+def lie_bracket(X: SampledForm, Y: SampledForm) -> SampledForm:
+    """Commutator [X, Y]^i = X^j d_j Y^i - Y^j d_j X^i of sampled fields
+    with first derivatives, from their Jacobians."""
+    acc = _Accumulator(False)
+    for first, second, sign in ((X, Y, 1), (Y, X, -1)):
+        for key, grad in second.grads.items():
+            for j, d in grad.items():
+                if (j,) in first.values:
+                    acc.add(key, sign, first.values[(j,)] * d)
+    return acc.form()

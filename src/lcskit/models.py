@@ -16,6 +16,10 @@ Two model families are provided:
 
 ``model_liouville(n)`` supplies the exact symplectic building block (the
 tautological one-form on R^(2n) with zero Lee form).
+
+``validate_first_kind`` certifies the defining identities chart by chart
+from sampled first-order jets of phi, lee, alpha, B and E (see
+:func:`forms.sample_jets`), building no derivative tree.
 """
 
 from __future__ import annotations
@@ -31,15 +35,18 @@ from .forms import (
     Coordinate,
     CoordinateDomain,
     DifferentialForm,
+    SampledForm,
     SmoothMap,
     VectorField,
     basis_vector,
     ext_d,
-    interior,
     lie_bracket,
     lie_derivative,
     pullback,
-    wedge,
+    sampled_d,
+    sampled_interior,
+    sampled_sum,
+    sampled_wedge,
 )
 from .symexpr import Expr, ZeroCheck
 from .twisted import d_twisted
@@ -322,8 +329,10 @@ def validate_first_kind(
 ) -> FirstKindReport:
     """Certify the defining identities of a first-kind structure chartwise.
 
-    A chart's nine identities are tested on one sample set in one
-    evaluation, so the subexpressions they share are computed once.
+    On each chart one :func:`symexpr.jets` walk gives the values and first
+    derivatives of phi, lee, alpha, B and E at one sample set, and the nine
+    identities are assembled from them by the sampled calculus of
+    :mod:`lcskit.forms`; no derivative tree is built.
     """
     checks: list[tuple[str, str, ZeroCheck]] = []
     min_rank = None
@@ -334,32 +343,34 @@ def validate_first_kind(
             )
         if chart.alpha is None:
             raise ModelError(f"chart {chart.name!r} of {structure.name!r} lacks a potential")
-        dom = chart.domain
-        B, E = chart.b_field, chart.anti_lee
-        items = {
-            "d(phi) - lee ^ phi": ext_d(chart.phi) - wedge(chart.lee, chart.phi),
-            "d_lee(alpha) - phi": d_twisted(chart.lee, chart.alpha) - chart.phi,
-            "i_B(phi) + alpha": interior(B, chart.phi) + chart.alpha,
-            "i_E(phi) + lee": interior(E, chart.phi) + chart.lee,
-            "lee(B) - 1": forms.function_form(dom, _pair(chart.lee, B) - sx.ONE),
-            "lee(E)": forms.function_form(dom, _pair(chart.lee, E)),
-            "L_B(phi)": lie_derivative(B, chart.phi),
-            "d(lee)": ext_d(chart.lee),
+        env = chart.domain.sample_points(samples, seed)
+        phi, lee, alpha, B, E = forms.sample_jets(
+            (chart.phi, chart.lee, chart.alpha, chart.b_field, chart.anti_lee), env
+        )
+        # values alone where no identity needs the derivatives of a product
+        lee_v, B_v, E_v = lee.flat, B.flat, E.flat
+        one = SampledForm({(): np.ones(samples)})
+        residuals = {
+            "d(phi) - lee ^ phi": sampled_sum(sampled_d(phi), sampled_wedge(lee_v, phi), -1),
+            "d_lee(alpha) - phi": sampled_sum(
+                sampled_sum(sampled_d(alpha), sampled_wedge(lee_v, alpha), -1), phi, -1
+            ),
+            "i_B(phi) + alpha": sampled_sum(sampled_interior(B_v, phi), alpha),
+            "i_E(phi) + lee": sampled_sum(sampled_interior(E_v, phi), lee),
+            "lee(B) - 1": sampled_sum(sampled_interior(B_v, lee), one, -1),
+            "lee(E)": sampled_interior(E_v, lee),
+            "L_B(phi)": lie_derivative(B, phi),
+            "d(lee)": sampled_d(lee),
+            "[B, E]": lie_bracket(B, E),
         }
-        items["[B, E]"] = lie_bracket(B, E)
-        results = forms.forms_are_zero(list(items.values()), samples, tol, seed)
-        checks.extend((chart.name, label, c) for label, c in zip(items, results))
+        groups = [list(r.values.values()) for r in residuals.values()]
+        results = sx.value_checks(groups, env, tol)
+        checks.extend((chart.name, label, c) for label, c in zip(residuals, results))
         rank, _full = forms.nondegeneracy_rank(chart.phi, samples=min(samples, 60), seed=seed)
         min_rank = rank if min_rank is None else min(min_rank, rank)
     nondeg = min_rank == structure.dim
     passed = nondeg and all(c.passed for _, _, c in checks)
     return FirstKindReport(structure.name, tuple(checks), int(min_rank or 0), nondeg, passed)
-
-
-def _pair(one_form: DifferentialForm, X: VectorField) -> Expr:
-    """Pointwise pairing of a one-form with a vector field."""
-    terms = [sx.mul(c, X.components[i]) for (i,), c in one_form.coeffs.items()]
-    return sx.add(*terms) if terms else sx.ZERO
 
 
 # ---------------------------------------------------------------------------

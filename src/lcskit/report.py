@@ -456,6 +456,8 @@ def _run_verify(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> 
     tol = _opt(opts.tol, _task_tol(task), 1e-9)
     rep = models.validate_first_kind(S, samples=samples, tol=tol, seed=seed)
     failing = [f"{chart}:{label}" for chart, label, c in rep.checks if not c.passed]
+    if not rep.nondegenerate:
+        failing.insert(0, f"two-form rank {rep.min_rank} < dimension {S.dim}")
     return [
         CheckRecord(
             name=f"verify:{sname}",

@@ -10,16 +10,19 @@ identities); no general simplification is attempted.
 Nodes are interned: building a node returns the one live node with the same
 fields, so ``==`` is identity, which is structural equality decided in
 O(1).  Mathematical equality is still decided numerically, by
-:func:`zero_checks` and its one-group case :func:`is_zero`.  :func:`diff`
+:func:`zero_checks` and its one-group case :func:`is_zero`, whose rule
+:func:`value_checks` applies to values already computed.  :func:`diff`
 keeps its results on sum, power and call nodes.
 
 Evaluation is vectorised over numpy arrays.  :func:`evaluate_all` is the one
 tree walk: it evaluates several expressions on one env and computes each
 shared subexpression once per call, that is once per sample set;
-:func:`evaluate` is its one-expression case.  Any non-finite value (a
-negative radicand, division by zero, the derivative of ``sqrt`` at 0)
-raises :class:`EvaluationDomainError` carrying the offending sample point
-rather than silently propagating ``nan``.  :func:`lambdify` compiles
+:func:`evaluate` is its one-expression case.  :func:`jets` is the same
+walk in forward mode: each expression's value, bit for bit the tree walk's,
+with its sparse gradient, and no derivative tree built.  Any non-finite
+value (a negative radicand, division by zero, the derivative of ``sqrt`` at
+0) raises :class:`EvaluationDomainError` carrying the offending sample
+point rather than silently propagating ``nan``.  :func:`lambdify` compiles
 expressions evaluated again and again on batches of points into
 straight-line code run on whole coordinate columns, with the same values,
 bit for bit, as the tree walk.
@@ -535,11 +538,7 @@ def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"])
             if out.ndim == 0:
                 out = np.full(shape, out)
             if not np.all(np.isfinite(out)):
-                idx = int(np.flatnonzero(~np.isfinite(out))[0])
-                point = {k: float(v) if v.ndim == 0 else float(v.flat[idx]) for k, v in env_arr.items()}
-                raise EvaluationDomainError(
-                    f"non-finite value evaluating '{to_string(e)}' at {point}", point
-                )
+                raise _domain_error("value", e, out, env_arr)
             results.append(out if out.ndim else float(out))
     return results
 
@@ -549,6 +548,130 @@ def evaluate(e: Expr, env: Mapping[str, "np.ndarray | float"]):
     one-expression case of :func:`evaluate_all`, with its result shape and
     errors."""
     return evaluate_all((e,), env)[0]
+
+
+def _domain_error(what: str, e: Expr, out: np.ndarray, env_arr: Mapping[str, np.ndarray]) -> EvaluationDomainError:
+    """The error for a non-finite ``out``, witnessed at its first non-finite
+    sample."""
+    idx = int(np.flatnonzero(~np.isfinite(out))[0])
+    point = {k: float(v) if v.ndim == 0 else float(v.flat[idx]) for k, v in env_arr.items()}
+    return EvaluationDomainError(f"non-finite {what} evaluating '{to_string(e)}' at {point}", point)
+
+
+_NO_GRADIENT: dict = {}  # the gradient of a constant, shared: never written to
+
+
+def _jet_raw(e: Expr, env: Mapping[str, np.ndarray], seen: dict) -> tuple:
+    """``(value, gradient)`` of ``e`` on ``env``: the value exactly as
+    :func:`_eval_raw` computes it, and ``{name: partial derivative}`` with
+    structural zeros absent.  ``seen`` maps each compound node already
+    walked on this env to its jet; jets are shared, never written."""
+    if isinstance(e, Const):
+        return e.value, _NO_GRADIENT
+    if isinstance(e, Var):
+        try:
+            return env[e.name], {e.name: 1.0}
+        except KeyError:
+            raise UnknownCoordinateError(f"no value bound to coordinate '{e.name}'") from None
+    out = seen.get(e)
+    if out is not None:
+        return out
+    if isinstance(e, Add):
+        value, grad = _jet_raw(e.terms[0], env, seen)
+        grad = dict(grad)
+        for t in e.terms[1:]:
+            v, g = _jet_raw(t, env, seen)
+            value = value + v
+            for k, d in g.items():
+                grad[k] = grad[k] + d if k in grad else d
+    elif isinstance(e, Mul):
+        jets = [_jet_raw(f, env, seen) for f in e.factors]
+        prefix = [None, jets[0][0]]  # prefix[i]: product of the factors before i
+        for v, _ in jets[1:]:
+            prefix.append(prefix[-1] * v)
+        value = prefix[-1]
+        grad, suffix = {}, None  # suffix: product of the factors after i
+        for i in range(len(jets) - 1, -1, -1):
+            v, g = jets[i]
+            if g:  # product rule: the partials of factor i times the other factors
+                others = prefix[i] if suffix is None else suffix if prefix[i] is None else prefix[i] * suffix
+                for k, d in g.items():
+                    term = others * d
+                    grad[k] = grad[k] + term if k in grad else term
+            suffix = v if suffix is None else v * suffix
+    elif isinstance(e, Pow):
+        base, g = _jet_raw(e.base, env, seen)
+        q = e.exponent
+        if q.denominator == 1:
+            value = np.power(base, q.numerator, dtype=float)
+            outer = q.numerator * np.power(base, q.numerator - 1, dtype=float) if g else None
+        else:
+            base = np.asarray(base, dtype=float)
+            value = np.power(base, float(q))
+            outer = float(q) * np.power(base, float(q - 1)) if g else None
+        grad = {k: outer * d for k, d in g.items()}
+    elif isinstance(e, Call):
+        arg, g = _jet_raw(e.arg, env, seen)
+        value = getattr(np, e.fn)(arg)
+        if not g:
+            outer = None
+        elif e.fn == "sin":
+            outer = np.cos(arg)
+        elif e.fn == "cos":
+            outer = -np.sin(arg)
+        else:  # exp
+            outer = value
+        grad = {k: outer * d for k, d in g.items()}
+    else:
+        raise TypeError(f"unknown node {e!r}")
+    out = seen[e] = (value, grad)
+    return out
+
+
+def jets(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> list[tuple]:
+    """Values and first derivatives of several expressions on one env, by
+    one forward-mode walk (Griewank & Walther, *Evaluating Derivatives*,
+    2008) that builds no derivative tree.
+
+    Each result is ``(value, gradient)``: the value is :func:`evaluate_all`'s,
+    bit for bit, and the gradient maps each coordinate the expression
+    depends on structurally to the partial derivative there (structural
+    zeros are absent), every entry with the env's batch shape.  One memo
+    spans the call, so a node shared between (or within) the expressions is
+    walked once on this env.  Results are checked in order, value first
+    and then each partial, so the first non-finite one raises
+    :class:`EvaluationDomainError` with the first offending sample point
+    (for a value, :func:`evaluate_all`'s message); an unbound variable
+    raises :class:`UnknownCoordinateError`.  Read results, do not write
+    them.
+    """
+    env_arr = {k: np.asarray(v, dtype=float) for k, v in env.items()}
+    shape = batch_shape(env_arr)
+    seen: dict = {}
+    walked, unbound = [], None
+    with np.errstate(all="ignore"):
+        for e in exprs:
+            try:
+                walked.append((e, *_jet_raw(e, env_arr, seen)))
+            except UnknownCoordinateError as err:
+                unbound = err
+                break
+    results, arrays = [], []
+    for e, value, grad in walked:
+        jet = [np.asarray(v, dtype=float) for v in (value, *grad.values())]
+        jet = [v if v.shape == shape else np.full(shape, v) for v in jet]
+        arrays.extend(jet)
+        results.append((jet[0], dict(zip(grad, jet[1:]))))
+    if arrays and not np.isfinite(np.stack(arrays)).all():  # find the first, in order
+        for e, (value, partials) in zip((w[0] for w in walked), results):
+            for what, v in (("value", value), *((f"derivative by '{k}'", d) for k, d in partials.items())):
+                if not np.all(np.isfinite(v)):
+                    raise _domain_error(what, e, v, env_arr)
+    if unbound is not None:
+        raise unbound
+    if not shape:
+        results = [(float(v), {k: float(d) for k, d in g.items()}) for v, g in results]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -695,16 +818,27 @@ def zero_checks(
     groups = [[e for e in g if not is_structural_zero(e)] for g in groups]
     env = domain.sample_points(samples, seed)
     values = iter(evaluate_all([e for g in groups for e in g], env))
+    return value_checks([[next(values) for _ in g] for g in groups], env, tol)
+
+
+def value_checks(groups: Iterable[Iterable[np.ndarray]], env: Mapping[str, np.ndarray], tol: float) -> list[ZeroCheck]:
+    """The zero-check rule on values already computed at the points of
+    ``env`` (each an array of its batch shape): one :class:`ZeroCheck` per
+    group, of the group's largest |value|, witnessed at the first point
+    where the first array to reach it does; an empty group passes with
+    residual 0."""
+    samples = len(next(iter(env.values())))
     checks = []
     for g in groups:
         worst = 0.0
         worst_point: dict[str, float] = {}
-        for _ in g:
-            vals = np.abs(next(values))
-            r = float(np.max(vals))
-            if r > worst:
-                worst = r
-                idx = int(np.argmax(vals))
+        g = list(g)
+        if g:
+            vals = np.abs(np.stack(g))
+            at = int(np.argmax(vals))  # row-major: the first array to reach the max, at its first point
+            worst = float(vals.flat[at])
+            if worst > 0.0:
+                idx = at % samples
                 worst_point = {k: float(v[idx]) for k, v in env.items()}
         checks.append(ZeroCheck(worst <= tol, worst, worst_point, samples, tol))
     return checks

@@ -7,7 +7,8 @@ the same mathematics.  Frozen: tests may add new call sites but should not
 alter the numerics here.
 
 The second part holds helpers built on the package's types that no run
-needs: a seeded test-form generator, symbolic composition, the pointwise
+needs: a seeded test-form generator, the symbolic Lie derivative and Lie
+bracket (derivative trees), symbolic composition, the pointwise
 determinant pullback, the reducibility verifier's per-sample tangency,
 kernel and subspace-gap route, the sparse cut complex of a grid torus with its gauge
 conjugation, translation averaging and dense least-squares obstruction
@@ -26,7 +27,7 @@ from scipy import sparse
 
 from lcskit import forms, reduction, symexpr as sx
 from lcskit.cohomology import CohomologyError, TwistedCochainComplex
-from lcskit.forms import ANGULAR, Coordinate, CoordinateDomain, DifferentialForm, SmoothMap
+from lcskit.forms import ANGULAR, Coordinate, CoordinateDomain, DifferentialForm, SmoothMap, VectorField
 from lcskit.models import LcsStructure, ModelError, StructureChart
 from lcskit.numeric import RANK_RTOL, PointMap, count_significant
 
@@ -222,6 +223,35 @@ def _coordinate_basis_expr(c: Coordinate) -> sx.Expr:
     if c.kind == ANGULAR:
         return sx.sin(sx.mul(sx.Const(2.0 * np.pi), sx.Var(c.name)))
     return sx.Var(c.name)
+
+
+def lie_derivative(X: VectorField, a: DifferentialForm) -> DifferentialForm:
+    """Symbolic Lie derivative by Cartan's formula i_X d a + d i_X a: the
+    derivative-tree route to the sampled ``forms.lie_derivative``."""
+    forms._check_domains(X.domain, a.domain)
+    first = forms.interior(X, forms.ext_d(a))
+    if a.degree == 0:
+        return first
+    return first + forms.ext_d(forms.interior(X, a))
+
+
+def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """Symbolic commutator [X, Y]: the derivative-tree route to the sampled
+    ``forms.lie_bracket``."""
+    forms._check_domains(X.domain, Y.domain)
+    names = X.domain.names
+    comps = []
+    for i in range(X.domain.dim):
+        terms = []
+        for j, nj in enumerate(names):
+            dy = sx.diff(Y.components[i], nj)
+            if not sx.is_structural_zero(dy):
+                terms.append(sx.mul(X.components[j], dy))
+            dx = sx.diff(X.components[i], nj)
+            if not sx.is_structural_zero(dx):
+                terms.append(sx.neg(sx.mul(Y.components[j], dx)))
+        comps.append(sx.add(*terms) if terms else sx.ZERO)
+    return VectorField(X.domain, tuple(comps))
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:

@@ -297,6 +297,23 @@ def test_wrong_lee_weight_fails_with_one_record(tmp_path):
     assert "lee(B) - 1" in rep.records[0].detail
 
 
+def test_degenerate_two_form_names_the_rank_failure(tmp_path):
+    # the plane chart's identities on R^4: all nine hold, but phi = da ^ db
+    # has rank 2 on a 4-dimensional chart
+    chart = {**PLANE_CHART, "lee": {"a": "1"}}
+    chart["coordinates"] = [{"name": n, "lower": -1.0, "upper": 1.0} for n in "abcd"]
+    payload = plane_manifest()
+    payload["structures"] = {"p4": {"chart": chart}}
+    payload["tasks"] = [{"kind": "verify", "structure": "p4", "tol": 1e-9}]
+    path = write_manifest(tmp_path, payload)
+    out = tmp_path / "p4.report.json"
+    assert cli.main(["run", path, "-q", "-o", str(out)]) == 1
+    [record] = report.load_report(str(out)).records
+    assert record.name == "verify:p4" and not record.passed
+    assert record.rank_data["min_two_form_rank"] == 2
+    assert record.detail == "two-form rank 2 < dimension 4"
+
+
 def test_overflowing_chart_constant_fails_one_record_with_domain_error(tmp_path):
     payload = plane_manifest()
     payload["structures"]["plane"]["chart"]["alpha"] = {"b": "exp(1000)*a"}

@@ -20,14 +20,12 @@ from lcskit.forms import (
     form_is_zero,
     identity_map,
     interior,
-    lie_bracket,
-    lie_derivative,
     linear_domain,
     pullback,
     wedge,
 )
 import oracle_utils as oracle
-from oracle_utils import compose, random_polynomial_form
+from oracle_utils import compose, lie_bracket, lie_derivative, random_polynomial_form
 
 R2 = linear_domain("r2", ["x", "y"])
 R3 = linear_domain("r3", ["x", "y", "z"])
@@ -413,3 +411,52 @@ def test_evaluate_jacobian_against_finite_differences():
     for k in range(5):
         point = np.array([env[n][k] for n in R2.names])
         assert np.allclose(J[:, :, k], oracle.fd_jacobian(value, point), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# sampled calculus on jets against the symbolic calculus
+
+MIXED = forms.make_domain("mixed", [("x", "linear", -1.0, 1.0), ("y", "linear", -1.0, 1.0), ("t", "angular"), ("z", "linear", -1.0, 1.0)])
+
+
+def _random_field(seed):
+    return VectorField(MIXED, tuple(random_polynomial_form(MIXED, 1, seed).coeffs.values()))
+
+
+def _assert_sampled_equals(sampled, symbolic, env):
+    """Values of a sampled form against the tree walk of a symbolic form or
+    field, over the union of their keys (a key either one lacks is zero)."""
+    if isinstance(symbolic, VectorField):
+        want = {(i,): c for i, c in enumerate(symbolic.components)}
+    else:
+        want = dict(symbolic.coeffs)
+    for key in set(want) | set(sampled.values):
+        got = sampled.values.get(key, 0.0)
+        expected = sx.evaluate(want.get(key, sx.ZERO), env)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), key
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 2))
+def test_sampled_calculus_equals_the_symbolic_calculus(seed, degree):
+    a = random_polynomial_form(MIXED, degree, seed)
+    lam = random_polynomial_form(MIXED, 1, seed + 1)
+    X, Y = _random_field(seed + 2), _random_field(seed + 3)
+    env = MIXED.sample_points(30, seed)
+    sa, slam, sX, sY = forms.sample_jets((a, lam, X, Y), env)
+    _assert_sampled_equals(forms.sampled_d(sa), ext_d(a), env)
+    _assert_sampled_equals(forms.sampled_wedge(slam, sa), wedge(lam, a), env)
+    _assert_sampled_equals(forms.sampled_interior(sX, sa), interior(X, a), env)
+    _assert_sampled_equals(forms.sampled_sum(sa, sa, -1), a - a, env)
+    _assert_sampled_equals(forms.lie_derivative(sX, sa), lie_derivative(X, a), env)
+    _assert_sampled_equals(forms.lie_derivative(sX, slam), lie_derivative(X, lam), env)
+    _assert_sampled_equals(forms.lie_bracket(sX, sY), lie_bracket(X, Y), env)
+    # first derivatives carried through a contraction are those of its symbolic form
+    contracted = forms.sampled_interior(sX, sa)
+    _assert_sampled_equals(forms.sampled_d(contracted), ext_d(interior(X, a)), env)
+
+
+def test_sampled_d_needs_first_derivatives():
+    [sa] = forms.sample_jets((random_polynomial_form(MIXED, 1, 5),), MIXED.sample_points(4, 0))
+    with pytest.raises(forms.FormError):
+        forms.sampled_d(sa.flat)
