@@ -163,7 +163,8 @@ def first_kind_one_test_per_identity(S, samples, tol, seed):
 
 def _bent_sphere():
     """The N=2 sphere-circle model with its two-form scaled by 1.001 on every
-    chart: every identity that involves phi fails."""
+    chart: the identities that tie phi to alpha or lee fail, those linear in
+    phi alone still hold."""
     S = models.model_sphere_circle(2, q=1.0)
     charts = tuple(dataclasses.replace(c, phi=c.phi.scaled(1.001)) for c in S.charts)
     return dataclasses.replace(S, charts=charts)
