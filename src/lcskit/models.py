@@ -24,8 +24,9 @@ from sampled first-order jets of phi, lee, alpha, B and E (see
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -76,13 +77,34 @@ class StructureChart:
     name: str = ""
 
 
+class LazyCharts(Sequence):
+    """Charts built on first access and kept: a catalog structure's charts
+    in their fixed order, of which a run that reads one chart builds one.
+    A slice builds the charts it covers and returns them as a tuple."""
+
+    def __init__(self, builders: Iterable[Callable[[], StructureChart]]):
+        self._builders = tuple(builders)
+        self._built: list[StructureChart | None] = [None] * len(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        chart = self._built[index]
+        if chart is None:
+            chart = self._built[index] = self._builders[index]()
+        return chart
+
+
 @dataclass
 class LcsStructure:
     """A structure presented by charts, plus catalog metadata."""
 
     name: str
     kind: str
-    charts: tuple[StructureChart, ...]
+    charts: Sequence[StructureChart]
     ambient: CoordinateDomain | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -188,7 +210,9 @@ def model_sphere_circle(N: int, q: float = 1.0) -> LcsStructure:
 
     The potential is ``q`` times the restricted contact form, the Lee form
     is d(theta), ``phi = d alpha - lee ^ alpha``, ``B = d/d(theta)`` and
-    the anti-Lee field is ``-1/q`` times the contact Reeb field.
+    the anti-Lee field is ``-1/q`` times the contact Reeb field.  Each of
+    the 4N graph charts is built on its first access (see
+    :class:`LazyCharts`).
     """
     if N < 2:
         raise ModelError("model_sphere_circle needs N >= 2 (sphere dimension >= 3)")
@@ -205,32 +229,38 @@ def model_sphere_circle(N: int, q: float = 1.0) -> LcsStructure:
         },
     )
     reeb = reeb_components(N)
-    charts = []
-    for label, P in sphere_graph_charts(N, ambient, with_circle=True):
-        dom = P.source
-        alpha = pullback(P, eta_amb).scaled(sx.Const(q))
-        lee = dom.one_form("theta")
-        phi = d_twisted(lee, alpha)
-        b_field = basis_vector(dom, "theta")
-        # ambient Reeb components composed through the chart (the dropped
-        # coordinate becomes +-sqrt(1 - ...))
-        onto_chart = dict(zip(ambient.names, P.components))
-        comps = []
-        for n in dom.names:
-            if n == "theta":
-                comps.append(sx.ZERO)
-            else:
-                comps.append(sx.mul(sx.Const(-1.0 / q), sx.substitute(reeb[n], onto_chart)))
-        anti_lee = VectorField(dom, tuple(comps))
-        charts.append(
-            StructureChart(
-                domain=dom, phi=phi, lee=lee, alpha=alpha,
-                b_field=b_field, anti_lee=anti_lee, parametrization=P, name=label,
-            )
-        )
+    charts = LazyCharts(
+        partial(_sphere_circle_chart, label, P, eta_amb, reeb, q)
+        for label, P in sphere_graph_charts(N, ambient, with_circle=True)
+    )
     return LcsStructure(
-        f"sphere{2*N-1}_circle_q{q:g}", FIRST_KIND, tuple(charts),
+        f"sphere{2*N-1}_circle_q{q:g}", FIRST_KIND, charts,
         ambient=ambient, metadata={"N": N, "q": q},
+    )
+
+
+def _sphere_circle_chart(
+    label: str, P: SmoothMap, eta_amb: DifferentialForm, reeb: dict[str, Expr], q: float
+) -> StructureChart:
+    """The chart of :func:`model_sphere_circle` on one graph chart ``P``."""
+    dom = P.source
+    alpha = pullback(P, eta_amb).scaled(sx.Const(q))
+    lee = dom.one_form("theta")
+    phi = d_twisted(lee, alpha)
+    b_field = basis_vector(dom, "theta")
+    # ambient Reeb components composed through the chart (the dropped
+    # coordinate becomes +-sqrt(1 - ...))
+    onto_chart = dict(zip(P.target.names, P.components))
+    comps = []
+    for n in dom.names:
+        if n == "theta":
+            comps.append(sx.ZERO)
+        else:
+            comps.append(sx.mul(sx.Const(-1.0 / q), sx.substitute(reeb[n], onto_chart)))
+    anti_lee = VectorField(dom, tuple(comps))
+    return StructureChart(
+        domain=dom, phi=phi, lee=lee, alpha=alpha,
+        b_field=b_field, anti_lee=anti_lee, parametrization=P, name=label,
     )
 
 

@@ -155,11 +155,14 @@ class StrongReducibilityReport:
 
 
 def _pulled(values: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Pull one-form values (tgt, n) or two-form values (tgt, tgt, n) back
-    through Jacobians (tgt, src, n)."""
+    """Pull forms back through a map F at sampled points: one-form values
+    a(F(x)) (tgt, n) become DFᵀ a (src, n), and two-form values (tgt, tgt,
+    n) become DFᵀ a DF (src, src, n), one stacked matmul over the samples;
+    ``J`` holds the Jacobians DF (tgt, src, n)."""
     if values.ndim == 2:
         return np.einsum("an,ain->in", values, J)
-    return np.einsum("ain,abn,bjn->ijn", J, values, J)
+    Jn = np.moveaxis(J, -1, 0)
+    return np.moveaxis(np.swapaxes(Jn, 1, 2) @ np.moveaxis(values, -1, 0) @ Jn, 0, -1)
 
 
 def _images(quotient: "SmoothMap | numeric.PointMap", env, samples: int):
@@ -217,6 +220,13 @@ def verify_strong_reducibility(
 ) -> StrongReducibilityReport:
     """Certify a reducible datum at seeded samples.
 
+    The restrictions C*a of the ambient forms to the submanifold are taken
+    at the samples, never built as expressions: the ambient Lee form,
+    potential, its exterior derivative and two-form are evaluated at the
+    unwrapped images C(x) and pulled back through the sampled Jacobian DC,
+    as DCᵀ(a∘C) and DCᵀ(a∘C)DC.  Since d commutes with pullback, C*dα =
+    d C*α.  The same Jacobians decide the tangency of the structure fields.
+
     Flow-defined quotients may lose samples to chart escapes; escaped samples
     are skipped, and fewer than ``MIN_SURVIVAL * samples`` survivors raise
     :class:`ReductionError`.  A rank jump in the candidate distribution
@@ -227,26 +237,19 @@ def verify_strong_reducibility(
     cdom = C.source
     pb_tol = tol if pullback_tol is None else pullback_tol
 
-    lee_c = pullback(C, amb.lee)
-    alpha_c = pullback(C, amb.alpha)
-    dalpha_c = ext_d(alpha_c)
-    phi_c = pullback(C, amb.phi)
-
     env = cdom.sample_points(samples, seed, margin)
-    image_env = forms.evaluate_map(C, env)
+    images = dict(zip(amb.domain.names, sx.evaluate_all(C.components, env)))
+    J = forms.evaluate_jacobian(C, env)
 
     # tangency of the structure fields along the submanifold
-    fields = sx.evaluate_all(amb.b_field.components + amb.anti_lee.components, image_env)
-    b_tan, e_tan = _off_span(
-        forms.evaluate_jacobian(C, env), np.reshape(fields, (2, amb.domain.dim, samples)).transpose(1, 0, 2)
-    )
+    fields = sx.evaluate_all(amb.b_field.components + amb.anti_lee.components, images)
+    b_tan, e_tan = _off_span(J, np.reshape(fields, (2, amb.domain.dim, samples)).transpose(1, 0, 2))
 
     # candidate foliation distribution: common kernel of the restricted Lee
     # form, potential, and potential derivative
-    lee_rows = forms.form_values(lee_c, env)
-    alpha_rows = forms.form_values(alpha_c, env)
-    dalpha_tensor = forms.form_values(dalpha_c, env)
-    phi_tensor = forms.form_values(phi_c, env)
+    lee_rows, alpha_rows, dalpha_tensor, phi_tensor = (
+        _pulled(forms.form_values(a, images), J) for a in (amb.lee, amb.alpha, ext_d(amb.alpha), amb.phi)
+    )
 
     systems = np.concatenate([lee_rows[None], alpha_rows[None], dalpha_tensor]).transpose(2, 0, 1)
     kernels, dist_ranks = numeric.kernel_bases(systems, rank_threshold)

@@ -522,24 +522,43 @@ def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"])
     env value is an array, constants included, and a float for an
     all-scalar env.  Results are checked in order, and the first
     expression with a non-finite value raises
-    :class:`EvaluationDomainError` (with the first offending sample point),
-    and one naming an unbound variable raises
-    :class:`UnknownCoordinateError`; expressions after it are not
-    evaluated.  The same node gives the same object twice, and a bare
-    variable gives the env's own array: read results, do not write them.
+    :class:`EvaluationDomainError` (with the first offending sample point);
+    an unbound variable raises :class:`UnknownCoordinateError` unless an
+    earlier expression is non-finite, and expressions after it are not
+    evaluated.  The same node gives the same object twice, as does the same
+    constant value, and a bare variable gives the env's own array: read
+    results, do not write them.
     """
     env_arr = {k: np.asarray(v, dtype=float) for k, v in env.items()}
     shape = batch_shape(env_arr)
     seen: dict = {}
-    results = []
+    walked, unbound = [], None
     with np.errstate(all="ignore"):
         for e in exprs:
-            out = np.asarray(_eval_raw(e, env_arr, seen), dtype=float)
-            if out.ndim == 0:
-                out = np.full(shape, out)
+            try:
+                walked.append((e, _eval_raw(e, env_arr, seen)))
+            except UnknownCoordinateError as err:
+                unbound = err
+                break
+    results, arrays, constants = [], [], {}
+    for _, out in walked:
+        if isinstance(out, np.ndarray) and out.ndim:
+            arrays.append(out)
+        elif shape:  # a constant: one shared array per value
+            value = float(out)
+            out = constants.get(value)
+            if out is None:
+                out = constants[value] = np.full(shape, value)
+        else:  # a value on an all-scalar env
+            out = float(out)
+        results.append(out)
+    scalars = constants if shape else results
+    if not all(map(math.isfinite, scalars)) or (arrays and not np.isfinite(np.concatenate(arrays, axis=None)).all()):
+        for (e, _), out in zip(walked, results):  # find the first, in order
             if not np.all(np.isfinite(out)):
-                raise _domain_error("value", e, out, env_arr)
-            results.append(out if out.ndim else float(out))
+                raise _domain_error("value", e, np.asarray(out), env_arr)
+    if unbound is not None:
+        raise unbound
     return results
 
 

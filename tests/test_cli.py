@@ -8,6 +8,7 @@ import pytest
 
 import lcskit.cli as cli
 import lcskit.cohomology as coh
+import lcskit.models as models
 import lcskit.report as report
 
 
@@ -253,6 +254,38 @@ def test_manifest_numbers_are_refused_not_coerced(tmp_path, capsys, task, struct
     out = tmp_path / "r.json"
     assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sphere_chain_builds_only_the_chart_it_reduces(tmp_path, monkeypatch):
+    built = []
+
+    def counted(label, *args):
+        built.append(label)
+        return build(label, *args)
+
+    build = models._sphere_circle_chart
+    monkeypatch.setattr(models, "_sphere_circle_chart", counted)
+    payload = {
+        "seed": 0,
+        "structures": {"sphere3": {"catalog": "sphere_circle", "args": {"N": 2}}},
+        "tasks": [{"kind": "reduce-chain", "structure": "sphere3", "chart_index": 5, "samples": 60,
+                   "verify_samples": 30, "flow_samples": 12, "concat_samples": 6}],
+    }
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 0
+    assert built == ["x2_minus"]
+
+
+def test_chart_index_past_the_last_chart_exits_2(tmp_path, capsys):
+    payload = {
+        "seed": 0,
+        "structures": {"sphere3": {"catalog": "sphere_circle", "args": {"N": 2}}},
+        "tasks": [{"kind": "reduce-chain", "structure": "sphere3", "chart_index": 8}],
+    }
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    assert "reduce-chain task chart_index must be an integer in [0, 8), got 8" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -104,6 +104,21 @@ def test_sphere_circle_first_kind():
     assert rep.min_rank == 4
 
 
+def test_sphere_circle_charts_are_built_on_first_access():
+    eager = tuple(models.model_sphere_circle(2, q=1.5).charts)
+    S = models.model_sphere_circle(2, q=1.5)
+    charts = S.charts
+    assert len(charts) == len(eager) == 8
+    assert charts[-1] == eager[-1] and charts[-8] == eager[0]
+    assert charts[-1] is charts[7] is charts[-1]
+    assert charts[2:5] == eager[2:5]
+    assert list(charts) == list(eager)
+    assert [c.name for c in charts] == [c.name for c in eager]
+    assert all(a is b for a, b in zip(charts, charts))
+    with pytest.raises(IndexError):
+        charts[8]
+
+
 def test_sphere_circle_scaled_first_kind():
     rep = models.validate_first_kind(
         models.model_sphere_circle(2, q=2.5), samples=60, tol=1e-9, seed=5

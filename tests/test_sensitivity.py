@@ -1,6 +1,6 @@
-"""Planted-defect matrix for the first-kind identities.
+"""Planted-defect matrices: the first-kind identities and the reduction chain.
 
-Each defect is a one-parameter family S(eps) built from the universal model
+For the first-kind identities, each defect is a one-parameter family S(eps) built from the universal model
 with k = N = 1 (coordinates s, u, th1, t1, pth1, pt1; Lee form ds + d th1,
 B = d/ds, E = -d/du), with S(0) the model itself.  The defect aimed at an
 identity moves that identity's residual by eps times a coefficient of order
@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 import lcskit.models as models
+import lcskit.reduction as reduction
 import lcskit.symexpr as sx
 from lcskit.forms import DifferentialForm, VectorField
 
@@ -84,3 +85,59 @@ def test_planted_defect_is_caught_in_proportion(label, seed):
     check = _residual(rep, label)
     assert not check.passed
     assert 0.1 <= check.max_residual / eps <= 10.0
+
+
+# ---------------------------------------------------------------------------
+# the reduction chain: a defect on the reduced potential of each reducing stage
+#
+# The chain runs on a sphere-times-circle chart.  Adding eps d(c) to the
+# reduced potential moves the verifier's alpha residual by eps |Q* dc|, and
+# each planted coordinate c is carried by the stage's quotient Q as itself:
+# theta under the stage-one projection, the radius r1 (which neither flow
+# moves) under the stage-two flow quotient, and s under the stage-four
+# quotient.  So the residual reads eps, and the sampled route must see a
+# defect at ten times the stage's own pullback tolerance.
+
+
+@pytest.fixture(scope="module")
+def sphere_chain():
+    chart, decomp, factory = reduction.sphere_circle_chain_input(models.model_sphere_circle(2))
+    return reduction.run_reduction_chain(
+        chart, decomp, factory, samples=60, verify_samples=40, flow_samples=20, concat_samples=6
+    )
+
+
+# stage -> (index in the chain, planted coordinate, the chain's sample margin)
+CHAIN_DEFECTS = {
+    "cotangent_torus_extension": (0, "theta", 0.3),
+    "jet_space_extension": (1, "r1", 0.5),
+    "universal_transplant": (3, "s", 0.3),
+}
+
+
+def _chain_report(step, coordinate, margin, eps):
+    data, rep = step.data, step.report
+    reduced = data.reduced
+    planted = dataclasses.replace(
+        reduced, alpha=reduced.alpha + reduced.domain.one_form(coordinate).scaled(sx.Const(eps))
+    )
+    return reduction.verify_strong_reducibility(
+        dataclasses.replace(data, reduced=planted), rep.samples_used + rep.samples_skipped, seed=0,
+        margin=margin, tol=rep.tol, pullback_tol=rep.pullback_tol,
+    )
+
+
+@pytest.mark.parametrize("stage", sorted(CHAIN_DEFECTS))
+def test_planted_chain_defect_is_caught_in_proportion(sphere_chain, stage):
+    index, coordinate, margin = CHAIN_DEFECTS[stage]
+    step = sphere_chain.steps[index]
+    assert step.name == stage
+    clean = _chain_report(step, coordinate, margin, 0.0)
+    assert clean.passed
+    assert clean == step.report
+    eps = 10 * step.report.pullback_tol
+    rep = _chain_report(step, coordinate, margin, eps)
+    assert not rep.passed
+    residual = dict(rep.pullback_residuals)["alpha"]
+    assert residual > rep.pullback_tol
+    assert 0.1 <= residual / eps <= 10.0

@@ -676,6 +676,22 @@ def test_evaluate_all_raises_unknown_coordinate_where_the_loop_does(steps, point
     assert _outcome(lambda: sx.evaluate_all(exprs, env)) == want
 
 
+def test_evaluate_all_names_the_first_non_finite_before_a_later_unbound_variable():
+    env = {"x": np.array([0.5, -0.25, -1.0]), "y": np.array([1.0, 2.0, 3.0])}
+    exprs = [X * Y, sx.sqrt(X), X * sx.var("z")]
+    with pytest.raises(sx.EvaluationDomainError) as err:
+        sx.evaluate_all(exprs, env)
+    assert err.value.point == {"x": -0.25, "y": 2.0}
+    assert str(err.value) == f"non-finite value evaluating '{sx.to_string(exprs[1])}' at {err.value.point}"
+
+
+def test_evaluate_all_broadcasts_each_constant_value_once():
+    env = {"x": np.array([0.5, -0.25])}
+    a, b, c = sx.evaluate_all([sx.Const(3.0), X, sx.Const(3.0)], env)
+    assert a is c and a.shape == (2,) and np.all(a == 3.0)
+    assert b is env["x"]
+
+
 def test_evaluate_all_of_nothing_and_of_scalars():
     assert sx.evaluate_all([], {"x": np.zeros(3)}) == []
     got = sx.evaluate_all([X * Y, sx.Const(3.0)], {"x": 2.0, "y": 0.25})
