@@ -258,13 +258,12 @@ def test_manifest_numbers_are_refused_not_coerced(tmp_path, capsys, task, struct
 
 
 def test_sphere_chain_builds_only_the_chart_it_reduces(tmp_path, monkeypatch):
-    built = []
+    build, built = models._sphere_circle_chart, []
 
     def counted(label, *args):
         built.append(label)
         return build(label, *args)
 
-    build = models._sphere_circle_chart
     monkeypatch.setattr(models, "_sphere_circle_chart", counted)
     payload = {
         "seed": 0,

@@ -110,7 +110,7 @@ def test_sphere_circle_charts_are_built_on_first_access():
     charts = S.charts
     assert len(charts) == len(eager) == 8
     assert charts[-1] == eager[-1] and charts[-8] == eager[0]
-    assert charts[-1] is charts[7] is charts[-1]
+    assert charts[-1] is charts[7]
     assert charts[2:5] == eager[2:5]
     assert list(charts) == list(eager)
     assert [c.name for c in charts] == [c.name for c in eager]
