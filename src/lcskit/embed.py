@@ -17,6 +17,16 @@ generator back to the given one-form exactly:
 ``build_lcs_embedding`` combines the unit-sphere map with a circle-valued
 function into a product embedding certified to pull back the potential,
 the Lee form, and the twisted two-form of a first-kind structure.
+
+Every pullback identity is certified at sample points from one
+:func:`symexpr.jets` walk per chart and sample set
+(:func:`forms.jet_arrays`).  The walk gives a map's images and Jacobians
+DF, through which the target's forms are pulled back as DFᵀ(a∘F) and
+DFᵀ(a∘F)DF (:func:`forms.sampled_pullback`); the chart's pairs (f, x) are
+subtrees of the stage maps' components, so the same walk gives the given
+one-form as sum f dx.  No symbolic pullback, Jacobian or minor of an
+embedding map is built.  The radicand and sphere-constraint checks
+evaluate their expressions directly.
 """
 
 from __future__ import annotations
@@ -33,9 +43,6 @@ from .forms import (
     DifferentialForm,
     SmoothMap,
     ext_d,
-    forms_equal,
-    function_form,
-    pullback,
     wedge,
 )
 from .symexpr import Expr, ZeroCheck
@@ -101,21 +108,12 @@ class EmbeddingProblem:
     def pairs(self) -> int:
         return len(self.coefficients)
 
-    def one_form(self) -> DifferentialForm:
-        coeffs = {
-            (self.ambient.index(n),): c for n, c in self.coefficients
-        }
-        return DifferentialForm(self.ambient, 1, coeffs)
-
     def chart_pairs(self, F: SmoothMap) -> list[tuple[Expr, Expr]]:
         """Per-chart (coefficient, coordinate-function) expression pairs."""
         onto = dict(zip(self.ambient.names, F.components))
         return [
             (sx.substitute(c, onto), F.component(n)) for n, c in self.coefficients
         ]
-
-    def chart_form(self, F: SmoothMap) -> DifferentialForm:
-        return pullback(F, self.one_form())
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +186,8 @@ def _half_product_sum(pairs: Sequence[tuple[Expr, Expr]]) -> Expr:
     return sx.mul(sx.Const(0.5), sx.add(*(sx.mul(f, g) for f, g in pairs)))
 
 
-def _check_radicand(expr: Expr, dom: CoordinateDomain, samples: int, seed: int, where: str):
-    worst = float(np.min(sx.evaluate(expr, dom.sample_points(samples, seed))))
+def _check_radicand(expr: Expr, env, where: str):
+    worst = float(np.min(sx.evaluate(expr, env)))
     if worst <= 0.0:
         raise RadiusError(f"{where}: sphere radicand dips to {worst:.3g} at a sample")
 
@@ -245,6 +243,39 @@ def _sphere_residual(psi: SmoothMap, radius: float, samples: int, seed: int) -> 
     )
 
 
+def _theta_bar(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """The given one-form sum f dx (src, n) from the walked values and
+    gradients of the chart's pairs, in rows f1, x1, f2, x2, ..."""
+    return np.einsum("kn,kin->in", values[0::2], grads[1::2])
+
+
+def _pulled_and_theta_bar(
+    psi: SmoothMap, form: DifferentialForm, pairs: Sequence[tuple[Expr, Expr]], env
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From one jets walk of a stage map's components followed by the
+    chart's pairs, at the points of ``env``: the pullback of ``form``
+    through the sampled Jacobians, the given one-form, and the walk's
+    gradients.  The pairs are subtrees of the map's components, so the
+    walk's memo reads them off the map's own walk."""
+    k = len(psi.components)
+    values, grads = forms.jet_arrays(
+        psi.components + tuple(e for fg in pairs for e in fg), psi.source.names, env
+    )
+    pulled = forms.sampled_pullback(form, dict(zip(psi.target.names, values[:k])), grads[:k])
+    return pulled, _theta_bar(values[k:], grads[k:]), grads
+
+
+def _stage_pullback_check(
+    problem: EmbeddingProblem, cname: str, psi: SmoothMap, eta_c: DifferentialForm, tol: float, seed: int
+) -> ZeroCheck:
+    """The unit-sphere identity psi*(c eta) = theta_bar on one chart, at the
+    stage-2 points."""
+    F = dict(problem.charts)[cname]
+    env = psi.source.sample_points(problem.samples, seed + 1)
+    pulled, theta_bar, _ = _pulled_and_theta_bar(psi, eta_c, problem.chart_pairs(F), env)
+    return forms.values_check(pulled - theta_bar, env, tol)
+
+
 def build_psi2(
     problem: EmbeddingProblem,
     tol: float = 1e-9,
@@ -285,28 +316,29 @@ def build_psi2(
             sx.ONE, sx.pow_(c2, 2), _sum_squares([e for fg in pairs for e in fg])
         )
         radicand = sx.add(sx.Const(r2 * r2), sx.neg(gamma))
-        _check_radicand(radicand, F.source, problem.samples, seed + 1, f"stage 2 chart {cname!r}")
+        env = F.source.sample_points(problem.samples, seed + 1)
+        _check_radicand(radicand, env, f"stage 2 chart {cname!r}")
         comps: list[Expr] = []
         for f, g in pairs:
             comps.extend([g, f])
         comps.extend([sx.sqrt(radicand), sx.ZERO, c2, sx.ONE])
         psi = SmoothMap(F.source, target, tuple(comps))
-        pulled = pullback(psi, eta)
-        theta_bar = problem.chart_form(F)
         sph = _sphere_residual(psi, r2, problem.samples, seed + 1)
         if not sph.passed:
             raise CertificationError(f"stage 2 sphere constraint on chart {cname!r}", sph)
         certs.append((f"{cname}:sphere", sph))
+        pulled, theta_bar, grads = _pulled_and_theta_bar(psi, eta, pairs, env)
         if doubled_pair:
-            check = forms_equal(pulled, theta_bar, problem.samples, tol, seed + 1)
+            check = forms.values_check(pulled - theta_bar, env, tol)
             if not check.passed:
                 raise CertificationError(f"stage 2 pullback on chart {cname!r}", check)
             certs.append((f"{cname}:pullback", check))
         else:
-            half_dphi = ext_d(function_form(F.source, phis[cname])).scaled(sx.Const(0.5))
+            half_dphi = 0.5 * grads[2 * p + 2]  # the closing pair's first entry is phi
             measured = theta_bar - pulled  # the shortfall of the half-strength pair
-            agree = forms_equal(measured, half_dphi, problem.samples, tol, seed + 1)
-            defects.append((f"{cname}:defect-is-half-dphi", agree))
+            defects.append(
+                (f"{cname}:defect-is-half-dphi", forms.values_check(measured - half_dphi, env, tol))
+            )
         maps.append((cname, psi))
     return EmbeddingSolution(
         problem, 2, tuple(maps), target, p + 2, r2, None,
@@ -343,11 +375,7 @@ def build_psi3(
     eta_c = _eta_on(target, solution.pairs, scale=c)
     certs = []
     for cname, psi in maps:
-        F = dict(solution.problem.charts)[cname]
-        theta_bar = solution.problem.chart_form(F)
-        check = forms_equal(
-            pullback(psi, eta_c), theta_bar, solution.problem.samples, tol, seed + 1
-        )
+        check = _stage_pullback_check(solution.problem, cname, psi, eta_c, tol, seed)
         if not check.passed:
             raise CertificationError(f"stage 3 pullback on chart {cname!r}", check)
         sph = _sphere_residual(psi, 1.0, solution.problem.samples, seed + 1)
@@ -381,14 +409,7 @@ def pad_to_dimension(
     eta_c = _eta_on(target, N, scale=solution.scale)
     certs = []
     for cname, psi in maps:
-        F = dict(solution.problem.charts)[cname]
-        check = forms_equal(
-            pullback(psi, eta_c),
-            solution.problem.chart_form(F),
-            solution.problem.samples,
-            tol,
-            seed + 1,
-        )
+        check = _stage_pullback_check(solution.problem, cname, psi, eta_c, tol, seed)
         if not check.passed:
             raise CertificationError(f"padded pullback on chart {cname!r}", check)
         certs.append((f"{cname}:pullback", check))
@@ -491,15 +512,21 @@ def build_lcs_embedding(
             )
         if chart.alpha is None:
             raise EmbedError(f"chart {chart.name!r} has no potential to embed")
-        pot = forms_equal(problem.chart_form(F), chart.alpha, samples, tol, seed + 2)
+        if chart.name not in tau:
+            raise EmbedError(f"no circle function supplied for chart {chart.name!r}")
+        # one walk of the pairs and the circle function: theta_bar and d(tau)
+        env = chart.domain.sample_points(samples, seed + 2)
+        pairs = problem.chart_pairs(F)
+        values, grads = forms.jet_arrays(
+            tuple(e for fg in pairs for e in fg) + (tau[chart.name],), chart.domain.names, env
+        )
+        theta_bar = _theta_bar(values[:-1], grads[:-1])
+        pot = forms.values_check(theta_bar - forms.form_values(chart.alpha, env), env, tol)
         if not pot.passed:
             raise CertificationError(
                 f"one-form vs potential on chart {chart.name!r}", pot
             )
-        if chart.name not in tau:
-            raise EmbedError(f"no circle function supplied for chart {chart.name!r}")
-        dtau = ext_d(function_form(chart.domain, tau[chart.name]))
-        lee_check = forms_equal(dtau, chart.lee, samples, tol, seed + 2)
+        lee_check = forms.values_check(grads[-1] - forms.form_values(chart.lee, env), env, tol)
         if not lee_check.passed:
             raise CertificationError(
                 f"circle function differential vs Lee form on chart {chart.name!r}",
@@ -524,16 +551,21 @@ def build_lcs_embedding(
         # target order: interleaved sphere coordinates then theta
         psi = SmoothMap(chart.domain, target, tuple(comps))
         maps.append((chart.name, psi))
-        for label, got, want in (
-            ("pullback(scale * eta) - alpha", pullback(psi, eta_c), chart.alpha),
-            ("pullback(d theta) - lee", pullback(psi, circle_form), chart.lee),
-            ("pullback(scale * twisted form) - phi", pullback(psi, phi_target), chart.phi),
+        env = chart.domain.sample_points(samples, seed + 3)
+        values, DF = forms.jet_arrays(psi.components, chart.domain.names, env)
+        images = dict(zip(target.names, values))
+        for label, form, want in (
+            ("pullback(scale * eta) - alpha", eta_c, chart.alpha),
+            ("pullback(d theta) - lee", circle_form, chart.lee),
+            ("pullback(scale * twisted form) - phi", phi_target, chart.phi),
         ):
-            check = forms_equal(got, want, samples, tol, seed + 3)
+            residual = forms.sampled_pullback(form, images, DF) - forms.form_values(want, env)
+            check = forms.values_check(residual, env, tol)
             if not check.passed:
                 raise CertificationError(f"{label} on chart {chart.name!r}", check)
             certs.append((chart.name, label, check))
-        ranks.append(numeric.map_min_rank(psi, samples=min(40, samples), seed=seed + 4))
+        head = np.moveaxis(DF[..., : min(40, samples)], -1, 0)
+        ranks.append(int(numeric.numerical_rank(head).min(initial=min(psi.source.dim, target.dim))))
         dmin, npairs = _image_separation(
             psi, injectivity_samples, seed + 5, min_source_distance
         )
@@ -541,15 +573,17 @@ def build_lcs_embedding(
             inj_min = min(inj_min, dmin)
             inj_pairs += npairs
 
+    # the target's Lee form d(theta) comes from the circle factor, so the
+    # morphism is classified on the first chart's circle function alone
     first = structure.charts[0]
-    src_loops = models.structure_lee_loops(structure)
-    tgt_loops = [_target_circle_loop(target)]
+    circle = forms.make_domain("circle", [("theta", forms.ANGULAR)])
+    unit = forms.linear_domain("target_loop", ["t"], 0.0, 1.0)
     morphism = twisted.classify_morphism(
-        dict(maps)[first.name],
+        SmoothMap(first.domain, circle, (tau[first.name],)),
         first.lee,
-        circle_form,
-        src_loops,
-        tgt_loops,
+        circle.one_form("theta"),
+        models.structure_lee_loops(structure),
+        [SmoothMap(unit, circle, (sx.var("t"),))],
         samples=samples,
         tol=tol,
         seed=seed,
@@ -568,14 +602,21 @@ def build_lcs_embedding(
 def _image_separation(
     psi: SmoothMap, samples: int, seed: int, min_source: float
 ) -> tuple[float, int]:
+    """Smallest image distance over sample pairs at source distance above
+    ``min_source``, and the number of such pairs.  Structurally zero target
+    components (the padding pairs) add nothing to a distance and are
+    skipped."""
     env = psi.source.sample_points(samples, seed)
-    out = forms.evaluate_map(psi, env)
     src_cols, src_ang = [], []
     for c in psi.source.coords:
         (src_ang if c.kind == forms.ANGULAR else src_cols).append(env[c.name])
+    live = [(c, e) for c, e in zip(psi.target.coords, psi.components) if not sx.is_structural_zero(e)]
     tgt_cols, tgt_ang = [], []
-    for c in psi.target.coords:
-        (tgt_ang if c.kind == forms.ANGULAR else tgt_cols).append(out[c.name])
+    for (c, _), vals in zip(live, sx.evaluate_all([e for _, e in live], env)):
+        if c.kind == forms.ANGULAR:
+            tgt_ang.append(np.mod(vals, 1.0))
+        else:
+            tgt_cols.append(vals)
     idx_a, idx_b = np.triu_indices(samples, k=1)
 
     def dist(cols, angs, ia, ib):
@@ -592,19 +633,6 @@ def _image_separation(
         return 0.0, 0
     dt = dist(tgt_cols, tgt_ang, idx_a[keep], idx_b[keep])
     return float(np.min(dt)), int(np.sum(keep))
-
-
-def _target_circle_loop(target: CoordinateDomain) -> SmoothMap:
-    unit = forms.linear_domain("target_loop", ["t"], 0.0, 1.0)
-    comps = []
-    for n in target.names:
-        if n == "theta":
-            comps.append(sx.var("t"))
-        elif n == "x1":
-            comps.append(sx.ONE)
-        else:
-            comps.append(sx.ZERO)
-    return SmoothMap(unit, target, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

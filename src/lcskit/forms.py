@@ -16,7 +16,9 @@ fields into :class:`SampledForm` values with first derivatives, from one
 :func:`symexpr.jets` walk, and a sampled Cartan calculus runs on their
 sparse index dicts (d from antisymmetrised gradients, wedge and interior
 products pointwise, :func:`lie_derivative` by Cartan's formula and
-:func:`lie_bracket` from the fields' Jacobians).
+:func:`lie_bracket` from the fields' Jacobians).  Pullbacks are taken the
+same way: :func:`jet_arrays` gives a map's images and Jacobians from one
+walk, and :func:`sampled_pullback` pulls a target form back through them.
 
 Sign conventions used throughout the package:
     * wedge ordering follows the shuffle sign of merging index tuples;
@@ -501,15 +503,32 @@ def pullback(F: SmoothMap, a: DifferentialForm) -> DifferentialForm:
 # two-form matrices and rank
 
 
-def form_matrix(phi: DifferentialForm, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate a two-form into antisymmetric matrices, shape (*batch, d, d)."""
+def form_matrix(
+    phi: DifferentialForm, env: Mapping[str, np.ndarray], values: Mapping[tuple[int, ...], np.ndarray] | None = None
+) -> np.ndarray:
+    """Antisymmetric matrices of a two-form at the points of ``env``, shape
+    (*batch, d, d): its coefficients evaluated there, or ``values`` (index
+    tuple -> array) when they were already sampled there."""
     if phi.degree != 2:
         raise DegreeError("form_matrix expects a two-form")
-    return np.moveaxis(form_values(phi, env), (0, 1), (-2, -1))
+    if values is None:
+        return np.moveaxis(form_values(phi, env), (0, 1), (-2, -1))
+    d = phi.domain.dim
+    out = np.zeros(sx.batch_shape(env) + (d, d))
+    for (i, j), vals in values.items():
+        out[..., i, j] += vals
+        out[..., j, i] -= vals
+    return out
 
 
-def nondegeneracy_rank(phi: DifferentialForm, samples: int = 50, seed: int = 0) -> tuple[int, bool]:
-    """Minimum numerical rank of a two-form over sampled points.
+def nondegeneracy_rank(
+    phi: DifferentialForm,
+    env: Mapping[str, np.ndarray],
+    values: Mapping[tuple[int, ...], np.ndarray] | None = None,
+) -> tuple[int, bool]:
+    """Minimum numerical rank of a two-form over the points of ``env``, where
+    ``values`` may hold its coefficients already sampled (see
+    :func:`form_matrix`).
 
     Returns (min rank, whether that equals the domain dimension).
     """
@@ -517,7 +536,7 @@ def nondegeneracy_rank(phi: DifferentialForm, samples: int = 50, seed: int = 0) 
         raise DegreeError("nondegeneracy_rank expects a two-form")
     from . import numeric  # numeric imports forms at load, so not at module level
 
-    ranks = numeric.numerical_rank(form_matrix(phi, phi.domain.sample_points(samples, seed)))
+    ranks = numeric.numerical_rank(form_matrix(phi, env, values))
     min_rank = int(ranks.min()) if ranks.size else 0
     return min_rank, min_rank == phi.domain.dim
 
@@ -565,6 +584,44 @@ def evaluate_jacobian(F: SmoothMap, env: Mapping[str, np.ndarray]) -> np.ndarray
     """Jacobian of a map at sample points, shape (tgt, src, *batch)."""
     vals = sx.evaluate_all([e for row in F.jacobian for e in row], env)
     return np.array(vals).reshape(F.target.dim, F.source.dim, *sx.batch_shape(env))
+
+
+def jet_arrays(exprs: Sequence[Expr], names: Sequence[str], env: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Values (m, n) and gradients (m, len(names), n) of ``m`` expressions at
+    the ``n`` points of ``env``, from one :func:`symexpr.jets` walk: for a
+    map's components, its unwrapped images and Jacobians DF.  Partials by
+    coordinates an expression does not depend on are zero."""
+    index = {name: i for i, name in enumerate(names)}
+    shape = sx.batch_shape(env)
+    values = np.empty((len(exprs),) + shape)
+    grads = np.zeros((len(exprs), len(names)) + shape)
+    for row, (value, grad) in enumerate(sx.jets(exprs, env)):
+        values[row] = value
+        for name, d in grad.items():
+            grads[row, index[name]] = d
+    return values, grads
+
+
+def sampled_pullback(a: DifferentialForm, images: Mapping[str, np.ndarray], J: np.ndarray) -> np.ndarray:
+    """Values of a pullback F*a at sampled points, without building it: ``a``
+    is evaluated at the images F(x) (an env on F's target) and contracted
+    with the Jacobians DF there, ``J`` (tgt, src, n).  A one-form gives
+    DFᵀ(a∘F) (src, n), a two-form DFᵀ(a∘F)DF (src, src, n), one stacked
+    matmul over the samples."""
+    values = form_values(a, images)
+    if values.ndim == 2:
+        return np.einsum("an,ain->in", values, J)
+    Jn = np.moveaxis(J, -1, 0)
+    return np.moveaxis(np.swapaxes(Jn, 1, 2) @ np.moveaxis(values, -1, 0) @ Jn, 0, -1)
+
+
+def values_check(residual: np.ndarray, env: Mapping[str, np.ndarray], tol: float) -> ZeroCheck:
+    """The zero-check rule (:func:`symexpr.value_checks`) on the dense values
+    of a one-form (d, n) or two-form (d, d, n) residual at the points of
+    ``env``, over its coefficients on increasing indices."""
+    if residual.ndim == 3:
+        residual = residual[np.triu_indices(len(residual), 1)]
+    return sx.value_checks([residual], env, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .forms import (
     sampled_interior,
     sampled_sum,
     sampled_wedge,
+    wedge,
 )
 from .symexpr import Expr, ZeroCheck
 from .twisted import d_twisted
@@ -210,9 +211,11 @@ def model_sphere_circle(N: int, q: float = 1.0) -> LcsStructure:
 
     The potential is ``q`` times the restricted contact form, the Lee form
     is d(theta), ``phi = d alpha - lee ^ alpha``, ``B = d/d(theta)`` and
-    the anti-Lee field is ``-1/q`` times the contact Reeb field.  Each of
-    the 4N graph charts is built on its first access (see
-    :class:`LazyCharts`).
+    the anti-Lee field is ``-1/q`` times the contact Reeb field.  Since d
+    commutes with pullback, ``d alpha`` is the pullback of the constant
+    ``q d(eta) = -q sum dx_j ^ dy_j``: no chart differentiates its
+    potential.  Each of the 4N graph charts is built on its first access
+    (see :class:`LazyCharts`).
     """
     if N < 2:
         raise ModelError("model_sphere_circle needs N >= 2 (sphere dimension >= 3)")
@@ -228,9 +231,14 @@ def model_sphere_circle(N: int, q: float = 1.0) -> LcsStructure:
             for (name, coeff) in _eta_named_coeffs(N)
         },
     )
+    q_deta = DifferentialForm(
+        ambient,
+        2,
+        {(ambient.index(f"x{j}"), ambient.index(f"y{j}")): sx.Const(-q) for j in range(1, N + 1)},
+    )
     reeb = reeb_components(N)
     charts = LazyCharts(
-        partial(_sphere_circle_chart, label, P, eta_amb, reeb, q)
+        partial(_sphere_circle_chart, label, P, eta_amb, q_deta, reeb, q)
         for label, P in sphere_graph_charts(N, ambient, with_circle=True)
     )
     return LcsStructure(
@@ -240,13 +248,14 @@ def model_sphere_circle(N: int, q: float = 1.0) -> LcsStructure:
 
 
 def _sphere_circle_chart(
-    label: str, P: SmoothMap, eta_amb: DifferentialForm, reeb: dict[str, Expr], q: float
+    label: str, P: SmoothMap, eta_amb: DifferentialForm, q_deta: DifferentialForm,
+    reeb: dict[str, Expr], q: float,
 ) -> StructureChart:
     """The chart of :func:`model_sphere_circle` on one graph chart ``P``."""
     dom = P.source
     alpha = pullback(P, eta_amb).scaled(sx.Const(q))
     lee = dom.one_form("theta")
-    phi = d_twisted(lee, alpha)
+    phi = pullback(P, q_deta) - wedge(lee, alpha)
     b_field = basis_vector(dom, "theta")
     # ambient Reeb components composed through the chart (the dropped
     # coordinate becomes +-sqrt(1 - ...))
@@ -362,7 +371,9 @@ def validate_first_kind(
     On each chart one :func:`symexpr.jets` walk gives the values and first
     derivatives of phi, lee, alpha, B and E at one sample set, and the nine
     identities are assembled from them by the sampled calculus of
-    :mod:`lcskit.forms`; no derivative tree is built.
+    :mod:`lcskit.forms`; no derivative tree is built.  The two-form's rank
+    is read from the same walk's values of phi at the first
+    ``min(samples, 60)`` points.
     """
     checks: list[tuple[str, str, ZeroCheck]] = []
     min_rank = None
@@ -396,7 +407,10 @@ def validate_first_kind(
         groups = [list(r.values.values()) for r in residuals.values()]
         results = sx.value_checks(groups, env, tol)
         checks.extend((chart.name, label, c) for label, c in zip(residuals, results))
-        rank, _full = forms.nondegeneracy_rank(chart.phi, samples=min(samples, 60), seed=seed)
+        head = min(samples, 60)
+        rank, _full = forms.nondegeneracy_rank(
+            chart.phi, {n: v[:head] for n, v in env.items()}, {I: v[:head] for I, v in phi.values.items()}
+        )
         min_rank = rank if min_rank is None else min(min_rank, rank)
     nondeg = min_rank == structure.dim
     passed = nondeg and all(c.passed for _, _, c in checks)

@@ -50,7 +50,6 @@ from .forms import (
     function_form,
     identity_map,
     interior,
-    pullback,
     zero_form,
 )
 from .models import StructureChart
@@ -154,17 +153,6 @@ class StrongReducibilityReport:
         return max((r for _, r in self.pullback_residuals), default=0.0)
 
 
-def _pulled(values: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Pull forms back through a map F at sampled points: one-form values
-    a(F(x)) (tgt, n) become DFᵀ a (src, n), and two-form values (tgt, tgt,
-    n) become DFᵀ a DF (src, src, n), one stacked matmul over the samples;
-    ``J`` holds the Jacobians DF (tgt, src, n)."""
-    if values.ndim == 2:
-        return np.einsum("an,ain->in", values, J)
-    Jn = np.moveaxis(J, -1, 0)
-    return np.moveaxis(np.swapaxes(Jn, 1, 2) @ np.moveaxis(values, -1, 0) @ Jn, 0, -1)
-
-
 def _images(quotient: "SmoothMap | numeric.PointMap", env, samples: int):
     """Push the samples of ``env`` through a quotient.
 
@@ -248,7 +236,7 @@ def verify_strong_reducibility(
     # candidate foliation distribution: common kernel of the restricted Lee
     # form, potential, and potential derivative
     lee_rows, alpha_rows, dalpha_tensor, phi_tensor = (
-        _pulled(forms.form_values(a, images), J) for a in (amb.lee, amb.alpha, ext_d(amb.alpha), amb.phi)
+        forms.sampled_pullback(a, images, J) for a in (amb.lee, amb.alpha, ext_d(amb.alpha), amb.phi)
     )
 
     systems = np.concatenate([lee_rows[None], alpha_rows[None], dalpha_tensor]).transpose(2, 0, 1)
@@ -275,7 +263,7 @@ def verify_strong_reducibility(
     gap = float(np.max(gaps, initial=0.0))
     # the restricted forms were evaluated at every sample above; keep the survivors
     pullback_residuals = tuple(
-        (label, _max_abs(_pulled(forms.form_values(reduced_form, q_env), Jq) - restricted[..., kept]))
+        (label, _max_abs(forms.sampled_pullback(reduced_form, q_env, Jq) - restricted[..., kept]))
         for label, reduced_form, restricted in (
             ("alpha", data.reduced.alpha, alpha_rows),
             ("lee", data.reduced.lee, lee_rows),
@@ -642,7 +630,8 @@ def build_step3(
     unipotent (Jacobian determinant one), fixes the potential, and turns the
     Lee form into ``ds`` plus the weighted angle differentials.  No
     reduction happens here — the certification is that the shear pulls the
-    stage-two forms back to the normalized ones.
+    stage-two forms back to the normalized ones, checked at one sample set
+    through the shear's sampled Jacobians, which also give its determinant.
     """
     m2_dom = m2_chart.domain
     f0 = decomp.f0
@@ -660,18 +649,22 @@ def build_step3(
     alpha3 = m2_chart.alpha
     phi3 = d_twisted(lee3, alpha3)
 
-    alpha_check = forms_equal(pullback(shear, m2_chart.alpha), alpha3, samples, tol, seed)
-    lee_check = forms_equal(pullback(shear, m2_chart.lee), lee3, samples, tol, seed + 1)
-    phi_check = forms_equal(pullback(shear, m2_chart.phi), phi3, samples, tol, seed + 2)
-    for label, check in (("alpha", alpha_check), ("lee", lee_check), ("phi", phi_check)):
+    # one jets walk of the shear gives its images and Jacobians DS; each
+    # stage-two form is pulled back through them at the same points
+    env = m2_dom.sample_points(samples, seed)
+    values, DS = forms.jet_arrays(shear.components, m2_dom.names, env)
+    images = dict(zip(m2_dom.names, values))
+    checks = {}
+    for label, form, normalized in (
+        ("alpha", m2_chart.alpha, alpha3), ("lee", m2_chart.lee, lee3), ("phi", m2_chart.phi, phi3)
+    ):
+        residual = forms.sampled_pullback(form, images, DS) - forms.form_values(normalized, env)
+        checks[label] = check = forms.values_check(residual, env, tol)
         if not check.passed:
             raise ReductionError(
                 f"shear fails to normalize {label} (residual {check.max_residual:.3e})"
             )
-
-    env = m2_dom.sample_points(min(samples, 60), seed)
-    J = forms.evaluate_jacobian(shear, env)
-    det_offset = float(np.max(np.abs(np.linalg.det(np.moveaxis(J, 2, 0)) - 1.0)))
+    det_offset = float(np.max(np.abs(np.linalg.det(np.moveaxis(DS, 2, 0)) - 1.0)))
     if det_offset > tol * 10:
         raise ReductionError(f"shear is not unipotent (determinant offset {det_offset:.3e})")
 
@@ -681,12 +674,8 @@ def build_step3(
     )
     structure = _single_chart_structure(m3_chart.name, m3_chart, stage=3)
     first_kind = models.validate_first_kind(structure, samples=min(samples, 120), tol=max(tol, 1e-9), seed=seed)
-    extras = (
-        ("shear_alpha", alpha_check.max_residual),
-        ("shear_lee", lee_check.max_residual),
-        ("shear_phi", phi_check.max_residual),
-        ("shear_determinant", det_offset),
-    )
+    extras = tuple((f"shear_{label}", c.max_residual) for label, c in checks.items())
+    extras += (("shear_determinant", det_offset),)
     return StepResult(
         "shear_normalization", m3_chart, structure, None, None, first_kind, extras,
         first_kind.passed,
@@ -870,7 +859,7 @@ def concatenation_residual(
         raise ReductionError(f"only {used}/{samples} combined samples stayed inside the chart")
     _, p_env, Jp = _images(projection, {n: env[n][kept] for n in c_dom.names}, used)
     worst = max(
-        _max_abs(_pulled(forms.form_values(m2_form, image_env), J) - _pulled(forms.form_values(base_form, p_env), Jp))
+        _max_abs(forms.sampled_pullback(m2_form, image_env, J) - forms.sampled_pullback(base_form, p_env, Jp))
         for base_form, m2_form in expected
     )
     return worst, used, samples - used

@@ -7,13 +7,14 @@ the same mathematics.  Frozen: tests may add new call sites but should not
 alter the numerics here.
 
 The second part holds helpers built on the package's types that no run
-needs: a seeded test-form generator, the symbolic Lie derivative and Lie
-bracket (derivative trees), symbolic composition, the pointwise
-determinant pullback, the reducibility verifier's per-sample tangency,
-kernel and subspace-gap route, the sparse cut complex of a grid torus with its gauge
-conjugation, translation averaging and dense least-squares obstruction
-distance, and the sphere atlas overlap check.  Tests use them as generators
-and as second routes to the code that runs.
+needs: seeded test-form and test-map generators, the symbolic Lie
+derivative and Lie bracket (derivative trees), symbolic composition, the
+pointwise determinant pullback, the symbolic pullback of an embedding
+problem's one-form, the reducibility verifier's per-sample tangency,
+kernel and subspace-gap route, the sparse cut complex of a grid torus with
+its gauge conjugation, translation averaging and dense least-squares
+obstruction distance, and the sphere atlas overlap check.  Tests use them
+as generators and as second routes to the code that runs.
 """
 
 from __future__ import annotations
@@ -219,6 +220,18 @@ def random_polynomial_form(
     return DifferentialForm(domain, degree, coeffs)
 
 
+def random_map(source: CoordinateDomain, target: CoordinateDomain, seed: int) -> SmoothMap:
+    """Seeded map whose components are c0 x_i + c1 sin(x_j x_k)."""
+    rng = np.random.default_rng(seed)
+    xs = [sx.var(n) for n in source.names]
+    comps = []
+    for _ in range(target.dim):
+        i, j, k = rng.integers(0, source.dim, size=3)
+        c0, c1 = rng.uniform(-1.0, 1.0, size=2)
+        comps.append(sx.add(sx.mul(sx.Const(c0), xs[i]), sx.mul(sx.Const(c1), sx.sin(sx.mul(xs[j], xs[k])))))
+    return SmoothMap(source, target, tuple(comps))
+
+
 def _coordinate_basis_expr(c: Coordinate) -> sx.Expr:
     if c.kind == ANGULAR:
         return sx.sin(sx.mul(sx.Const(2.0 * np.pi), sx.Var(c.name)))
@@ -262,6 +275,15 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     return SmoothMap(
         inner.source, outer.target, tuple(sx.substitute(c, repl) for c in outer.components)
     )
+
+
+def chart_form(problem, F: SmoothMap) -> DifferentialForm:
+    """The given one-form sum c dx of an ``embed.EmbeddingProblem`` pulled
+    back through its chart ``F`` as a symbolic form: the derivative-tree
+    route to the theta_bar the embedding stages read off their jets walks."""
+    amb = problem.ambient
+    one_form = DifferentialForm(amb, 1, {(amb.index(n),): c for n, c in problem.coefficients})
+    return forms.pullback(F, one_form)
 
 
 def numeric_pullback(

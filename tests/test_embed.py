@@ -12,7 +12,8 @@ import lcskit.embed as embed
 import lcskit.forms as forms
 import lcskit.models as models
 import lcskit.symexpr as sx
-from oracle_utils import pullback_on_vectors
+import lcskit.twisted as twisted
+from oracle_utils import chart_form, pullback_on_vectors
 
 
 def _map_func(psi):
@@ -100,7 +101,7 @@ def test_psi2_half_pair_defect_is_half_dphi():
     prob = sol.problem
     _name, psi = sol.maps[0]
     eta = embed._eta_on(sol.ambient, sol.pairs)
-    gap = prob.chart_form(prob.charts[0][1]) - forms.pullback(psi, eta)
+    gap = chart_form(prob, prob.charts[0][1]) - forms.pullback(psi, eta)
     assert not forms.form_is_zero(gap, 200, 1e-3, 1).passed
 
 
@@ -149,7 +150,7 @@ def test_psi3_oracle_route():
     sol = embed.build_psi3(embed.build_psi2(prob, seed=0), seed=0)
     _name, psi = sol.maps[0]
     func = _map_func(psi)
-    theta_at = _form_at(prob.chart_form(prob.charts[0][1]))
+    theta_at = _form_at(chart_form(prob, prob.charts[0][1]))
     rng = np.random.default_rng(5)
     for t in (0.07, 0.33, 0.92):
         x = np.array([t])
@@ -271,3 +272,73 @@ def test_product_embedding_rejects_mismatched_potential():
     )
     with pytest.raises(embed.CertificationError):
         embed.build_lcs_embedding(S, doubled, tau, N=10, samples=60)
+
+
+# ---------------------------------------------------------------------------
+# the sampled route
+
+
+def test_embedding_maps_are_never_differentiated_symbolically(monkeypatch):
+    """Once the charts are built, the stages and the product embedding certify
+    every identity from jets walks: no stage map, chart map or product map
+    is pulled back symbolically or has its symbolic Jacobian taken.  Only
+    the morphism classification (twisted.classify_morphism) pulls back, and
+    only along one-dimensional loops and the chart's circle function."""
+    S = models.model_sphere_circle(2, q=1.0)
+    list(S.charts)  # build every chart: their potentials are symbolic pullbacks
+    prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
+    corpus = [factory() for factory in (embed.problem_circle, embed.problem_torus, embed.problem_sphere3)]
+    differentiated = []
+    real_pullback, real_jacobian = forms.pullback, forms.SmoothMap.jacobian.func
+
+    def counting_pullback(F, a):
+        differentiated.append(F)
+        return real_pullback(F, a)
+
+    def counting_jacobian(F):
+        differentiated.append(F)
+        return real_jacobian(F)
+
+    for module in (forms, embed, models, twisted):
+        if getattr(module, "pullback", None) is real_pullback:
+            monkeypatch.setattr(module, "pullback", counting_pullback)
+    monkeypatch.setattr(forms.SmoothMap, "jacobian", property(counting_jacobian))
+
+    for problem in corpus:
+        assert embed.build_sphere_pipeline(problem, N=8, tol=1e-9, seed=3).passed
+    assert differentiated == []
+    res = embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=3, samples=60)
+    assert res.passed
+    assert differentiated
+    assert all(F.source.dim == 1 or F.target.dim == 1 for F in differentiated)
+
+
+def _all_columns_separation(psi, samples, seed, min_source):
+    """The image separation over every target column, zeros included."""
+    env = psi.source.sample_points(samples, seed)
+    out = forms.evaluate_map(psi, env)
+    idx_a, idx_b = np.triu_indices(samples, k=1)
+
+    def dist(columns, angular, ia, ib):
+        total = np.zeros(ia.shape)
+        for col, ang in zip(columns, angular):
+            total += (embed._circle_distance(col[ia], col[ib]) if ang else col[ia] - col[ib]) ** 2
+        return np.sqrt(total)
+
+    src = [(env[c.name], c.kind == forms.ANGULAR) for c in psi.source.coords]
+    tgt = [(out[c.name], c.kind == forms.ANGULAR) for c in psi.target.coords]
+    keep = dist(*zip(*src), idx_a, idx_b) > min_source
+    dt = dist(*zip(*tgt), idx_a[keep], idx_b[keep])
+    return float(np.min(dt)), int(np.sum(keep))
+
+
+@pytest.mark.parametrize("N, zeros", [(2, 9), (3, 5)])
+def test_image_separation_skips_only_structural_zeros(N, zeros):
+    # the zeros: 8 (N = 2) or 4 (N = 3) padding columns, and the second
+    # entry of stage 2's radius pair
+    S = models.model_sphere_circle(N, q=1.0)
+    prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
+    res = embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=0, samples=40)
+    for _name, psi in res.maps[:2]:
+        assert sum(sx.is_structural_zero(c) for c in psi.components) == zeros
+        assert embed._image_separation(psi, 60, 5, 0.05) == _all_columns_separation(psi, 60, 5, 0.05)

@@ -338,16 +338,38 @@ def test_angular_targets_wrap_mod_one():
 
 def test_nondegeneracy_rank_reports_minimum():
     symp = DifferentialForm(R4, 2, {(0, 1): sx.ONE, (2, 3): sx.ONE})
-    assert forms.nondegeneracy_rank(symp) == (4, True)
+    assert forms.nondegeneracy_rank(symp, R4.sample_points(50)) == (4, True)
     degen = DifferentialForm(R4, 2, {(0, 1): sx.ONE})
-    assert forms.nondegeneracy_rank(degen) == (2, False)
+    assert forms.nondegeneracy_rank(degen, R4.sample_points(50)) == (2, False)
 
 
 def test_nondegeneracy_threshold_is_relative():
     # scale should not change the rank decision
     for eps in (1e-8, 1e-12):
         symp = DifferentialForm(R4, 2, {(0, 1): sx.Const(eps), (2, 3): sx.Const(eps)})
-        assert forms.nondegeneracy_rank(symp) == (4, True)
+        assert forms.nondegeneracy_rank(symp, R4.sample_points(50)) == (4, True)
+
+
+def test_rank_from_sampled_values_equals_the_rank_from_evaluation():
+    # rank 4 where x != 0, 2 at x = 0: both routes must see the same points
+    phi = DifferentialForm(R4, 2, {(0, 1): sx.ONE, (2, 3): sx.var("x")})
+    env = R4.sample_points(9, seed=3)
+    env["x"][4] = 0.0
+    values = forms.evaluate_form(phi, env)
+    assert np.array_equal(forms.form_matrix(phi, env, values), forms.form_matrix(phi, env))
+    assert forms.nondegeneracy_rank(phi, env, values) == forms.nondegeneracy_rank(phi, env) == (2, False)
+    head = {n: v[:4] for n, v in env.items()}
+    assert forms.nondegeneracy_rank(phi, head, {k: v[:4] for k, v in values.items()}) == (4, True)
+
+
+def test_values_check_reads_the_upper_coefficients():
+    env = R3.sample_points(5, seed=1)
+    residual = np.zeros((3, 3, 5))
+    residual[0, 2, 3], residual[2, 0, 3] = -3e-9, 3e-9
+    check = forms.values_check(residual, env, 1e-9)
+    assert not check.passed and check.max_residual == 3e-9
+    assert check.worst_point == {n: env[n][3] for n in R3.names}
+    assert forms.values_check(np.zeros((3, 5)), env, 0.0).passed
 
 
 # ---------------------------------------------------------------------------

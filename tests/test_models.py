@@ -32,7 +32,7 @@ def test_liouville_structure_is_exact_symplectic():
     chart = S.charts[0]
     assert forms.form_is_zero(forms.ext_d(chart.phi)).passed
     assert forms.forms_equal(forms.ext_d(chart.alpha), chart.phi).passed
-    _, full = forms.nondegeneracy_rank(chart.phi)
+    _, full = forms.nondegeneracy_rank(chart.phi, chart.domain.sample_points(50))
     assert full
     assert chart.lee.is_structurally_zero
 
@@ -126,6 +126,19 @@ def test_sphere_circle_scaled_first_kind():
     assert rep.passed
 
 
+@pytest.mark.parametrize("N, q", [(2, 1.0), (3, 2.0)])
+def test_sphere_two_form_is_the_twisted_differential_of_the_potential(N, q):
+    """Each chart's phi, built as P*(q d eta) - lee ^ alpha, equals
+    d_twisted(lee, alpha), which differentiates the pulled-back potential,
+    within 4 ulp of max(1, |value|) at sampled points of every chart."""
+    S = models.model_sphere_circle(N, q)
+    for chart in S.charts:
+        env = chart.domain.sample_points(100, seed=N)
+        got = forms.form_values(chart.phi, env)
+        want = forms.form_values(twisted.d_twisted(chart.lee, chart.alpha), env)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(want)))
+
+
 def test_validate_requires_distinguished_fields():
     with pytest.raises(models.ModelError):
         models.validate_first_kind(models.model_liouville(1))  # no B field
@@ -169,7 +182,7 @@ def first_kind_one_test_per_identity(S, samples, tol, seed):
             checks.append((chart.name, label, forms.form_is_zero(delta, samples, tol, seed)))
         bracket = oracle_utils.lie_bracket(B, E).components
         checks.append((chart.name, "[B, E]", sx.is_zero(bracket, dom, samples, tol, seed)))
-        rank, _ = forms.nondegeneracy_rank(chart.phi, samples=min(samples, 60), seed=seed)
+        rank, _ = forms.nondegeneracy_rank(chart.phi, dom.sample_points(min(samples, 60), seed))
         min_rank = rank if min_rank is None else min(min_rank, rank)
     nondeg = min_rank == S.dim
     passed = nondeg and all(c.passed for _, _, c in checks)

@@ -19,7 +19,9 @@ import lcskit.numeric as numeric
 import lcskit.reduction as reduction
 import lcskit.symexpr as sx
 import lcskit.twisted as twisted
-from oracle_utils import fd_jacobian, pointwise_reducibility, pullback_residual_at, random_polynomial_form, rk4_flow
+from oracle_utils import (
+    fd_jacobian, pointwise_reducibility, pullback_residual_at, random_map, random_polynomial_form, rk4_flow,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,42 +145,35 @@ def test_verifier_matches_pointwise_pullback_route(plane_chain):
     assert abs(got - 0.01) < 1e-12
 
 
-def _random_map(source: forms.CoordinateDomain, target: forms.CoordinateDomain, seed: int) -> forms.SmoothMap:
-    """Seeded map whose components are c0 x_i + c1 sin(x_j x_k)."""
-    rng = np.random.default_rng(seed)
-    xs = [sx.var(n) for n in source.names]
-    comps = []
-    for _ in range(target.dim):
-        i, j, k = rng.integers(0, source.dim, size=3)
-        c0, c1 = rng.uniform(-1.0, 1.0, size=2)
-        comps.append(sx.add(sx.mul(sx.Const(c0), xs[i]), sx.mul(sx.Const(c1), sx.sin(sx.mul(xs[j], xs[k])))))
-    return forms.SmoothMap(source, target, tuple(comps))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
 def test_pulled_values_equal_the_symbolic_pullback(seed, dims):
-    """The verifier's sampled route DFᵀ(a∘F) and DFᵀ(a∘F)DF against the
-    evaluated symbolic pullback F*a, for one- and two-forms and for d taken
-    before the pullback (F*da = d F*a), within 8 ulp of max(1, |value|)."""
+    """The sampled route DFᵀ(a∘F) and DFᵀ(a∘F)DF against the evaluated
+    symbolic pullback F*a, for random polynomial one- and two-forms and for
+    d taken before the pullback (F*da = d F*a), within 8 ulp of
+    max(1, |value|): with DF evaluated from the symbolic Jacobian (the
+    verifier's route) and from one jets walk of F (the embedding's)."""
     src, tgt = dims
     source = forms.linear_domain(f"src{src}", [f"x{i}" for i in range(src)])
     target = forms.linear_domain(f"tgt{tgt}", [f"y{i}" for i in range(tgt)])
-    F = _random_map(source, target, seed)
+    F = random_map(source, target, seed)
     env = source.sample_points(20, seed)
     images = dict(zip(target.names, sx.evaluate_all(F.components, env)))
-    J = forms.evaluate_jacobian(F, env)
+    values, jets_J = forms.jet_arrays(F.components, source.names, env)
+    assert np.array_equal(values, np.array(list(images.values())))
     cases = []
     for degree in (1, 2)[:tgt]:
         a = random_polynomial_form(target, degree, seed + degree)
         cases.append((a, forms.pullback(F, a)))
         if degree == 1:
             cases.append((forms.ext_d(a), forms.ext_d(forms.pullback(F, a))))
-    for a, symbolic in cases:
-        got = reduction._pulled(forms.form_values(a, images), J)
-        want = forms.form_values(symbolic, env)
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(want)))
+    for J in (forms.evaluate_jacobian(F, env), jets_J):
+        assert J.shape == (tgt, src, 20)
+        for a, symbolic in cases:
+            got = forms.sampled_pullback(a, images, J)
+            want = forms.form_values(symbolic, env)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("fixture, stage", [("plane_chain", 0), ("plane_chain", 3), ("sphere_chain", 0)])

@@ -1,4 +1,5 @@
-"""Planted-defect matrices: the first-kind identities and the reduction chain.
+"""Planted-defect matrices: the first-kind identities, the reduction chain
+and the embeddings.
 
 For the first-kind identities, each defect is a one-parameter family S(eps) built from the universal model
 with k = N = 1 (coordinates s, u, th1, t1, pth1, pt1; Lee form ds + d th1,
@@ -11,9 +12,11 @@ the wrong residual, fails here.
 """
 
 import dataclasses
+import re
 
 import pytest
 
+import lcskit.embed as embed
 import lcskit.models as models
 import lcskit.reduction as reduction
 import lcskit.symexpr as sx
@@ -141,3 +144,80 @@ def test_planted_chain_defect_is_caught_in_proportion(sphere_chain, stage):
     residual = dict(rep.pullback_residuals)["alpha"]
     assert residual > rep.pullback_tol
     assert 0.1 <= residual / eps <= 10.0
+
+
+# The shear of stage three subtracts the declared exact part f0 from s.
+# Declaring f0 + eps b instead leaves eps db in the pulled-back Lee form, so
+# the shear's Lee residual reads eps.
+
+
+@pytest.fixture(scope="module")
+def plane_stage_two():
+    chart, decomp, factory = reduction.plane_chain_input()
+    return reduction.run_reduction_chain(chart, decomp, factory).steps[1].chart, decomp
+
+
+def test_planted_shear_defect_is_caught_in_proportion(plane_stage_two):
+    m2_chart, decomp = plane_stage_two
+
+    def shear(eps):
+        planted = dataclasses.replace(decomp, f0=sx.add(decomp.f0, sx.mul(sx.Const(eps), sx.var("b"))))
+        return reduction.build_step3(m2_chart, planted, tol=TOL)
+
+    assert shear(0.0).passed
+    assert max(v for _, v in shear(0.0).extras) <= TOL
+    eps = 10 * TOL
+    with pytest.raises(reduction.ReductionError, match="normalize lee") as caught:
+        shear(eps)
+    residual = float(re.search(r"residual ([-+0-9.e]+)", str(caught.value)).group(1))
+    assert 0.1 <= residual / eps <= 10.0
+
+
+# ---------------------------------------------------------------------------
+# the embeddings: a defect on the scale of the contact generator
+#
+# Scaling every contact generator eta by 1 + eps moves the first pullback
+# identity the stages certify, psi2*(eta) = theta_bar, by eps theta_bar.  On
+# the circle |theta_bar| = 2 pi sin^2(2 pi t) <= 2 pi; on the sphere charts
+# theta_bar is the potential, of order one.  A failed identity raises
+# CertificationError carrying its check.
+
+
+_ETA_ON = embed._eta_on
+
+
+def _planted_eta(monkeypatch, eps):
+    monkeypatch.setattr(
+        embed, "_eta_on", lambda domain, pairs, scale=1.0: _ETA_ON(domain, pairs, scale * (1.0 + eps))
+    )
+
+
+def _corpus_circle(seed):
+    sol = embed.build_sphere_pipeline(embed.problem_circle(), tol=1e-9, seed=seed)
+    return sol.passed, max(c.max_residual for _, c in sol.certifications), 1e-9
+
+
+def _product_sphere2(seed):
+    S = models.model_sphere_circle(2, q=1.0)
+    prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
+    res = embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=seed, samples=60)
+    return res.passed, max(c.max_residual for _, _, c in res.certifications), 1e-8
+
+
+EMBED_RECORDS = {"embed:corpus:circle": _corpus_circle, "embed:product:sphere2": _product_sphere2}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("record", sorted(EMBED_RECORDS))
+def test_planted_contact_scale_is_caught_in_proportion(monkeypatch, record, seed):
+    run = EMBED_RECORDS[record]
+    _planted_eta(monkeypatch, 0.0)
+    passed, _residual, tol = run(seed)
+    assert passed
+    eps = 10 * tol
+    _planted_eta(monkeypatch, eps)
+    with pytest.raises(embed.CertificationError) as caught:
+        run(seed)
+    check = caught.value.check
+    assert not check.passed and check.max_residual > check.tol
+    assert 0.1 <= check.max_residual / eps <= 10.0
