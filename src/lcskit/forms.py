@@ -512,7 +512,7 @@ def form_matrix(
     if phi.degree != 2:
         raise DegreeError("form_matrix expects a two-form")
     if values is None:
-        return np.moveaxis(form_values(phi, env), (0, 1), (-2, -1))
+        values = evaluate_form(phi, env)
     d = phi.domain.dim
     out = np.zeros(sx.batch_shape(env) + (d, d))
     for (i, j), vals in values.items():
