@@ -564,8 +564,7 @@ def build_lcs_embedding(
             if not check.passed:
                 raise CertificationError(f"{label} on chart {chart.name!r}", check)
             certs.append((chart.name, label, check))
-        head = np.moveaxis(DF[..., : min(40, samples)], -1, 0)
-        ranks.append(int(numeric.numerical_rank(head).min(initial=min(psi.source.dim, target.dim))))
+        ranks.append(numeric.jacobian_min_rank(DF[..., : min(40, samples)]))
         dmin, npairs = _image_separation(
             psi, injectivity_samples, seed + 5, min_source_distance
         )

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -504,31 +504,21 @@ def pullback(F: SmoothMap, a: DifferentialForm) -> DifferentialForm:
 
 
 def form_matrix(
-    phi: DifferentialForm, env: Mapping[str, np.ndarray], values: Mapping[tuple[int, ...], np.ndarray] | None = None
+    phi: DifferentialForm, env: Mapping[str, np.ndarray], values: Mapping[tuple[int, ...], np.ndarray]
 ) -> np.ndarray:
     """Antisymmetric matrices of a two-form at the points of ``env``, shape
-    (*batch, d, d): its coefficients evaluated there, or ``values`` (index
-    tuple -> array) when they were already sampled there."""
+    (*batch, d, d), from its coefficient ``values`` there (index tuple ->
+    array, as :func:`evaluate_form` gives them)."""
     if phi.degree != 2:
         raise DegreeError("form_matrix expects a two-form")
-    if values is None:
-        values = evaluate_form(phi, env)
-    d = phi.domain.dim
-    out = np.zeros(sx.batch_shape(env) + (d, d))
-    for (i, j), vals in values.items():
-        out[..., i, j] += vals
-        out[..., j, i] -= vals
-    return out
+    return np.moveaxis(_dense(phi, values.items(), sx.batch_shape(env)), (0, 1), (-2, -1))
 
 
 def nondegeneracy_rank(
-    phi: DifferentialForm,
-    env: Mapping[str, np.ndarray],
-    values: Mapping[tuple[int, ...], np.ndarray] | None = None,
+    phi: DifferentialForm, env: Mapping[str, np.ndarray], values: Mapping[tuple[int, ...], np.ndarray]
 ) -> tuple[int, bool]:
-    """Minimum numerical rank of a two-form over the points of ``env``, where
-    ``values`` may hold its coefficients already sampled (see
-    :func:`form_matrix`).
+    """Minimum numerical rank of a two-form over the points of ``env``, from
+    its coefficient ``values`` there (see :func:`form_matrix`).
 
     Returns (min rank, whether that equals the domain dimension).
     """
@@ -570,8 +560,16 @@ def form_values(a: DifferentialForm, env: Mapping[str, np.ndarray]) -> np.ndarra
     antisymmetric in the first two axes, shape (dim, dim, *batch)."""
     if a.degree not in (1, 2):
         raise DegreeError(f"form_values expects a one- or two-form, got degree {a.degree}")
-    out = np.zeros((a.domain.dim,) * a.degree + sx.batch_shape(env))
-    for idx, vals in zip(a.coeffs, sx.evaluate_all(a.coeffs.values(), env)):
+    return _dense(a, evaluate_form(a, env).items(), sx.batch_shape(env))
+
+
+def _dense(
+    a: DifferentialForm, values: Iterable[tuple[tuple[int, ...], np.ndarray]], shape: tuple[int, ...]
+) -> np.ndarray:
+    """Dense array of a one- or two-form from its coefficient values of batch
+    ``shape`` (see :func:`form_values`)."""
+    out = np.zeros((a.domain.dim,) * a.degree + shape)
+    for idx, vals in values:
         if a.degree == 1:
             out[idx] = vals
         else:

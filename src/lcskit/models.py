@@ -213,9 +213,9 @@ def model_sphere_circle(N: int, q: float = 1.0) -> LcsStructure:
     is d(theta), ``phi = d alpha - lee ^ alpha``, ``B = d/d(theta)`` and
     the anti-Lee field is ``-1/q`` times the contact Reeb field.  Since d
     commutes with pullback, ``d alpha`` is the pullback of the constant
-    ``q d(eta) = -q sum dx_j ^ dy_j``: no chart differentiates its
-    potential.  Each of the 4N graph charts is built on its first access
-    (see :class:`LazyCharts`).
+    ``q d(eta) = -q sum dx_j ^ dy_j``, differentiated once per model: no
+    chart differentiates its potential.  Each of the 4N graph charts is
+    built on its first access (see :class:`LazyCharts`).
     """
     if N < 2:
         raise ModelError("model_sphere_circle needs N >= 2 (sphere dimension >= 3)")
@@ -231,11 +231,7 @@ def model_sphere_circle(N: int, q: float = 1.0) -> LcsStructure:
             for (name, coeff) in _eta_named_coeffs(N)
         },
     )
-    q_deta = DifferentialForm(
-        ambient,
-        2,
-        {(ambient.index(f"x{j}"), ambient.index(f"y{j}")): sx.Const(-q) for j in range(1, N + 1)},
-    )
+    q_deta = ext_d(eta_amb).scaled(sx.Const(q))
     reeb = reeb_components(N)
     charts = LazyCharts(
         partial(_sphere_circle_chart, label, P, eta_amb, q_deta, reeb, q)

@@ -458,9 +458,13 @@ def numerical_rank(M: np.ndarray, rel_threshold: float = RANK_RTOL) -> int | np.
 
 def map_min_rank(F: SmoothMap, samples: int = 40, seed: int = 0) -> int:
     """Minimum numerical rank of a map's Jacobian over sampled points."""
-    J = forms.evaluate_jacobian(F, F.source.sample_points(samples, seed))
-    ranks = numerical_rank(np.moveaxis(J, -1, 0))
-    return int(ranks.min(initial=min(F.source.dim, F.target.dim)))
+    return jacobian_min_rank(forms.evaluate_jacobian(F, F.source.sample_points(samples, seed)))
+
+
+def jacobian_min_rank(J: np.ndarray) -> int:
+    """Minimum numerical rank of sampled Jacobians ``J`` (tgt, src, n); the
+    full rank min(tgt, src) when there are no samples."""
+    return int(numerical_rank(np.moveaxis(J, -1, 0)).min(initial=min(J.shape[:2])))
 
 
 def kernel_bases(M: np.ndarray, rel_threshold: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:

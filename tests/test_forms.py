@@ -336,28 +336,32 @@ def test_angular_targets_wrap_mod_one():
 # rank
 
 
+def _rank(phi, env):
+    return forms.nondegeneracy_rank(phi, env, evaluate_form(phi, env))
+
+
 def test_nondegeneracy_rank_reports_minimum():
     symp = DifferentialForm(R4, 2, {(0, 1): sx.ONE, (2, 3): sx.ONE})
-    assert forms.nondegeneracy_rank(symp, R4.sample_points(50)) == (4, True)
+    assert _rank(symp, R4.sample_points(50)) == (4, True)
     degen = DifferentialForm(R4, 2, {(0, 1): sx.ONE})
-    assert forms.nondegeneracy_rank(degen, R4.sample_points(50)) == (2, False)
+    assert _rank(degen, R4.sample_points(50)) == (2, False)
 
 
 def test_nondegeneracy_threshold_is_relative():
     # scale should not change the rank decision
     for eps in (1e-8, 1e-12):
         symp = DifferentialForm(R4, 2, {(0, 1): sx.Const(eps), (2, 3): sx.Const(eps)})
-        assert forms.nondegeneracy_rank(symp, R4.sample_points(50)) == (4, True)
+        assert _rank(symp, R4.sample_points(50)) == (4, True)
 
 
-def test_rank_from_sampled_values_equals_the_rank_from_evaluation():
-    # rank 4 where x != 0, 2 at x = 0: both routes must see the same points
+def test_rank_reads_the_sampled_values_at_their_points():
+    # rank 4 where x != 0, 2 at x = 0: only the points the values hold count
     phi = DifferentialForm(R4, 2, {(0, 1): sx.ONE, (2, 3): sx.var("x")})
     env = R4.sample_points(9, seed=3)
     env["x"][4] = 0.0
     values = forms.evaluate_form(phi, env)
-    assert np.array_equal(forms.form_matrix(phi, env, values), forms.form_matrix(phi, env))
-    assert forms.nondegeneracy_rank(phi, env, values) == forms.nondegeneracy_rank(phi, env) == (2, False)
+    assert np.array_equal(forms.form_matrix(phi, env, values), np.moveaxis(forms.form_values(phi, env), -1, 0))
+    assert forms.nondegeneracy_rank(phi, env, values) == (2, False)
     head = {n: v[:4] for n, v in env.items()}
     assert forms.nondegeneracy_rank(phi, head, {k: v[:4] for k, v in values.items()}) == (4, True)
 
@@ -416,7 +420,7 @@ def test_form_values_two_form_against_multilinear_oracle(phi):
         for i, j in itertools.product(range(4), repeat=2):
             want = oracle.eval_form_on_vectors(coeffs, [basis[i], basis[j]])
             assert vals[i, j, k] == pytest.approx(want, abs=1e-14)
-    assert np.array_equal(forms.form_matrix(phi, env), np.moveaxis(vals, -1, 0))
+    assert np.array_equal(forms.form_matrix(phi, env, evaluate_form(phi, env)), np.moveaxis(vals, -1, 0))
     assert forms.form_values(phi, {n: env[n][0] for n in R4.names}).shape == (4, 4)
 
 

@@ -32,7 +32,8 @@ def test_liouville_structure_is_exact_symplectic():
     chart = S.charts[0]
     assert forms.form_is_zero(forms.ext_d(chart.phi)).passed
     assert forms.forms_equal(forms.ext_d(chart.alpha), chart.phi).passed
-    _, full = forms.nondegeneracy_rank(chart.phi, chart.domain.sample_points(50))
+    env = chart.domain.sample_points(50)
+    _, full = forms.nondegeneracy_rank(chart.phi, env, forms.evaluate_form(chart.phi, env))
     assert full
     assert chart.lee.is_structurally_zero
 
@@ -182,7 +183,8 @@ def first_kind_one_test_per_identity(S, samples, tol, seed):
             checks.append((chart.name, label, forms.form_is_zero(delta, samples, tol, seed)))
         bracket = oracle_utils.lie_bracket(B, E).components
         checks.append((chart.name, "[B, E]", sx.is_zero(bracket, dom, samples, tol, seed)))
-        rank, _ = forms.nondegeneracy_rank(chart.phi, dom.sample_points(min(samples, 60), seed))
+        env = dom.sample_points(min(samples, 60), seed)
+        rank, _ = forms.nondegeneracy_rank(chart.phi, env, forms.evaluate_form(chart.phi, env))
         min_rank = rank if min_rank is None else min(min_rank, rank)
     nondeg = min_rank == S.dim
     passed = nondeg and all(c.passed for _, _, c in checks)
@@ -306,7 +308,7 @@ def test_anti_lee_contraction_matrix_route():
     chart = S.charts[5]
     dom = chart.domain
     env = dom.sample_points(30, seed=4)
-    M = forms.form_matrix(chart.phi, env)
+    M = forms.form_matrix(chart.phi, env, forms.evaluate_form(chart.phi, env))
     E = np.stack(
         [
             np.broadcast_to(np.asarray(sx.evaluate(c, env), dtype=float), (30,))

@@ -426,6 +426,19 @@ def test_numerical_rank_edge_cases():
     assert numeric.count_significant(np.array([[3.0, 1e-12, 0.0], [0.0, 0.0, 0.0]])).tolist() == [1, 0]
 
 
+def test_jacobian_min_rank_is_the_minimum_over_samples():
+    # DF of (x, y) -> (x, x*y, y**2) has rank 2 except where x = y = 0
+    R2 = linear_domain("R2", ["x", "y"], -1.0, 1.0)
+    x, y = sx.var("x"), sx.var("y")
+    F = SmoothMap(R2, linear_domain("R3", ["a", "b", "c"]), (x, x * y, y * y))
+    env = R2.sample_points(6, seed=2)
+    J = forms.evaluate_jacobian(F, env)
+    assert numeric.jacobian_min_rank(J) == numeric.map_min_rank(F, 6, seed=2) == 2
+    env["x"][3] = env["y"][3] = 0.0
+    assert numeric.jacobian_min_rank(forms.evaluate_jacobian(F, env)) == 1
+    assert numeric.jacobian_min_rank(J[..., :0]) == 2
+
+
 def test_subspace_gap():
     A = np.array([[1.0], [0.0]])
     B = np.array([[1.0], [1e-12]]) / np.hypot(1.0, 1e-12)

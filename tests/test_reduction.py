@@ -62,7 +62,7 @@ def test_plane_step2_two_form_kernel_oracle(plane_chain):
     data = step.data
     phi_c = forms.pullback(data.submanifold, data.ambient.phi)
     env = data.submanifold.source.sample_points(rep_samples := 40, 0, 0.5)
-    M = forms.form_matrix(phi_c, env)
+    M = forms.form_matrix(phi_c, env, forms.evaluate_form(phi_c, env))
     nullities = []
     for i in range(rep_samples):
         s = np.linalg.svd(M[i], compute_uv=False)
