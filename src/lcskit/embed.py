@@ -204,6 +204,9 @@ class EmbeddingSolution:
     constant c with pullback(map, c * eta) equal to the given one-form, and
     is None until stage 3.  For the half-strength closing pair, ``defects``
     certifies that the measured pullback defect equals (1/2) d(phi).
+    ``certifications`` holds every check the pipeline made up to this
+    solution, labelled ``stage2:``, ``stage3:`` or ``pad<N>:`` by the stage
+    that made it.
     """
 
     problem: EmbeddingProblem
@@ -326,13 +329,13 @@ def build_psi2(
         sph = _sphere_residual(psi, r2, problem.samples, seed + 1)
         if not sph.passed:
             raise CertificationError(f"stage 2 sphere constraint on chart {cname!r}", sph)
-        certs.append((f"{cname}:sphere", sph))
+        certs.append((f"stage2:{cname}:sphere", sph))
         pulled, theta_bar, grads = _pulled_and_theta_bar(psi, eta, pairs, env)
         if doubled_pair:
             check = forms.values_check(pulled - theta_bar, env, tol)
             if not check.passed:
                 raise CertificationError(f"stage 2 pullback on chart {cname!r}", check)
-            certs.append((f"{cname}:pullback", check))
+            certs.append((f"stage2:{cname}:pullback", check))
         else:
             half_dphi = 0.5 * grads[2 * p + 2]  # the closing pair's first entry is phi
             measured = theta_bar - pulled  # the shortfall of the half-strength pair
@@ -360,7 +363,8 @@ def build_psi3(
     solution: EmbeddingSolution, tol: float = 1e-9, seed: int = 0
 ) -> EmbeddingSolution:
     """Third stage: rescale onto the unit sphere; the compensating constant
-    is the squared stage-2 radius."""
+    is the squared stage-2 radius.  The stage-2 certificates are kept next
+    to this stage's own, each labelled by its stage."""
     if solution.stage != 2:
         raise EmbedError("build_psi3 consumes a stage-2 solution")
     if not solution.doubled_pair:
@@ -373,7 +377,7 @@ def build_psi3(
     maps = _scaled_maps(solution.maps, target, 1.0 / r2)
     c = r2 * r2
     eta_c = _eta_on(target, solution.pairs, scale=c)
-    certs = []
+    certs = list(solution.certifications)
     for cname, psi in maps:
         check = _stage_pullback_check(solution.problem, cname, psi, eta_c, tol, seed)
         if not check.passed:
@@ -381,7 +385,7 @@ def build_psi3(
         sph = _sphere_residual(psi, 1.0, solution.problem.samples, seed + 1)
         if not sph.passed:
             raise CertificationError(f"stage 3 sphere constraint on chart {cname!r}", sph)
-        certs.extend([(f"{cname}:pullback", check), (f"{cname}:sphere", sph)])
+        certs.extend([(f"stage3:{cname}:pullback", check), (f"stage3:{cname}:sphere", sph)])
     return EmbeddingSolution(
         solution.problem, 3, maps, target, solution.pairs, r2, c,
         solution.phi, solution.doubled_pair, tuple(certs), (),
@@ -391,7 +395,8 @@ def build_psi3(
 def pad_to_dimension(
     solution: EmbeddingSolution, N: int, tol: float = 1e-9, seed: int = 0
 ) -> EmbeddingSolution:
-    """Extend a unit-sphere solution by zero coordinate pairs up to N pairs."""
+    """Extend a unit-sphere solution by zero coordinate pairs up to N pairs,
+    keeping the certificates of the stages before."""
     if solution.stage != 3:
         raise EmbedError("padding applies to unit-sphere (stage-3) solutions")
     if N < solution.pairs:
@@ -407,12 +412,12 @@ def pad_to_dimension(
         for cname, psi in solution.maps
     )
     eta_c = _eta_on(target, N, scale=solution.scale)
-    certs = []
+    certs = list(solution.certifications)
     for cname, psi in maps:
         check = _stage_pullback_check(solution.problem, cname, psi, eta_c, tol, seed)
         if not check.passed:
             raise CertificationError(f"padded pullback on chart {cname!r}", check)
-        certs.append((f"{cname}:pullback", check))
+        certs.append((f"pad{N}:{cname}:pullback", check))
     return EmbeddingSolution(
         solution.problem, 3, maps, target, N, solution.r2,
         solution.scale, solution.phi, solution.doubled_pair, tuple(certs), (),
@@ -604,7 +609,8 @@ def _image_separation(
     """Smallest image distance over sample pairs at source distance above
     ``min_source``, and the number of such pairs.  Structurally zero target
     components (the padding pairs) add nothing to a distance and are
-    skipped."""
+    skipped; angular ones need no wrapping, as the circle distance is taken
+    modulo 1."""
     env = psi.source.sample_points(samples, seed)
     src_cols, src_ang = [], []
     for c in psi.source.coords:
@@ -612,10 +618,7 @@ def _image_separation(
     live = [(c, e) for c, e in zip(psi.target.coords, psi.components) if not sx.is_structural_zero(e)]
     tgt_cols, tgt_ang = [], []
     for (c, _), vals in zip(live, sx.evaluate_all([e for _, e in live], env)):
-        if c.kind == forms.ANGULAR:
-            tgt_ang.append(np.mod(vals, 1.0))
-        else:
-            tgt_cols.append(vals)
+        (tgt_ang if c.kind == forms.ANGULAR else tgt_cols).append(vals)
     idx_a, idx_b = np.triu_indices(samples, k=1)
 
     def dist(cols, angs, ia, ib):

@@ -19,6 +19,10 @@ products pointwise, :func:`lie_derivative` by Cartan's formula and
 :func:`lie_bracket` from the fields' Jacobians).  Pullbacks are taken the
 same way: :func:`jet_arrays` gives a map's images and Jacobians from one
 walk, and :func:`sampled_pullback` pulls a target form back through them.
+That walk is the one route from a :class:`SmoothMap` to values at points:
+images come back unwrapped, and :func:`numeric.wrap_point` reduces their
+angular coordinates where a caller needs them in [0, 1).  A map's symbolic
+Jacobian is built only for the symbolic :func:`pullback`.
 
 Sign conventions used throughout the package:
     * wedge ordering follows the shuffle sign of merging index tuples;
@@ -282,11 +286,19 @@ class VectorField:
 
     @cached_property
     def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Compiled ``x -> (components, Jacobians)`` at points (N, dim),
-        built once."""
-        names = self.domain.names
-        jacobian = tuple(tuple(sx.diff(c, n) for n in names) for c in self.components)
-        return _compile_jet(self.components, jacobian, names)
+        """Compiled ``x -> (components, Jacobians)`` at points (N, dim):
+        values (N, dim) and Jacobians (N, dim, dim), each Jacobian
+        contiguous; built once, from one compiled function of the
+        components and their partials (row-major)."""
+        names, d = self.domain.names, self.domain.dim
+        partials = tuple(sx.diff(c, n) for c in self.components for n in names)
+        func = sx.lambdify(self.components + partials, names)
+
+        def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            out = func(*np.transpose(x))
+            return out[:d].T, np.ascontiguousarray(out[d:].reshape(d, d, len(x)).transpose(2, 0, 1))
+
+        return jet
 
 
 def basis_vector(domain: CoordinateDomain, name: str) -> VectorField:
@@ -300,7 +312,7 @@ class SmoothMap:
     """Map between domains given by one expression per target coordinate.
 
     Components targeting an ``angular`` coordinate are understood modulo 1;
-    :func:`evaluate_map` reduces them to [0, 1).
+    :func:`numeric.wrap_point` reduces them to [0, 1).
     """
 
     source: CoordinateDomain
@@ -326,45 +338,9 @@ class SmoothMap:
         src = self.source.names
         return tuple(tuple(sx.diff(c, n) for n in src) for c in self.components)
 
-    @cached_property
-    def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Compiled ``x -> (values, Jacobians)`` at source points (N, src),
-        without angular wrapping; built on first use and kept for the map's
-        lifetime."""
-        return _compile_jet(self.components, self.jacobian, self.source.names)
-
-
-def _compile_jet(components: tuple[Expr, ...], jacobian: tuple[tuple[Expr, ...], ...], names: tuple[str, ...]):
-    """One compiled function for components and their Jacobian (row-major),
-    run on the coordinate columns of points (N, cols): values (N, rows) and
-    Jacobians (N, rows, cols), each Jacobian contiguous."""
-    rows, cols = len(components), len(names)
-    func = sx.lambdify(components + tuple(e for row in jacobian for e in row), names)
-
-    def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = func(*np.transpose(x))
-        J = out[rows:].reshape(rows, cols, len(x)).transpose(2, 0, 1)
-        return out[:rows].T, np.ascontiguousarray(J)
-
-    return jet
-
 
 def identity_map(domain: CoordinateDomain) -> SmoothMap:
     return SmoothMap(domain, domain, tuple(sx.Var(n) for n in domain.names))
-
-
-def evaluate_map(F: SmoothMap, env: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Evaluate a map at sample points, wrapping angular targets into [0, 1).
-
-    Each component comes back as a fresh array of the env's batch shape.
-    """
-    out: dict[str, np.ndarray] = {}
-    for coord, vals in zip(F.target.coords, sx.evaluate_all(F.components, env)):
-        vals = np.array(vals)
-        if coord.kind == ANGULAR:
-            vals = np.mod(vals, 1.0)
-        out[coord.name] = vals
-    return out
 
 
 def _check_domains(a: CoordinateDomain, b: CoordinateDomain) -> None:
@@ -576,12 +552,6 @@ def _dense(
             out[idx] += vals
             out[idx[::-1]] -= vals
     return out
-
-
-def evaluate_jacobian(F: SmoothMap, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Jacobian of a map at sample points, shape (tgt, src, *batch)."""
-    vals = sx.evaluate_all([e for row in F.jacobian for e in row], env)
-    return np.array(vals).reshape(F.target.dim, F.source.dim, *sx.batch_shape(env))
 
 
 def jet_arrays(exprs: Sequence[Expr], names: Sequence[str], env: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

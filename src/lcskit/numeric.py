@@ -20,10 +20,11 @@ periodic by construction), and only :func:`wrap_point` reduces them modulo
 a row when its function changes sign between two step ends, its time is
 located by bisection on that row's dense interpolant, and a row that leaves
 the declared chart box is masked as escaped with that time and point while
-the other rows go on.  Right-hand sides and symbolic point maps run the
-compiled evaluators each field and map builds once
-(``VectorField.value_at``/``jet_at``, ``SmoothMap.jet_at``) on whole
-coordinate columns.
+the other rows go on.  Right-hand sides run the compiled evaluators each
+field builds once (``VectorField.value_at``/``jet_at``) on whole
+coordinate columns.  Symbolic maps are not evaluated here: their images
+and Jacobians come from one :func:`forms.jet_arrays` walk, and a
+:class:`PointMap` stands only for maps known numerically.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forms
-from .forms import ANGULAR, LINEAR, CoordinateDomain, SmoothMap, VectorField
+from .forms import ANGULAR, LINEAR, CoordinateDomain, VectorField
 
 
 RANK_RTOL = 1e-10
@@ -400,40 +400,6 @@ class PointMap:
         raise NotImplementedError
 
 
-class SymbolicPointMap(PointMap):
-    """Adapter putting a :class:`SmoothMap` behind the point-map interface."""
-
-    def __init__(self, F: SmoothMap):
-        self.source = F.source
-        self.target = F.target
-        self.map = F
-
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        values, J = self.map.jet_at(x)
-        return values, J, np.ones(len(values), dtype=bool)
-
-
-class ComposedPointMap(PointMap):
-    def __init__(self, outer: PointMap, inner: PointMap):
-        if outer.source != inner.target:
-            raise forms.DomainMismatchError("composition domains do not line up")
-        self.source = inner.source
-        self.target = outer.target
-        self.outer = outer
-        self.inner = inner
-
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mid, J1, ok = self.inner(x)
-        (rows,) = np.nonzero(ok)
-        out, J2, ok_outer = self.outer(mid[rows])
-        values = np.full((len(ok), self.target.dim), np.nan)
-        J = np.full((len(ok), self.target.dim, self.source.dim), np.nan)
-        values[rows], J[rows] = out, J2 @ J1[rows]
-        ok[rows] = ok_outer
-        values[~ok], J[~ok] = np.nan, np.nan
-        return values, J, ok
-
-
 # ---------------------------------------------------------------------------
 # linear algebra helpers
 
@@ -454,11 +420,6 @@ def numerical_rank(M: np.ndarray, rel_threshold: float = RANK_RTOL) -> int | np.
     M = np.atleast_2d(np.asarray(M, dtype=float))
     ranks = count_significant(np.linalg.svd(M, compute_uv=False), rel_threshold)
     return int(ranks) if M.ndim == 2 else ranks
-
-
-def map_min_rank(F: SmoothMap, samples: int = 40, seed: int = 0) -> int:
-    """Minimum numerical rank of a map's Jacobian over sampled points."""
-    return jacobian_min_rank(forms.evaluate_jacobian(F, F.source.sample_points(samples, seed)))
 
 
 def jacobian_min_rank(J: np.ndarray) -> int:

@@ -153,22 +153,27 @@ class StrongReducibilityReport:
         return max((r for _, r in self.pullback_residuals), default=0.0)
 
 
-def _images(quotient: "SmoothMap | numeric.PointMap", env, samples: int):
-    """Push the samples of ``env`` through a quotient.
-
-    Returns the kept sample indices, their wrapped images as an env on the
-    quotient's target, and the quotient's Jacobians stacked as (tgt, src,
-    kept).  A symbolic map is evaluated over the whole batch and keeps every
-    sample; a point map runs on the whole batch too and keeps the samples
-    where it is defined, dropping those whose flows left the chart.
-    """
-    if isinstance(quotient, SmoothMap):
-        return np.arange(samples), forms.evaluate_map(quotient, env), forms.evaluate_jacobian(quotient, env)
-    points = np.column_stack([env[n] for n in quotient.source.names])
-    values, J, ok = quotient(points)
+def _walk(F: "SmoothMap | numeric.PointMap", env, samples: int):
+    """A map's kept sample indices, unwrapped images (tgt, kept) and
+    Jacobians (tgt, src, kept) at the samples of ``env``.  A symbolic map is
+    walked once by :func:`forms.jet_arrays` and keeps every sample; a point
+    map runs on the whole batch and keeps the samples where it is defined,
+    dropping those whose flows left the chart."""
+    if isinstance(F, SmoothMap):
+        values, J = forms.jet_arrays(F.components, F.source.names, env)
+        return np.arange(samples), values, J
+    values, J, ok = F(np.column_stack([env[n] for n in F.source.names]))
     (kept,) = np.nonzero(ok)
-    images = numeric.wrap_point(quotient.target, values[kept])
-    return kept, dict(zip(quotient.target.names, images.T)), J[kept].transpose(1, 2, 0)
+    return kept, values[kept].T, J[kept].transpose(1, 2, 0)
+
+
+def _images(quotient: "SmoothMap | numeric.PointMap", env, samples: int):
+    """Push the samples of ``env`` through a quotient: the kept sample
+    indices (see :func:`_walk`), their images wrapped into the target chart
+    as an env on it, and the Jacobians stacked as (tgt, src, kept)."""
+    kept, values, J = _walk(quotient, env, samples)
+    images = numeric.wrap_point(quotient.target, values.T)
+    return kept, dict(zip(quotient.target.names, images.T)), J
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -226,8 +231,8 @@ def verify_strong_reducibility(
     pb_tol = tol if pullback_tol is None else pullback_tol
 
     env = cdom.sample_points(samples, seed, margin)
-    images = dict(zip(amb.domain.names, sx.evaluate_all(C.components, env)))
-    J = forms.evaluate_jacobian(C, env)
+    values, J = forms.jet_arrays(C.components, cdom.names, env)
+    images = dict(zip(amb.domain.names, values))
 
     # tangency of the structure fields along the submanifold
     fields = sx.evaluate_all(amb.b_field.components + amb.anti_lee.components, images)
@@ -731,7 +736,8 @@ def build_step4(
         raise ReductionError(
             f"universal base needs at least {2 * dim_m + k} Euclidean coordinates, got {N}"
         )
-    rank = numeric.map_min_rank(transplant, samples=min(verify_samples, 40), seed=seed)
+    env = m1_dom.sample_points(min(verify_samples, 40), seed)
+    rank = numeric.jacobian_min_rank(forms.jet_arrays(transplant.components, m1_dom.names, env)[1])
     if rank != m1_dom.dim:
         raise ReductionError(
             f"transplant rank {rank} < stage-one dimension {m1_dom.dim}; not an embedding"
@@ -792,15 +798,16 @@ class _BackwardGraph(numeric.PointMap):
                  graph_dom: CoordinateDomain):
         self.source = source
         self.target = graph_dom
-        self._section = numeric.SymbolicPointMap(section)
+        self._section = section
         self._b = base_chart.b_field
         self._e = base_chart.anti_lee
 
     def __call__(self, y: np.ndarray):
         y = np.asarray(y, dtype=float)
         s, u, params = y[:, 0], y[:, 1], y[:, 2:]
-        z0, J0, _ = self._section(params)
-        kept, (mid, J_mid), (x, J_end) = _chained_flows(self._e, z0, -u, self._b, -s)
+        names = self._section.source.names
+        z0, J0 = forms.jet_arrays(self._section.components, names, dict(zip(names, params.T)))
+        kept, (mid, J_mid), (x, J_end) = _chained_flows(self._e, z0.T, -u, self._b, -s)
         d = x.shape[1]
         value, J = np.full((len(y), d + 2), np.nan), np.full((len(y), d + 2, y.shape[1]), np.nan)
         value[kept] = np.column_stack([s[kept], u[kept], x])
@@ -809,7 +816,7 @@ class _BackwardGraph(numeric.PointMap):
         J[kept, 1, 1] = 1.0
         J[kept, 2:, 0] = -self._b.value_at(x)
         J[kept, 2:, 1] = np.matmul(J_end, -self._e.value_at(mid)[:, :, None])[:, :, 0]
-        J[kept, 2:, 2:] = J_end @ J_mid @ J0[kept]
+        J[kept, 2:, 2:] = J_end @ J_mid @ np.moveaxis(J0, -1, 0)[kept]
         return value, J, np.isin(np.arange(len(y)), kept)
 
 
@@ -842,7 +849,6 @@ def concatenation_residual(
     coords = (s_coord, graph_dom.coordinate("u")) + tuple(section.source.coords)
     c_dom = CoordinateDomain(f"{section.source.name}_combined", coords)
     to_graph = _BackwardGraph(c_dom, section, m1_chart, graph_dom)
-    into_m2 = numeric.ComposedPointMap(numeric.SymbolicPointMap(step2.data.submanifold), to_graph)
 
     base_dom = base_chart.domain
     projection = SmoothMap(c_dom, base_dom, tuple(sx.var(n) for n in base_dom.names))
@@ -853,10 +859,13 @@ def concatenation_residual(
     )
 
     env = c_dom.sample_points(samples, seed, margin)
-    kept, image_env, J = _images(into_m2, env, samples)
+    kept, graph, J_graph = _walk(to_graph, env, samples)
     used = len(kept)
     if used < MIN_SURVIVAL * samples:
         raise ReductionError(f"only {used}/{samples} combined samples stayed inside the chart")
+    # the stage-two submanifold walked at the unwrapped graph points: DF = Dsub·Dgraph
+    _, image_env, J_sub = _images(step2.data.submanifold, dict(zip(graph_dom.names, graph)), used)
+    J = np.moveaxis(np.moveaxis(J_sub, -1, 0) @ np.moveaxis(J_graph, -1, 0), 0, -1)
     _, p_env, Jp = _images(projection, {n: env[n][kept] for n in c_dom.names}, used)
     worst = max(
         _max_abs(forms.sampled_pullback(m2_form, image_env, J) - forms.sampled_pullback(base_form, p_env, Jp))

@@ -208,9 +208,21 @@ def load_manifest(path: str) -> Manifest:
     return parse_manifest(data, label)
 
 
+_MANIFEST_KEYS = ("seed", "samples", "structures", "tasks")
+
+
 def parse_manifest(data, path: str = "<memory>") -> Manifest:
     if not isinstance(data, dict):
         raise ManifestError("manifest must be a JSON object")
+    for key in data:
+        if key not in _MANIFEST_KEYS:
+            import difflib  # only on this error path: it costs every run memory at import
+
+            near = difflib.get_close_matches(str(key), _MANIFEST_KEYS, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ManifestError(
+                f"unknown manifest key {key!r} (expected {', '.join(_MANIFEST_KEYS)}){hint}"
+            )
     if "seed" not in data:
         raise ManifestError("manifest must declare a seed (reproducibility)")
     seed = data["seed"]

@@ -207,12 +207,10 @@ def loop_closure_residual(loop: SmoothMap) -> float:
         lo, hi = 0.0, 1.0
     else:
         lo, hi = src.lower, src.upper
-    start = forms.evaluate_map(loop, {src.name: np.array([lo])})
-    end = forms.evaluate_map(loop, {src.name: np.array([hi])})
+    ends = sx.evaluate_all(loop.components, {src.name: np.array([lo, hi])})
     worst = 0.0
-    for coord in loop.target.coords:
-        a, b = float(start[coord.name][0]), float(end[coord.name][0])
-        gap = abs(a - b)
+    for coord, (a, b) in zip(loop.target.coords, ends):
+        gap = abs(float(a) - float(b))
         if coord.kind == ANGULAR:
             gap = min(gap % 1.0, 1.0 - gap % 1.0)
         worst = max(worst, gap)

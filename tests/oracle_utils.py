@@ -10,8 +10,9 @@ The second part holds helpers built on the package's types that no run
 needs: seeded test-form and test-map generators, the symbolic Lie
 derivative and Lie bracket (derivative trees), symbolic composition, the
 pointwise determinant pullback, the symbolic pullback of an embedding
-problem's one-form, the reducibility verifier's per-sample tangency,
-kernel and subspace-gap route, the sparse cut complex of a grid torus with
+problem's one-form, a map's Jacobian evaluated from its symbolic trees, a
+point-map adapter over a map's jets walk, the reducibility verifier's
+per-sample tangency, kernel and subspace-gap route, the sparse cut complex of a grid torus with
 its gauge conjugation, translation averaging and dense least-squares
 obstruction distance, and the sphere atlas overlap check.  Tests use them
 as generators and as second routes to the code that runs.
@@ -267,6 +268,28 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(X.domain, tuple(comps))
 
 
+def evaluate_jacobian(F: SmoothMap, env) -> np.ndarray:
+    """Jacobian of a map at sample points, shape (tgt, src, *batch), from its
+    symbolic Jacobian trees: the derivative-tree route to the Jacobians
+    ``forms.jet_arrays`` walks."""
+    vals = sx.evaluate_all([e for row in F.jacobian for e in row], env)
+    return np.array(vals).reshape(F.target.dim, F.source.dim, *sx.batch_shape(env))
+
+
+class JetsPointMap(PointMap):
+    """A symbolic map behind the point-map interface: values and Jacobians
+    from one ``forms.jet_arrays`` walk of the points, unwrapped, every row
+    defined."""
+
+    def __init__(self, F: SmoothMap):
+        self.source, self.target, self.map = F.source, F.target, F
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        names = self.source.names
+        values, J = forms.jet_arrays(self.map.components, names, dict(zip(names, np.transpose(x))))
+        return values.T, np.moveaxis(J, -1, 0), np.ones(len(x), dtype=bool)
+
+
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     """``outer`` after ``inner`` (source of ``outer`` = target of ``inner``),
     by symbolic substitution."""
@@ -365,8 +388,8 @@ def pointwise_reducibility(
     :func:`subspace_gap`.  The reference route for the stacked verifier."""
     amb, C = data.ambient, data.submanifold
     env = C.source.sample_points(samples, seed, margin)
-    image_env = forms.evaluate_map(C, env)
-    JC = forms.evaluate_jacobian(C, env)
+    image_env = dict(zip(amb.domain.names, sx.evaluate_all(C.components, env)))
+    JC = evaluate_jacobian(C, env)
     fields = sx.evaluate_all(amb.b_field.components + amb.anti_lee.components, image_env)
     b_vals, e_vals = np.array(fields[: amb.domain.dim]), np.array(fields[amb.domain.dim :])
     b_tan = e_tan = 0.0

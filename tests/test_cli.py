@@ -50,6 +50,18 @@ def test_missing_seed_is_an_input_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, nearest", [("sample", "samples"), ("task", "tasks"), ("Seed", "seed")])
+def test_unknown_manifest_key_is_refused_before_any_task_runs(tmp_path, capsys, monkeypatch, key, nearest):
+    ran = []
+    monkeypatch.setitem(report._TASK_RUNNERS, "verify", lambda *args: ran.append(args) or [])
+    payload = {**plane_manifest(), key: 1}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown manifest key {key!r}" in err and f"did you mean {nearest!r}" in err
+    assert ran == [] and not out.exists()
+
+
 def test_json_errors_carry_line_numbers(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "seed": 0,,\n}\n')

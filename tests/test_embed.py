@@ -11,6 +11,7 @@ import pytest
 import lcskit.embed as embed
 import lcskit.forms as forms
 import lcskit.models as models
+import lcskit.report as report
 import lcskit.symexpr as sx
 import lcskit.twisted as twisted
 from oracle_utils import chart_form, pullback_on_vectors
@@ -117,7 +118,7 @@ def test_psi2_sphere_constraint():
     sol = embed.build_psi2(embed.problem_torus(), seed=0)
     for _name, psi in sol.maps:
         env = psi.source.sample_points(60, seed=8)
-        vals = forms.evaluate_map(psi, env)
+        vals = dict(zip(psi.target.names, sx.evaluate_all(psi.components, env)))
         r2 = sum(vals[n] ** 2 for n in psi.target.names)
         assert np.max(np.abs(r2 - sol.r2**2)) < 1e-9 * sol.r2**2
 
@@ -132,7 +133,7 @@ def test_psi3_circle_end_to_end():
     assert sol.scale == pytest.approx(sol.r2**2)
     _name, psi = sol.maps[0]
     env = psi.source.sample_points(50, seed=3)
-    vals = forms.evaluate_map(psi, env)
+    vals = dict(zip(psi.target.names, sx.evaluate_all(psi.components, env)))
     r2 = sum(vals[n] ** 2 for n in psi.target.names)
     assert np.max(np.abs(r2 - 1.0)) < 1e-12
 
@@ -316,7 +317,7 @@ def test_embedding_maps_are_never_differentiated_symbolically(monkeypatch):
 def _all_columns_separation(psi, samples, seed, min_source):
     """The image separation over every target column, zeros included."""
     env = psi.source.sample_points(samples, seed)
-    out = forms.evaluate_map(psi, env)
+    out = dict(zip(psi.target.names, sx.evaluate_all(psi.components, env)))
     idx_a, idx_b = np.triu_indices(samples, k=1)
 
     def dist(columns, angular, ia, ib):
@@ -342,3 +343,23 @@ def test_image_separation_skips_only_structural_zeros(N, zeros):
     for _name, psi in res.maps[:2]:
         assert sum(sx.is_structural_zero(c) for c in psi.components) == zeros
         assert embed._image_separation(psi, 60, 5, 0.05) == _all_columns_separation(psi, 60, 5, 0.05)
+
+
+@pytest.mark.parametrize(
+    "entry, pairs", [("circle", None), ("torus", None), ("sphere3", None), ("sphere3", 8)]
+)
+def test_corpus_record_reads_the_worst_check_of_every_stage(entry, pairs):
+    """The stages are rebuilt one by one; the record's residual must cover
+    each stage's own checks (on sphere3 the stage-2 pullback is the worst)."""
+    seed, tol = 7, 1e-9
+    task = {"kind": "embed", "corpus": entry, "tol": tol, **({"pairs": pairs} if pairs else {})}
+    [record] = report.run_manifest(report.parse_manifest({"seed": seed, "tasks": [task]})).records
+    prob = getattr(embed, f"problem_{entry}")()
+    stage2 = embed.build_psi2(prob, tol, seed)
+    stage3 = embed.build_psi3(stage2, tol, seed)
+    stages = [(stage2, "stage2:"), (stage3, "stage3:")]
+    if pairs:
+        stages.append((embed.pad_to_dimension(stage3, pairs, tol, seed), f"pad{pairs}:"))
+    own = [[c.max_residual for label, c in sol.certifications if label.startswith(tag)] for sol, tag in stages]
+    assert all(own)
+    assert record.passed and record.max_residual == max(max(r) for r in own)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcskit import forms, symexpr as sx
+from lcskit import forms, numeric, symexpr as sx
 from lcskit.forms import (
     ANGULAR,
     Coordinate,
@@ -16,7 +16,6 @@ from lcskit.forms import (
     basis_vector,
     ext_d,
     evaluate_form,
-    evaluate_map,
     form_is_zero,
     identity_map,
     interior,
@@ -328,8 +327,9 @@ def test_angular_targets_wrap_mod_one():
     circle = forms.make_domain("s1", [("t", ANGULAR)])
     line = linear_domain("line", ["s"], 0.0, 1.0)
     F = SmoothMap(line, circle, (sx.var("s") + sx.Const(0.75),))
-    vals = evaluate_map(F, {"s": np.array([0.5, 0.1])})
-    assert np.allclose(vals["t"], [0.25, 0.85])
+    values, _ = forms.jet_arrays(F.components, line.names, {"s": np.array([0.5, 0.1])})
+    assert np.allclose(values, [[1.25, 0.85]])
+    assert np.allclose(numeric.wrap_point(circle, values.T).T, [[0.25, 0.85]])
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +424,20 @@ def test_form_values_two_form_against_multilinear_oracle(phi):
     assert forms.form_values(phi, {n: env[n][0] for n in R4.names}).shape == (4, 4)
 
 
-def test_evaluate_jacobian_against_finite_differences():
+def test_jet_jacobians_against_finite_differences():
     x, y = sx.var("x"), sx.var("y")
     F = SmoothMap(R2, R3, (x * y, sx.Const(2.0), sx.sin(x) + y))
     env = R2.sample_points(5, seed=1)
-    J = forms.evaluate_jacobian(F, env)
-    assert J.shape == (3, 2, 5)
+    _, jets_J = forms.jet_arrays(F.components, R2.names, env)
+    assert jets_J.shape == (3, 2, 5)
 
     def value(p):
         return np.array([sx.evaluate(c, dict(zip(R2.names, p))) for c in F.components])
 
-    for k in range(5):
-        point = np.array([env[n][k] for n in R2.names])
-        assert np.allclose(J[:, :, k], oracle.fd_jacobian(value, point), atol=1e-8)
+    for J in (jets_J, oracle.evaluate_jacobian(F, env)):
+        for k in range(5):
+            point = np.array([env[n][k] for n in R2.names])
+            assert np.allclose(J[:, :, k], oracle.fd_jacobian(value, point), atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_sphere_atlas_counts_and_on_sphere():
     assert len(charts) == 8  # one per dropped coordinate and sign
     for _name, P in charts:
         env = P.source.sample_points(40, seed=1)
-        vals = forms.evaluate_map(P, env)
+        vals = dict(zip(amb.names, sx.evaluate_all(P.components, env)))
         r2 = sum(vals[n] ** 2 for n in amb.names if n != "theta")
         assert np.max(np.abs(r2 - 1.0)) < 1e-12
 

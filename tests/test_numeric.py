@@ -273,7 +273,7 @@ def test_numeric_pullback_agrees_with_symbolic():
     F = SmoothMap(R2, R3, (x * y, sx.sin(x), x + y**2))
     a = random_polynomial_form(R3, 2, seed=7)
     sym = pullback(F, a)
-    pm = numeric.SymbolicPointMap(F)
+    pm = oracle.JetsPointMap(F)
     for seed in range(3):
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-1, 1, size=2)
@@ -281,21 +281,6 @@ def test_numeric_pullback_agrees_with_symbolic():
         want = forms.evaluate_form(sym, dict(zip(R2.names, x0)))
         for k in set(got) | set(want):
             assert got.get(k, 0.0) == pytest.approx(want.get(k, 0.0), abs=1e-10)
-
-
-def test_composed_point_map_chain_rule():
-    x, y = sx.var("x"), sx.var("y")
-    F = SmoothMap(R2, R3, (x * y, sx.sin(x), x + y**2))
-    z = sx.var("z")
-    G = SmoothMap(R3, R2, (sx.var("x") + z, sx.var("y") * z))
-    comp = numeric.ComposedPointMap(numeric.SymbolicPointMap(G), numeric.SymbolicPointMap(F))
-    x0 = np.array([[0.25, -0.5]])
-    val, J, ok = comp(x0)
-    sym_comp = oracle.compose(G, F)
-    want_val, want_J = sym_comp.jet_at(x0)
-    assert ok.tolist() == [True]
-    assert np.allclose(val[0], want_val[0], atol=1e-12)
-    assert np.allclose(J[0], want_J[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("with_jacobian", [False, True])
@@ -323,13 +308,9 @@ def test_compiled_evaluators_are_built_once_per_object():
     jet = X.jet_at
     _flow_one(X, [0.1, 0.2], 0.4, with_jacobian=True)
     assert X.jet_at is jet
-    F = SmoothMap(R2, R3, (sx.var("x"), sx.var("y"), sx.var("x") * sx.var("y")))
-    pm = numeric.SymbolicPointMap(F)
-    value, J, ok = pm(np.array([[0.5, 2.0]]))
-    assert F.jet_at is F.jet_at
-    assert ok.tolist() == [True]
-    assert value[0].tolist() == [0.5, 2.0, 1.0]
-    assert J[0].tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 0.5]]
+    value, J = jet(np.array([[0.5, 2.0]]))
+    assert value[0].tolist() == [1.0, np.sin(0.5)]
+    assert J[0].tolist() == [[2.0, 0.5], [np.cos(0.5), 0.0]]
 
 
 def test_numerical_rank_and_kernel():
@@ -432,10 +413,10 @@ def test_jacobian_min_rank_is_the_minimum_over_samples():
     x, y = sx.var("x"), sx.var("y")
     F = SmoothMap(R2, linear_domain("R3", ["a", "b", "c"]), (x, x * y, y * y))
     env = R2.sample_points(6, seed=2)
-    J = forms.evaluate_jacobian(F, env)
-    assert numeric.jacobian_min_rank(J) == numeric.map_min_rank(F, 6, seed=2) == 2
+    _, J = forms.jet_arrays(F.components, R2.names, env)
+    assert numeric.jacobian_min_rank(J) == numeric.jacobian_min_rank(oracle.evaluate_jacobian(F, env)) == 2
     env["x"][3] = env["y"][3] = 0.0
-    assert numeric.jacobian_min_rank(forms.evaluate_jacobian(F, env)) == 1
+    assert numeric.jacobian_min_rank(forms.jet_arrays(F.components, R2.names, env)[1]) == 1
     assert numeric.jacobian_min_rank(J[..., :0]) == 2
 
 

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 import lcskit.forms as forms
 import lcskit.models as models
-import lcskit.numeric as numeric
 import lcskit.reduction as reduction
 import lcskit.symexpr as sx
 import lcskit.twisted as twisted
 from oracle_utils import (
-    fd_jacobian, pointwise_reducibility, pullback_residual_at, random_map, random_polynomial_form, rk4_flow,
+    JetsPointMap, evaluate_jacobian, fd_jacobian, pointwise_reducibility, pullback_residual_at, random_map,
+    random_polynomial_form, rk4_flow,
 )
 
 
@@ -134,7 +134,7 @@ def test_verifier_matches_pointwise_pullback_route(plane_chain):
     assert not rep.passed
     got = dict(rep.pullback_residuals)["alpha"]
 
-    qpm = numeric.SymbolicPointMap(bad.quotient)
+    qpm = JetsPointMap(bad.quotient)
     restricted = forms.pullback(bad.submanifold, bad.ambient.alpha)
     env = bad.submanifold.source.sample_points(60, 3, 0.3)
     worst = 0.0
@@ -151,8 +151,9 @@ def test_pulled_values_equal_the_symbolic_pullback(seed, dims):
     """The sampled route DFᵀ(a∘F) and DFᵀ(a∘F)DF against the evaluated
     symbolic pullback F*a, for random polynomial one- and two-forms and for
     d taken before the pullback (F*da = d F*a), within 8 ulp of
-    max(1, |value|): with DF evaluated from the symbolic Jacobian (the
-    verifier's route) and from one jets walk of F (the embedding's)."""
+    max(1, |value|): with DF evaluated from the symbolic Jacobian trees
+    (the reference route of ``oracle_utils``) and from one jets walk of F
+    (the route every sampled pullback in the package takes)."""
     src, tgt = dims
     source = forms.linear_domain(f"src{src}", [f"x{i}" for i in range(src)])
     target = forms.linear_domain(f"tgt{tgt}", [f"y{i}" for i in range(tgt)])
@@ -167,7 +168,7 @@ def test_pulled_values_equal_the_symbolic_pullback(seed, dims):
         cases.append((a, forms.pullback(F, a)))
         if degree == 1:
             cases.append((forms.ext_d(a), forms.ext_d(forms.pullback(F, a))))
-    for J in (forms.evaluate_jacobian(F, env), jets_J):
+    for J in (evaluate_jacobian(F, env), jets_J):
         assert J.shape == (tgt, src, 20)
         for a, symbolic in cases:
             got = forms.sampled_pullback(a, images, J)
@@ -178,12 +179,13 @@ def test_pulled_values_equal_the_symbolic_pullback(seed, dims):
 
 @pytest.mark.parametrize("fixture, stage", [("plane_chain", 0), ("plane_chain", 3), ("sphere_chain", 0)])
 def test_symbolic_quotient_report_matches_point_map_route(fixture, stage, request):
-    """The verifier evaluates a symbolic quotient by the tree walk and a point
-    map through its compiled jet, each over the whole batch; the same
-    quotient taken either way must give the same report, bit for bit."""
+    """The verifier walks a symbolic quotient and calls a point map, each over
+    the whole batch, and wraps either's images by one rule; the same quotient
+    taken either way (as a point map over the same jets walk) must give the
+    same report, bit for bit."""
     data = request.getfixturevalue(fixture).steps[stage].data
     assert isinstance(data.quotient, forms.SmoothMap)
-    as_points = dataclasses.replace(data, quotient=numeric.SymbolicPointMap(data.quotient))
+    as_points = dataclasses.replace(data, quotient=JetsPointMap(data.quotient))
     for seed in (0, 3):
         want = reduction.verify_strong_reducibility(data, samples=40, seed=seed)
         got = reduction.verify_strong_reducibility(as_points, samples=40, seed=seed)
@@ -357,6 +359,25 @@ def test_mismatched_data_rejected(plane_chain):
     stray = forms.SmoothMap(other, step.data.reduced.domain, (sx.var("m"), sx.ZERO))
     with pytest.raises(reduction.ReductionError):
         dataclasses.replace(step.data, quotient=stray)
+
+
+def test_rank_deficient_transplant_is_not_an_embedding(plane_chain, monkeypatch):
+    """The stage-four transplant is ranked on the Jacobians of one jets walk
+    of its components; (a, b) -> (a, a, 0, 0) has rank 1 on the plane."""
+    step1, _, step3, step4 = plane_chain.steps
+    assert dict(step4.extras)["transplant_rank"] == 2.0
+    a = sx.var("a")
+    flat = forms.SmoothMap(step1.chart.domain, reduction.universal_base_domain(0, 4), (a, a, sx.ZERO, sx.ZERO))
+    walked, jet_arrays = [], forms.jet_arrays
+
+    def spy(exprs, names, env):
+        walked.append(tuple(exprs))
+        return jet_arrays(exprs, names, env)
+
+    monkeypatch.setattr(forms, "jet_arrays", spy)
+    with pytest.raises(reduction.ReductionError, match=r"transplant rank 1 < stage-one dimension 2; not an embedding"):
+        reduction.build_step4(step3.chart, step1.chart, flat, ())
+    assert walked == [flat.components]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Planted-defect matrices: the first-kind identities, the reduction chain
-and the embeddings.
+(its stages and its two-stage check) and the embeddings.
 
 For the first-kind identities, each defect is a one-parameter family S(eps) built from the universal model
 with k = N = 1 (coordinates s, u, th1, t1, pth1, pt1; Lee form ds + d th1,
@@ -146,15 +146,51 @@ def test_planted_chain_defect_is_caught_in_proportion(sphere_chain, stage):
     assert 0.1 <= residual / eps <= 10.0
 
 
+# The two-stage check compares the stage-two forms pulled through the
+# combined embedding (the backward graph, then the stage-two submanifold)
+# with the base chart's forms pulled through the plain projection, which
+# carries each base coordinate as itself.  Adding eps dc to the base
+# potential therefore moves the residual by eps, on the plane chain and on
+# the sphere-times-circle one.
+
+
+@pytest.fixture(scope="module")
+def plane_chain():
+    return reduction.run_reduction_chain(*reduction.plane_chain_input())
+
+
+CONCAT_DEFECTS = {"plane": ("plane_chain", "a"), "sphere2": ("sphere_chain", "y1")}
+
+
+@pytest.mark.parametrize("chain_name", sorted(CONCAT_DEFECTS))
+def test_planted_concatenation_defect_is_caught_in_proportion(request, chain_name):
+    fixture, coordinate = CONCAT_DEFECTS[chain_name]
+    chain = request.getfixturevalue(fixture)
+    step1, step2 = chain.steps[:2]
+    base = step1.data.reduced
+    samples = chain.concatenation_samples_used + chain.concatenation_samples_skipped
+
+    def residual(eps):
+        bump = base.domain.one_form(coordinate).scaled(sx.Const(eps))
+        planted = dataclasses.replace(base, alpha=base.alpha + bump)
+        return reduction.concatenation_residual(step1, step2, planted, samples=samples)[0]
+
+    assert residual(0.0) == chain.concatenation <= chain.concatenation_tol
+    eps = 10 * chain.concatenation_tol
+    got = residual(eps)
+    assert got > chain.concatenation_tol
+    assert 0.1 <= got / eps <= 10.0
+
+
 # The shear of stage three subtracts the declared exact part f0 from s.
 # Declaring f0 + eps b instead leaves eps db in the pulled-back Lee form, so
 # the shear's Lee residual reads eps.
 
 
 @pytest.fixture(scope="module")
-def plane_stage_two():
-    chart, decomp, factory = reduction.plane_chain_input()
-    return reduction.run_reduction_chain(chart, decomp, factory).steps[1].chart, decomp
+def plane_stage_two(plane_chain):
+    _chart, decomp, _factory = reduction.plane_chain_input()
+    return plane_chain.steps[1].chart, decomp
 
 
 def test_planted_shear_defect_is_caught_in_proportion(plane_stage_two):
