@@ -424,7 +424,7 @@ def test_form_values_two_form_against_multilinear_oracle(phi):
     assert forms.form_values(phi, {n: env[n][0] for n in R4.names}).shape == (4, 4)
 
 
-def test_jet_jacobians_against_finite_differences():
+def test_evaluate_jacobian_against_finite_differences():
     x, y = sx.var("x"), sx.var("y")
     F = SmoothMap(R2, R3, (x * y, sx.Const(2.0), sx.sin(x) + y))
     env = R2.sample_points(5, seed=1)

@@ -283,6 +283,24 @@ def test_numeric_pullback_agrees_with_symbolic():
             assert got.get(k, 0.0) == pytest.approx(want.get(k, 0.0), abs=1e-10)
 
 
+def test_composed_point_map_chain_rule():
+    # the two-stage check's composition: a point map's images pushed through a
+    # walked symbolic map, with DF = DG·DF, against the symbolic composite
+    x, y = sx.var("x"), sx.var("y")
+    F = SmoothMap(R2, R3, (x * y, sx.sin(x), x + y**2))
+    z = sx.var("z")
+    G = SmoothMap(R3, R2, (sx.var("x") + z, sx.var("y") * z))
+    env = {"x": np.array([0.25, -1.5]), "y": np.array([-0.5, 0.75])}
+    kept, f_env, JF = reduction._images(oracle.JetsPointMap(F), env, 2)
+    _, g_env, JG = reduction._images(G, f_env, 2)
+    J = np.einsum("ijk,jlk->ilk", JG, JF)
+    sym_comp = oracle.compose(G, F)
+    want_val = sx.evaluate_all(sym_comp.components, env)
+    assert kept.tolist() == [0, 1]
+    assert np.allclose([g_env[n] for n in R2.names], want_val, atol=1e-12)
+    assert np.allclose(J, oracle.evaluate_jacobian(sym_comp, env), atol=1e-12)
+
+
 @pytest.mark.parametrize("with_jacobian", [False, True])
 def test_flow_domain_error_keeps_tree_walk_message_and_witness(with_jacobian):
     radicand = sx.var("x") - sx.Const(0.5)
