@@ -17,22 +17,13 @@ Layers, bottom up:
   four-stage reduction chain into the universal models;
 * :mod:`lcskit.cohomology` — weighted cubical complexes on flat tori;
 * :mod:`lcskit.cli` — manifest-driven verification runs with JSON reports.
+
+Importing the package loads none of these: each submodule loads when it is
+imported (``import lcskit.forms`` or ``from lcskit import forms``), and a
+run loads only the modules its tasks use.
 """
 
 __version__ = "0.1.0"  # the package's only version declaration; pyproject.toml reads it
-
-from . import (
-    cli,
-    cohomology,
-    embed,
-    forms,
-    models,
-    numeric,
-    reduction,
-    report,
-    symexpr,
-    twisted,
-)
 
 __all__ = [
     "cli",

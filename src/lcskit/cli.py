@@ -83,6 +83,8 @@ def _print_report(rep: RunReport, stream) -> None:
         file=stream,
     )
     print(f"started: {rep.started_utc}   wall time: {rep.wall_time_s}s", file=stream)
+    for i, seconds in enumerate(rep.task_wall_s):
+        print(f"  task[{i}] wall time: {seconds}s", file=stream)
     if not rep.records:
         print("no records (empty task list)", file=stream)
     for record in rep.records:

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import symexpr as sx
+from . import numeric, symexpr as sx
 from .symexpr import Expr, ZeroCheck
 
 LINEAR = "linear"
@@ -500,8 +500,6 @@ def nondegeneracy_rank(
     """
     if phi.degree != 2:
         raise DegreeError("nondegeneracy_rank expects a two-form")
-    from . import numeric  # numeric imports forms at load, so not at module level
-
     ranks = numeric.numerical_rank(form_matrix(phi, env, values))
     min_rank = int(ranks.min()) if ranks.size else 0
     return min_rank, min_rank == phi.domain.dim

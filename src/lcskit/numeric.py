@@ -30,10 +30,12 @@ and Jacobians come from one :func:`forms.jet_arrays` walk, and a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .forms import ANGULAR, LINEAR, CoordinateDomain, VectorField
+if TYPE_CHECKING:  # annotations only: a cohomology run loads neither forms nor symexpr
+    from .forms import CoordinateDomain, VectorField
 
 
 RANK_RTOL = 1e-10
@@ -50,7 +52,7 @@ def wrap_point(domain: CoordinateDomain, x: np.ndarray) -> np.ndarray:
     linear ones alone."""
     out = np.array(x, dtype=float)
     for i, c in enumerate(domain.coords):
-        if c.kind == ANGULAR:
+        if c.kind == "angular":  # forms.ANGULAR
             out[..., i] = out[..., i] % 1.0
     return out
 
@@ -370,7 +372,7 @@ def flow(X: VectorField, x0: np.ndarray, time: np.ndarray, with_jacobian: bool =
 def _escape_events(domain: CoordinateDomain):
     events = []
     for i, c in enumerate(domain.coords):
-        if c.kind != LINEAR:
+        if c.kind != "linear":  # forms.LINEAR
             continue
         lo, hi = c.lower, c.upper
 

@@ -21,19 +21,69 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
 
-from . import __version__, cohomology, embed, forms, models, reduction
-from . import symexpr as sx
+if TYPE_CHECKING:  # annotations only: a structure's modules load when it is built
+    from . import models, symexpr as sx
 
 REPORT_FORMAT = "lcskit-report-v2"
 
-_VOLATILE_KEYS = ("started_utc", "wall_time_s")
+_VOLATILE_KEYS = ("started_utc", "wall_time_s", "task_wall_s")
 
 
 class ManifestError(Exception):
     """Unusable manifest: parse failure, missing field, unresolvable name."""
+
+
+def _did_you_mean(key, allowed) -> str:
+    """A hint naming the allowed key nearest to ``key``, compared without case."""
+    import difflib  # only on error paths: it costs every run memory at import
+
+    by_lower = {name.lower(): name for name in allowed}
+    near = difflib.get_close_matches(str(key).lower(), by_lower, n=1)
+    return f"; did you mean {by_lower[near[0]]!r}?" if near else ""
+
+
+# ---------------------------------------------------------------------------
+# manifest and command-line values
+
+
+def _checked(value, key: str, kinds, accept: Callable, what: str):
+    """A number from a manifest or the command line, of ``kinds`` and passing
+    ``accept``; a bool, a string, or a float where an integer belongs is
+    refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, kinds) or not accept(value):
+        raise ManifestError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _sample_count(value, key: str) -> int:
+    return _checked(value, key, int, lambda v: v > 0, "a positive integer")
+
+
+def _positive_real(value, key: str) -> float:
+    """A tolerance, threshold or window: a finite real above zero."""
+    return float(_checked(value, key, (int, float), lambda v: 0 < v < math.inf, "a positive finite number"))
+
+
+def _finite_real(value, key: str) -> float:
+    return float(_checked(value, key, (int, float), math.isfinite, "a finite number"))
+
+
+def _number_list(value, key: str, check: Callable) -> list:
+    """A list of manifest numbers, each passed through ``check(v, key)``."""
+    if not isinstance(value, list):
+        raise ManifestError(f"{key} must be a list, got {value!r}")
+    return [check(v, key) for v in value]
+
+
+def _grid_integer(value, key: str, low: int, high: float = math.inf) -> int:
+    """An integer in [low, high): a torus size, cut position, Betti number,
+    catalog dimension, pair count or chart index."""
+    span = f"at least {low}" if high == math.inf else f"in [{low}, {high})"
+    return _checked(value, key, int, lambda v: low <= v < high, f"an integer {span}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +128,7 @@ class CheckRecord:
 
 
 def environment_stamp() -> dict:
+    import numpy as np  # a run's tasks have loaded it already; reading a report does not
     return {
         "package": __version__,
         "python": platform.python_version(),
@@ -96,6 +147,7 @@ class RunReport:
     started_utc: str
     wall_time_s: float
     records: list[CheckRecord] = field(default_factory=list)
+    task_wall_s: list[float] = field(default_factory=list)  # one entry per task run
 
     @property
     def green(self) -> bool:
@@ -109,6 +161,7 @@ class RunReport:
             "environment": dict(self.environment),
             "started_utc": self.started_utc,
             "wall_time_s": self.wall_time_s,
+            "task_wall_s": list(self.task_wall_s),
             "green": self.green,
             "records": [r.to_dict() for r in self.records],
         }
@@ -124,6 +177,7 @@ class RunReport:
             started_utc=d["started_utc"],
             wall_time_s=d["wall_time_s"],
             records=[CheckRecord.from_dict(r) for r in d["records"]],
+            task_wall_s=list(d.get("task_wall_s", [])),
         )
 
     def to_json(self) -> str:
@@ -216,12 +270,9 @@ def parse_manifest(data, path: str = "<memory>") -> Manifest:
         raise ManifestError("manifest must be a JSON object")
     for key in data:
         if key not in _MANIFEST_KEYS:
-            import difflib  # only on this error path: it costs every run memory at import
-
-            near = difflib.get_close_matches(str(key), _MANIFEST_KEYS, n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ManifestError(
-                f"unknown manifest key {key!r} (expected {', '.join(_MANIFEST_KEYS)}){hint}"
+                f"unknown manifest key {key!r} (expected {', '.join(_MANIFEST_KEYS)})"
+                + _did_you_mean(key, _MANIFEST_KEYS)
             )
     if "seed" not in data:
         raise ManifestError("manifest must declare a seed (reproducibility)")
@@ -234,6 +285,9 @@ def parse_manifest(data, path: str = "<memory>") -> Manifest:
     structures = data.get("structures", {})
     if not isinstance(structures, dict):
         raise ManifestError("structures must be an object of named declarations")
+    for name, decl in structures.items():
+        if isinstance(decl, dict) and "catalog" in decl:
+            _catalog_args(name, decl)
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
         raise ManifestError("tasks must be a list of objects")
@@ -264,36 +318,68 @@ def _build_structure(name: str, decl) -> models.LcsStructure:
     raise ManifestError(f"structure {name!r}: expected a 'catalog' reference or an inline 'chart'")
 
 
-def _catalog_structure(name: str, decl: dict) -> models.LcsStructure:
+def _at_least(low: int) -> Callable:
+    return lambda value, key: _grid_integer(value, key, low)
+
+
+# Each catalog entry's arguments: name -> (checker, default), where a default
+# of None marks a required argument.  They are checked when the manifest loads.
+_CATALOG_ARGS: dict[str, dict[str, tuple[Callable, float | None]]] = {
+    "liouville": {"n": (_at_least(1), None)},
+    "sphere_circle": {"N": (_at_least(2), None), "q": (_finite_real, 1.0)},
+    "reduction_universal": {
+        "k": (_at_least(0), None),
+        "N": (_at_least(0), None),
+        "mu": (lambda value, key: _number_list(value, key, _finite_real), None),
+    },
+}
+
+
+def _catalog_args(name: str, decl: dict) -> dict:
+    """The checked keyword arguments of a catalog reference, defaults filled in."""
     entry = decl["catalog"]
+    if not isinstance(entry, str) or entry not in _CATALOG_ARGS:
+        raise ManifestError(
+            f"structure {name!r}: unknown catalog entry {entry!r} "
+            f"(expected one of {', '.join(sorted(_CATALOG_ARGS))})"
+        )
     args = decl.get("args", {})
     if not isinstance(args, dict):
         raise ManifestError(f"structure {name!r}: args must be an object")
-    where = f"structure {name!r} argument"
-    factories: dict[str, Callable] = {
-        "liouville": lambda: models.model_liouville(_grid_integer(args["n"], f"{where} n", 1)),
-        "sphere_circle": lambda: models.model_sphere_circle(
-            _grid_integer(args["N"], f"{where} N", 2), _finite_real(args.get("q", 1.0), f"{where} q")
-        ),
-        "reduction_universal": lambda: models.model_reduction_universal(
-            _grid_integer(args["k"], f"{where} k", 0), _grid_integer(args["N"], f"{where} N", 0),
-            _number_list(args["mu"], f"{where} mu", _finite_real),
-        ),
+    declared = _CATALOG_ARGS[entry]
+    for key in args:
+        if key not in declared:
+            raise ManifestError(
+                f"structure {name!r}: unknown {entry} argument {key!r} "
+                f"(expected {', '.join(declared)}){_did_you_mean(key, declared)}"
+            )
+    checked = {}
+    for key, (check, default) in declared.items():
+        if key in args:
+            checked[key] = check(args[key], f"structure {name!r} argument {key}")
+        elif default is None:
+            raise ManifestError(f"structure {name!r}: missing argument {key!r}")
+        else:
+            checked[key] = default
+    return checked
+
+
+def _catalog_structure(name: str, decl: dict) -> models.LcsStructure:
+    from . import models
+    factories = {
+        "liouville": models.model_liouville,
+        "sphere_circle": models.model_sphere_circle,
+        "reduction_universal": models.model_reduction_universal,
     }
-    if entry not in factories:
-        raise ManifestError(
-            f"structure {name!r}: unknown catalog entry {entry!r} "
-            f"(expected one of {', '.join(sorted(factories))})"
-        )
+    args = _catalog_args(name, decl)
     try:
-        return factories[entry]()
-    except KeyError as exc:
-        raise ManifestError(f"structure {name!r}: missing argument {exc.args[0]!r}") from exc
+        return factories[decl["catalog"]](**args)
     except (models.ModelError, ValueError, TypeError) as exc:
         raise ManifestError(f"structure {name!r}: {exc}") from exc
 
 
 def _parse_expr(text, where: str) -> sx.Expr:
+    from . import symexpr as sx
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         return sx.const(text)
     if not isinstance(text, str):
@@ -305,6 +391,7 @@ def _parse_expr(text, where: str) -> sx.Expr:
 
 
 def _inline_structure(name: str, chart_decl) -> models.LcsStructure:
+    from . import forms, models, symexpr as sx, twisted
     where = f"structure {name!r}"
     if not isinstance(chart_decl, dict):
         raise ManifestError(f"{where}: chart must be an object")
@@ -353,7 +440,7 @@ def _inline_structure(name: str, chart_decl) -> models.LcsStructure:
         lee = one_form("lee", required=True)
         phi_decl = chart_decl.get("phi", "twisted")
         if phi_decl == "twisted":
-            phi = reduction.d_twisted(lee, alpha)
+            phi = twisted.d_twisted(lee, alpha)
         elif isinstance(phi_decl, dict):
             coeffs = {}
             for key, text in phi_decl.items():
@@ -393,42 +480,6 @@ class RunOptions:
     fail_fast: bool = False
 
 
-def _checked(value, key: str, kinds, accept: Callable, what: str):
-    """A number from a manifest or the command line, of ``kinds`` and passing
-    ``accept``; a bool, a string, or a float where an integer belongs is
-    refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, kinds) or not accept(value):
-        raise ManifestError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-def _sample_count(value, key: str) -> int:
-    return _checked(value, key, int, lambda v: v > 0, "a positive integer")
-
-
-def _positive_real(value, key: str) -> float:
-    """A tolerance, threshold or window: a finite real above zero."""
-    return float(_checked(value, key, (int, float), lambda v: 0 < v < math.inf, "a positive finite number"))
-
-
-def _finite_real(value, key: str) -> float:
-    return float(_checked(value, key, (int, float), math.isfinite, "a finite number"))
-
-
-def _number_list(value, key: str, check: Callable) -> list:
-    """A list of manifest numbers, each passed through ``check(v, key)``."""
-    if not isinstance(value, list):
-        raise ManifestError(f"{key} must be a list, got {value!r}")
-    return [check(v, key) for v in value]
-
-
-def _grid_integer(value, key: str, low: int, high: float = math.inf) -> int:
-    """An integer in [low, high): a torus size, cut position, Betti number,
-    catalog dimension, pair count or chart index."""
-    span = f"at least {low}" if high == math.inf else f"in [{low}, {high})"
-    return _checked(value, key, int, lambda v: low <= v < high, f"an integer {span}")
-
-
 def _task_samples(task: dict) -> int | None:
     value = task.get("samples")
     return None if value is None else _sample_count(value, f"{task['kind']} task samples")
@@ -460,6 +511,7 @@ def _failure_record(label: str, exc: Exception) -> CheckRecord:
 
 
 def _run_verify(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
+    from . import models
     sname = task.get("structure")
     if not isinstance(sname, str):
         raise ManifestError("verify task needs a 'structure' name")
@@ -487,15 +539,14 @@ def _run_verify(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> 
     ]
 
 
-_CORPUS = {
-    "circle": embed.problem_circle,
-    "torus": embed.problem_torus,
-    "sphere3": embed.problem_sphere3,
-    "zero_form": embed.problem_zero_form,
-}
-
-
 def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
+    from . import embed
+    corpus = {
+        "circle": embed.problem_circle,
+        "torus": embed.problem_torus,
+        "sphere3": embed.problem_sphere3,
+        "zero_form": embed.problem_zero_form,
+    }
     tol = _opt(opts.tol, _task_tol(task), 1e-9)
     rho = _positive_real(task.get("rho", 1.2), "embed task rho")
     pairs = task.get("pairs")
@@ -504,11 +555,11 @@ def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> l
     records: list[CheckRecord] = []
     if "corpus" in task:
         entry = task["corpus"]
-        if entry not in _CORPUS:
+        if entry not in corpus:
             raise ManifestError(
-                f"unknown corpus entry {entry!r} (expected one of {', '.join(sorted(_CORPUS))})"
+                f"unknown corpus entry {entry!r} (expected one of {', '.join(sorted(corpus))})"
             )
-        prob = _CORPUS[entry](rho=rho)
+        prob = corpus[entry](rho=rho)
         sol = embed.build_sphere_pipeline(prob, N=pairs, tol=tol, seed=seed)
         worst = max((c.max_residual for _, c in sol.certifications), default=0.0)
         records.append(
@@ -603,6 +654,7 @@ def _chain_kwargs(task: dict, opts: RunOptions, manifest: Manifest) -> dict:
 
 
 def _run_chain(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
+    from . import reduction
     source = task.get("input", "sphere_circle")
     if source == "plane":
         chart, decomp, factory = reduction.plane_chain_input()
@@ -674,6 +726,7 @@ def _mu_label(mu) -> str:
 
 
 def _run_cohomology(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
+    from . import cohomology
     for key in ("n", "m"):
         if key not in task:
             raise ManifestError(f"cohomology task needs {key!r}")
@@ -776,8 +829,10 @@ def run_manifest(manifest: Manifest, opts: RunOptions | None = None) -> RunRepor
         _positive_real(opts.tol, "--tol")
     seed = opts.seed if opts.seed is not None else manifest.seed
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    clock = time.perf_counter()
+    clock = time.perf_counter_ns()
     records: list[CheckRecord] = []
+    task_wall_s: list[float] = []
+    done_us = 0  # whole microseconds from the start to the end of the last task
     for i, task in enumerate(manifest.tasks):
         runner = _TASK_RUNNERS[task["kind"]]
         try:
@@ -787,6 +842,9 @@ def run_manifest(manifest: Manifest, opts: RunOptions | None = None) -> RunRepor
         except Exception as exc:  # recorded, not fatal: the run must finish
             batch = [_failure_record(_task_label(task, i), exc)]
         records.extend(batch)
+        elapsed_us = (time.perf_counter_ns() - clock) // 1000
+        task_wall_s.append((elapsed_us - done_us) / 1e6)
+        done_us = elapsed_us
         if opts.fail_fast and any(not r.passed for r in batch):
             break
     return RunReport(
@@ -794,6 +852,8 @@ def run_manifest(manifest: Manifest, opts: RunOptions | None = None) -> RunRepor
         manifest=manifest.path,
         environment=environment_stamp(),
         started_utc=started,
-        wall_time_s=round(time.perf_counter() - clock, 3),
+        # floored like the task times, so those never sum past it
+        wall_time_s=(time.perf_counter_ns() - clock) // 1000 / 1e6,
         records=records,
+        task_wall_s=task_wall_s,
     )

@@ -1,6 +1,7 @@
 """Manifest execution, report files, exit codes, and the console front end."""
 
 import json
+import math
 import shutil
 import subprocess
 
@@ -100,6 +101,30 @@ def test_unknown_catalog_entry(tmp_path, capsys):
     )
     assert cli.main(["run", path, "-q"]) == 2
     assert "nonexistent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "structure, message",
+    [
+        ({"catalog": "sphere_circle", "args": {"N": 2, "Q": 5.0}},
+         "unknown sphere_circle argument 'Q' (expected N, q); did you mean 'q'?"),
+        ({"catalog": "reduction_universal", "args": {"k": 1, "N": 2, "mu": [1.0], "nu": 3}},
+         "unknown reduction_universal argument 'nu' (expected k, N, mu); did you mean 'N'?"),
+        ({"catalog": "sphere-circle", "args": {"N": 2}},
+         "unknown catalog entry 'sphere-circle' (expected one of liouville, reduction_universal, sphere_circle)"),
+        ({"catalog": "reduction_universal", "args": {"k": 1, "mu": [1.0]}}, "missing argument 'N'"),
+    ],
+    ids=["misspelled-q", "unknown-nu", "unknown-entry", "missing-N"],
+)
+def test_catalog_arguments_are_checked_before_any_task_runs(tmp_path, capsys, monkeypatch, structure, message):
+    # a misspelled argument used to be ignored: sphere_circle ran green with q = 1
+    ran = []
+    monkeypatch.setitem(report._TASK_RUNNERS, "verify", lambda *args: ran.append(args) or [])
+    payload = {"seed": 0, "structures": {"model": structure}, "tasks": [{"kind": "verify", "structure": "model"}]}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    assert f"structure 'model': {message}" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
 
 
 def test_expression_parse_error_is_input_error(tmp_path, capsys):
@@ -524,6 +549,44 @@ def test_report_subcommand_rejects_garbage(tmp_path, capsys):
     assert cli.main(["report", str(bad)]) == 2
     assert "lcskit-report" in capsys.readouterr().err
 
+
+
+def test_task_wall_times_are_volatile_and_sum_within_the_run(tmp_path, capsys):
+    payload = plane_manifest()
+    payload["tasks"].append({"kind": "cohomology", "n": 1, "m": 4, "expect_betti": [1, 1]})
+    out = tmp_path / "timed.report.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 0
+    rep = report.load_report(str(out))
+    assert len(rep.task_wall_s) == 2 and all(t >= 0 for t in rep.task_wall_s)
+    # whole microseconds: the sum may exceed the total only by float round-off
+    assert math.fsum(rep.task_wall_s) <= rep.wall_time_s + 1e-12
+    assert set(rep.stable_dict()) == {"format", "seed", "manifest", "environment", "green", "records"}
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 0
+    shown = capsys.readouterr().out
+    assert all(f"task[{i}] wall time: {t}s" in shown for i, t in enumerate(rep.task_wall_s))
+
+
+def test_fail_fast_times_only_the_tasks_that_ran(tmp_path):
+    payload = plane_manifest(lee="2")
+    payload["tasks"].append({"kind": "cohomology", "n": 1, "m": 4})
+    path = write_manifest(tmp_path, payload)
+    full, stopped = tmp_path / "full.json", tmp_path / "stopped.json"
+    assert cli.main(["run", path, "-q", "-o", str(full)]) == 1
+    assert cli.main(["run", path, "-q", "-o", str(stopped), "--fail-fast"]) == 1
+    assert len(report.load_report(str(full)).task_wall_s) == 2
+    assert len(report.load_report(str(stopped)).task_wall_s) == 1
+
+
+def test_report_without_task_times_loads_with_an_empty_list(tmp_path):
+    path = write_manifest(tmp_path, plane_manifest())
+    out = tmp_path / "old.report.json"
+    cli.main(["run", path, "-q", "-o", str(out)])
+    raw = json.loads(out.read_text())
+    del raw["task_wall_s"]
+    out.write_text(json.dumps(raw))
+    rep = report.load_report(str(out))
+    assert rep.task_wall_s == [] and raw["format"] == report.REPORT_FORMAT == "lcskit-report-v2"
 
 # ---------------------------------------------------------------------------
 # determinism

@@ -199,6 +199,71 @@ def test_no_module_level_scipy_subpackage_imports(path):
 
 
 
+# Modules that must import light: the front end and the report model load no
+# numpy and no computational sibling when imported, and the numerical layers
+# that a cohomology run loads do not pull in the symbolic ones.
+COMPUTATIONAL = ("cohomology", "embed", "forms", "models", "numeric", "reduction", "symexpr", "twisted")
+LOADS_LIGHT = {
+    "__init__.py": ("numpy", *COMPUTATIONAL),
+    "cli.py": ("numpy", *COMPUTATIONAL),
+    "report.py": ("numpy", *COMPUTATIONAL),
+    "numeric.py": ("forms", "symexpr"),
+    "cohomology.py": ("forms", "symexpr"),
+}
+
+
+def _loaded_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
+    """Top-level names of the modules an import statement loads, ``lcskit``
+    siblings by their bare name (``forms`` for ``from .forms import x``)."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names]
+    else:
+        module = ".".join(filter(None, ["lcskit" if node.level else "", node.module]))
+        dotted = [f"{module}.{alias.name}" for alias in node.names] if module == "lcskit" else [module]
+    return {name.removeprefix("lcskit.").split(".")[0] for name in dotted}
+
+
+def eager_imports(source: str, banned) -> list[int]:
+    """Lines that import a module of ``banned`` (a top-level package such as
+    ``numpy``, or a sibling ``lcskit`` module) when the module is imported."""
+    return [
+        node.lineno
+        for node in _runs_on_import(ast.parse(source).body)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and _loaded_modules(node) & set(banned)
+    ]
+
+
+def test_eager_import_scanner_skips_function_bodies_and_type_checking():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import json, numpy.linalg\n"
+        "from numpy import ndarray\n"
+        "from . import __version__\n"
+        "from . import report, symexpr as sx\n"
+        "from .forms import ANGULAR\n"
+        "from .report import load_manifest\n"
+        "import lcskit.models\n"
+        "from lcskit import twisted\n"
+        "from lcskit.embed import problem_circle\n"
+        "if TYPE_CHECKING:\n"
+        "    from . import models\n"
+        "try:\n"
+        "    import numpy as np\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def run():\n"
+        "    import numpy as np\n"
+        "    from . import cohomology\n"
+    )
+    assert eager_imports(source, ("numpy", *COMPUTATIONAL)) == [2, 3, 5, 6, 8, 9, 10, 14]
+    assert eager_imports(source, ("forms", "symexpr")) == [5, 6]
+
+
+@pytest.mark.parametrize("name", sorted(LOADS_LIGHT))
+def test_light_modules_import_no_heavy_module_at_load(name):
+    assert eager_imports((SRC / name).read_text(), LOADS_LIGHT[name]) == []
+
+
 BANNED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 

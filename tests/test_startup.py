@@ -1,7 +1,11 @@
-"""Start-up contract: importing lcskit, loading a manifest, building its
-structures and running any task kind load no heavy scipy subpackage; the
-package integrates, ranks and projects with numpy alone, and a flow run
-loads no scipy module at all.  Each check runs in a fresh interpreter."""
+"""Start-up contract: importing lcskit, loading a manifest or a report and
+running a task kind load only the modules that the work uses.
+
+``import lcskit``, ``load_manifest`` and ``lcskit report`` load neither numpy
+nor a computational module; each task kind loads its own module and what
+that imports.  No run loads a heavy scipy subpackage: the package
+integrates, ranks and projects with numpy alone, and a flow run loads no
+scipy module at all.  Each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -11,25 +15,41 @@ from pathlib import Path
 
 import pytest
 
+from lcskit import report
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 SELFTEST = SRC / "lcskit" / "manifests" / "selftest.json"
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+LIGHT = {"lcskit", "lcskit.cli", "lcskit.report"}
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """Every scipy module loaded after ``code`` runs in a fresh interpreter
-    with ``src`` on the path."""
-    probe = (
-        f"{code}\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
-    )
+def modules_after(code: str) -> set[str]:
+    """Every module loaded after ``code`` runs in a fresh interpreter with
+    ``src`` on the path."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    return sorted(m for m in modules_after(code) if m == "scipy" or m.startswith("scipy."))
+
+
+def lcskit_modules_after(code: str) -> set[str]:
+    return {m for m in modules_after(code) if m == "lcskit" or m.startswith("lcskit.")}
+
+
+def run_code(command: str, out) -> str:
+    """Code that runs ``command`` on the bundled selftest, green, into ``out``."""
+    return (
+        "from lcskit import cli\n"
+        f"assert cli.main([{command!r}, {str(SELFTEST)!r}, '-q', '-o', {str(out)!r}]) == 0\n"
+    )
 
 
 def heavy_modules_after(code: str) -> list[str]:
@@ -52,23 +72,13 @@ def test_import_load_and_build_load_no_scipy_subpackage():
 
 def test_cohomology_run_loads_no_heavy_subpackage(tmp_path):
     # Koszul stacks are ranked and the obstruction projected with numpy alone
-    out = tmp_path / "cohomology.report.json"
-    code = (
-        "from lcskit import cli\n"
-        f"assert cli.main(['cohomology', {str(SELFTEST)!r}, '-q', '-o', {str(out)!r}]) == 0\n"
-    )
-    assert heavy_modules_after(code) == []
+    assert heavy_modules_after(run_code("cohomology", tmp_path / "cohomology.report.json")) == []
 
 
 @pytest.mark.parametrize("command", ["verify", "embed", "reduce-chain"])
 def test_symbolic_embedding_and_flow_runs_load_no_heavy_subpackage(tmp_path, command):
     # flows and loop periods are integrated in numpy
-    out = tmp_path / f"{command}.report.json"
-    code = (
-        "from lcskit import cli\n"
-        f"assert cli.main([{command!r}, {str(SELFTEST)!r}, '-q', '-o', {str(out)!r}]) == 0\n"
-    )
-    assert heavy_modules_after(code) == []
+    assert heavy_modules_after(run_code(command, tmp_path / f"{command}.report.json")) == []
 
 
 def test_import_load_and_reduce_chain_run_load_no_scipy_at_all(tmp_path):
@@ -81,3 +91,75 @@ def test_import_load_and_reduce_chain_run_load_no_scipy_at_all(tmp_path):
         f"assert cli.main(['reduce-chain', {str(SELFTEST)!r}, '-q', '-o', {str(out)!r}]) == 0\n"
     )
     assert scipy_modules_after(code) == []
+
+
+# -- what each start loads --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import lcskit\n",
+        f"from lcskit import report\nassert report.load_manifest({str(SELFTEST)!r}).tasks\n",
+    ],
+    ids=["import", "load_manifest"],
+)
+def test_import_and_manifest_load_need_no_numpy_or_computational_module(code):
+    loaded = modules_after(code)
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("lcskit.")} <= LIGHT
+
+
+def test_report_command_needs_no_numpy_or_computational_module(tmp_path):
+    path = tmp_path / "shown.report.json"
+    record = report.CheckRecord("verify:x", "anchor", 1e-16, 1e-9, {}, True)
+    report.RunReport(
+        seed=0, manifest="m.json", environment={}, started_utc="now", wall_time_s=0.5,
+        records=[record], task_wall_s=[0.25],
+    ).write(str(path))
+    code = f"from lcskit import cli\nassert cli.main(['report', {str(path)!r}]) == 0\n"
+    loaded = modules_after(code)
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("lcskit.")} <= LIGHT
+
+
+def test_cohomology_run_loads_only_its_own_modules(tmp_path):
+    loaded = lcskit_modules_after(run_code("cohomology", tmp_path / "c.report.json"))
+    assert loaded == LIGHT | {"lcskit.cohomology", "lcskit.numeric"}
+
+
+@pytest.mark.parametrize(
+    "command, unused",
+    [
+        ("verify", {"embed", "reduction", "cohomology"}),
+        ("embed", {"reduction", "cohomology"}),
+        ("reduce-chain", {"embed", "cohomology"}),
+    ],
+)
+def test_each_run_leaves_other_task_kinds_unloaded(tmp_path, command, unused):
+    loaded = lcskit_modules_after(run_code(command, tmp_path / "r.report.json"))
+    assert not loaded & {f"lcskit.{name}" for name in unused}
+
+
+def test_refused_catalog_arguments_load_no_model_code(tmp_path):
+    path = tmp_path / "typo.json"
+    structure = {"catalog": "sphere_circle", "args": {"N": 2, "Q": 5.0}}
+    path.write_text(json.dumps({"seed": 0, "structures": {"s": structure},
+                                "tasks": [{"kind": "verify", "structure": "s"}]}))
+    code = (
+        "from lcskit import cli\n"
+        f"assert cli.main(['run', {str(path)!r}, '-q', '-o', {str(tmp_path / 'r.json')!r}]) == 2\n"
+    )
+    assert "lcskit.models" not in lcskit_modules_after(code)
+
+
+def test_module_run_of_the_cli_prints_no_warning():
+    # runpy warns when the package has already imported the module it runs
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcskit.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "reduce-chain" in proc.stdout
