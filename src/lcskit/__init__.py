@@ -4,6 +4,8 @@ Layers, bottom up:
 
 * :mod:`lcskit.symexpr` — tiny symbolic expression kernel with seeded
   numerical zero-testing;
+* :mod:`lcskit.pcg64` — seeded uniform draws, numpy's ``default_rng``
+  stream computed without loading numpy's random subpackage;
 * :mod:`lcskit.forms` — coordinate domains, differential forms, vector
   fields, smooth maps, exterior calculus;
 * :mod:`lcskit.numeric` — numerical flows with Jacobians, maps that exist
@@ -32,6 +34,7 @@ __all__ = [
     "forms",
     "models",
     "numeric",
+    "pcg64",
     "reduction",
     "report",
     "symexpr",

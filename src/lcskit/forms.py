@@ -110,15 +110,21 @@ class CoordinateDomain:
     def sample_points(self, samples: int, seed: int = 0, margin: float = 0.0) -> dict[str, np.ndarray]:
         """Draw uniform sample points; deterministic in (samples, seed).
 
-        ``margin`` shrinks each linear interval toward its midpoint by that
-        fraction (angular coordinates are unaffected).
+        The draws are the stream of numpy's ``default_rng(seed).random``
+        (PCG64 seeded by ``SeedSequence``, memoised per seed by
+        :func:`pcg64.uniform`): coordinate j takes draws j·samples to
+        (j+1)·samples − 1, scaled onto its interval.  ``margin`` shrinks each
+        linear interval toward its midpoint by that fraction (angular
+        coordinates are unaffected).  Every returned array is fresh.
         """
-        rng = np.random.default_rng(seed)
+        from . import pcg64  # loads with the first draw: building a structure draws none
+
+        draws = pcg64.uniform(seed, samples * self.dim)
         out: dict[str, np.ndarray] = {}
-        for c in self.coords:
-            u = rng.random(samples)
+        for j, c in enumerate(self.coords):
+            u = draws[j * samples:(j + 1) * samples]
             if c.kind == ANGULAR:
-                out[c.name] = u
+                out[c.name] = u.copy()
             else:
                 lo, hi = c.lower, c.upper
                 if margin:

@@ -42,7 +42,12 @@ def _did_you_mean(key, allowed) -> str:
     import difflib  # only on error paths: it costs every run memory at import
 
     by_lower = {name.lower(): name for name in allowed}
-    near = difflib.get_close_matches(str(key).lower(), by_lower, n=1)
+    key = str(key).lower()
+    # a key that extends or abbreviates an allowed one ("tolerance", "tol")
+    # is too unlike it for difflib
+    near = difflib.get_close_matches(key, by_lower, n=1) or sorted(
+        (name for name in by_lower if key.startswith(name) or name.startswith(key)), key=len
+    )[-1:]
     return f"; did you mean {by_lower[near[0]]!r}?" if near else ""
 
 
@@ -80,8 +85,8 @@ def _number_list(value, key: str, check: Callable) -> list:
 
 
 def _grid_integer(value, key: str, low: int, high: float = math.inf) -> int:
-    """An integer in [low, high): a torus size, cut position, Betti number,
-    catalog dimension, pair count or chart index."""
+    """An integer in [low, high): a seed, torus size, cut position, Betti
+    number, catalog dimension, pair count or chart index."""
     span = f"at least {low}" if high == math.inf else f"in [{low}, {high})"
     return _checked(value, key, int, lambda v: low <= v < high, f"an integer {span}")
 
@@ -276,9 +281,7 @@ def parse_manifest(data, path: str = "<memory>") -> Manifest:
             )
     if "seed" not in data:
         raise ManifestError("manifest must declare a seed (reproducibility)")
-    seed = data["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ManifestError("seed must be an integer")
+    seed = _grid_integer(data["seed"], "seed", 0)
     samples = data.get("samples")
     if samples is not None:
         _sample_count(samples, "samples")
@@ -292,11 +295,18 @@ def parse_manifest(data, path: str = "<memory>") -> Manifest:
     if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
         raise ManifestError("tasks must be a list of objects")
     for i, task in enumerate(tasks):
-        if task.get("kind") not in _TASK_RUNNERS:
+        kind = task.get("kind")
+        if kind not in _TASK_KEYS:
             raise ManifestError(
-                f"task {i}: unknown kind {task.get('kind')!r} "
-                f"(expected one of {', '.join(sorted(_TASK_RUNNERS))})"
+                f"task {i}: unknown kind {kind!r} (expected one of {', '.join(sorted(_TASK_KEYS))})"
             )
+        allowed = _TASK_KEYS[kind]
+        for key in task:
+            if key not in allowed:
+                raise ManifestError(
+                    f"task {i}: unknown {kind} task key {key!r} "
+                    f"(expected {', '.join(allowed)}){_did_you_mean(key, allowed)}"
+                )
     return Manifest(path, seed, samples, dict(structures), list(tasks))
 
 
@@ -332,6 +342,24 @@ _CATALOG_ARGS: dict[str, dict[str, tuple[Callable, float | None]]] = {
         "N": (_at_least(0), None),
         "mu": (lambda value, key: _number_list(value, key, _finite_real), None),
     },
+}
+
+
+# reduce-chain task keys passed on to ``reduction.run_reduction_chain``
+_CHAIN_KEYS = (
+    "samples", "tol", "flow_tol", "window", "margin",
+    "flow_samples", "verify_samples", "concat_samples", "concat_tol",
+)
+
+# Each task kind's keys, refused when unknown as the manifest loads; their
+# values are checked when the task runs.
+_TASK_KEYS: dict[str, tuple[str, ...]] = {
+    "verify": ("kind", "structure", "samples", "tol"),
+    "embed": ("kind", "corpus", "structure", "samples", "tol", "rho", "pairs", "literal_defect"),
+    "reduce-chain": ("kind", "input", "structure", "chart_index", *_CHAIN_KEYS),
+    "cohomology": (
+        "kind", "n", "m", "mu", "cuts", "expect_betti", "euler", "refine", "obstruction", "threshold",
+    ),
 }
 
 
@@ -624,17 +652,7 @@ _STAGE_ANCHORS = {
 
 def _chain_kwargs(task: dict, opts: RunOptions, manifest: Manifest) -> dict:
     kwargs = {}
-    for key in (
-        "samples",
-        "tol",
-        "flow_tol",
-        "window",
-        "margin",
-        "flow_samples",
-        "verify_samples",
-        "concat_samples",
-        "concat_tol",
-    ):
+    for key in _CHAIN_KEYS:
         if key in task:
             kwargs[key] = task[key]
             if key.endswith("samples"):
@@ -823,6 +841,8 @@ def run_manifest(manifest: Manifest, opts: RunOptions | None = None) -> RunRepor
     records and the run continues unless ``opts.fail_fast``.
     """
     opts = opts or RunOptions()
+    if opts.seed is not None:
+        _grid_integer(opts.seed, "--seed", 0)
     if opts.samples is not None:
         _sample_count(opts.samples, "--samples")
     if opts.tol is not None:

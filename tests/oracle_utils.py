@@ -7,7 +7,8 @@ the same mathematics.  Frozen: tests may add new call sites but should not
 alter the numerics here.
 
 The second part holds helpers built on the package's types that no run
-needs: seeded test-form and test-map generators, the symbolic Lie
+needs: the sample points drawn by numpy's own generator, seeded test-form
+and test-map generators, the symbolic Lie
 derivative and Lie bracket (derivative trees), symbolic composition, the
 pointwise determinant pullback, the symbolic pullback of an embedding
 problem's one-form, a map's Jacobian evaluated from its symbolic trees, a
@@ -200,6 +201,25 @@ def quad_line_integral(component_func, a: float, b: float, n: int = 2001) -> flo
 
 # ---------------------------------------------------------------------------
 # helpers on the package's types: generators and second routes
+
+
+def numpy_sample_points(domain: CoordinateDomain, samples: int, seed: int = 0, margin: float = 0.0) -> dict:
+    """Sample points drawn through ``numpy.random.default_rng`` itself, one
+    ``random(samples)`` call per coordinate: the reference for
+    ``CoordinateDomain.sample_points``."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for c in domain.coords:
+        u = rng.random(samples)
+        if c.kind == ANGULAR:
+            out[c.name] = u
+        else:
+            lo, hi = c.lower, c.upper
+            if margin:
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * (1.0 - margin)
+                lo, hi = mid - half, mid + half
+            out[c.name] = lo + (hi - lo) * u
+    return out
 
 
 def random_polynomial_form(

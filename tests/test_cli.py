@@ -63,6 +63,68 @@ def test_unknown_manifest_key_is_refused_before_any_task_runs(tmp_path, capsys, 
     assert ran == [] and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "tasks", [plane_manifest()["tasks"], [{"kind": "cohomology", "n": 2, "m": 4}]], ids=["verify", "cohomology"]
+)
+@pytest.mark.parametrize("seed", [-3, 1.5, "7", True])
+def test_manifest_seed_must_be_a_non_negative_integer(tmp_path, capsys, monkeypatch, tasks, seed):
+    # a negative seed used to fail a sampling task as a red record, and pass a cohomology one
+    ran = []
+    for kind in ("verify", "cohomology"):
+        monkeypatch.setitem(report._TASK_RUNNERS, kind, lambda *args: ran.append(args) or [])
+    payload = {**plane_manifest(), "seed": seed, "tasks": tasks}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    assert f"seed must be an integer at least 0, got {seed!r}" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+
+
+def test_seed_override_must_be_a_non_negative_integer(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(report._TASK_RUNNERS, "verify", lambda *args: ran.append(args) or [])
+    out = tmp_path / "r.json"
+    path = write_manifest(tmp_path, plane_manifest())
+    assert cli.main(["run", path, "-q", "-o", str(out), "--seed", "-3"]) == 2
+    assert "--seed must be an integer at least 0, got -3" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+
+
+def test_huge_seeds_sample_as_numpy_does(tmp_path):
+    path = write_manifest(tmp_path, {**plane_manifest(), "seed": 2**70})
+    out = tmp_path / "r.json"
+    assert cli.main(["run", path, "-q", "-o", str(out), "--samples", "20"]) == 0
+    assert cli.main(["run", path, "-q", "-o", str(out), "--samples", "20", "--seed", str(2**70 + 3)]) == 0
+    assert report.load_report(str(out)).seed == 2**70 + 3
+
+
+@pytest.mark.parametrize(
+    "task, key, nearest",
+    [
+        ({"kind": "verify", "structure": "plane", "tolerance": 1e-30}, "tolerance", "tol"),
+        ({"kind": "cohomology", "n": 2, "m": 4, "expected_betti": [9, 9, 9]}, "expected_betti", "expect_betti"),
+        ({"kind": "embed", "corpus": "circle", "pair": 3}, "pair", "pairs"),
+        ({"kind": "reduce-chain", "input": "plane", "flow_sample": 3}, "flow_sample", "flow_samples"),
+    ],
+    ids=["verify", "cohomology", "embed", "reduce-chain"],
+)
+def test_unknown_task_keys_are_refused_before_any_task_runs(tmp_path, capsys, monkeypatch, task, key, nearest):
+    # each of these used to be ignored: the task ran at its default and passed
+    ran = []
+    for kind in report._TASK_RUNNERS:
+        monkeypatch.setitem(report._TASK_RUNNERS, kind, lambda *args: ran.append(args) or [])
+    payload = {**plane_manifest(), "tasks": [task]}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    allowed = ", ".join(report._TASK_KEYS[task["kind"]])
+    assert f"task 0: unknown {task['kind']} task key {key!r} (expected {allowed}); did you mean {nearest!r}?" in err
+    assert ran == [] and not out.exists()
+
+
+def test_every_task_kind_declares_its_keys():
+    assert set(report._TASK_KEYS) == set(report._TASK_RUNNERS)
+
+
 def test_json_errors_carry_line_numbers(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "seed": 0,,\n}\n')

@@ -202,7 +202,9 @@ def test_no_module_level_scipy_subpackage_imports(path):
 # Modules that must import light: the front end and the report model load no
 # numpy and no computational sibling when imported, and the numerical layers
 # that a cohomology run loads do not pull in the symbolic ones.
-COMPUTATIONAL = ("cohomology", "embed", "forms", "models", "numeric", "reduction", "symexpr", "twisted")
+COMPUTATIONAL = (
+    "cohomology", "embed", "forms", "models", "numeric", "pcg64", "reduction", "symexpr", "twisted",
+)
 LOADS_LIGHT = {
     "__init__.py": ("numpy", *COMPUTATIONAL),
     "cli.py": ("numpy", *COMPUTATIONAL),
@@ -267,15 +269,15 @@ def test_light_modules_import_no_heavy_module_at_load(name):
 BANNED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 
-def _names_banned_scipy(module: str) -> bool:
-    return any(module == b or module.startswith(b + ".") for b in BANNED_SCIPY)
+def _names_banned(module: str, banned) -> bool:
+    return any(module == b or module.startswith(b + ".") for b in banned)
 
 
-def banned_scipy_imports(source: str) -> list[int]:
-    """Lines that import a banned scipy subpackage anywhere: at module
-    level, in functions and classes, or by ``import_module`` / ``__import__``
-    of a literal name.  The package integrates its flows and periods and
-    ranks its torus complexes with numpy; ``scipy.integrate``,
+def banned_imports(source: str, banned) -> list[int]:
+    """Lines that import a module of ``banned`` (or a name from one) anywhere:
+    at module level, in functions and classes, or by ``import_module`` /
+    ``__import__`` of a literal name.  The package integrates its flows and
+    periods and ranks its torus complexes with numpy; ``scipy.integrate``,
     ``scipy.optimize``, ``scipy.sparse`` (with ``csgraph``) and ``scipy.linalg``
     serve as oracles in the tests only."""
     lines = []
@@ -290,7 +292,7 @@ def banned_scipy_imports(source: str) -> list[int]:
             names = [str(node.args[0].value)] if called in ("import_module", "__import__") else []
         else:
             continue
-        if any(_names_banned_scipy(name) for name in names):
+        if any(_names_banned(name, banned) for name in names):
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -322,12 +324,56 @@ def test_banned_scipy_scanner_finds_imports_at_any_depth():
         "    from scipy import special\n"
         "    import scipy.linalgebra\n"
     )
-    assert banned_scipy_imports(source) == [2, 3, 4, 5, 6, 9, 12, 14, 15, 16, 18, 19, 20, 22]
+    assert banned_imports(source, BANNED_SCIPY) == [2, 3, 4, 5, 6, 9, 12, 14, 15, 16, 18, 19, 20, 22]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_scipy_integrate_or_optimize(path):
-    assert banned_scipy_imports(path.read_text()) == []
+    assert banned_imports(path.read_text(), BANNED_SCIPY) == []
+
+
+def numpy_random_references(source: str) -> list[int]:
+    """Lines that reach ``numpy.random``: an import of it or of a name from
+    it, anywhere, or a ``.random`` attribute of a name bound to numpy
+    (``np.random``).  Sample points come from ``lcskit.pcg64``; numpy's
+    generator would load ``secrets``, ``hashlib`` and libcrypto into every run."""
+    tree = ast.parse(source)
+    numpy_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "numpy"
+    }
+    lines = set(banned_imports(source, ("numpy.random",)))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name) and node.value.id in numpy_names
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_numpy_random_scanner_finds_imports_and_attributes():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "import random\n"
+        "x = np.random.default_rng(0)\n"
+        "def f(rng=numpy.random.default_rng):\n"
+        "    import numpy.random as npr\n"
+        "    from numpy.random import Generator\n"
+        "    from numpy import random, linalg\n"
+        "    return random.random() + np.linalg.norm(x) + rng.random()\n"
+        "importlib.import_module('numpy.random')\n"
+        "y = np.random\n"
+        "import numpy.randomness\n"
+    )
+    assert numpy_random_references(source) == [4, 5, 6, 7, 8, 10, 11]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reaches_numpy_random(path):
+    assert numpy_random_references(path.read_text()) == []
 
 
 # -- reachability ------------------------------------------------------------

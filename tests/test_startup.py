@@ -3,9 +3,11 @@ running a task kind load only the modules that the work uses.
 
 ``import lcskit``, ``load_manifest`` and ``lcskit report`` load neither numpy
 nor a computational module; each task kind loads its own module and what
-that imports.  No run loads a heavy scipy subpackage: the package
-integrates, ranks and projects with numpy alone, and a flow run loads no
-scipy module at all.  Each check runs in a fresh interpreter."""
+that imports.  No run loads ``numpy.random``, ``secrets`` or ``hashlib``:
+sample points come from the package's own stream.  No run loads a heavy
+scipy subpackage: the package integrates, ranks and projects with numpy
+alone, and a flow run loads no scipy module at all.  Each check runs in a
+fresh interpreter."""
 
 import json
 import os
@@ -139,6 +141,14 @@ def test_cohomology_run_loads_only_its_own_modules(tmp_path):
 def test_each_run_leaves_other_task_kinds_unloaded(tmp_path, command, unused):
     loaded = lcskit_modules_after(run_code(command, tmp_path / "r.report.json"))
     assert not loaded & {f"lcskit.{name}" for name in unused}
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "embed", "reduce-chain", "cohomology"])
+def test_no_run_loads_numpy_random(tmp_path, command):
+    # sample points come from the package's own PCG64 stream; numpy.random
+    # would bring secrets, hashlib and libcrypto with it
+    loaded = modules_after(run_code(command, tmp_path / "r.report.json"))
+    assert not loaded & {"numpy.random", "secrets", "hashlib"}
 
 
 def test_refused_catalog_arguments_load_no_model_code(tmp_path):
