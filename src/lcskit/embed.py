@@ -237,13 +237,10 @@ class EmbeddingSolution:
 # stage builders
 
 
-def _sphere_residual(psi: SmoothMap, radius: float, samples: int, seed: int) -> ZeroCheck:
-    expr = sx.add(
-        _sum_squares(list(psi.components)), sx.Const(-radius * radius)
-    )
-    return sx.is_zero(
-        (expr,), psi.source, samples, 1e-8 * max(1.0, radius * radius), seed
-    )
+def _sphere_check(psi: SmoothMap, radius: float, env, tol: float) -> ZeroCheck:
+    """The sphere constraint |psi|^2 - radius^2 at the points of ``env``."""
+    expr = sx.add(_sum_squares(list(psi.components)), sx.Const(-radius * radius))
+    return sx.is_zero(sx.evaluate_all([expr], env), env, tol)
 
 
 def _theta_bar(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -268,15 +265,26 @@ def _pulled_and_theta_bar(
     return pulled, _theta_bar(values[k:], grads[k:]), grads
 
 
-def _stage_pullback_check(
-    problem: EmbeddingProblem, cname: str, psi: SmoothMap, eta_c: DifferentialForm, tol: float, seed: int
-) -> ZeroCheck:
-    """The unit-sphere identity psi*(c eta) = theta_bar on one chart, at the
-    stage-2 points."""
-    F = dict(problem.charts)[cname]
-    env = psi.source.sample_points(problem.samples, seed + 1)
-    pulled, theta_bar, _ = _pulled_and_theta_bar(psi, eta_c, problem.chart_pairs(F), env)
-    return forms.values_check(pulled - theta_bar, env, tol)
+def _unit_sphere_certs(
+    problem: EmbeddingProblem, maps, eta_c: DifferentialForm, tol: float, seed: int, label: str, where: str
+) -> list[tuple[str, ZeroCheck]]:
+    """Certify each unit-sphere map at the stage-2 points: the identity
+    psi*(c eta) = theta_bar and the constraint |psi|^2 = 1, labelled
+    ``<label>:<chart>:pullback`` and ``:sphere``.  A failed check raises
+    :class:`CertificationError` naming ``where``."""
+    certs = []
+    for cname, psi in maps:
+        F = dict(problem.charts)[cname]
+        env = psi.source.sample_points(problem.samples, seed + 1)
+        pulled, theta_bar, _ = _pulled_and_theta_bar(psi, eta_c, problem.chart_pairs(F), env)
+        for kind, what, check in (
+            ("pullback", "pullback", forms.values_check(pulled - theta_bar, env, tol)),
+            ("sphere", "sphere constraint", _sphere_check(psi, 1.0, env, tol)),
+        ):
+            if not check.passed:
+                raise CertificationError(f"{where} {what} on chart {cname!r}", check)
+            certs.append((f"{label}:{cname}:{kind}", check))
+    return certs
 
 
 def build_psi2(
@@ -326,7 +334,7 @@ def build_psi2(
             comps.extend([g, f])
         comps.extend([sx.sqrt(radicand), sx.ZERO, c2, sx.ONE])
         psi = SmoothMap(F.source, target, tuple(comps))
-        sph = _sphere_residual(psi, r2, problem.samples, seed + 1)
+        sph = _sphere_check(psi, r2, env, tol)
         if not sph.passed:
             raise CertificationError(f"stage 2 sphere constraint on chart {cname!r}", sph)
         certs.append((f"stage2:{cname}:sphere", sph))
@@ -377,18 +385,12 @@ def build_psi3(
     maps = _scaled_maps(solution.maps, target, 1.0 / r2)
     c = r2 * r2
     eta_c = _eta_on(target, solution.pairs, scale=c)
-    certs = list(solution.certifications)
-    for cname, psi in maps:
-        check = _stage_pullback_check(solution.problem, cname, psi, eta_c, tol, seed)
-        if not check.passed:
-            raise CertificationError(f"stage 3 pullback on chart {cname!r}", check)
-        sph = _sphere_residual(psi, 1.0, solution.problem.samples, seed + 1)
-        if not sph.passed:
-            raise CertificationError(f"stage 3 sphere constraint on chart {cname!r}", sph)
-        certs.extend([(f"stage3:{cname}:pullback", check), (f"stage3:{cname}:sphere", sph)])
+    certs = solution.certifications + tuple(
+        _unit_sphere_certs(solution.problem, maps, eta_c, tol, seed, "stage3", "stage 3")
+    )
     return EmbeddingSolution(
         solution.problem, 3, maps, target, solution.pairs, r2, c,
-        solution.phi, solution.doubled_pair, tuple(certs), (),
+        solution.phi, solution.doubled_pair, certs, (),
     )
 
 
@@ -396,7 +398,8 @@ def pad_to_dimension(
     solution: EmbeddingSolution, N: int, tol: float = 1e-9, seed: int = 0
 ) -> EmbeddingSolution:
     """Extend a unit-sphere solution by zero coordinate pairs up to N pairs,
-    keeping the certificates of the stages before."""
+    keeping the certificates of the stages before and certifying the padded
+    maps' pullback and sphere constraint."""
     if solution.stage != 3:
         raise EmbedError("padding applies to unit-sphere (stage-3) solutions")
     if N < solution.pairs:
@@ -412,15 +415,12 @@ def pad_to_dimension(
         for cname, psi in solution.maps
     )
     eta_c = _eta_on(target, N, scale=solution.scale)
-    certs = list(solution.certifications)
-    for cname, psi in maps:
-        check = _stage_pullback_check(solution.problem, cname, psi, eta_c, tol, seed)
-        if not check.passed:
-            raise CertificationError(f"padded pullback on chart {cname!r}", check)
-        certs.append((f"pad{N}:{cname}:pullback", check))
+    certs = solution.certifications + tuple(
+        _unit_sphere_certs(solution.problem, maps, eta_c, tol, seed, f"pad{N}", "padded")
+    )
     return EmbeddingSolution(
         solution.problem, 3, maps, target, N, solution.r2,
-        solution.scale, solution.phi, solution.doubled_pair, tuple(certs), (),
+        solution.scale, solution.phi, solution.doubled_pair, certs, (),
     )
 
 

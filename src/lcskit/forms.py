@@ -515,20 +515,6 @@ def nondegeneracy_rank(
 # sampled residuals
 
 
-def form_is_zero(
-    a: DifferentialForm, samples: int = 200, tol: float = 1e-9, seed: int = 0
-) -> ZeroCheck:
-    """Sampled zero test over all coefficients of a form, in one evaluation
-    (see :func:`symexpr.zero_checks`)."""
-    return sx.zero_checks([a.coeffs.values()], a.domain, samples, tol, seed)[0]
-
-
-def forms_equal(
-    a: DifferentialForm, b: DifferentialForm, samples: int = 200, tol: float = 1e-9, seed: int = 0
-) -> ZeroCheck:
-    return form_is_zero(a - b, samples, tol, seed)
-
-
 def evaluate_form(a: DifferentialForm, env: Mapping[str, np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
     """Evaluate all coefficients at sample points (floats at a single
     point given by scalars)."""
@@ -588,12 +574,12 @@ def sampled_pullback(a: DifferentialForm, images: Mapping[str, np.ndarray], J: n
 
 
 def values_check(residual: np.ndarray, env: Mapping[str, np.ndarray], tol: float) -> ZeroCheck:
-    """The zero-check rule (:func:`symexpr.value_checks`) on the dense values
-    of a one-form (d, n) or two-form (d, d, n) residual at the points of
-    ``env``, over its coefficients on increasing indices."""
+    """:func:`symexpr.is_zero` on the dense values of a one-form (d, n) or
+    two-form (d, d, n) residual at the points of ``env``, over its
+    coefficients on increasing indices."""
     if residual.ndim == 3:
         residual = residual[np.triu_indices(len(residual), 1)]
-    return sx.value_checks([residual], env, tol)[0]
+    return sx.is_zero([residual], env, tol)
 
 
 # ---------------------------------------------------------------------------

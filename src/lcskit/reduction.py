@@ -46,7 +46,6 @@ from .forms import (
     VectorField,
     basis_vector,
     ext_d,
-    forms_equal,
     function_form,
     identity_map,
     interior,
@@ -176,10 +175,6 @@ def _images(quotient: "SmoothMap | numeric.PointMap", env, samples: int):
     return kept, dict(zip(quotient.target.names, images.T)), J
 
 
-def _max_abs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x))) if x.size else 0.0
-
-
 def _witness(domain: CoordinateDomain, env, i: int) -> dict[str, float]:
     return {n: float(env[n][i]) for n in domain.names}
 
@@ -267,19 +262,21 @@ def verify_strong_reducibility(
     gaps = numeric.subspace_gaps(kernels[kept], dist_ranks[kept], q_kernels, q_dims)
     gap = float(np.max(gaps, initial=0.0))
     # the restricted forms were evaluated at every sample above; keep the survivors
-    pullback_residuals = tuple(
-        (label, _max_abs(forms.sampled_pullback(reduced_form, q_env, Jq) - restricted[..., kept]))
-        for label, reduced_form, restricted in (
+    kept_env = {n: v[kept] for n, v in env.items()}
+    pullback_checks = [
+        (label, sx.is_zero([forms.sampled_pullback(form, q_env, Jq) - restricted[..., kept]], kept_env, pb_tol))
+        for label, form, restricted in (
             ("alpha", data.reduced.alpha, alpha_rows),
             ("lee", data.reduced.lee, lee_rows),
             ("phi", data.reduced.phi, phi_tensor),
         )
-    )
+    ]
+    pullback_residuals = tuple((label, check.max_residual) for label, check in pullback_checks)
     passed = (
         b_tan <= tol
         and e_tan <= tol
         and gap <= GAP_TOL
-        and all(r <= pb_tol for _, r in pullback_residuals)
+        and all(check.passed for _, check in pullback_checks)
     )
     return StrongReducibilityReport(
         data.name, b_tan, e_tan, distribution_rank, two_form_kernel_rank, ranks_agree,
@@ -342,17 +339,25 @@ def certify_decomposition(
     for j, piece in enumerate(decomp.pieces):
         if piece.omega.domain != dom:
             raise DecompositionError(f"piece {j} lives on {piece.omega.domain.name!r}, not {dom.name!r}")
-        check = forms_equal(ext_d(function_form(dom, piece.tau)), piece.omega, samples, tol, seed + j)
+        env = dom.sample_points(samples, seed + j)
+        tau, omega = forms.sample_jets([function_form(dom, piece.tau), piece.omega], env)
+        check = sx.is_zero(forms.sampled_sum(forms.sampled_d(tau), omega.flat, -1).values.values(), env, tol)
         piece_residuals.append(check.max_residual)
         if not check.passed:
             raise DecompositionError(
                 f"piece {j}: potential differential misses the declared one-form "
                 f"(residual {check.max_residual:.3e})"
             )
-    total = ext_d(function_form(dom, decomp.f0))
-    for piece in decomp.pieces:
-        total = total + piece.omega.scaled(sx.Const(piece.weight))
-    sum_check = forms_equal(total, chart.lee, samples, tol, seed)
+    env = dom.sample_points(samples, seed)
+    f0, lee, *pieces = forms.sample_jets(
+        [function_form(dom, decomp.f0), chart.lee]
+        + [piece.omega.scaled(sx.Const(piece.weight)) for piece in decomp.pieces],
+        env,
+    )
+    total = forms.sampled_d(f0)
+    for piece in pieces:
+        total = forms.sampled_sum(total, piece.flat)
+    sum_check = sx.is_zero(forms.sampled_sum(total, lee.flat, -1).values.values(), env, tol)
     if not sum_check.passed:
         raise DecompositionError(
             f"declared pieces do not reassemble the Lee form (residual {sum_check.max_residual:.3e})"
@@ -827,7 +832,8 @@ def concatenation_residual(
     samples: int = 20,
     seed: int = 0,
     margin: float = 0.5,
-) -> tuple[float, int, int]:
+    tol: float = 1e-6,
+) -> tuple[sx.ZeroCheck, int, int]:
     """Compare two-stage reduction with the direct one-stage reduction.
 
     Pull the stage-two graph back over the stage-one section: the combined
@@ -835,8 +841,8 @@ def concatenation_residual(
     direct quotient is the plain projection onto the original chart, and the
     residual is the worst mismatch between the original forms pulled through
     that projection and the stage-two forms pulled through the combined
-    embedding.  Samples whose flows leave the chart are skipped; returns
-    ``(residual, samples used, samples skipped)``.
+    embedding, judged at ``tol``.  Samples whose flows leave the chart are
+    skipped; returns ``(check, samples used, samples skipped)``.
     """
     if step2.data is None or step1.data is None:
         raise ReductionError("concatenation needs the reduction data of both stages")
@@ -866,12 +872,14 @@ def concatenation_residual(
     # the stage-two submanifold walked at the unwrapped graph points: DF = Dsub·Dgraph
     _, image_env, J_sub = _images(step2.data.submanifold, dict(zip(graph_dom.names, graph)), used)
     J = np.moveaxis(np.moveaxis(J_sub, -1, 0) @ np.moveaxis(J_graph, -1, 0), 0, -1)
-    _, p_env, Jp = _images(projection, {n: env[n][kept] for n in c_dom.names}, used)
-    worst = max(
-        _max_abs(forms.sampled_pullback(m2_form, image_env, J) - forms.sampled_pullback(base_form, p_env, Jp))
+    kept_env = {n: env[n][kept] for n in c_dom.names}
+    _, p_env, Jp = _images(projection, kept_env, used)
+    residuals = [
+        forms.sampled_pullback(m2_form, image_env, J) - forms.sampled_pullback(base_form, p_env, Jp)
         for base_form, m2_form in expected
-    )
-    return worst, used, samples - used
+    ]
+    check = sx.is_zero(residuals, kept_env, tol)
+    return check, used, samples - used
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +897,7 @@ class ChainResult:
     steps: tuple[StepResult, ...]
     concatenation: float
     concatenation_tol: float
+    concatenation_passed: bool
     concatenation_samples_used: int
     concatenation_samples_skipped: int
     passed: bool
@@ -938,11 +947,13 @@ def run_reduction_chain(
         samples=samples, tol=tol, seed=seed, verify_samples=min(verify_samples, 60),
     )
     concat, concat_used, concat_skipped = concatenation_residual(
-        step1, step2, chart, samples=concat_samples, seed=seed, margin=margin,
+        step1, step2, chart, samples=concat_samples, seed=seed, margin=margin, tol=concat_tol,
     )
     steps = (step1, step2, step3, step4)
-    passed = all(s.passed for s in steps) and concat <= concat_tol
-    return ChainResult(steps, concat, concat_tol, concat_used, concat_skipped, passed)
+    passed = all(s.passed for s in steps) and concat.passed
+    return ChainResult(
+        steps, concat.max_residual, concat_tol, concat.passed, concat_used, concat_skipped, passed
+    )
 
 
 # ---------------------------------------------------------------------------

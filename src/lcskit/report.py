@@ -733,7 +733,7 @@ def _run_chain(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> l
                 "samples_used": chain.concatenation_samples_used,
                 "samples_skipped": chain.concatenation_samples_skipped,
             },
-            passed=chain.concatenation <= chain.concatenation_tol,
+            passed=chain.concatenation_passed,
         )
     )
     return records

@@ -9,10 +9,9 @@ identities); no general simplification is attempted.
 
 Nodes are interned: building a node returns the one live node with the same
 fields, so ``==`` is identity, which is structural equality decided in
-O(1).  Mathematical equality is still decided numerically, by
-:func:`zero_checks` and its one-group case :func:`is_zero`, whose rule
-:func:`value_checks` applies to values already computed.  :func:`diff`
-keeps its results on sum, power and call nodes.
+O(1).  Mathematical equality is decided numerically, at sample points:
+:func:`is_zero` is the one rule that turns sampled residual values into a
+pass flag.  :func:`diff` keeps its results on sum, power and call nodes.
 
 Evaluation is vectorised over numpy arrays.  :func:`evaluate_all` is the one
 tree walk: it evaluates several expressions on one env and computes each
@@ -816,63 +815,27 @@ class ZeroCheck:
     tol: float
 
 
-def zero_checks(
-    groups: Iterable[Iterable[Expr]],
-    domain,
-    samples: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> list[ZeroCheck]:
-    """Test whether each group of expressions vanishes on one sample set.
+def is_zero(values: Iterable[np.ndarray], env: Mapping[str, np.ndarray], tol: float) -> ZeroCheck:
+    """The one pass/fail rule for sampled residuals.
 
-    ``domain`` is any object with ``sample_points(samples, seed)`` returning
-    a name -> array mapping (see ``forms.CoordinateDomain``).  The points are
-    drawn once and every expression is evaluated in one
-    :func:`evaluate_all` call, so subexpressions shared across groups are
-    computed once.  Each group gets the :class:`ZeroCheck` of its largest
-    |value|; structural zeros are skipped, so an empty group passes with
-    residual 0.  Deterministic: fixed (domain, samples, seed) always draws
-    identical points.
+    ``values`` are arrays whose last axis runs over the points of ``env``.
+    The :class:`ZeroCheck` reads their largest |value|, witnessed at the
+    first point where the first array (in row-major order) to reach it
+    does, and passes when that is at most ``tol``; no arrays pass with
+    residual 0.
     """
-    groups = [[e for e in g if not is_structural_zero(e)] for g in groups]
-    env = domain.sample_points(samples, seed)
-    values = iter(evaluate_all([e for g in groups for e in g], env))
-    return value_checks([[next(values) for _ in g] for g in groups], env, tol)
-
-
-def value_checks(groups: Iterable[Iterable[np.ndarray]], env: Mapping[str, np.ndarray], tol: float) -> list[ZeroCheck]:
-    """The zero-check rule on values already computed at the points of
-    ``env`` (each an array of its batch shape): one :class:`ZeroCheck` per
-    group, of the group's largest |value|, witnessed at the first point
-    where the first array to reach it does; an empty group passes with
-    residual 0."""
     samples = len(next(iter(env.values())))
-    checks = []
-    for g in groups:
-        worst = 0.0
-        worst_point: dict[str, float] = {}
-        g = list(g)
-        if g:
-            vals = np.abs(np.stack(g))
-            at = int(np.argmax(vals))  # row-major: the first array to reach the max, at its first point
-            worst = float(vals.flat[at])
-            if worst > 0.0:
-                idx = at % samples
-                worst_point = {k: float(v[idx]) for k, v in env.items()}
-        checks.append(ZeroCheck(worst <= tol, worst, worst_point, samples, tol))
-    return checks
-
-
-def is_zero(
-    exprs: "Expr | Iterable[Expr]",
-    domain,
-    samples: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> ZeroCheck:
-    """Test whether expression(s) vanish on a sampled coordinate domain: the
-    one-group case of :func:`zero_checks`."""
-    return zero_checks([(exprs,) if isinstance(exprs, Expr) else exprs], domain, samples, tol, seed)[0]
+    worst = 0.0
+    worst_point: dict[str, float] = {}
+    rows = [np.reshape(v, (-1, samples)) for v in values]
+    if rows:
+        vals = np.abs(np.concatenate(rows))
+        at = int(np.argmax(vals))  # row-major: the first row to reach the max, at its first point
+        worst = float(vals.flat[at])
+        if worst > 0.0:
+            idx = at % samples
+            worst_point = {k: float(v[idx]) for k, v in env.items()}
+    return ZeroCheck(worst <= tol, worst, worst_point, samples, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .forms import (
     DifferentialForm,
     SmoothMap,
     ext_d,
-    form_is_zero,
     pullback,
     wedge,
 )
@@ -116,15 +115,13 @@ class LeeData:
     sample_values: np.ndarray | None = None
 
 
-def _triple_values(three_forms: Sequence[DifferentialForm], env, triples) -> np.ndarray:
-    """Values of three-forms on the coordinate triples: (samples, triples, forms)."""
-    batch = next(iter(env.values())).shape
-    out = np.zeros((*batch, len(triples), len(three_forms)))
+def _triple_values(three_forms: Sequence[forms.SampledForm], samples: int, triples) -> np.ndarray:
+    """Values of sampled three-forms on the coordinate triples: (samples, triples, forms)."""
+    out = np.zeros((samples, len(triples), len(three_forms)))
     for j, form in enumerate(three_forms):
-        vals = forms.evaluate_form(form, env)
         for row, T in enumerate(triples):
-            if T in vals:
-                out[..., row, j] = vals[T]
+            if T in form.values:
+                out[..., row, j] = form.values[T]
     return out
 
 
@@ -137,11 +134,13 @@ def extract_lee(
 ) -> LeeData:
     """Recover the Lee form of a nondegenerate two-form from d(phi) = omega ^ phi.
 
-    Pointwise route (no ansatz): least squares for ``omega`` at each sample;
-    requires the wedge map to have full rank there.  Ansatz route: fit
-    constant coefficients over ``span(ansatz)`` by stacked least squares,
-    then certify the identity symbolically on fresh samples; the closedness
-    residual of the fitted form is reported as well.
+    Both routes read d(phi) and the wedge maps from one jets walk of phi
+    (and the ansatz) through the sampled calculus.  Pointwise route (no
+    ansatz): least squares for ``omega`` at each sample; requires the wedge
+    map to have full rank there, and the misfit is judged at ``tol``.
+    Ansatz route: fit constant coefficients over ``span(ansatz)`` by
+    stacked least squares, then certify the identity on fresh samples; the
+    closedness residual of the fitted form is reported as well.
 
     Raises :class:`NotConformalError` when no candidate fits within ``tol``
     and :class:`ExtractionRankError` on wedge-rank deficiency.
@@ -151,14 +150,17 @@ def extract_lee(
     dim = phi.domain.dim
     if dim < 4:
         raise forms.DegreeError("Lee extraction needs at least four dimensions")
+    basis = [] if ansatz is None else list(ansatz)
     env = phi.domain.sample_points(samples, seed)
     triples = list(itertools.combinations(range(dim), 3))
-    rhs = _triple_values([ext_d(phi)], env, triples)
+    phi_jets, *basis_jets = forms.sample_jets([phi, *basis], env)
+    rhs = _triple_values([forms.sampled_d(phi_jets)], samples, triples)
 
     if ansatz is None:
         # column j holds dx_j ^ phi; one stacked SVD gives every sample's rank
         # check and least-squares solve
-        A = _triple_values([wedge(phi.domain.one_form(n), phi) for n in phi.domain.names], env, triples)
+        dx = [forms.SampledForm({(j,): np.ones(samples)}) for j in range(dim)]
+        A = _triple_values([forms.sampled_wedge(a, phi_jets.flat) for a in dx], samples, triples)
         U, sv, vt = np.linalg.svd(A, full_matrices=False)
         deficient = np.flatnonzero(numeric.count_significant(sv) < dim)
         if deficient.size:
@@ -166,31 +168,32 @@ def extract_lee(
                 f"wedge map with the two-form is rank deficient at sample {deficient[0]}"
             )
         nu = np.swapaxes(vt, 1, 2) @ (np.swapaxes(U, 1, 2) @ rhs / sv[..., None])
-        misfit = np.max(np.abs(A @ nu - rhs), axis=(1, 2), initial=0.0)
-        i = int(np.argmax(misfit))
-        worst = float(misfit[i])
-        if worst > tol:
+        misfit = sx.is_zero([np.moveaxis(A @ nu - rhs, 0, -1)], env, tol)
+        if not misfit.passed:
             raise NotConformalError(
-                f"no pointwise Lee form fits d(phi) (residual {worst:.3g} > {tol:g})",
-                worst, {k: float(v[i]) for k, v in env.items()},
+                f"no pointwise Lee form fits d(phi) (residual {misfit.max_residual:.3g} > {tol:g})",
+                misfit.max_residual, misfit.worst_point,
             )
-        return LeeData(None, worst, None, sample_values=nu[..., 0])
+        return LeeData(None, misfit.max_residual, None, sample_values=nu[..., 0])
 
     # ansatz route: constant coefficients on a user-supplied basis, one least
     # squares over all samples
-    basis = list(ansatz)
-    A = _triple_values([wedge(beta, phi) for beta in basis], env, triples)
+    A = _triple_values([forms.sampled_wedge(b.flat, phi_jets.flat) for b in basis_jets], samples, triples)
     coeffs, *_ = np.linalg.lstsq(A.reshape(rhs.size, -1), rhs.ravel(), rcond=numeric.RANK_RTOL)
     omega = forms.zero_form(phi.domain, 1)
     for c, beta in zip(coeffs, basis):
         omega = omega + beta.scaled(sx.Const(float(c)))
-    check = form_is_zero(ext_d(phi) - wedge(omega, phi), samples, tol, seed + 1)
+    env = phi.domain.sample_points(samples, seed + 1)
+    phi_jets, omega_jets = forms.sample_jets([phi, omega], env)
+    fit = forms.sampled_sum(forms.sampled_d(phi_jets), forms.sampled_wedge(omega_jets.flat, phi_jets.flat), -1)
+    check = sx.is_zero(fit.values.values(), env, tol)
     if not check.passed:
         raise NotConformalError(
             f"ansatz fit does not reproduce d(phi) (residual {check.max_residual:.3g})",
             check.max_residual, check.worst_point,
         )
-    closed = form_is_zero(ext_d(omega), samples, tol, seed + 2)
+    env = phi.domain.sample_points(samples, seed + 2)
+    closed = sx.is_zero(forms.sampled_d(forms.sample_jets([omega], env)[0]).values.values(), env, tol)
     return LeeData(omega, check.max_residual, closed.max_residual)
 
 
@@ -476,13 +479,16 @@ def classify_morphism(
     """Classify ``F`` against source/target Lee forms.
 
     The strict residual compares ``F* omega'`` with ``omega`` at samples;
-    the conformal test checks the difference is exact (symbolically closed,
-    periods over the source loops below tolerance); fullness compares the
+    the conformal test checks the difference is exact (closed at samples,
+    its d read from one jets walk, and periods over the source loops below
+    tolerance); fullness compares the
     period lattices of both Lee forms over the supplied loop families.
     """
     delta = pullback(F, lee_target) - lee_source
-    strict_check = form_is_zero(delta, samples, tol, seed)
-    closed_check = form_is_zero(ext_d(delta), samples, tol, seed + 1)
+    env = delta.domain.sample_points(samples, seed)
+    strict_check = sx.is_zero(forms.evaluate_form(delta, env).values(), env, tol)
+    env = delta.domain.sample_points(samples, seed + 1)
+    closed_check = sx.is_zero(forms.sampled_d(forms.sample_jets([delta], env)[0]).values.values(), env, tol)
     period_residual = 0.0
     for loop in source_loops:
         period_residual = max(period_residual, abs(period(delta, loop)))

@@ -7,7 +7,9 @@ the same mathematics.  Frozen: tests may add new call sites but should not
 alter the numerics here.
 
 The second part holds helpers built on the package's types that no run
-needs: the sample points drawn by numpy's own generator, seeded test-form
+needs: the sample points drawn by numpy's own generator, the symbolic
+zero-test route (difference trees evaluated on a fresh draw, then judged by
+``symexpr.is_zero``), seeded test-form
 and test-map generators, the symbolic Lie
 derivative and Lie bracket (derivative trees), symbolic composition, the
 pointwise determinant pullback, the symbolic pullback of an embedding
@@ -220,6 +222,32 @@ def numpy_sample_points(domain: CoordinateDomain, samples: int, seed: int = 0, m
                 lo, hi = mid - half, mid + half
             out[c.name] = lo + (hi - lo) * u
     return out
+
+
+def zero_checks(groups, domain: CoordinateDomain, samples: int = 200, tol: float = 1e-9, seed: int = 0) -> list:
+    """The symbolic route to sampled zero tests: every group's expressions
+    are evaluated as trees on one draw of ``domain``'s points (one
+    ``evaluate_all`` call, structural zeros skipped) and each group is
+    judged by ``symexpr.is_zero``, an empty group passing with residual 0."""
+    groups = [[e for e in g if not sx.is_structural_zero(e)] for g in groups]
+    env = domain.sample_points(samples, seed)
+    values = iter(sx.evaluate_all([e for g in groups for e in g], env))
+    return [sx.is_zero([next(values) for _ in g], env, tol) for g in groups]
+
+
+def expr_is_zero(exprs, domain: CoordinateDomain, samples: int = 200, tol: float = 1e-9, seed: int = 0):
+    """One expression, or one group of them, on the symbolic route."""
+    return zero_checks([(exprs,) if isinstance(exprs, sx.Expr) else exprs], domain, samples, tol, seed)[0]
+
+
+def form_is_zero(a: DifferentialForm, samples: int = 200, tol: float = 1e-9, seed: int = 0):
+    """Every coefficient tree of a form (a difference built with ``ext_d``,
+    ``wedge`` and friends) on the symbolic route."""
+    return zero_checks([a.coeffs.values()], a.domain, samples, tol, seed)[0]
+
+
+def forms_equal(a: DifferentialForm, b: DifferentialForm, samples: int = 200, tol: float = 1e-9, seed: int = 0):
+    return form_is_zero(a - b, samples, tol, seed)
 
 
 def random_polynomial_form(

@@ -20,6 +20,7 @@ import lcskit.forms as forms
 import lcskit.models as models
 import lcskit.reduction as reduction
 import lcskit.report as report
+import oracle_utils
 from oracle_utils import average_cochain, betti_numbers_svd, chart_form, cut_coboundaries
 
 SQRT2 = math.sqrt(2.0)
@@ -48,7 +49,7 @@ def test_criterion_1_contact_corpus_pipeline():
         chart_domains = dict(sol.problem.charts)
         for cname, psi in sol.maps:
             theta = chart_form(sol.problem, chart_domains[cname])
-            check = forms.forms_equal(forms.pullback(psi, eta_c), theta, 1000, 1e-8, seed=123)
+            check = oracle_utils.forms_equal(forms.pullback(psi, eta_c), theta, 1000, 1e-8, seed=123)
             assert check.passed, (
                 f"{name}/{cname}: pullback residual {check.max_residual:.3e} at 1000 samples"
             )

@@ -5,15 +5,19 @@ finite-difference Jacobian oracle, so the symbolic pullback and the raw
 numerical route must agree independently.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+import lcskit.cli as cli
 import lcskit.embed as embed
 import lcskit.forms as forms
 import lcskit.models as models
 import lcskit.report as report
 import lcskit.symexpr as sx
 import lcskit.twisted as twisted
+import oracle_utils
 from oracle_utils import chart_form, pullback_on_vectors
 
 
@@ -103,7 +107,7 @@ def test_psi2_half_pair_defect_is_half_dphi():
     _name, psi = sol.maps[0]
     eta = embed._eta_on(sol.ambient, sol.pairs)
     gap = chart_form(prob, prob.charts[0][1]) - forms.pullback(psi, eta)
-    assert not forms.form_is_zero(gap, 200, 1e-3, 1).passed
+    assert not oracle_utils.form_is_zero(gap, 200, 1e-3, 1).passed
 
 
 def test_psi2_zero_form_both_variants():
@@ -111,7 +115,7 @@ def test_psi2_zero_form_both_variants():
         sol = embed.build_psi2(embed.problem_zero_form(), seed=0, doubled_pair=doubled)
         _name, psi = sol.maps[0]
         eta = embed._eta_on(sol.ambient, sol.pairs)
-        assert forms.form_is_zero(forms.pullback(psi, eta), 150, 1e-12, 2).passed
+        assert oracle_utils.form_is_zero(forms.pullback(psi, eta), 150, 1e-12, 2).passed
 
 
 def test_psi2_sphere_constraint():
@@ -172,7 +176,7 @@ def test_homothety_scaling_law():
     _n2, psi_h = halved[0]
     a = forms.pullback(psi_h, eta_small)
     b = forms.pullback(psi, eta_big).scaled(sx.Const(0.25))
-    assert forms.forms_equal(a, b, 150, 1e-10, 4).passed
+    assert oracle_utils.forms_equal(a, b, 150, 1e-10, 4).passed
 
 
 def test_unit_radius_homothety_is_identity():
@@ -192,6 +196,44 @@ def test_padding_preserves_identity():
         embed.pad_to_dimension(sol, sol.pairs - 1)
     with pytest.raises(embed.EmbedError):
         embed.pad_to_dimension(embed.build_psi2(embed.problem_circle(), seed=0), 5)
+
+
+def test_padding_is_held_to_the_unit_sphere(monkeypatch):
+    """Padding records a sphere certificate next to the pullback.  Constant
+    pads pull the contact form back unchanged, so only the sphere
+    constraint sees a pad of 0.3 in place of 0."""
+    sol = embed.build_psi3(embed.build_psi2(embed.problem_circle(), seed=0), seed=0)
+    padded = dict(embed.pad_to_dimension(sol, 4, seed=0).certifications)
+    stage3 = dict(sol.certifications)
+    for cname, _ in sol.maps:
+        assert padded[f"pad4:{cname}:pullback"].passed
+        # the padded sphere expression folds to stage 3's
+        assert padded[f"pad4:{cname}:sphere"] == stage3[f"stage3:{cname}:sphere"]
+    smooth_map = embed.SmoothMap
+
+    def nonzero_pads(source, target, comps):
+        if target.name.endswith("_pad4"):
+            comps = comps[: 2 * sol.pairs] + (sx.Const(0.3),) * (len(comps) - 2 * sol.pairs)
+        return smooth_map(source, target, comps)
+
+    monkeypatch.setattr(embed, "SmoothMap", nonzero_pads)
+    with pytest.raises(embed.CertificationError, match="padded sphere constraint") as caught:
+        embed.pad_to_dimension(sol, 4, seed=0)
+    assert caught.value.check.max_residual == pytest.approx(2 * (4 - sol.pairs) * 0.09)
+
+
+def test_sphere_constraint_is_judged_at_the_task_tolerance(tmp_path):
+    """No record passes with its residual above its own tolerance: sphere3's
+    sphere certificates read 8.9e-16 at stage 2, above a task tol of 5e-16,
+    so the run fails there, naming the sphere constraint."""
+    task = {"kind": "embed", "corpus": "sphere3", "tol": 5e-16}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"seed": 7, "tasks": [task]}))
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(path), "-q", "-o", str(out)]) == 1
+    records = json.loads(out.read_text())["records"]
+    assert not any(r["passed"] for r in records)
+    assert any("stage 2 sphere constraint" in r["detail"] for r in records)
 
 
 def test_monotonicity_in_safety_factor():

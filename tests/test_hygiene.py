@@ -1,6 +1,7 @@
 """Source hygiene checks over ``src/lcskit``, written on the stdlib ``ast`` module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -374,6 +375,69 @@ def test_numpy_random_scanner_finds_imports_and_attributes():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_reaches_numpy_random(path):
     assert numpy_random_references(path.read_text()) == []
+
+
+# -- one judge for every sampled residual --------------------------------------
+
+RETIRED_JUDGES = ("zero_checks", "value_checks", "form_is_zero", "forms_equal", "_max_abs")
+
+
+def zero_check_builders(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every ``ZeroCheck(...)`` call, by bare
+    name or attribute; a call outside any function reads ``<module>``.
+    ``symexpr.is_zero`` is the one place that turns sampled residuals into
+    a pass flag."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "ZeroCheck":
+                    found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def retired_judge_names(source: str) -> list[int]:
+    """Lines naming a retired route to a pass flag (``RETIRED_JUDGES``), as
+    an identifier, attribute, definition, import or in text."""
+    pattern = re.compile(r"\b(" + "|".join(RETIRED_JUDGES) + r")\b")
+    return [n for n, line in enumerate(source.splitlines(), 1) if pattern.search(line)]
+
+
+def test_judge_scanners_find_builders_and_retired_names():
+    source = (
+        "from .symexpr import ZeroCheck, value_checks\n"
+        "def is_zero(values, env, tol):\n"
+        "    return ZeroCheck(True, 0.0, {}, 1, tol)\n"
+        "def other(a):\n"
+        "    check = sx.ZeroCheck(False, 1.0, {}, 1, 0.0)\n"
+        "    def inner():\n"
+        "        return [ZeroCheck(*x) for x in a]\n"
+        "    return forms.form_is_zero(a) or sx.is_zero(a) or values_check(a)\n"
+        "CHECK = ZeroCheck\n"
+        "LAST = ZeroCheck(True, 0.0, {}, 1, 0.0)  # zero_checks\n"
+        "x = np_max_abs(a) + _max_abs(a) + forms_equality\n"
+    )
+    assert zero_check_builders(source) == [("is_zero", 3), ("other", 5), ("inner", 7), ("<module>", 10)]
+    assert retired_judge_names(source) == [1, 8, 10, 11]
+
+
+def test_only_symexpr_is_zero_builds_a_zero_check():
+    builders = [(path.name, *b) for path in MODULES for b in zero_check_builders(path.read_text())]
+    assert [(name, where) for name, where, _ in builders] == [("symexpr.py", "is_zero")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_a_retired_judge(path):
+    assert retired_judge_names(path.read_text()) == []
 
 
 # -- reachability ------------------------------------------------------------

@@ -30,8 +30,8 @@ def test_liouville_structure_is_exact_symplectic():
     assert S.dim == 4
     assert S.kind == models.EXACT
     chart = S.charts[0]
-    assert forms.form_is_zero(forms.ext_d(chart.phi)).passed
-    assert forms.forms_equal(forms.ext_d(chart.alpha), chart.phi).passed
+    assert oracle_utils.form_is_zero(forms.ext_d(chart.phi)).passed
+    assert oracle_utils.forms_equal(forms.ext_d(chart.alpha), chart.phi).passed
     env = chart.domain.sample_points(50)
     _, full = forms.nondegeneracy_rank(chart.phi, env, forms.evaluate_form(chart.phi, env))
     assert full
@@ -164,8 +164,9 @@ def _pairing(lee, X):
 
 
 def first_kind_one_test_per_identity(S, samples, tol, seed):
-    """The first-kind report built with one ``form_is_zero``/``is_zero`` call
-    per identity, each drawing its own points and walking its own trees."""
+    """The first-kind report built with one ``oracle_utils.form_is_zero`` /
+    ``expr_is_zero`` call per identity, each drawing its own points and
+    walking its own trees."""
     checks, min_rank = [], None
     for chart in S.charts:
         dom, B, E = chart.domain, chart.b_field, chart.anti_lee
@@ -180,9 +181,9 @@ def first_kind_one_test_per_identity(S, samples, tol, seed):
             ("d(lee)", forms.ext_d(chart.lee)),
         ]
         for label, delta in identities:
-            checks.append((chart.name, label, forms.form_is_zero(delta, samples, tol, seed)))
+            checks.append((chart.name, label, oracle_utils.form_is_zero(delta, samples, tol, seed)))
         bracket = oracle_utils.lie_bracket(B, E).components
-        checks.append((chart.name, "[B, E]", sx.is_zero(bracket, dom, samples, tol, seed)))
+        checks.append((chart.name, "[B, E]", oracle_utils.expr_is_zero(bracket, dom, samples, tol, seed)))
         env = dom.sample_points(min(samples, 60), seed)
         rank, _ = forms.nondegeneracy_rank(chart.phi, env, forms.evaluate_form(chart.phi, env))
         min_rank = rank if min_rank is None else min(min_rank, rank)

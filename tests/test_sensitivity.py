@@ -1,5 +1,6 @@
 """Planted-defect matrices: the first-kind identities, the reduction chain
-(its stages and its two-stage check) and the embeddings.
+(its stages and its two-stage check), the embeddings, and the Lee-form
+checks (the decomposition, the morphism classification and the ansatz fit).
 
 For the first-kind identities, each defect is a one-parameter family S(eps) built from the universal model
 with k = N = 1 (coordinates s, u, th1, t1, pth1, pt1; Lee form ds + d th1,
@@ -20,7 +21,8 @@ import lcskit.embed as embed
 import lcskit.models as models
 import lcskit.reduction as reduction
 import lcskit.symexpr as sx
-from lcskit.forms import DifferentialForm, VectorField
+import lcskit.twisted as twisted
+from lcskit.forms import DifferentialForm, VectorField, identity_map
 
 BASE = models.model_reduction_universal(1, 1, (1.0,))
 DOM = BASE.charts[0].domain
@@ -173,7 +175,7 @@ def test_planted_concatenation_defect_is_caught_in_proportion(request, chain_nam
     def residual(eps):
         bump = base.domain.one_form(coordinate).scaled(sx.Const(eps))
         planted = dataclasses.replace(base, alpha=base.alpha + bump)
-        return reduction.concatenation_residual(step1, step2, planted, samples=samples)[0]
+        return reduction.concatenation_residual(step1, step2, planted, samples=samples)[0].max_residual
 
     assert residual(0.0) == chain.concatenation <= chain.concatenation_tol
     eps = 10 * chain.concatenation_tol
@@ -257,3 +259,84 @@ def test_planted_contact_scale_is_caught_in_proportion(monkeypatch, record, seed
     check = caught.value.check
     assert not check.passed and check.max_residual > check.tol
     assert 0.1 <= check.max_residual / eps <= 10.0
+
+
+# ---------------------------------------------------------------------------
+# the Lee-form checks, on the universal model above (Lee form ds + d th1)
+#
+# Its declared decomposition is f0 = s with the one piece d th1 (potential
+# th1, weight 1).  Adding eps ds to the piece leaves d(th1) - omega = -eps ds,
+# and adding eps s to f0 leaves eps ds in the reassembled Lee form; either
+# reads eps.  The identity map classifies the chart against itself: adding
+# eps ds to the source Lee form moves the strict residual by eps, and adding
+# eps s du moves the closedness of the difference by eps ds ^ du.  The ansatz
+# fit over (ds, d th1) reproduces d(phi) = lee ^ phi; the first-kind defect
+# eps t1 ds ^ du planted in phi leaves eps (dt1 - t1 d th1) ^ ds ^ du, which
+# no Lee form in that span absorbs.
+
+CHART = BASE.charts[0]
+LOOPS = tuple(models.structure_lee_loops(BASE))
+
+
+def _decomposition(piece_eps=0.0, f0_eps=0.0):
+    omega = DOM.one_form("th1") + DOM.one_form("s").scaled(_eps(piece_eps))
+    piece = reduction.DecompositionPiece(1.0, omega, sx.var("th1"))
+    return reduction.LeeDecomposition(sx.add(sx.var("s"), _eps(f0_eps, sx.var("s"))), (piece,), LOOPS)
+
+
+# defect -> (the keyword planting it, the failure it raises)
+DECOMPOSITION_DEFECTS = {"piece": ("piece_eps", "piece 0"), "f0": ("f0_eps", "reassemble")}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("defect", sorted(DECOMPOSITION_DEFECTS))
+def test_planted_decomposition_defect_is_caught_in_proportion(defect, seed):
+    keyword, message = DECOMPOSITION_DEFECTS[defect]
+    clean = reduction.certify_decomposition(CHART, _decomposition(), samples=80, tol=TOL, seed=seed)
+    assert clean.passed and max(clean.sum_residual, *clean.piece_residuals) <= TOL
+    eps = 10 * TOL
+    planted = _decomposition(**{keyword: eps})
+    with pytest.raises(reduction.DecompositionError, match=message) as caught:
+        reduction.certify_decomposition(CHART, planted, samples=80, tol=TOL, seed=seed)
+    residual = float(re.search(r"residual ([-+0-9.e]+)", str(caught.value)).group(1))
+    assert 0.1 <= residual / eps <= 10.0
+
+
+# source Lee-form defect -> (flag it fails, residual it moves)
+MORPHISM_DEFECTS = {
+    "strict": (lambda e: DOM.one_form("s").scaled(_eps(e)), "strict", "strict_residual"),
+    "closed": (lambda e: DOM.one_form("u").scaled(_eps(e, sx.var("s"))), "conformal", "conformal_closed_residual"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("defect", sorted(MORPHISM_DEFECTS))
+def test_planted_morphism_defect_is_caught_in_proportion(defect, seed):
+    bump, flag, residual = MORPHISM_DEFECTS[defect]
+
+    def classify(eps):
+        return twisted.classify_morphism(
+            identity_map(DOM), CHART.lee + bump(eps), CHART.lee, LOOPS, LOOPS, samples=80, tol=TOL, seed=seed
+        )
+
+    clean = classify(0.0)
+    assert getattr(clean, flag) and getattr(clean, residual) <= TOL
+    eps = 10 * TOL
+    rep = classify(eps)
+    assert not getattr(rep, flag)
+    assert 0.1 <= getattr(rep, residual) / eps <= 10.0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_planted_ansatz_defect_is_caught_in_proportion(seed):
+    basis = [DOM.one_form("s"), DOM.one_form("th1")]
+
+    def fit(eps):
+        phi = DEFECTS["d(phi) - lee ^ phi"](CHART, eps).phi
+        return twisted.extract_lee(phi, samples=40, seed=seed, ansatz=basis, tol=TOL)
+
+    assert fit(0.0).fit_residual <= TOL
+    eps = 10 * TOL
+    with pytest.raises(twisted.NotConformalError, match="ansatz fit") as caught:
+        fit(eps)
+    assert 0.1 <= caught.value.residual / eps <= 10.0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from lcskit import report
 from lcskit import symexpr as sx
 from lcskit.forms import linear_domain, make_domain
+import oracle_utils as oracle
 from oracle_utils import central_difference, random_polynomial_form
 
 X, Y = sx.var("x"), sx.var("y")
@@ -99,26 +100,44 @@ def test_unknown_coordinate_error():
 
 # ---------------------------------------------------------------------------
 # numerical zero testing
+#
+# ``sx.is_zero`` judges residual values already sampled; the identity tests
+# below reach it through the symbolic route of ``oracle_utils`` (a tree
+# evaluated on a fresh draw of points).
+
+
+def test_is_zero_judges_arrays_of_any_leading_shape():
+    env = {"x": np.array([0.1, 0.2, 0.3]), "y": np.array([1.0, 2.0, 3.0])}
+    one_form = np.array([[0.0, -2.0, 1.0], [2.0, 0.5, 0.0]])
+    two_form = np.zeros((2, 2, 3))
+    two_form[1, 0, 2] = -2.5
+    check = sx.is_zero([one_form, two_form], env, 2.5)
+    # the largest |value| first reached in row-major order, at its point
+    assert check == sx.ZeroCheck(True, 2.5, {"x": 0.3, "y": 3.0}, 3, 2.5)
+    assert not sx.is_zero([one_form], env, 1.999).passed
+    assert sx.is_zero([one_form], env, 2.0).worst_point == {"x": 0.2, "y": 2.0}
+    assert sx.is_zero([], env, 0.0) == sx.ZeroCheck(True, 0.0, {}, 3, 0.0)
+    assert sx.is_zero([np.zeros(3)], env, 0.0) == sx.ZeroCheck(True, 0.0, {}, 3, 0.0)
 
 
 def test_is_zero_pythagorean_identity():
-    check = sx.is_zero(sx.sin(X) ** 2 + sx.cos(X) ** 2 - 1, BOX, samples=200, tol=1e-12, seed=3)
+    check = oracle.expr_is_zero(sx.sin(X) ** 2 + sx.cos(X) ** 2 - 1, BOX, samples=200, tol=1e-12, seed=3)
     assert check.passed
     assert check.max_residual < 1e-12
 
 
 def test_is_zero_binomial_identity():
     e = (X + Y) ** 2 - X**2 - 2 * X * Y - Y**2
-    assert sx.is_zero(e, BOX, samples=100, tol=1e-12, seed=5).passed
+    assert oracle.expr_is_zero(e, BOX, samples=100, tol=1e-12, seed=5).passed
 
 
 def test_is_zero_sine_addition_identity():
     e = sx.sin(X + Y) - sx.sin(X) * sx.cos(Y) - sx.cos(X) * sx.sin(Y)
-    assert sx.is_zero(e, BOX, seed=9).passed
+    assert oracle.expr_is_zero(e, BOX, seed=9).passed
 
 
 def test_is_zero_rejects_nonzero_and_reports_worst_point():
-    check = sx.is_zero(X**2, BOX, samples=500, tol=1e-9, seed=1)
+    check = oracle.expr_is_zero(X**2, BOX, samples=500, tol=1e-9, seed=1)
     assert not check.passed
     assert 0.5 < check.max_residual <= 1.0
     assert abs(check.worst_point["x"] ** 2 - check.max_residual) < 1e-15
@@ -126,13 +145,13 @@ def test_is_zero_rejects_nonzero_and_reports_worst_point():
 
 def test_is_zero_deterministic_given_seed():
     e = sx.sin(X) * Y
-    a = sx.is_zero(e, BOX, samples=64, tol=1e-9, seed=42)
-    b = sx.is_zero(e, BOX, samples=64, tol=1e-9, seed=42)
+    a = oracle.expr_is_zero(e, BOX, samples=64, tol=1e-9, seed=42)
+    b = oracle.expr_is_zero(e, BOX, samples=64, tol=1e-9, seed=42)
     assert a == b
 
 
 def test_is_zero_accepts_iterables():
-    checks = sx.is_zero([X - X, sx.ZERO], BOX, samples=10, seed=0)
+    checks = oracle.expr_is_zero([X - X, sx.ZERO], BOX, samples=10, seed=0)
     assert checks.passed and checks.max_residual == 0.0
 
 
@@ -247,7 +266,7 @@ def test_parse_error_mentions_position():
 def test_to_string_round_trips(e):
     back = sx.parse(str(e))
     delta = e - back
-    assert sx.is_zero(delta, BOX, samples=50, seed=2).passed
+    assert oracle.expr_is_zero(delta, BOX, samples=50, seed=2).passed
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +293,14 @@ _expr_strategy = st.recursive(_leaf, _combine, max_leaves=8)
 @given(_expr_strategy)
 def test_mixed_partials_commute(e):
     mixed = sx.diff(sx.diff(e, "x"), "y") - sx.diff(sx.diff(e, "y"), "x")
-    assert sx.is_zero(mixed, BOX, samples=40, tol=1e-8, seed=7).passed
+    assert oracle.expr_is_zero(mixed, BOX, samples=40, tol=1e-8, seed=7).passed
 
 
 @settings(max_examples=40, deadline=None)
 @given(_expr_strategy)
 def test_parse_of_printed_tree_matches(e):
     back = sx.parse(sx.to_string(e))
-    assert sx.is_zero(e - back, BOX, samples=30, tol=1e-9, seed=13).passed
+    assert oracle.expr_is_zero(e - back, BOX, samples=30, tol=1e-9, seed=13).passed
 
 
 @settings(max_examples=30, deadline=None)
@@ -712,9 +731,9 @@ def test_zero_checks_equal_one_is_zero_per_group(steps, group_picks, seed, with_
         extras.append(sx.sqrt(X))
     candidates = pool + extras
     groups = [[candidates[i % len(candidates)] for i in picks] for picks in group_picks]
-    want = _outcome(lambda: [sx.is_zero(g, MIX, 12, 1e-9, seed) for g in groups])
+    want = _outcome(lambda: [oracle.expr_is_zero(g, MIX, 12, 1e-9, seed) for g in groups])
     # ZeroCheck equality compares every field: flag, residual, witness, samples, tol
-    assert _outcome(lambda: sx.zero_checks(groups, MIX, 12, 1e-9, seed)) == want
+    assert _outcome(lambda: oracle.zero_checks(groups, MIX, 12, 1e-9, seed)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import math
+import types
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lcskit import embed, forms, models, reduction, symexpr as sx, twisted
@@ -11,7 +15,6 @@ from lcskit.forms import (
     DifferentialForm,
     SmoothMap,
     ext_d,
-    form_is_zero,
     function_form,
     linear_domain,
     make_domain,
@@ -19,7 +22,7 @@ from lcskit.forms import (
     wedge,
 )
 import oracle_utils as oracle
-from oracle_utils import random_polynomial_form
+from oracle_utils import form_is_zero, random_map, random_polynomial_form
 
 R4 = linear_domain("r4", ["s", "u", "t", "p"])
 T2 = make_domain("t2", [("th1", ANGULAR), ("th2", ANGULAR)])
@@ -423,3 +426,110 @@ def test_classification_with_irrational_lattices():
     assert rep.strict and rep.full
     assert rep.rank_source == 2
     assert not rep.source_lattice.integral
+
+
+# ---------------------------------------------------------------------------
+# the sampled checks against the symbolic route
+#
+# The decomposition, the morphism's closedness and the ansatz fit read d and
+# wedge from one jets walk; the symbolic route builds the difference with
+# ext_d/wedge trees and evaluates it on the same points.  The two sum the
+# same products in different orders, so each residual agrees within a few
+# rounding errors of the largest term the identity compares (an exact
+# identity's residual is all rounding), and each pass flag is the same.  Every case is drawn
+# either exact (the identity holds, both routes pass at TOL) or generic
+# (both fail); tol = inf reads every residual without raising.
+
+MIX4 = make_domain("mix4", [("s",), ("u",), ("th", ANGULAR), ("p",)])
+TOL = 1e-9
+RESIDUAL_ULPS = 8
+
+
+def _agrees(sampled: float, tree, terms, seed: int) -> bool:
+    """The sampled residual is within RESIDUAL_ULPS units of machine epsilon
+    of the tree route's, scaled by the largest |value| (at least 1) of the
+    forms compared, at the check's points."""
+    scale = max([1.0] + [oracle.form_is_zero(a, 30, TOL, seed).max_residual for a in terms])
+    return abs(sampled - tree.max_residual) <= RESIDUAL_ULPS * np.finfo(float).eps * scale
+
+
+def _scalar(seed: int) -> sx.Expr:
+    """A seeded smooth function: the product of two random coefficients."""
+    a, b = (random_polynomial_form(MIX4, 0, seed + k).coefficient(()) for k in (0, 1))
+    return sx.mul(a, b)
+
+
+def _constant_one_form(seed: int) -> DifferentialForm:
+    rng = np.random.default_rng(seed)
+    return DifferentialForm(MIX4, 1, {(i,): sx.Const(float(c)) for i, c in enumerate(rng.uniform(-1, 1, 4))})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**20), st.booleans(), st.integers(0, 2**31 - 1))
+def test_sampled_decomposition_equals_the_symbolic_route(form_seed, exact, seed):
+    f0, taus, weights = _scalar(form_seed), [_scalar(form_seed + 2), _scalar(form_seed + 4)], (1.0, -0.75)
+    if exact:
+        omegas = [ext_d(function_form(MIX4, tau)) for tau in taus]
+    else:
+        omegas = [random_polynomial_form(MIX4, 1, form_seed + 6 + k) for k in (0, 1)]
+    summands = [ext_d(function_form(MIX4, f0))] + [o.scaled(sx.Const(w)) for w, o in zip(weights, omegas)]
+    total = summands[0] + summands[1] + summands[2]
+    lee = total if exact else random_polynomial_form(MIX4, 1, form_seed + 8)
+    chart = types.SimpleNamespace(domain=MIX4, lee=lee)
+    pieces = tuple(reduction.DecompositionPiece(w, o, t) for w, o, t in zip(weights, omegas, taus))
+    decomp = reduction.LeeDecomposition(f0, pieces)
+    # per check, in certify_decomposition's order: its tree route, the forms it compares, its seed
+    checks = [
+        (oracle.forms_equal(ext_d(function_form(MIX4, tau)), omega, 30, TOL, seed + j),
+         [ext_d(function_form(MIX4, tau)), omega], seed + j)
+        for j, (omega, tau) in enumerate(zip(omegas, taus))
+    ]
+    checks.append((oracle.forms_equal(total, lee, 30, TOL, seed), summands + [lee], seed))
+    every = reduction.certify_decomposition(chart, decomp, samples=30, tol=math.inf, seed=seed)
+    sampled = (*every.piece_residuals, every.sum_residual)
+    assert all(_agrees(r, tree, terms, s) for r, (tree, terms, s) in zip(sampled, checks))
+    failing = [j for j, (tree, _, _) in enumerate(checks) if not tree.passed]
+    if not failing:
+        assert reduction.certify_decomposition(chart, decomp, samples=30, tol=TOL, seed=seed).passed
+    else:
+        message = f"piece {failing[0]}" if failing[0] < len(pieces) else "reassemble"
+        with pytest.raises(reduction.DecompositionError, match=message):
+            reduction.certify_decomposition(chart, decomp, samples=30, tol=TOL, seed=seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**20), st.booleans(), st.integers(0, 2**31 - 1))
+def test_sampled_morphism_checks_equal_the_symbolic_route(form_seed, exact, seed):
+    F = random_map(R4, MIX4, form_seed)
+    lee_target = _constant_one_form(form_seed + 1)
+    pulled = pullback(F, lee_target)
+    if exact:  # the difference of the Lee forms is exact, so closed
+        lee_source = pulled + ext_d(function_form(R4, random_polynomial_form(R4, 0, form_seed + 2).coefficient(())))
+    else:
+        lee_source = random_polynomial_form(R4, 1, form_seed + 2)
+    rep = twisted.classify_morphism(F, lee_source, lee_target, [], [], samples=30, tol=TOL, seed=seed)
+    strict = oracle.form_is_zero(pulled - lee_source, 30, TOL, seed)
+    closed = oracle.form_is_zero(ext_d(pulled - lee_source), 30, TOL, seed + 1)
+    assert rep.strict_residual == strict.max_residual and rep.strict == strict.passed
+    assert _agrees(rep.conformal_closed_residual, closed, [ext_d(pulled), ext_d(lee_source)], seed + 1)
+    assert rep.conformal == closed.passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**20), st.booleans(), st.integers(0, 2**31 - 1))
+def test_sampled_ansatz_fit_equals_the_symbolic_route(form_seed, exact, seed):
+    basis = [MIX4.one_form(n) for n in MIX4.names]
+    if exact:  # d(d_omega alpha) = omega ^ d_omega alpha for closed omega
+        phi = twisted.d_twisted(_constant_one_form(form_seed), random_polynomial_form(MIX4, 1, form_seed + 1))
+    else:
+        phi = random_polynomial_form(MIX4, 2, form_seed)
+    data = twisted.extract_lee(phi, samples=30, seed=seed, ansatz=basis, tol=math.inf)
+    fit = oracle.form_is_zero(ext_d(phi) - wedge(data.omega, phi), 30, TOL, seed + 1)
+    closed = oracle.form_is_zero(ext_d(data.omega), 30, TOL, seed + 2)
+    assert _agrees(data.fit_residual, fit, [ext_d(phi), wedge(data.omega, phi)], seed + 1)
+    assert _agrees(data.closedness_residual, closed, [ext_d(data.omega)], seed + 2)
+    if fit.passed:
+        assert twisted.extract_lee(phi, samples=30, seed=seed, ansatz=basis, tol=TOL).fit_residual <= TOL
+    else:
+        with pytest.raises(twisted.NotConformalError, match="ansatz fit"):
+            twisted.extract_lee(phi, samples=30, seed=seed, ansatz=basis, tol=TOL)
