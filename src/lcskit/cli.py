@@ -17,11 +17,11 @@ Exit codes: 0 when every executed record passes, 1 when a check fails,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from .report import (
-    Manifest,
     ManifestError,
     RunOptions,
     RunReport,
@@ -104,13 +104,7 @@ def _execute(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     kind = _KIND_FOR_COMMAND.get(args.command)
     if kind is not None:
-        manifest = Manifest(
-            manifest.path,
-            manifest.seed,
-            manifest.samples,
-            manifest.structures,
-            [t for t in manifest.tasks if t.get("kind") == kind],
-        )
+        manifest = dataclasses.replace(manifest, tasks=[t for t in manifest.tasks if t["kind"] == kind])
     opts = RunOptions(
         seed=args.seed,
         tol=args.tol,

@@ -52,46 +52,6 @@ def _did_you_mean(key, allowed) -> str:
 
 
 # ---------------------------------------------------------------------------
-# manifest and command-line values
-
-
-def _checked(value, key: str, kinds, accept: Callable, what: str):
-    """A number from a manifest or the command line, of ``kinds`` and passing
-    ``accept``; a bool, a string, or a float where an integer belongs is
-    refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, kinds) or not accept(value):
-        raise ManifestError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-def _sample_count(value, key: str) -> int:
-    return _checked(value, key, int, lambda v: v > 0, "a positive integer")
-
-
-def _positive_real(value, key: str) -> float:
-    """A tolerance, threshold or window: a finite real above zero."""
-    return float(_checked(value, key, (int, float), lambda v: 0 < v < math.inf, "a positive finite number"))
-
-
-def _finite_real(value, key: str) -> float:
-    return float(_checked(value, key, (int, float), math.isfinite, "a finite number"))
-
-
-def _number_list(value, key: str, check: Callable) -> list:
-    """A list of manifest numbers, each passed through ``check(v, key)``."""
-    if not isinstance(value, list):
-        raise ManifestError(f"{key} must be a list, got {value!r}")
-    return [check(v, key) for v in value]
-
-
-def _grid_integer(value, key: str, low: int, high: float = math.inf) -> int:
-    """An integer in [low, high): a seed, torus size, cut position, Betti
-    number, catalog dimension, pair count or chart index."""
-    span = f"at least {low}" if high == math.inf else f"in [{low}, {high})"
-    return _checked(value, key, int, lambda v: low <= v < high, f"an integer {span}")
-
-
-# ---------------------------------------------------------------------------
 # report model
 
 
@@ -229,11 +189,10 @@ def load_report(path: str) -> RunReport:
 
 @dataclass
 class Manifest:
-    """Parsed manifest: declarations plus an ordered task list."""
+    """Parsed manifest: checked declarations plus an ordered task list."""
 
     path: str
     seed: int
-    samples: int | None
     structures: dict[str, dict]
     tasks: list[dict]
 
@@ -241,9 +200,6 @@ class Manifest:
         self._cache: dict[str, models.LcsStructure] = {}
 
     def structure(self, name: str) -> models.LcsStructure:
-        if name not in self.structures:
-            known = ", ".join(sorted(self.structures)) or "none"
-            raise ManifestError(f"unknown structure {name!r} (declared: {known})")
         if name not in self._cache:
             self._cache[name] = _build_structure(name, self.structures[name])
         return self._cache[name]
@@ -267,230 +223,364 @@ def load_manifest(path: str) -> Manifest:
     return parse_manifest(data, label)
 
 
-_MANIFEST_KEYS = ("seed", "samples", "structures", "tasks")
+def bundled_selftest_text() -> str:
+    return resources.files("lcskit").joinpath("manifests/selftest.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# manifest schema
+#
+# Every key a manifest may hold is declared once below, as name ->
+# (checker, default); a default of _REQUIRED marks a key that must be given,
+# and None one whose absence the runner reads as "not asked for".
+# ``parse_manifest`` walks these tables before any task runs and refuses an
+# unknown or missing key, a value of the wrong type or out of range, and a
+# broken cross-key rule.  Only two checks wait for the structure to be
+# built: parsing expression text (which needs ``symexpr`` and numpy) and the
+# upper bound of a chain's ``chart_index``.  The runners read checked values.
+
+
+class _Check:
+    """A value rule: ``check(value, where)`` returns the value, converted, or
+    refuses it, naming ``where`` it stands and ``what`` it must be.  A bool, a
+    string or a float where an integer belongs is refused, never coerced."""
+
+    def __init__(self, what: str, accept: Callable, convert: Callable = lambda value, where: value):
+        self.what, self.accept, self.convert = what, accept, convert
+
+    def __call__(self, value, where: str):
+        if not self.accept(value):
+            raise ManifestError(f"{where} must be {self.what}, got {value!r}")
+        return self.convert(value, where)
+
+
+def _number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _integer(low: int, high: float = math.inf) -> _Check:
+    span = f"at least {low}" if high == math.inf else f"in [{low}, {high})"
+    return _Check(f"an integer {span}", lambda v: _number(v, int) and low <= v < high)
+
+
+def _real(what: str, accept: Callable) -> _Check:
+    return _Check(what, lambda v: _number(v) and accept(v), lambda v, where: float(v))
+
+
+def _list_of(item: _Check, what: str) -> _Check:
+    return _Check(what, lambda v: isinstance(v, list), lambda v, where: [item(x, where) for x in v])
+
+
+def _one_of(*choices: str) -> _Check:
+    return _Check("one of " + ", ".join(choices), lambda v: isinstance(v, str) and v in choices)
+
+
+def _of_type(what: str, kind: type) -> _Check:
+    return _Check(what, lambda v: isinstance(v, kind))
+
+
+_REQUIRED = object()
+_COUNT = _Check("a positive integer", lambda v: _number(v, int) and v > 0)
+_POSITIVE = _real("a positive finite number", lambda v: 0 < v < math.inf)
+_FINITE = _real("a finite number", math.isfinite)
+_FLAG = _of_type("a boolean", bool)
+_STRUCTURE = _of_type("a declared structure name", str)
+_EXPRESSION = _Check(
+    "an expression string or a finite number", lambda v: isinstance(v, str) or _number(v) and math.isfinite(v)
+)
+_COMPONENTS = _Check(
+    "an object mapping coordinate names to expressions",
+    lambda v: isinstance(v, dict),
+    lambda v, where: {name: _EXPRESSION(text, f"{where}[{name}]") for name, text in v.items()},
+)
+
+_MANIFEST_KEYS = {
+    "seed": (_integer(0), _REQUIRED),
+    "samples": (_COUNT, None),
+    "structures": (_of_type("an object of named declarations", dict), {}),
+    "tasks": (
+        _Check("a list of objects", lambda v: isinstance(v, list) and all(isinstance(t, dict) for t in v)), []
+    ),
+}
+
+_CATALOG_ARGS = {
+    "liouville": {"n": (_integer(1), _REQUIRED)},
+    "sphere_circle": {"N": (_integer(2), _REQUIRED), "q": (_FINITE, 1.0)},
+    "reduction_universal": {
+        "k": (_integer(0), _REQUIRED),
+        "N": (_integer(0), _REQUIRED),
+        "mu": (_list_of(_FINITE, "a list of k finite numbers"), _REQUIRED),
+    },
+}
+
+_COORDINATE_KEYS = {
+    "name": (_of_type("a string", str), _REQUIRED),
+    "kind": (_one_of("linear", "angular"), "linear"),
+    "lower": (_FINITE, -1.0),
+    "upper": (_FINITE, 1.0),
+}
+
+_CHART_KEYS = {
+    "coordinates": (
+        _Check(
+            "a non-empty list of coordinate objects",
+            lambda v: isinstance(v, list) and len(v) > 0,
+            lambda v, where: [
+                _walk(c, _COORDINATE_KEYS, f"{where}[{i}]", "coordinate key") for i, c in enumerate(v)
+            ],
+        ),
+        _REQUIRED,
+    ),
+    "alpha": (_COMPONENTS, _REQUIRED),
+    "lee": (_COMPONENTS, _REQUIRED),
+    "phi": (
+        _Check(
+            "'twisted' or an object mapping 'x^y' to expressions",
+            lambda v: v == "twisted" or isinstance(v, dict),
+            lambda v, where: v if v == "twisted" else _COMPONENTS.convert(v, where),
+        ),
+        "twisted",
+    ),
+    "b_field": (_COMPONENTS, None),
+    "anti_lee": (_COMPONENTS, None),
+}
+
+_STRUCTURE_KEYS = {
+    "catalog": (_one_of(*_CATALOG_ARGS), None),
+    "args": (_of_type("an object", dict), {}),
+    "chart": (_Check("an object", lambda v: True, lambda v, where: _walk(v, _CHART_KEYS, where, "chart key")),
+              None),
+}
+
+# reduce-chain keys passed on to ``reduction.run_reduction_chain``, with its defaults
+_CHAIN_ARGS = {
+    "samples": (_COUNT, 150),
+    "tol": (_POSITIVE, 1e-8),
+    "flow_tol": (_POSITIVE, 1e-6),
+    "window": (_POSITIVE, 0.25),
+    # the share by which sampling shrinks each chart interval toward its midpoint
+    "margin": (_real("a finite number in [0, 1)", lambda v: 0 <= v < 1), 0.5),
+    "flow_samples": (_COUNT, 40),
+    "verify_samples": (_COUNT, 100),
+    "concat_samples": (_COUNT, 16),
+    "concat_tol": (_POSITIVE, 1e-6),
+}
+
+_KIND = (_of_type("the task kind", str), _REQUIRED)
+
+_TASK_KEYS = {
+    "verify": {"kind": _KIND, "structure": (_STRUCTURE, _REQUIRED), "samples": (_COUNT, 200),
+               "tol": (_POSITIVE, 1e-9)},
+    "embed": {
+        "kind": _KIND,
+        "corpus": (_one_of("circle", "torus", "sphere3", "zero_form"), None),
+        "structure": (_STRUCTURE, None),
+        "samples": (_COUNT, 200),
+        "tol": (_POSITIVE, 1e-9),
+        "rho": (_POSITIVE, 1.2),
+        "pairs": (_integer(1), None),
+        "literal_defect": (_FLAG, False),
+    },
+    "reduce-chain": {
+        "kind": _KIND,
+        "input": (_one_of("plane", "sphere_circle"), "sphere_circle"),
+        "structure": (_STRUCTURE, None),
+        "chart_index": (_integer(0), 0),
+        **_CHAIN_ARGS,
+    },
+    "cohomology": {
+        "kind": _KIND,
+        "n": (_integer(1), _REQUIRED),
+        "m": (_integer(2), _REQUIRED),
+        "mu": (_list_of(_FINITE, "a list of n finite numbers"), None),
+        # checked against n and m, with the other cross-key rules
+        "cuts": (_Check("a list of n integers in [0, m)", lambda v: v is not None), None),
+        "expect_betti": (_list_of(_integer(0), "a list of integers at least 0"), None),
+        "euler": (_FLAG, True),
+        "refine": (_FLAG, False),
+        "obstruction": (_FLAG, False),
+        "threshold": (_POSITIVE, 0.1),
+    },
+}
+
+
+def _walk(raw, keys: dict, where: str, noun: str, label: str | None = None) -> dict:
+    """``raw`` checked against ``keys``: every declared key present, defaults
+    filled in.  Unknown and missing keys are refused ``where`` they stand;
+    each value is checked as ``<label> <key>`` (``label`` defaults to
+    ``where``)."""
+    label = where if label is None else label
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{label} must be an object, got {raw!r}")
+    prefix = f"{where}: " if where else ""
+    for key in raw:
+        if key not in keys:
+            raise ManifestError(
+                f"{prefix}unknown {noun} {key!r} (expected {', '.join(keys)}){_did_you_mean(key, keys)}"
+            )
+    checked = {}
+    for key, (check, default) in keys.items():
+        if key in raw:
+            checked[key] = check(raw[key], f"{label} {key}" if label else key)
+        elif default is _REQUIRED:
+            raise ManifestError(f"{prefix}missing {noun} {key!r}")
+        else:
+            checked[key] = default
+    return checked
 
 
 def parse_manifest(data, path: str = "<memory>") -> Manifest:
     if not isinstance(data, dict):
         raise ManifestError("manifest must be a JSON object")
-    for key in data:
-        if key not in _MANIFEST_KEYS:
-            raise ManifestError(
-                f"unknown manifest key {key!r} (expected {', '.join(_MANIFEST_KEYS)})"
-                + _did_you_mean(key, _MANIFEST_KEYS)
-            )
-    if "seed" not in data:
-        raise ManifestError("manifest must declare a seed (reproducibility)")
-    seed = _grid_integer(data["seed"], "seed", 0)
-    samples = data.get("samples")
-    if samples is not None:
-        _sample_count(samples, "samples")
-    structures = data.get("structures", {})
-    if not isinstance(structures, dict):
-        raise ManifestError("structures must be an object of named declarations")
-    for name, decl in structures.items():
-        if isinstance(decl, dict) and "catalog" in decl:
-            _catalog_args(name, decl)
-    tasks = data.get("tasks", [])
-    if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
-        raise ManifestError("tasks must be a list of objects")
-    for i, task in enumerate(tasks):
-        kind = task.get("kind")
-        if kind not in _TASK_KEYS:
-            raise ManifestError(
-                f"task {i}: unknown kind {kind!r} (expected one of {', '.join(sorted(_TASK_KEYS))})"
-            )
-        allowed = _TASK_KEYS[kind]
-        for key in task:
-            if key not in allowed:
-                raise ManifestError(
-                    f"task {i}: unknown {kind} task key {key!r} "
-                    f"(expected {', '.join(allowed)}){_did_you_mean(key, allowed)}"
-                )
-    return Manifest(path, seed, samples, dict(structures), list(tasks))
+    top = _walk(data, _MANIFEST_KEYS, "", "manifest key")
+    structures = {name: _structure_decl(name, decl) for name, decl in top["structures"].items()}
+    tasks = [_task(i, raw, structures, top["samples"]) for i, raw in enumerate(top["tasks"])]
+    return Manifest(path, top["seed"], structures, tasks)
 
 
-def bundled_selftest_text() -> str:
-    return resources.files("lcskit").joinpath("manifests/selftest.json").read_text()
+def _structure_decl(name: str, raw) -> dict:
+    where = f"structure {name!r}"
+    decl = _walk(raw, _STRUCTURE_KEYS, where, "structure key")
+    entry = decl["catalog"]
+    if (entry is None) == (decl["chart"] is None):
+        raise ManifestError(f"{where}: expected either a 'catalog' reference or an inline 'chart'")
+    if entry is None:
+        if "args" in raw:
+            raise ManifestError(f"{where}: args belong to a 'catalog' reference")
+        _chart_rules(decl["chart"], f"{where} chart")
+        return decl
+    args = decl["args"] = _walk(
+        decl["args"], _CATALOG_ARGS[entry], where, f"{entry} argument", f"{where} argument"
+    )
+    if entry == "sphere_circle" and args["q"] == 0:
+        raise ManifestError(f"{where}: sphere_circle needs a nonzero contact scale q")
+    if entry == "reduction_universal" and args["k"] + args["N"] == 0:
+        raise ManifestError(f"{where}: reduction_universal needs k + N >= 1")
+    if entry == "reduction_universal" and len(args["mu"]) != args["k"]:
+        raise ManifestError(f"{where} argument mu must be a list of k finite numbers, got {args['mu']!r}")
+    return decl
+
+
+def _chart_rules(chart: dict, where: str) -> None:
+    """Coordinates named once with non-empty ranges; every component and
+    ``phi`` key names declared coordinates."""
+    names = [c["name"] for c in chart["coordinates"]]
+    for i, c in enumerate(chart["coordinates"]):
+        if names.index(c["name"]) != i:
+            raise ManifestError(f"{where} coordinates[{i}]: duplicate coordinate name {c['name']!r}")
+        if c["kind"] == "linear" and not c["lower"] < c["upper"]:
+            raise ManifestError(f"{where} coordinates[{i}]: empty range [{c['lower']}, {c['upper']}]")
+    for key in ("alpha", "lee", "b_field", "anti_lee", "phi"):
+        components = chart[key] if isinstance(chart[key], dict) else {}
+        for slot in components:
+            parts = _slot_names(key, slot)
+            if len(parts) != (2 if key == "phi" else 1):
+                raise ManifestError(f"{where} phi key {slot!r} must look like 'x^y'")
+            for part in parts:
+                if part not in names:
+                    raise ManifestError(
+                        f"{where} {key}[{slot}]: unknown coordinate {part!r} "
+                        f"(declared: {', '.join(names)}){_did_you_mean(part, names)}"
+                    )
+
+
+def _slot_names(key: str, slot: str) -> list[str]:
+    """The coordinates a component key names: ``x`` in a one-form or field, ``x^y`` in phi."""
+    return slot.split("^") if key == "phi" else [slot]
+
+
+def _task(index: int, raw: dict, structures: dict, samples: int | None) -> dict:
+    where = f"task {index}"
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in _TASK_KEYS:
+        raise ManifestError(
+            f"{where}: unknown kind {kind!r} (expected one of {', '.join(sorted(_TASK_KEYS))})"
+        )
+    keys = _TASK_KEYS[kind]
+    if samples is not None and "samples" in keys:
+        raw = {"samples": samples, **raw}  # the manifest's samples stand in for the task's own
+    label = f"{where}: {kind} task"
+    task = _walk(raw, keys, where, f"{kind} task key", label)
+    name = task.get("structure")
+    if name is not None and name not in structures:
+        known = ", ".join(sorted(structures)) or "none"
+        raise ManifestError(f"{where}: unknown structure {name!r} (declared: {known})")
+    if kind == "embed" and (task["corpus"] is None) == (name is None):
+        raise ManifestError(f"{label} needs either a 'corpus' entry or a 'structure' name")
+    if kind == "reduce-chain" and task["input"] == "sphere_circle" and name is None:
+        raise ManifestError(f"{label} on a sphere model needs a 'structure' name")
+    if kind == "reduce-chain" and task["input"] == "plane" and ({"structure", "chart_index"} & set(raw)):
+        raise ManifestError(f"{label} on input 'plane' takes no 'structure' or 'chart_index'")
+    if kind == "cohomology":
+        n, m = task["n"], task["m"]
+        if task["obstruction"]:  # the obstruction lives on two-cells
+            _integer(2)(n, f"{label} n")
+        if task["mu"] is None:
+            task["mu"] = [0.0] * n
+        elif len(task["mu"]) != n:
+            raise ManifestError(f"{label} mu must be a list of {n} finite numbers, got {task['mu']!r}")
+        cuts = task["cuts"]
+        if cuts is not None:
+            if not isinstance(cuts, list) or len(cuts) != n:
+                raise ManifestError(f"{label} cuts must be a list of {n} grid positions, got {cuts!r}")
+            task["cuts"] = [_integer(0, m)(c, f"{label} cuts") for c in cuts]
+    return task
 
 
 # ---------------------------------------------------------------------------
 # structure declarations
 
 
-def _build_structure(name: str, decl) -> models.LcsStructure:
-    if not isinstance(decl, dict):
-        raise ManifestError(f"structure {name!r}: declaration must be an object")
-    if "catalog" in decl:
-        return _catalog_structure(name, decl)
-    if "chart" in decl:
-        return _inline_structure(name, decl["chart"])
-    raise ManifestError(f"structure {name!r}: expected a 'catalog' reference or an inline 'chart'")
-
-
-def _at_least(low: int) -> Callable:
-    return lambda value, key: _grid_integer(value, key, low)
-
-
-# Each catalog entry's arguments: name -> (checker, default), where a default
-# of None marks a required argument.  They are checked when the manifest loads.
-_CATALOG_ARGS: dict[str, dict[str, tuple[Callable, float | None]]] = {
-    "liouville": {"n": (_at_least(1), None)},
-    "sphere_circle": {"N": (_at_least(2), None), "q": (_finite_real, 1.0)},
-    "reduction_universal": {
-        "k": (_at_least(0), None),
-        "N": (_at_least(0), None),
-        "mu": (lambda value, key: _number_list(value, key, _finite_real), None),
-    },
-}
-
-
-# reduce-chain task keys passed on to ``reduction.run_reduction_chain``
-_CHAIN_KEYS = (
-    "samples", "tol", "flow_tol", "window", "margin",
-    "flow_samples", "verify_samples", "concat_samples", "concat_tol",
-)
-
-# Each task kind's keys, refused when unknown as the manifest loads; their
-# values are checked when the task runs.
-_TASK_KEYS: dict[str, tuple[str, ...]] = {
-    "verify": ("kind", "structure", "samples", "tol"),
-    "embed": ("kind", "corpus", "structure", "samples", "tol", "rho", "pairs", "literal_defect"),
-    "reduce-chain": ("kind", "input", "structure", "chart_index", *_CHAIN_KEYS),
-    "cohomology": (
-        "kind", "n", "m", "mu", "cuts", "expect_betti", "euler", "refine", "obstruction", "threshold",
-    ),
-}
-
-
-def _catalog_args(name: str, decl: dict) -> dict:
-    """The checked keyword arguments of a catalog reference, defaults filled in."""
-    entry = decl["catalog"]
-    if not isinstance(entry, str) or entry not in _CATALOG_ARGS:
-        raise ManifestError(
-            f"structure {name!r}: unknown catalog entry {entry!r} "
-            f"(expected one of {', '.join(sorted(_CATALOG_ARGS))})"
-        )
-    args = decl.get("args", {})
-    if not isinstance(args, dict):
-        raise ManifestError(f"structure {name!r}: args must be an object")
-    declared = _CATALOG_ARGS[entry]
-    for key in args:
-        if key not in declared:
-            raise ManifestError(
-                f"structure {name!r}: unknown {entry} argument {key!r} "
-                f"(expected {', '.join(declared)}){_did_you_mean(key, declared)}"
-            )
-    checked = {}
-    for key, (check, default) in declared.items():
-        if key in args:
-            checked[key] = check(args[key], f"structure {name!r} argument {key}")
-        elif default is None:
-            raise ManifestError(f"structure {name!r}: missing argument {key!r}")
-        else:
-            checked[key] = default
-    return checked
-
-
-def _catalog_structure(name: str, decl: dict) -> models.LcsStructure:
+def _build_structure(name: str, decl: dict) -> models.LcsStructure:
     from . import models
     factories = {
         "liouville": models.model_liouville,
         "sphere_circle": models.model_sphere_circle,
         "reduction_universal": models.model_reduction_universal,
     }
-    args = _catalog_args(name, decl)
-    try:
-        return factories[decl["catalog"]](**args)
-    except (models.ModelError, ValueError, TypeError) as exc:
-        raise ManifestError(f"structure {name!r}: {exc}") from exc
+    if decl["catalog"] is not None:
+        return factories[decl["catalog"]](**decl["args"])
+    return _inline_structure(name, decl["chart"])
 
 
 def _parse_expr(text, where: str) -> sx.Expr:
     from . import symexpr as sx
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return sx.const(text)
     if not isinstance(text, str):
-        raise ManifestError(f"{where}: expected an expression string")
+        return sx.const(text)
     try:
         return sx.parse(text)
     except sx.ParseError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
-def _inline_structure(name: str, chart_decl) -> models.LcsStructure:
+def _inline_structure(name: str, decl: dict) -> models.LcsStructure:
     from . import forms, models, symexpr as sx, twisted
     where = f"structure {name!r}"
-    if not isinstance(chart_decl, dict):
-        raise ManifestError(f"{where}: chart must be an object")
-    coords = chart_decl.get("coordinates")
-    if not isinstance(coords, list) or not coords:
-        raise ManifestError(f"{where}: chart needs a non-empty coordinates list")
-    coord_tuples = []
-    for c in coords:
-        try:
-            coord_tuples.append(
-                (c["name"], c.get("kind", "linear"), c.get("lower", -1.0), c.get("upper", 1.0))
-            )
-        except (TypeError, KeyError) as exc:
-            raise ManifestError(f"{where}: malformed coordinate entry {c!r}") from exc
-    try:
-        dom = forms.make_domain(name, coord_tuples)
-    except forms.FormError as exc:
-        raise ManifestError(f"{where}: {exc}") from exc
+    coords = [(c["name"], c["kind"], c["lower"], c["upper"]) for c in decl["coordinates"]]
+    dom = forms.make_domain(name, coords)
 
-    def one_form(key: str, required: bool) -> forms.DifferentialForm | None:
-        mapping = chart_decl.get(key)
-        if mapping is None:
-            if required:
-                raise ManifestError(f"{where}: chart needs a {key!r} one-form")
-            return None
-        if not isinstance(mapping, dict):
-            raise ManifestError(f"{where}: {key} must map coordinate names to expressions")
-        coeffs = {}
-        for cname, text in mapping.items():
-            coeffs[(dom.index(cname),)] = _parse_expr(text, f"{where}: {key}[{cname}]")
-        return forms.DifferentialForm(dom, 1, coeffs)
+    def coefficients(key: str) -> dict:
+        return {
+            tuple(map(dom.index, _slot_names(key, slot))): _parse_expr(text, f"{where}: {key}[{slot}]")
+            for slot, text in decl[key].items()
+        }
 
     def vector_field(key: str) -> forms.VectorField | None:
-        mapping = chart_decl.get(key)
-        if mapping is None:
+        if decl[key] is None:
             return None
-        if not isinstance(mapping, dict):
-            raise ManifestError(f"{where}: {key} must map coordinate names to expressions")
         comps = [sx.ZERO] * dom.dim
-        for cname, text in mapping.items():
-            comps[dom.index(cname)] = _parse_expr(text, f"{where}: {key}[{cname}]")
+        for (i,), expr in coefficients(key).items():
+            comps[i] = expr
         return forms.VectorField(dom, tuple(comps))
 
-    try:
-        alpha = one_form("alpha", required=True)
-        lee = one_form("lee", required=True)
-        phi_decl = chart_decl.get("phi", "twisted")
-        if phi_decl == "twisted":
-            phi = twisted.d_twisted(lee, alpha)
-        elif isinstance(phi_decl, dict):
-            coeffs = {}
-            for key, text in phi_decl.items():
-                parts = key.split("^")
-                if len(parts) != 2:
-                    raise ManifestError(f"{where}: phi key {key!r} must look like 'x^y'")
-                idx = (dom.index(parts[0]), dom.index(parts[1]))
-                coeffs[idx] = _parse_expr(text, f"{where}: phi[{key}]")
-            phi = forms.DifferentialForm(dom, 2, coeffs)
-        else:
-            raise ManifestError(f"{where}: phi must be 'twisted' or a coefficient object")
-        chart = models.StructureChart(
-            dom,
-            phi,
-            lee,
-            alpha,
-            vector_field("b_field"),
-            vector_field("anti_lee"),
-            name=name,
-        )
-    except (forms.FormError, sx.UnknownCoordinateError) as exc:
-        raise ManifestError(f"{where}: {exc}") from exc
+    alpha = forms.DifferentialForm(dom, 1, coefficients("alpha"))
+    lee = forms.DifferentialForm(dom, 1, coefficients("lee"))
+    if decl["phi"] == "twisted":
+        phi = twisted.d_twisted(lee, alpha)
+    else:
+        phi = forms.DifferentialForm(dom, 2, coefficients("phi"))
+    fields = vector_field("b_field"), vector_field("anti_lee")
+    chart = models.StructureChart(dom, phi, lee, alpha, *fields, name=name)
     return models.LcsStructure(name, "inline", (chart,))
 
 
@@ -508,45 +598,21 @@ class RunOptions:
     fail_fast: bool = False
 
 
-def _task_samples(task: dict) -> int | None:
-    value = task.get("samples")
-    return None if value is None else _sample_count(value, f"{task['kind']} task samples")
-
-
-def _task_tol(task: dict) -> float | None:
-    value = task.get("tol")
-    return None if value is None else _positive_real(value, f"{task['kind']} task tol")
-
-
-def _opt(override, task_value, default):
-    if override is not None:
-        return override
-    if task_value is not None:
-        return task_value
-    return default
-
-
 def _failure_record(label: str, exc: Exception) -> CheckRecord:
-    return CheckRecord(
-        name=label,
-        anchor="task execution",
-        max_residual=None,
-        tolerance=None,
-        rank_data={},
-        passed=False,
-        detail=f"{type(exc).__name__}: {exc}",
-    )
+    return CheckRecord(label, "task execution", None, None, {}, False, f"{type(exc).__name__}: {exc}")
 
 
-def _run_verify(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
+def _raised_record(name: str, anchor: str, exc) -> CheckRecord:
+    """The record of a certificate that failed by raising: its own name and
+    residual, with the failing check's message as detail."""
+    return CheckRecord(name, anchor, exc.check.max_residual, exc.check.tol, {}, False, str(exc))
+
+
+def _run_verify(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
     from . import models
-    sname = task.get("structure")
-    if not isinstance(sname, str):
-        raise ManifestError("verify task needs a 'structure' name")
+    sname = task["structure"]
     S = manifest.structure(sname)
-    samples = _opt(opts.samples, _task_samples(task), manifest.samples or 200)
-    tol = _opt(opts.tol, _task_tol(task), 1e-9)
-    rep = models.validate_first_kind(S, samples=samples, tol=tol, seed=seed)
+    rep = models.validate_first_kind(S, samples=task["samples"], tol=task["tol"], seed=seed)
     failing = [f"{chart}:{label}" for chart, label, c in rep.checks if not c.passed]
     if not rep.nondegenerate:
         failing.insert(0, f"two-form rank {rep.min_rank} < dimension {S.dim}")
@@ -555,57 +621,48 @@ def _run_verify(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> 
             name=f"verify:{sname}",
             anchor="first-kind structure identities",
             max_residual=rep.worst(),
-            tolerance=tol,
-            rank_data={
-                "dimension": S.dim,
-                "charts": len(S.charts),
-                "min_two_form_rank": rep.min_rank,
-            },
+            tolerance=task["tol"],
+            rank_data={"dimension": S.dim, "charts": len(S.charts), "min_two_form_rank": rep.min_rank},
             passed=rep.passed,
             detail="; ".join(failing) if failing else f"{len(rep.checks)} identities certified",
         )
     ]
 
 
-def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
+def _run_embed(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
     from . import embed
-    corpus = {
-        "circle": embed.problem_circle,
-        "torus": embed.problem_torus,
-        "sphere3": embed.problem_sphere3,
-        "zero_form": embed.problem_zero_form,
-    }
-    tol = _opt(opts.tol, _task_tol(task), 1e-9)
-    rho = _positive_real(task.get("rho", 1.2), "embed task rho")
-    pairs = task.get("pairs")
-    if pairs is not None:
-        pairs = _grid_integer(pairs, "embed task pairs", 1)
-    records: list[CheckRecord] = []
-    if "corpus" in task:
-        entry = task["corpus"]
-        if entry not in corpus:
-            raise ManifestError(
-                f"unknown corpus entry {entry!r} (expected one of {', '.join(sorted(corpus))})"
-            )
+    tol, rho, pairs = task["tol"], task["rho"], task["pairs"]
+    entry = task["corpus"]
+    if entry is not None:
+        name, anchor = f"embed:corpus:{entry}", "contact pullback identity on the sphere target"
+        corpus = {
+            "circle": embed.problem_circle,
+            "torus": embed.problem_torus,
+            "sphere3": embed.problem_sphere3,
+            "zero_form": embed.problem_zero_form,
+        }
         prob = corpus[entry](rho=rho)
-        sol = embed.build_sphere_pipeline(prob, N=pairs, tol=tol, seed=seed)
+        try:
+            sol = embed.build_sphere_pipeline(prob, N=pairs, tol=tol, seed=seed)
+        except embed.CertificationError as exc:
+            return [_raised_record(name, anchor, exc)]
         worst = max((c.max_residual for _, c in sol.certifications), default=0.0)
-        records.append(
+        records = [
             CheckRecord(
-                name=f"embed:corpus:{entry}",
-                anchor="contact pullback identity on the sphere target",
+                name=name,
+                anchor=anchor,
                 max_residual=worst,
                 tolerance=tol,
                 rank_data={"pairs": sol.pairs, "ambient_dim": sol.ambient.dim},
                 passed=sol.passed,
             )
-        )
-        if task.get("literal_defect"):
+        ]
+        if task["literal_defect"]:
             lit = embed.build_psi2(prob, tol=tol, seed=seed, doubled_pair=False)
             worst = max((c.max_residual for _, c in lit.defects), default=0.0)
             records.append(
                 CheckRecord(
-                    name=f"embed:corpus:{entry}:literal-defect",
+                    name=f"{name}:literal-defect",
                     anchor="uncorrected-pair defect equals half the potential differential",
                     max_residual=worst,
                     tolerance=tol,
@@ -614,20 +671,22 @@ def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> l
                 )
             )
         return records
-    sname = task.get("structure")
-    if not isinstance(sname, str):
-        raise ManifestError("embed task needs either a 'corpus' entry or a 'structure' name")
+    sname, samples = task["structure"], task["samples"]
+    name = f"embed:product:{sname}"
+    anchor = "product embedding pullback identities (potential, Lee form, two-form)"
     S = manifest.structure(sname)
-    samples = _opt(opts.samples, _task_samples(task), manifest.samples or 200)
     prob, tau = embed.problem_from_sphere_circle(S, rho=rho, samples=max(samples, 200))
-    res = embed.build_lcs_embedding(
-        S, prob, tau, N=10 if pairs is None else pairs, tol=tol, seed=seed, samples=samples
-    )
+    try:
+        res = embed.build_lcs_embedding(
+            S, prob, tau, N=10 if pairs is None else pairs, tol=tol, seed=seed, samples=samples
+        )
+    except embed.CertificationError as exc:
+        return [_raised_record(name, anchor, exc)]
     worst = max((c.max_residual for _, _, c in res.certifications), default=0.0)
-    records.append(
+    return [
         CheckRecord(
-            name=f"embed:product:{sname}",
-            anchor="product embedding pullback identities (potential, Lee form, two-form)",
+            name=name,
+            anchor=anchor,
             max_residual=worst,
             tolerance=tol,
             rank_data={
@@ -638,8 +697,7 @@ def _run_embed(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> l
             passed=res.passed,
             detail=f"morphism strict={res.morphism.strict} full={res.morphism.full}",
         )
-    )
-    return records
+    ]
 
 
 _STAGE_ANCHORS = {
@@ -650,45 +708,19 @@ _STAGE_ANCHORS = {
 }
 
 
-def _chain_kwargs(task: dict, opts: RunOptions, manifest: Manifest) -> dict:
-    kwargs = {}
-    for key in _CHAIN_KEYS:
-        if key in task:
-            kwargs[key] = task[key]
-            if key.endswith("samples"):
-                _sample_count(task[key], f"reduce-chain task {key}")
-            elif key.endswith("tol") or key == "window":
-                kwargs[key] = _positive_real(task[key], f"reduce-chain task {key}")
-            elif key == "margin":  # shrinks each chart interval toward its midpoint
-                kwargs[key] = float(_checked(task[key], f"reduce-chain task {key}", (int, float),
-                                             lambda v: 0 <= v < 1, "a finite number in [0, 1)"))
-    if opts.samples is not None:
-        kwargs["samples"] = opts.samples
-    elif "samples" not in kwargs and manifest.samples is not None:
-        kwargs["samples"] = manifest.samples
-    if opts.tol is not None:
-        kwargs["tol"] = opts.tol
-    return kwargs
-
-
-def _run_chain(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
+def _run_chain(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
     from . import reduction
-    source = task.get("input", "sphere_circle")
-    if source == "plane":
+    if task["input"] == "plane":
         chart, decomp, factory = reduction.plane_chain_input()
         label = "plane"
-    elif source == "sphere_circle":
-        sname = task.get("structure")
-        if not isinstance(sname, str):
-            raise ManifestError("reduce-chain task on a sphere model needs a 'structure' name")
-        S = manifest.structure(sname)
-        index = _grid_integer(task.get("chart_index", 0), "reduce-chain task chart_index", 0, len(S.charts))
-        chart, decomp, factory = reduction.sphere_circle_chain_input(S, chart_index=index)
-        label = sname
     else:
-        raise ManifestError(f"unknown chain input {source!r} (expected 'plane' or 'sphere_circle')")
+        label = task["structure"]
+        S = manifest.structure(label)
+        # the one value checked here: its bound is the built structure's chart count
+        index = _integer(0, len(S.charts))(task["chart_index"], "reduce-chain task chart_index")
+        chart, decomp, factory = reduction.sphere_circle_chain_input(S, chart_index=index)
     chain = reduction.run_reduction_chain(
-        chart, decomp, factory, seed=seed, **_chain_kwargs(task, opts, manifest)
+        chart, decomp, factory, seed=seed, **{key: task[key] for key in _CHAIN_ARGS}
     )
     records = []
     for step in chain.steps:
@@ -743,17 +775,11 @@ def _mu_label(mu) -> str:
     return "(" + ",".join(format(float(v), "g") for v in mu) + ")"
 
 
-def _run_cohomology(manifest: Manifest, task: dict, opts: RunOptions, seed: int) -> list[CheckRecord]:
+def _run_cohomology(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
     from . import cohomology
-    for key in ("n", "m"):
-        if key not in task:
-            raise ManifestError(f"cohomology task needs {key!r}")
-    # the obstruction lives on two-cells, so it needs a torus of dimension 2 or more
-    n = _grid_integer(task["n"], "cohomology task n", 2 if task.get("obstruction") else 1)
-    m = _grid_integer(task["m"], "cohomology task m", 2)
-    if task.get("obstruction"):
-        threshold = _positive_real(task.get("threshold", 0.1), "cohomology task threshold")
-        rep = cohomology.ot_obstruction_check(n, m, threshold=threshold)
+    n, m, mu = task["n"], task["m"], task["mu"]
+    if task["obstruction"]:
+        rep = cohomology.ot_obstruction_check(n, m, threshold=task["threshold"])
         return [
             CheckRecord(
                 name=f"cohomology:obstruction:T{n}:m{m}",
@@ -762,60 +788,32 @@ def _run_cohomology(manifest: Manifest, task: dict, opts: RunOptions, seed: int)
                 tolerance=0.0,
                 rank_data={},
                 passed=rep.passed,
-                detail=f"distance={rep.distance!r} threshold={threshold!r}",
+                detail=f"distance={rep.distance!r} threshold={task['threshold']!r}",
             )
         ]
-    mu = _number_list(task.get("mu", [0.0] * n), "cohomology task mu", _finite_real)
-    cuts = task.get("cuts")
-    if cuts is not None:
-        if not isinstance(cuts, list) or len(cuts) != n:
-            raise ManifestError(f"cohomology task cuts must be a list of {n} grid positions, got {cuts!r}")
-        cuts = [_grid_integer(c, "cohomology task cuts", 0, m) for c in cuts]
-    expected = task.get("expect_betti")
-    if expected is not None:
-        expected = _number_list(expected, "cohomology task expect_betti", lambda b, k: _grid_integer(b, k, 0))
-    C = cohomology.build_torus_complex(n, m, mu, cuts)
+    expected = task["expect_betti"]
+    C = cohomology.build_torus_complex(n, m, mu, task["cuts"])
     betti = cohomology.twisted_betti(C)
     base = f"cohomology:T{n}:m{m}:mu{_mu_label(mu)}"
-    records = []
+
+    def discrete(suffix: str, anchor: str, rank_data: dict, passed: bool, detail: str = "") -> CheckRecord:
+        return CheckRecord(f"{base}:{suffix}", anchor, None, None, rank_data, passed, detail)
+
     matched = expected is None or expected == betti
-    records.append(
-        CheckRecord(
-            name=f"{base}:betti",
-            anchor="twisted Betti numbers of the grid torus",
-            max_residual=None,
-            tolerance=None,
-            rank_data={"betti": betti, "cells": list(C.cells)},
-            passed=matched,
-            detail="" if matched else f"expected {expected}, computed {betti}",
-        )
-    )
-    if task.get("euler", True):
+    records = [
+        discrete("betti", "twisted Betti numbers of the grid torus", {"betti": betti, "cells": list(C.cells)},
+                 matched, "" if matched else f"expected {expected}, computed {betti}")
+    ]
+    if task["euler"]:
         # The alternating sum of b_k = c_k - r_k - r_(k-1) is that of the cell
         # counts for any ranks; b_k >= 0 is what tests the ranks themselves.
         alternating = sum((-1) ** k * b for k, b in enumerate(betti))
-        records.append(
-            CheckRecord(
-                name=f"{base}:euler",
-                anchor="euler characteristic vanishes on the torus",
-                max_residual=None,
-                tolerance=None,
-                rank_data={"alternating_sum": alternating},
-                passed=alternating == 0 and min(betti) >= 0,
-            )
-        )
-    if task.get("refine"):
+        records.append(discrete("euler", "euler characteristic vanishes on the torus",
+                                {"alternating_sum": alternating}, alternating == 0 and min(betti) >= 0))
+    if task["refine"]:
         fine = cohomology.twisted_betti(cohomology.build_torus_complex(n, 2 * m, mu))
-        records.append(
-            CheckRecord(
-                name=f"{base}:refine",
-                anchor="grid refinement stability of Betti numbers",
-                max_residual=None,
-                tolerance=None,
-                rank_data={"coarse": betti, "fine": fine},
-                passed=betti == fine,
-            )
-        )
+        records.append(discrete("refine", "grid refinement stability of Betti numbers",
+                                {"coarse": betti, "fine": fine}, betti == fine))
     return records
 
 
@@ -836,27 +834,28 @@ def _task_label(task: dict, index: int) -> str:
 def run_manifest(manifest: Manifest, opts: RunOptions | None = None) -> RunReport:
     """Execute every task in declaration order and assemble the report.
 
-    Manifest-level problems (unknown names, missing fields) raise
-    ``ManifestError``; computational failures inside a task become failing
-    records and the run continues unless ``opts.fail_fast``.
+    The command-line overrides are checked as the manifest's own values are,
+    and replace a task's ``samples`` and ``tol`` where its kind takes them.
+    Input problems raise ``ManifestError``; computational failures inside a
+    task become failing records and the run continues unless
+    ``opts.fail_fast``.
     """
     opts = opts or RunOptions()
-    if opts.seed is not None:
-        _grid_integer(opts.seed, "--seed", 0)
+    seed = manifest.seed if opts.seed is None else _integer(0)(opts.seed, "--seed")
+    overrides = {}
     if opts.samples is not None:
-        _sample_count(opts.samples, "--samples")
+        overrides["samples"] = _COUNT(opts.samples, "--samples")
     if opts.tol is not None:
-        _positive_real(opts.tol, "--tol")
-    seed = opts.seed if opts.seed is not None else manifest.seed
+        overrides["tol"] = _POSITIVE(opts.tol, "--tol")
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     clock = time.perf_counter_ns()
     records: list[CheckRecord] = []
     task_wall_s: list[float] = []
     done_us = 0  # whole microseconds from the start to the end of the last task
     for i, task in enumerate(manifest.tasks):
-        runner = _TASK_RUNNERS[task["kind"]]
+        task = {**task, **{key: value for key, value in overrides.items() if key in task}}
         try:
-            batch = runner(manifest, task, opts, seed)
+            batch = _TASK_RUNNERS[task["kind"]](manifest, task, seed)
         except ManifestError:
             raise
         except Exception as exc:  # recorded, not fatal: the run must finish

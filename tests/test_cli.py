@@ -1,15 +1,20 @@
 """Manifest execution, report files, exit codes, and the console front end."""
 
+import copy
+import inspect
 import json
 import math
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
 import lcskit.cli as cli
 import lcskit.cohomology as coh
+import lcskit.embed as embed
 import lcskit.models as models
+import lcskit.reduction as reduction
 import lcskit.report as report
 
 
@@ -169,12 +174,14 @@ def test_unknown_catalog_entry(tmp_path, capsys):
     "structure, message",
     [
         ({"catalog": "sphere_circle", "args": {"N": 2, "Q": 5.0}},
-         "unknown sphere_circle argument 'Q' (expected N, q); did you mean 'q'?"),
+         "structure 'model': unknown sphere_circle argument 'Q' (expected N, q); did you mean 'q'?"),
         ({"catalog": "reduction_universal", "args": {"k": 1, "N": 2, "mu": [1.0], "nu": 3}},
-         "unknown reduction_universal argument 'nu' (expected k, N, mu); did you mean 'N'?"),
+         "structure 'model': unknown reduction_universal argument 'nu' (expected k, N, mu); did you mean 'N'?"),
         ({"catalog": "sphere-circle", "args": {"N": 2}},
-         "unknown catalog entry 'sphere-circle' (expected one of liouville, reduction_universal, sphere_circle)"),
-        ({"catalog": "reduction_universal", "args": {"k": 1, "mu": [1.0]}}, "missing argument 'N'"),
+         "structure 'model' catalog must be one of liouville, sphere_circle, reduction_universal, "
+         "got 'sphere-circle'"),
+        ({"catalog": "reduction_universal", "args": {"k": 1, "mu": [1.0]}},
+         "structure 'model': missing reduction_universal argument 'N'"),
     ],
     ids=["misspelled-q", "unknown-nu", "unknown-entry", "missing-N"],
 )
@@ -185,7 +192,7 @@ def test_catalog_arguments_are_checked_before_any_task_runs(tmp_path, capsys, mo
     payload = {"seed": 0, "structures": {"model": structure}, "tasks": [{"kind": "verify", "structure": "model"}]}
     out = tmp_path / "r.json"
     assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
-    assert f"structure 'model': {message}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert ran == [] and not out.exists()
 
 
@@ -330,7 +337,7 @@ def test_chain_window_and_margin_are_checked(tmp_path, capsys, key, value, messa
          "embed task pairs must be an integer at least 1, got 2.7"),
         ({"kind": "reduce-chain", "structure": "model", "chart_index": True},
          {"catalog": "sphere_circle", "args": {"N": 2}},
-         "reduce-chain task chart_index must be an integer in [0, 8), got True"),
+         "reduce-chain task chart_index must be an integer at least 0, got True"),
         ({"kind": "verify", "structure": "model"}, {"catalog": "liouville", "args": {"n": 1.5}},
          "structure 'model' argument n must be an integer at least 1, got 1.5"),
         ({"kind": "verify", "structure": "model"}, {"catalog": "sphere_circle", "args": {"N": "2"}},
@@ -392,6 +399,225 @@ def test_tol_override_must_be_a_positive_finite_number(tmp_path, capsys, value):
     path = write_manifest(tmp_path, plane_manifest())
     assert cli.main(["run", path, "-q", f"--tol={value}", "-o", str(tmp_path / "r.json")]) == 2
     assert "--tol must be a positive finite number" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the manifest schema: every declared key checked before any task runs
+
+# A manifest that gives every declared key a valid value, on one structure or
+# task per schema table.
+SCHEMA_BASE = {
+    "seed": 0,
+    "samples": 10,
+    "structures": {
+        "liou": {"catalog": "liouville", "args": {"n": 1}},
+        "sphere": {"catalog": "sphere_circle", "args": {"N": 2, "q": 1.0}},
+        "universal": {"catalog": "reduction_universal", "args": {"k": 1, "N": 1, "mu": [1.0]}},
+        "plane": {"chart": {
+            "coordinates": [{"name": "a", "kind": "linear", "lower": -1.0, "upper": 1.0}, {"name": "b"}],
+            "alpha": {"b": "1"}, "lee": {"a": "1"}, "phi": {"a^b": "-1"},
+            "b_field": {"a": "1"}, "anti_lee": {"b": "-1"},
+        }},
+    },
+    "tasks": [
+        {"kind": "verify", "structure": "plane", "samples": 10, "tol": 1e-9},
+        {"kind": "embed", "corpus": "circle", "samples": 10, "tol": 1e-9, "rho": 1.2, "pairs": 3,
+         "literal_defect": True},
+        {"kind": "embed", "structure": "sphere"},
+        {"kind": "reduce-chain", "input": "sphere_circle", "structure": "sphere", "chart_index": 0, "samples": 10,
+         "tol": 1e-8, "flow_tol": 1e-6, "window": 0.25, "margin": 0.5, "flow_samples": 4, "verify_samples": 4,
+         "concat_samples": 4, "concat_tol": 1e-6},
+        {"kind": "cohomology", "n": 2, "m": 4, "mu": [0.0, 0.0], "cuts": [0, 1], "expect_betti": [1, 2, 1],
+         "euler": True, "refine": False, "obstruction": False, "threshold": 0.1},
+    ],
+}
+
+# Each schema table: where SCHEMA_BASE holds it, and its declared keys.
+SCHEMA_TABLES = {
+    "manifest": ((), report._MANIFEST_KEYS),
+    "structure": (("structures", "liou"), report._STRUCTURE_KEYS),
+    **{
+        entry: (("structures", name, "args"), report._CATALOG_ARGS[entry])
+        for name, entry in (("liou", "liouville"), ("sphere", "sphere_circle"), ("universal", "reduction_universal"))
+    },
+    "chart": (("structures", "plane", "chart"), report._CHART_KEYS),
+    "coordinate": (("structures", "plane", "chart", "coordinates", 0), report._COORDINATE_KEYS),
+    **{kind: (("tasks", i), report._TASK_KEYS[kind]) for i, kind in ((0, "verify"), (1, "embed"), (3, "reduce-chain"),
+                                                                   (4, "cohomology"))},
+}
+
+# For every declared key: a value of the wrong type, and one out of range (a
+# cross-key rule counts) or None where the key has no range.
+SCHEMA_VALUES = {
+    "manifest": {"seed": ("7", -1), "samples": ("10", 0), "structures": ([], None), "tasks": ({}, None)},
+    "structure": {"catalog": (5, "moon"), "args": ([], None), "chart": ("x", None)},
+    "liouville": {"n": ("1", 0)},
+    "sphere_circle": {"N": ("2", 1), "q": ("1", 0.0)},
+    "reduction_universal": {"k": ("1", -1), "N": ("1", -1), "mu": ("1", [1.0, 2.0])},
+    "chart": {
+        "coordinates": ("a", []), "alpha": ("b", {"z": "1"}), "lee": ("a", {"z": "1"}), "phi": (5, {"a-b": "1"}),
+        "b_field": ("a", {"z": "1"}), "anti_lee": ("b", {"a^b": "1"}),
+    },
+    "coordinate": {"name": (5, "b"), "kind": (5, "polar"), "lower": ("-1", 2.0), "upper": ("1", -2.0)},
+    "verify": {"kind": (5, "frobnicate"), "structure": (5, "ghost"), "samples": ("10", 0), "tol": ("1e-9", 0)},
+    "embed": {
+        "kind": (5, "frobnicate"), "corpus": (5, "moon"), "structure": (5, "ghost"), "samples": (10.0, 0),
+        "tol": ("1e-9", -1.0), "rho": ("1.2", 0), "pairs": ("3", 0), "literal_defect": ("no", None),
+    },
+    "reduce-chain": {
+        "kind": (5, "frobnicate"), "input": (5, "torus"), "structure": (5, "ghost"), "chart_index": ("0", -1),
+        "samples": ("10", 0), "tol": ("1e-8", 0), "flow_tol": ("1e-6", 0), "window": ("0.25", 0),
+        "margin": ("0.5", 1.5),
+        "flow_samples": ("4", 0), "verify_samples": ("4", 0), "concat_samples": (True, 0), "concat_tol": ("1e-6", 0),
+    },
+    "cohomology": {
+        "kind": (5, "frobnicate"), "n": ("x", 0), "m": ("4", 1), "mu": ("0", [0.0]), "cuts": ("0,1", [0, 4]),
+        "expect_betti": ("1", [-1, 0, 0]), "euler": ("false", None), "refine": ("true", None),
+        "obstruction": (1, None), "threshold": ("0.1", 0),
+    },
+}
+
+
+def _misspelled(key):
+    return key[0].swapcase() + key[1:]
+
+
+def _schema_cases():
+    for table, (path, keys) in SCHEMA_TABLES.items():
+        for key in keys:
+            wrong_type, out_of_range = SCHEMA_VALUES[table].get(key, (None, None))
+            for how, value in (("wrong-type", wrong_type), ("out-of-range", out_of_range), ("misspelled", None)):
+                if how == "out-of-range" and value is None:
+                    continue
+                payload = copy.deepcopy(SCHEMA_BASE)
+                target = payload
+                for step in path:
+                    target = target[step]
+                if how == "misspelled":
+                    target[_misspelled(key)] = target.pop(key) if key in target else 1
+                else:
+                    target[key] = value
+                nearest = key if how == "misspelled" and key != "kind" else None
+                yield pytest.param(payload, nearest, id=f"{table}:{key}:{how}")
+    plane = {"seed": 0, "structures": {"plane": {"chart": PLANE_CHART}}}
+    verify = {"kind": "verify", "structure": "plane"}
+    doubled = {**PLANE_CHART, "Phi": {"a^b": "-2"}}
+    del doubled["phi"]
+    named = {
+        # a doubled two-form under a misspelled key used to be ignored, and phi
+        # fell back to "twisted": the record read "9 identities certified"
+        "Phi": ({**plane, "structures": {"plane": {"chart": doubled}}, "tasks": [verify]}, "phi"),
+        "literal-defect-no": (
+            {**plane, "tasks": [{"kind": "embed", "corpus": "circle", "literal_defect": "no"}]}, None),
+        "euler-false": ({**plane, "tasks": [{"kind": "cohomology", "n": 2, "m": 4, "euler": "false"}]}, None),
+        "catalog-and-chart": (
+            {**plane, "structures": {"x": {"catalog": "liouville", "args": {"n": 1}, "chart": PLANE_CHART}},
+             "tasks": []}, None),
+        # each of these used to exit 2 only after the verify task had run
+        "verify-then-n-x": ({**plane, "tasks": [verify, {"kind": "cohomology", "n": "x", "m": 4}]}, None),
+        "verify-then-unknown-corpus": ({**plane, "tasks": [verify, {"kind": "embed", "corpus": "moon"}]}, None),
+        "verify-then-unknown-structure": (
+            {**plane, "tasks": [verify, {"kind": "verify", "structure": "ghost"}]}, None),
+        # the plane chain used to run, green, in place of the named structure's chart
+        "plane-with-structure": (
+            {"seed": 0, "structures": {"sphere3": {"catalog": "sphere_circle", "args": {"N": 2}}},
+             "tasks": [{"kind": "reduce-chain", "input": "plane", "structure": "sphere3", "chart_index": 5}]}, None),
+        "verify-then-margin": (
+            {**plane, "tasks": [verify, {"kind": "reduce-chain", "input": "plane", "margin": 1.5}]}, None),
+    }
+    for name, (payload, nearest) in named.items():
+        yield pytest.param(payload, nearest, id=name)
+
+
+def _record_runs(monkeypatch) -> list:
+    ran = []
+    for kind in report._TASK_RUNNERS:
+        monkeypatch.setitem(report._TASK_RUNNERS, kind, lambda *args: ran.append(args) or [])
+    return ran
+
+
+def test_schema_values_cover_every_declared_key():
+    tables = {name: set(keys) for name, (_, keys) in SCHEMA_TABLES.items()}
+    assert {name: set(values) for name, values in SCHEMA_VALUES.items()} == tables
+    assert set(report._CATALOG_ARGS) | set(report._TASK_KEYS) <= set(SCHEMA_TABLES)
+
+
+def test_schema_base_runs_every_task(tmp_path, monkeypatch):
+    ran = _record_runs(monkeypatch)
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, SCHEMA_BASE), "-q", "-o", str(out)]) == 0
+    assert [task["kind"] for _, task, _ in ran] == [task["kind"] for task in SCHEMA_BASE["tasks"]]
+
+
+@pytest.mark.parametrize("payload, nearest", _schema_cases())
+def test_every_declared_key_is_checked_before_any_task_runs(tmp_path, capsys, monkeypatch, payload, nearest):
+    ran = _record_runs(monkeypatch)
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if nearest is not None:
+        assert f"did you mean {nearest!r}?" in err
+    assert ran == [] and not out.exists()
+
+
+def test_schema_defaults_are_those_of_the_functions_they_feed():
+    chain = inspect.signature(reduction.run_reduction_chain).parameters
+    assert {key: default for key, (_, default) in report._CHAIN_ARGS.items()} == {
+        key: chain[key].default for key in report._CHAIN_ARGS
+    }
+    for entry, keys in report._CATALOG_ARGS.items():
+        factory = inspect.signature(getattr(models, f"model_{entry}")).parameters
+        assert list(factory) == list(keys)
+        assert all(factory[key].default == default for key, (_, default) in keys.items()
+                   if default is not report._REQUIRED)
+    corpus = report._TASK_KEYS["embed"]["corpus"][0]
+    assert all(callable(getattr(embed, f"problem_{entry}")) for entry in corpus.what[len("one of "):].split(", "))
+
+
+def schema_markdown() -> str:
+    """The README's list of manifest keys, as the schema declares them."""
+    tables = [("The manifest", report._MANIFEST_KEYS), ("A structure declaration", report._STRUCTURE_KEYS)]
+    tables += [(f"`{entry}` catalog `args`", keys) for entry, keys in report._CATALOG_ARGS.items()]
+    tables += [("An inline `chart`", report._CHART_KEYS), ("A chart coordinate", report._COORDINATE_KEYS)]
+    tables += [(f"`{kind}` task", keys) for kind, keys in report._TASK_KEYS.items()]
+    lines = []
+    for title, keys in tables:
+        lines += [f"{title}:", ""]
+        for key, (check, default) in keys.items():
+            given = (
+                "required" if default is report._REQUIRED
+                else "optional" if default is None
+                else f"default `{json.dumps(default)}`"
+            )
+            lines.append(f"- `{key}`: {check.what}; {given}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def test_readme_lists_the_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert schema_markdown() in readme
+
+
+@pytest.mark.parametrize(
+    "structures, task, name",
+    [
+        ({}, {"kind": "embed", "corpus": "sphere3", "tol": 5e-16}, "embed:corpus:sphere3"),
+        ({"sphere2": {"catalog": "sphere_circle", "args": {"N": 2}}},
+         {"kind": "embed", "structure": "sphere2", "tol": 1e-18, "samples": 40, "pairs": 4}, "embed:product:sphere2"),
+    ],
+    ids=["corpus", "product"],
+)
+def test_a_certificate_that_raises_keeps_its_record(tmp_path, structures, task, name):
+    # it used to become a task[0]:embed record with no residual and no tolerance
+    out = tmp_path / "r.json"
+    payload = {"seed": 7, "structures": structures, "tasks": [task]}
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 1
+    [record] = report.load_report(str(out)).records
+    assert record.name == name and not record.passed
+    assert record.tolerance == task["tol"] and record.max_residual > record.tolerance
+    assert record.detail.endswith(f"residual {record.max_residual:.3g} exceeds {record.tolerance:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -660,3 +660,105 @@ def test_every_top_level_name_is_reached_from_the_cli_or_allowed():
 
 def test_allowed_names_are_defined_and_otherwise_unreached():
     assert set(ALLOWED_UNREACHED) <= set(unreachable(_package_sources()))
+
+
+# -- runners read checked values ----------------------------------------------
+#
+# ``report.parse_manifest`` checks a manifest whole before any task runs, so a
+# task runner (``report._run_*``) neither raises ``ManifestError`` nor calls a
+# value checker.  One check is allowed where the work happens: the upper bound
+# of a chain's ``chart_index``, which is the chart count of the structure the
+# runner has just built.
+
+RUNNER_CHECKS_ALLOWED = {("_run_chain", "chart_index")}
+
+
+def _root_name(callee: ast.expr) -> str | None:
+    """The name a call chain starts from: ``f`` in ``f(a)(b)`` or ``f.g(a)``."""
+    while isinstance(callee, (ast.Call, ast.Attribute)):
+        callee = callee.func if isinstance(callee, ast.Call) else callee.value
+    return callee.id if isinstance(callee, ast.Name) else None
+
+
+def _raises_manifest_error(node: ast.AST) -> bool:
+    return isinstance(node, ast.Raise) and node.exc is not None and any(
+        isinstance(n, ast.Name) and n.id == "ManifestError" for n in ast.walk(node.exc)
+    )
+
+
+def value_checkers(tree: ast.Module) -> set[str]:
+    """Module-level names that check a value: a function or class that raises
+    ``ManifestError`` or calls a checker, and a constant built by a checker."""
+    named = {node.name: node for node in tree.body if isinstance(node, _DEFS)}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and node.value is not None:
+                    named[target.id] = node.value
+    calls = {
+        name: {_root_name(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+        for name, node in named.items()
+    }
+    checkers = {name for name, node in named.items() if any(map(_raises_manifest_error, ast.walk(node)))}
+    while grown := {name for name in named if calls[name] & checkers} - checkers:
+        checkers |= grown
+    return checkers
+
+
+def runner_checks(source: str) -> list[tuple[str, int]]:
+    """(runner, line) of each ``raise ManifestError`` and each call of a value
+    checker inside a ``_run_*`` function, less the allowed ones."""
+    tree = ast.parse(source)
+    checkers = value_checkers(tree)
+    found = []
+    for runner in tree.body:
+        if not (isinstance(runner, ast.FunctionDef) and runner.name.startswith("_run_")):
+            continue
+        chained = set()  # inner calls of a chain like f(a)(b), judged with the outer one
+        for node in ast.walk(runner):
+            if _raises_manifest_error(node):
+                found.append((runner.name, node.lineno))
+            elif isinstance(node, ast.Call) and id(node) not in chained:
+                callee = node.func
+                while isinstance(callee, (ast.Call, ast.Attribute)):
+                    chained.add(id(callee))
+                    callee = callee.func if isinstance(callee, ast.Call) else callee.value
+                if _root_name(node.func) not in checkers:
+                    continue
+                reads = {
+                    arg.slice.value for arg in node.args
+                    if isinstance(arg, ast.Subscript) and isinstance(arg.slice, ast.Constant)
+                }
+                if not {(runner.name, key) for key in reads} & RUNNER_CHECKS_ALLOWED:
+                    found.append((runner.name, node.lineno))
+    return found
+
+
+def test_runner_check_scanner_flags_raises_and_checker_calls():
+    source = (
+        "class ManifestError(Exception): ...\n"
+        "class _Check:\n"
+        "    def __call__(self, value, where):\n"
+        "        raise ManifestError(where)\n"
+        "def _integer(low):\n"
+        "    return _Check()\n"
+        "_COUNT = _Check()\n"
+        "def _label(task):\n"
+        "    return str(task)\n"
+        "def _run_a(task):\n"
+        "    if task is None:\n"
+        "        raise ManifestError('no task')\n"
+        "    return _COUNT(task['samples'], 'samples')\n"
+        "def _run_chain(task):\n"
+        "    index = _integer(0)(task['chart_index'], 'chart_index')\n"
+        "    _integer(0)(task['samples'], 'samples')\n"
+        "    return _label(task), _COUNT.__call__(task['n'], 'n')\n"
+        "def parse(task):\n"
+        "    raise ManifestError('checking is fine outside the runners')\n"
+    )
+    assert value_checkers(ast.parse(source)) == {"_Check", "_integer", "_COUNT", "_run_a", "_run_chain", "parse"}
+    assert runner_checks(source) == [("_run_a", 12), ("_run_a", 13), ("_run_chain", 16), ("_run_chain", 17)]
+
+
+def test_task_runners_read_checked_values():
+    assert runner_checks((SRC / "report.py").read_text()) == []

@@ -216,9 +216,9 @@ def test_planted_shear_defect_is_caught_in_proportion(plane_stage_two):
 #
 # Scaling every contact generator eta by 1 + eps moves the first pullback
 # identity the stages certify, psi2*(eta) = theta_bar, by eps theta_bar.  On
-# the circle |theta_bar| = 2 pi sin^2(2 pi t) <= 2 pi; on the sphere charts
-# theta_bar is the potential, of order one.  A failed identity raises
-# CertificationError carrying its check.
+# the circle |theta_bar| = 2 pi sin^2(2 pi t) <= 2 pi, and on the torus
+# likewise on each angle; on the sphere charts theta_bar is the potential, of
+# order one.  A failed identity raises CertificationError carrying its check.
 
 
 _ETA_ON = embed._eta_on
@@ -230,9 +230,12 @@ def _planted_eta(monkeypatch, eps):
     )
 
 
-def _corpus_circle(seed):
-    sol = embed.build_sphere_pipeline(embed.problem_circle(), tol=1e-9, seed=seed)
-    return sol.passed, max(c.max_residual for _, c in sol.certifications), 1e-9
+def _corpus(problem):
+    def run(seed):
+        sol = embed.build_sphere_pipeline(problem(), tol=1e-9, seed=seed)
+        return sol.passed, max(c.max_residual for _, c in sol.certifications), 1e-9
+
+    return run
 
 
 def _product_sphere2(seed):
@@ -242,7 +245,12 @@ def _product_sphere2(seed):
     return res.passed, max(c.max_residual for _, _, c in res.certifications), 1e-8
 
 
-EMBED_RECORDS = {"embed:corpus:circle": _corpus_circle, "embed:product:sphere2": _product_sphere2}
+EMBED_RECORDS = {
+    "embed:corpus:circle": _corpus(embed.problem_circle),
+    "embed:corpus:torus": _corpus(embed.problem_torus),
+    "embed:corpus:sphere3": _corpus(embed.problem_sphere3),
+    "embed:product:sphere2": _product_sphere2,
+}
 
 
 @pytest.mark.parametrize("seed", [0, 7])
