@@ -22,8 +22,14 @@ Layers, bottom up:
 
 Importing the package loads none of these: each submodule loads when it is
 imported (``import lcskit.forms`` or ``from lcskit import forms``), and a
-run loads only the modules its tasks use.
+run loads only the modules its tasks use.  Building structures is symbolic:
+``symexpr``, ``forms``, ``twisted`` and ``models`` bind numpy through
+:func:`lazy_import`, so numpy runs at the first sampled evaluation, and
+``numeric`` (the numerical layer, which imports numpy) loads with the first
+rank or flow.
 """
+
+import sys
 
 __version__ = "0.1.0"  # the package's only version declaration; pyproject.toml reads it
 
@@ -40,3 +46,26 @@ __all__ = [
     "symexpr",
     "twisted",
 ]
+
+
+def lazy_import(name: str):
+    """The module ``name``, whose code runs at its first attribute access
+    rather than now: the ``importlib.util.LazyLoader`` recipe of the Python
+    documentation.  The lazy module is registered in ``sys.modules`` at once;
+    once it has run it is a plain module again, so attribute access costs what
+    it always does.  A module already imported is returned as it is.  Import
+    no submodule of ``name`` by its dotted name before that first access: if
+    the module's own code imports the submodule too, it would run twice.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        import importlib.util
+
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = loader
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    return module

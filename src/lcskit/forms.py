@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from . import numeric, symexpr as sx
+from . import lazy_import, symexpr as sx
 from .symexpr import Expr, ZeroCheck
+
+np = lazy_import("numpy")  # runs at the first sampled evaluation: the exterior calculus is symbolic
 
 LINEAR = "linear"
 ANGULAR = "angular"
@@ -117,7 +117,7 @@ class CoordinateDomain:
         linear interval toward its midpoint by that fraction (angular
         coordinates are unaffected).  Every returned array is fresh.
         """
-        from . import pcg64  # loads with the first draw: building a structure draws none
+        from . import pcg64  # loads with the first draw, numpy with it: building a structure loads neither
 
         draws = pcg64.uniform(seed, samples * self.dim)
         out: dict[str, np.ndarray] = {}
@@ -506,6 +506,8 @@ def nondegeneracy_rank(
     """
     if phi.degree != 2:
         raise DegreeError("nondegeneracy_rank expects a two-form")
+    from . import numeric
+
     ranks = numeric.numerical_rank(form_matrix(phi, env, values))
     min_rank = int(ranks.min()) if ranks.size else 0
     return min_rank, min_rank == phi.domain.dim

@@ -24,13 +24,12 @@ from sampled first-order jets of phi, lee, alpha, B and E (see
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
-import numpy as np
-
-from . import forms, symexpr as sx
+from . import forms, lazy_import, symexpr as sx
 from .forms import (
     ANGULAR,
     Coordinate,
@@ -52,6 +51,8 @@ from .forms import (
 )
 from .symexpr import Expr, ZeroCheck
 from .twisted import d_twisted
+
+np = lazy_import("numpy")  # runs at the first sampled evaluation: building a model is symbolic
 
 FIRST_KIND = "first-kind"
 EXACT = "exact"
@@ -183,7 +184,7 @@ def sphere_graph_charts(
     strictly inside the unit ball), optionally times the circle factor.
     """
     names = interleaved_names(N)
-    half = _BOX_SAFETY / np.sqrt(max(1, 2 * N - 1))
+    half = _BOX_SAFETY / math.sqrt(max(1, 2 * N - 1))
     charts: list[tuple[str, SmoothMap]] = []
     for drop in names:
         for sign, tag in ((1.0, "plus"), (-1.0, "minus")):

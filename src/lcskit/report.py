@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import platform
 import tempfile
 import time
 from collections.abc import Callable, Mapping
@@ -93,12 +92,18 @@ class CheckRecord:
 
 
 def environment_stamp() -> dict:
+    import platform
+
     import numpy as np  # a run's tasks have loaded it already; reading a report does not
+
+    # platform.platform() on Linux, less its processor field: that field runs
+    # `uname -p` in a subprocess, and is blank or the machine name there
+    libc = "".join(platform.libc_ver())
     return {
         "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "platform": "-".join(filter(None, (platform.system(), platform.release(), platform.machine(), "with", libc))),
     }
 
 

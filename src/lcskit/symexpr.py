@@ -37,7 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-import numpy as np
+from . import lazy_import
+
+np = lazy_import("numpy")  # runs at the first evaluation: building expressions needs none
 
 Number = Union[int, float, Fraction]
 ExprLike = Union["Expr", Number]
@@ -695,8 +697,6 @@ def jets(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> list
 # ---------------------------------------------------------------------------
 # compilation
 
-_KERNELS = {"_power": np.power, "_sin": np.sin, "_cos": np.cos, "_exp": np.exp}
-
 
 def lambdify(exprs: Iterable[Expr], names: Sequence[str]) -> Callable[..., np.ndarray]:
     """Compile expressions into one function of coordinate columns.
@@ -744,7 +744,7 @@ def _generate(exprs: tuple[Expr, ...], names: tuple[str, ...]):
     i into ``out[i]``; None if an expression names a coordinate outside
     ``names``."""
     args = {n: f"x{i}" for i, n in enumerate(names)}
-    namespace = dict(_KERNELS)
+    namespace = {"_power": np.power, "_sin": np.sin, "_cos": np.cos, "_exp": np.exp}
     lines: list[str] = []
     codes: dict[int, str] = {}  # id(node) -> local name or literal, this compilation only
 

@@ -23,15 +23,12 @@ bounded exhaustive enumeration with a much smaller default bound.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from . import forms, numeric, symexpr as sx
+from . import forms, lazy_import, symexpr as sx
 from .forms import (
     ANGULAR,
     DifferentialForm,
@@ -40,6 +37,8 @@ from .forms import (
     pullback,
     wedge,
 )
+
+np = lazy_import("numpy")  # runs at the first sampled evaluation: d_twisted is symbolic
 
 
 class TwistedError(Exception):
@@ -145,6 +144,8 @@ def extract_lee(
     Raises :class:`NotConformalError` when no candidate fits within ``tol``
     and :class:`ExtractionRankError` on wedge-rank deficiency.
     """
+    from . import numeric
+
     if phi.degree != 2:
         raise forms.DegreeError("Lee extraction expects a two-form")
     dim = phi.domain.dim
@@ -225,14 +226,20 @@ PERIOD_MAX_NODES = 1 << 16
 nodes raises instead of returning."""
 
 _GAUSS_ORDER = 8
+_GAUSS_NODES = (
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+)
+_GAUSS_WEIGHTS = (
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+)
+"""Gauss–Legendre nodes and weights of order 8 on [-1, 1]: those of
+``numpy.polynomial.legendre.leggauss(8)`` bit for bit, written out so that no
+run loads ``numpy.polynomial``."""
 _SHIFT = (math.sqrt(5.0) - 1.0) / 2.0
 """Irrational fraction of the node spacing (of the panel width, on an
 interval) by which the guard copy of each quadrature rule is shifted."""
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 
 def _period_rule(angular: bool, lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +257,7 @@ def _period_rule(angular: bool, lo: float, hi: float, n: int) -> tuple[np.ndarra
     shifted = np.concatenate([[lo], cuts[:-1] + _SHIFT * (cuts[1] - cuts[0]), [hi]])
     left = np.concatenate([cuts[:-1], shifted[:-1]])[:, None]
     width = np.concatenate([np.diff(cuts), np.diff(shifted)])[:, None]
-    x, w = _gauss_legendre()
+    x, w = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
     return (left + width * (x + 1.0) / 2.0).ravel(), (width * w / 2.0).ravel()
 
 

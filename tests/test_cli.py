@@ -4,6 +4,7 @@ import copy
 import inspect
 import json
 import math
+import platform
 import shutil
 import subprocess
 from pathlib import Path
@@ -837,6 +838,14 @@ def test_report_subcommand_rejects_garbage(tmp_path, capsys):
     assert cli.main(["report", str(bad)]) == 2
     assert "lcskit-report" in capsys.readouterr().err
 
+
+
+def test_environment_stamp_names_the_platform_as_platform_platform_does():
+    # the stamp is part of stable_dict(), so it must not move; it leaves out
+    # the processor field, which runs `uname -p` in a subprocess
+    if platform.uname().processor not in ("", platform.machine()):
+        pytest.skip("this platform's processor field adds to platform.platform()")
+    assert report.environment_stamp()["platform"] == platform.platform()
 
 
 def test_task_wall_times_are_volatile_and_sum_within_the_run(tmp_path, capsys):

@@ -201,8 +201,10 @@ def test_no_module_level_scipy_subpackage_imports(path):
 
 
 # Modules that must import light: the front end and the report model load no
-# numpy and no computational sibling when imported, and the numerical layers
-# that a cohomology run loads do not pull in the symbolic ones.
+# numpy and no computational sibling when imported, the numerical layers
+# that a cohomology run loads do not pull in the symbolic ones, and the
+# symbolic layers that build structures load neither numpy nor the numerical
+# layer nor the sample stream.
 COMPUTATIONAL = (
     "cohomology", "embed", "forms", "models", "numeric", "pcg64", "reduction", "symexpr", "twisted",
 )
@@ -212,6 +214,10 @@ LOADS_LIGHT = {
     "report.py": ("numpy", *COMPUTATIONAL),
     "numeric.py": ("forms", "symexpr"),
     "cohomology.py": ("forms", "symexpr"),
+    "symexpr.py": ("numpy", "numeric", "pcg64"),
+    "forms.py": ("numpy", "numeric", "pcg64"),
+    "models.py": ("numpy", "numeric", "pcg64"),
+    "twisted.py": ("numpy", "numeric", "pcg64"),
 }
 
 
@@ -457,11 +463,12 @@ _SCOPES = (*_DEFS, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.Gene
 
 def _import_targets(node: ast.Import | ast.ImportFrom, modules: set[str]) -> dict[str, str | None]:
     """Names an import binds: sibling module ``m`` as ``"m"``, name ``f`` of
-    sibling ``m`` as ``"m.f"``, anything else as ``None``."""
+    sibling ``m`` as ``"m.f"`` (of the package's own ``__init__`` as
+    ``"__init__.f"``), anything else as ``None``."""
     if not (isinstance(node, ast.ImportFrom) and node.level == 1):
         return {(a.asname or a.name.split(".")[0]): None for a in node.names}
     if node.module is None:
-        return {(a.asname or a.name): (a.name if a.name in modules else None) for a in node.names}
+        return {(a.asname or a.name): (a.name if a.name in modules else f"__init__.{a.name}") for a in node.names}
     return {(a.asname or a.name): f"{node.module}.{a.name}" for a in node.names}
 
 
@@ -607,6 +614,10 @@ def unreachable(sources: dict[str, str], roots=ROOTS, allowed=()) -> list[str]:
 
 def test_reachability_scanner_resolves_names_per_module_and_scope():
     sources = {
+        "__init__": (
+            "def load(name): ...\n"
+            "def unload(name): ...\n"
+        ),
         "cli": (
             "from . import forms as fm\n"
             "from .symexpr import add\n"
@@ -616,6 +627,8 @@ def test_reachability_scanner_resolves_names_per_module_and_scope():
             "    main()\n"
         ),
         "symexpr": (
+            "from . import load\n"
+            "np = load('numpy')\n"
             "def add(*terms):\n"
             "    flat = []\n"  # a local that shares a dead function's name
             "    return [flat for flat in terms]\n"
@@ -645,7 +658,7 @@ def test_reachability_scanner_resolves_names_per_module_and_scope():
             "def _helper(): ...\n"
         ),
     }
-    dead = ["forms.flat", "forms.sharp", "symexpr.variables"]
+    dead = ["__init__.unload", "forms.flat", "forms.sharp", "symexpr.variables"]
     assert unreachable(sources) == sorted([*dead, "forms._allowed", "forms._helper"])
     assert unreachable(sources, allowed=["forms._allowed"]) == dead
 

@@ -3,7 +3,10 @@ running a task kind load only the modules that the work uses.
 
 ``import lcskit``, ``load_manifest`` and ``lcskit report`` load neither numpy
 nor a computational module; each task kind loads its own module and what
-that imports.  No run loads ``numpy.random``, ``secrets`` or ``hashlib``:
+that imports.  Building structures is symbolic, so numpy runs only at the
+first sampled evaluation.  No run loads ``subprocess`` (the report's platform
+stamp runs no ``uname -p``) or ``numpy.polynomial`` (the quadrature nodes are
+literals).  No run loads ``numpy.random``, ``secrets`` or ``hashlib``:
 sample points come from the package's own stream.  No run loads a heavy
 scipy subpackage: the package integrates, ranks and projects with numpy
 alone, and a flow run loads no scipy module at all.  Each check runs in a
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from lcskit import report
+from lcskit import lazy_import, report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SELFTEST = SRC / "lcskit" / "manifests" / "selftest.json"
@@ -149,6 +152,54 @@ def test_no_run_loads_numpy_random(tmp_path, command):
     # would bring secrets, hashlib and libcrypto with it
     loaded = modules_after(run_code(command, tmp_path / "r.report.json"))
     assert not loaded & {"numpy.random", "secrets", "hashlib"}
+
+
+def numpy_ran(loaded: set[str]) -> bool:
+    """Whether numpy's own code has run: the symbolic layers register numpy
+    lazily in ``sys.modules``, and its submodules load only when it runs."""
+    return any(m.startswith("numpy.") for m in loaded)
+
+
+INLINE = {
+    "coordinates": [{"name": "a", "lower": -1.0, "upper": 1.0}, {"name": "b", "lower": -1.0, "upper": 1.0}],
+    "alpha": {"b": "sqrt(2 - a^2)"},
+    "lee": {"a": "1"},
+    "phi": "twisted",
+    "b_field": {"a": "1"},
+    "anti_lee": {"b": "-1/sqrt(2 - a^2)"},
+}
+
+
+def test_building_structures_runs_no_numpy_until_the_first_evaluation(tmp_path):
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps({"seed": 0, "structures": {"plane": {"chart": INLINE}}, "tasks": []}))
+    build = (
+        "from lcskit import models, report\n"
+        "structures = [models.model_liouville(2), models.model_sphere_circle(3, 2.0),\n"
+        "              models.model_reduction_universal(2, 1, [1.0, 0.5])]\n"
+        f"for path in ({str(SELFTEST)!r}, {str(path)!r}):\n"
+        "    manifest = report.load_manifest(path)\n"
+        "    structures += [manifest.structure(name) for name in manifest.structures]\n"
+        "assert len(structures) == 9\n"
+        "assert all(len(S.charts[:]) == len(S.charts) for S in structures)\n"
+    )
+    built = modules_after(build)
+    assert not numpy_ran(built)
+    assert not built & {"lcskit.numeric", "lcskit.pcg64"}
+    evaluated = modules_after(build + "from lcskit import symexpr as sx\nsx.evaluate(sx.var('x'), {'x': 0.5})\n")
+    assert numpy_ran(evaluated)
+
+
+def test_lazy_import_returns_an_imported_module_and_refuses_a_missing_one():
+    assert lazy_import("json") is json
+    with pytest.raises(ModuleNotFoundError, match="lcskit_absent"):
+        lazy_import("lcskit_absent")
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "embed", "reduce-chain", "cohomology"])
+def test_no_run_loads_subprocess_or_numpy_polynomial(tmp_path, command):
+    loaded = modules_after(run_code(command, tmp_path / "r.report.json"))
+    assert not loaded & {"subprocess", "numpy.polynomial"}
 
 
 def test_refused_catalog_arguments_load_no_model_code(tmp_path):

@@ -175,6 +175,12 @@ def test_extract_lee_requires_dim_four():
 # periods
 
 
+def test_gauss_legendre_literals_are_numpys_nodes_and_weights():
+    nodes, weights = np.polynomial.legendre.leggauss(twisted._GAUSS_ORDER)
+    assert np.array(twisted._GAUSS_NODES).tobytes() == nodes.tobytes()
+    assert np.array(twisted._GAUSS_WEIGHTS).tobytes() == weights.tobytes()
+
+
 def test_torus_periods_match_coefficients():
     omega = DifferentialForm(T2, 1, {(0,): sx.Const(1.0), (1,): sx.Const(np.sqrt(2.0))})
     assert twisted.period(omega, _torus_loop(0)) == pytest.approx(1.0, abs=1e-10)
