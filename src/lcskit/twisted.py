@@ -15,10 +15,10 @@ on an angular source, composite Gauss–Legendre on an interval) that
 accepts an estimate only when the previous level and a shifted copy of the
 rule agree with it, and raises at a node cap otherwise.
 
-Lattice bookkeeping uses no LLL-style machinery: pairwise commensurability
-is detected through continued-fraction convergents (honouring a large
-coefficient bound), and relations among three or more generators through
-bounded exhaustive enumeration with a much smaller default bound.
+Period lattices are read from one integer-relation search: LLL in exact
+integers, a relation holding within ``tol`` below a height bound H_k worked
+out from ``tol`` and the number k of periods.  Rank, basis, membership and
+equality are all read from the relations it finds.
 """
 
 from __future__ import annotations
@@ -84,21 +84,6 @@ def d_twisted(omega: DifferentialForm, a: DifferentialForm) -> DifferentialForm:
 
 
 @dataclass(frozen=True)
-class LatticeData:
-    """Finitely generated subgroup of the reals spanned by loop periods."""
-
-    periods: tuple[float, ...]
-    rank: int
-    basis: tuple[float, ...]
-    integral: bool
-    relation_bound: int
-
-    def contains(self, value: float, tol: float = 1e-8, bound: int = 200) -> bool:
-        """Whether ``value`` lies in the span within ``tol`` (bounded search)."""
-        return _in_span(value, self.basis, tol, bound)
-
-
-@dataclass(frozen=True)
 class LeeData:
     """Outcome of Lee form extraction.
 
@@ -110,7 +95,6 @@ class LeeData:
     omega: DifferentialForm | None
     fit_residual: float
     closedness_residual: float | None
-    lattice: LatticeData | None = None
     sample_values: np.ndarray | None = None
 
 
@@ -224,6 +208,11 @@ def loop_closure_residual(loop: SmoothMap) -> float:
 PERIOD_MAX_NODES = 1 << 16
 """Node cap of :func:`period`: a rule that has not converged at this many
 nodes raises instead of returning."""
+PERIOD_QUAD_TOL = 1e-11
+"""Agreement :func:`period` asks of successive and shifted quadrature
+estimates, absolute below a period of 1 and relative above."""
+PERIOD_CLOSURE_TOL = 1e-9
+"""Largest endpoint gap of a loop that :func:`period` accepts as closed."""
 
 _GAUSS_ORDER = 8
 _GAUSS_NODES = (
@@ -261,22 +250,17 @@ def _period_rule(angular: bool, lo: float, hi: float, n: int) -> tuple[np.ndarra
     return (left + width * (x + 1.0) / 2.0).ravel(), (width * w / 2.0).ravel()
 
 
-def period(
-    omega: DifferentialForm,
-    loop: SmoothMap,
-    quad_tol: float = 1e-11,
-    closure_tol: float = 1e-9,
-) -> float:
+def period(omega: DifferentialForm, loop: SmoothMap) -> float:
     """Integral of a one-form over a loop, by doubling quadrature.
 
     The rule is the periodic trapezoid rule on an angular source and
     composite Gauss–Legendre of order 8 on an interval.  Each level
     evaluates the pulled-back coefficient on all its nodes with one
     :func:`symexpr.evaluate` call, starting at 16 nodes and doubling.  An
-    estimate is returned once it agrees within
-    ``max(quad_tol, quad_tol * |value|)`` both with the previous level's and
-    with a copy of its own rule shifted by an irrational fraction of the
-    node spacing (panel width).  The shifted copy guards against aliasing:
+    estimate is returned once it agrees within :data:`PERIOD_QUAD_TOL`
+    (relative above a period of 1) both with the previous level's and with
+    a copy of its own rule shifted by an irrational fraction of the node
+    spacing (panel width).  The shifted copy guards against aliasing:
     an integrand that repeats with the node spacing, such as
     cos(2π·2^16·t), makes a doubling rule agree with itself, but not with
     the shifted copy.  With no such agreement by :data:`PERIOD_MAX_NODES`
@@ -286,8 +270,8 @@ def period(
     if omega.degree != 1:
         raise forms.DegreeError("periods are defined for one-forms")
     gap = loop_closure_residual(loop)
-    if gap > closure_tol:
-        raise LoopError(f"loop endpoints differ by {gap:.3g} (> {closure_tol:g})")
+    if gap > PERIOD_CLOSURE_TOL:
+        raise LoopError(f"loop endpoints differ by {gap:.3g} (> {PERIOD_CLOSURE_TOL:g})")
     pulled = pullback(loop, omega)
     src = loop.source.coords[0]
     angular = src.kind == ANGULAR
@@ -302,7 +286,7 @@ def period(
         products = sx.evaluate(coeff, {src.name: t}) * w
         value, guard = float(np.sum(products[:n])), float(np.sum(products[n:]))
         step, shift = abs(value - previous), abs(value - guard)
-        bound = max(quad_tol, quad_tol * abs(value))
+        bound = max(PERIOD_QUAD_TOL, PERIOD_QUAD_TOL * abs(value))
         if step <= bound and shift <= bound:
             return value
         if 2 * n > PERIOD_MAX_NODES:
@@ -314,135 +298,167 @@ def period(
         n *= 2
 
 
-def _cf_relation(x: float, y: float, max_coeff: int, tol: float) -> tuple[int, int] | None:
-    """Integers (a, b) with a x + b y ~ 0, found via convergents of x/y.
+@dataclass(frozen=True)
+class LatticeData:
+    """Subgroup of the reals spanned by loop periods, with the height bound
+    of its first relation search (:func:`_height_bound`)."""
 
-    Acceptance uses a fixed absolute tolerance (scaled only by the period
-    magnitudes, never by the coefficient size); with the default bound of
-    a million this keeps genuinely irrational ratios — whose best rational
-    approximations p/q only close in like 1/q^2 — from being misread as
-    rational within the bound.
+    periods: tuple[float, ...]
+    rank: int
+    basis: tuple[float, ...]
+    integral: bool
+    relation_bound: int
+
+    def contains(self, value: float, tol: float = 1e-8) -> bool:
+        """Whether ``value`` lies in the lattice within ``tol``: whether the
+        relations among (basis, value) give ``value`` coefficients of gcd 1."""
+        _, relations = _span((*self.basis, value), tol)
+        return math.gcd(*(c[-1] for c in relations)) == 1
+
+
+def _lll(rows: list[list[int]]) -> list[list[int]]:
+    """LLL reduction (δ = 3/4) of two or more independent integer rows, in
+    exact integers with incremental Gram–Schmidt (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.6.7): ``d[i]`` is the
+    Gram determinant of the first i rows and ``lam[k][j]`` is d[j + 1] times
+    the Gram–Schmidt coefficient μ_kj, so that every update divides exactly.
     """
-    if abs(y) < 1e-300:
-        return None
-    r = x / y
-    h_prev, h = 1, int(math.floor(r))
-    k_prev, k = 0, 1
-    frac = r - math.floor(r)
-    scale = max(abs(x), abs(y), 1.0)
-    for _ in range(64):
-        if abs(k * x - h * y) < tol * scale:
-            if abs(h) <= max_coeff and abs(k) <= max_coeff:
-                return k, -h
-            return None
-        if frac < 1e-18:
-            break
-        q = int(math.floor(1.0 / frac))
-        frac = 1.0 / frac - q
-        h_prev, h = h, q * h + h_prev
-        k_prev, k = k, q * k + k_prev
-        if k > max_coeff:
-            break
-    return None
+    b, n = [list(row) for row in rows], len(rows)
+    d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def size_reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                lam[k][j] = u
+            d[k + 1] = lam[k][k]
+        size_reduce(k, k - 1)
+        mu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * mu * mu:  # Lovász condition fails: swap
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            merged = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+                lam[i][k - 1] = (merged * t + mu * lam[i][k]) // d[k + 1]
+            d[k] = merged
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b
 
 
-def _float_gcd(values: Sequence[float], tol: float) -> float:
-    """Tolerant Euclidean gcd of commensurable reals."""
-    g = 0.0
-    for v in values:
-        a, b = abs(g), abs(v)
-        while b > tol:
-            a, b = b, a % b
-            if b > tol and b < a * 1e-14:
+def _height_bound(values: Sequence[float], tol: float) -> int:
+    """H_k = ⌊(100·ρ)^(−1/(k−1))⌋ for k ≥ 2 values, ρ = ``tol`` relative to
+    top = max|v| (README "Notes on numerical policy"), in [2, 10^15], and
+    worked in decades so that H_2..H_4 = 10^6, 1000, 100 at ρ = 1e-8."""
+    k, top = len(values), max(map(abs, values), default=1.0)
+    if k < 2:
+        return 0
+    decades = (-math.log10(tol * (max(1.0, top) / top)) - 2.0) / (k - 1)
+    return max(2, math.floor(10.0 ** min(decades, 15.0)))
+
+
+def _relations(values: Sequence[float], tol: float) -> list[list[int]]:
+    """Integer relations among two or more nonzero values, lowest first:
+    the LLL-reduced rows c of [e_i | round(2^50·v_i / max|v|)] with ‖c‖∞ ≤
+    H_k and |c·v| ≤ tol·max(1, |v_i| for c_i ≠ 0), a taller row first
+    taking its lowest sum c + m·d with another row (m sending a c_i to 0)."""
+    k, top, bound = len(values), max(map(abs, values)), _height_bound(values, tol)
+
+    def height(c: list[int]) -> int:
+        return max(map(abs, c))
+
+    def holds(c: list[int]) -> bool:
+        size = max([1.0] + [abs(v) for x, v in zip(c, values) if x])
+        return abs(math.fsum(x * v for x, v in zip(c, values))) <= tol * size
+
+    rows = [[int(i == j) for j in range(k)] + [round(2**50 * v / top)] for i, v in enumerate(values)]
+    basis = [c for c in (row[:k] for row in _lll(rows)) if holds(c)]
+    for c, d in itertools.permutations(basis, 2):
+        if height(c) > bound:
+            steps = {-x // y + e for x, y in zip(c, d) if y for e in (0, 1)}
+            c[:] = min([c] + [[x + m * y for x, y in zip(c, d)] for m in steps], key=height)
+    return sorted((c for c in basis if height(c) <= bound and holds(c)), key=height)
+
+
+def _span(periods: Sequence[float], tol: float) -> tuple[list[float], list[list[int]]]:
+    """Values of generators (integer vectors over the periods) of the group
+    they span, and a basis of their relations.  The periods are searched
+    all together, then pair by pair, and Euclid's column operations clear
+    the first relations found, each onto its least coefficient of largest
+    value, before the generators left are searched again at a larger H_k:
+    [1, 1, 3000] clears (1, −1, 0) at H_3 = 1000, then (3000, −1) at H_2."""
+
+    def value(g: list[int]) -> float:
+        return math.fsum(c * p for c, p in zip(g, periods))
+
+    relations, gens = [], []
+    for i, p in enumerate(periods):
+        (relations if abs(p) <= tol else gens).append([int(i == j) for j in range(len(periods))])
+    while len(gens) > 1:
+        k = len(gens)
+        for group in [range(k), *itertools.combinations(range(k), 2)] if k > 2 else [range(k)]:
+            chosen = [gens[i] for i in group]
+            rows = _relations([value(g) for g in chosen], tol)
+            if rows:
                 break
-        g = a if a > tol else b
-    return g
+        else:
+            break
+        for row in rows:
+            live = [j for j, c in enumerate(row) if c]
+            while len(live) > 1:
+                j = min(live, key=lambda l: (abs(row[l]), -abs(value(chosen[l]))))
+                for l in live:
+                    if l != j:
+                        q = row[l] // row[j]
+                        for r in rows:
+                            r[l] -= q * r[j]
+                        chosen[j] = [a + q * b for a, b in zip(chosen[j], chosen[l])]
+                live = [j for j, c in enumerate(row) if c]
+            if live:
+                relations.append(chosen.pop(live[0]))
+                for r in rows:
+                    del r[live[0]]
+        gens = [g for i, g in enumerate(gens) if i not in group] + chosen
+    return [value(g) for g in gens], relations
 
 
-def _in_span(value: float, basis: Sequence[float], tol: float, bound: int) -> bool:
-    """Bounded test for membership of ``value`` in the integer span of basis.
-
-    For two or more generators the coefficient grid is capped at about
-    five million combinations; the effective bound shrinks accordingly.
-    """
-    if abs(value) <= tol:
-        return True
-    basis = [b for b in basis if abs(b) > tol]
-    if not basis:
-        return False
-    if len(basis) == 1:
-        k = round(value / basis[0])
-        return abs(k) <= bound and abs(value - k * basis[0]) <= tol
-    r = len(basis)
-    eff = min(bound, max(1, int(5e6 ** (1.0 / r) / 2)))
-    grids = np.meshgrid(*[np.arange(-eff, eff + 1)] * r, indexing="ij", sparse=True)
-    combo = sum(g * b for g, b in zip(grids, basis))
-    return bool(np.any(np.abs(combo - value) <= tol))
+def lattice_from_periods(periods: Sequence[float], tol: float = 1e-8) -> LatticeData:
+    """The subgroup of the reals the periods span: zero within ``tol``, whole
+    within tol·max(1, |p|), related as in :func:`_relations`."""
+    ps = tuple(float(p) for p in periods)
+    gens, _ = _span(ps, tol)
+    integral = all(abs(p - round(p)) <= tol * max(1.0, abs(p)) for p in ps)
+    bound = _height_bound([p for p in ps if abs(p) > tol], tol)
+    return LatticeData(ps, len(gens), tuple(sorted(map(abs, gens))), integral, bound)
 
 
-def lattice_from_periods(
-    periods: Sequence[float],
-    tol: float = 1e-8,
-    max_coeff: int = 10**6,
-    relation_bound: int = 40,
-) -> LatticeData:
-    """Generate the subgroup of the reals spanned by the given periods.
-
-    Pairwise commensurability is decided with continued-fraction
-    convergents honouring ``max_coeff``; residual relations among three or
-    more pairwise-incommensurable generators are searched exhaustively with
-    coefficients bounded by ``relation_bound`` (an intentionally small
-    default — raise it per call when needed; no LLL reduction is used).
-    """
-    ps = [float(p) for p in periods]
-    nonzero = [p for p in ps if abs(p) > tol]
-    groups: list[list[float]] = []
-    for p in nonzero:
-        placed = False
-        for g in groups:
-            if _cf_relation(p, g[0], max_coeff, tol):
-                g.append(p)
-                placed = True
-                break
-        if not placed:
-            groups.append([p])
-    gens = sorted((abs(_float_gcd(g, tol)) for g in groups), reverse=True)
-    # cross-group relations (e.g. 1, sqrt2, 1+sqrt2) by bounded enumeration
-    if 2 <= len(gens) <= 4:
-        changed = True
-        while changed and len(gens) >= 2:
-            changed = False
-            for i, g in enumerate(gens):
-                others = gens[:i] + gens[i + 1 :]
-                if _in_span(g, others, tol, relation_bound):
-                    gens = others
-                    changed = True
-                    break
-    basis = tuple(sorted(gens))
-    integral = all(abs(p - round(p)) <= tol for p in ps)
-    return LatticeData(tuple(ps), len(basis), basis, integral, relation_bound)
-
-
-def period_lattice(
-    omega: DifferentialForm,
-    loops: Sequence[SmoothMap],
-    tol: float = 1e-8,
-    max_coeff: int = 10**6,
-    relation_bound: int = 40,
-    quad_tol: float = 1e-11,
-) -> LatticeData:
+def period_lattice(omega: DifferentialForm, loops: Sequence[SmoothMap], tol: float = 1e-8) -> LatticeData:
     """Period lattice of a closed one-form over a family of loops."""
-    ps = [period(omega, loop, quad_tol=quad_tol) for loop in loops]
-    return lattice_from_periods(ps, tol, max_coeff, relation_bound)
+    return lattice_from_periods([period(omega, loop) for loop in loops], tol)
 
 
-def lattices_equal(a: LatticeData, b: LatticeData, tol: float = 1e-8, bound: int = 200) -> bool:
-    """Mutual inclusion of two lattices (bounded coefficient search)."""
-    if a.rank != b.rank:
-        return False
-    return all(_in_span(g, b.basis, tol, bound) for g in a.basis) and all(
-        _in_span(g, a.basis, tol, bound) for g in b.basis
-    )
+def lattices_equal(a: LatticeData, b: LatticeData, tol: float = 1e-8) -> bool:
+    """Whether two lattices agree: each contains the other's basis."""
+    return all(a.contains(g, tol) for g in b.basis) and all(b.contains(g, tol) for g in a.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +481,20 @@ class MorphismReport:
     conformal_closed_residual: float
     conformal_period_residual: float
     full: bool
-    rank_source: int
-    rank_target: int
-    rank_decrease: int
     source_lattice: LatticeData
     target_lattice: LatticeData
+
+    @property
+    def rank_source(self) -> int:
+        return self.source_lattice.rank
+
+    @property
+    def rank_target(self) -> int:
+        return self.target_lattice.rank
+
+    @property
+    def rank_decrease(self) -> int:
+        return self.rank_target - self.rank_source
 
 
 def classify_morphism(
@@ -481,7 +506,6 @@ def classify_morphism(
     samples: int = 200,
     tol: float = 1e-8,
     seed: int = 0,
-    relation_bound: int = 40,
 ) -> MorphismReport:
     """Classify ``F`` against source/target Lee forms.
 
@@ -500,8 +524,8 @@ def classify_morphism(
     for loop in source_loops:
         period_residual = max(period_residual, abs(period(delta, loop)))
     conformal = closed_check.passed and period_residual <= tol
-    src_lat = period_lattice(lee_source, source_loops, tol=tol, relation_bound=relation_bound)
-    tgt_lat = period_lattice(lee_target, target_loops, tol=tol, relation_bound=relation_bound)
+    src_lat = period_lattice(lee_source, source_loops, tol)
+    tgt_lat = period_lattice(lee_target, target_loops, tol)
     return MorphismReport(
         strict=strict_check.passed,
         strict_residual=strict_check.max_residual,
@@ -509,9 +533,6 @@ def classify_morphism(
         conformal_closed_residual=closed_check.max_residual,
         conformal_period_residual=period_residual,
         full=lattices_equal(src_lat, tgt_lat, tol),
-        rank_source=src_lat.rank,
-        rank_target=tgt_lat.rank,
-        rank_decrease=tgt_lat.rank - src_lat.rank,
         source_lattice=src_lat,
         target_lattice=tgt_lat,
     )

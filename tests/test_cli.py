@@ -621,6 +621,20 @@ def test_a_certificate_that_raises_keeps_its_record(tmp_path, structures, task, 
     assert record.detail.endswith(f"residual {record.max_residual:.3g} exceeds {record.tolerance:g}")
 
 
+def test_product_embedding_at_a_loose_tolerance_is_full(tmp_path):
+    # the lattice height bound is floored at 2, so the period lattices
+    # (1.0,) of the product still equal each other at tol 0.05
+    out = tmp_path / "r.json"
+    payload = {
+        "seed": 7,
+        "structures": {"sphere2": {"catalog": "sphere_circle", "args": {"N": 2}}},
+        "tasks": [{"kind": "embed", "structure": "sphere2", "tol": 0.05, "samples": 40, "pairs": 10}],
+    }
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 0
+    [record] = report.load_report(str(out)).records
+    assert record.passed and record.detail == "morphism strict=True full=True"
+
+
 # ---------------------------------------------------------------------------
 # runs and exit codes
 

@@ -411,11 +411,16 @@ def zero_check_builders(source: str) -> list[tuple[str, int]]:
     return found
 
 
-def retired_judge_names(source: str) -> list[int]:
-    """Lines naming a retired route to a pass flag (``RETIRED_JUDGES``), as
-    an identifier, attribute, definition, import or in text."""
-    pattern = re.compile(r"\b(" + "|".join(RETIRED_JUDGES) + r")\b")
+def _lines_naming(names: tuple[str, ...], source: str) -> list[int]:
+    """Lines naming any of ``names`` as a whole word: as an identifier,
+    attribute, definition, import, keyword argument or in text."""
+    pattern = re.compile(r"\b(" + "|".join(names) + r")\b")
     return [n for n, line in enumerate(source.splitlines(), 1) if pattern.search(line)]
+
+
+def retired_judge_names(source: str) -> list[int]:
+    """Lines naming a retired route to a pass flag (``RETIRED_JUDGES``)."""
+    return _lines_naming(RETIRED_JUDGES, source)
 
 
 def test_judge_scanners_find_builders_and_retired_names():
@@ -444,6 +449,36 @@ def test_only_symexpr_is_zero_builds_a_zero_check():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_names_a_retired_judge(path):
     assert retired_judge_names(path.read_text()) == []
+
+
+# -- period lattices ---------------------------------------------------------
+
+# The lattice heuristics that one integer-relation search replaced, the
+# coefficient knob they took, and the grid the last of them enumerated.
+RETIRED_LATTICE = ("_cf_relation", "_float_gcd", "_in_span", "max_coeff", "meshgrid")
+
+
+def retired_lattice_names(source: str) -> list[int]:
+    """Lines naming a retired lattice heuristic or knob (``RETIRED_LATTICE``)."""
+    return _lines_naming(RETIRED_LATTICE, source)
+
+
+def test_lattice_scanner_finds_retired_heuristics_and_knobs():
+    source = (
+        "from .twisted import _in_span\n"
+        "def f(x, max_coeff=10):\n"
+        "    return np.meshgrid(x) + twisted._float_gcd(x)\n"
+        "def g(x, max_coeffs, in_span, my_cf_relation):\n"
+        "    return lattice_from_periods(x, max_coeff=g)\n"
+        "# the continued fractions of _cf_relation\n"
+        "grid = meshgrid_like(x)\n"
+    )
+    assert retired_lattice_names(source) == [1, 2, 3, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_a_retired_lattice_heuristic(path):
+    assert retired_lattice_names(path.read_text()) == []
 
 
 # -- reachability ------------------------------------------------------------

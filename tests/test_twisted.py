@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 from unittest import mock
 
@@ -350,12 +351,94 @@ def test_lattice_zero_periods():
     assert lat.rank == 0 and lat.basis == () and lat.integral
 
 
+HEIGHT_BOUND = {2: 10**6, 3: 1000, 4: 100, 5: 31}
+"""H_k at the default tol 1e-8: ⌊(100·tol)^(−1/(k−1))⌋ for k nonzero periods."""
+SQRT2 = math.sqrt(2.0)
+
+
 def test_lattice_coefficient_bound_is_honoured():
-    # ratio 100001/100000 is within the default 10^6 bound, outside bound 10
+    # 100001·1 − 100000·1.00001 = 0 has height 10^5, within H_2 = 10^6; the
+    # relation of 1 and 1 + 1/(3·10^6) needs height 3·10^6 + 1, beyond it
     wide = twisted.lattice_from_periods([1.0, 1.00001])
-    assert wide.rank == 1
-    narrow = twisted.lattice_from_periods([1.0, 1.00001], max_coeff=10)
+    assert wide.rank == 1 and wide.relation_bound == HEIGHT_BOUND[2]
+    narrow = twisted.lattice_from_periods([1.0, 1.0 + 1.0 / 3e6])
     assert narrow.rank == 2
+    for k in (3, 4, 5):
+        assert twisted.lattice_from_periods([1.0, SQRT2, math.pi, math.e, 0.5][:k]).relation_bound == HEIGHT_BOUND[k]
+    # never below 2, however loose the tolerance or many the periods
+    assert twisted.lattice_from_periods([1.0, 2.0], 0.05).relation_bound == 2
+    assert twisted.lattice_from_periods([1.0 + i * SQRT2 for i in range(40)]).relation_bound == 2
+
+
+@pytest.mark.parametrize(
+    "periods, rank",
+    [
+        ([1.0, SQRT2, 1.0 + 90 * SQRT2], 2),
+        ([1.0, SQRT2, math.pi, 41 * SQRT2 + 3 * math.pi - 7], 3),
+        # two relations within H_4 whose LLL basis holds (−6, −126, 1, 1)
+        ([SQRT2, math.pi, 93 * SQRT2 + 100 * math.pi, 26 * math.pi - 87 * SQRT2], 2),
+        # whole numbers with ratios beyond H_k, related at H_2
+        ([1.0, 1.0, 3000.0], 1),
+        ([1.0, 1.0, 1.0, 500.0], 1),
+        ([1.0, 3000.0, SQRT2], 2),
+    ],
+)
+def test_lattice_finds_relations_with_large_coefficients(periods, rank):
+    assert twisted.lattice_from_periods(periods).rank == rank
+
+
+def test_lattice_equality_with_a_large_coefficient_takes_little_memory():
+    tracemalloc.start()
+    try:
+        equal = twisted.lattices_equal(
+            twisted.lattice_from_periods([1.0, SQRT2, math.pi]),
+            twisted.lattice_from_periods([1.0, SQRT2, math.pi + 90 * SQRT2]),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert equal
+    assert peak < 1 << 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lattice_recovers_generators_from_integer_combinations(data):
+    """The generators and one or two integer combinations of them, with
+    coefficients within H_k (k periods in all), in any order: the relations
+    are the primitive (coefficients, −1) rows."""
+    gens = data.draw(st.lists(st.sampled_from([1.0, SQRT2, math.pi, math.e]), min_size=1, max_size=3, unique=True))
+    extra = data.draw(st.integers(1, 2))
+    bound = HEIGHT_BOUND[len(gens) + extra]
+    coeffs = st.lists(st.integers(-bound, bound), min_size=len(gens), max_size=len(gens))
+    combinations = [math.fsum(c * g for c, g in zip(data.draw(coeffs), gens)) for _ in range(extra)]
+    lat = twisted.lattice_from_periods(data.draw(st.permutations([*gens, *combinations])))
+    assert lat.rank == len(gens)
+    assert twisted.lattices_equal(lat, twisted.lattice_from_periods(gens))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="LLL at the 2^50 scaling brings out a relation among five periods only when its residual is "
+    "near 2^-40 of the largest period, so a relation off by 1e-11 relative, within tol, is missed",
+)
+def test_lattice_finds_a_relation_off_by_quadrature_noise():
+    s = 1.0 + SQRT2 + math.pi + math.e
+    assert twisted.lattice_from_periods([1.0, SQRT2, math.pi, math.e, s * (1.0 + 1e-11)]).rank == 4
+
+
+def test_lattice_tolerance_is_absolute_below_one_and_relative_above():
+    big = twisted.lattice_from_periods([1e6])
+    assert big.contains(1e6 + 0.005) and not big.contains(1e6 + 0.05)
+    small = twisted.lattice_from_periods([1e-3])
+    assert small.contains(1e-3 + 5e-9) and not small.contains(1e-3 + 5e-8)
+    assert twisted.lattice_from_periods([1e6 + 0.005]).integral
+
+
+def test_lattice_at_a_loose_tolerance_still_equals_itself():
+    lat = twisted.lattice_from_periods([1.0], 0.05)
+    assert twisted.lattices_equal(lat, lat, 0.05)
+    assert lat.contains(2.0, 0.05) and not lat.contains(0.5, 0.05)
 
 
 def test_lattice_equality_and_membership():
