@@ -24,9 +24,9 @@ Every pullback identity is certified at sample points from one
 DF, through which the target's forms are pulled back as DFᵀ(a∘F) and
 DFᵀ(a∘F)DF (:func:`forms.sampled_pullback`); the chart's pairs (f, x) are
 subtrees of the stage maps' components, so the same walk gives the given
-one-form as sum f dx.  No symbolic pullback, Jacobian or minor of an
-embedding map is built.  The radicand and sphere-constraint checks
-evaluate their expressions directly.
+one-form as sum f dx, and its images give the sphere constraint
+|psi|^2 - r^2.  No symbolic pullback, Jacobian or minor of an embedding
+map is built.  The radicand check evaluates its expression directly.
 """
 
 from __future__ import annotations
@@ -237,10 +237,13 @@ class EmbeddingSolution:
 # stage builders
 
 
-def _sphere_check(psi: SmoothMap, radius: float, env, tol: float) -> ZeroCheck:
-    """The sphere constraint |psi|^2 - radius^2 at the points of ``env``."""
-    expr = sx.add(_sum_squares(list(psi.components)), sx.Const(-radius * radius))
-    return sx.is_zero(sx.evaluate_all([expr], env), env, tol)
+def _sphere_check(images: np.ndarray, radius: float, env, tol: float) -> ZeroCheck:
+    """The sphere constraint |psi|^2 - radius^2 at the points of ``env``,
+    from the images (k, n) of psi's components that its stage walked."""
+    residual = -radius * radius
+    for v in images:
+        residual = residual + v * v
+    return sx.is_zero([residual], env, tol)
 
 
 def _theta_bar(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -251,18 +254,18 @@ def _theta_bar(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 def _pulled_and_theta_bar(
     psi: SmoothMap, form: DifferentialForm, pairs: Sequence[tuple[Expr, Expr]], env
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """From one jets walk of a stage map's components followed by the
     chart's pairs, at the points of ``env``: the pullback of ``form``
-    through the sampled Jacobians, the given one-form, and the walk's
-    gradients.  The pairs are subtrees of the map's components, so the
-    walk's memo reads them off the map's own walk."""
+    through the sampled Jacobians, the given one-form, the map's images
+    and the walk's gradients.  The pairs are subtrees of the map's
+    components, so the walk's memo reads them off the map's own walk."""
     k = len(psi.components)
     values, grads = forms.jet_arrays(
         psi.components + tuple(e for fg in pairs for e in fg), psi.source.names, env
     )
     pulled = forms.sampled_pullback(form, dict(zip(psi.target.names, values[:k])), grads[:k])
-    return pulled, _theta_bar(values[k:], grads[k:]), grads
+    return pulled, _theta_bar(values[k:], grads[k:]), values[:k], grads
 
 
 def _unit_sphere_certs(
@@ -276,10 +279,10 @@ def _unit_sphere_certs(
     for cname, psi in maps:
         F = dict(problem.charts)[cname]
         env = psi.source.sample_points(problem.samples, seed + 1)
-        pulled, theta_bar, _ = _pulled_and_theta_bar(psi, eta_c, problem.chart_pairs(F), env)
+        pulled, theta_bar, images, _ = _pulled_and_theta_bar(psi, eta_c, problem.chart_pairs(F), env)
         for kind, what, check in (
             ("pullback", "pullback", forms.values_check(pulled - theta_bar, env, tol)),
-            ("sphere", "sphere constraint", _sphere_check(psi, 1.0, env, tol)),
+            ("sphere", "sphere constraint", _sphere_check(images, 1.0, env, tol)),
         ):
             if not check.passed:
                 raise CertificationError(f"{where} {what} on chart {cname!r}", check)
@@ -334,11 +337,11 @@ def build_psi2(
             comps.extend([g, f])
         comps.extend([sx.sqrt(radicand), sx.ZERO, c2, sx.ONE])
         psi = SmoothMap(F.source, target, tuple(comps))
-        sph = _sphere_check(psi, r2, env, tol)
+        pulled, theta_bar, images, grads = _pulled_and_theta_bar(psi, eta, pairs, env)
+        sph = _sphere_check(images, r2, env, tol)
         if not sph.passed:
             raise CertificationError(f"stage 2 sphere constraint on chart {cname!r}", sph)
         certs.append((f"stage2:{cname}:sphere", sph))
-        pulled, theta_bar, grads = _pulled_and_theta_bar(psi, eta, pairs, env)
         if doubled_pair:
             check = forms.values_check(pulled - theta_bar, env, tol)
             if not check.passed:
@@ -483,6 +486,12 @@ def _circle_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d, 1.0 - d)
 
 
+# The injectivity sample: its size, and the source distance above which a
+# pair of its points counts.
+INJECTIVITY_SAMPLES = 140
+MIN_SOURCE_DISTANCE = 0.05
+
+
 def build_lcs_embedding(
     structure: models.LcsStructure,
     problem: EmbeddingProblem,
@@ -491,8 +500,6 @@ def build_lcs_embedding(
     tol: float = 1e-8,
     seed: int = 0,
     samples: int = 200,
-    injectivity_samples: int = 140,
-    min_source_distance: float = 0.05,
 ) -> ProductEmbedding:
     """Product embedding of a first-kind structure into sphere x circle.
 
@@ -571,7 +578,7 @@ def build_lcs_embedding(
             certs.append((chart.name, label, check))
         ranks.append(numeric.jacobian_min_rank(DF[..., : min(40, samples)]))
         dmin, npairs = _image_separation(
-            psi, injectivity_samples, seed + 5, min_source_distance
+            psi, INJECTIVITY_SAMPLES, seed + 5, MIN_SOURCE_DISTANCE
         )
         if npairs:
             inj_min = min(inj_min, dmin)
@@ -594,7 +601,7 @@ def build_lcs_embedding(
     )
     injectivity = InjectivityReport(
         float(inj_min) if np.isfinite(inj_min) else 0.0,
-        min_source_distance,
+        MIN_SOURCE_DISTANCE,
         inj_pairs,
     )
     return ProductEmbedding(

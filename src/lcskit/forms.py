@@ -133,14 +133,6 @@ class CoordinateDomain:
                 out[c.name] = lo + (hi - lo) * u
         return out
 
-    def contains(self, point: Mapping[str, float], slack: float = 0.0) -> bool:
-        for c in self.coords:
-            if c.kind == LINEAR:
-                v = float(point[c.name])
-                if not (c.lower - slack <= v <= c.upper + slack):
-                    return False
-        return True
-
     def one_form(self, name: str) -> "DifferentialForm":
         """The basis one-form d<name>."""
         return DifferentialForm(self, 1, {(self.index(name),): sx.ONE})

@@ -319,13 +319,17 @@ class DecompositionReport:
     passed: bool
 
 
+# The largest distance from an integer that certify_decomposition accepts
+# for a piece's period over a declared loop.
+INTEGER_PERIOD_TOL = 1e-7
+
+
 def certify_decomposition(
     chart: StructureChart,
     decomp: LeeDecomposition,
     samples: int = 200,
     tol: float = 1e-9,
     seed: int = 0,
-    period_tol: float = 1e-7,
 ) -> DecompositionReport:
     """Certify a declared Lee-form decomposition on a chart.
 
@@ -368,7 +372,7 @@ def certify_decomposition(
             p = twisted.period(piece.omega, loop)
             off = abs(p - round(p))
             offsets.append(off)
-            if off > period_tol:
+            if off > INTEGER_PERIOD_TOL:
                 raise DecompositionError(
                     f"piece {j} has non-integer period {p:.6f} over loop {loop.source.name!r}"
                 )

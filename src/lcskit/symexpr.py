@@ -13,18 +13,16 @@ O(1).  Mathematical equality is decided numerically, at sample points:
 :func:`is_zero` is the one rule that turns sampled residual values into a
 pass flag.  :func:`diff` keeps its results on sum, power and call nodes.
 
-Evaluation is vectorised over numpy arrays.  :func:`evaluate_all` is the one
-tree walk: it evaluates several expressions on one env and computes each
-shared subexpression once per call, that is once per sample set;
-:func:`evaluate` is its one-expression case.  :func:`jets` is the same
-walk in forward mode: each expression's value, bit for bit the tree walk's,
-with its sparse gradient, and no derivative tree built.  Any non-finite
-value (a negative radicand, division by zero, the derivative of ``sqrt`` at
-0) raises :class:`EvaluationDomainError` carrying the offending sample
-point rather than silently propagating ``nan``.  :func:`lambdify` compiles
-expressions evaluated again and again on batches of points into
-straight-line code run on whole coordinate columns, with the same values,
-bit for bit, as the tree walk.
+Evaluation is vectorised over numpy arrays, by one tree walk with one memo
+per call, so each shared subexpression is computed once per sample set.
+:func:`evaluate_all` (and :func:`evaluate`, its one-expression case) is its
+value mode; :func:`jets` is its jet mode, which also carries each node's
+sparse gradient forward, building no derivative tree.  Any non-finite value
+or partial (a negative radicand, division by zero, the derivative of
+``sqrt`` at 0) raises :class:`EvaluationDomainError` carrying the offending
+sample point rather than silently propagating ``nan``.  :func:`lambdify`
+compiles expressions evaluated again and again on batches of points into
+straight-line code on whole coordinate columns, bit-identical to the walk.
 """
 
 from __future__ import annotations
@@ -470,42 +468,91 @@ def substitute(e: Expr, mapping: Mapping[str, ExprLike]) -> Expr:
 # evaluation
 
 
-def _eval_raw(e: Expr, env: Mapping[str, np.ndarray], seen: dict):
-    """Value of ``e`` on ``env``; ``seen`` maps each compound node already
-    evaluated on this env to its value, so shared subtrees run once."""
+_NO_GRADIENT: dict = {}  # the gradient of a constant, shared: never written to
+
+
+def _tree_walk(e: Expr, env: Mapping[str, np.ndarray], seen: dict, grads: dict | None):
+    """Value of ``e`` on ``env``: the one tree walk.  ``seen`` maps each
+    compound node already walked on this env to its value, so shared
+    subtrees run once.  In value mode ``grads`` is None.  In jet mode it
+    maps each env coordinate's variable to its gradient ``{name: 1.0}``, and
+    :func:`_keep_gradient` adds each compound node's once it is walked.
+    This body holds no comprehension: one would make its names cells,
+    which every call pays for, value mode included."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         try:
             return env[e.name]
         except KeyError:
-            raise UnknownCoordinateError(
-                f"no value bound to coordinate '{e.name}'"
-            ) from None
+            raise UnknownCoordinateError(f"no value bound to coordinate '{e.name}'") from None
     out = seen.get(e)
     if out is not None:
         return out
     if isinstance(e, Add):
-        out = _eval_raw(e.terms[0], env, seen)
+        out = _tree_walk(e.terms[0], env, seen, grads)
         for t in e.terms[1:]:
-            out = out + _eval_raw(t, env, seen)
+            out = out + _tree_walk(t, env, seen, grads)
     elif isinstance(e, Mul):
-        out = _eval_raw(e.factors[0], env, seen)
+        out = _tree_walk(e.factors[0], env, seen, grads)
         for f in e.factors[1:]:
-            out = out * _eval_raw(f, env, seen)
+            out = out * _tree_walk(f, env, seen, grads)
     elif isinstance(e, Pow):
-        base = _eval_raw(e.base, env, seen)
+        base = _tree_walk(e.base, env, seen, grads)
         q = e.exponent
         if q.denominator == 1:
             out = np.power(base, q.numerator, dtype=float)
         else:
             out = np.power(np.asarray(base, dtype=float), float(q))
     elif isinstance(e, Call):
-        out = getattr(np, e.fn)(_eval_raw(e.arg, env, seen))
+        out = getattr(np, e.fn)(_tree_walk(e.arg, env, seen, grads))
     else:
         raise TypeError(f"unknown node {e!r}")
     seen[e] = out
+    if grads is not None:
+        _keep_gradient(e, env, seen, grads)
     return out
+
+
+def _keep_gradient(e: Expr, env: Mapping[str, np.ndarray], seen: dict, grads: dict) -> None:
+    """Keep in ``grads`` the gradient of the compound node ``e``, just
+    walked: ``{name: partial derivative}``, structural zeros absent, from
+    its children's gradients and the values the walk reads back.  An empty
+    gradient is not kept; gradients are shared, never written."""
+    if isinstance(e, Add):
+        grad = {}
+        for t in e.terms:
+            for k, d in grads.get(t, _NO_GRADIENT).items():
+                grad[k] = grad[k] + d if k in grad else d
+    elif isinstance(e, Mul):
+        values = [_tree_walk(f, env, seen, grads) for f in e.factors]
+        prefix = [None, values[0]]  # prefix[i]: product of the factors before i
+        for v in values[1:-1]:
+            prefix.append(prefix[-1] * v)
+        grad, suffix = {}, None  # suffix: product of the factors after i
+        for i in range(len(values) - 1, -1, -1):
+            g = grads.get(e.factors[i])
+            if g:  # product rule: the partials of factor i times the other factors
+                others = prefix[i] if suffix is None else suffix if prefix[i] is None else prefix[i] * suffix
+                for k, d in g.items():
+                    term = others * d
+                    grad[k] = grad[k] + term if k in grad else term
+            suffix = values[i] if suffix is None else values[i] * suffix
+    else:  # chain rule through a power or a call
+        inner = e.base if isinstance(e, Pow) else e.arg
+        g = grads.get(inner)
+        if not g:
+            return
+        inner = _tree_walk(inner, env, seen, grads)
+        if isinstance(e, Call):
+            outer = np.cos(inner) if e.fn == "sin" else -np.sin(inner) if e.fn == "cos" else seen[e]  # exp
+        elif e.exponent.denominator == 1:
+            outer = e.exponent.numerator * np.power(inner, e.exponent.numerator - 1, dtype=float)
+        else:
+            outer = float(e.exponent) * np.power(np.asarray(inner, dtype=float), float(e.exponent - 1))
+        grad = {k: outer * d for k, d in g.items()}
+    if grad:
+        grads[e] = grad
 
 
 def batch_shape(env: Mapping[str, "np.ndarray | float"]) -> tuple[int, ...]:
@@ -514,35 +561,26 @@ def batch_shape(env: Mapping[str, "np.ndarray | float"]) -> tuple[int, ...]:
     return next((np.shape(v) for v in env.values() if np.ndim(v)), ())
 
 
-def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> list:
-    """Evaluate several expressions on one env, each subexpression once.
-
-    One memo spans the whole call, so a node shared between (or within)
-    the expressions is computed once on this env.  Each result has the
-    batch shape of ``env`` (see :func:`batch_shape`): an array whenever any
-    env value is an array, constants included, and a float for an
-    all-scalar env.  Results are checked in order, and the first
-    expression with a non-finite value raises
-    :class:`EvaluationDomainError` (with the first offending sample point);
-    an unbound variable raises :class:`UnknownCoordinateError` unless an
-    earlier expression is non-finite, and expressions after it are not
-    evaluated.  The same node gives the same object twice, as does the same
-    constant value, and a bare variable gives the env's own array: read
-    results, do not write them.
-    """
+def _walk_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"], jet: bool) -> list:
+    """The one driver of :func:`_tree_walk`: :func:`evaluate_all`, or with
+    ``jet`` :func:`jets`, with the shapes, checks and errors they state."""
     env_arr = {k: np.asarray(v, dtype=float) for k, v in env.items()}
     shape = batch_shape(env_arr)
     seen: dict = {}
-    walked, unbound = [], None
+    grads = {Var(k): {k: 1.0} for k in env_arr} if jet else None
+    walked, raw, unbound = [], [], None  # raw: each value, then in jet mode its partials
     with np.errstate(all="ignore"):
         for e in exprs:
             try:
-                walked.append((e, _eval_raw(e, env_arr, seen)))
+                raw.append(_tree_walk(e, env_arr, seen, grads))
             except UnknownCoordinateError as err:
                 unbound = err
                 break
-    results, arrays, constants = [], [], {}
-    for _, out in walked:
+            walked.append(e)
+            if jet:
+                raw.extend(grads.get(e, _NO_GRADIENT).values())
+    packed, arrays, constants = [], [], {}
+    for out in raw:
         if isinstance(out, np.ndarray) and out.ndim:
             arrays.append(out)
         elif shape:  # a constant: one shared array per value
@@ -552,15 +590,38 @@ def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"])
                 out = constants[value] = np.full(shape, value)
         else:  # a value on an all-scalar env
             out = float(out)
-        results.append(out)
-    scalars = constants if shape else results
+        packed.append(out)
+    if jet:
+        entries = iter(packed)
+        packed = [(next(entries), {k: next(entries) for k in grads.get(e, _NO_GRADIENT)}) for e in walked]
+    scalars = constants if shape else raw
     if not all(map(math.isfinite, scalars)) or (arrays and not np.isfinite(np.concatenate(arrays, axis=None)).all()):
-        for (e, _), out in zip(walked, results):  # find the first, in order
-            if not np.all(np.isfinite(out)):
-                raise _domain_error("value", e, np.asarray(out), env_arr)
+        for e, result in zip(walked, packed):  # find the first, in order: each value, then its partials
+            value, partials = result if jet else (result, _NO_GRADIENT)
+            for what, v in (("value", value), *((f"derivative by '{k}'", d) for k, d in partials.items())):
+                if not np.all(np.isfinite(v)):
+                    raise _domain_error(what, e, np.asarray(v), env_arr)
     if unbound is not None:
         raise unbound
-    return results
+    return packed
+
+
+def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> list:
+    """Evaluate several expressions on one env, each subexpression once (one
+    memo spans the call): the value mode of the one tree walk.
+
+    Each result has the batch shape of ``env`` (see :func:`batch_shape`): an
+    array whenever any env value is an array, constants included, and a
+    float for an all-scalar env.  The same node gives the same object twice,
+    as does the same constant value, and a bare variable gives the env's own
+    array: read results, do not write them.  Results are checked in order,
+    and the first expression with a non-finite value raises
+    :class:`EvaluationDomainError` (with the first offending sample point);
+    an unbound variable raises :class:`UnknownCoordinateError` unless an
+    earlier expression is non-finite, and expressions after it are not
+    evaluated.
+    """
+    return _walk_all(exprs, env, jet=False)
 
 
 def evaluate(e: Expr, env: Mapping[str, "np.ndarray | float"]):
@@ -570,128 +631,27 @@ def evaluate(e: Expr, env: Mapping[str, "np.ndarray | float"]):
     return evaluate_all((e,), env)[0]
 
 
+def jets(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> list[tuple]:
+    """Values and first derivatives of several expressions on one env: the
+    jet mode of the one tree walk, which is forward mode (Griewank & Walther,
+    *Evaluating Derivatives*, 2008) and builds no derivative tree.
+
+    Each result is ``(value, gradient)``: the value is :func:`evaluate_all`'s,
+    bit for bit, and the gradient maps each coordinate the expression
+    depends on structurally to the partial derivative there (structural
+    zeros are absent).  Every entry is shaped, shared and checked as
+    :func:`evaluate_all`'s results are, each value before its partials, and
+    a non-finite partial raises :class:`EvaluationDomainError` naming it.
+    """
+    return _walk_all(exprs, env, jet=True)
+
+
 def _domain_error(what: str, e: Expr, out: np.ndarray, env_arr: Mapping[str, np.ndarray]) -> EvaluationDomainError:
     """The error for a non-finite ``out``, witnessed at its first non-finite
     sample."""
     idx = int(np.flatnonzero(~np.isfinite(out))[0])
     point = {k: float(v) if v.ndim == 0 else float(v.flat[idx]) for k, v in env_arr.items()}
     return EvaluationDomainError(f"non-finite {what} evaluating '{to_string(e)}' at {point}", point)
-
-
-_NO_GRADIENT: dict = {}  # the gradient of a constant, shared: never written to
-
-
-def _jet_raw(e: Expr, env: Mapping[str, np.ndarray], seen: dict) -> tuple:
-    """``(value, gradient)`` of ``e`` on ``env``: the value exactly as
-    :func:`_eval_raw` computes it, and ``{name: partial derivative}`` with
-    structural zeros absent.  ``seen`` maps each compound node already
-    walked on this env to its jet; jets are shared, never written."""
-    if isinstance(e, Const):
-        return e.value, _NO_GRADIENT
-    if isinstance(e, Var):
-        try:
-            return env[e.name], {e.name: 1.0}
-        except KeyError:
-            raise UnknownCoordinateError(f"no value bound to coordinate '{e.name}'") from None
-    out = seen.get(e)
-    if out is not None:
-        return out
-    if isinstance(e, Add):
-        value, grad = _jet_raw(e.terms[0], env, seen)
-        grad = dict(grad)
-        for t in e.terms[1:]:
-            v, g = _jet_raw(t, env, seen)
-            value = value + v
-            for k, d in g.items():
-                grad[k] = grad[k] + d if k in grad else d
-    elif isinstance(e, Mul):
-        jets = [_jet_raw(f, env, seen) for f in e.factors]
-        prefix = [None, jets[0][0]]  # prefix[i]: product of the factors before i
-        for v, _ in jets[1:]:
-            prefix.append(prefix[-1] * v)
-        value = prefix[-1]
-        grad, suffix = {}, None  # suffix: product of the factors after i
-        for i in range(len(jets) - 1, -1, -1):
-            v, g = jets[i]
-            if g:  # product rule: the partials of factor i times the other factors
-                others = prefix[i] if suffix is None else suffix if prefix[i] is None else prefix[i] * suffix
-                for k, d in g.items():
-                    term = others * d
-                    grad[k] = grad[k] + term if k in grad else term
-            suffix = v if suffix is None else v * suffix
-    elif isinstance(e, Pow):
-        base, g = _jet_raw(e.base, env, seen)
-        q = e.exponent
-        if q.denominator == 1:
-            value = np.power(base, q.numerator, dtype=float)
-            outer = q.numerator * np.power(base, q.numerator - 1, dtype=float) if g else None
-        else:
-            base = np.asarray(base, dtype=float)
-            value = np.power(base, float(q))
-            outer = float(q) * np.power(base, float(q - 1)) if g else None
-        grad = {k: outer * d for k, d in g.items()}
-    elif isinstance(e, Call):
-        arg, g = _jet_raw(e.arg, env, seen)
-        value = getattr(np, e.fn)(arg)
-        if not g:
-            outer = None
-        elif e.fn == "sin":
-            outer = np.cos(arg)
-        elif e.fn == "cos":
-            outer = -np.sin(arg)
-        else:  # exp
-            outer = value
-        grad = {k: outer * d for k, d in g.items()}
-    else:
-        raise TypeError(f"unknown node {e!r}")
-    out = seen[e] = (value, grad)
-    return out
-
-
-def jets(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> list[tuple]:
-    """Values and first derivatives of several expressions on one env, by
-    one forward-mode walk (Griewank & Walther, *Evaluating Derivatives*,
-    2008) that builds no derivative tree.
-
-    Each result is ``(value, gradient)``: the value is :func:`evaluate_all`'s,
-    bit for bit, and the gradient maps each coordinate the expression
-    depends on structurally to the partial derivative there (structural
-    zeros are absent), every entry with the env's batch shape.  One memo
-    spans the call, so a node shared between (or within) the expressions is
-    walked once on this env.  Results are checked in order, value first
-    and then each partial, so the first non-finite one raises
-    :class:`EvaluationDomainError` with the first offending sample point
-    (for a value, :func:`evaluate_all`'s message); an unbound variable
-    raises :class:`UnknownCoordinateError`.  Read results, do not write
-    them.
-    """
-    env_arr = {k: np.asarray(v, dtype=float) for k, v in env.items()}
-    shape = batch_shape(env_arr)
-    seen: dict = {}
-    walked, unbound = [], None
-    with np.errstate(all="ignore"):
-        for e in exprs:
-            try:
-                walked.append((e, *_jet_raw(e, env_arr, seen)))
-            except UnknownCoordinateError as err:
-                unbound = err
-                break
-    results, arrays = [], []
-    for e, value, grad in walked:
-        jet = [np.asarray(v, dtype=float) for v in (value, *grad.values())]
-        jet = [v if v.shape == shape else np.full(shape, v) for v in jet]
-        arrays.extend(jet)
-        results.append((jet[0], dict(zip(grad, jet[1:]))))
-    if arrays and not np.isfinite(np.stack(arrays)).all():  # find the first, in order
-        for e, (value, partials) in zip((w[0] for w in walked), results):
-            for what, v in (("value", value), *((f"derivative by '{k}'", d) for k, d in partials.items())):
-                if not np.all(np.isfinite(v)):
-                    raise _domain_error(what, e, v, env_arr)
-    if unbound is not None:
-        raise unbound
-    if not shape:
-        results = [(float(v), {k: float(d) for k, d in g.items()}) for v, g in results]
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,23 @@ def test_psi2_sphere_constraint():
         assert np.max(np.abs(r2 - sol.r2**2)) < 1e-9 * sol.r2**2
 
 
+@pytest.mark.parametrize("factory", [embed.problem_circle, embed.problem_torus, embed.problem_sphere3])
+def test_sphere_check_from_the_walk_agrees_with_the_symbolic_constraint(factory):
+    """The sphere constraint read from a stage's walked images agrees with
+    |psi|^2 - r^2 built as an expression and walked on its own, to within a
+    few rounding errors of r^2: the two sum the same squares in another
+    order, and the expression folds sqrt(g)^2 to g."""
+    sol2 = embed.build_psi2(factory(), seed=0)
+    for sol, radius in ((sol2, sol2.r2), (embed.build_psi3(sol2, seed=0), 1.0)):
+        for _name, psi in sol.maps:
+            env = psi.source.sample_points(60, seed=8)
+            images, _ = forms.jet_arrays(psi.components, psi.source.names, env)
+            walked = embed._sphere_check(images, radius, env, 1e-9).max_residual
+            expr = sx.add(*(sx.pow_(c, 2) for c in psi.components), sx.Const(-radius * radius))
+            symbolic = float(np.max(np.abs(sx.evaluate(expr, env))))
+            assert abs(walked - symbolic) <= 16 * np.finfo(float).eps * radius * radius
+
+
 # ---------------------------------------------------------------------------
 # stage 3 and padding
 
@@ -207,7 +224,7 @@ def test_padding_is_held_to_the_unit_sphere(monkeypatch):
     stage3 = dict(sol.certifications)
     for cname, _ in sol.maps:
         assert padded[f"pad4:{cname}:pullback"].passed
-        # the padded sphere expression folds to stage 3's
+        # each zero pad adds exactly 0.0 to stage 3's sum of squares
         assert padded[f"pad4:{cname}:sphere"] == stage3[f"stage3:{cname}:sphere"]
     smooth_map = embed.SmoothMap
 
@@ -224,7 +241,7 @@ def test_padding_is_held_to_the_unit_sphere(monkeypatch):
 
 def test_sphere_constraint_is_judged_at_the_task_tolerance(tmp_path):
     """No record passes with its residual above its own tolerance: sphere3's
-    sphere certificates read 8.9e-16 at stage 2, above a task tol of 5e-16,
+    sphere certificates read 1.1e-15 at stage 2, above a task tol of 5e-16,
     so the run fails there, naming the sphere constraint."""
     task = {"kind": "embed", "corpus": "sphere3", "tol": 5e-16}
     path = tmp_path / "manifest.json"

@@ -451,6 +451,35 @@ def test_no_module_names_a_retired_judge(path):
     assert retired_judge_names(path.read_text()) == []
 
 
+# -- one tree walk -----------------------------------------------------------
+
+# The value walker and the jet walker that the one tree walk, in its value
+# and jet modes, replaced.
+RETIRED_WALKERS = ("_eval_raw", "_jet_raw")
+
+
+def retired_walker_names(source: str) -> list[int]:
+    """Lines naming a retired tree walker (``RETIRED_WALKERS``)."""
+    return _lines_naming(RETIRED_WALKERS, source)
+
+
+def test_walker_scanner_finds_retired_walkers():
+    source = (
+        "from .symexpr import _eval_raw\n"
+        "def f(e, env, seen):\n"
+        "    return sx._jet_raw(e, env, seen)\n"
+        "walk = _tree_walk or _eval_raw_values or my_jet_raw\n"
+        "# the jet walk of _jet_raw\n"
+        "monkeypatch.setattr(sx, '_eval_raw', f)\n"
+    )
+    assert retired_walker_names(source) == [1, 3, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_a_retired_walker(path):
+    assert retired_walker_names(path.read_text()) == []
+
+
 # -- period lattices ---------------------------------------------------------
 
 # The lattice heuristics that one integer-relation search replaced, the

@@ -247,15 +247,15 @@ def test_first_kind_chart_computes_each_compound_node_once(monkeypatch, structur
     assert len(S.charts) == 1
     samples = 90  # the rank check samples at most 60 points, on a sample set of its own
     computed = collections.Counter()
-    walk = sx._jet_raw
+    walk = sx._tree_walk
 
-    def counting(e, env, seen):
+    def counting(e, env, seen, grads):
         if isinstance(e, (sx.Add, sx.Mul, sx.Pow, sx.Call)) and e not in seen:
-            assert sx.batch_shape(env) == (samples,)
+            assert sx.batch_shape(env) == (samples,) and grads is not None
             computed[e] += 1
-        return walk(e, env, seen)
+        return walk(e, env, seen, grads)
 
-    monkeypatch.setattr(sx, "_jet_raw", counting)
+    monkeypatch.setattr(sx, "_tree_walk", counting)
     assert models.validate_first_kind(S, samples=samples, seed=1).passed
     assert computed and max(computed.values()) == 1
 

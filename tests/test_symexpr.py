@@ -717,6 +717,35 @@ def test_evaluate_all_of_nothing_and_of_scalars():
     assert got == [0.5, 3.0] and all(type(v) is float for v in got)
 
 
+def test_evaluate_all_never_enters_jet_mode(monkeypatch):
+    shared = sx.sin(X) * Y  # walked once, from both expressions
+    exprs = [
+        shared + sx.cos(shared),
+        sx.exp(shared) * sx.pow_(1 + X * X, Fraction(1, 2)) - sx.pow_(Y, 3),
+        X,
+        sx.Const(2.0),
+    ]
+    walk, kinds, modes = sx._tree_walk, set(), []
+
+    def spy(e, env, seen, grads):
+        kinds.add(type(e))
+        modes.append(grads)
+        return walk(e, env, seen, grads)
+
+    def no_gradient(*args):
+        raise AssertionError("evaluate_all built a gradient")
+
+    monkeypatch.setattr(sx, "_tree_walk", spy)
+    monkeypatch.setattr(sx, "_keep_gradient", no_gradient)
+    env = {"x": np.array([0.3, -0.7]), "y": np.array([1.1, 0.4])}
+    sx.evaluate_all(exprs, env)
+    sx.evaluate(exprs[1], {"x": 0.3, "y": 1.1})
+    assert kinds == {sx.Const, sx.Var, sx.Add, sx.Mul, sx.Pow, sx.Call}
+    assert modes and all(grads is None for grads in modes)
+    with pytest.raises(AssertionError, match="built a gradient"):  # the spies see jet mode
+        sx.jets(exprs, env)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     _dag_steps,
