@@ -24,7 +24,10 @@ extension, a shear normalization, and transplantation into the universal
 cotangent model over a torus times Euclidean space — certifying each stage as
 a reducible datum whose reduction recovers the previous stage, and checking
 that composing the first two reductions agrees with a single direct
-reduction.
+reduction.  The stages read the chain's settings from one
+:class:`ChainSettings` record; the rules each fixes for itself (tolerances,
+sample caps, the verifier's margin and rank cut ``VERIFY_RANK_RTOL``) are
+named once, in one block of constants.
 """
 
 from __future__ import annotations
@@ -73,6 +76,60 @@ class NonConstantRankError(ReductionError):
 
 class DecompositionError(ReductionError):
     """A declared Lee-form decomposition failed certification."""
+
+
+# ---------------------------------------------------------------------------
+# the chain's settings and the rules each stage fixes
+
+
+@dataclass(frozen=True)
+class ChainSettings:
+    """A reduction chain's settings, with a ``reduce-chain`` task's defaults.
+    ``samples`` sizes the stages' own sample sets (under the caps below), and
+    the verifier draws ``verify_samples`` on stages 1 and 4, ``flow_samples``
+    on stage 2.  ``tol`` judges stages 1, 2 and 4, ``flow_tol`` stage 2's
+    pullbacks.  Stage 2 samples its slab ``(-window, window)``, and it and
+    the two-stage check shrink their boxes by ``margin``."""
+
+    samples: int = 150
+    tol: float = 1e-8
+    flow_tol: float = 1e-6
+    window: float = 0.25
+    margin: float = 0.5
+    flow_samples: int = 40
+    verify_samples: int = 100
+    concat_samples: int = 16
+    concat_tol: float = 1e-6
+    seed: int = 0
+
+
+# The rules each stage fixes for itself.  EXACT_TOL judges the checks whose
+# two sides are closed-form expressions at the same points: the declared
+# decomposition (stage 1), the shear and its first-kind suite (stage 3), the
+# universal model's suite (stage 4); the shear's sampled determinant may
+# stray from 1 by SHEAR_DET_FACTOR times it.
+EXACT_TOL = 1e-9
+SHEAR_DET_FACTOR = 10
+SECTION_MARGIN = 0.3  # the verifier's box margin on the section stages 1 and 4
+# The verifier's rank cut for the distribution and the kernels: singular
+# values above it times the largest count (its tangency cuts at RANK_RTOL).
+VERIFY_RANK_RTOL = 1e-8
+# Sample caps: the first-kind suites of stages 1 to 3 and of the universal
+# model, stage 4's verifier and its transplant rank; then stage 2's floor.
+FIRST_KIND_CAP = 120
+UNIVERSAL_FIRST_KIND_CAP = 100
+TRANSPLANT_VERIFY_CAP = 60
+TRANSPLANT_RANK_CAP = 40
+FIBER_FLOOR = 100
+FIBER_FACTOR = 1.5  # momentum box of the jet stage over the largest sampled |alpha|
+MIN_SURVIVAL = 0.5  # share of flow samples that must stay inside the chart
+GAP_TOL = 1e-10
+"""Bound on the sine of the largest principal angle between the quotient's
+kernel and the candidate distribution.  Correct quotients read 2.5e-16 to
+1.5e-12 (flow quotients included); a kernel tilted by 1e-6 reads 5e-7."""
+# The largest distance from an integer that certify_decomposition accepts
+# for a piece's period over a declared loop.
+INTEGER_PERIOD_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +247,13 @@ def _off_span(J: np.ndarray, fields: np.ndarray) -> tuple[float, ...]:
     return tuple(map(float, np.max(off / np.maximum(1.0, np.max(np.abs(V), axis=1)), axis=0)))
 
 
-MIN_SURVIVAL = 0.5  # share of flow samples that must stay inside the chart
-GAP_TOL = 1e-10
-"""Bound on the sine of the largest principal angle between the quotient's
-kernel and the candidate distribution.  Correct quotients read 2.5e-16 to
-1.5e-12 (flow quotients included); a kernel tilted by 1e-6 reads 5e-7."""
-
-
 def verify_strong_reducibility(
     data: ReducibleData,
     samples: int = 200,
     seed: int = 0,
-    margin: float = 0.3,
+    margin: float = SECTION_MARGIN,
     tol: float = 1e-8,
     pullback_tol: float | None = None,
-    rank_threshold: float = 1e-8,
 ) -> StrongReducibilityReport:
     """Certify a reducible datum at seeded samples.
 
@@ -240,8 +289,8 @@ def verify_strong_reducibility(
     )
 
     systems = np.concatenate([lee_rows[None], alpha_rows[None], dalpha_tensor]).transpose(2, 0, 1)
-    kernels, dist_ranks = numeric.kernel_bases(systems, rank_threshold)
-    phi_ranks = cdom.dim - numeric.numerical_rank(np.moveaxis(phi_tensor, -1, 0), rank_threshold)
+    kernels, dist_ranks = numeric.kernel_bases(systems, VERIFY_RANK_RTOL)
+    phi_ranks = cdom.dim - numeric.numerical_rank(np.moveaxis(phi_tensor, -1, 0), VERIFY_RANK_RTOL)
     lo, hi = int(np.argmin(dist_ranks)), int(np.argmax(dist_ranks))
     if dist_ranks[lo] != dist_ranks[hi]:
         raise NonConstantRankError(
@@ -258,7 +307,7 @@ def verify_strong_reducibility(
         raise ReductionError(
             f"only {used}/{samples} quotient samples of {data.name!r} stayed inside the chart"
         )
-    q_kernels, q_dims = numeric.kernel_bases(np.moveaxis(Jq, -1, 0), rank_threshold)
+    q_kernels, q_dims = numeric.kernel_bases(np.moveaxis(Jq, -1, 0), VERIFY_RANK_RTOL)
     gaps = numeric.subspace_gaps(kernels[kept], dist_ranks[kept], q_kernels, q_dims)
     gap = float(np.max(gaps, initial=0.0))
     # the restricted forms were evaluated at every sample above; keep the survivors
@@ -319,16 +368,11 @@ class DecompositionReport:
     passed: bool
 
 
-# The largest distance from an integer that certify_decomposition accepts
-# for a piece's period over a declared loop.
-INTEGER_PERIOD_TOL = 1e-7
-
-
 def certify_decomposition(
     chart: StructureChart,
     decomp: LeeDecomposition,
     samples: int = 200,
-    tol: float = 1e-9,
+    tol: float = EXACT_TOL,
     seed: int = 0,
 ) -> DecompositionReport:
     """Certify a declared Lee-form decomposition on a chart.
@@ -426,15 +470,7 @@ class StepResult:
 # stage 1: cotangent-torus extension
 
 
-def build_step1(
-    chart: StructureChart,
-    decomp: LeeDecomposition,
-    samples: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-    verify_samples: int = 120,
-    verify_tol: float = 1e-8,
-) -> StepResult:
+def build_step1(chart: StructureChart, decomp: LeeDecomposition, settings: ChainSettings) -> StepResult:
     """Extend a chart by one torus/radius pair per decomposition piece.
 
     With no pieces the stage is trivial: the chart itself, reduced along the
@@ -446,7 +482,8 @@ def build_step1(
     pins each angle to the piece's potential; reducing it along the forgetful
     projection recovers the original chart.
     """
-    dec_report = certify_decomposition(chart, decomp, samples, tol, seed)
+    samples, tol, seed = settings.samples, settings.tol, settings.seed
+    dec_report = certify_decomposition(chart, decomp, samples, EXACT_TOL, seed)
     k = len(decomp.pieces)
     dom = chart.domain
 
@@ -494,10 +531,10 @@ def build_step1(
 
     data = ReducibleData(f"{chart.name}:stage1", m1_chart, sub, quotient, chart)
     report = verify_strong_reducibility(
-        data, verify_samples, seed, tol=verify_tol, pullback_tol=verify_tol
+        data, settings.verify_samples, seed, SECTION_MARGIN, tol=tol, pullback_tol=tol
     )
     structure = _single_chart_structure(m1_chart.name, m1_chart, stage=1, pieces=k)
-    first_kind = models.validate_first_kind(structure, samples=min(samples, 120), tol=verify_tol, seed=seed)
+    first_kind = models.validate_first_kind(structure, samples=min(samples, FIRST_KIND_CAP), tol=tol, seed=seed)
     extras = (
         ("decomposition_sum", dec_report.sum_residual),
         ("decomposition_pieces", max(dec_report.piece_residuals, default=0.0)),
@@ -553,9 +590,6 @@ def _chained_flows(first_field: VectorField, x: np.ndarray, first_time: np.ndarr
     return kept, (first.point[kept], first.jacobian[kept]), (second.point[stayed], second.jacobian[stayed])
 
 
-FIBER_FACTOR = 1.5  # momentum box of the jet stage over the largest sampled |alpha|
-
-
 def _fiber_bound(alpha: DifferentialForm, samples: int, seed: int) -> float:
     env = alpha.domain.sample_points(samples, seed)
     worst = 0.0
@@ -564,16 +598,7 @@ def _fiber_bound(alpha: DifferentialForm, samples: int, seed: int) -> float:
     return max(1.0, FIBER_FACTOR * worst)
 
 
-def build_step2(
-    m1_chart: StructureChart,
-    samples: int = 150,
-    tol: float = 1e-8,
-    flow_tol: float = 1e-6,
-    seed: int = 0,
-    window: float = 0.25,
-    margin: float = 0.5,
-    flow_samples: int = 40,
-) -> StepResult:
+def build_step2(m1_chart: StructureChart, settings: ChainSettings) -> StepResult:
     """Extend a first-kind chart to the slab-times-jet space above it.
 
     New coordinates: a slab pair ``s, u`` and one momentum ``p_<name>`` per
@@ -585,10 +610,11 @@ def build_step2(
     base second field, so the certification is numeric with escape-aware
     sampling inside the ``(-window, window)`` slab.
     """
+    samples, tol, seed, window = settings.samples, settings.tol, settings.seed, settings.window
     m1_dom = m1_chart.domain
     p_names = [f"p_{n}" for n in m1_dom.names]
     _require_fresh(m1_dom, ["s", "u"] + p_names, "jet-space extension")
-    p_bound = _fiber_bound(m1_chart.alpha, max(samples, 100), seed)
+    p_bound = _fiber_bound(m1_chart.alpha, max(samples, FIBER_FLOOR), seed)
 
     coords = (Coordinate("s"), Coordinate("u"))
     coords += tuple(m1_dom.coords)
@@ -616,10 +642,10 @@ def build_step2(
 
     data = ReducibleData(f"{m1_chart.name}:stage2", m2_chart, sub, quotient, m1_chart)
     report = verify_strong_reducibility(
-        data, flow_samples, seed, margin=margin, tol=tol, pullback_tol=flow_tol
+        data, settings.flow_samples, seed, margin=settings.margin, tol=tol, pullback_tol=settings.flow_tol
     )
     structure = _single_chart_structure(m2_chart.name, m2_chart, stage=2)
-    first_kind = models.validate_first_kind(structure, samples=min(samples, 120), tol=tol, seed=seed)
+    first_kind = models.validate_first_kind(structure, samples=min(samples, FIRST_KIND_CAP), tol=tol, seed=seed)
     extras = (("momentum_bound", p_bound),)
     return StepResult(
         "jet_space_extension", m2_chart, structure, data, report, first_kind, extras,
@@ -631,13 +657,7 @@ def build_step2(
 # stage 3: shear normalization
 
 
-def build_step3(
-    m2_chart: StructureChart,
-    decomp: LeeDecomposition,
-    samples: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> StepResult:
+def build_step3(m2_chart: StructureChart, decomp: LeeDecomposition, settings: ChainSettings) -> StepResult:
     """Normalize the Lee form by the shear absorbing its exact part.
 
     The shear subtracts ``f0`` from the slab coordinate ``s``; it is
@@ -665,7 +685,7 @@ def build_step3(
 
     # one jets walk of the shear gives its images and Jacobians DS; each
     # stage-two form is pulled back through them at the same points
-    env = m2_dom.sample_points(samples, seed)
+    env = m2_dom.sample_points(settings.samples, settings.seed)
     values, DS = forms.jet_arrays(shear.components, m2_dom.names, env)
     images = dict(zip(m2_dom.names, values))
     checks = {}
@@ -673,13 +693,13 @@ def build_step3(
         ("alpha", m2_chart.alpha, alpha3), ("lee", m2_chart.lee, lee3), ("phi", m2_chart.phi, phi3)
     ):
         residual = forms.sampled_pullback(form, images, DS) - forms.form_values(normalized, env)
-        checks[label] = check = forms.values_check(residual, env, tol)
+        checks[label] = check = forms.values_check(residual, env, EXACT_TOL)
         if not check.passed:
             raise ReductionError(
                 f"shear fails to normalize {label} (residual {check.max_residual:.3e})"
             )
     det_offset = float(np.max(np.abs(np.linalg.det(np.moveaxis(DS, 2, 0)) - 1.0)))
-    if det_offset > tol * 10:
+    if det_offset > EXACT_TOL * SHEAR_DET_FACTOR:
         raise ReductionError(f"shear is not unipotent (determinant offset {det_offset:.3e})")
 
     m3_chart = StructureChart(
@@ -687,7 +707,9 @@ def build_step3(
         name=f"{m2_chart.name}_norm",
     )
     structure = _single_chart_structure(m3_chart.name, m3_chart, stage=3)
-    first_kind = models.validate_first_kind(structure, samples=min(samples, 120), tol=max(tol, 1e-9), seed=seed)
+    first_kind = models.validate_first_kind(
+        structure, samples=min(settings.samples, FIRST_KIND_CAP), tol=EXACT_TOL, seed=settings.seed
+    )
     extras = tuple((f"shear_{label}", c.max_residual) for label, c in checks.items())
     extras += (("shear_determinant", det_offset),)
     return StepResult(
@@ -712,10 +734,7 @@ def build_step4(
     m1_chart: StructureChart,
     transplant: SmoothMap,
     mu: Sequence[float],
-    samples: int = 150,
-    tol: float = 1e-8,
-    seed: int = 0,
-    verify_samples: int = 60,
+    settings: ChainSettings,
 ) -> StepResult:
     """Realize the normalized stage inside the universal cotangent model.
 
@@ -745,7 +764,8 @@ def build_step4(
         raise ReductionError(
             f"universal base needs at least {2 * dim_m + k} Euclidean coordinates, got {N}"
         )
-    env = m1_dom.sample_points(min(verify_samples, 40), seed)
+    seed, verify_samples = settings.seed, min(settings.verify_samples, TRANSPLANT_VERIFY_CAP)
+    env = m1_dom.sample_points(min(verify_samples, TRANSPLANT_RANK_CAP), seed)
     rank = numeric.jacobian_min_rank(forms.jet_arrays(transplant.components, m1_dom.names, env)[1])
     if rank != m1_dom.dim:
         raise ReductionError(
@@ -784,9 +804,11 @@ def build_step4(
 
     data = ReducibleData(f"{m3_chart.name}:stage4", u_chart, sub, quotient, m3_chart)
     report = verify_strong_reducibility(
-        data, verify_samples, seed, tol=tol, pullback_tol=tol
+        data, verify_samples, seed, SECTION_MARGIN, tol=settings.tol, pullback_tol=settings.tol
     )
-    first_kind = models.validate_first_kind(universal, samples=min(samples, 100), tol=1e-9, seed=seed)
+    first_kind = models.validate_first_kind(
+        universal, samples=min(settings.samples, UNIVERSAL_FIRST_KIND_CAP), tol=EXACT_TOL, seed=seed
+    )
     extras = (("transplant_rank", float(rank)),)
     return StepResult(
         "universal_transplant", u_chart, universal, data, report, first_kind, extras,
@@ -833,10 +855,7 @@ def concatenation_residual(
     step1: StepResult,
     step2: StepResult,
     base_chart: StructureChart,
-    samples: int = 20,
-    seed: int = 0,
-    margin: float = 0.5,
-    tol: float = 1e-6,
+    settings: ChainSettings,
 ) -> tuple[sx.ZeroCheck, int, int]:
     """Compare two-stage reduction with the direct one-stage reduction.
 
@@ -845,8 +864,8 @@ def concatenation_residual(
     direct quotient is the plain projection onto the original chart, and the
     residual is the worst mismatch between the original forms pulled through
     that projection and the stage-two forms pulled through the combined
-    embedding, judged at ``tol``.  Samples whose flows leave the chart are
-    skipped; returns ``(check, samples used, samples skipped)``.
+    embedding, judged at ``concat_tol``.  Samples whose flows leave the chart
+    are skipped; returns ``(check, samples used, samples skipped)``.
     """
     if step2.data is None or step1.data is None:
         raise ReductionError("concatenation needs the reduction data of both stages")
@@ -868,7 +887,8 @@ def concatenation_residual(
         (base_chart.phi, m2_chart.phi),
     )
 
-    env = c_dom.sample_points(samples, seed, margin)
+    samples = settings.concat_samples
+    env = c_dom.sample_points(samples, settings.seed, settings.margin)
     kept, graph, J_graph = _walk(to_graph, env, samples)
     used = len(kept)
     if used < MIN_SURVIVAL * samples:
@@ -882,7 +902,7 @@ def concatenation_residual(
         forms.sampled_pullback(m2_form, image_env, J) - forms.sampled_pullback(base_form, p_env, Jp)
         for base_form, m2_form in expected
     ]
-    check = sx.is_zero(residuals, kept_env, tol)
+    check = sx.is_zero(residuals, kept_env, settings.concat_tol)
     return check, used, samples - used
 
 
@@ -906,27 +926,12 @@ class ChainResult:
     concatenation_samples_skipped: int
     passed: bool
 
-    def step(self, name: str) -> StepResult:
-        for s in self.steps:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 def run_reduction_chain(
     chart: StructureChart,
     decomp: LeeDecomposition,
     transplant_factory: Callable[[StructureChart, StructureChart], SmoothMap],
-    samples: int = 150,
-    tol: float = 1e-8,
-    flow_tol: float = 1e-6,
-    seed: int = 0,
-    window: float = 0.25,
-    margin: float = 0.5,
-    flow_samples: int = 40,
-    verify_samples: int = 100,
-    concat_samples: int = 16,
-    concat_tol: float = 1e-6,
+    settings: ChainSettings,
 ) -> ChainResult:
     """Run and certify all four stages starting from a first-kind chart.
 
@@ -935,28 +940,17 @@ def run_reduction_chain(
     reducible datum recovering the previous one; the result also carries the
     two-stage/one-stage agreement residual.
     """
-    step1 = build_step1(
-        chart, decomp, samples=samples, seed=seed,
-        verify_samples=verify_samples, verify_tol=tol,
-    )
-    step2 = build_step2(
-        step1.chart, samples=samples, tol=tol, flow_tol=flow_tol, seed=seed,
-        window=window, margin=margin, flow_samples=flow_samples,
-    )
-    step3 = build_step3(step2.chart, decomp, samples=samples, seed=seed)
+    step1 = build_step1(chart, decomp, settings)
+    step2 = build_step2(step1.chart, settings)
+    step3 = build_step3(step2.chart, decomp, settings)
     transplant = transplant_factory(step1.chart, chart)
     mu = tuple(piece.weight for piece in decomp.pieces)
-    step4 = build_step4(
-        step3.chart, step1.chart, transplant, mu,
-        samples=samples, tol=tol, seed=seed, verify_samples=min(verify_samples, 60),
-    )
-    concat, concat_used, concat_skipped = concatenation_residual(
-        step1, step2, chart, samples=concat_samples, seed=seed, margin=margin, tol=concat_tol,
-    )
+    step4 = build_step4(step3.chart, step1.chart, transplant, mu, settings)
+    concat, concat_used, concat_skipped = concatenation_residual(step1, step2, chart, settings)
     steps = (step1, step2, step3, step4)
     passed = all(s.passed for s in steps) and concat.passed
     return ChainResult(
-        steps, concat.max_residual, concat_tol, concat.passed, concat_used, concat_skipped, passed
+        steps, concat.max_residual, settings.concat_tol, concat.passed, concat_used, concat_skipped, passed
     )
 
 

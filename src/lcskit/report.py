@@ -357,7 +357,7 @@ _STRUCTURE_KEYS = {
               None),
 }
 
-# reduce-chain keys passed on to ``reduction.run_reduction_chain``, with its defaults
+# reduce-chain keys: the fields of ``reduction.ChainSettings`` but its seed, with its defaults
 _CHAIN_ARGS = {
     "samples": (_COUNT, 150),
     "tol": (_POSITIVE, 1e-8),
@@ -687,7 +687,9 @@ def _run_embed(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
         )
     except embed.CertificationError as exc:
         return [_raised_record(name, anchor, exc)]
-    worst = max((c.max_residual for _, _, c in res.certifications), default=0.0)
+    # the sphere pipeline's own checks count with the product map's pullbacks
+    checks = [c for _, _, c in res.certifications] + [c for _, c in res.solution.certifications]
+    worst = max((c.max_residual for c in checks), default=0.0)
     return [
         CheckRecord(
             name=name,
@@ -724,9 +726,8 @@ def _run_chain(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
         # the one value checked here: its bound is the built structure's chart count
         index = _integer(0, len(S.charts))(task["chart_index"], "reduce-chain task chart_index")
         chart, decomp, factory = reduction.sphere_circle_chain_input(S, chart_index=index)
-    chain = reduction.run_reduction_chain(
-        chart, decomp, factory, seed=seed, **{key: task[key] for key in _CHAIN_ARGS}
-    )
+    settings = reduction.ChainSettings(seed=seed, **{key: task[key] for key in _CHAIN_ARGS})
+    chain = reduction.run_reduction_chain(chart, decomp, factory, settings)
     records = []
     for step in chain.steps:
         rank_data: dict = {"dimension": step.chart.domain.dim}

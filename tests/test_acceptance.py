@@ -128,7 +128,7 @@ def test_criterion_5_reduction_chain():
     chart, decomp, factory = reduction.sphere_circle_chain_input(
         models.model_sphere_circle(2, q=1.0)
     )
-    chain = reduction.run_reduction_chain(chart, decomp, factory, seed=0)
+    chain = reduction.run_reduction_chain(chart, decomp, factory, reduction.ChainSettings(seed=0))
     assert chain.passed
     for step in chain.steps:
         assert step.passed, f"stage {step.name} failed"

@@ -1,6 +1,7 @@
 """Manifest execution, report files, exit codes, and the console front end."""
 
 import copy
+import dataclasses
 import inspect
 import json
 import math
@@ -563,10 +564,9 @@ def test_every_declared_key_is_checked_before_any_task_runs(tmp_path, capsys, mo
 
 
 def test_schema_defaults_are_those_of_the_functions_they_feed():
-    chain = inspect.signature(reduction.run_reduction_chain).parameters
-    assert {key: default for key, (_, default) in report._CHAIN_ARGS.items()} == {
-        key: chain[key].default for key in report._CHAIN_ARGS
-    }
+    chain = {field.name: field.default for field in dataclasses.fields(reduction.ChainSettings)}
+    assert chain.pop("seed") == 0
+    assert {key: default for key, (_, default) in report._CHAIN_ARGS.items()} == chain
     for entry, keys in report._CATALOG_ARGS.items():
         factory = inspect.signature(getattr(models, f"model_{entry}")).parameters
         assert list(factory) == list(keys)
@@ -619,6 +619,29 @@ def test_a_certificate_that_raises_keeps_its_record(tmp_path, structures, task, 
     assert record.name == name and not record.passed
     assert record.tolerance == task["tol"] and record.max_residual > record.tolerance
     assert record.detail.endswith(f"residual {record.max_residual:.3g} exceeds {record.tolerance:g}")
+
+
+def test_product_record_reads_the_sphere_pipeline_residuals(tmp_path, monkeypatch):
+    # build_lcs_embedding runs and certifies a sphere pipeline inside it; a
+    # residual planted among that pipeline's checks is the record's residual
+    planted, build = 3e-9, embed.build_lcs_embedding
+
+    def with_planted(*args, **kwargs):
+        res = build(*args, **kwargs)
+        (label, check), *rest = res.solution.certifications
+        certs = ((label, dataclasses.replace(check, max_residual=planted)), *rest)
+        return dataclasses.replace(res, solution=dataclasses.replace(res.solution, certifications=certs))
+
+    monkeypatch.setattr(embed, "build_lcs_embedding", with_planted)
+    out = tmp_path / "r.json"
+    payload = {
+        "seed": 7,
+        "structures": {"sphere2": {"catalog": "sphere_circle", "args": {"N": 2}}},
+        "tasks": [{"kind": "embed", "structure": "sphere2", "tol": 1e-8, "samples": 40, "pairs": 10}],
+    }
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 0
+    [record] = report.load_report(str(out)).records
+    assert record.passed and record.max_residual == planted
 
 
 def test_product_embedding_at_a_loose_tolerance_is_full(tmp_path):

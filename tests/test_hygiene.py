@@ -510,6 +510,76 @@ def test_no_module_names_a_retired_lattice_heuristic(path):
     assert retired_lattice_names(path.read_text()) == []
 
 
+# -- the reduction chain's settings --------------------------------------------
+
+# The verifier's rank-cut parameter and stage one's verifier tolerance, which
+# the chain's settings record and the constant VERIFY_RANK_RTOL replaced.
+RETIRED_CHAIN_KNOBS = ("rank_threshold", "verify_tol")
+
+# The functions that take the chain's settings record, and so declare no
+# parameter default of their own.
+CHAIN_BUILDERS = (
+    "build_step1", "build_step2", "build_step3", "build_step4", "concatenation_residual", "run_reduction_chain",
+)
+
+
+def retired_chain_knob_names(source: str) -> list[int]:
+    """Lines naming a retired chain knob (``RETIRED_CHAIN_KNOBS``)."""
+    return _lines_naming(RETIRED_CHAIN_KNOBS, source)
+
+
+def test_chain_knob_scanner_finds_retired_knobs():
+    source = (
+        "def verify(data, rank_threshold=1e-8):\n"
+        "    return kernel_bases(M, rank_threshold)\n"
+        "x = VERIFY_RANK_RTOL + verify_tolerance + my_rank_threshold\n"
+        "build_step1(chart, decomp, verify_tol=1e-8)\n"
+        "# the old rank_threshold\n"
+    )
+    assert retired_chain_knob_names(source) == [1, 2, 4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_a_retired_chain_knob(path):
+    assert retired_chain_knob_names(path.read_text()) == []
+
+
+def defaulted_builder_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for every parameter default, positional or
+    keyword-only, declared by a function named in ``CHAIN_BUILDERS``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in CHAIN_BUILDERS:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            found += [(node.name, a.arg) for a in positional[len(positional) - len(args.defaults):]]
+            found += [(node.name, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return sorted(found)
+
+
+def test_builder_default_scanner_finds_positional_and_keyword_only_defaults():
+    source = (
+        "def build_step1(chart, decomp, settings):\n"
+        "    def run_reduction_chain(x, samples=150): ...\n"
+        "def build_step2(chart, settings, *, window=0.25, margin): ...\n"
+        "def build_step4(a, /, b=1, *args, c, d=None): ...\n"
+        "def verify_strong_reducibility(data, samples=200): ...\n"
+        "class Chain:\n"
+        "    def concatenation_residual(self, tol=1e-6): ...\n"
+    )
+    assert defaulted_builder_parameters(source) == [
+        ("build_step2", "window"), ("build_step4", "b"), ("build_step4", "d"),
+        ("concatenation_residual", "tol"), ("run_reduction_chain", "samples"),
+    ]
+
+
+def test_no_chain_builder_declares_a_default():
+    source = (SRC / "reduction.py").read_text()
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert set(CHAIN_BUILDERS) <= defined
+    assert [found for path in MODULES for found in defaulted_builder_parameters(path.read_text())] == []
+
+
 # -- reachability ------------------------------------------------------------
 
 # Every run enters through the command line; module-level statements run on import.

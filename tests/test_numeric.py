@@ -90,7 +90,7 @@ def _oracle_fields() -> dict[str, VectorField]:
         ("plane", reduction.plane_chain_input()),
         ("sphere", reduction.sphere_circle_chain_input(sphere)),
     ):
-        stage1 = reduction.build_step1(chart, decomp, samples=20, verify_samples=20).chart
+        stage1 = reduction.build_step1(chart, decomp, reduction.ChainSettings(samples=20, verify_samples=20)).chart
         fields[f"{label}:b"] = stage1.b_field
         fields[f"{label}:e"] = stage1.anti_lee
     return fields

@@ -6,7 +6,6 @@ verifier and the independent numerics must agree.
 """
 
 import dataclasses
-import inspect
 
 import numpy as np
 import pytest
@@ -31,8 +30,7 @@ from oracle_utils import (
 
 @pytest.fixture(scope="module")
 def plane_chain():
-    chart, decomp, factory = reduction.plane_chain_input()
-    return reduction.run_reduction_chain(chart, decomp, factory)
+    return reduction.run_reduction_chain(*reduction.plane_chain_input(), reduction.ChainSettings())
 
 
 def test_plane_step1_is_trivial(plane_chain):
@@ -92,15 +90,14 @@ def test_plane_chain_passes(plane_chain):
 @pytest.mark.parametrize("fixture", ["plane_chain", "sphere_chain"])
 def test_concatenation_counts_every_sample(fixture, request):
     chain = request.getfixturevalue(fixture)
-    concat_samples = inspect.signature(reduction.run_reduction_chain).parameters["concat_samples"].default
+    concat_samples = reduction.ChainSettings().concat_samples
     used, skipped = chain.concatenation_samples_used, chain.concatenation_samples_skipped
     assert used + skipped == concat_samples
     assert used >= 0.5 * concat_samples
 
 
 def test_plane_chain_deterministic(plane_chain):
-    chart, decomp, factory = reduction.plane_chain_input()
-    again = reduction.run_reduction_chain(chart, decomp, factory)
+    again = reduction.run_reduction_chain(*reduction.plane_chain_input(), reduction.ChainSettings())
     assert again.concatenation == plane_chain.concatenation
     for a, b in zip(again.steps, plane_chain.steps):
         if a.report is not None:
@@ -246,7 +243,8 @@ def test_images_skip_exactly_the_samples_whose_flows_escape(plane_chain):
     # the plane's stage-two quotient flows (a, b) to (a + s, b - u), and the
     # chart box is [-1, 1]^2: a sample escapes exactly when either leaves it
     samples = 30
-    step = reduction.build_step2(plane_chain.steps[0].chart, window=0.5, margin=0.0, flow_samples=samples, samples=40)
+    settings = reduction.ChainSettings(window=0.5, margin=0.0, flow_samples=samples, samples=40)
+    step = reduction.build_step2(plane_chain.steps[0].chart, settings)
     env = step.data.submanifold.source.sample_points(samples, 0, 0.0)
     escapes = (np.abs(env["a"] + env["s"]) > 1) | (np.abs(env["b"] - env["u"]) > 1)
     assert 0 < escapes.sum() < samples / 2
@@ -325,7 +323,7 @@ def test_tangency_violation_is_reported():
     assert not rep.passed
 
 
-def test_non_constant_rank_raises_with_witnesses():
+def test_non_constant_rank_raises_with_witnesses(monkeypatch):
     dom = forms.linear_domain("pinch", ["x", "y", "z"])
     alpha = dom.one_form("y").scaled(sx.mul(sx.var("x"), sx.var("x")))
     lee = dom.one_form("z")
@@ -334,8 +332,10 @@ def test_non_constant_rank_raises_with_witnesses():
         forms.basis_vector(dom, "z"), forms.basis_vector(dom, "z"), name="pinch",
     )
     data = reduction.ReducibleData("pinch", chart, forms.identity_map(dom), forms.identity_map(dom), chart)
+    # cut at half the largest singular value, the rows in x drop out near x = 0
+    monkeypatch.setattr(reduction, "VERIFY_RANK_RTOL", 0.5)
     with pytest.raises(reduction.NonConstantRankError) as err:
-        reduction.verify_strong_reducibility(data, samples=60, seed=0, rank_threshold=0.5)
+        reduction.verify_strong_reducibility(data, samples=60, seed=0)
     (p1, r1), (p2, r2) = err.value.witnesses
     assert r1 != r2
     assert set(p1) == {"x", "y", "z"} and set(p2) == {"x", "y", "z"}
@@ -377,7 +377,7 @@ def test_rank_deficient_transplant_is_not_an_embedding(plane_chain, monkeypatch)
 
     monkeypatch.setattr(forms, "jet_arrays", spy)
     with pytest.raises(reduction.ReductionError, match=r"transplant rank 1 < stage-one dimension 2; not an embedding"):
-        reduction.build_step4(step3.chart, step1.chart, flat, ())
+        reduction.build_step4(step3.chart, step1.chart, flat, (), reduction.ChainSettings())
     assert walked == [flat.components]
 
 
@@ -436,8 +436,9 @@ def test_decomposition_non_integer_period_rejected():
 @pytest.fixture(scope="module")
 def sphere_chain():
     structure = models.model_sphere_circle(2)
-    chart, decomp, factory = reduction.sphere_circle_chain_input(structure)
-    return reduction.run_reduction_chain(chart, decomp, factory)
+    return reduction.run_reduction_chain(
+        *reduction.sphere_circle_chain_input(structure), reduction.ChainSettings()
+    )
 
 
 def test_sphere_chain_passes(sphere_chain):
@@ -484,7 +485,7 @@ def test_sphere_chain_nonzero_gauge_function():
     chart, decomp, factory = reduction.sphere_circle_chain_input(structure, f0=f0)
     chain = reduction.run_reduction_chain(
         chart, decomp, factory,
-        samples=80, verify_samples=50, flow_samples=24, concat_samples=8,
+        reduction.ChainSettings(samples=80, verify_samples=50, flow_samples=24, concat_samples=8),
     )
     assert chain.passed
     assert chain.concatenation < 1e-6
@@ -494,10 +495,34 @@ def test_sphere_chain_nonzero_gauge_function():
     assert not oracle_utils.forms_equal(lee2, lee3, 50, 1e-6).passed
 
 
+CHAIN_INPUTS = {
+    "plane_chain": reduction.plane_chain_input,
+    "sphere_chain": lambda: reduction.sphere_circle_chain_input(models.model_sphere_circle(2)),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(CHAIN_INPUTS))
+def test_a_stage_run_alone_is_the_chains_stage(fixture, request):
+    """A reducing stage built on its own, with the chain's settings and on the
+    chain's previous stage, certifies exactly what the chain's stage did."""
+    step1, step2, step3, step4 = request.getfixturevalue(fixture).steps
+    chart, decomp, factory = CHAIN_INPUTS[fixture]()
+    settings, mu = reduction.ChainSettings(), tuple(piece.weight for piece in decomp.pieces)
+    alone = (
+        reduction.build_step1(chart, decomp, settings),
+        reduction.build_step2(step1.chart, settings),
+        reduction.build_step4(step3.chart, step1.chart, factory(step1.chart, chart), mu, settings),
+    )
+    for got, want in zip(alone, (step1, step2, step4)):
+        assert got.report == want.report, want.name
+        assert got.first_kind == want.first_kind, want.name
+        assert got.extras == want.extras, want.name
+
+
 def test_step2_escape_policy(sphere_chain):
     m1 = sphere_chain.steps[0].chart
-    wide = reduction.build_step2(m1, window=0.5, flow_samples=30, samples=60)
+    wide = reduction.build_step2(m1, reduction.ChainSettings(window=0.5, flow_samples=30, samples=60))
     assert wide.report.samples_skipped > 0
     assert wide.report.passed
     with pytest.raises(reduction.ReductionError, match="stayed inside"):
-        reduction.build_step2(m1, window=2.5, flow_samples=20, samples=40)
+        reduction.build_step2(m1, reduction.ChainSettings(window=2.5, flow_samples=20, samples=40))

@@ -108,7 +108,8 @@ def test_planted_defect_is_caught_in_proportion(label, seed):
 def sphere_chain():
     chart, decomp, factory = reduction.sphere_circle_chain_input(models.model_sphere_circle(2))
     return reduction.run_reduction_chain(
-        chart, decomp, factory, samples=60, verify_samples=40, flow_samples=20, concat_samples=6
+        chart, decomp, factory,
+        reduction.ChainSettings(samples=60, verify_samples=40, flow_samples=20, concat_samples=6),
     )
 
 
@@ -158,7 +159,7 @@ def test_planted_chain_defect_is_caught_in_proportion(sphere_chain, stage):
 
 @pytest.fixture(scope="module")
 def plane_chain():
-    return reduction.run_reduction_chain(*reduction.plane_chain_input())
+    return reduction.run_reduction_chain(*reduction.plane_chain_input(), reduction.ChainSettings())
 
 
 CONCAT_DEFECTS = {"plane": ("plane_chain", "a"), "sphere2": ("sphere_chain", "y1")}
@@ -175,7 +176,8 @@ def test_planted_concatenation_defect_is_caught_in_proportion(request, chain_nam
     def residual(eps):
         bump = base.domain.one_form(coordinate).scaled(sx.Const(eps))
         planted = dataclasses.replace(base, alpha=base.alpha + bump)
-        return reduction.concatenation_residual(step1, step2, planted, samples=samples)[0].max_residual
+        settings = reduction.ChainSettings(concat_samples=samples)
+        return reduction.concatenation_residual(step1, step2, planted, settings)[0].max_residual
 
     assert residual(0.0) == chain.concatenation <= chain.concatenation_tol
     eps = 10 * chain.concatenation_tol
@@ -200,11 +202,11 @@ def test_planted_shear_defect_is_caught_in_proportion(plane_stage_two):
 
     def shear(eps):
         planted = dataclasses.replace(decomp, f0=sx.add(decomp.f0, sx.mul(sx.Const(eps), sx.var("b"))))
-        return reduction.build_step3(m2_chart, planted, tol=TOL)
+        return reduction.build_step3(m2_chart, planted, reduction.ChainSettings(samples=200))
 
     assert shear(0.0).passed
-    assert max(v for _, v in shear(0.0).extras) <= TOL
-    eps = 10 * TOL
+    assert max(v for _, v in shear(0.0).extras) <= reduction.EXACT_TOL
+    eps = 10 * reduction.EXACT_TOL
     with pytest.raises(reduction.ReductionError, match="normalize lee") as caught:
         shear(eps)
     residual = float(re.search(r"residual ([-+0-9.e]+)", str(caught.value)).group(1))
