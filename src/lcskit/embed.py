@@ -26,12 +26,15 @@ DFᵀ(a∘F)DF (:func:`forms.sampled_pullback`); the chart's pairs (f, x) are
 subtrees of the stage maps' components, so the same walk gives the given
 one-form as sum f dx, and its images give the sphere constraint
 |psi|^2 - r^2.  No symbolic pullback, Jacobian or minor of an embedding
-map is built.  The radicand check evaluates its expression directly.
+map is built.  A stage-2 radicand is evaluated on its own only when that
+walk fails, to tell a radius fault from another.  Every stage takes one
+:class:`EmbedSettings` record and declares no default; the rules the path
+fixes for itself are named once, in one block of constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -72,6 +75,43 @@ class CertificationError(EmbedError):
 
 
 # ---------------------------------------------------------------------------
+# settings
+
+# The rules the embedding path fixes for itself.  A corpus task's sphere
+# stages draw at least CORPUS_FLOOR points per chart.  A product embedding
+# runs its sphere pipeline on at least PIPELINE_FLOOR points, judged at
+# PIPELINE_TOL_CAP or tighter, into PRODUCT_PAIRS pairs unless the task
+# names them; it reads the immersion rank at its first IMMERSION_RANK_CAP
+# points, and separation on INJECTIVITY_SAMPLES points, over the pairs at
+# source distance above MIN_SOURCE_DISTANCE.
+CORPUS_FLOOR = 400
+PIPELINE_FLOOR = 200
+PIPELINE_TOL_CAP = 1e-9
+PRODUCT_PAIRS = 10
+IMMERSION_RANK_CAP = 40
+INJECTIVITY_SAMPLES = 140
+MIN_SOURCE_DISTANCE = 0.05
+
+
+@dataclass(frozen=True)
+class EmbedSettings:
+    """An embedding's settings, with an ``embed`` task's defaults.  Each stage
+    draws ``samples`` points per chart from ``seed`` and judges its checks
+    at ``tol``; the stage-2 radius is ``rho`` times the sampled supremum;
+    the sphere pipeline pads to ``pairs`` pairs (None: no padding)."""
+
+    samples: int = 200
+    tol: float = 1e-9
+    rho: float = 1.2
+    pairs: int | None = None
+    seed: int = 0
+
+    def corpus_stages(self) -> EmbedSettings:
+        """The settings of a corpus task's sphere stages."""
+        return replace(self, samples=max(self.samples, CORPUS_FLOOR))
+
+
+# ---------------------------------------------------------------------------
 # problems
 
 
@@ -89,8 +129,6 @@ class EmbeddingProblem:
     ambient: CoordinateDomain
     charts: tuple[tuple[str, SmoothMap], ...]
     coefficients: tuple[tuple[str, Expr], ...]
-    rho: float = 1.2
-    samples: int = 400
 
     def __post_init__(self):
         if len(self.coefficients) > self.ambient.dim:
@@ -103,10 +141,6 @@ class EmbeddingProblem:
                 raise EmbedError(f"chart {cname!r} does not land in the ambient space")
         for aname, _c in self.coefficients:
             self.ambient.index(aname)  # raises if unknown
-
-    @property
-    def pairs(self) -> int:
-        return len(self.coefficients)
 
     def chart_pairs(self, F: SmoothMap) -> list[tuple[Expr, Expr]]:
         """Per-chart (coefficient, coordinate-function) expression pairs."""
@@ -125,14 +159,10 @@ class RadiusBound:
     value: float
     supremum: float
     margin: float
-    samples: int
 
 
 def radius_bound(
-    pieces: Sequence[tuple[CoordinateDomain, Sequence[Expr]]],
-    rho: float,
-    samples: int = 400,
-    seed: int = 0,
+    pieces: Sequence[tuple[CoordinateDomain, Sequence[Expr]]], rho: float, samples: int, seed: int
 ) -> RadiusBound:
     """Safety-scaled supremum of sqrt(sum of squares) over sampled charts.
 
@@ -151,7 +181,7 @@ def radius_bound(
             sup = max(sup, float(np.sqrt(np.max(total))))
     if sup == 0.0:
         raise RadiusError("degenerate data: supremum of the radius expression is zero")
-    return RadiusBound(rho * sup, sup, (rho - 1.0) * sup, samples)
+    return RadiusBound(rho * sup, sup, (rho - 1.0) * sup)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +246,6 @@ class EmbeddingSolution:
     pairs: int
     r2: float
     scale: float | None
-    phi: tuple[tuple[str, Expr], ...]
     doubled_pair: bool
     certifications: tuple[tuple[str, ZeroCheck], ...]
     defects: tuple[tuple[str, ZeroCheck], ...] = ()
@@ -226,11 +255,6 @@ class EmbeddingSolution:
         return all(c.passed for _, c in self.certifications) and all(
             c.passed for _, c in self.defects
         )
-
-    @property
-    def inverse_scale(self) -> float:
-        """Raw pullback weight of the unscaled contact generator (1/r2^2)."""
-        return 1.0 / (self.r2 * self.r2)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +293,7 @@ def _pulled_and_theta_bar(
 
 
 def _unit_sphere_certs(
-    problem: EmbeddingProblem, maps, eta_c: DifferentialForm, tol: float, seed: int, label: str, where: str
+    problem: EmbeddingProblem, maps, eta_c: DifferentialForm, settings: EmbedSettings, label: str, where: str
 ) -> list[tuple[str, ZeroCheck]]:
     """Certify each unit-sphere map at the stage-2 points: the identity
     psi*(c eta) = theta_bar and the constraint |psi|^2 = 1, labelled
@@ -278,11 +302,11 @@ def _unit_sphere_certs(
     certs = []
     for cname, psi in maps:
         F = dict(problem.charts)[cname]
-        env = psi.source.sample_points(problem.samples, seed + 1)
+        env = psi.source.sample_points(settings.samples, settings.seed + 1)
         pulled, theta_bar, images, _ = _pulled_and_theta_bar(psi, eta_c, problem.chart_pairs(F), env)
         for kind, what, check in (
-            ("pullback", "pullback", forms.values_check(pulled - theta_bar, env, tol)),
-            ("sphere", "sphere constraint", _sphere_check(images, 1.0, env, tol)),
+            ("pullback", "pullback", forms.values_check(pulled - theta_bar, env, settings.tol)),
+            ("sphere", "sphere constraint", _sphere_check(images, 1.0, env, settings.tol)),
         ):
             if not check.passed:
                 raise CertificationError(f"{where} {what} on chart {cname!r}", check)
@@ -290,12 +314,7 @@ def _unit_sphere_certs(
     return certs
 
 
-def build_psi2(
-    problem: EmbeddingProblem,
-    tol: float = 1e-9,
-    seed: int = 0,
-    doubled_pair: bool = True,
-) -> EmbeddingSolution:
+def build_psi2(problem: EmbeddingProblem, settings: EmbedSettings, doubled_pair: bool) -> EmbeddingSolution:
     """Second stage: close the defect with the pair (2 phi, 1).
 
     With ``doubled_pair`` the pullback equals the given one-form exactly and
@@ -315,9 +334,9 @@ def build_psi2(
         exprs.append(closing[cname])
         exprs.append(sx.ONE)
         pieces.append((F.source, exprs))
-    bound = radius_bound(pieces, problem.rho, problem.samples, seed)
+    bound = radius_bound(pieces, settings.rho, settings.samples, settings.seed)
     r2 = bound.value
-    p = problem.pairs
+    p = len(problem.coefficients)
     target = _sphere_target(f"{problem.name}_stage2", p + 2, r2)
     eta = _eta_on(target, p + 2)
     maps = []
@@ -330,20 +349,23 @@ def build_psi2(
             sx.ONE, sx.pow_(c2, 2), _sum_squares([e for fg in pairs for e in fg])
         )
         radicand = sx.add(sx.Const(r2 * r2), sx.neg(gamma))
-        env = F.source.sample_points(problem.samples, seed + 1)
-        _check_radicand(radicand, env, f"stage 2 chart {cname!r}")
+        env = F.source.sample_points(settings.samples, settings.seed + 1)
         comps: list[Expr] = []
         for f, g in pairs:
             comps.extend([g, f])
         comps.extend([sx.sqrt(radicand), sx.ZERO, c2, sx.ONE])
         psi = SmoothMap(F.source, target, tuple(comps))
-        pulled, theta_bar, images, grads = _pulled_and_theta_bar(psi, eta, pairs, env)
-        sph = _sphere_check(images, r2, env, tol)
+        try:
+            pulled, theta_bar, images, grads = _pulled_and_theta_bar(psi, eta, pairs, env)
+        except sx.EvaluationDomainError:  # a radicand at or below 0 is a radius fault
+            _check_radicand(radicand, env, f"stage 2 chart {cname!r}")
+            raise
+        sph = _sphere_check(images, r2, env, settings.tol)
         if not sph.passed:
             raise CertificationError(f"stage 2 sphere constraint on chart {cname!r}", sph)
         certs.append((f"stage2:{cname}:sphere", sph))
         if doubled_pair:
-            check = forms.values_check(pulled - theta_bar, env, tol)
+            check = forms.values_check(pulled - theta_bar, env, settings.tol)
             if not check.passed:
                 raise CertificationError(f"stage 2 pullback on chart {cname!r}", check)
             certs.append((f"stage2:{cname}:pullback", check))
@@ -351,12 +373,11 @@ def build_psi2(
             half_dphi = 0.5 * grads[2 * p + 2]  # the closing pair's first entry is phi
             measured = theta_bar - pulled  # the shortfall of the half-strength pair
             defects.append(
-                (f"{cname}:defect-is-half-dphi", forms.values_check(measured - half_dphi, env, tol))
+                (f"{cname}:defect-is-half-dphi", forms.values_check(measured - half_dphi, env, settings.tol))
             )
         maps.append((cname, psi))
     return EmbeddingSolution(
-        problem, 2, tuple(maps), target, p + 2, r2, None,
-        tuple(sorted(phis.items())), doubled_pair, tuple(certs), tuple(defects),
+        problem, 2, tuple(maps), target, p + 2, r2, None, doubled_pair, tuple(certs), tuple(defects)
     )
 
 
@@ -370,9 +391,7 @@ def _scaled_maps(
     return tuple(out)
 
 
-def build_psi3(
-    solution: EmbeddingSolution, tol: float = 1e-9, seed: int = 0
-) -> EmbeddingSolution:
+def build_psi3(solution: EmbeddingSolution, settings: EmbedSettings) -> EmbeddingSolution:
     """Third stage: rescale onto the unit sphere; the compensating constant
     is the squared stage-2 radius.  The stage-2 certificates are kept next
     to this stage's own, each labelled by its stage."""
@@ -389,17 +408,14 @@ def build_psi3(
     c = r2 * r2
     eta_c = _eta_on(target, solution.pairs, scale=c)
     certs = solution.certifications + tuple(
-        _unit_sphere_certs(solution.problem, maps, eta_c, tol, seed, "stage3", "stage 3")
+        _unit_sphere_certs(solution.problem, maps, eta_c, settings, "stage3", "stage 3")
     )
     return EmbeddingSolution(
-        solution.problem, 3, maps, target, solution.pairs, r2, c,
-        solution.phi, solution.doubled_pair, certs, (),
+        solution.problem, 3, maps, target, solution.pairs, r2, c, solution.doubled_pair, certs, ()
     )
 
 
-def pad_to_dimension(
-    solution: EmbeddingSolution, N: int, tol: float = 1e-9, seed: int = 0
-) -> EmbeddingSolution:
+def pad_to_dimension(solution: EmbeddingSolution, N: int, settings: EmbedSettings) -> EmbeddingSolution:
     """Extend a unit-sphere solution by zero coordinate pairs up to N pairs,
     keeping the certificates of the stages before and certifying the padded
     maps' pullback and sphere constraint."""
@@ -419,21 +435,18 @@ def pad_to_dimension(
     )
     eta_c = _eta_on(target, N, scale=solution.scale)
     certs = solution.certifications + tuple(
-        _unit_sphere_certs(solution.problem, maps, eta_c, tol, seed, f"pad{N}", "padded")
+        _unit_sphere_certs(solution.problem, maps, eta_c, settings, f"pad{N}", "padded")
     )
     return EmbeddingSolution(
-        solution.problem, 3, maps, target, N, solution.r2,
-        solution.scale, solution.phi, solution.doubled_pair, certs, (),
+        solution.problem, 3, maps, target, N, solution.r2, solution.scale, solution.doubled_pair, certs, ()
     )
 
 
-def build_sphere_pipeline(
-    problem: EmbeddingProblem, N: int | None = None, tol: float = 1e-9, seed: int = 0
-) -> EmbeddingSolution:
-    """Stages 2 and 3 end to end, optionally padded to ``N`` pairs."""
-    sol = build_psi3(build_psi2(problem, tol, seed, doubled_pair=True), tol, seed)
-    if N is not None:
-        sol = pad_to_dimension(sol, N, tol, seed)
+def build_sphere_pipeline(problem: EmbeddingProblem, settings: EmbedSettings) -> EmbeddingSolution:
+    """Stages 2 and 3 end to end, padded to ``settings.pairs`` pairs if set."""
+    sol = build_psi3(build_psi2(problem, settings, doubled_pair=True), settings)
+    if settings.pairs is not None:
+        sol = pad_to_dimension(sol, settings.pairs, settings)
     return sol
 
 
@@ -486,20 +499,8 @@ def _circle_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d, 1.0 - d)
 
 
-# The injectivity sample: its size, and the source distance above which a
-# pair of its points counts.
-INJECTIVITY_SAMPLES = 140
-MIN_SOURCE_DISTANCE = 0.05
-
-
 def build_lcs_embedding(
-    structure: models.LcsStructure,
-    problem: EmbeddingProblem,
-    tau: Mapping[str, Expr],
-    N: int,
-    tol: float = 1e-8,
-    seed: int = 0,
-    samples: int = 200,
+    structure: models.LcsStructure, problem: EmbeddingProblem, tau: Mapping[str, Expr], settings: EmbedSettings
 ) -> ProductEmbedding:
     """Product embedding of a first-kind structure into sphere x circle.
 
@@ -512,6 +513,7 @@ def build_lcs_embedding(
     two-form of the target to the potential, Lee form, and two-form of the
     source; the map is classified as a morphism on the first chart.
     """
+    samples, tol, seed = settings.samples, settings.tol, settings.seed
     chart_by_name = dict(problem.charts)
     if set(chart_by_name) != {c.name for c in structure.charts}:
         raise EmbedError("problem charts do not match structure charts")
@@ -546,8 +548,14 @@ def build_lcs_embedding(
             )
         certs.append((chart.name, "d(tau) - lee", lee_check))
 
-    solution = build_sphere_pipeline(problem, N, tol=min(tol, 1e-9), seed=seed)
-    c = solution.scale
+    pipeline = replace(
+        settings,
+        samples=max(samples, PIPELINE_FLOOR),
+        tol=min(tol, PIPELINE_TOL_CAP),
+        pairs=PRODUCT_PAIRS if settings.pairs is None else settings.pairs,
+    )
+    solution = build_sphere_pipeline(problem, pipeline)
+    N, c = pipeline.pairs, solution.scale
     target = models.sphere_circle_ambient(N)
     eta_c = _eta_on(target, N, scale=c)
     circle_form = target.one_form("theta")
@@ -576,7 +584,7 @@ def build_lcs_embedding(
             if not check.passed:
                 raise CertificationError(f"{label} on chart {chart.name!r}", check)
             certs.append((chart.name, label, check))
-        ranks.append(numeric.jacobian_min_rank(DF[..., : min(40, samples)]))
+        ranks.append(numeric.jacobian_min_rank(DF[..., :IMMERSION_RANK_CAP]))
         dmin, npairs = _image_separation(
             psi, INJECTIVITY_SAMPLES, seed + 5, MIN_SOURCE_DISTANCE
         )
@@ -648,18 +656,16 @@ def _image_separation(
 # bundled problems
 
 
-def problem_circle(rho: float = 1.2, samples: int = 400) -> EmbeddingProblem:
+def problem_circle() -> EmbeddingProblem:
     """Unit circle in the plane carrying y dx (one pair)."""
     amb = forms.linear_domain("plane", ["x", "y"])
     dom = forms.make_domain("circle_chart", [("t", "angular")])
     two_pi_t = sx.mul(sx.Const(2.0 * np.pi), sx.var("t"))
     P = SmoothMap(dom, amb, (sx.cos(two_pi_t), sx.sin(two_pi_t)))
-    return EmbeddingProblem(
-        "circle_ydx", amb, (("angle", P),), (("x", sx.var("y")),), rho, samples
-    )
+    return EmbeddingProblem("circle_ydx", amb, (("angle", P),), (("x", sx.var("y")),))
 
 
-def problem_torus(rho: float = 1.2, samples: int = 400) -> EmbeddingProblem:
+def problem_torus() -> EmbeddingProblem:
     """Flat two-torus in R^4 carrying x2 dx1 + x4 dx3 (trigonometric on charts)."""
     amb = forms.linear_domain("r4", ["x1", "x2", "x3", "x4"])
     dom = forms.make_domain("torus_chart", [("a", "angular"), ("b", "angular")])
@@ -670,11 +676,10 @@ def problem_torus(rho: float = 1.2, samples: int = 400) -> EmbeddingProblem:
         "torus_trig", amb,
         (("square", P),),
         (("x1", sx.var("x2")), ("x3", sx.var("x4"))),
-        rho, samples,
     )
 
 
-def problem_sphere3(rho: float = 1.2, samples: int = 400, q: float = 1.0) -> EmbeddingProblem:
+def problem_sphere3(q: float = 1.0) -> EmbeddingProblem:
     """Round three-sphere in R^4 carrying q times the contact generator."""
     amb = forms.linear_domain("r4_pairs", models.interleaved_names(2))
     charts = tuple(
@@ -686,20 +691,16 @@ def problem_sphere3(rho: float = 1.2, samples: int = 400, q: float = 1.0) -> Emb
         ("x2", sx.mul(sx.Const(0.5 * q), sx.var("y2"))),
         ("y2", sx.mul(sx.Const(-0.5 * q), sx.var("x2"))),
     )
-    return EmbeddingProblem("sphere3_contact", amb, charts, coeffs, rho, samples)
+    return EmbeddingProblem("sphere3_contact", amb, charts, coeffs)
 
 
-def problem_zero_form(rho: float = 1.2, samples: int = 200) -> EmbeddingProblem:
+def problem_zero_form() -> EmbeddingProblem:
     """Circle with the zero one-form (zero coefficient on dx)."""
-    base = problem_circle(rho, samples)
-    return EmbeddingProblem(
-        "circle_zero", base.ambient, base.charts, (("x", sx.ZERO),), rho, samples
-    )
+    base = problem_circle()
+    return EmbeddingProblem("circle_zero", base.ambient, base.charts, (("x", sx.ZERO),))
 
 
-def problem_from_sphere_circle(
-    structure: models.LcsStructure, rho: float = 1.2, samples: int = 200
-) -> tuple[EmbeddingProblem, dict[str, Expr]]:
+def problem_from_sphere_circle(structure: models.LcsStructure) -> tuple[EmbeddingProblem, dict[str, Expr]]:
     """Present a sphere-circle catalog structure as an embedding input.
 
     Returns the problem (charts share the structure's domains; the one-form
@@ -727,8 +728,5 @@ def problem_from_sphere_circle(
     for j in range(1, Nm + 1):
         coeffs.append((f"x{j}", sx.mul(sx.Const(0.5 * q), sx.var(f"y{j}"))))
         coeffs.append((f"y{j}", sx.mul(sx.Const(-0.5 * q), sx.var(f"x{j}"))))
-    problem = EmbeddingProblem(
-        f"{structure.name}_potential", sphere_amb, tuple(charts), tuple(coeffs),
-        rho, samples,
-    )
+    problem = EmbeddingProblem(f"{structure.name}_potential", sphere_amb, tuple(charts), tuple(coeffs))
     return problem, tau

@@ -371,6 +371,14 @@ _CHAIN_ARGS = {
     "concat_tol": (_POSITIVE, 1e-6),
 }
 
+# embed keys: the fields of ``embed.EmbedSettings`` but its seed, with its defaults
+_EMBED_ARGS = {
+    "samples": (_COUNT, 200),
+    "tol": (_POSITIVE, 1e-9),
+    "rho": (_POSITIVE, 1.2),
+    "pairs": (_integer(1), None),
+}
+
 _KIND = (_of_type("the task kind", str), _REQUIRED)
 
 _TASK_KEYS = {
@@ -380,10 +388,7 @@ _TASK_KEYS = {
         "kind": _KIND,
         "corpus": (_one_of("circle", "torus", "sphere3", "zero_form"), None),
         "structure": (_STRUCTURE, None),
-        "samples": (_COUNT, 200),
-        "tol": (_POSITIVE, 1e-9),
-        "rho": (_POSITIVE, 1.2),
-        "pairs": (_integer(1), None),
+        **_EMBED_ARGS,
         "literal_defect": (_FLAG, False),
     },
     "reduce-chain": {
@@ -636,8 +641,8 @@ def _run_verify(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
 
 def _run_embed(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
     from . import embed
-    tol, rho, pairs = task["tol"], task["rho"], task["pairs"]
-    entry = task["corpus"]
+    settings = embed.EmbedSettings(seed=seed, **{key: task[key] for key in _EMBED_ARGS})
+    tol, entry = settings.tol, task["corpus"]
     if entry is not None:
         name, anchor = f"embed:corpus:{entry}", "contact pullback identity on the sphere target"
         corpus = {
@@ -646,9 +651,9 @@ def _run_embed(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
             "sphere3": embed.problem_sphere3,
             "zero_form": embed.problem_zero_form,
         }
-        prob = corpus[entry](rho=rho)
+        prob, stages = corpus[entry](), settings.corpus_stages()
         try:
-            sol = embed.build_sphere_pipeline(prob, N=pairs, tol=tol, seed=seed)
+            sol = embed.build_sphere_pipeline(prob, stages)
         except embed.CertificationError as exc:
             return [_raised_record(name, anchor, exc)]
         worst = max((c.max_residual for _, c in sol.certifications), default=0.0)
@@ -663,7 +668,7 @@ def _run_embed(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
             )
         ]
         if task["literal_defect"]:
-            lit = embed.build_psi2(prob, tol=tol, seed=seed, doubled_pair=False)
+            lit = embed.build_psi2(prob, stages, doubled_pair=False)
             worst = max((c.max_residual for _, c in lit.defects), default=0.0)
             records.append(
                 CheckRecord(
@@ -676,15 +681,12 @@ def _run_embed(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
                 )
             )
         return records
-    sname, samples = task["structure"], task["samples"]
-    name = f"embed:product:{sname}"
+    name = f"embed:product:{task['structure']}"
     anchor = "product embedding pullback identities (potential, Lee form, two-form)"
-    S = manifest.structure(sname)
-    prob, tau = embed.problem_from_sphere_circle(S, rho=rho, samples=max(samples, 200))
+    S = manifest.structure(task["structure"])
+    prob, tau = embed.problem_from_sphere_circle(S)
     try:
-        res = embed.build_lcs_embedding(
-            S, prob, tau, N=10 if pairs is None else pairs, tol=tol, seed=seed, samples=samples
-        )
+        res = embed.build_lcs_embedding(S, prob, tau, settings)
     except embed.CertificationError as exc:
         return [_raised_record(name, anchor, exc)]
     # the sphere pipeline's own checks count with the product map's pullbacks

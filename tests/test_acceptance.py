@@ -42,7 +42,7 @@ def test_criterion_1_contact_corpus_pipeline():
     ]
     for name, factory in corpus:
         start = time.perf_counter()
-        sol = embed.build_sphere_pipeline(factory(), tol=1e-9, seed=0)
+        sol = embed.build_sphere_pipeline(factory(), embed.EmbedSettings().corpus_stages())
         assert sol.passed and sol.stage == 3, f"{name}: pipeline not certified"
         # independent re-certification at 1000 fresh seeded samples
         eta_c = embed._eta_on(sol.ambient, sol.pairs, scale=sol.scale)
@@ -65,7 +65,7 @@ def test_criterion_1_contact_corpus_pipeline():
 
 def test_criterion_2_literal_closing_pair_defect():
     for factory in (embed.problem_circle, embed.problem_torus, embed.problem_sphere3):
-        sol = embed.build_psi2(factory(), tol=1e-9, seed=0, doubled_pair=False)
+        sol = embed.build_psi2(factory(), embed.EmbedSettings().corpus_stages(), doubled_pair=False)
         assert sol.defects, "literal build must measure its defect"
         worst = max(c.max_residual for _, c in sol.defects)
         assert all(c.passed for _, c in sol.defects)
@@ -79,8 +79,8 @@ def test_criterion_2_literal_closing_pair_defect():
 
 def test_criterion_3_sphere_circle_product_embedding():
     S = models.model_sphere_circle(2, q=1.0)
-    prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
-    res = embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=0, samples=200)
+    prob, tau = embed.problem_from_sphere_circle(S)
+    res = embed.build_lcs_embedding(S, prob, tau, embed.EmbedSettings(samples=200, tol=1e-8, pairs=10, seed=0))
     assert res.passed
     worst = max(c.max_residual for _, _, c in res.certifications)
     assert worst < 1e-8, f"identity residual {worst:.3e}"

@@ -564,9 +564,10 @@ def test_every_declared_key_is_checked_before_any_task_runs(tmp_path, capsys, mo
 
 
 def test_schema_defaults_are_those_of_the_functions_they_feed():
-    chain = {field.name: field.default for field in dataclasses.fields(reduction.ChainSettings)}
-    assert chain.pop("seed") == 0
-    assert {key: default for key, (_, default) in report._CHAIN_ARGS.items()} == chain
+    for record, keys in ((reduction.ChainSettings, report._CHAIN_ARGS), (embed.EmbedSettings, report._EMBED_ARGS)):
+        fields = {field.name: field.default for field in dataclasses.fields(record)}
+        assert fields.pop("seed") == 0
+        assert {key: default for key, (_, default) in keys.items()} == fields
     for entry, keys in report._CATALOG_ARGS.items():
         factory = inspect.signature(getattr(models, f"model_{entry}")).parameters
         assert list(factory) == list(keys)

@@ -5,6 +5,7 @@ finite-difference Jacobian oracle, so the symbolic pullback and the raw
 numerical route must agree independently.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,10 @@ import lcskit.symexpr as sx
 import lcskit.twisted as twisted
 import oracle_utils
 from oracle_utils import chart_form, pullback_on_vectors
+
+
+# the settings of a corpus task's sphere stages at tol 1e-9 and seed 0
+CORPUS = embed.EmbedSettings().corpus_stages()
 
 
 def _map_func(psi):
@@ -59,7 +64,7 @@ def _eta_coeff_func(pairs, scale=1.0):
 
 
 def test_radius_bound_circle_sup_is_one():
-    prob = embed.problem_circle(rho=1.1)
+    prob = embed.problem_circle()
     pairs = prob.chart_pairs(prob.charts[0][1])
     pieces = [(prob.charts[0][1].source, [e for fg in pairs for e in fg])]
     bound = embed.radius_bound(pieces, 1.1, samples=600, seed=0)
@@ -74,13 +79,13 @@ def test_radius_bound_circle_sup_is_one():
 def test_radius_bound_rejects_unit_safety_factor():
     dom = forms.linear_domain("seg", ["x"])
     with pytest.raises(embed.RadiusError):
-        embed.radius_bound([(dom, [sx.var("x")])], 1.0)
+        embed.radius_bound([(dom, [sx.var("x")])], 1.0, 400, 0)
 
 
 def test_radius_bound_rejects_degenerate_data():
     dom = forms.linear_domain("seg", ["x"])
     with pytest.raises(embed.RadiusError):
-        embed.radius_bound([(dom, [sx.ZERO, sx.ZERO])], 1.2)
+        embed.radius_bound([(dom, [sx.ZERO, sx.ZERO])], 1.2, 400, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +93,7 @@ def test_radius_bound_rejects_degenerate_data():
 
 
 def test_psi2_corrected_circle():
-    sol = embed.build_psi2(embed.problem_circle(rho=1.2), tol=1e-9, seed=0)
+    sol = embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
     assert sol.passed and sol.stage == 2 and sol.doubled_pair
     assert sol.pairs == 3 and sol.ambient.dim == 6
     assert sol.r2 > 1.0
@@ -96,9 +101,7 @@ def test_psi2_corrected_circle():
 
 
 def test_psi2_half_pair_defect_is_half_dphi():
-    sol = embed.build_psi2(
-        embed.problem_circle(rho=1.2), tol=1e-9, seed=0, doubled_pair=False
-    )
+    sol = embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=False)
     assert not sol.doubled_pair
     assert sol.defects and all(c.passed for _, c in sol.defects)
     # the defect is a genuine, measurable gap: theta_bar - psi2* eta is far
@@ -112,14 +115,14 @@ def test_psi2_half_pair_defect_is_half_dphi():
 
 def test_psi2_zero_form_both_variants():
     for doubled in (True, False):
-        sol = embed.build_psi2(embed.problem_zero_form(), seed=0, doubled_pair=doubled)
+        sol = embed.build_psi2(embed.problem_zero_form(), CORPUS, doubled_pair=doubled)
         _name, psi = sol.maps[0]
         eta = embed._eta_on(sol.ambient, sol.pairs)
         assert oracle_utils.form_is_zero(forms.pullback(psi, eta), 150, 1e-12, 2).passed
 
 
 def test_psi2_sphere_constraint():
-    sol = embed.build_psi2(embed.problem_torus(), seed=0)
+    sol = embed.build_psi2(embed.problem_torus(), CORPUS, doubled_pair=True)
     for _name, psi in sol.maps:
         env = psi.source.sample_points(60, seed=8)
         vals = dict(zip(psi.target.names, sx.evaluate_all(psi.components, env)))
@@ -133,8 +136,8 @@ def test_sphere_check_from_the_walk_agrees_with_the_symbolic_constraint(factory)
     |psi|^2 - r^2 built as an expression and walked on its own, to within a
     few rounding errors of r^2: the two sum the same squares in another
     order, and the expression folds sqrt(g)^2 to g."""
-    sol2 = embed.build_psi2(factory(), seed=0)
-    for sol, radius in ((sol2, sol2.r2), (embed.build_psi3(sol2, seed=0), 1.0)):
+    sol2 = embed.build_psi2(factory(), CORPUS, doubled_pair=True)
+    for sol, radius in ((sol2, sol2.r2), (embed.build_psi3(sol2, CORPUS), 1.0)):
         for _name, psi in sol.maps:
             env = psi.source.sample_points(60, seed=8)
             images, _ = forms.jet_arrays(psi.components, psi.source.names, env)
@@ -144,12 +147,63 @@ def test_sphere_check_from_the_walk_agrees_with_the_symbolic_constraint(factory)
             assert abs(walked - symbolic) <= 16 * np.finfo(float).eps * radius * radius
 
 
+def test_stage2_radius_fault_is_told_from_other_walk_errors(monkeypatch):
+    """The stage-2 walk runs first; only when it fails is the radicand
+    evaluated on its own.  A radicand at or below 0 raises RadiusError before
+    any sphere or pullback check; a walk error with every radicand positive
+    is the walk's own."""
+    checked = []
+    monkeypatch.setattr(embed, "_sphere_check", lambda *args: checked.append(args))
+    bound = embed.radius_bound
+    monkeypatch.setattr(embed, "radius_bound", lambda *args: dataclasses.replace(bound(*args), value=0.9))
+    with pytest.raises(embed.RadiusError, match="stage 2 chart 'angle': sphere radicand dips to"):
+        embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
+    assert checked == []
+    monkeypatch.setattr(embed, "radius_bound", bound)
+
+    def failing_walk(*args):
+        raise sx.EvaluationDomainError("planted walk error")
+
+    monkeypatch.setattr(forms, "jet_arrays", failing_walk)
+    with pytest.raises(sx.EvaluationDomainError, match="planted walk error"):
+        embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
+
+
+def test_problems_carry_geometry_only():
+    fields = [field.name for field in dataclasses.fields(embed.EmbeddingProblem)]
+    assert fields == ["name", "ambient", "charts", "coefficients"]
+
+
+@pytest.mark.parametrize("via", ["task", "flag"])
+@pytest.mark.parametrize("samples, drawn", [(600, 600), (150, embed.CORPUS_FLOOR)])
+def test_a_corpus_task_draws_its_samples_above_the_floor(monkeypatch, via, samples, drawn):
+    """A corpus task's sphere stages, and its literal-defect build, draw the
+    task's samples per chart, or the corpus floor when that is larger."""
+    counts = []
+    sample_points = forms.CoordinateDomain.sample_points
+
+    def counting(domain, n, *args):
+        counts.append(n)
+        return sample_points(domain, n, *args)
+
+    monkeypatch.setattr(forms.CoordinateDomain, "sample_points", counting)
+    task = {"kind": "embed", "corpus": "circle", "pairs": 4, "literal_defect": True}
+    if via == "task":
+        task["samples"] = samples
+    manifest = report.parse_manifest({"seed": 7, "tasks": [task]})
+    opts = report.RunOptions(samples=samples if via == "flag" else None)
+    records = report.run_manifest(manifest, opts).records
+    assert [r.name for r in records if r.passed] == ["embed:corpus:circle", "embed:corpus:circle:literal-defect"]
+    # the radius bound and stages 2, 3 and the padding; again bound and stage 2 for the literal defect
+    assert counts == [drawn] * 6
+
+
 # ---------------------------------------------------------------------------
 # stage 3 and padding
 
 
 def test_psi3_circle_end_to_end():
-    sol = embed.build_psi3(embed.build_psi2(embed.problem_circle(), seed=0), seed=0)
+    sol = embed.build_psi3(embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True), CORPUS)
     assert sol.stage == 3 and sol.passed
     assert sol.scale == pytest.approx(sol.r2**2)
     _name, psi = sol.maps[0]
@@ -160,16 +214,16 @@ def test_psi3_circle_end_to_end():
 
 
 def test_psi3_requires_corrected_stage2():
-    half = embed.build_psi2(embed.problem_circle(), seed=0, doubled_pair=False)
+    half = embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=False)
     with pytest.raises(embed.EmbedError):
-        embed.build_psi3(half)
+        embed.build_psi3(half, CORPUS)
 
 
 def test_psi3_oracle_route():
     # certified identity pullback(psi, c*eta) = theta_bar re-derived through
     # the FD-Jacobian pullback oracle
     prob = embed.problem_circle()
-    sol = embed.build_psi3(embed.build_psi2(prob, seed=0), seed=0)
+    sol = embed.build_psi3(embed.build_psi2(prob, CORPUS, doubled_pair=True), CORPUS)
     _name, psi = sol.maps[0]
     func = _map_func(psi)
     theta_at = _form_at(chart_form(prob, prob.charts[0][1]))
@@ -184,7 +238,7 @@ def test_psi3_oracle_route():
 
 def test_homothety_scaling_law():
     # dividing coordinates by r scales the pulled-back generator by 1/r^2
-    sol = embed.build_psi2(embed.problem_circle(), seed=0)
+    sol = embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
     target = embed._sphere_target("scaled", sol.pairs, sol.r2 / 2.0)
     halved = embed._scaled_maps(sol.maps, target, 0.5)
     eta_small = embed._eta_on(target, sol.pairs)
@@ -197,30 +251,30 @@ def test_homothety_scaling_law():
 
 
 def test_unit_radius_homothety_is_identity():
-    sol = embed.build_psi2(embed.problem_circle(), seed=0)
+    sol = embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
     same = embed._scaled_maps(sol.maps, sol.ambient, 1.0)
     for (_, a), (_, b) in zip(same, sol.maps):
         assert a.components == b.components
 
 
 def test_padding_preserves_identity():
-    sol = embed.build_psi3(embed.build_psi2(embed.problem_circle(), seed=0), seed=0)
-    padded = embed.pad_to_dimension(sol, 4, seed=0)
+    sol = embed.build_psi3(embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True), CORPUS)
+    padded = embed.pad_to_dimension(sol, 4, CORPUS)
     assert padded.pairs == 4 and padded.ambient.dim == 8  # image in the 7-sphere
     assert padded.passed and padded.scale == sol.scale
-    assert embed.pad_to_dimension(sol, sol.pairs) is sol
+    assert embed.pad_to_dimension(sol, sol.pairs, CORPUS) is sol
     with pytest.raises(embed.TargetTooSmallError):
-        embed.pad_to_dimension(sol, sol.pairs - 1)
+        embed.pad_to_dimension(sol, sol.pairs - 1, CORPUS)
     with pytest.raises(embed.EmbedError):
-        embed.pad_to_dimension(embed.build_psi2(embed.problem_circle(), seed=0), 5)
+        embed.pad_to_dimension(embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True), 5, CORPUS)
 
 
 def test_padding_is_held_to_the_unit_sphere(monkeypatch):
     """Padding records a sphere certificate next to the pullback.  Constant
     pads pull the contact form back unchanged, so only the sphere
     constraint sees a pad of 0.3 in place of 0."""
-    sol = embed.build_psi3(embed.build_psi2(embed.problem_circle(), seed=0), seed=0)
-    padded = dict(embed.pad_to_dimension(sol, 4, seed=0).certifications)
+    sol = embed.build_psi3(embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True), CORPUS)
+    padded = dict(embed.pad_to_dimension(sol, 4, CORPUS).certifications)
     stage3 = dict(sol.certifications)
     for cname, _ in sol.maps:
         assert padded[f"pad4:{cname}:pullback"].passed
@@ -235,7 +289,7 @@ def test_padding_is_held_to_the_unit_sphere(monkeypatch):
 
     monkeypatch.setattr(embed, "SmoothMap", nonzero_pads)
     with pytest.raises(embed.CertificationError, match="padded sphere constraint") as caught:
-        embed.pad_to_dimension(sol, 4, seed=0)
+        embed.pad_to_dimension(sol, 4, CORPUS)
     assert caught.value.check.max_residual == pytest.approx(2 * (4 - sol.pairs) * 0.09)
 
 
@@ -254,10 +308,10 @@ def test_sphere_constraint_is_judged_at_the_task_tolerance(tmp_path):
 
 
 def test_monotonicity_in_safety_factor():
-    lo = embed.build_psi3(embed.build_psi2(embed.problem_circle(rho=1.1), seed=0), seed=0)
-    hi = embed.build_psi3(embed.build_psi2(embed.problem_circle(rho=1.4), seed=0), seed=0)
-    assert hi.r2 > lo.r2
-    assert hi.inverse_scale < lo.inverse_scale
+    low, high = dataclasses.replace(CORPUS, rho=1.1), dataclasses.replace(CORPUS, rho=1.4)
+    lo = embed.build_psi3(embed.build_psi2(embed.problem_circle(), low, doubled_pair=True), low)
+    hi = embed.build_psi3(embed.build_psi2(embed.problem_circle(), high, doubled_pair=True), high)
+    assert hi.r2 > lo.r2 and hi.scale > lo.scale
     assert lo.passed and hi.passed
 
 
@@ -270,7 +324,7 @@ def test_monotonicity_in_safety_factor():
 )
 def test_corpus_end_to_end(factory):
     prob = factory()
-    sol = embed.build_sphere_pipeline(prob, tol=1e-9, seed=0)
+    sol = embed.build_sphere_pipeline(prob, CORPUS)
     assert sol.passed
     worst = max(c.max_residual for _, c in sol.certifications)
     assert worst < 1e-8
@@ -283,8 +337,8 @@ def test_corpus_end_to_end(factory):
 @pytest.fixture(scope="module")
 def product_embedding():
     S = models.model_sphere_circle(2, q=1.0)
-    prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
-    return S, embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=0, samples=120)
+    prob, tau = embed.problem_from_sphere_circle(S)
+    return S, embed.build_lcs_embedding(S, prob, tau, embed.EmbedSettings(samples=120, tol=1e-8, pairs=10, seed=0))
 
 
 def test_product_embedding_three_identities(product_embedding):
@@ -319,7 +373,7 @@ def test_product_embedding_rejects_bad_tau():
     first = S.charts[0].name
     bad[first] = sx.mul(sx.Const(2.0), sx.var("theta"))  # differential is 2 d(theta)
     with pytest.raises(embed.CertificationError):
-        embed.build_lcs_embedding(S, prob, bad, N=10, samples=60)
+        embed.build_lcs_embedding(S, prob, bad, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10))
 
 
 def test_product_embedding_rejects_mismatched_potential():
@@ -328,10 +382,9 @@ def test_product_embedding_rejects_mismatched_potential():
     doubled = embed.EmbeddingProblem(
         prob.name, prob.ambient, prob.charts,
         tuple((n, sx.mul(sx.Const(2.0), c)) for n, c in prob.coefficients),
-        prob.rho, prob.samples,
     )
     with pytest.raises(embed.CertificationError):
-        embed.build_lcs_embedding(S, doubled, tau, N=10, samples=60)
+        embed.build_lcs_embedding(S, doubled, tau, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +399,7 @@ def test_embedding_maps_are_never_differentiated_symbolically(monkeypatch):
     only along one-dimensional loops and the chart's circle function."""
     S = models.model_sphere_circle(2, q=1.0)
     list(S.charts)  # build every chart: their potentials are symbolic pullbacks
-    prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
+    prob, tau = embed.problem_from_sphere_circle(S)
     corpus = [factory() for factory in (embed.problem_circle, embed.problem_torus, embed.problem_sphere3)]
     differentiated = []
     real_pullback, real_jacobian = forms.pullback, forms.SmoothMap.jacobian.func
@@ -365,9 +418,9 @@ def test_embedding_maps_are_never_differentiated_symbolically(monkeypatch):
     monkeypatch.setattr(forms.SmoothMap, "jacobian", property(counting_jacobian))
 
     for problem in corpus:
-        assert embed.build_sphere_pipeline(problem, N=8, tol=1e-9, seed=3).passed
+        assert embed.build_sphere_pipeline(problem, embed.EmbedSettings(pairs=8, seed=3).corpus_stages()).passed
     assert differentiated == []
-    res = embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=3, samples=60)
+    res = embed.build_lcs_embedding(S, prob, tau, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10, seed=3))
     assert res.passed
     assert differentiated
     assert all(F.source.dim == 1 or F.target.dim == 1 for F in differentiated)
@@ -397,8 +450,8 @@ def test_image_separation_skips_only_structural_zeros(N, zeros):
     # the zeros: 8 (N = 2) or 4 (N = 3) padding columns, and the second
     # entry of stage 2's radius pair
     S = models.model_sphere_circle(N, q=1.0)
-    prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
-    res = embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=0, samples=40)
+    prob, tau = embed.problem_from_sphere_circle(S)
+    res = embed.build_lcs_embedding(S, prob, tau, embed.EmbedSettings(samples=40, tol=1e-8, pairs=10, seed=0))
     for _name, psi in res.maps[:2]:
         assert sum(sx.is_structural_zero(c) for c in psi.components) == zeros
         assert embed._image_separation(psi, 60, 5, 0.05) == _all_columns_separation(psi, 60, 5, 0.05)
@@ -414,11 +467,12 @@ def test_corpus_record_reads_the_worst_check_of_every_stage(entry, pairs):
     task = {"kind": "embed", "corpus": entry, "tol": tol, **({"pairs": pairs} if pairs else {})}
     [record] = report.run_manifest(report.parse_manifest({"seed": seed, "tasks": [task]})).records
     prob = getattr(embed, f"problem_{entry}")()
-    stage2 = embed.build_psi2(prob, tol, seed)
-    stage3 = embed.build_psi3(stage2, tol, seed)
+    settings = embed.EmbedSettings(tol=tol, pairs=pairs, seed=seed).corpus_stages()
+    stage2 = embed.build_psi2(prob, settings, doubled_pair=True)
+    stage3 = embed.build_psi3(stage2, settings)
     stages = [(stage2, "stage2:"), (stage3, "stage3:")]
     if pairs:
-        stages.append((embed.pad_to_dimension(stage3, pairs, tol, seed), f"pad{pairs}:"))
+        stages.append((embed.pad_to_dimension(stage3, pairs, settings), f"pad{pairs}:"))
     own = [[c.max_residual for label, c in sol.certifications if label.startswith(tag)] for sol, tag in stages]
     assert all(own)
     assert record.passed and record.max_residual == max(max(r) for r in own)

@@ -510,7 +510,7 @@ def test_no_module_names_a_retired_lattice_heuristic(path):
     assert retired_lattice_names(path.read_text()) == []
 
 
-# -- the reduction chain's settings --------------------------------------------
+# -- the settings records of the reduction chain and the embedding path -------
 
 # The verifier's rank-cut parameter and stage one's verifier tolerance, which
 # the chain's settings record and the constant VERIFY_RANK_RTOL replaced.
@@ -520,6 +520,11 @@ RETIRED_CHAIN_KNOBS = ("rank_threshold", "verify_tol")
 # parameter default of their own.
 CHAIN_BUILDERS = (
     "build_step1", "build_step2", "build_step3", "build_step4", "concatenation_residual", "run_reduction_chain",
+)
+# The same for the embedding path's record, with radius_bound, which takes
+# its rho, samples and seed as explicit arguments.
+EMBED_BUILDERS = (
+    "build_psi2", "build_psi3", "pad_to_dimension", "build_sphere_pipeline", "build_lcs_embedding", "radius_bound",
 )
 
 
@@ -546,10 +551,11 @@ def test_no_module_names_a_retired_chain_knob(path):
 
 def defaulted_builder_parameters(source: str) -> list[tuple[str, str]]:
     """(function, parameter) for every parameter default, positional or
-    keyword-only, declared by a function named in ``CHAIN_BUILDERS``."""
+    keyword-only, declared by a function named in ``CHAIN_BUILDERS`` or
+    ``EMBED_BUILDERS``."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in CHAIN_BUILDERS:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in CHAIN_BUILDERS + EMBED_BUILDERS:
             args = node.args
             positional = args.posonlyargs + args.args
             found += [(node.name, a.arg) for a in positional[len(positional) - len(args.defaults):]]
@@ -566,17 +572,21 @@ def test_builder_default_scanner_finds_positional_and_keyword_only_defaults():
         "def verify_strong_reducibility(data, samples=200): ...\n"
         "class Chain:\n"
         "    def concatenation_residual(self, tol=1e-6): ...\n"
+        "def radius_bound(pieces, rho, samples=400, seed=0): ...\n"
+        "def build_psi2(problem, settings, doubled_pair=True): ...\n"
+        "def build_psi1(problem, tol=1e-9): ...\n"
     )
     assert defaulted_builder_parameters(source) == [
-        ("build_step2", "window"), ("build_step4", "b"), ("build_step4", "d"),
-        ("concatenation_residual", "tol"), ("run_reduction_chain", "samples"),
+        ("build_psi2", "doubled_pair"), ("build_step2", "window"), ("build_step4", "b"), ("build_step4", "d"),
+        ("concatenation_residual", "tol"), ("radius_bound", "samples"), ("radius_bound", "seed"),
+        ("run_reduction_chain", "samples"),
     ]
 
 
 def test_no_chain_builder_declares_a_default():
-    source = (SRC / "reduction.py").read_text()
-    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
-    assert set(CHAIN_BUILDERS) <= defined
+    for module, builders in (("reduction.py", CHAIN_BUILDERS), ("embed.py", EMBED_BUILDERS)):
+        tree = ast.parse((SRC / module).read_text())
+        assert set(builders) <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert [found for path in MODULES for found in defaulted_builder_parameters(path.read_text())] == []
 
 
@@ -909,3 +919,38 @@ def test_runner_check_scanner_flags_raises_and_checker_calls():
 
 def test_task_runners_read_checked_values():
     assert runner_checks((SRC / "report.py").read_text()) == []
+
+
+def numeric_rules(source: str, function: str) -> list[int]:
+    """Lines of the top-level ``function`` that hold a numeric rule: a ``max``
+    or ``min`` of two or more values (a clamp; one iterable is an aggregate),
+    or a number other than an empty aggregate's ``default``."""
+    [fn] = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == function]
+    defaults = {id(k.value) for node in ast.walk(fn) if isinstance(node, ast.Call) for k in node.keywords
+                if k.arg == "default"}
+    found = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("max", "min"):
+            if len(node.args) > 1:
+                found.add(node.lineno)
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float) and id(node) not in defaults:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_numeric_rule_scanner_flags_clamps_and_numbers():
+    source = (
+        "def _run_embed(task):\n"
+        "    worst = max((r for r in task['residuals']), default=0.0)\n"
+        "    n = max(task['samples'], 200)\n"
+        "    pairs = 10 if task['pairs'] is None else task['pairs']\n"
+        "    return min(worst, n), pairs, task['name'], True\n"
+        "def _run_other(task):\n"
+        "    return task['samples'] * 2\n"
+    )
+    assert numeric_rules(source, "_run_embed") == [3, 4, 5]
+
+
+def test_the_embed_runner_holds_no_numeric_rule():
+    # how many points and at what tolerance an embedding is certified is decided in embed.py
+    assert numeric_rules((SRC / "report.py").read_text(), "_run_embed") == []

@@ -238,7 +238,7 @@ SPHERE_CHAIN = {"samples": 40, "verify_samples": 30, "flow_samples": 10, "concat
 @pytest.mark.parametrize(
     "task",
     [
-        {"kind": "embed", "corpus": "circle"},
+        {"kind": "embed", "structure": "sphere2", "samples": 40},
         {"kind": "reduce-chain", "input": "sphere_circle", "structure": "sphere2", **SPHERE_CHAIN},
     ],
     ids=["embed", "reduce-chain"],
@@ -247,8 +247,9 @@ def test_patching_module_evaluate_sees_symbolic_and_flow_tasks(monkeypatch, task
     # Profilers count single-expression evaluations by replacing
     # ``symexpr.evaluate``, and need some on symbolic and on flow-driven runs.
     # Batched callers (zero tests, form values, Jacobians, point maps, so every
-    # verify task and the plane chain) go through ``evaluate_all`` instead;
-    # the sphere radicand check and the quadrature of Lee-form periods remain.
+    # verify task, the plane chain and the sphere stages) go through
+    # ``evaluate_all`` instead; the quadrature of Lee-form periods remains,
+    # which a product embedding reaches as it classifies its morphism.
     original = sx.evaluate
     calls = []
 

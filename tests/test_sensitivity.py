@@ -234,7 +234,7 @@ def _planted_eta(monkeypatch, eps):
 
 def _corpus(problem):
     def run(seed):
-        sol = embed.build_sphere_pipeline(problem(), tol=1e-9, seed=seed)
+        sol = embed.build_sphere_pipeline(problem(), embed.EmbedSettings(seed=seed).corpus_stages())
         return sol.passed, max(c.max_residual for _, c in sol.certifications), 1e-9
 
     return run
@@ -242,8 +242,8 @@ def _corpus(problem):
 
 def _product_sphere2(seed):
     S = models.model_sphere_circle(2, q=1.0)
-    prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
-    res = embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=seed, samples=60)
+    prob, tau = embed.problem_from_sphere_circle(S)
+    res = embed.build_lcs_embedding(S, prob, tau, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10, seed=seed))
     return res.passed, max(c.max_residual for _, _, c in res.certifications), 1e-8
 
 

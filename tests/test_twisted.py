@@ -276,8 +276,8 @@ def _corpus_period_calls() -> list[tuple[DifferentialForm, SmoothMap, float]]:
     ]
     with mock.patch.object(twisted, "period", record):
         S = catalog[0]
-        prob, tau = embed.problem_from_sphere_circle(S, rho=1.2, samples=200)
-        embed.build_lcs_embedding(S, prob, tau, N=10, tol=1e-8, seed=0, samples=40)
+        prob, tau = embed.problem_from_sphere_circle(S)
+        embed.build_lcs_embedding(S, prob, tau, embed.EmbedSettings(samples=40, tol=1e-8, pairs=10, seed=0))
         for S in catalog[:2]:
             chart, decomp, _ = reduction.sphere_circle_chain_input(S)
             reduction.certify_decomposition(chart, decomp)
