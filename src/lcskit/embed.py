@@ -154,20 +154,13 @@ class EmbeddingProblem:
 # radii
 
 
-@dataclass(frozen=True)
-class RadiusBound:
-    value: float
-    supremum: float
-    margin: float
-
-
 def radius_bound(
     pieces: Sequence[tuple[CoordinateDomain, Sequence[Expr]]], rho: float, samples: int, seed: int
-) -> RadiusBound:
+) -> float:
     """Safety-scaled supremum of sqrt(sum of squares) over sampled charts.
 
     ``pieces`` holds (domain, expressions) per chart; the bound is ``rho``
-    times the sampled supremum, with the strict-inequality margin reported.
+    times the sampled supremum, so it exceeds that supremum strictly.
     """
     if not rho > 1.0:
         raise RadiusError(f"safety factor must exceed 1, got {rho}")
@@ -181,7 +174,7 @@ def radius_bound(
             sup = max(sup, float(np.sqrt(np.max(total))))
     if sup == 0.0:
         raise RadiusError("degenerate data: supremum of the radius expression is zero")
-    return RadiusBound(rho * sup, sup, (rho - 1.0) * sup)
+    return rho * sup
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +327,7 @@ def build_psi2(problem: EmbeddingProblem, settings: EmbedSettings, doubled_pair:
         exprs.append(closing[cname])
         exprs.append(sx.ONE)
         pieces.append((F.source, exprs))
-    bound = radius_bound(pieces, settings.rho, settings.samples, settings.seed)
-    r2 = bound.value
+    r2 = radius_bound(pieces, settings.rho, settings.samples, settings.seed)
     p = len(problem.coefficients)
     target = _sphere_target(f"{problem.name}_stage2", p + 2, r2)
     eta = _eta_on(target, p + 2)

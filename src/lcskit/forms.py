@@ -274,26 +274,24 @@ class VectorField:
         f = sx.as_expr(factor)
         return VectorField(self.domain, tuple(sx.mul(f, c) for c in self.components))
 
-    @cached_property
-    def value_at(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Compiled ``x -> components at x`` for points ``x`` (N, dim), in
-        domain order, giving (N, dim); built on first use and kept for the
-        field's lifetime."""
-        func = sx.lambdify(self.components, self.domain.names)
-        return lambda x: func(*np.transpose(x)).T
+    def value_at(self, x: np.ndarray) -> np.ndarray:
+        """The components at points ``x`` (N, dim), in domain order, as
+        (N, dim): one :func:`symexpr.evaluate_all` walk on the columns of
+        ``x``."""
+        return np.array(sx.evaluate_all(self.components, dict(zip(self.domain.names, np.transpose(x))))).T
 
     @cached_property
     def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Compiled ``x -> (components, Jacobians)`` at points (N, dim):
-        values (N, dim) and Jacobians (N, dim, dim), each Jacobian
-        contiguous; built once, from one compiled function of the
-        components and their partials (row-major)."""
+        """``x -> (components, Jacobians)`` at points (N, dim): values
+        (N, dim) and Jacobians (N, dim, dim), each Jacobian contiguous, from
+        one :func:`symexpr.evaluate_all` walk on the components and their
+        partials (row-major); the partials are derived once, on first use,
+        and kept for the field's lifetime."""
         names, d = self.domain.names, self.domain.dim
-        partials = tuple(sx.diff(c, n) for c in self.components for n in names)
-        func = sx.lambdify(self.components + partials, names)
+        exprs = self.components + tuple(sx.diff(c, n) for c in self.components for n in names)
 
         def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            out = func(*np.transpose(x))
+            out = np.array(sx.evaluate_all(exprs, dict(zip(names, np.transpose(x)))))
             return out[:d].T, np.ascontiguousarray(out[d:].reshape(d, d, len(x)).transpose(2, 0, 1))
 
         return jet

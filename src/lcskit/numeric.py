@@ -20,11 +20,12 @@ periodic by construction), and only :func:`wrap_point` reduces them modulo
 a row when its function changes sign between two step ends, its time is
 located by bisection on that row's dense interpolant, and a row that leaves
 the declared chart box is masked as escaped with that time and point while
-the other rows go on.  Right-hand sides run the compiled evaluators each
-field builds once (``VectorField.value_at``/``jet_at``) on whole
-coordinate columns.  Symbolic maps are not evaluated here: their images
-and Jacobians come from one :func:`forms.jet_arrays` walk, and a
-:class:`PointMap` stands only for maps known numerically.
+the other rows go on.  Right-hand sides walk the field's expression trees
+(``VectorField.value_at``/``jet_at``) once per call, on whole coordinate
+columns, with the package's one evaluator.  Symbolic maps are not
+evaluated here: their images and Jacobians come from one
+:func:`forms.jet_arrays` walk, and a :class:`PointMap` stands only for
+maps known numerically.
 """
 
 from __future__ import annotations

@@ -375,7 +375,7 @@ _CHAIN_ARGS = {
 _EMBED_ARGS = {
     "samples": (_COUNT, 200),
     "tol": (_POSITIVE, 1e-9),
-    "rho": (_POSITIVE, 1.2),
+    "rho": (_real("a finite number above 1", lambda v: 1 < v < math.inf), 1.2),
     "pairs": (_integer(1), None),
 }
 

@@ -20,9 +20,9 @@ value mode; :func:`jets` is its jet mode, which also carries each node's
 sparse gradient forward, building no derivative tree.  Any non-finite value
 or partial (a negative radicand, division by zero, the derivative of
 ``sqrt`` at 0) raises :class:`EvaluationDomainError` carrying the offending
-sample point rather than silently propagating ``nan``.  :func:`lambdify`
-compiles expressions evaluated again and again on batches of points into
-straight-line code on whole coordinate columns, bit-identical to the walk.
+sample point rather than silently propagating ``nan``.  The walk is the
+package's only evaluator: flow right-hand sides, evaluated again and again
+on batches of points, walk their trees too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import struct
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from . import lazy_import
 
@@ -652,104 +652,6 @@ def _domain_error(what: str, e: Expr, out: np.ndarray, env_arr: Mapping[str, np.
     idx = int(np.flatnonzero(~np.isfinite(out))[0])
     point = {k: float(v) if v.ndim == 0 else float(v.flat[idx]) for k, v in env_arr.items()}
     return EvaluationDomainError(f"non-finite {what} evaluating '{to_string(e)}' at {point}", point)
-
-
-# ---------------------------------------------------------------------------
-# compilation
-
-
-def lambdify(exprs: Iterable[Expr], names: Sequence[str]) -> Callable[..., np.ndarray]:
-    """Compile expressions into one function of coordinate columns.
-
-    The returned function takes one array per coordinate (ordered as
-    ``names``, all of one batch shape) and returns the expression values as
-    an array ``(len(exprs), *batch shape)``.  It runs straight-line code that
-    shares subexpressions by node identity, applies exactly the numpy kernels
-    and left-to-right association of :func:`evaluate_all`, and writes each
-    result into its preallocated row (so a constant broadcasts on
-    assignment); its values are bit-identical to the tree walk.  Compiling
-    pays off for expressions evaluated again and again on batches of points
-    (flow right-hand sides, point maps); a one-shot batch is cheaper to walk.
-
-    A non-finite value re-evaluates the expressions in order with
-    :func:`evaluate_all` on the same columns, which raises
-    :class:`EvaluationDomainError` with its usual message and the first
-    offending point as witness.  Expressions naming a coordinate outside
-    ``names`` are always walked, so :class:`UnknownCoordinateError` is raised
-    as before.
-    """
-    exprs = tuple(exprs)
-    names = tuple(names)
-
-    def walk(columns) -> np.ndarray:
-        return np.array(evaluate_all(exprs, dict(zip(names, columns))), dtype=float)
-
-    raw = _generate(exprs, names)
-    if raw is None:
-        return lambda *columns: walk(columns)
-
-    def compiled(*columns) -> np.ndarray:
-        out = np.empty((len(exprs), *np.broadcast_shapes(*map(np.shape, columns))))
-        with np.errstate(all="ignore"):
-            raw(out, *columns)
-        if not np.isfinite(out).all():
-            return walk(columns)
-        return out
-
-    return compiled
-
-
-def _generate(exprs: tuple[Expr, ...], names: tuple[str, ...]):
-    """Source-compile ``exprs`` to ``f(out, x0, x1, ...)`` writing expression
-    i into ``out[i]``; None if an expression names a coordinate outside
-    ``names``."""
-    args = {n: f"x{i}" for i, n in enumerate(names)}
-    namespace = {"_power": np.power, "_sin": np.sin, "_cos": np.cos, "_exp": np.exp}
-    lines: list[str] = []
-    codes: dict[int, str] = {}  # id(node) -> local name or literal, this compilation only
-
-    def emit(e: Expr) -> str:
-        code = codes.get(id(e))
-        if code is not None:
-            return code
-        if isinstance(e, Const):
-            if not math.isfinite(e.value):
-                code = f"c{len(namespace)}"
-                namespace[code] = e.value
-            else:
-                code = repr(e.value)
-                code = f"({code})" if code.startswith("-") else code
-        elif isinstance(e, Var):
-            code = args[e.name]
-        else:
-            if isinstance(e, Add):
-                rhs = " + ".join(emit(t) for t in e.terms)
-            elif isinstance(e, Mul):
-                rhs = " * ".join(emit(f) for f in e.factors)
-            elif isinstance(e, Pow):
-                q = e.exponent
-                if q.denominator == 1:
-                    rhs = f"_power({emit(e.base)}, {q.numerator}, dtype=float)"
-                else:
-                    rhs = f"_power({emit(e.base)}, {float(q)!r})"
-            elif isinstance(e, Call):
-                rhs = f"_{e.fn}({emit(e.arg)})"
-            else:
-                raise TypeError(f"unknown node {e!r}")
-            code = f"t{len(lines)}"
-            lines.append(f"    {code} = {rhs}")
-        codes[id(e)] = code
-        return code
-
-    try:
-        for i, e in enumerate(exprs):
-            code = emit(e)  # appends the lines of its subexpressions first
-            lines.append(f"    out[{i}] = {code}")
-    except KeyError:
-        return None
-    source = "\n".join([f"def _compiled(out, {', '.join(args.values())}):", *lines, "    return out"])
-    exec(compile(source, "<lambdify>", "exec"), namespace)
-    return namespace["_compiled"]
 
 
 # ---------------------------------------------------------------------------

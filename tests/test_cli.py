@@ -334,7 +334,7 @@ def test_chain_window_and_margin_are_checked(tmp_path, capsys, key, value, messa
         ({"kind": "cohomology", "n": 2, "m": 4, "mu": [True, 0.0]}, None,
          "cohomology task mu must be a finite number, got True"),
         ({"kind": "embed", "corpus": "circle", "rho": "1.5"}, None,
-         "embed task rho must be a positive finite number, got '1.5'"),
+         "embed task rho must be a finite number above 1, got '1.5'"),
         ({"kind": "embed", "structure": "model", "pairs": 2.7}, {"catalog": "sphere_circle", "args": {"N": 2}},
          "embed task pairs must be an integer at least 1, got 2.7"),
         ({"kind": "reduce-chain", "structure": "model", "chart_index": True},
@@ -362,6 +362,16 @@ def test_manifest_numbers_are_refused_not_coerced(tmp_path, capsys, task, struct
     out = tmp_path / "r.json"
     assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+def test_embed_rho_at_most_one_is_refused_at_load(tmp_path, capsys, rho):
+    # it used to load and then write a failing record with RadiusError
+    payload = {"seed": 0, "tasks": [{"kind": "embed", "corpus": "circle", "rho": rho}]}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", write_manifest(tmp_path, payload), "-q", "-o", str(out)]) == 2
+    assert f"embed task rho must be a finite number above 1, got {rho!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -71,9 +71,9 @@ def test_radius_bound_circle_sup_is_one():
     # dense-grid oracle for the supremum of sqrt(f^2 + x^2) = 1 on the circle
     ts = np.linspace(0.0, 1.0, 2001)
     oracle = np.max(np.sqrt(np.sin(2 * np.pi * ts) ** 2 + np.cos(2 * np.pi * ts) ** 2))
-    assert abs(bound.supremum - oracle) < 1e-9
-    assert abs(bound.value - 1.1 * oracle) < 1e-9
-    assert bound.margin > 0
+    assert abs(bound / 1.1 - oracle) < 1e-9
+    assert abs(bound - 1.1 * oracle) < 1e-9
+    assert bound > oracle
 
 
 def test_radius_bound_rejects_unit_safety_factor():
@@ -155,7 +155,7 @@ def test_stage2_radius_fault_is_told_from_other_walk_errors(monkeypatch):
     checked = []
     monkeypatch.setattr(embed, "_sphere_check", lambda *args: checked.append(args))
     bound = embed.radius_bound
-    monkeypatch.setattr(embed, "radius_bound", lambda *args: dataclasses.replace(bound(*args), value=0.9))
+    monkeypatch.setattr(embed, "radius_bound", lambda *args: 0.9)
     with pytest.raises(embed.RadiusError, match="stage 2 chart 'angle': sphere radicand dips to"):
         embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
     assert checked == []

@@ -454,8 +454,9 @@ def test_no_module_names_a_retired_judge(path):
 # -- one tree walk -----------------------------------------------------------
 
 # The value walker and the jet walker that the one tree walk, in its value
-# and jet modes, replaced.
-RETIRED_WALKERS = ("_eval_raw", "_jet_raw")
+# and jet modes, replaced, and the code generator that compiled flow
+# right-hand sides beside it.
+RETIRED_WALKERS = ("_eval_raw", "_jet_raw", "lambdify", "_generate")
 
 
 def retired_walker_names(source: str) -> list[int]:
@@ -471,13 +472,55 @@ def test_walker_scanner_finds_retired_walkers():
         "walk = _tree_walk or _eval_raw_values or my_jet_raw\n"
         "# the jet walk of _jet_raw\n"
         "monkeypatch.setattr(sx, '_eval_raw', f)\n"
+        "func = sx.lambdify(exprs, names)\n"
+        "raw = _generate(exprs, names) or _generated or lambdify_all\n"
     )
-    assert retired_walker_names(source) == [1, 3, 5, 6]
+    assert retired_walker_names(source) == [1, 3, 5, 6, 7, 8]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_names_a_retired_walker(path):
     assert retired_walker_names(path.read_text()) == []
+
+
+DYNAMIC_CODE = ("exec", "eval", "compile")
+
+
+def dynamic_code_calls(source: str) -> list[int]:
+    """Lines calling the builtin ``exec``, ``eval`` or ``compile``, by bare
+    name or as an attribute of ``builtins``: generated source is a second
+    evaluator beside the tree walk.  A method of the same name on anything
+    else (``re.compile``) is not the builtin."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in DYNAMIC_CODE or (
+            isinstance(func, ast.Attribute) and func.attr in DYNAMIC_CODE
+            and isinstance(func.value, ast.Name) and func.value.id in ("builtins", "__builtins__")
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_dynamic_code_scanner_flags_builtins_only():
+    source = (
+        "import builtins, re\n"
+        "exec(compile(source, '<f>', 'exec'), namespace)\n"
+        "PATTERN = re.compile(r'x')\n"
+        "def f(text):\n"
+        "    return eval(text) + builtins.eval(text)\n"
+        "g = lambda: ast.literal_eval(text) or self.compile(x) or executor(x)\n"
+        "__builtins__.exec(code)\n"
+        "h = exec\n"
+    )
+    assert dynamic_code_calls(source) == [2, 5, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_generates_code(path):
+    assert dynamic_code_calls(path.read_text()) == []
 
 
 # -- period lattices ---------------------------------------------------------

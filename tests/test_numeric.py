@@ -321,7 +321,7 @@ def test_flow_of_field_naming_a_missing_coordinate_raises():
         _flow_one(X, [0.0, 0.0], 0.1)
 
 
-def test_compiled_evaluators_are_built_once_per_object():
+def test_jet_at_is_built_once_per_field():
     X = VectorField(R2, (sx.var("x") * sx.var("y"), sx.sin(sx.var("x"))))
     _flow_one(X, [0.3, 0.2], 0.4, with_jacobian=True)
     jet = X.jet_at

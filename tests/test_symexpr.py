@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from lcskit import report
 from lcskit import symexpr as sx
-from lcskit.forms import linear_domain, make_domain
+from lcskit.forms import VectorField, linear_domain, make_domain
 import oracle_utils as oracle
-from oracle_utils import central_difference, random_polynomial_form
+from oracle_utils import central_difference
 
 X, Y = sx.var("x"), sx.var("y")
 BOX = linear_domain("box", ["x", "y"])
@@ -211,7 +211,8 @@ def test_constant_out_of_range_is_left_for_evaluation(build, text):
     e = build()
     assert not isinstance(e, sx.Const) and str(e) == text
     message = f"non-finite value evaluating '{text}' at {{'x': 0.5}}"
-    for run in (lambda: sx.evaluate(e, {"x": 0.5}), lambda: sx.lambdify([e], ["x"])(np.array([0.5]))):
+    field = VectorField(linear_domain("seg", ["x"]), (e,))
+    for run in (lambda: sx.evaluate(e, {"x": 0.5}), lambda: field.value_at(np.array([[0.5]]))):
         with pytest.raises(sx.EvaluationDomainError) as err:
             run()
         assert str(err.value) == message and err.value.point == {"x": 0.5}
@@ -314,7 +315,7 @@ def test_substitute_then_evaluate_agrees(e, seed):
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation against the tree walk (the oracle)
+# expression DAGs over a mixed domain
 
 
 MIX = make_domain("mix", [("x", "linear", -1.5, 1.5), ("y", "linear", -1.5, 1.5), ("t", "angular")])
@@ -352,58 +353,29 @@ _dag_steps = st.lists(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    _dag_steps,
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.lists(st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=3, max_size=3), min_size=1, max_size=6),
-)
-def test_compiled_equals_tree_walk_bit_for_bit(steps, width, seed, points):
-    T = sx.var("t")
-    pool = _build_dag(steps, (X, Y, T, sx.Const(0.5), sx.Const(-1.5)))
-    coeffs = tuple(random_polynomial_form(MIX, 1, seed).coeffs.values())
-    exprs = tuple(pool[-width:]) + coeffs + (pool[-1] * coeffs[0],)
-    compiled = sx.lambdify(exprs, MIX.names)
-    columns = np.array(points, dtype=float).T
-    env = dict(zip(MIX.names, columns))
-    try:
-        want = np.array(sx.evaluate_all(exprs, env), dtype=float)
-    except sx.EvaluationDomainError as err:
-        with pytest.raises(sx.EvaluationDomainError) as got:
-            compiled(*columns)
-        assert str(got.value) == str(err)
-        assert got.value.point == err.point
-        return
-    got = compiled(*columns)
-    assert got.shape == (len(exprs), len(points))
-    assert got.tobytes() == want.tobytes()
+# ---------------------------------------------------------------------------
+# a field's values at points, from the tree walk
 
 
-def test_compiled_domain_error_keeps_message_and_witness():
+def test_field_value_domain_error_keeps_message_and_witness():
     exprs = (X + Y, sx.sqrt(X) * sx.exp(Y), sx.pow_(X, -1))
-    point = {"x": -0.25, "y": 0.5}
+    point = {"x": -0.25, "y": 0.5, "z": 0.0}
     with pytest.raises(sx.EvaluationDomainError) as want:
         sx.evaluate(exprs[1], point)
     with pytest.raises(sx.EvaluationDomainError) as got:
-        sx.lambdify(exprs, ("x", "y"))(np.array([-0.25]), np.array([0.5]))
+        VectorField(linear_domain("xyz", ["x", "y", "z"]), exprs).value_at(np.array([[-0.25, 0.5, 0.0]]))
     assert str(got.value) == str(want.value)
     assert got.value.point == want.value.point == point
 
 
-def test_compiled_unknown_coordinate_raises():
-    with pytest.raises(sx.UnknownCoordinateError, match="'z'"):
-        sx.lambdify((X, X * sx.var("z")), ("x", "y"))(np.array([0.5]), np.array([0.5]))
-
-
-def test_compiled_shares_subexpressions_and_constants():
+def test_field_value_shares_subexpressions_and_constants():
     shared = sx.sin(X * Y)
     decay = sx.exp(sx.Const(-math.inf) * X)  # a non-finite constant inside a finite value
-    exprs = (shared, shared * shared, sx.Const(-2.0), decay)
-    got = sx.lambdify(exprs, ("x", "y"))(np.array([0.3, 0.3, 0.3]), np.array([0.7, 0.7, 0.7]))
+    field = VectorField(linear_domain("xyzw", ["x", "y", "z", "w"]), (shared, shared * shared, sx.Const(-2.0), decay))
+    got = field.value_at(np.array([[0.3, 0.7, 0.0, 0.0]] * 3))
     s = math.sin(0.3 * 0.7)
-    assert got.T.tolist() == [[s, s * s, -2.0, 0.0]] * 3  # constants broadcast over the batch
-    assert got[3, 0] == sx.evaluate(decay, {"x": 0.3, "y": 0.7})
+    assert got.tolist() == [[s, s * s, -2.0, 0.0]] * 3  # a constant component fills the batch
+    assert got[0, 3] == sx.evaluate(decay, {"x": 0.3, "y": 0.7})
 
 
 # ---------------------------------------------------------------------------
