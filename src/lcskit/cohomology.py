@@ -87,10 +87,6 @@ class TwistedCochainComplex:
         except ValueError:
             raise CohomologyError(f"no degree-{degree} cells with directions {dirs}") from None
 
-    def cell_index(self, degree: int, dirs: tuple[int, ...], vertex: tuple[int, ...]) -> int:
-        flat = int(np.ravel_multi_index(tuple(vertex), (self.m,) * self.n))
-        return self.subset_offset(degree, dirs) * self.vertex_count + flat
-
 
 def _holonomy_weight(j: int, mu_j: float) -> float:
     """e^(-mu_j), refused unless it is a finite normal float above 0: an

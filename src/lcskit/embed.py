@@ -19,8 +19,8 @@ function into a product embedding certified to pull back the potential,
 the Lee form, and the twisted two-form of a first-kind structure.
 
 Every pullback identity is certified at sample points from one
-:func:`symexpr.jets` walk per chart and sample set
-(:func:`forms.jet_arrays`).  The walk gives a map's images and Jacobians
+:func:`symexpr.jets` walk per chart and sample set, on an env drawn from
+the chart.  Its value and partial blocks are a map's images and Jacobians
 DF, through which the target's forms are pulled back as DFᵀ(a∘F) and
 DFᵀ(a∘F)DF (:func:`forms.sampled_pullback`); the chart's pairs (f, x) are
 subtrees of the stage maps' components, so the same walk gives the given
@@ -278,9 +278,7 @@ def _pulled_and_theta_bar(
     and the walk's gradients.  The pairs are subtrees of the map's
     components, so the walk's memo reads them off the map's own walk."""
     k = len(psi.components)
-    values, grads = forms.jet_arrays(
-        psi.components + tuple(e for fg in pairs for e in fg), psi.source.names, env
-    )
+    values, grads, _ = sx.jets(psi.components + tuple(e for fg in pairs for e in fg), env)
     pulled = forms.sampled_pullback(form, dict(zip(psi.target.names, values[:k])), grads[:k])
     return pulled, _theta_bar(values[k:], grads[k:]), values[:k], grads
 
@@ -523,9 +521,7 @@ def build_lcs_embedding(
         # one walk of the pairs and the circle function: theta_bar and d(tau)
         env = chart.domain.sample_points(samples, seed + 2)
         pairs = problem.chart_pairs(F)
-        values, grads = forms.jet_arrays(
-            tuple(e for fg in pairs for e in fg) + (tau[chart.name],), chart.domain.names, env
-        )
+        values, grads, _ = sx.jets(tuple(e for fg in pairs for e in fg) + (tau[chart.name],), env)
         theta_bar = _theta_bar(values[:-1], grads[:-1])
         pot = forms.values_check(theta_bar - forms.form_values(chart.alpha, env), env, tol)
         if not pot.passed:
@@ -564,7 +560,7 @@ def build_lcs_embedding(
         psi = SmoothMap(chart.domain, target, tuple(comps))
         maps.append((chart.name, psi))
         env = chart.domain.sample_points(samples, seed + 3)
-        values, DF = forms.jet_arrays(psi.components, chart.domain.names, env)
+        values, DF, _ = sx.jets(psi.components, env)
         images = dict(zip(target.names, values))
         for label, form, want in (
             ("pullback(scale * eta) - alpha", eta_c, chart.alpha),

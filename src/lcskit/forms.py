@@ -8,7 +8,7 @@ The exterior calculus that builds new forms (wedge, d, interior product,
 pullback) is symbolic, on top of the :mod:`lcskit.symexpr` kernel;
 equality of forms is always decided by sampled residuals, never
 structurally.  Values at points come from one :func:`symexpr.evaluate_all`
-call per object and sample set.
+call per object and sample set, read as rows of the block it returns.
 
 Identities that are only ever checked at sample points are checked there
 without building derivative trees: :func:`sample_jets` turns forms and
@@ -17,12 +17,14 @@ fields into :class:`SampledForm` values with first derivatives, from one
 sparse index dicts (d from antisymmetrised gradients, wedge and interior
 products pointwise, :func:`lie_derivative` by Cartan's formula and
 :func:`lie_bracket` from the fields' Jacobians).  Pullbacks are taken the
-same way: :func:`jet_arrays` gives a map's images and Jacobians from one
-walk, and :func:`sampled_pullback` pulls a target form back through them.
-That walk is the one route from a :class:`SmoothMap` to values at points:
-images come back unwrapped, and :func:`numeric.wrap_point` reduces their
-angular coordinates where a caller needs them in [0, 1).  A map's symbolic
-Jacobian is built only for the symbolic :func:`pullback`.
+same way: one :func:`symexpr.jets` walk of a map's components on an env
+drawn from its source gives the images and Jacobians DF as its value and
+partial blocks, and :func:`sampled_pullback` pulls a target form back
+through them.  That walk is the one route from a :class:`SmoothMap` to
+values at points: images come back unwrapped, and
+:func:`numeric.wrap_point` reduces their angular coordinates where a caller
+needs them in [0, 1).  A map's symbolic Jacobian is built only for the
+symbolic :func:`pullback`.
 
 Sign conventions used throughout the package:
     * wedge ordering follows the shuffle sign of merging index tuples;
@@ -210,10 +212,6 @@ class DifferentialForm:
         c = self.coeffs.get(key, sx.ZERO)
         return c if sign == 1 else sx.neg(c)
 
-    @property
-    def is_structurally_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         _check_same(self, other)
         merged = dict(self.coeffs)
@@ -278,7 +276,7 @@ class VectorField:
         """The components at points ``x`` (N, dim), in domain order, as
         (N, dim): one :func:`symexpr.evaluate_all` walk on the columns of
         ``x``."""
-        return np.array(sx.evaluate_all(self.components, dict(zip(self.domain.names, np.transpose(x))))).T
+        return sx.evaluate_all(self.components, dict(zip(self.domain.names, np.transpose(x)))).T
 
     @cached_property
     def jet_at(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -291,7 +289,7 @@ class VectorField:
         exprs = self.components + tuple(sx.diff(c, n) for c in self.components for n in names)
 
         def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            out = np.array(sx.evaluate_all(exprs, dict(zip(names, np.transpose(x)))))
+            out = sx.evaluate_all(exprs, dict(zip(names, np.transpose(x))))
             return out[:d].T, np.ascontiguousarray(out[d:].reshape(d, d, len(x)).transpose(2, 0, 1))
 
         return jet
@@ -508,8 +506,9 @@ def nondegeneracy_rank(
 
 
 def evaluate_form(a: DifferentialForm, env: Mapping[str, np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
-    """Evaluate all coefficients at sample points (floats at a single
-    point given by scalars)."""
+    """Evaluate all coefficients at sample points: rows of one
+    :func:`symexpr.evaluate_all` block (numpy floats at a single point
+    given by scalars)."""
     return dict(zip(a.coeffs, sx.evaluate_all(a.coeffs.values(), env)))
 
 
@@ -534,22 +533,6 @@ def _dense(
             out[idx] += vals
             out[idx[::-1]] -= vals
     return out
-
-
-def jet_arrays(exprs: Sequence[Expr], names: Sequence[str], env: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Values (m, n) and gradients (m, len(names), n) of ``m`` expressions at
-    the ``n`` points of ``env``, from one :func:`symexpr.jets` walk: for a
-    map's components, its unwrapped images and Jacobians DF.  Partials by
-    coordinates an expression does not depend on are zero."""
-    index = {name: i for i, name in enumerate(names)}
-    shape = sx.batch_shape(env)
-    values = np.empty((len(exprs),) + shape)
-    grads = np.zeros((len(exprs), len(names)) + shape)
-    for row, (value, grad) in enumerate(sx.jets(exprs, env)):
-        values[row] = value
-        for name, d in grad.items():
-            grads[row, index[name]] = d
-    return values, grads
 
 
 def sampled_pullback(a: DifferentialForm, images: Mapping[str, np.ndarray], J: np.ndarray) -> np.ndarray:
@@ -601,24 +584,28 @@ class SampledForm(NamedTuple):
 def sample_jets(items: Sequence["DifferentialForm | VectorField"], env: Mapping[str, np.ndarray]) -> list[SampledForm]:
     """Sampled forms, with first derivatives, of forms and vector fields on
     one domain, from one :func:`symexpr.jets` walk of all their coefficients
-    and components."""
+    and components on ``env``, an env drawn from that domain (its
+    coordinates in domain order).  Each value and partial is a row view of
+    the walk's blocks."""
     domain = items[0].domain
     for item in items[1:]:
         _check_domains(domain, item.domain)
+    if tuple(env) != domain.names:
+        raise DomainMismatchError(f"env coordinates {tuple(env)} are not those of domain {domain.name!r}")
     keyed = [
         item.coeffs.items() if isinstance(item, DifferentialForm)
         else [((i,), c) for i, c in enumerate(item.components) if not sx.is_structural_zero(c)]
         for item in items
     ]
-    index = {name: i for i, name in enumerate(domain.names)}
-    walked = iter(sx.jets([c for pairs in keyed for _, c in pairs], env))
+    values, partials, structural = sx.jets([c for pairs in keyed for _, c in pairs], env)
+    rows = iter(zip(values, partials, structural))
     out = []
     for pairs in keyed:
-        values, grads = {}, {}
+        vals, grads = {}, {}
         for I, _ in pairs:
-            values[I], grad = next(walked)
-            grads[I] = {index[name]: d for name, d in grad.items()}
-        out.append(SampledForm(values, grads))
+            vals[I], partial, nonzero = next(rows)
+            grads[I] = {m: partial[m] for m in nonzero}
+        out.append(SampledForm(vals, grads))
     return out
 
 

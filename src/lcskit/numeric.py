@@ -22,10 +22,10 @@ located by bisection on that row's dense interpolant, and a row that leaves
 the declared chart box is masked as escaped with that time and point while
 the other rows go on.  Right-hand sides walk the field's expression trees
 (``VectorField.value_at``/``jet_at``) once per call, on whole coordinate
-columns, with the package's one evaluator.  Symbolic maps are not
-evaluated here: their images and Jacobians come from one
-:func:`forms.jet_arrays` walk, and a :class:`PointMap` stands only for
-maps known numerically.
+columns, with the package's one evaluator, whose block of values they
+read directly.  Symbolic maps are not evaluated here: their images and
+Jacobians are the value and partial blocks of one :func:`symexpr.jets`
+walk, and a :class:`PointMap` stands only for maps known numerically.
 """
 
 from __future__ import annotations

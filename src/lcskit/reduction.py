@@ -15,8 +15,11 @@ verifier certifies, at seeded samples, that
 
 The rank of the kernel of the restricted two-form is computed alongside and
 *reported* against the distribution rank; agreement is recorded, never
-assumed, since the two need not coincide in general.  The verifier's linear
-algebra is one stacked SVD over all samples per matrix family.
+assumed, since the two need not coincide in general.  Every symbolic map
+the verifier and the chain read at samples is one :func:`symexpr.jets`
+walk on an env drawn from its source: the walk's value and partial blocks
+are the map's images and Jacobians.  The verifier's linear algebra is one
+stacked SVD over all samples per matrix family.
 
 On top of the verifier, :func:`run_reduction_chain` builds the four-stage
 enlargement of a compatible chart — cotangent-torus extension, jet-space
@@ -212,11 +215,11 @@ class StrongReducibilityReport:
 def _walk(F: "SmoothMap | numeric.PointMap", env, samples: int):
     """A map's kept sample indices, unwrapped images (tgt, kept) and
     Jacobians (tgt, src, kept) at the samples of ``env``.  A symbolic map is
-    walked once by :func:`forms.jet_arrays` and keeps every sample; a point
+    walked once by :func:`symexpr.jets` and keeps every sample; a point
     map runs on the whole batch and keeps the samples where it is defined,
     dropping those whose flows left the chart."""
     if isinstance(F, SmoothMap):
-        values, J = forms.jet_arrays(F.components, F.source.names, env)
+        values, J, _ = sx.jets(F.components, env)
         return np.arange(samples), values, J
     values, J, ok = F(np.column_stack([env[n] for n in F.source.names]))
     (kept,) = np.nonzero(ok)
@@ -275,7 +278,7 @@ def verify_strong_reducibility(
     pb_tol = tol if pullback_tol is None else pullback_tol
 
     env = cdom.sample_points(samples, seed, margin)
-    values, J = forms.jet_arrays(C.components, cdom.names, env)
+    values, J, _ = sx.jets(C.components, env)
     images = dict(zip(amb.domain.names, values))
 
     # tangency of the structure fields along the submanifold
@@ -686,7 +689,7 @@ def build_step3(m2_chart: StructureChart, decomp: LeeDecomposition, settings: Ch
     # one jets walk of the shear gives its images and Jacobians DS; each
     # stage-two form is pulled back through them at the same points
     env = m2_dom.sample_points(settings.samples, settings.seed)
-    values, DS = forms.jet_arrays(shear.components, m2_dom.names, env)
+    values, DS, _ = sx.jets(shear.components, env)
     images = dict(zip(m2_dom.names, values))
     checks = {}
     for label, form, normalized in (
@@ -766,7 +769,7 @@ def build_step4(
         )
     seed, verify_samples = settings.seed, min(settings.verify_samples, TRANSPLANT_VERIFY_CAP)
     env = m1_dom.sample_points(min(verify_samples, TRANSPLANT_RANK_CAP), seed)
-    rank = numeric.jacobian_min_rank(forms.jet_arrays(transplant.components, m1_dom.names, env)[1])
+    rank = numeric.jacobian_min_rank(sx.jets(transplant.components, env)[1])
     if rank != m1_dom.dim:
         raise ReductionError(
             f"transplant rank {rank} < stage-one dimension {m1_dom.dim}; not an embedding"
@@ -837,7 +840,7 @@ class _BackwardGraph(numeric.PointMap):
         y = np.asarray(y, dtype=float)
         s, u, params = y[:, 0], y[:, 1], y[:, 2:]
         names = self._section.source.names
-        z0, J0 = forms.jet_arrays(self._section.components, names, dict(zip(names, params.T)))
+        z0, J0, _ = sx.jets(self._section.components, dict(zip(names, params.T)))
         kept, (mid, J_mid), (x, J_end) = _chained_flows(self._e, z0.T, -u, self._b, -s)
         d = x.shape[1]
         value, J = np.full((len(y), d + 2), np.nan), np.full((len(y), d + 2, y.shape[1]), np.nan)

@@ -15,9 +15,11 @@ pass flag.  :func:`diff` keeps its results on sum, power and call nodes.
 
 Evaluation is vectorised over numpy arrays, by one tree walk with one memo
 per call, so each shared subexpression is computed once per sample set.
-:func:`evaluate_all` (and :func:`evaluate`, its one-expression case) is its
-value mode; :func:`jets` is its jet mode, which also carries each node's
-sparse gradient forward, building no derivative tree.  Any non-finite value
+The walk writes its results straight into dense blocks, one row per
+expression.  :func:`evaluate_all` (and :func:`evaluate`, its one-expression
+case) is its value mode; :func:`jets` is its jet mode, which also carries
+each node's sparse gradient forward, building no derivative tree, and adds
+a block of partials over the env's coordinates.  Any non-finite value
 or partial (a negative radicand, division by zero, the derivative of
 ``sqrt`` at 0) raises :class:`EvaluationDomainError` carrying the offending
 sample point rather than silently propagating ``nan``.  The walk is the
@@ -475,8 +477,8 @@ def _tree_walk(e: Expr, env: Mapping[str, np.ndarray], seen: dict, grads: dict |
     """Value of ``e`` on ``env``: the one tree walk.  ``seen`` maps each
     compound node already walked on this env to its value, so shared
     subtrees run once.  In value mode ``grads`` is None.  In jet mode it
-    maps each env coordinate's variable to its gradient ``{name: 1.0}``, and
-    :func:`_keep_gradient` adds each compound node's once it is walked.
+    maps the variable of the env's coordinate i to its gradient ``{i: 1.0}``,
+    and :func:`_keep_gradient` adds each compound node's once it is walked.
     This body holds no comprehension: one would make its names cells,
     which every call pays for, value mode included."""
     if isinstance(e, Const):
@@ -516,9 +518,10 @@ def _tree_walk(e: Expr, env: Mapping[str, np.ndarray], seen: dict, grads: dict |
 
 def _keep_gradient(e: Expr, env: Mapping[str, np.ndarray], seen: dict, grads: dict) -> None:
     """Keep in ``grads`` the gradient of the compound node ``e``, just
-    walked: ``{name: partial derivative}``, structural zeros absent, from
-    its children's gradients and the values the walk reads back.  An empty
-    gradient is not kept; gradients are shared, never written."""
+    walked: ``{coordinate index: partial derivative}``, structural zeros
+    absent, from its children's gradients and the values the walk reads
+    back.  An empty gradient is not kept; gradients are shared, never
+    written."""
     if isinstance(e, Add):
         grad = {}
         for t in e.terms:
@@ -561,87 +564,86 @@ def batch_shape(env: Mapping[str, "np.ndarray | float"]) -> tuple[int, ...]:
     return next((np.shape(v) for v in env.values() if np.ndim(v)), ())
 
 
-def _walk_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"], jet: bool) -> list:
+def _walk_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"], jet: bool):
     """The one driver of :func:`_tree_walk`: :func:`evaluate_all`, or with
-    ``jet`` :func:`jets`, with the shapes, checks and errors they state."""
+    ``jet`` :func:`jets`, writing each result into the blocks they return
+    and raising the errors they state."""
+    exprs = tuple(exprs)
     env_arr = {k: np.asarray(v, dtype=float) for k, v in env.items()}
+    names = tuple(env_arr)
     shape = batch_shape(env_arr)
+    values = np.empty((len(exprs), *shape))
     seen: dict = {}
-    grads = {Var(k): {k: 1.0} for k in env_arr} if jet else None
-    walked, raw, unbound = [], [], None  # raw: each value, then in jet mode its partials
+    if jet:
+        partials = np.zeros((len(exprs), len(names), *shape))
+        structural, grads = [], {Var(k): {i: 1.0} for i, k in enumerate(names)}
+    else:
+        grads = None
+    walked, unbound = 0, None
     with np.errstate(all="ignore"):
         for e in exprs:
             try:
-                raw.append(_tree_walk(e, env_arr, seen, grads))
+                values[walked] = _tree_walk(e, env_arr, seen, grads)
             except UnknownCoordinateError as err:
                 unbound = err
                 break
-            walked.append(e)
             if jet:
-                raw.extend(grads.get(e, _NO_GRADIENT).values())
-    packed, arrays, constants = [], [], {}
-    for out in raw:
-        if isinstance(out, np.ndarray) and out.ndim:
-            arrays.append(out)
-        elif shape:  # a constant: one shared array per value
-            value = float(out)
-            out = constants.get(value)
-            if out is None:
-                out = constants[value] = np.full(shape, value)
-        else:  # a value on an all-scalar env
-            out = float(out)
-        packed.append(out)
-    if jet:
-        entries = iter(packed)
-        packed = [(next(entries), {k: next(entries) for k in grads.get(e, _NO_GRADIENT)}) for e in walked]
-    scalars = constants if shape else raw
-    if not all(map(math.isfinite, scalars)) or (arrays and not np.isfinite(np.concatenate(arrays, axis=None)).all()):
-        for e, result in zip(walked, packed):  # find the first, in order: each value, then its partials
-            value, partials = result if jet else (result, _NO_GRADIENT)
-            for what, v in (("value", value), *((f"derivative by '{k}'", d) for k, d in partials.items())):
-                if not np.all(np.isfinite(v)):
-                    raise _domain_error(what, e, np.asarray(v), env_arr)
+                grad = grads.get(e, _NO_GRADIENT)
+                for m, d in grad.items():
+                    partials[walked, m] = d
+                structural.append(list(grad))
+            walked += 1
+    if not np.isfinite(values[:walked]).all() or (jet and not np.isfinite(partials[:walked]).all()):
+        for i in range(walked):  # find the first, in order: each value, then its partials
+            rows = [("value", values[i])]
+            if jet:
+                rows += [(f"derivative by '{names[m]}'", partials[i, m]) for m in structural[i]]
+            for what, v in rows:
+                if not np.isfinite(v).all():
+                    raise _domain_error(what, exprs[i], v, env_arr)
     if unbound is not None:
         raise unbound
-    return packed
+    return (values, partials, structural) if jet else values
 
 
-def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> list:
+def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> np.ndarray:
     """Evaluate several expressions on one env, each subexpression once (one
     memo spans the call): the value mode of the one tree walk.
 
-    Each result has the batch shape of ``env`` (see :func:`batch_shape`): an
-    array whenever any env value is an array, constants included, and a
-    float for an all-scalar env.  The same node gives the same object twice,
-    as does the same constant value, and a bare variable gives the env's own
-    array: read results, do not write them.  Results are checked in order,
-    and the first expression with a non-finite value raises
-    :class:`EvaluationDomainError` (with the first offending sample point);
-    an unbound variable raises :class:`UnknownCoordinateError` unless an
-    earlier expression is non-finite, and expressions after it are not
-    evaluated.
+    Returns one float64 array of shape ``(len(exprs), *batch)``, with
+    ``batch`` the shape of ``env`` (see :func:`batch_shape`; ``()`` for an
+    all-scalar env): row i holds expression i, constants broadcast over the
+    batch.  The block is checked for finiteness once; when it holds a
+    non-finite entry, the first expression, in order, with a non-finite
+    value raises :class:`EvaluationDomainError` (with its first offending
+    sample point).  An unbound variable raises
+    :class:`UnknownCoordinateError` unless an earlier expression is
+    non-finite, and expressions after it are not evaluated.
     """
     return _walk_all(exprs, env, jet=False)
 
 
 def evaluate(e: Expr, env: Mapping[str, "np.ndarray | float"]):
-    """Evaluate one expression on scalars or equal-length arrays: the
-    one-expression case of :func:`evaluate_all`, with its result shape and
-    errors."""
-    return evaluate_all((e,), env)[0]
+    """Evaluate one expression on scalars or equal-length arrays: row 0 of
+    :func:`evaluate_all`, with its errors; a float on an all-scalar env."""
+    out = evaluate_all((e,), env)[0]
+    return out if out.ndim else float(out)
 
 
-def jets(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> list[tuple]:
+def jets(exprs: Iterable[Expr], env: Mapping[str, "np.ndarray | float"]) -> tuple:
     """Values and first derivatives of several expressions on one env: the
     jet mode of the one tree walk, which is forward mode (Griewank & Walther,
     *Evaluating Derivatives*, 2008) and builds no derivative tree.
 
-    Each result is ``(value, gradient)``: the value is :func:`evaluate_all`'s,
-    bit for bit, and the gradient maps each coordinate the expression
-    depends on structurally to the partial derivative there (structural
-    zeros are absent).  Every entry is shaped, shared and checked as
-    :func:`evaluate_all`'s results are, each value before its partials, and
-    a non-finite partial raises :class:`EvaluationDomainError` naming it.
+    Returns ``(values, partials, structural)``.  ``values`` is
+    :func:`evaluate_all`'s block, bit for bit.  ``partials`` has shape
+    ``(len(exprs), len(env), *batch)``: row i, column j holds the partial
+    derivative of expression i by the env's j-th coordinate (env order).
+    ``structural[i]`` lists the coordinate indices where that partial is
+    structurally nonzero; every other entry is 0.0.  Both blocks are
+    checked as :func:`evaluate_all`'s is, each value before its structural
+    partials, and a non-finite partial raises
+    :class:`EvaluationDomainError` naming it.
     """
     return _walk_all(exprs, env, jet=True)
 

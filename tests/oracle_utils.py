@@ -319,14 +319,14 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 def evaluate_jacobian(F: SmoothMap, env) -> np.ndarray:
     """Jacobian of a map at sample points, shape (tgt, src, *batch), from its
     symbolic Jacobian trees: the derivative-tree route to the Jacobians
-    ``forms.jet_arrays`` walks."""
+    ``symexpr.jets`` walks."""
     vals = sx.evaluate_all([e for row in F.jacobian for e in row], env)
-    return np.array(vals).reshape(F.target.dim, F.source.dim, *sx.batch_shape(env))
+    return vals.reshape(F.target.dim, F.source.dim, *sx.batch_shape(env))
 
 
 class JetsPointMap(PointMap):
     """A symbolic map behind the point-map interface: values and Jacobians
-    from one ``forms.jet_arrays`` walk of the points, unwrapped, every row
+    from one ``symexpr.jets`` walk of the points, unwrapped, every row
     defined."""
 
     def __init__(self, F: SmoothMap):
@@ -334,7 +334,7 @@ class JetsPointMap(PointMap):
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         names = self.source.names
-        values, J = forms.jet_arrays(self.map.components, names, dict(zip(names, np.transpose(x))))
+        values, J, _ = sx.jets(self.map.components, dict(zip(names, np.transpose(x))))
         return values.T, np.moveaxis(J, -1, 0), np.ones(len(x), dtype=bool)
 
 
@@ -482,7 +482,8 @@ def axis_rescaling_potential(C: TwistedCochainComplex, axis: int, c: float) -> n
 
 def cut_coboundaries(C: TwistedCochainComplex) -> tuple[sparse.csr_matrix, ...]:
     """The coboundaries D_0..D_(n-1) of the cut complex as sparse matrices,
-    rows and columns ordered (direction subset, vertex) as ``C.cell_index``.
+    rows and columns ordered by direction subset (``C.subsets``), then by
+    vertex, row-major.
 
     The block of D_k from subset T - t to T, t = T[i], is (-1)^i times the
     weighted difference along axis t, x(v) -> c_t(v) x(v + e_t) - x(v), with

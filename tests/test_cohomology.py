@@ -87,12 +87,9 @@ def test_coboundary_squares_to_zero_exactly(n, m, mu):
         assert np.max(np.abs(product)) <= bound
 
 
-
-def test_cell_index_roundtrip():
+def test_subset_offset_refuses_unknown_directions():
     C = coh.build_torus_complex(2, 4)
-    assert C.cell_index(0, (), (0, 0)) == 0
-    assert C.cell_index(1, (1,), (0, 0)) == C.vertex_count
-    assert C.cell_index(2, (0, 1), (3, 2)) == int(np.ravel_multi_index((3, 2), (4, 4)))
+    assert C.subset_offset(1, (1,)) == 1
     with pytest.raises(coh.CohomologyError):
         C.subset_offset(1, (5,))
 
@@ -377,18 +374,24 @@ def test_gauge_conjugation_preserves_betti():
     assert betti_numbers_svd(conjugated, C.cells) == coh.twisted_betti(C)
 
 
+def _cell(C, degree: int, dirs: tuple[int, ...], vertex: tuple[int, ...]) -> int:
+    """Index of a cell in the coboundaries of ``oracle.cut_coboundaries``:
+    its direction subset's block, then its vertex, row-major."""
+    return C.subset_offset(degree, dirs) * C.vertex_count + int(np.ravel_multi_index(vertex, (C.m,) * C.n))
+
+
 def test_axis_rescaling_moves_cut_weight():
     C = coh.build_torus_complex(2, 4, (1.0, 0.0))
     c = 0.7
     moved = gauge_conjugate(C, axis_rescaling_potential(C, 0, c))[0]
-    cut_row = C.cell_index(1, (0,), (3, 0))
-    cut_col = C.cell_index(0, (), (0, 0))
+    cut_row = _cell(C, 1, (0,), (3, 0))
+    cut_col = _cell(C, 0, (), (0, 0))
     D0 = cut_coboundaries(C)[0]
     original = D0[cut_row, cut_col]
     assert np.isclose(original, math.exp(-1.0))
     assert np.isclose(moved[cut_row, cut_col], original * math.exp(-c))
-    next_row = C.cell_index(1, (0,), (0, 0))
-    next_col = C.cell_index(0, (), (1, 0))
+    next_row = _cell(C, 1, (0,), (0, 0))
+    next_col = _cell(C, 0, (), (1, 0))
     assert np.isclose(D0[next_row, next_col], 1.0)
     assert np.isclose(moved[next_row, next_col], math.exp(c))
 

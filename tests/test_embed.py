@@ -140,7 +140,7 @@ def test_sphere_check_from_the_walk_agrees_with_the_symbolic_constraint(factory)
     for sol, radius in ((sol2, sol2.r2), (embed.build_psi3(sol2, CORPUS), 1.0)):
         for _name, psi in sol.maps:
             env = psi.source.sample_points(60, seed=8)
-            images, _ = forms.jet_arrays(psi.components, psi.source.names, env)
+            images, _, _ = sx.jets(psi.components, env)
             walked = embed._sphere_check(images, radius, env, 1e-9).max_residual
             expr = sx.add(*(sx.pow_(c, 2) for c in psi.components), sx.Const(-radius * radius))
             symbolic = float(np.max(np.abs(sx.evaluate(expr, env))))
@@ -164,7 +164,7 @@ def test_stage2_radius_fault_is_told_from_other_walk_errors(monkeypatch):
     def failing_walk(*args):
         raise sx.EvaluationDomainError("planted walk error")
 
-    monkeypatch.setattr(forms, "jet_arrays", failing_walk)
+    monkeypatch.setattr(sx, "jets", failing_walk)
     with pytest.raises(sx.EvaluationDomainError, match="planted walk error"):
         embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
 

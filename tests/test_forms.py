@@ -107,7 +107,7 @@ def test_unordered_coefficients_are_normalised():
     a = DifferentialForm(R3, 2, {(1, 0): sx.ONE})
     assert a.coefficient((0, 1)) == sx.Const(-1.0)
     b = DifferentialForm(R3, 2, {(0, 0): sx.ONE})
-    assert b.is_structurally_zero
+    assert not b.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_wedge_with_function_scales():
 def test_wedge_beyond_top_degree_is_zero():
     a = random_polynomial_form(R2, 1, seed=1)
     b = random_polynomial_form(R2, 2, seed=2)
-    assert wedge(a, b).is_structurally_zero
+    assert not wedge(a, b).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def test_angular_targets_wrap_mod_one():
     circle = forms.make_domain("s1", [("t", ANGULAR)])
     line = linear_domain("line", ["s"], 0.0, 1.0)
     F = SmoothMap(line, circle, (sx.var("s") + sx.Const(0.75),))
-    values, _ = forms.jet_arrays(F.components, line.names, {"s": np.array([0.5, 0.1])})
+    values, _, _ = sx.jets(F.components, {"s": np.array([0.5, 0.1])})
     assert np.allclose(values, [[1.25, 0.85]])
     assert np.allclose(numeric.wrap_point(circle, values.T).T, [[0.25, 0.85]])
 
@@ -427,7 +427,7 @@ def test_evaluate_jacobian_against_finite_differences():
     x, y = sx.var("x"), sx.var("y")
     F = SmoothMap(R2, R3, (x * y, sx.Const(2.0), sx.sin(x) + y))
     env = R2.sample_points(5, seed=1)
-    _, jets_J = forms.jet_arrays(F.components, R2.names, env)
+    _, jets_J, _ = sx.jets(F.components, env)
     assert jets_J.shape == (3, 2, 5)
 
     def value(p):
@@ -486,3 +486,11 @@ def test_sampled_d_needs_first_derivatives():
     [sa] = forms.sample_jets((random_polynomial_form(MIXED, 1, 5),), MIXED.sample_points(4, 0))
     with pytest.raises(forms.FormError):
         forms.sampled_d(sa.flat)
+
+
+def test_sample_jets_refuses_an_env_out_of_domain_order():
+    """Partials are indexed by env position, which must be the domain's."""
+    a = random_polynomial_form(MIXED, 1, 5)
+    env = MIXED.sample_points(4, 0)
+    with pytest.raises(forms.DomainMismatchError):
+        forms.sample_jets((a,), dict(reversed(env.items())))

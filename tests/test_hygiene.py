@@ -456,7 +456,7 @@ def test_no_module_names_a_retired_judge(path):
 # The value walker and the jet walker that the one tree walk, in its value
 # and jet modes, replaced, and the code generator that compiled flow
 # right-hand sides beside it.
-RETIRED_WALKERS = ("_eval_raw", "_jet_raw", "lambdify", "_generate")
+RETIRED_WALKERS = ("_eval_raw", "_jet_raw", "lambdify", "_generate", "jet_arrays")
 
 
 def retired_walker_names(source: str) -> list[int]:
@@ -474,8 +474,10 @@ def test_walker_scanner_finds_retired_walkers():
         "monkeypatch.setattr(sx, '_eval_raw', f)\n"
         "func = sx.lambdify(exprs, names)\n"
         "raw = _generate(exprs, names) or _generated or lambdify_all\n"
+        "values, J = forms.jet_arrays(F.components, names, env)\n"
+        "values, J, _ = sx.jets(F.components, env)  # jet_arrays_v2, my_jet_arrays\n"
     )
-    assert retired_walker_names(source) == [1, 3, 5, 6, 7, 8]
+    assert retired_walker_names(source) == [1, 3, 5, 6, 7, 8, 9]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -170,7 +170,7 @@ def test_pulled_values_equal_the_symbolic_pullback(seed, dims):
     F = random_map(source, target, seed)
     env = source.sample_points(20, seed)
     images = dict(zip(target.names, sx.evaluate_all(F.components, env)))
-    values, jets_J = forms.jet_arrays(F.components, source.names, env)
+    values, jets_J, _ = sx.jets(F.components, env)
     assert np.array_equal(values, np.array(list(images.values())))
     cases = []
     for degree in (1, 2)[:tgt]:
@@ -382,13 +382,13 @@ def test_rank_deficient_transplant_is_not_an_embedding(plane_chain, monkeypatch)
     assert dict(step4.extras)["transplant_rank"] == 2.0
     a = sx.var("a")
     flat = forms.SmoothMap(step1.chart.domain, reduction.universal_base_domain(0, 4), (a, a, sx.ZERO, sx.ZERO))
-    walked, jet_arrays = [], forms.jet_arrays
+    walked, jets = [], sx.jets
 
-    def spy(exprs, names, env):
+    def spy(exprs, env):
         walked.append(tuple(exprs))
-        return jet_arrays(exprs, names, env)
+        return jets(exprs, env)
 
-    monkeypatch.setattr(forms, "jet_arrays", spy)
+    monkeypatch.setattr(sx, "jets", spy)
     with pytest.raises(reduction.ReductionError, match=r"transplant rank 1 < stage-one dimension 2; not an embedding"):
         reduction.build_step4(step3.chart, step1.chart, flat, (), reduction.ChainSettings())
     assert walked == [flat.components]

@@ -607,11 +607,17 @@ def _outcome(run):
         return type(err), str(err), getattr(err, "point", None)
 
 
-def _same_values(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert type(g) is type(w) and np.shape(g) == np.shape(w)
-        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+def _is_block(got, rows: int, env) -> None:
+    """``got`` is one float64 array of shape (rows, *batch) for ``env``."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == (rows, *sx.batch_shape(env))
+
+
+def _same_rows(block, want) -> None:
+    """Row i of ``block`` is bitwise ``want[i]``, one evaluate per row."""
+    assert len(block) == len(want)
+    for row, w in zip(block, want):
+        assert np.asarray(row).tobytes() == np.asarray(w, dtype=float).tobytes()
 
 
 _points = st.lists(
@@ -652,7 +658,8 @@ def test_evaluate_all_equals_one_evaluate_per_expression(steps, points, scalar, 
         assert got == want
         return
     assert got[0] == "ok"
-    _same_values(got[1], want[1])
+    _is_block(got[1], len(exprs), env)
+    _same_rows(got[1], want[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -678,15 +685,20 @@ def test_evaluate_all_names_the_first_non_finite_before_a_later_unbound_variable
 
 def test_evaluate_all_broadcasts_each_constant_value_once():
     env = {"x": np.array([0.5, -0.25])}
-    a, b, c = sx.evaluate_all([sx.Const(3.0), X, sx.Const(3.0)], env)
-    assert a is c and a.shape == (2,) and np.all(a == 3.0)
-    assert b is env["x"]
+    got = sx.evaluate_all([sx.Const(3.0), X, sx.Const(3.0)], env)
+    _is_block(got, 3, env)
+    assert got.tolist() == [[3.0, 3.0], [0.5, -0.25], [3.0, 3.0]]
+    assert not np.shares_memory(got, env["x"])  # a bare variable is copied into its row
 
 
 def test_evaluate_all_of_nothing_and_of_scalars():
-    assert sx.evaluate_all([], {"x": np.zeros(3)}) == []
+    nothing = sx.evaluate_all([], {"x": np.zeros(3)})
+    _is_block(nothing, 0, {"x": np.zeros(3)})
     got = sx.evaluate_all([X * Y, sx.Const(3.0)], {"x": 2.0, "y": 0.25})
-    assert got == [0.5, 3.0] and all(type(v) is float for v in got)
+    _is_block(got, 2, {"x": 2.0})
+    assert got.tolist() == [0.5, 3.0]
+    value = sx.evaluate(X * Y, {"x": 2.0, "y": 0.25})
+    assert type(value) is float and value == 0.5
 
 
 def test_evaluate_all_never_enters_jet_mode(monkeypatch):
@@ -787,25 +799,33 @@ def test_jets_equal_the_tree_walk_of_diff(steps, points):
         derivatives = [sx.diff(e, n) for e in exprs for n in MIX.names]
         assert _outcome(lambda: sx.evaluate_all(derivatives, env))[0] is sx.EvaluationDomainError
         return
+    values, partials, structural = got[1]
+    assert values.tobytes() == want[1].tobytes()
+    assert partials.dtype == np.float64 and partials.shape == (len(exprs), len(MIX.names), len(points))
+    assert len(structural) == len(exprs)
     memo = {}
-    for e, value, (jet_value, gradient) in zip(exprs, want[1], got[1]):
-        assert jet_value.tobytes() == value.tobytes()
-        for n in MIX.names:
+    for e, rows, nonzero in zip(exprs, partials, structural):
+        assert len(set(nonzero)) == len(nonzero)
+        for m, n in enumerate(MIX.names):
             d = sx.diff(e, n)
-            if n not in gradient:
+            if m not in nonzero:
                 assert sx.is_structural_zero(d)
+                assert rows[m].tobytes() == np.zeros_like(rows[m]).tobytes()
                 continue
             tree = sx.evaluate(d, env)
             bound = JET_ULPS * (np.finfo(float).eps * _magnitude(d, env, memo) + np.finfo(float).tiny)
-            assert np.all(np.abs(gradient[n] - tree) <= bound)
+            assert np.all(np.abs(rows[m] - tree) <= bound)
 
 
 def test_jets_of_scalars_and_constants():
-    got = sx.jets([X * Y, sx.Const(3.0), sx.sin(X)], {"x": 2.0, "y": 0.25})
-    assert got == [(0.5, {"x": 0.25, "y": 2.0}), (3.0, {}), (math.sin(2.0), {"x": math.cos(2.0)})]
-    [(value, gradient)] = sx.jets([sx.Const(3.0) * X], {"x": np.zeros(4)})
-    assert value.shape == gradient["x"].shape == (4,)
-    assert gradient["x"].tolist() == [3.0] * 4
+    values, partials, structural = sx.jets([X * Y, sx.Const(3.0), sx.sin(X)], {"x": 2.0, "y": 0.25})
+    assert values.tolist() == [0.5, 3.0, math.sin(2.0)]
+    assert partials.tolist() == [[0.25, 2.0], [0.0, 0.0], [math.cos(2.0), 0.0]]
+    assert [sorted(s) for s in structural] == [[0, 1], [], [0]]
+    values, partials, structural = sx.jets([sx.Const(3.0) * X], {"y": np.ones(4), "x": np.zeros(4)})
+    assert values.shape == (1, 4) and partials.shape == (1, 2, 4)
+    assert partials[0].tolist() == [[0.0] * 4, [3.0] * 4]  # columns in env order
+    assert structural == [[1]]
 
 
 def test_jets_domain_error_keeps_message_and_witness_of_the_tree_walk():
