@@ -11,8 +11,12 @@ generator back to the given one-form exactly:
 * stage 2 appends a closing pair ``(2 phi, 1)`` whose pullback contribution
   ``d(phi)`` cancels the stage-1 defect (the variant pair ``(phi, 1)``
   contributes only half and leaves a measured defect of ``(1/2) d(phi)``);
-* stage 3 rescales onto the unit sphere; the compensating constant is the
+* stage 3 rescales onto the unit sphere of the delivered target, whose
+  pairs past stage 2's are held at zero; the compensating constant is the
   squared stage-2 radius.
+
+Each check is labelled ``stage2:`` or ``stage3:`` by the stage that made it,
+so each unit-sphere map is certified once, on the target it is delivered on.
 
 ``build_lcs_embedding`` combines the unit-sphere map with a circle-valued
 function into a product embedding certified to pull back the potential,
@@ -98,7 +102,7 @@ class EmbedSettings:
     """An embedding's settings, with an ``embed`` task's defaults.  Each stage
     draws ``samples`` points per chart from ``seed`` and judges its checks
     at ``tol``; the stage-2 radius is ``rho`` times the sampled supremum;
-    the sphere pipeline pads to ``pairs`` pairs (None: no padding)."""
+    stage 3 lands on the unit sphere of ``pairs`` pairs (None: stage 2's)."""
 
     samples: int = 200
     tol: float = 1e-9
@@ -228,8 +232,9 @@ class EmbeddingSolution:
     is None until stage 3.  For the half-strength closing pair, ``defects``
     certifies that the measured pullback defect equals (1/2) d(phi).
     ``certifications`` holds every check the pipeline made up to this
-    solution, labelled ``stage2:``, ``stage3:`` or ``pad<N>:`` by the stage
-    that made it.
+    solution, labelled ``stage2:`` or ``stage3:`` by the stage that made it;
+    a stage-3 solution's maps, ``ambient`` and ``pairs`` are the delivered
+    target's, and its checks were made there.
     """
 
     problem: EmbeddingProblem
@@ -281,28 +286,6 @@ def _pulled_and_theta_bar(
     values, grads, _ = sx.jets(psi.components + tuple(e for fg in pairs for e in fg), env)
     pulled = forms.sampled_pullback(form, dict(zip(psi.target.names, values[:k])), grads[:k])
     return pulled, _theta_bar(values[k:], grads[k:]), values[:k], grads
-
-
-def _unit_sphere_certs(
-    problem: EmbeddingProblem, maps, eta_c: DifferentialForm, settings: EmbedSettings, label: str, where: str
-) -> list[tuple[str, ZeroCheck]]:
-    """Certify each unit-sphere map at the stage-2 points: the identity
-    psi*(c eta) = theta_bar and the constraint |psi|^2 = 1, labelled
-    ``<label>:<chart>:pullback`` and ``:sphere``.  A failed check raises
-    :class:`CertificationError` naming ``where``."""
-    certs = []
-    for cname, psi in maps:
-        F = dict(problem.charts)[cname]
-        env = psi.source.sample_points(settings.samples, settings.seed + 1)
-        pulled, theta_bar, images, _ = _pulled_and_theta_bar(psi, eta_c, problem.chart_pairs(F), env)
-        for kind, what, check in (
-            ("pullback", "pullback", forms.values_check(pulled - theta_bar, env, settings.tol)),
-            ("sphere", "sphere constraint", _sphere_check(images, 1.0, env, settings.tol)),
-        ):
-            if not check.passed:
-                raise CertificationError(f"{where} {what} on chart {cname!r}", check)
-            certs.append((f"{label}:{cname}:{kind}", check))
-    return certs
 
 
 def build_psi2(problem: EmbeddingProblem, settings: EmbedSettings, doubled_pair: bool) -> EmbeddingSolution:
@@ -374,17 +357,24 @@ def build_psi2(problem: EmbeddingProblem, settings: EmbedSettings, doubled_pair:
 def _scaled_maps(
     maps: Sequence[tuple[str, SmoothMap]], target: CoordinateDomain, factor: float
 ) -> tuple[tuple[str, SmoothMap], ...]:
+    """The maps times ``factor``, into ``target``: the coordinates past a
+    map's own are zero."""
     out = []
     for cname, psi in maps:
         comps = tuple(sx.mul(sx.Const(factor), c) for c in psi.components)
+        comps += (sx.ZERO,) * (target.dim - len(comps))
         out.append((cname, SmoothMap(psi.source, target, comps)))
     return tuple(out)
 
 
 def build_psi3(solution: EmbeddingSolution, settings: EmbedSettings) -> EmbeddingSolution:
-    """Third stage: rescale onto the unit sphere; the compensating constant
-    is the squared stage-2 radius.  The stage-2 certificates are kept next
-    to this stage's own, each labelled by its stage."""
+    """Third stage: rescale onto the unit sphere of ``settings.pairs`` pairs
+    (None: the stage-2 pairs), the pairs past stage 2's held at zero; the
+    compensating constant is the squared stage-2 radius.  Each map is
+    certified once, at the stage-2 points, on the sphere it lands on: the
+    identity psi*(c eta) = theta_bar and the constraint |psi|^2 = 1,
+    labelled ``stage3:<chart>:pullback`` and ``:sphere``, next to the
+    stage-2 certificates."""
     if solution.stage != 2:
         raise EmbedError("build_psi3 consumes a stage-2 solution")
     if not solution.doubled_pair:
@@ -392,52 +382,32 @@ def build_psi3(solution: EmbeddingSolution, settings: EmbedSettings) -> Embeddin
             "the half-strength closing pair does not satisfy the exact identity; "
             "build stage 2 with doubled_pair=True first"
         )
-    r2 = solution.r2
-    target = _sphere_target(f"{solution.problem.name}_stage3", solution.pairs, 1.0)
+    N = solution.pairs if settings.pairs is None else settings.pairs
+    if N < solution.pairs:
+        raise TargetTooSmallError(f"target with {N} pairs cannot hold an image using {solution.pairs}")
+    problem, r2 = solution.problem, solution.r2
+    target = _sphere_target(f"{problem.name}_stage3", N, 1.0)
     maps = _scaled_maps(solution.maps, target, 1.0 / r2)
     c = r2 * r2
-    eta_c = _eta_on(target, solution.pairs, scale=c)
-    certs = solution.certifications + tuple(
-        _unit_sphere_certs(solution.problem, maps, eta_c, settings, "stage3", "stage 3")
-    )
-    return EmbeddingSolution(
-        solution.problem, 3, maps, target, solution.pairs, r2, c, solution.doubled_pair, certs, ()
-    )
-
-
-def pad_to_dimension(solution: EmbeddingSolution, N: int, settings: EmbedSettings) -> EmbeddingSolution:
-    """Extend a unit-sphere solution by zero coordinate pairs up to N pairs,
-    keeping the certificates of the stages before and certifying the padded
-    maps' pullback and sphere constraint."""
-    if solution.stage != 3:
-        raise EmbedError("padding applies to unit-sphere (stage-3) solutions")
-    if N < solution.pairs:
-        raise TargetTooSmallError(
-            f"target with {N} pairs cannot hold an image using {solution.pairs}"
-        )
-    if N == solution.pairs:
-        return solution
-    target = _sphere_target(f"{solution.problem.name}_stage3_pad{N}", N, 1.0)
-    zeros = (sx.ZERO,) * (2 * (N - solution.pairs))
-    maps = tuple(
-        (cname, SmoothMap(psi.source, target, tuple(psi.components) + zeros))
-        for cname, psi in solution.maps
-    )
-    eta_c = _eta_on(target, N, scale=solution.scale)
-    certs = solution.certifications + tuple(
-        _unit_sphere_certs(solution.problem, maps, eta_c, settings, f"pad{N}", "padded")
-    )
-    return EmbeddingSolution(
-        solution.problem, 3, maps, target, N, solution.r2, solution.scale, solution.doubled_pair, certs, ()
-    )
+    eta_c = _eta_on(target, N, scale=c)
+    certs = list(solution.certifications)
+    for cname, psi in maps:
+        env = psi.source.sample_points(settings.samples, settings.seed + 1)
+        pairs = problem.chart_pairs(dict(problem.charts)[cname])
+        pulled, theta_bar, images, _ = _pulled_and_theta_bar(psi, eta_c, pairs, env)
+        for kind, what, check in (
+            ("pullback", "pullback", forms.values_check(pulled - theta_bar, env, settings.tol)),
+            ("sphere", "sphere constraint", _sphere_check(images, 1.0, env, settings.tol)),
+        ):
+            if not check.passed:
+                raise CertificationError(f"stage 3 {what} on chart {cname!r}", check)
+            certs.append((f"stage3:{cname}:{kind}", check))
+    return EmbeddingSolution(problem, 3, maps, target, N, r2, c, solution.doubled_pair, tuple(certs), ())
 
 
 def build_sphere_pipeline(problem: EmbeddingProblem, settings: EmbedSettings) -> EmbeddingSolution:
-    """Stages 2 and 3 end to end, padded to ``settings.pairs`` pairs if set."""
-    sol = build_psi3(build_psi2(problem, settings, doubled_pair=True), settings)
-    if settings.pairs is not None:
-        sol = pad_to_dimension(sol, settings.pairs, settings)
-    return sol
+    """Stages 2 and 3 end to end, onto ``settings.pairs`` pairs if set."""
+    return build_psi3(build_psi2(problem, settings, doubled_pair=True), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +581,7 @@ def _image_separation(
 ) -> tuple[float, int]:
     """Smallest image distance over sample pairs at source distance above
     ``min_source``, and the number of such pairs.  Structurally zero target
-    components (the padding pairs) add nothing to a distance and are
+    components (stage 3's zero pairs) add nothing to a distance and are
     skipped; angular ones need no wrapping, as the circle distance is taken
     modulo 1."""
     env = psi.source.sample_points(samples, seed)

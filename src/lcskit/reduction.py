@@ -251,14 +251,12 @@ def _off_span(J: np.ndarray, fields: np.ndarray) -> tuple[float, ...]:
 
 
 def verify_strong_reducibility(
-    data: ReducibleData,
-    samples: int = 200,
-    seed: int = 0,
-    margin: float = SECTION_MARGIN,
-    tol: float = 1e-8,
-    pullback_tol: float | None = None,
+    data: ReducibleData, samples: int, seed: int, margin: float, tol: float, pullback_tol: float
 ) -> StrongReducibilityReport:
-    """Certify a reducible datum at seeded samples.
+    """Certify a reducible datum at ``samples`` points drawn from ``seed``,
+    each linear interval of the chart shrunk by the fraction ``margin``: the
+    fields' tangency is held to ``tol``, the reduced forms' pullbacks to
+    ``pullback_tol``.
 
     The restrictions C*a of the ambient forms to the submanifold are taken
     at the samples, never built as expressions: the ambient Lee form,
@@ -275,7 +273,6 @@ def verify_strong_reducibility(
     amb = data.ambient
     C = data.submanifold
     cdom = C.source
-    pb_tol = tol if pullback_tol is None else pullback_tol
 
     env = cdom.sample_points(samples, seed, margin)
     values, J, _ = sx.jets(C.components, env)
@@ -316,7 +313,7 @@ def verify_strong_reducibility(
     # the restricted forms were evaluated at every sample above; keep the survivors
     kept_env = {n: v[kept] for n, v in env.items()}
     pullback_checks = [
-        (label, sx.is_zero([forms.sampled_pullback(form, q_env, Jq) - restricted[..., kept]], kept_env, pb_tol))
+        (label, sx.is_zero([forms.sampled_pullback(form, q_env, Jq) - restricted[..., kept]], kept_env, pullback_tol))
         for label, form, restricted in (
             ("alpha", data.reduced.alpha, alpha_rows),
             ("lee", data.reduced.lee, lee_rows),
@@ -332,7 +329,7 @@ def verify_strong_reducibility(
     )
     return StrongReducibilityReport(
         data.name, b_tan, e_tan, distribution_rank, two_form_kernel_rank, ranks_agree,
-        gap, pullback_residuals, used, skipped, tol, pb_tol, GAP_TOL, passed,
+        gap, pullback_residuals, used, skipped, tol, pullback_tol, GAP_TOL, passed,
     )
 
 

@@ -194,12 +194,12 @@ def test_a_corpus_task_draws_its_samples_above_the_floor(monkeypatch, via, sampl
     opts = report.RunOptions(samples=samples if via == "flag" else None)
     records = report.run_manifest(manifest, opts).records
     assert [r.name for r in records if r.passed] == ["embed:corpus:circle", "embed:corpus:circle:literal-defect"]
-    # the radius bound and stages 2, 3 and the padding; again bound and stage 2 for the literal defect
-    assert counts == [drawn] * 6
+    # the radius bound and stages 2 and 3; again bound and stage 2 for the literal defect
+    assert counts == [drawn] * 5
 
 
 # ---------------------------------------------------------------------------
-# stage 3 and padding
+# stage 3, onto the delivered target
 
 
 def test_psi3_circle_end_to_end():
@@ -258,39 +258,51 @@ def test_unit_radius_homothety_is_identity():
 
 
 def test_padding_preserves_identity():
-    sol = embed.build_psi3(embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True), CORPUS)
-    padded = embed.pad_to_dimension(sol, 4, CORPUS)
+    stage2 = embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
+    sol = embed.build_psi3(stage2, CORPUS)
+    padded = embed.build_psi3(stage2, dataclasses.replace(CORPUS, pairs=4))
     assert padded.pairs == 4 and padded.ambient.dim == 8  # image in the 7-sphere
     assert padded.passed and padded.scale == sol.scale
-    assert embed.pad_to_dimension(sol, sol.pairs, CORPUS) is sol
+    assert sorted(label for label, _ in padded.certifications) == sorted(label for label, _ in sol.certifications)
     with pytest.raises(embed.TargetTooSmallError):
-        embed.pad_to_dimension(sol, sol.pairs - 1, CORPUS)
+        embed.build_psi3(stage2, dataclasses.replace(CORPUS, pairs=stage2.pairs - 1))
     with pytest.raises(embed.EmbedError):
-        embed.pad_to_dimension(embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True), 5, CORPUS)
+        embed.build_psi3(sol, dataclasses.replace(CORPUS, pairs=5))
 
 
 def test_padding_is_held_to_the_unit_sphere(monkeypatch):
-    """Padding records a sphere certificate next to the pullback.  Constant
-    pads pull the contact form back unchanged, so only the sphere
+    """Stage 3 certifies its sphere constraint on the padded target.
+    Constant pads pull the contact form back unchanged, so only the sphere
     constraint sees a pad of 0.3 in place of 0."""
-    sol = embed.build_psi3(embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True), CORPUS)
-    padded = dict(embed.pad_to_dimension(sol, 4, CORPUS).certifications)
-    stage3 = dict(sol.certifications)
-    for cname, _ in sol.maps:
-        assert padded[f"pad4:{cname}:pullback"].passed
-        # each zero pad adds exactly 0.0 to stage 3's sum of squares
-        assert padded[f"pad4:{cname}:sphere"] == stage3[f"stage3:{cname}:sphere"]
+    stage2 = embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
     smooth_map = embed.SmoothMap
 
     def nonzero_pads(source, target, comps):
-        if target.name.endswith("_pad4"):
-            comps = comps[: 2 * sol.pairs] + (sx.Const(0.3),) * (len(comps) - 2 * sol.pairs)
+        if target.name.endswith("_stage3"):
+            comps = comps[: 2 * stage2.pairs] + (sx.Const(0.3),) * (len(comps) - 2 * stage2.pairs)
         return smooth_map(source, target, comps)
 
     monkeypatch.setattr(embed, "SmoothMap", nonzero_pads)
-    with pytest.raises(embed.CertificationError, match="padded sphere constraint") as caught:
-        embed.pad_to_dimension(sol, 4, CORPUS)
-    assert caught.value.check.max_residual == pytest.approx(2 * (4 - sol.pairs) * 0.09)
+    with pytest.raises(embed.CertificationError, match="stage 3 sphere constraint") as caught:
+        embed.build_psi3(stage2, dataclasses.replace(CORPUS, pairs=4))
+    assert caught.value.check.max_residual == pytest.approx(2 * (4 - stage2.pairs) * 0.09)
+
+
+@pytest.mark.parametrize("entry", ["circle", "torus", "sphere3"])
+def test_zero_pairs_leave_every_stage3_residual_unchanged(entry):
+    """Each zero pair adds exactly 0.0 to the pullback and to the sum of
+    squares, so stage 3 read on any larger target is the one certificate
+    of the unpadded map."""
+    stage2 = embed.build_psi2(getattr(embed, f"problem_{entry}")(), CORPUS, doubled_pair=True)
+
+    def stage3(pairs):
+        sol = embed.build_psi3(stage2, dataclasses.replace(CORPUS, pairs=pairs))
+        return {label: c.max_residual for label, c in sol.certifications if label.startswith("stage3:")}
+
+    unpadded = stage3(None)
+    assert unpadded
+    for pairs in range(stage2.pairs, stage2.pairs + 4):
+        assert stage3(pairs) == unpadded
 
 
 def test_sphere_constraint_is_judged_at_the_task_tolerance(tmp_path):
@@ -471,8 +483,6 @@ def test_corpus_record_reads_the_worst_check_of_every_stage(entry, pairs):
     stage2 = embed.build_psi2(prob, settings, doubled_pair=True)
     stage3 = embed.build_psi3(stage2, settings)
     stages = [(stage2, "stage2:"), (stage3, "stage3:")]
-    if pairs:
-        stages.append((embed.pad_to_dimension(stage3, pairs, settings), f"pad{pairs}:"))
     own = [[c.max_residual for label, c in sol.certifications if label.startswith(tag)] for sol, tag in stages]
     assert all(own)
     assert record.passed and record.max_residual == max(max(r) for r in own)

@@ -562,14 +562,16 @@ def test_no_module_names_a_retired_lattice_heuristic(path):
 RETIRED_CHAIN_KNOBS = ("rank_threshold", "verify_tol")
 
 # The functions that take the chain's settings record, and so declare no
-# parameter default of their own.
+# parameter default of their own, with verify_strong_reducibility, which the
+# stages hand its samples, seed, margin and both tolerances explicitly.
 CHAIN_BUILDERS = (
     "build_step1", "build_step2", "build_step3", "build_step4", "concatenation_residual", "run_reduction_chain",
+    "verify_strong_reducibility",
 )
 # The same for the embedding path's record, with radius_bound, which takes
 # its rho, samples and seed as explicit arguments.
 EMBED_BUILDERS = (
-    "build_psi2", "build_psi3", "pad_to_dimension", "build_sphere_pipeline", "build_lcs_embedding", "radius_bound",
+    "build_psi2", "build_psi3", "build_sphere_pipeline", "build_lcs_embedding", "radius_bound",
 )
 
 
@@ -624,7 +626,7 @@ def test_builder_default_scanner_finds_positional_and_keyword_only_defaults():
     assert defaulted_builder_parameters(source) == [
         ("build_psi2", "doubled_pair"), ("build_step2", "window"), ("build_step4", "b"), ("build_step4", "d"),
         ("concatenation_residual", "tol"), ("radius_bound", "samples"), ("radius_bound", "seed"),
-        ("run_reduction_chain", "samples"),
+        ("run_reduction_chain", "samples"), ("verify_strong_reducibility", "samples"),
     ]
 
 
@@ -633,6 +635,38 @@ def test_no_chain_builder_declares_a_default():
         tree = ast.parse((SRC / module).read_text())
         assert set(builders) <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert [found for path in MODULES for found in defaulted_builder_parameters(path.read_text())] == []
+
+
+# -- one unit-sphere stage ----------------------------------------------------
+
+# The padding stage that stage 3 absorbed, the certification helper it shared
+# with stage 3, and its labels and target names (``pad<N>:`` and
+# ``<problem>_stage3_pad<N>``), as a pattern.
+RETIRED_PADDING = ("pad_to_dimension", "_unit_sphere_certs", r"\w*pad\d*")
+
+
+def retired_padding_names(source: str) -> list[int]:
+    """Lines naming the retired padding stage (``RETIRED_PADDING``)."""
+    return _lines_naming(RETIRED_PADDING, source)
+
+
+def test_padding_scanner_finds_the_retired_stage_and_its_labels():
+    source = (
+        "from .embed import pad_to_dimension\n"
+        "sol = embed.pad_to_dimension(sol, N, settings)\n"
+        "certs = _unit_sphere_certs(problem, maps, eta_c, settings, label, where)\n"
+        "target = _sphere_target(f'{name}_stage3_pad{N}', N, 1.0)\n"
+        "# labelled stage2:, stage3: or pad<N>:\n"
+        "label = 'pad4:circle:sphere'\n"
+        "# stage 3 lands on the padded target, its padding pairs held at zero\n"
+        "pads = zero_pads + my_pad_to_dimension_v2 + unit_sphere_certs\n"
+    )
+    assert retired_padding_names(source) == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_the_retired_padding_stage(path):
+    assert retired_padding_names(path.read_text()) == []
 
 
 # -- reachability ------------------------------------------------------------

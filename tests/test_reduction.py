@@ -128,7 +128,9 @@ def test_verifier_matches_pointwise_pullback_route(plane_chain):
         reduced, alpha=reduced.alpha + reduced.domain.one_form("a").scaled(sx.Const(0.01))
     )
     bad = dataclasses.replace(data, reduced=bumped)
-    rep = reduction.verify_strong_reducibility(bad, samples=60, seed=3)
+    rep = reduction.verify_strong_reducibility(
+        bad, samples=60, seed=3, margin=reduction.SECTION_MARGIN, tol=1e-8, pullback_tol=1e-8
+    )
     assert not rep.passed
     got = dict(rep.pullback_residuals)["alpha"]
 
@@ -198,8 +200,9 @@ def test_symbolic_quotient_report_matches_point_map_route(fixture, stage, reques
     assert isinstance(data.quotient, forms.SmoothMap)
     as_points = dataclasses.replace(data, quotient=JetsPointMap(data.quotient))
     for seed in (0, 3):
-        want = reduction.verify_strong_reducibility(data, samples=40, seed=seed)
-        got = reduction.verify_strong_reducibility(as_points, samples=40, seed=seed)
+        fixed = dict(samples=40, seed=seed, margin=reduction.SECTION_MARGIN, tol=1e-8, pullback_tol=1e-8)
+        want = reduction.verify_strong_reducibility(data, **fixed)
+        got = reduction.verify_strong_reducibility(as_points, **fixed)
         assert got == want
         assert got.samples_used == 40 and got.samples_skipped == 0
 
@@ -214,7 +217,9 @@ def test_stacked_verifier_matches_the_per_sample_route(fixture, seed, request):
         if step.data is None:
             continue
         margin = 0.5 if isinstance(step.data.quotient, reduction.FlowQuotient) else 0.3
-        rep = reduction.verify_strong_reducibility(step.data, samples=24, seed=seed, margin=margin)
+        rep = reduction.verify_strong_reducibility(
+            step.data, samples=24, seed=seed, margin=margin, tol=1e-8, pullback_tol=1e-8
+        )
         ref = pointwise_reducibility(step.data, samples=24, seed=seed, margin=margin)
         assert set(ref.distribution_ranks) == {rep.distribution_rank}, step.name
         assert set(ref.quotient_kernel_dims) == {rep.distribution_rank}, step.name
@@ -237,7 +242,7 @@ def _tilted_stage_two(data, eps: float) -> reduction.ReducibleData:
 def test_gap_resolves_a_quotient_kernel_tilted_by_1e_9(plane_chain):
     eps = 1e-9
     data = _tilted_stage_two(plane_chain.steps[1].data, eps)
-    rep = reduction.verify_strong_reducibility(data, samples=40, seed=0, margin=0.5)
+    rep = reduction.verify_strong_reducibility(data, samples=40, seed=0, margin=0.5, tol=1e-8, pullback_tol=1e-8)
     assert 0.1 <= rep.quotient_kernel_gap / eps <= 10
 
 
@@ -330,7 +335,9 @@ def test_tangency_violation_is_reported():
         (sx.mul(t1, t1), sx.var("u"), sx.var("th1"), t1, sx.var("pth1"), sx.var("pt1")),
     )
     data = reduction.ReducibleData("bent", chart, sub, sub, chart)
-    rep = reduction.verify_strong_reducibility(data, samples=40, seed=0)
+    rep = reduction.verify_strong_reducibility(
+        data, samples=40, seed=0, margin=reduction.SECTION_MARGIN, tol=1e-8, pullback_tol=1e-8
+    )
     assert rep.b_tangency > 0.3
     assert rep.e_tangency < 1e-10
     assert not rep.passed
@@ -348,7 +355,9 @@ def test_non_constant_rank_raises_with_witnesses(monkeypatch):
     # cut at half the largest singular value, the rows in x drop out near x = 0
     monkeypatch.setattr(reduction, "VERIFY_RANK_RTOL", 0.5)
     with pytest.raises(reduction.NonConstantRankError) as err:
-        reduction.verify_strong_reducibility(data, samples=60, seed=0)
+        reduction.verify_strong_reducibility(
+            data, samples=60, seed=0, margin=reduction.SECTION_MARGIN, tol=1e-8, pullback_tol=1e-8
+        )
     (p1, r1), (p2, r2) = err.value.witnesses
     assert r1 != r2
     assert set(p1) == {"x", "y", "z"} and set(p2) == {"x", "y", "z"}
@@ -362,7 +371,7 @@ def test_quotient_with_wrong_kernel_fails(plane_chain):
         c_dom, m_dom, (sx.add(sx.var("a"), sx.var("s")), sx.var("b"))
     )
     bad = dataclasses.replace(step.data, quotient=skew)
-    rep = reduction.verify_strong_reducibility(bad, samples=40, seed=0, margin=0.5)
+    rep = reduction.verify_strong_reducibility(bad, samples=40, seed=0, margin=0.5, tol=1e-8, pullback_tol=1e-8)
     assert rep.quotient_kernel_gap > 0.1
     assert not rep.passed
 
