@@ -231,11 +231,6 @@ class DifferentialForm:
             self.domain, self.degree, {k: sx.mul(f, v) for k, v in self.coeffs.items()}
         )
 
-    def __mul__(self, factor: "Expr | float") -> "DifferentialForm":
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
 
 def zero_form(domain: CoordinateDomain, degree: int) -> DifferentialForm:
     return DifferentialForm(domain, degree, {})

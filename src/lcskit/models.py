@@ -14,8 +14,8 @@ Two model families are provided:
   structures on R x (1-jets of functions on T^k x R^N), one global chart,
   with Lee form ds + sum mu_j d(theta_j).
 
-``model_liouville(n)`` supplies the exact symplectic building block (the
-tautological one-form on R^(2n) with zero Lee form).
+``model_liouville(n)`` builds the exact symplectic plane R^(2n) (zero Lee
+form).  It is no catalog entry: no task can use a structure without ``B``.
 
 ``validate_first_kind`` certifies the defining identities chart by chart
 from sampled first-order jets of phi, lee, alpha, B and E (see
@@ -126,22 +126,13 @@ def interleaved_names(N: int) -> list[str]:
     return out
 
 
-def liouville_domain(n: int) -> CoordinateDomain:
-    return forms.linear_domain(f"r{2*n}", interleaved_names(n))
-
-
-def liouville_form(n: int) -> DifferentialForm:
-    """Tautological one-form sum y_j dx_j on R^(2n)."""
-    dom = liouville_domain(n)
-    return DifferentialForm(dom, 1, {(2 * j,): sx.var(f"y{j+1}") for j in range(n)})
-
-
 def model_liouville(n: int) -> LcsStructure:
-    """Exact symplectic structure (d of the tautological form, zero Lee form)."""
+    """Exact symplectic structure on R^(2n): d of the tautological form
+    sum y_j dx_j, zero Lee form."""
     if n < 1:
         raise ModelError("model_liouville needs n >= 1")
-    lam = liouville_form(n)
-    dom = lam.domain
+    dom = forms.linear_domain(f"r{2*n}", interleaved_names(n))
+    lam = DifferentialForm(dom, 1, {(2 * j,): sx.var(f"y{j+1}") for j in range(n)})
     chart = StructureChart(
         domain=dom,
         phi=ext_d(lam),

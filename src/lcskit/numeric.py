@@ -16,14 +16,14 @@ bit (Dormand & Prince 1980; Hairer, Nørsett & Wanner, *Solving ODEs I*,
 §II.4–5).  They run in unwrapped coordinates; angular coordinates are
 treated as ordinary reals during integration (fields on such domains are
 periodic by construction), and only :func:`wrap_point` reduces them modulo
-1.  Linear coordinates are watched with terminal events: an event fires on
-a row when its function changes sign between two step ends, its time is
-located by bisection on that row's dense interpolant, and a row that leaves
-the declared chart box is masked as escaped with that time and point while
-the other rows go on.  Right-hand sides walk the field's expression trees
-(``VectorField.value_at``/``jet_at``) once per call, on whole coordinate
-columns, with the package's one evaluator, whose block of values they
-read directly.  Symbolic maps are not evaluated here: their images and
+1.  Linear coordinates bound the chart box: a row whose accepted step
+starts or ends on or outside the box stops at that step's end and is masked
+as escaped, while the other rows go on.  Callers read only that mask, so no
+crossing is located; the mask and the evaluation count are those that
+scipy's terminal events on the box faces give.  Right-hand sides walk the
+field's expression trees (``VectorField.value_at``/``jet_at``) once per
+call, on whole coordinate columns, with the package's one evaluator, whose
+block of values they read directly.  Symbolic maps are not evaluated here: their images and
 Jacobians are the value and partial blocks of one :func:`symexpr.jets`
 walk, and a :class:`PointMap` stands only for maps known numerically.
 """
@@ -63,8 +63,7 @@ def wrap_point(domain: CoordinateDomain, x: np.ndarray) -> np.ndarray:
 
 
 # Dormand–Prince 5(4) (Dormand & Prince 1980; Hairer, Nørsett & Wanner,
-# *Solving ODEs I*, §II.4–5): scipy's RK45 tableau, error weights and
-# quartic dense-output matrix (Shampine's optimal c_6).
+# *Solving ODEs I*, §II.4–5): scipy's RK45 tableau and error weights.
 _DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 _DP_A = np.array([
     [0, 0, 0, 0, 0],
@@ -76,15 +75,6 @@ _DP_A = np.array([
 ])
 _DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_DP_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 _EPS = np.finfo(float).eps
@@ -94,12 +84,11 @@ _EPS = np.finfo(float).eps
 class IvpSolution:
     """Outcome of :func:`solve_ivp` for a batch of N rows.
 
-    ``y`` (N, D) holds each row's last state: at its end time, at the located
-    event that stopped it, or the last accepted one where its step size fell
-    below the spacing of floats; ``t`` holds the time of that state.
-    ``status`` takes scipy's codes per row (0 end reached, 1 stopped by an
-    event, -1 step size too small) and ``event`` the index of the event that
-    stopped the row (-1 for none).  ``nfev`` counts right-hand-side
+    ``y`` (N, D) holds each row's last state: at its end time, at the end of
+    the step that left the box, or the last accepted one where its step size
+    fell below the spacing of floats; ``t`` holds the time of that state.
+    ``status`` takes scipy's codes per row (0 end reached, 1 stopped at the
+    box, -1 step size too small).  ``nfev`` counts right-hand-side
     evaluations of single rows, summed over the batch; ``row_nfev`` counts
     them per row.
     """
@@ -107,7 +96,6 @@ class IvpSolution:
     y: np.ndarray
     t: np.ndarray
     status: np.ndarray
-    event: np.ndarray
     nfev: int
     row_nfev: np.ndarray
 
@@ -130,7 +118,7 @@ def _combine(K: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.matmul(np.swapaxes(K, 1, 2), weights)
 
 
-def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=None) -> IvpSolution:
+def solve_ivp(fun, t_span, y0, box, rtol, atol) -> IvpSolution:
     """Integrate ``y' = fun(t, y)`` for a batch of rows with Dormand–Prince 5(4).
 
     ``t_span`` is ``(t0, t_end)`` with one end time per row of ``y0`` (N, D).
@@ -145,13 +133,14 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=None) -> IvpSolution
     it), whatever rows share its batch.  A row with ``t_end == t0`` is done
     at once, without evaluations.
 
-    Every event ``g(t, y)`` maps times (n,) and states (n, D) to values (n,)
-    and is terminal for its row.  It fires, as in scipy, when g changes sign
-    (or reaches zero) between two step ends of the row; its time is then
-    located by bisection of g on the row's quartic dense interpolant, and
-    the state there ends the row while the others go on.  :func:`flow` calls
-    this module-level name, so patching ``numeric.solve_ivp`` intercepts
-    every integration.
+    ``box`` is a pair ``(lower, upper)`` of arrays (D,) over the state
+    columns, ``±inf`` where a column is unbounded.  A row stops, with status
+    1, at the end of its first accepted step that ends on or outside the
+    box, or of its first step if it starts there: for a row that starts in
+    the closed box these are the steps at which scipy's terminal events
+    ``y_i − lower_i`` and ``upper_i − y_i`` fire.  :func:`flow` calls this
+    module-level name, so patching ``numeric.solve_ivp`` intercepts every
+    integration.
     """
     t0, t_end = t_span
     y = np.array(y0, dtype=float)
@@ -159,15 +148,18 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=None) -> IvpSolution
     t = np.full(n_rows, float(t0))
     t_end = np.broadcast_to(np.asarray(t_end, dtype=float), (n_rows,))
     rtol = max(rtol, 100 * _EPS)
-    events = list(events or ())
+    lower, upper = box
     row_nfev = np.zeros(n_rows, dtype=int)
 
     def f(rows, t, y):
         row_nfev[rows] += 1
         return np.asarray(fun(t, y), dtype=float)
 
+    def off_box(y):
+        return np.any((y <= lower) | (y >= upper), axis=1)
+
     status = np.zeros(n_rows, dtype=int)
-    stopped_by = np.full(n_rows, -1)
+    off = off_box(y)
     direction = np.sign(t_end - t)
     rows = np.flatnonzero(direction)  # a row with nothing to integrate is done
     fy = np.empty_like(y)
@@ -175,7 +167,6 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=None) -> IvpSolution
     if rows.size:
         fy[rows] = f(rows, t[rows], y[rows])
         h_abs[rows] = _initial_step(f, rows, t[rows], y[rows], t_end[rows], fy[rows], direction[rows], rtol, atol)
-    g = np.array([event(t, y) for event in events]).reshape(len(events), n_rows)
     min_step = np.zeros(n_rows)
     rejected = np.zeros(n_rows, dtype=bool)
     fresh = np.ones(n_rows, dtype=bool)  # the row starts a step, no attempt rejected yet
@@ -211,29 +202,14 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=None) -> IvpSolution
         nonzero = error_norm != 0
         factor[nonzero] = np.minimum(_MAX_FACTOR, _SAFETY * _power(error_norm[nonzero], _ERROR_EXPONENT))
         h_abs[done] *= np.where(rejected[done], np.minimum(1, factor), factor)
-        t_old, y_old = t_row[accepted], y_row[accepted]
         t[done], y[done], fy[done] = t_new[accepted], y_new[accepted], f_new[accepted]
         fresh[done] = True
-        finished = t[done] == t_end[done]
-        if events:
-            g_new = np.array([event(t[done], y[done]) for event in events])
-            g_old = g[:, done]
-            fired = ((g_old <= 0) & (0 <= g_new)) | ((g_new <= 0) & (0 <= g_old))
-            (hit,) = np.nonzero(fired.any(axis=0))
-            if hit.size:
-                stop = done[hit]
-                dense = _dense_output(K[accepted][hit], t_old[hit], t[stop], y_old[hit])
-                first, root = _first_event(
-                    events, dense, fired[:, hit], g_old[:, hit], t_old[hit], t[stop], direction[stop]
-                )
-                t[stop], y[stop] = root, dense(np.arange(hit.size), root)
-                status[stop], stopped_by[stop] = 1, first
-                finished[hit] = True
-            g[:, done] = g_new
+        off[done] |= off_box(y[done])
+        status[done[off[done]]] = 1
         going = ~accepted
-        going[accepted] = ~finished
+        going[accepted] = (t[done] != t_end[done]) & ~off[done]
         rows = rows[going]
-    return IvpSolution(y, t, status, stopped_by, int(row_nfev.sum()), row_nfev)
+    return IvpSolution(y, t, status, int(row_nfev.sum()), row_nfev)
 
 
 def _dp_step(f, rows, t, y, fy, h, K):
@@ -247,18 +223,6 @@ def _dp_step(f, rows, t, y, fy, h, K):
     y_new = y + h[:, None] * _combine(K[:, :-1], _DP_B)
     K[:, -1] = f_new = f(rows, t + h, y_new)
     return y_new, f_new
-
-
-def _dense_output(K, t_old: np.ndarray, t: np.ndarray, y_old: np.ndarray):
-    """RK45's quartic interpolants of the steps from t_old to t, one per row
-    of K; ``at(i, s)`` evaluates rows ``i`` at times ``s``."""
-    h, Q = t - t_old, np.matmul(np.swapaxes(K, 1, 2), _DP_P)
-
-    def at(i: np.ndarray, s: np.ndarray) -> np.ndarray:
-        powers = np.cumprod(np.repeat(((s - t_old[i]) / h[i])[:, None], 4, axis=1), axis=1)
-        return h[i, None] * np.matmul(Q[i], powers[:, :, None])[:, :, 0] + y_old[i]
-
-    return at
 
 
 def _initial_step(f, rows, t0, y0, t_bound, f0, direction, rtol, atol) -> np.ndarray:
@@ -280,42 +244,6 @@ def _initial_step(f, rows, t0, y0, t_bound, f0, direction, rtol, atol) -> np.nda
     return np.minimum(np.minimum(100 * h0, h1), interval_length)
 
 
-def _first_event(events, dense, fired, g_old, t_old, t_new, direction):
-    """Per row of the dense output, the event that fires first along its step
-    among those in ``fired`` (events, rows), and its located time; ties go to
-    the lowest event index, as in scipy."""
-    roots = np.full(fired.shape, np.inf)
-    for i, event in enumerate(events):
-        (rows,) = np.nonzero(fired[i])
-        if rows.size:
-            roots[i, rows] = _bisect_event(event, dense, rows, t_old[rows], t_new[rows], g_old[i, rows])
-    first = np.argmin(np.where(fired, direction * roots, np.inf), axis=0)
-    return first, roots[first, np.arange(fired.shape[1])]
-
-
-def _bisect_event(event, dense, rows: np.ndarray, t_old: np.ndarray, t_new: np.ndarray,
-                  g_old: np.ndarray) -> np.ndarray:
-    """Per row ``rows`` of the dense output, the time in [t_old, t_new] where
-    ``event`` reaches zero on the row's interpolant, by bisection to 4·eps
-    relative.  The end on the far side of the zero is returned, so the state
-    there has crossed; a row whose event was zero at the step start returns
-    that start."""
-    lo, hi = t_old.copy(), t_new.copy()
-    live = g_old != 0
-    hi[~live] = lo[~live]
-    while True:
-        live &= np.abs(hi - lo) > 4 * _EPS * (1 + np.abs(hi))
-        mid = 0.5 * (lo + hi)
-        live &= (mid != lo) & (mid != hi)
-        (j,) = np.nonzero(live)
-        if not j.size:
-            return hi
-        g_mid = event(mid[j], dense(rows[j], mid[j]))
-        same_side = ((g_mid > 0) == (g_old[j] > 0)) & (g_mid != 0)
-        lo[j[same_side]] = mid[j[same_side]]
-        hi[j[~same_side]] = mid[j[~same_side]]
-
-
 FLOW_RTOL, FLOW_ATOL = 1e-10, 1e-12
 """Relative and absolute tolerances of every flow."""
 
@@ -324,17 +252,16 @@ FLOW_RTOL, FLOW_ATOL = 1e-10, 1e-12
 class FlowResult:
     """Flows of a batch of N points.
 
-    ``point`` (N, d) holds the end points, and on escaped rows the escape
-    points; ``jacobian`` (N, d, d) the Jacobians of the time-T flow maps
-    (``None`` unless asked for); ``escaped`` (N,) marks the rows that left the
-    chart box (or whose step size collapsed) and ``escape_time`` (N,) gives
-    their escape times, ``nan`` on the other rows.
+    ``point`` (N, d) holds the end points; on escaped rows, the end of the
+    last accepted step, which callers do not read.  ``jacobian`` (N, d, d)
+    holds the Jacobians of the time-T flow maps (``None`` unless asked for);
+    ``escaped`` (N,) marks the rows that left the chart box (or whose step
+    size collapsed).
     """
 
     point: np.ndarray
     jacobian: np.ndarray | None
     escaped: np.ndarray
-    escape_time: np.ndarray
 
 
 def flow(X: VectorField, x0: np.ndarray, time: np.ndarray, with_jacobian: bool = False) -> FlowResult:
@@ -343,8 +270,8 @@ def flow(X: VectorField, x0: np.ndarray, time: np.ndarray, with_jacobian: bool =
 
     With ``with_jacobian`` the variational equation dJ/dt = DX(x) J is
     integrated alongside, so the returned Jacobians of the time-T flow maps
-    have integrator accuracy.  A row that leaves the chart box (linear
-    coordinates only) is masked as escaped; the others are unaffected.
+    have integrator accuracy.  A row that reaches the chart box's boundary
+    (linear coordinates only) is masked as escaped; the others are unaffected.
     """
     d = X.domain.dim
     x0 = np.asarray(x0, dtype=float)
@@ -364,27 +291,13 @@ def flow(X: VectorField, x0: np.ndarray, time: np.ndarray, with_jacobian: bool =
 
         y0 = x0
 
-    sol = solve_ivp(rhs, (0.0, time), y0, rtol=FLOW_RTOL, atol=FLOW_ATOL, events=_escape_events(X.domain))
-    escaped = sol.status != 0
+    lower, upper = np.full(y0.shape[1], -np.inf), np.full(y0.shape[1], np.inf)
+    for i, c in enumerate(X.domain.coords):
+        if c.kind == "linear":  # forms.LINEAR
+            lower[i], upper[i] = c.lower, c.upper
+    sol = solve_ivp(rhs, (0.0, time), y0, (lower, upper), rtol=FLOW_RTOL, atol=FLOW_ATOL)
     jacobian = sol.y[:, d:].reshape(-1, d, d) if with_jacobian else None
-    return FlowResult(sol.y[:, :d], jacobian, escaped, np.where(escaped, sol.t, np.nan))
-
-
-def _escape_events(domain: CoordinateDomain):
-    events = []
-    for i, c in enumerate(domain.coords):
-        if c.kind != "linear":  # forms.LINEAR
-            continue
-        lo, hi = c.lower, c.upper
-
-        def low_event(t, y, i=i, lo=lo):
-            return y[:, i] - lo
-
-        def high_event(t, y, i=i, hi=hi):
-            return hi - y[:, i]
-
-        events.extend([low_event, high_event])
-    return events
+    return FlowResult(sol.y[:, :d], jacobian, sol.status != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,6 @@ _MANIFEST_KEYS = {
 }
 
 _CATALOG_ARGS = {
-    "liouville": {"n": (_integer(1), _REQUIRED)},
     "sphere_circle": {"N": (_integer(2), _REQUIRED), "q": (_FINITE, 1.0)},
     "reduction_universal": {
         "k": (_integer(0), _REQUIRED),
@@ -544,7 +543,6 @@ def _task(index: int, raw: dict, structures: dict, samples: int | None) -> dict:
 def _build_structure(name: str, decl: dict) -> models.LcsStructure:
     from . import models
     factories = {
-        "liouville": models.model_liouville,
         "sphere_circle": models.model_sphere_circle,
         "reduction_universal": models.model_reduction_universal,
     }

@@ -472,7 +472,6 @@ class MorphismReport:
     ``strict``: pulled-back Lee form equals the source Lee form pointwise.
     ``conformal``: the difference is exact (closed with vanishing periods).
     ``full``: the two period lattices agree as subgroups of the reals.
-    ``rank_decrease``: target lattice rank minus source lattice rank.
     """
 
     strict: bool
@@ -483,18 +482,6 @@ class MorphismReport:
     full: bool
     source_lattice: LatticeData
     target_lattice: LatticeData
-
-    @property
-    def rank_source(self) -> int:
-        return self.source_lattice.rank
-
-    @property
-    def rank_target(self) -> int:
-        return self.target_lattice.rank
-
-    @property
-    def rank_decrease(self) -> int:
-        return self.rank_target - self.rank_source
 
 
 def classify_morphism(

@@ -180,12 +180,14 @@ def test_unknown_catalog_entry(tmp_path, capsys):
         ({"catalog": "reduction_universal", "args": {"k": 1, "N": 2, "mu": [1.0], "nu": 3}},
          "structure 'model': unknown reduction_universal argument 'nu' (expected k, N, mu); did you mean 'N'?"),
         ({"catalog": "sphere-circle", "args": {"N": 2}},
-         "structure 'model' catalog must be one of liouville, sphere_circle, reduction_universal, "
-         "got 'sphere-circle'"),
+         "structure 'model' catalog must be one of sphere_circle, reduction_universal, got 'sphere-circle'"),
         ({"catalog": "reduction_universal", "args": {"k": 1, "mu": [1.0]}},
          "structure 'model': missing reduction_universal argument 'N'"),
+        # no task could use it: verify, embed and reduce-chain each failed on it at run time
+        ({"catalog": "liouville", "args": {"n": 1}},
+         "structure 'model' catalog must be one of sphere_circle, reduction_universal, got 'liouville'"),
     ],
-    ids=["misspelled-q", "unknown-nu", "unknown-entry", "missing-N"],
+    ids=["misspelled-q", "unknown-nu", "unknown-entry", "missing-N", "retired-liouville"],
 )
 def test_catalog_arguments_are_checked_before_any_task_runs(tmp_path, capsys, monkeypatch, structure, message):
     # a misspelled argument used to be ignored: sphere_circle ran green with q = 1
@@ -340,8 +342,9 @@ def test_chain_window_and_margin_are_checked(tmp_path, capsys, key, value, messa
         ({"kind": "reduce-chain", "structure": "model", "chart_index": True},
          {"catalog": "sphere_circle", "args": {"N": 2}},
          "reduce-chain task chart_index must be an integer at least 0, got True"),
-        ({"kind": "verify", "structure": "model"}, {"catalog": "liouville", "args": {"n": 1.5}},
-         "structure 'model' argument n must be an integer at least 1, got 1.5"),
+        ({"kind": "verify", "structure": "model"},
+         {"catalog": "reduction_universal", "args": {"k": 1, "N": 1.5, "mu": [1.0]}},
+         "structure 'model' argument N must be an integer at least 0, got 1.5"),
         ({"kind": "verify", "structure": "model"}, {"catalog": "sphere_circle", "args": {"N": "2"}},
          "structure 'model' argument N must be an integer at least 2, got '2'"),
         ({"kind": "verify", "structure": "model"}, {"catalog": "sphere_circle", "args": {"N": 2, "q": "1.0"}},
@@ -422,7 +425,6 @@ SCHEMA_BASE = {
     "seed": 0,
     "samples": 10,
     "structures": {
-        "liou": {"catalog": "liouville", "args": {"n": 1}},
         "sphere": {"catalog": "sphere_circle", "args": {"N": 2, "q": 1.0}},
         "universal": {"catalog": "reduction_universal", "args": {"k": 1, "N": 1, "mu": [1.0]}},
         "plane": {"chart": {
@@ -447,10 +449,10 @@ SCHEMA_BASE = {
 # Each schema table: where SCHEMA_BASE holds it, and its declared keys.
 SCHEMA_TABLES = {
     "manifest": ((), report._MANIFEST_KEYS),
-    "structure": (("structures", "liou"), report._STRUCTURE_KEYS),
+    "structure": (("structures", "sphere"), report._STRUCTURE_KEYS),
     **{
         entry: (("structures", name, "args"), report._CATALOG_ARGS[entry])
-        for name, entry in (("liou", "liouville"), ("sphere", "sphere_circle"), ("universal", "reduction_universal"))
+        for name, entry in (("sphere", "sphere_circle"), ("universal", "reduction_universal"))
     },
     "chart": (("structures", "plane", "chart"), report._CHART_KEYS),
     "coordinate": (("structures", "plane", "chart", "coordinates", 0), report._COORDINATE_KEYS),
@@ -463,7 +465,6 @@ SCHEMA_TABLES = {
 SCHEMA_VALUES = {
     "manifest": {"seed": ("7", -1), "samples": ("10", 0), "structures": ([], None), "tasks": ({}, None)},
     "structure": {"catalog": (5, "moon"), "args": ([], None), "chart": ("x", None)},
-    "liouville": {"n": ("1", 0)},
     "sphere_circle": {"N": ("2", 1), "q": ("1", 0.0)},
     "reduction_universal": {"k": ("1", -1), "N": ("1", -1), "mu": ("1", [1.0, 2.0])},
     "chart": {
@@ -523,7 +524,7 @@ def _schema_cases():
             {**plane, "tasks": [{"kind": "embed", "corpus": "circle", "literal_defect": "no"}]}, None),
         "euler-false": ({**plane, "tasks": [{"kind": "cohomology", "n": 2, "m": 4, "euler": "false"}]}, None),
         "catalog-and-chart": (
-            {**plane, "structures": {"x": {"catalog": "liouville", "args": {"n": 1}, "chart": PLANE_CHART}},
+            {**plane, "structures": {"x": {"catalog": "sphere_circle", "args": {"N": 2}, "chart": PLANE_CHART}},
              "tasks": []}, None),
         # each of these used to exit 2 only after the verify task had run
         "verify-then-n-x": ({**plane, "tasks": [verify, {"kind": "cohomology", "n": "x", "m": 4}]}, None),
@@ -806,14 +807,18 @@ def test_euler_record_fails_on_inconsistent_ranks(tmp_path, monkeypatch, extra_r
     assert betti == ([0, 0, 0] if extra_rank == 0 else [-1, -2, -1])
 
 
-def test_task_exceptions_become_failing_records(tmp_path):
-    # a structure without distinguished fields cannot be verified; the task
-    # fails but the run continues to the next task
+def test_task_exceptions_become_failing_records(tmp_path, monkeypatch):
+    # a task whose structure cannot be built fails, but the run continues to
+    # the next task
+    def broken(N, q):
+        raise models.ModelError(f"no sphere_circle model at N={N}")
+
+    monkeypatch.setattr(models, "model_sphere_circle", broken)
     payload = {
         "seed": 0,
-        "structures": {"liou": {"catalog": "liouville", "args": {"n": 1}}},
+        "structures": {"sphere": {"catalog": "sphere_circle", "args": {"N": 2}}},
         "tasks": [
-            {"kind": "verify", "structure": "liou"},
+            {"kind": "verify", "structure": "sphere"},
             {"kind": "cohomology", "n": 1, "m": 4, "expect_betti": [1, 1]},
         ],
     }
@@ -825,6 +830,25 @@ def test_task_exceptions_become_failing_records(tmp_path):
     assert not rep.records[0].passed
     assert "ModelError" in rep.records[0].detail
     assert all(r.passed for r in rep.records[1:])
+
+
+def test_default_output_is_named_after_the_manifest(tmp_path, monkeypatch):
+    path = write_manifest(tmp_path, plane_manifest(), name="plane.json")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", path, "-q"]) == 0
+    assert report.load_report("plane.report.json").green
+
+
+def test_a_number_stands_for_its_expression(tmp_path):
+    # a component may be a finite number instead of an expression string
+    numbers = plane_manifest()
+    numbers["structures"]["plane"]["chart"] = {**PLANE_CHART, "alpha": {"b": 1}, "lee": {"a": 1.0},
+                                               "b_field": {"a": 1}, "anti_lee": {"b": -1}}
+    reports = []
+    for name, payload in (("strings.json", plane_manifest()), ("numbers.json", numbers)):
+        rep = report.run_manifest(report.load_manifest(write_manifest(tmp_path, payload, name=name)))
+        reports.append({**rep.stable_dict(), "manifest": None})
+    assert reports[0] == reports[1] and reports[0]["records"]
 
 
 def test_seed_tol_threads_overrides(tmp_path):

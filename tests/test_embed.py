@@ -368,7 +368,7 @@ def test_product_embedding_three_identities(product_embedding):
 def test_product_embedding_morphism(product_embedding):
     _S, res = product_embedding
     assert res.morphism.strict and res.morphism.conformal and res.morphism.full
-    assert res.morphism.rank_decrease == 0
+    assert res.morphism.source_lattice.rank == res.morphism.target_lattice.rank
 
 
 def test_product_embedding_immersion_and_separation(product_embedding):

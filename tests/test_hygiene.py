@@ -1,10 +1,20 @@
-"""Source hygiene checks over ``src/lcskit``, written on the stdlib ``ast`` module."""
+"""Source hygiene checks over ``src/lcskit``: scans written on the stdlib
+``ast`` module, and a census of the functions that the bundled runs enter."""
 
 import ast
+import inspect
+import json
+import os
 import re
+import subprocess
+import sys
+import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from run_census import code_location
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lcskit"
 MODULES = sorted(SRC.glob("*.py"))
@@ -678,6 +688,8 @@ ROOTS = ("cli.main",)
 ALLOWED_UNREACHED = {
     "twisted.extract_lee": "perfbench/tracer.py wraps it by name, and `--trace 1` "
     "raises CoverageError when a target is missing",
+    "models.model_liouville": "no catalog entry builds it, but perfbench/tracer.py wraps it by name "
+    "and perfbench/layers.py sums its self time",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -896,6 +908,167 @@ def test_every_top_level_name_is_reached_from_the_cli_or_allowed():
 
 def test_allowed_names_are_defined_and_otherwise_unreached():
     assert set(ALLOWED_UNREACHED) <= set(unreachable(_package_sources()))
+
+
+# -- run census ----------------------------------------------------------------
+#
+# What the bundled runs actually enter.  ``tests/run_census.py`` runs ``lcskit
+# run selftest``, each benchmark workload manifest at seeds 7 and 21 and
+# ``lcskit report`` in one fresh interpreter under ``sys.setprofile``.  Every
+# function, method, closure and lambda compiled from ``src/lcskit`` must be
+# entered there, or be listed here with the test that reaches it instead.
+
+CENSUS = Path(__file__).resolve().parent / "run_census.py"
+
+_OPERATORS = "operator sugar that no module uses; tests/test_symexpr.py::test_operators_build_the_constructor_nodes"
+_PRINTING = "printing, for messages; tests/test_symexpr.py::test_to_string_round_trips"
+ALLOWED_UNENTERED = {
+    "cli._default_output": "runs without -o; tests/test_cli.py::test_default_output_is_named_after_the_manifest",
+    "embed.CertificationError.__init__": "error path; tests/test_cli.py::test_a_certificate_that_raises_keeps_its_record",
+    "embed._check_radicand": "error path; tests/test_embed.py::test_stage2_radius_fault_is_told_from_other_walk_errors",
+    "embed.problem_zero_form": "the zero_form corpus, which no bundled manifest names; "
+    "tests/test_embed.py::test_psi2_zero_form_both_variants",
+    "forms.VectorField.__add__": "planted defects; tests/test_sensitivity.py::test_planted_defect_is_caught_in_proportion",
+    "forms.VectorField.scaled": "planted defects; tests/test_sensitivity.py::test_planted_defect_is_caught_in_proportion",
+    "models.model_liouville": "no catalog entry builds it, but perfbench/tracer.py wraps it by name; "
+    "tests/test_models.py::test_liouville_structure_is_exact_symplectic",
+    "numeric.PointMap.__call__": "the interface's stub, which every point map overrides",
+    "numeric.flow.rhs[2]": "flow(with_jacobian=False): perfbench/tracer.py reads that parameter by name; "
+    "tests/test_numeric.py::test_flow_escape_is_masked",
+    "reduction.NonConstantRankError.__init__": "error path; "
+    "tests/test_reduction.py::test_non_constant_rank_raises_with_witnesses",
+    "reduction._witness": "error path; tests/test_reduction.py::test_non_constant_rank_raises_with_witnesses",
+    "report.<lambda>[13]": "the margin check, a key no bundled manifest sets; "
+    "tests/test_cli.py::test_chain_window_and_margin_are_checked",
+    "report.<lambda>[14]": "the rho check, a key no bundled manifest sets; "
+    "tests/test_cli.py::test_embed_rho_at_most_one_is_refused_at_load",
+    "report.<lambda>[15]": "the cuts check, a key no bundled manifest sets; "
+    "tests/test_cli.py::test_cohomology_sizes_and_cuts_must_be_integers_in_range",
+    "report.RunReport.stable_dict": "what determinism is judged on; "
+    "tests/test_cli.py::test_repeat_runs_identical_modulo_timestamps",
+    "report._did_you_mean": "error path; tests/test_cli.py::test_unknown_manifest_key_is_refused_before_any_task_runs",
+    "report._failure_record": "error path; tests/test_cli.py::test_task_exceptions_become_failing_records",
+    "report._raised_record": "error path; tests/test_cli.py::test_a_certificate_that_raises_keeps_its_record",
+    "report._task_label": "error path; tests/test_cli.py::test_task_exceptions_become_failing_records",
+    "symexpr.EvaluationDomainError.__init__": "error path; "
+    "tests/test_numeric.py::test_flow_domain_error_keeps_tree_walk_message_and_witness",
+    "symexpr._domain_error": "error path; tests/test_numeric.py::test_flow_domain_error_keeps_tree_walk_message_and_witness",
+    **{f"symexpr.Expr.{op}": _OPERATORS for op in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+        "__pow__", "__neg__", "__repr__")},
+    "symexpr.Expr.__str__": _PRINTING,
+    "symexpr.Expr.__setattr__": "guard; tests/test_symexpr.py::test_nodes_are_immutable",
+    "symexpr.Expr.__delattr__": "guard; tests/test_symexpr.py::test_nodes_are_immutable",
+    "symexpr.Expr.__copy__": "tests/test_symexpr.py::test_nodes_copy_and_pickle_to_themselves",
+    "symexpr.Expr.__deepcopy__": "tests/test_symexpr.py::test_nodes_copy_and_pickle_to_themselves",
+    "symexpr.Expr.__reduce__": "tests/test_symexpr.py::test_nodes_copy_and_pickle_to_themselves",
+    "symexpr._needs_parens": _PRINTING,
+    "symexpr._wrap": _PRINTING,
+    "symexpr._const_str": _PRINTING,
+    "symexpr.to_string": _PRINTING,
+    "symexpr._Parser.expect": "parentheses, which no bundled expression holds; tests/test_symexpr.py::test_parse_evaluates",
+    "symexpr._Parser.exponent": "^, which no bundled expression holds; tests/test_symexpr.py::test_parse_evaluates",
+    "symexpr._Parser.exponent_body": "^, which no bundled expression holds; tests/test_symexpr.py::test_parse_evaluates",
+    "symexpr._number_fraction": "^, which no bundled expression holds; tests/test_symexpr.py::test_parse_evaluates",
+    "symexpr.const": "a number given for an expression; tests/test_cli.py::test_a_number_stands_for_its_expression",
+    "symexpr.exp": "no bundled structure holds exp; tests/test_symexpr.py::test_nodes_copy_and_pickle_to_themselves",
+    "twisted.NotConformalError.__init__": "error path of extract_lee; "
+    "tests/test_twisted.py::test_extract_lee_not_conformal_raises",
+    "twisted._triple_values": "extract_lee's helper; tests/test_models.py::test_sphere_lee_recovered_pointwise",
+    "twisted.extract_lee": "perfbench/tracer.py wraps it by name; tests/test_models.py::test_sphere_lee_recovered_pointwise",
+}
+
+_COMPREHENSIONS = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
+
+
+def compiled_functions(module: str, source: str, filename: str) -> dict[str, tuple[str, int, str, int]]:
+    """The functions, methods, closures and lambdas compiled from ``source``,
+    each with its :func:`code_location`.
+
+    They are keyed by qualified names built from the code-object tree
+    (``module.Class.method``, ``module.outer.inner``).  A name that recurs in
+    one scope gets ``[k]`` on its k-th code object in source order, from the
+    second on.  Comprehensions are no scope here, since Python 3.12 inlines
+    most of them; what they hold counts.  Class bodies run at import and are
+    not counted either.
+    """
+    found = {}
+
+    def walk(code, prefix: str, seen: Counter) -> None:
+        for const in code.co_consts:
+            if not isinstance(const, types.CodeType):
+                continue
+            if const.co_name in _COMPREHENSIONS:
+                walk(const, prefix, seen)
+                continue
+            seen[const.co_name] += 1
+            name = f"{prefix}.{const.co_name}" + (f"[{seen[const.co_name]}]" if seen[const.co_name] > 1 else "")
+            if const.co_flags & inspect.CO_NEWLOCALS:  # a function, not a class body
+                found[name] = code_location(const)
+            walk(const, name, Counter())
+
+    walk(compile(source, filename, "exec", dont_inherit=True), module, Counter())
+    return found
+
+
+def test_census_names_functions_by_their_code_object_tree():
+    source = (
+        "import numpy as np\n"
+        "class Form:\n"
+        "    scale = 2\n"
+        "    def value(self):\n"
+        "        def rhs(t):\n"
+        "            return t\n"
+        "        return rhs\n"
+        "    @property\n"
+        "    def rank(self):\n"
+        "        return [lambda: i for i in range(2)]\n"
+        "def flow(jacobian):\n"
+        "    if jacobian:\n"
+        "        def rhs(t): return 1\n"
+        "    else:\n"
+        "        def rhs(t): return 2\n"
+        "    return (rhs(0) for _ in range(3))\n"
+        "CHECK = (lambda v: v, lambda v: not v)\n"
+    )
+    found = compiled_functions("forms", source, "forms.py")
+    assert {name: line for name, (_, line, *_) in found.items()} == {
+        "forms.Form.value": 4, "forms.Form.value.rhs": 5, "forms.Form.rank": 8, "forms.Form.rank.<lambda>": 10,
+        "forms.flow": 11, "forms.flow.rhs": 13, "forms.flow.rhs[2]": 15, "forms.<lambda>": 17, "forms.<lambda>[2]": 17,
+    }
+    assert found["forms.flow.rhs[2]"][:3] == ("forms.py", 15, "rhs")
+    assert found["forms.<lambda>"] != found["forms.<lambda>[2]"]
+
+
+@pytest.fixture(scope="module")
+def unentered(tmp_path_factory) -> dict[str, str]:
+    """The functions of ``src/lcskit`` that no bundled run enters, each with
+    its ``file:line``."""
+    tmp = tmp_path_factory.mktemp("census")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, str(CENSUS), str(tmp / "entered.json")], env=env, cwd=tmp, check=True, timeout=600)
+    entered = {(str(Path(file).resolve()), *rest) for file, *rest in json.loads((tmp / "entered.json").read_text())}
+    functions = {}
+    for path in MODULES:
+        functions.update(compiled_functions(path.stem, path.read_text(), str(path.resolve())))
+    assert len(set(functions.values())) == len(functions), "two functions share a line, a name and their bytecode"
+    return {name: f"{Path(file).name}:{line}" for name, (file, line, *rest) in functions.items()
+            if (file, line, *rest) not in entered}
+
+
+def test_every_function_is_entered_by_a_bundled_run_or_allowed(unentered):
+    assert {name: where for name, where in unentered.items() if name not in ALLOWED_UNENTERED} == {}
+
+
+def test_allowed_unentered_functions_are_defined_and_unentered(unentered):
+    assert sorted(set(ALLOWED_UNENTERED) - set(unentered)) == []
+
+
+def test_allowed_unentered_reasons_name_tests_that_exist():
+    tests = Path(__file__).resolve().parent
+    for reason in ALLOWED_UNENTERED.values():
+        for file, test in re.findall(r"tests/(\w+\.py)::(\w+)", reason):
+            assert re.search(rf"^def {test}\(", (tests / file).read_text(), re.M), f"{file}::{test}"
 
 
 # -- runners read checked values ----------------------------------------------

@@ -46,17 +46,18 @@ def test_flow_jacobian_matches_fd_oracle():
 
 def test_flow_escape_is_masked():
     X = VectorField(R2, (sx.ONE, sx.ZERO))  # constant drift in x
-    res = _flow_one(X, [1.5, 0.0], 5.0)
-    assert res.escaped.tolist() == [True]
-    assert res.escape_time[0] < 5.0
-    assert res.point[0].tolist() == pytest.approx([2.0, 0.0])
+    res, [(*_, sol)] = _captured_flow(X, np.array([[1.5, 0.0]]), np.array([5.0]), False)
+    assert res.escaped.tolist() == [True] and sol.status.tolist() == [1]
+    # the row stops at the end of the step that left the box, before its end time
+    assert res.point[0, 0] >= 2.0 and res.point[0, 1] == 0.0
+    assert sol.t[0] < 5.0
 
 
 def test_flow_zero_time_is_identity():
     res = _flow_one(ROTATION, [0.4, -0.2], 0.0, with_jacobian=True)
     assert np.allclose(res.point[0], [0.4, -0.2])
     assert np.allclose(res.jacobian[0], np.eye(2))
-    assert not res.escaped[0] and np.isnan(res.escape_time[0])
+    assert not res.escaped[0]
 
 
 def test_patching_module_solve_ivp_intercepts_every_flow(monkeypatch):
@@ -103,9 +104,9 @@ def _captured_flow(X, x0, time, with_jacobian):
     calls = []
     original = numeric.solve_ivp
 
-    def capture(fun, t_span, y0, **options):
-        sol = original(fun, t_span, y0, **options)
-        calls.append((fun, t_span, y0, options, sol))
+    def capture(fun, t_span, y0, box, **options):
+        sol = original(fun, t_span, y0, box, **options)
+        calls.append((fun, t_span, y0, box, options, sol))
         return sol
 
     with mock.patch.object(numeric, "solve_ivp", capture):
@@ -114,34 +115,33 @@ def _captured_flow(X, x0, time, with_jacobian):
 
 
 def _assert_flow_matches_scipy_rk45(X, x0, time, with_jacobian):
-    """Oracle: scipy's RK45 on the very right-hand side, span and events that
-    ``numeric.flow`` hands its integrator for a batch of one, each taken on
-    one row.  Returns the flow's escape time (None without an escape)."""
+    """Oracle: scipy's RK45 on the very right-hand side and span that
+    ``numeric.flow`` hands its integrator for a batch of one, taken on one
+    row, with a terminal event on each finite face of the box it hands over.
+    The escape mask and the evaluation count equal scipy's, and a row that
+    stays in the box ends where scipy's does, bit for bit.  Returns whether
+    the row escaped."""
     res, calls = _captured_flow(X, np.array([x0], dtype=float), np.array([time], dtype=float), with_jacobian)
     assert len(calls) == 1
-    fun, (t0, t_end), y0, options, ours = calls[0]
-
-    def one_row(g):
-        return lambda t, y: g(np.array([t]), y[None])[0]
-
-    events = [one_row(event) for event in options.pop("events") or ()]
+    fun, (t0, t_end), y0, (lower, upper), options, ours = calls[0]
+    events = []
+    for i in range(y0.shape[1]):
+        if np.isfinite(lower[i]):
+            events.append(lambda t, y, i=i: y[i] - lower[i])
+        if np.isfinite(upper[i]):
+            events.append(lambda t, y, i=i: upper[i] - y[i])
     for event in events:
         event.terminal = True
     want = scipy.integrate.solve_ivp(
-        one_row(fun), (t0, float(np.asarray(t_end)[0])), y0[0], method="RK45", events=events or None, **options
+        lambda t, y: fun(np.array([t]), y[None])[0], (t0, float(np.asarray(t_end)[0])), y0[0], method="RK45",
+        events=events or None, **options,
     )
     assert ours.nfev == want.nfev == ours.row_nfev[0]
-    fired = [i for i, t in enumerate(want.t_events or []) if len(t)]
-    assert [i for i in ours.event if i >= 0] == fired
-    assert res.escaped[0] == bool(fired)
-    if fired:
-        (i,) = fired
-        assert abs(ours.t[0] - want.t_events[i][0]) <= 1e-12
-        assert res.escape_time[0] == ours.t[0]
-        assert np.allclose(res.point[0], want.y[:X.domain.dim, -1], rtol=0.0, atol=1e-12)
-        return res.escape_time[0]
-    assert np.array_equal(ours.y[0], want.y[:, -1])
-    return None
+    escaped = any(len(t) for t in want.t_events or ())
+    assert res.escaped[0] == escaped and ours.status[0] == want.status
+    if not escaped:
+        assert np.array_equal(ours.y[0], want.y[:, -1])
+    return escaped
 
 
 def _start(X, unit) -> np.ndarray:
@@ -158,6 +158,17 @@ def _start(X, unit) -> np.ndarray:
     time=st.floats(-3.0, 3.0).filter(lambda t: abs(t) > 1e-3),
     with_jacobian=st.booleans(),
 )
+# Rows that start on an edge of the box stop after their first step, whichever
+# way they head, as scipy's terminal events stop them.
+@example(field="plane:b", unit=[0.0, 0.5, 0, 0, 0, 0], time=0.5, with_jacobian=True)  # lower edge, inward
+@example(field="plane:b", unit=[0.0, 0.5, 0, 0, 0, 0], time=-0.5, with_jacobian=False)  # lower edge, outward
+@example(field="plane:b", unit=[1.0, 0.5, 0, 0, 0, 0], time=0.5, with_jacobian=False)  # upper edge, outward
+@example(field="plane:b", unit=[1.0, 0.5, 0, 0, 0, 0], time=-0.5, with_jacobian=True)  # upper edge, inward
+@example(field="plane:b", unit=[0.5, 1.0, 0, 0, 0, 0], time=0.4, with_jacobian=False)  # along the upper edge
+@example(field="plane:e", unit=[0.5, 0.0, 0, 0, 0, 0], time=-0.3, with_jacobian=True)  # lower edge, inward
+@example(field="sphere:b", unit=[0.5, 0.5, 1.0, 0.5, 0.5, 0.5], time=0.1, with_jacobian=False)  # upper edge
+@example(field="sphere:e", unit=[0.0, 0.5, 0.5, 0.5, 0.5, 0.5], time=0.1, with_jacobian=True)  # lower edge
+@example(field="sphere:e", unit=[0.5, 0.5, 0.5, 0.5, 0.5, 1.0], time=-0.1, with_jacobian=False)  # upper edge
 def test_dormand_prince_reproduces_scipy_rk45(field, unit, time, with_jacobian):
     X = _oracle_fields()[field]
     _assert_flow_matches_scipy_rk45(X, _start(X, unit), time, with_jacobian)
@@ -175,8 +186,13 @@ def test_dormand_prince_reproduces_scipy_rk45(field, unit, time, with_jacobian):
 )
 @pytest.mark.parametrize("with_jacobian", [False, True])
 def test_dormand_prince_escapes_where_scipy_rk45_does(field, x0, time, with_jacobian):
-    escape_time = _assert_flow_matches_scipy_rk45(_oracle_fields()[field], np.array(x0), time, with_jacobian)
-    assert escape_time is not None and 0 < escape_time / time < 1
+    X = _oracle_fields()[field]
+    assert _assert_flow_matches_scipy_rk45(X, np.array(x0), time, with_jacobian)
+    # the row stops at the end of the step that left the box
+    res = _flow_one(X, x0, time)
+    bounded = [i for i, c in enumerate(X.domain.coords) if c.kind == forms.LINEAR]
+    end, box = res.point[0, bounded], np.array([[c.lower, c.upper] for c in X.domain.coords])[bounded]
+    assert np.any((end <= box[:, 0]) | (end >= box[:, 1]))
 
 
 def test_dormand_prince_gives_up_where_scipy_rk45_does():
@@ -185,7 +201,8 @@ def test_dormand_prince_gives_up_where_scipy_rk45_does():
     def blow_up(t, y):
         return y * y
 
-    ours = numeric.solve_ivp(blow_up, (0.0, np.array([2.0])), np.array([[1.0]]), rtol=1e-10, atol=1e-12)
+    unbounded = (np.array([-np.inf]), np.array([np.inf]))
+    ours = numeric.solve_ivp(blow_up, (0.0, np.array([2.0])), np.array([[1.0]]), unbounded, rtol=1e-10, atol=1e-12)
     want = scipy.integrate.solve_ivp(blow_up, (0.0, 2.0), np.array([1.0]), method="RK45", rtol=1e-10, atol=1e-12)
     assert not want.success and ours.status.tolist() == [want.status] == [-1]
     assert ours.nfev == want.nfev
@@ -213,6 +230,12 @@ _batch_rows = st.lists(
     rows=[([0.75] * 6, 3.0), ([0.5] * 6, 0.0), ([0.5] * 6, -0.25), ([0.25] * 6, -3.0), ([0.5] * 6, 0.5)],
     with_jacobian=True,
 )
+@example(  # rows that start on the lower and on the upper edge, forward and backward, by an inner row
+    field="plane:b",
+    rows=[([0.0, 0.5] * 3, 0.5), ([0.0, 0.5] * 3, -0.5), ([1.0, 0.5] * 3, 0.5), ([1.0, 0.5] * 3, -0.5),
+          ([0.5] * 6, 0.5)],
+    with_jacobian=False,
+)
 def test_each_row_of_a_batched_flow_is_its_batch_of_one(field, rows, with_jacobian):
     # batches mix escaping, time-zero and negative-time rows; every row takes
     # the steps it takes alone, so its end (or escape) is the same bit for bit
@@ -224,7 +247,6 @@ def test_each_row_of_a_batched_flow_is_its_batch_of_one(field, rows, with_jacobi
         alone, [(*_, sol_alone)] = _captured_flow(X, x0[r:r + 1], time[r:r + 1], with_jacobian)
         assert batch.point[r].tobytes() == alone.point[0].tobytes()
         assert batch.escaped[r] == alone.escaped[0]
-        assert np.array_equal(batch.escape_time[r], alone.escape_time[0], equal_nan=True)
         if with_jacobian:
             assert batch.jacobian[r].tobytes() == alone.jacobian[0].tobytes()
         assert sol.row_nfev[r] == sol_alone.nfev

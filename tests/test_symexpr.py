@@ -559,6 +559,17 @@ def test_no_node_outlives_a_run():
     assert _live_nodes() == before
 
 
+def test_operators_build_the_constructor_nodes():
+    # the package builds with the constructors; the operators are sugar for them
+    x, y = sx.var("x"), sx.var("y")
+    assert x + y is sx.add(x, y) and 2 + x is sx.add(2, x)
+    assert x - y is sx.add(x, sx.neg(y)) and 2 - x is sx.add(2, sx.neg(x))
+    assert x * y is sx.mul(x, y) and 2 * x is sx.mul(2, x)
+    assert x / y is sx.mul(x, sx.pow_(y, -1)) and 2 / x is sx.mul(2, sx.pow_(x, -1))
+    assert x**2 is sx.pow_(x, 2) and -x is sx.neg(x)
+    assert repr(x) == "Var(name='x')" and str(x * y) == "x * y"
+
+
 def test_nodes_copy_and_pickle_to_themselves():
     e = sx.exp(sx.sqrt(1 + X**2)) * sx.sin(Y) - sx.Const(-0.0) * X
     assert copy.copy(e) is e

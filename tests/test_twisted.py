@@ -465,7 +465,7 @@ def test_identity_is_strict_and_full():
         [_torus_loop(0), _torus_loop(1)], [_torus_loop(0), _torus_loop(1)],
     )
     assert rep.strict and rep.conformal and rep.full
-    assert rep.rank_decrease == 0
+    assert rep.source_lattice.rank == rep.target_lattice.rank
     assert rep.strict_residual < 1e-12
 
 
@@ -501,9 +501,8 @@ def test_constant_map_strict_only_for_zero_lee():
         [_torus_loop(0), _torus_loop(1)], [_torus_loop(0), _torus_loop(1)],
     )
     assert rep.strict  # pullback of anything through a constant map is zero
-    assert rep.rank_source == 0
-    assert rep.rank_target == 1
-    assert rep.rank_decrease == 1
+    assert rep.source_lattice.rank == 0
+    assert rep.target_lattice.rank == 1
     assert not rep.full
 
 
@@ -513,7 +512,7 @@ def test_classification_with_irrational_lattices():
         [_torus_loop(0), _torus_loop(1)], [_torus_loop(0), _torus_loop(1)],
     )
     assert rep.strict and rep.full
-    assert rep.rank_source == 2
+    assert rep.source_lattice.rank == 2
     assert not rep.source_lattice.integral
 
 
