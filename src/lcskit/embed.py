@@ -20,7 +20,10 @@ so each unit-sphere map is certified once, on the target it is delivered on.
 
 ``build_lcs_embedding`` combines the unit-sphere map with a circle-valued
 function into a product embedding certified to pull back the potential,
-the Lee form, and the twisted two-form of a first-kind structure.
+the Lee form, and the twisted two-form of a first-kind structure, and
+certified an injective immersion by a linear left inverse read from the
+pipeline's layout, which takes each map and its Jacobian to the chart's
+parametrization and its Jacobian.
 
 Every pullback identity is certified at sample points from one
 :func:`symexpr.jets` walk per chart and sample set, on an env drawn from
@@ -43,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import forms, models, numeric, symexpr as sx, twisted
+from . import forms, models, symexpr as sx, twisted
 from .forms import (
     Coordinate,
     CoordinateDomain,
@@ -85,16 +88,13 @@ class CertificationError(EmbedError):
 # stages draw at least CORPUS_FLOOR points per chart.  A product embedding
 # runs its sphere pipeline on at least PIPELINE_FLOOR points, judged at
 # PIPELINE_TOL_CAP or tighter, into PRODUCT_PAIRS pairs unless the task
-# names them; it reads the immersion rank at its first IMMERSION_RANK_CAP
-# points, and separation on INJECTIVITY_SAMPLES points, over the pairs at
-# source distance above MIN_SOURCE_DISTANCE.
+# names them.  Its injectivity and immersion are exact identities read from
+# the pipeline's layout (:meth:`EmbeddingSolution.left_inverse`), judged
+# like every other check, so they fix no rule of their own.
 CORPUS_FLOOR = 400
 PIPELINE_FLOOR = 200
 PIPELINE_TOL_CAP = 1e-9
 PRODUCT_PAIRS = 10
-IMMERSION_RANK_CAP = 40
-INJECTIVITY_SAMPLES = 140
-MIN_SOURCE_DISTANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -253,6 +253,18 @@ class EmbeddingSolution:
         return all(c.passed for _, c in self.certifications) and all(
             c.passed for _, c in self.defects
         )
+
+    def left_inverse(self) -> tuple[tuple[int, float], ...]:
+        """L, with L∘map = the chart's parametrization on every chart, as
+        (slot, factor) per ambient coordinate.  Read from the layout, never
+        fitted: stage 2 puts pair k's coordinate in slot 2k, and stage 3
+        scales by 1/r2.  A coordinate that heads no pair raises EmbedError."""
+        slot = {n: 2 * k for k, (n, _c) in enumerate(self.problem.coefficients)}
+        missing = [n for n in self.problem.ambient.names if n not in slot]
+        if missing:
+            raise EmbedError(f"injectivity not certified: ambient coordinates {missing} head no pair")
+        factor = self.r2 if self.stage == 3 else 1.0
+        return tuple((slot[n], factor) for n in self.problem.ambient.names)
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +427,10 @@ def build_sphere_pipeline(problem: EmbeddingProblem, settings: EmbedSettings) ->
 
 
 @dataclass(frozen=True)
-class InjectivityReport:
-    """Sampled separation of the image: over in-chart sample pairs at source
-    distance above ``min_source_distance``, the smallest image distance."""
-
-    min_image_distance: float
-    min_source_distance: float
-    pairs_checked: int
-
-    @property
-    def separated(self) -> bool:
-        return self.pairs_checked > 0 and self.min_image_distance > 0.0
-
-
-@dataclass(frozen=True)
 class ProductEmbedding:
-    """Certified embedding of a first-kind structure into sphere x circle."""
+    """Certified embedding of a first-kind structure into sphere x circle:
+    every check passed, the left-inverse identities among them, and the
+    circle function is a strict, full morphism."""
 
     structure_name: str
     solution: EmbeddingSolution
@@ -439,24 +439,23 @@ class ProductEmbedding:
     scale: float
     certifications: tuple[tuple[str, str, ZeroCheck], ...]
     morphism: twisted.MorphismReport
-    immersion_rank: int
-    expected_rank: int
-    injectivity: InjectivityReport
 
     @property
     def passed(self) -> bool:
-        return (
-            all(c.passed for _, _, c in self.certifications)
-            and self.morphism.strict
-            and self.morphism.full
-            and self.immersion_rank == self.expected_rank
-            and self.injectivity.separated
-        )
+        return all(c.passed for _, _, c in self.certifications) and self.morphism.strict and self.morphism.full
 
 
-def _circle_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.abs(a - b) % 1.0
-    return np.minimum(d, 1.0 - d)
+def _left_inverse_checks(inverse: Sequence[tuple[int, float]], values, grads, env, tol: float) -> list:
+    """L∘psi - P and L·Dpsi - DP at the points of ``env``, from one jets walk
+    of a product map's components followed by its chart's parametrization
+    P's; ``inverse`` holds L as (slot, factor) per component of P."""
+    slots = [s for s, _ in inverse]
+    factors = np.array([f for _, f in inverse])
+    m = len(inverse)
+    return [
+        ("left inverse: L∘psi - P", sx.is_zero([factors[:, None] * values[slots] - values[-m:]], env, tol)),
+        ("left inverse: L·Dpsi - DP", sx.is_zero([factors[:, None, None] * grads[slots] - grads[-m:]], env, tol)),
+    ]
 
 
 def build_lcs_embedding(
@@ -472,6 +471,14 @@ def build_lcs_embedding(
     back the scaled contact generator, the circle form, and the twisted
     two-form of the target to the potential, Lee form, and two-form of the
     source; the map is classified as a morphism on the first chart.
+
+    It is an embedding by one linear map L read from the pipeline's layout
+    (:meth:`EmbeddingSolution.left_inverse`; the circle from the last slot):
+    on every chart, L∘psi equals the chart's parametrization P into the
+    structure's ambient and L·Dpsi equals DP, so the maps are injective,
+    across charts too, and immersions, as the parametrizations are (problem
+    data).  A chart with no such P, or a coordinate L cannot read, raises
+    :class:`EmbedError`.
     """
     samples, tol, seed = settings.samples, settings.tol, settings.seed
     chart_by_name = dict(problem.charts)
@@ -519,36 +526,39 @@ def build_lcs_embedding(
     circle_form = target.one_form("theta")
     phi_target = ext_d(eta_c) - wedge(circle_form, eta_c)
 
+    # L reads the ambient's sphere coordinates from the pipeline's slots and
+    # its circle coordinate from tau, which follows them
+    sphere_inverse = dict(zip(problem.ambient.names, solution.left_inverse()))
+    circle_slot = (target.dim - 1, 1.0)
     maps = []
-    ranks: list[int] = []
-    inj_min = np.inf
-    inj_pairs = 0
     for chart in structure.charts:
+        P = chart.parametrization
+        if P is None or P.target != structure.ambient:
+            raise EmbedError(
+                f"injectivity not certified: chart {chart.name!r} has no parametrization into the ambient"
+            )
         sphere_map = dict(solution.maps)[chart.name]
         comps = list(sphere_map.components) + [tau[chart.name]]
         # target order: interleaved sphere coordinates then theta
         psi = SmoothMap(chart.domain, target, tuple(comps))
         maps.append((chart.name, psi))
         env = chart.domain.sample_points(samples, seed + 3)
-        values, DF, _ = sx.jets(psi.components, env)
-        images = dict(zip(target.names, values))
+        # P's components are subtrees of psi's, so the memo reads them off psi's walk
+        values, grads, _ = sx.jets(psi.components + P.components, env)
+        inverse = [sphere_inverse.get(n, circle_slot) for n in P.target.names]
+        checks = _left_inverse_checks(inverse, values, grads, env, tol)
+        images, DF = dict(zip(target.names, values)), grads[: target.dim]
         for label, form, want in (
             ("pullback(scale * eta) - alpha", eta_c, chart.alpha),
             ("pullback(d theta) - lee", circle_form, chart.lee),
             ("pullback(scale * twisted form) - phi", phi_target, chart.phi),
         ):
             residual = forms.sampled_pullback(form, images, DF) - forms.form_values(want, env)
-            check = forms.values_check(residual, env, tol)
+            checks.append((label, forms.values_check(residual, env, tol)))
+        for label, check in checks:
             if not check.passed:
                 raise CertificationError(f"{label} on chart {chart.name!r}", check)
             certs.append((chart.name, label, check))
-        ranks.append(numeric.jacobian_min_rank(DF[..., :IMMERSION_RANK_CAP]))
-        dmin, npairs = _image_separation(
-            psi, INJECTIVITY_SAMPLES, seed + 5, MIN_SOURCE_DISTANCE
-        )
-        if npairs:
-            inj_min = min(inj_min, dmin)
-            inj_pairs += npairs
 
     # the target's Lee form d(theta) comes from the circle factor, so the
     # morphism is classified on the first chart's circle function alone
@@ -565,49 +575,7 @@ def build_lcs_embedding(
         tol=tol,
         seed=seed,
     )
-    injectivity = InjectivityReport(
-        float(inj_min) if np.isfinite(inj_min) else 0.0,
-        MIN_SOURCE_DISTANCE,
-        inj_pairs,
-    )
-    return ProductEmbedding(
-        structure.name, solution, target, tuple(maps), c, tuple(certs),
-        morphism, min(ranks), structure.dim, injectivity,
-    )
-
-
-def _image_separation(
-    psi: SmoothMap, samples: int, seed: int, min_source: float
-) -> tuple[float, int]:
-    """Smallest image distance over sample pairs at source distance above
-    ``min_source``, and the number of such pairs.  Structurally zero target
-    components (stage 3's zero pairs) add nothing to a distance and are
-    skipped; angular ones need no wrapping, as the circle distance is taken
-    modulo 1."""
-    env = psi.source.sample_points(samples, seed)
-    src_cols, src_ang = [], []
-    for c in psi.source.coords:
-        (src_ang if c.kind == forms.ANGULAR else src_cols).append(env[c.name])
-    live = [(c, e) for c, e in zip(psi.target.coords, psi.components) if not sx.is_structural_zero(e)]
-    tgt_cols, tgt_ang = [], []
-    for (c, _), vals in zip(live, sx.evaluate_all([e for _, e in live], env)):
-        (tgt_ang if c.kind == forms.ANGULAR else tgt_cols).append(vals)
-    idx_a, idx_b = np.triu_indices(samples, k=1)
-
-    def dist(cols, angs, ia, ib):
-        total = np.zeros(ia.shape)
-        for col in cols:
-            total += (col[ia] - col[ib]) ** 2
-        for col in angs:
-            total += _circle_distance(col[ia], col[ib]) ** 2
-        return np.sqrt(total)
-
-    ds = dist(src_cols, src_ang, idx_a, idx_b)
-    keep = ds > min_source
-    if not np.any(keep):
-        return 0.0, 0
-    dt = dist(tgt_cols, tgt_ang, idx_a[keep], idx_b[keep])
-    return float(np.min(dt)), int(np.sum(keep))
+    return ProductEmbedding(structure.name, solution, target, tuple(maps), c, tuple(certs), morphism)
 
 
 # ---------------------------------------------------------------------------

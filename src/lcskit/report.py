@@ -696,11 +696,7 @@ def _run_embed(manifest: Manifest, task: dict, seed: int) -> list[CheckRecord]:
             anchor=anchor,
             max_residual=worst,
             tolerance=tol,
-            rank_data={
-                "immersion_rank": res.immersion_rank,
-                "expected_rank": res.expected_rank,
-                "target_dim": res.target.dim,
-            },
+            rank_data={"target_dim": res.target.dim},
             passed=res.passed,
             detail=f"morphism strict={res.morphism.strict} full={res.morphism.full}",
         )

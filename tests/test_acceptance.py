@@ -89,9 +89,11 @@ def test_criterion_3_sphere_circle_product_embedding():
         "pullback(scale * eta) - alpha",
         "pullback(d theta) - lee",
         "pullback(scale * twisted form) - phi",
+        "left inverse: L∘psi - P",
+        "left inverse: L·Dpsi - DP",
     } <= labels
     assert res.morphism.strict and res.morphism.full
-    _announce(3, "product embedding identities < 1e-8, morphism strict and full")
+    _announce(3, "product embedding identities < 1e-8, injective immersion by left inverse, morphism strict and full")
 
 
 # ---------------------------------------------------------------------------

@@ -371,11 +371,82 @@ def test_product_embedding_morphism(product_embedding):
     assert res.morphism.source_lattice.rank == res.morphism.target_lattice.rank
 
 
-def test_product_embedding_immersion_and_separation(product_embedding):
-    _S, res = product_embedding
-    assert res.immersion_rank == res.expected_rank == 4
-    assert res.injectivity.separated
-    assert res.injectivity.pairs_checked > 1000
+LEFT_INVERSE = ("left inverse: L∘psi - P", "left inverse: L·Dpsi - DP")
+
+
+def test_product_embedding_certifies_its_left_inverse(product_embedding):
+    # injectivity and immersion are the two left-inverse identities, certified
+    # on every chart; their residual is the rounding of stage 3's 1/r2 alone
+    S, res = product_embedding
+    for chart in S.charts:
+        labels = {lbl for name, lbl, _ in res.certifications if name == chart.name}
+        assert set(LEFT_INVERSE) <= labels
+    worst = max(c.max_residual for _, lbl, c in res.certifications if lbl in LEFT_INVERSE)
+    assert worst < 1e-14
+
+
+def _left_inverse_on(res, chart, psi):
+    """The left-inverse checks of a product map ``psi`` on ``chart``, at the
+    embedding's tolerance: L is the pipeline's, with the circle read from
+    the last slot."""
+    inverse = list(res.solution.left_inverse()) + [(res.target.dim - 1, 1.0)]
+    env = chart.domain.sample_points(60, 0)
+    values, grads, _ = sx.jets(psi.components + chart.parametrization.components, env)
+    return dict(embed._left_inverse_checks(inverse, values, grads, env, 1e-8))
+
+
+def test_a_two_to_one_product_map_fails_the_left_inverse(product_embedding):
+    S, res = product_embedding
+    chart = S.charts[0]
+    name, psi = res.maps[0]
+    assert name == chart.name
+    doubled = forms.SmoothMap(psi.source, psi.target, psi.components[:-1] + (sx.mul(sx.Const(2.0), sx.var("theta")),))
+    # it is 2:1: theta and theta + 1/2 land on one image, the circle taken mod 1
+    at = {n: 0.1 for n in psi.source.names}
+    a, b = (sx.evaluate_all(doubled.components, {**at, "theta": t}) for t in (0.1, 0.6))
+    assert np.allclose(a[:-1], b[:-1]) and np.isclose((a[-1] - b[-1]) % 1.0, 0.0)
+    assert all(c.passed for c in _left_inverse_on(res, chart, psi).values())
+    checks = _left_inverse_on(res, chart, doubled)
+    assert not checks["left inverse: L∘psi - P"].passed
+    assert checks["left inverse: L∘psi - P"].max_residual > 0.1
+
+
+def test_a_map_that_glues_two_charts_fails_the_left_inverse(monkeypatch, product_embedding):
+    # x1_minus gets x1_plus's sphere map: both charts have the coordinates
+    # (y1, x2, y2, theta), so each point goes to its mirror's image
+    S, res = product_embedding
+    by_name = {c.name: c for c in S.charts}
+    glued = dict(res.maps)["x1_plus"]
+    checks = _left_inverse_on(res, by_name["x1_minus"], glued)
+    assert not checks["left inverse: L∘psi - P"].passed
+    pipeline = embed.build_sphere_pipeline
+
+    def gluing(problem, settings):
+        sol = pipeline(problem, settings)
+        maps = dict(sol.maps)
+        maps["x1_minus"] = maps["x1_plus"]
+        return dataclasses.replace(sol, maps=tuple(maps.items()))
+
+    monkeypatch.setattr(embed, "build_sphere_pipeline", gluing)
+    prob, tau = embed.problem_from_sphere_circle(S)
+    with pytest.raises(embed.CertificationError) as err:
+        embed.build_lcs_embedding(S, prob, tau, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10))
+    assert err.value.where == "left inverse: L∘psi - P on chart 'x1_minus'"
+
+
+def test_a_left_inverse_needs_every_ambient_coordinate_in_a_pair():
+    # the circle problem's one-form y dx leaves y out of its coefficients
+    sol = embed.build_sphere_pipeline(embed.problem_circle(), CORPUS)
+    with pytest.raises(embed.EmbedError, match="injectivity not certified"):
+        sol.left_inverse()
+
+
+def test_a_product_chart_without_a_parametrization_is_refused():
+    S = models.model_sphere_circle(2, q=1.0)
+    prob, tau = embed.problem_from_sphere_circle(S)
+    bare = dataclasses.replace(S, charts=tuple(dataclasses.replace(c, parametrization=None) for c in S.charts))
+    with pytest.raises(embed.EmbedError, match="injectivity not certified"):
+        embed.build_lcs_embedding(bare, prob, tau, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10))
 
 
 def test_product_embedding_rejects_bad_tau():
@@ -436,37 +507,6 @@ def test_embedding_maps_are_never_differentiated_symbolically(monkeypatch):
     assert res.passed
     assert differentiated
     assert all(F.source.dim == 1 or F.target.dim == 1 for F in differentiated)
-
-
-def _all_columns_separation(psi, samples, seed, min_source):
-    """The image separation over every target column, zeros included."""
-    env = psi.source.sample_points(samples, seed)
-    out = dict(zip(psi.target.names, sx.evaluate_all(psi.components, env)))
-    idx_a, idx_b = np.triu_indices(samples, k=1)
-
-    def dist(columns, angular, ia, ib):
-        total = np.zeros(ia.shape)
-        for col, ang in zip(columns, angular):
-            total += (embed._circle_distance(col[ia], col[ib]) if ang else col[ia] - col[ib]) ** 2
-        return np.sqrt(total)
-
-    src = [(env[c.name], c.kind == forms.ANGULAR) for c in psi.source.coords]
-    tgt = [(out[c.name], c.kind == forms.ANGULAR) for c in psi.target.coords]
-    keep = dist(*zip(*src), idx_a, idx_b) > min_source
-    dt = dist(*zip(*tgt), idx_a[keep], idx_b[keep])
-    return float(np.min(dt)), int(np.sum(keep))
-
-
-@pytest.mark.parametrize("N, zeros", [(2, 9), (3, 5)])
-def test_image_separation_skips_only_structural_zeros(N, zeros):
-    # the zeros: 8 (N = 2) or 4 (N = 3) padding columns, and the second
-    # entry of stage 2's radius pair
-    S = models.model_sphere_circle(N, q=1.0)
-    prob, tau = embed.problem_from_sphere_circle(S)
-    res = embed.build_lcs_embedding(S, prob, tau, embed.EmbedSettings(samples=40, tol=1e-8, pairs=10, seed=0))
-    for _name, psi in res.maps[:2]:
-        assert sum(sx.is_structural_zero(c) for c in psi.components) == zeros
-        assert embed._image_separation(psi, 60, 5, 0.05) == _all_columns_separation(psi, 60, 5, 0.05)
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,18 @@ def test_universal_first_kind_irrational_mu():
     assert rep.passed and rep.min_rank == 8
 
 
+def test_two_form_degenerate_at_one_sample_past_the_first_is_caught():
+    # phi times (s - s_30) vanishes at sample 30 alone; the rank is read at
+    # every point of the head, not at its first
+    S = models.model_reduction_universal(1, 2, [1.0])
+    chart = S.charts[0]
+    s30 = chart.domain.sample_points(200, 7)["s"][30]
+    planted = dataclasses.replace(chart, phi=chart.phi.scaled(sx.add(sx.var("s"), sx.Const(-s30))))
+    rep = models.validate_first_kind(dataclasses.replace(S, charts=(planted,)), samples=200, seed=7)
+    assert rep.min_rank == 0
+    assert rep.nondegenerate is False
+
+
 def test_sphere_circle_first_kind():
     S = models.model_sphere_circle(2, q=1.0)
     assert len(S.charts) == 8
