@@ -466,9 +466,9 @@ def build_lcs_embedding(
     ``problem`` must present the structure's potential (its charts share the
     structure's chart domains and its one-form pulls back to the potential);
     ``tau`` supplies one circle-valued expression per chart whose
-    differential is the Lee form.  Both prerequisites are certified before
-    the product map is assembled, and the assembled map is certified to pull
-    back the scaled contact generator, the circle form, and the twisted
+    differential is the Lee form.  Both prerequisites are certified on each
+    chart from the product map's own jets walk, beside the map's pullbacks
+    of the scaled contact generator, the circle form, and the twisted
     two-form of the target to the potential, Lee form, and two-form of the
     source; the map is classified as a morphism on the first chart.
 
@@ -486,8 +486,7 @@ def build_lcs_embedding(
         raise EmbedError("problem charts do not match structure charts")
     certs: list[tuple[str, str, ZeroCheck]] = []
     for chart in structure.charts:
-        F = chart_by_name[chart.name]
-        if F.source != chart.domain:
+        if chart_by_name[chart.name].source != chart.domain:
             raise EmbedError(
                 f"chart {chart.name!r}: problem domain differs from structure domain"
             )
@@ -495,23 +494,6 @@ def build_lcs_embedding(
             raise EmbedError(f"chart {chart.name!r} has no potential to embed")
         if chart.name not in tau:
             raise EmbedError(f"no circle function supplied for chart {chart.name!r}")
-        # one walk of the pairs and the circle function: theta_bar and d(tau)
-        env = chart.domain.sample_points(samples, seed + 2)
-        pairs = problem.chart_pairs(F)
-        values, grads, _ = sx.jets(tuple(e for fg in pairs for e in fg) + (tau[chart.name],), env)
-        theta_bar = _theta_bar(values[:-1], grads[:-1])
-        pot = forms.values_check(theta_bar - forms.form_values(chart.alpha, env), env, tol)
-        if not pot.passed:
-            raise CertificationError(
-                f"one-form vs potential on chart {chart.name!r}", pot
-            )
-        lee_check = forms.values_check(grads[-1] - forms.form_values(chart.lee, env), env, tol)
-        if not lee_check.passed:
-            raise CertificationError(
-                f"circle function differential vs Lee form on chart {chart.name!r}",
-                lee_check,
-            )
-        certs.append((chart.name, "d(tau) - lee", lee_check))
 
     pipeline = replace(
         settings,
@@ -543,11 +525,19 @@ def build_lcs_embedding(
         psi = SmoothMap(chart.domain, target, tuple(comps))
         maps.append((chart.name, psi))
         env = chart.domain.sample_points(samples, seed + 3)
-        # P's components are subtrees of psi's, so the memo reads them off psi's walk
-        values, grads, _ = sx.jets(psi.components + P.components, env)
+        # the pairs and P's components are subtrees of psi's, so the memo
+        # reads them off psi's walk; tau is psi's last component
+        pairs = tuple(e for fg in problem.chart_pairs(chart_by_name[chart.name]) for e in fg)
+        values, grads, _ = sx.jets(psi.components + pairs + P.components, env)
+        k = target.dim
+        theta_bar = _theta_bar(values[k : k + len(pairs)], grads[k : k + len(pairs)])
+        checks = [
+            ("one-form vs potential", forms.values_check(theta_bar - forms.form_values(chart.alpha, env), env, tol)),
+            ("d(tau) - lee", forms.values_check(grads[k - 1] - forms.form_values(chart.lee, env), env, tol)),
+        ]
         inverse = [sphere_inverse.get(n, circle_slot) for n in P.target.names]
-        checks = _left_inverse_checks(inverse, values, grads, env, tol)
-        images, DF = dict(zip(target.names, values)), grads[: target.dim]
+        checks += _left_inverse_checks(inverse, values, grads, env, tol)
+        images, DF = dict(zip(target.names, values)), grads[:k]
         for label, form, want in (
             ("pullback(scale * eta) - alpha", eta_c, chart.alpha),
             ("pullback(d theta) - lee", circle_form, chart.lee),

@@ -13,10 +13,13 @@ call per object and sample set, read as rows of the block it returns.
 Identities that are only ever checked at sample points are checked there
 without building derivative trees: :func:`sample_jets` turns forms and
 fields into :class:`SampledForm` values with first derivatives, from one
-:func:`symexpr.jets` walk, and a sampled Cartan calculus runs on their
-sparse index dicts (d from antisymmetrised gradients, wedge and interior
-products pointwise, :func:`lie_derivative` by Cartan's formula and
-:func:`lie_bracket` from the fields' Jacobians).  Pullbacks are taken the
+:func:`symexpr.jets` walk, and a sampled calculus runs on their sparse
+index dicts (d from antisymmetrised gradients, wedge and interior products
+pointwise, :func:`lie_derivative` in coordinates from the walked partials of
+the field and the form, and :func:`lie_bracket` from the fields'
+Jacobians).  Every sampled operation returns values alone: first
+derivatives come only from the walk, so the product rule lives in
+:mod:`lcskit.symexpr`.  Pullbacks are taken the
 same way: one :func:`symexpr.jets` walk of a map's components on an env
 drawn from its source gives the images and Jacobians DF as its value and
 partial blocks, and :func:`sampled_pullback` pulls a target form back
@@ -28,7 +31,7 @@ symbolic :func:`pullback`.
 
 Sign conventions used throughout the package:
     * wedge ordering follows the shuffle sign of merging index tuples;
-    * ``lie_derivative`` is Cartan's formula ``i_X d + d i_X``.
+    * ``lie_derivative`` agrees with Cartan's formula ``i_X d + d i_X``.
 """
 
 from __future__ import annotations
@@ -553,7 +556,7 @@ def values_check(residual: np.ndarray, env: Mapping[str, np.ndarray], tol: float
 
 
 # ---------------------------------------------------------------------------
-# sampled Cartan calculus on first-order jets
+# sampled calculus on first-order jets
 
 
 class SampledForm(NamedTuple):
@@ -561,19 +564,14 @@ class SampledForm(NamedTuple):
 
     ``values`` maps increasing index tuples to arrays of the batch shape (a
     vector field is keyed by 1-tuples); ``grads`` maps the same keys to
-    ``{coordinate index: partial derivative}``, or is None when first
-    derivatives are not carried.  Absent keys and absent gradient entries
-    are structural zeros.  Products and contractions carry first derivatives
-    (by the product rule) only when both operands do, and d never does.
+    ``{coordinate index: partial derivative}`` for the forms and fields
+    :func:`sample_jets` walks, and is None for every form the sampled
+    calculus computes.  Absent keys and absent gradient entries are
+    structural zeros.
     """
 
     values: dict
     grads: dict | None = None
-
-    @property
-    def flat(self) -> "SampledForm":
-        """The values alone."""
-        return SampledForm(self.values)
 
 
 def sample_jets(items: Sequence["DifferentialForm | VectorField"], env: Mapping[str, np.ndarray]) -> list[SampledForm]:
@@ -604,99 +602,87 @@ def sample_jets(items: Sequence["DifferentialForm | VectorField"], env: Mapping[
     return out
 
 
-class _Accumulator:
-    """Sums signed terms into a sampled form, key by key."""
-
-    def __init__(self, with_grads: bool):
-        self.values: dict = {}
-        self.grads = {} if with_grads else None
-
-    def add(self, key: tuple[int, ...], sign: int, value, grad: dict | None = None) -> None:
-        values = self.values
-        if key in values:
-            values[key] = values[key] + value if sign > 0 else values[key] - value
-        else:
-            values[key] = value if sign > 0 else -value
-        if self.grads is not None:
-            acc = self.grads.setdefault(key, {})
-            for m, d in grad.items():
-                if m in acc:
-                    acc[m] = acc[m] + d if sign > 0 else acc[m] - d
-                else:
-                    acc[m] = d if sign > 0 else -d
-
-    def form(self) -> SampledForm:
-        return SampledForm(self.values, self.grads)
+def _grads(a: SampledForm) -> dict:
+    """The first derivatives of a sampled form, which only :func:`sample_jets` gives."""
+    if a.grads is None:
+        raise FormError("a derivative of a sampled form needs its first derivatives, from sample_jets")
+    return a.grads
 
 
-def _product(a: SampledForm, I, b: SampledForm, J) -> tuple:
-    """Value and (when both operands carry it) gradient of a_I * b_J."""
-    x, y = a.values[I], b.values[J]
-    if a.grads is None or b.grads is None:
-        return x * y, None
-    grad = {m: d * y for m, d in a.grads[I].items()}
-    for m, d in b.grads[J].items():
-        grad[m] = grad[m] + x * d if m in grad else x * d
-    return x * y, grad
+def _add(acc: dict, key: tuple[int, ...], sign: int, value) -> None:
+    """Add ``sign * value`` into the values ``acc`` of a sampled form under ``key``."""
+    if key in acc:
+        acc[key] = acc[key] + value if sign > 0 else acc[key] - value
+    else:
+        acc[key] = value if sign > 0 else -value
 
 
 def sampled_sum(a: SampledForm, b: SampledForm, sign: int = 1) -> SampledForm:
     """``a + sign * b`` of two sampled forms of one degree."""
-    acc = _Accumulator(a.grads is not None and b.grads is not None)
-    for form, s in ((a, 1), (b, sign)):
-        for key, value in form.values.items():
-            acc.add(key, s, value, form.grads and form.grads[key])
-    return acc.form()
+    acc = dict(a.values)
+    for key, value in b.values.items():
+        _add(acc, key, sign, value)
+    return SampledForm(acc)
 
 
 def sampled_d(a: SampledForm) -> SampledForm:
     """Exterior derivative from the antisymmetrised gradients."""
-    if a.grads is None:
-        raise FormError("the exterior derivative of a sampled form needs its first derivatives")
-    acc = _Accumulator(False)
-    for I, grad in a.grads.items():
+    acc = {}
+    for I, grad in _grads(a).items():
         for m, d in grad.items():
             ins = _insert_index(m, I)
             if ins is not None:
-                acc.add(ins[1], ins[0], d)
-    return acc.form()
+                _add(acc, ins[1], ins[0], d)
+    return SampledForm(acc)
 
 
 def sampled_wedge(a: SampledForm, b: SampledForm) -> SampledForm:
     """Exterior product, pointwise."""
-    acc = _Accumulator(a.grads is not None and b.grads is not None)
-    for I in a.values:
-        for J in b.values:
+    acc = {}
+    for I, x in a.values.items():
+        for J, y in b.values.items():
             merged = _merge_indices(I, J)
             if merged is not None:
-                acc.add(merged[1], merged[0], *_product(a, I, b, J))
-    return acc.form()
+                _add(acc, merged[1], merged[0], x * y)
+    return SampledForm(acc)
 
 
 def sampled_interior(X: SampledForm, a: SampledForm) -> SampledForm:
     """Interior product i_X a, pointwise; for a one-form a, the pairing
     a(X) under the key ``()``."""
-    acc = _Accumulator(X.grads is not None and a.grads is not None)
-    for I in a.values:
+    acc = {}
+    for I, y in a.values.items():
         for pos, i in enumerate(I):
             if (i,) in X.values:
-                acc.add(I[:pos] + I[pos + 1 :], -1 if pos % 2 else 1, *_product(X, (i,), a, I))
-    return acc.form()
+                _add(acc, I[:pos] + I[pos + 1 :], -1 if pos % 2 else 1, X.values[(i,)] * y)
+    return SampledForm(acc)
 
 
 def lie_derivative(X: SampledForm, a: SampledForm) -> SampledForm:
-    """Lie derivative of a sampled form along a sampled field, both with
-    first derivatives, by Cartan's formula i_X d a + d i_X a."""
-    return sampled_sum(sampled_interior(X.flat, sampled_d(a)), sampled_d(sampled_interior(X, a)))
+    """Lie derivative L_X a of a sampled form along a sampled field, both
+    with first derivatives, in coordinates: a_I dx^I gives X(a_I) dx^I plus
+    a_I times dx^I with each factor dx^j in turn replaced by
+    d(X^j) = Σ_i ∂_i X^j dx^i."""
+    acc, field_grads = {}, _grads(X)
+    for I, grad in _grads(a).items():
+        for m, d in grad.items():
+            if (m,) in X.values:
+                _add(acc, I, 1, X.values[(m,)] * d)
+        for pos, j in enumerate(I):
+            for i, d in field_grads.get((j,), {}).items():
+                if i == j or i not in I:
+                    sign, K = _sort_index(I[:pos] + (i,) + I[pos + 1 :])
+                    _add(acc, K, sign, a.values[I] * d)
+    return SampledForm(acc)
 
 
 def lie_bracket(X: SampledForm, Y: SampledForm) -> SampledForm:
     """Commutator [X, Y]^i = X^j d_j Y^i - Y^j d_j X^i of sampled fields
     with first derivatives, from their Jacobians."""
-    acc = _Accumulator(False)
+    acc = {}
     for first, second, sign in ((X, Y, 1), (Y, X, -1)):
-        for key, grad in second.grads.items():
+        for key, grad in _grads(second).items():
             for j, d in grad.items():
                 if (j,) in first.values:
-                    acc.add(key, sign, first.values[(j,)] * d)
-    return acc.form()
+                    _add(acc, key, sign, first.values[(j,)] * d)
+    return SampledForm(acc)

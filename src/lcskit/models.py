@@ -376,18 +376,16 @@ def validate_first_kind(
         phi, lee, alpha, B, E = forms.sample_jets(
             (chart.phi, chart.lee, chart.alpha, chart.b_field, chart.anti_lee), env
         )
-        # values alone where no identity needs the derivatives of a product
-        lee_v, B_v, E_v = lee.flat, B.flat, E.flat
         one = SampledForm({(): np.ones(samples)})
         residuals = {
-            "d(phi) - lee ^ phi": sampled_sum(sampled_d(phi), sampled_wedge(lee_v, phi), -1),
+            "d(phi) - lee ^ phi": sampled_sum(sampled_d(phi), sampled_wedge(lee, phi), -1),
             "d_lee(alpha) - phi": sampled_sum(
-                sampled_sum(sampled_d(alpha), sampled_wedge(lee_v, alpha), -1), phi, -1
+                sampled_sum(sampled_d(alpha), sampled_wedge(lee, alpha), -1), phi, -1
             ),
-            "i_B(phi) + alpha": sampled_sum(sampled_interior(B_v, phi), alpha),
-            "i_E(phi) + lee": sampled_sum(sampled_interior(E_v, phi), lee),
-            "lee(B) - 1": sampled_sum(sampled_interior(B_v, lee), one, -1),
-            "lee(E)": sampled_interior(E_v, lee),
+            "i_B(phi) + alpha": sampled_sum(sampled_interior(B, phi), alpha),
+            "i_E(phi) + lee": sampled_sum(sampled_interior(E, phi), lee),
+            "lee(B) - 1": sampled_sum(sampled_interior(B, lee), one, -1),
+            "lee(E)": sampled_interior(E, lee),
             "L_B(phi)": lie_derivative(B, phi),
             "d(lee)": sampled_d(lee),
             "[B, E]": lie_bracket(B, E),

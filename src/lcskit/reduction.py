@@ -389,7 +389,7 @@ def certify_decomposition(
             raise DecompositionError(f"piece {j} lives on {piece.omega.domain.name!r}, not {dom.name!r}")
         env = dom.sample_points(samples, seed + j)
         tau, omega = forms.sample_jets([function_form(dom, piece.tau), piece.omega], env)
-        check = sx.is_zero(forms.sampled_sum(forms.sampled_d(tau), omega.flat, -1).values.values(), env, tol)
+        check = sx.is_zero(forms.sampled_sum(forms.sampled_d(tau), omega, -1).values.values(), env, tol)
         piece_residuals.append(check.max_residual)
         if not check.passed:
             raise DecompositionError(
@@ -404,8 +404,8 @@ def certify_decomposition(
     )
     total = forms.sampled_d(f0)
     for piece in pieces:
-        total = forms.sampled_sum(total, piece.flat)
-    sum_check = sx.is_zero(forms.sampled_sum(total, lee.flat, -1).values.values(), env, tol)
+        total = forms.sampled_sum(total, piece)
+    sum_check = sx.is_zero(forms.sampled_sum(total, lee, -1).values.values(), env, tol)
     if not sum_check.passed:
         raise DecompositionError(
             f"declared pieces do not reassemble the Lee form (residual {sum_check.max_residual:.3e})"

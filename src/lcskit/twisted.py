@@ -145,7 +145,7 @@ def extract_lee(
         # column j holds dx_j ^ phi; one stacked SVD gives every sample's rank
         # check and least-squares solve
         dx = [forms.SampledForm({(j,): np.ones(samples)}) for j in range(dim)]
-        A = _triple_values([forms.sampled_wedge(a, phi_jets.flat) for a in dx], samples, triples)
+        A = _triple_values([forms.sampled_wedge(a, phi_jets) for a in dx], samples, triples)
         U, sv, vt = np.linalg.svd(A, full_matrices=False)
         deficient = np.flatnonzero(numeric.count_significant(sv) < dim)
         if deficient.size:
@@ -163,14 +163,14 @@ def extract_lee(
 
     # ansatz route: constant coefficients on a user-supplied basis, one least
     # squares over all samples
-    A = _triple_values([forms.sampled_wedge(b.flat, phi_jets.flat) for b in basis_jets], samples, triples)
+    A = _triple_values([forms.sampled_wedge(b, phi_jets) for b in basis_jets], samples, triples)
     coeffs, *_ = np.linalg.lstsq(A.reshape(rhs.size, -1), rhs.ravel(), rcond=numeric.RANK_RTOL)
     omega = forms.zero_form(phi.domain, 1)
     for c, beta in zip(coeffs, basis):
         omega = omega + beta.scaled(sx.Const(float(c)))
     env = phi.domain.sample_points(samples, seed + 1)
     phi_jets, omega_jets = forms.sample_jets([phi, omega], env)
-    fit = forms.sampled_sum(forms.sampled_d(phi_jets), forms.sampled_wedge(omega_jets.flat, phi_jets.flat), -1)
+    fit = forms.sampled_sum(forms.sampled_d(phi_jets), forms.sampled_wedge(omega_jets, phi_jets), -1)
     check = sx.is_zero(fit.values.values(), env, tol)
     if not check.passed:
         raise NotConformalError(

@@ -354,12 +354,18 @@ def product_embedding():
 
 
 def test_product_embedding_three_identities(product_embedding):
-    _S, res = product_embedding
+    S, res = product_embedding
     assert res.passed
-    labels = {lbl for _, lbl, _ in res.certifications}
-    assert "pullback(scale * eta) - alpha" in labels
-    assert "pullback(d theta) - lee" in labels
-    assert "pullback(scale * twisted form) - phi" in labels
+    # the two prerequisites are listed beside the three pullbacks, chart by chart
+    for chart in S.charts:
+        labels = {lbl for name, lbl, _ in res.certifications if name == chart.name}
+        assert {
+            "one-form vs potential",
+            "d(tau) - lee",
+            "pullback(scale * eta) - alpha",
+            "pullback(d theta) - lee",
+            "pullback(scale * twisted form) - phi",
+        } <= labels
     worst = max(c.max_residual for _, _, c in res.certifications)
     assert worst < 1e-8
     assert res.target.dim == 21  # 19-sphere times circle
@@ -455,8 +461,9 @@ def test_product_embedding_rejects_bad_tau():
     bad = dict(tau)
     first = S.charts[0].name
     bad[first] = sx.mul(sx.Const(2.0), sx.var("theta"))  # differential is 2 d(theta)
-    with pytest.raises(embed.CertificationError):
+    with pytest.raises(embed.CertificationError) as err:
         embed.build_lcs_embedding(S, prob, bad, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10))
+    assert err.value.where == f"d(tau) - lee on chart {first!r}"
 
 
 def test_product_embedding_rejects_mismatched_potential():
@@ -466,8 +473,9 @@ def test_product_embedding_rejects_mismatched_potential():
         prob.name, prob.ambient, prob.charts,
         tuple((n, sx.mul(sx.Const(2.0), c)) for n, c in prob.coefficients),
     )
-    with pytest.raises(embed.CertificationError):
+    with pytest.raises(embed.CertificationError) as err:
         embed.build_lcs_embedding(S, doubled, tau, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10))
+    assert err.value.where == f"one-form vs potential on chart {S.charts[0].name!r}"
 
 
 # ---------------------------------------------------------------------------
