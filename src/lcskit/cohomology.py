@@ -107,15 +107,14 @@ def build_torus_complex(
     m: int,
     mu: "tuple[float, ...] | list[float] | None" = None,
     cuts: "tuple[int, ...] | None" = None,
-    budget: int = DENSE_BUDGET,
 ) -> TwistedCochainComplex:
     """Assemble the twisted cubical cochain complex of the grid torus.
 
     ``mu`` defaults to all zeros (ordinary cochain complex); ``cuts``
     defaults to the last slice ``m - 1`` on every axis.  Each holonomy
     weight e^(-mu_j) must be a finite normal float above 0.  A complex with a
-    Koszul stack of more than ``budget`` entries is refused before anything
-    is allocated.
+    Koszul stack of more than ``DENSE_BUDGET`` entries is refused before
+    anything is allocated.
     """
     if n < 1:
         raise CohomologyError(f"torus dimension must be at least 1, got {n}")
@@ -130,7 +129,7 @@ def build_torus_complex(
     weights = tuple(_holonomy_weight(j, x) for j, x in enumerate(mu))
     V = m**n
     for k in range(n):
-        _require_budget(V, math.comb(n, k + 1), math.comb(n, k), budget)
+        _require_budget(V, math.comb(n, k + 1), math.comb(n, k))
 
     # frequency l = vertex index: lambda_j(l) = w_j^(1/m) e^(2 pi i l_j / m) - 1
     coords = np.array(np.unravel_index(np.arange(V), (m,) * n))  # (n, V)
@@ -174,33 +173,33 @@ def apply_coboundary(C: TwistedCochainComplex, degree: int, x: np.ndarray) -> np
 # ranks and Betti numbers
 
 
-def _require_budget(blocks: int, rows: int, cols: int, budget: int) -> None:
-    if blocks * rows * cols > budget:
+def _require_budget(blocks: int, rows: int, cols: int) -> None:
+    if blocks * rows * cols > DENSE_BUDGET:
         raise CohomologyError(
             f"{blocks} blocks of {rows} x {cols} ({blocks * rows * cols} entries) exceed the "
-            f"budget of {budget} entries; use a smaller grid resolution m"
+            f"budget of {DENSE_BUDGET} entries; use a smaller grid resolution m"
         )
 
 
-def matrix_rank_qr(M: np.ndarray, block_rows: int, budget: int = DENSE_BUDGET) -> int:
+def matrix_rank_qr(M: np.ndarray, block_rows: int) -> int:
     """Rank of the block-diagonal matrix whose blocks, ``block_rows`` rows
     each, are stacked row-wise in the 2-D array ``M``.
 
     One stacked SVD factors every block, and the rank rule is applied to the
     pooled singular values, as it would be to those of the whole
-    block-diagonal matrix, never per block.  ``budget`` bounds the entries of
-    ``M``.  The name is kept for the benchmark traces that key on it.
+    block-diagonal matrix, never per block.  ``DENSE_BUDGET`` bounds the
+    entries of ``M``.  The name is kept for the benchmark traces that key on it.
     """
     rows, cols = M.shape
-    _require_budget(rows // block_rows, block_rows, cols, budget)
+    _require_budget(rows // block_rows, block_rows, cols)
     s = np.linalg.svd(M.reshape(-1, block_rows, cols), compute_uv=False)
     return int(count_significant(s.ravel()))
 
 
-def twisted_betti(C: TwistedCochainComplex, budget: int = DENSE_BUDGET) -> list[int]:
+def twisted_betti(C: TwistedCochainComplex) -> list[int]:
     """Betti numbers b_k = c_k - r_k - r_(k-1) of the twisted complex, with
     each rank r_k taken over the Koszul stack of D_k (r_k = 0 outside 0..n-1)."""
-    ranks = [0, *(matrix_rank_qr(S.reshape(-1, S.shape[2]), S.shape[1], budget) for S in C.stacks), 0]
+    ranks = [0, *(matrix_rank_qr(S.reshape(-1, S.shape[2]), S.shape[1]) for S in C.stacks), 0]
     return [c - ranks[k + 1] - ranks[k] for k, c in enumerate(C.cells)]
 
 
@@ -265,9 +264,7 @@ class ObstructionReport:
     passed: bool
 
 
-def ot_obstruction_check(
-    n: int, m: int, threshold: float = 0.1, budget: int = DENSE_BUDGET
-) -> ObstructionReport:
+def ot_obstruction_check(n: int, m: int, threshold: float = 0.1) -> ObstructionReport:
     """Certify the discrete obstruction mechanism on the untwisted torus.
 
     (a) the constant area two-cochain keeps normalized distance above
@@ -277,7 +274,7 @@ def ot_obstruction_check(
     """
     if n < 2:
         raise CohomologyError("the obstruction check needs dimension at least 2")
-    C = build_torus_complex(n, m, budget=budget)  # refuses any stack over budget
+    C = build_torus_complex(n, m)  # refuses any stack over DENSE_BUDGET
     distance = image_distance(C, constant_area_cochain(C))
     if not 0.0 <= distance <= 1.0 + 1e-12:
         raise CohomologyError(f"obstruction distance {distance!r} on T{n}, m={m} left its bound [0, 1]")

@@ -466,11 +466,12 @@ def build_lcs_embedding(
     ``problem`` must present the structure's potential (its charts share the
     structure's chart domains and its one-form pulls back to the potential);
     ``tau`` supplies one circle-valued expression per chart whose
-    differential is the Lee form.  Both prerequisites are certified on each
-    chart from the product map's own jets walk, beside the map's pullbacks
-    of the scaled contact generator, the circle form, and the twisted
-    two-form of the target to the potential, Lee form, and two-form of the
-    source; the map is classified as a morphism on the first chart.
+    differential is the Lee form.  The potential is certified on each chart
+    from the product map's own jets walk, beside the map's pullbacks of the
+    scaled contact generator, the circle form, and the twisted two-form of
+    the target to the potential, Lee form, and two-form of the source; the
+    pullback of d(theta) is d(tau), so its check certifies ``tau``.  The map
+    is classified as a morphism on the first chart.
 
     It is an embedding by one linear map L read from the pipeline's layout
     (:meth:`EmbeddingSolution.left_inverse`; the circle from the last slot):
@@ -526,14 +527,13 @@ def build_lcs_embedding(
         maps.append((chart.name, psi))
         env = chart.domain.sample_points(samples, seed + 3)
         # the pairs and P's components are subtrees of psi's, so the memo
-        # reads them off psi's walk; tau is psi's last component
+        # reads them off psi's walk
         pairs = tuple(e for fg in problem.chart_pairs(chart_by_name[chart.name]) for e in fg)
         values, grads, _ = sx.jets(psi.components + pairs + P.components, env)
         k = target.dim
         theta_bar = _theta_bar(values[k : k + len(pairs)], grads[k : k + len(pairs)])
         checks = [
             ("one-form vs potential", forms.values_check(theta_bar - forms.form_values(chart.alpha, env), env, tol)),
-            ("d(tau) - lee", forms.values_check(grads[k - 1] - forms.form_values(chart.lee, env), env, tol)),
         ]
         inverse = [sphere_inverse.get(n, circle_slot) for n in P.target.names]
         checks += _left_inverse_checks(inverse, values, grads, env, tol)

@@ -259,16 +259,8 @@ class VectorField:
             )
         object.__setattr__(self, "components", comps)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_domains(self.domain, other.domain)
-        return VectorField(self.domain, tuple(sx.add(a, b) for a, b in zip(self.components, other.components)))
-
     def __neg__(self) -> "VectorField":
         return VectorField(self.domain, tuple(sx.neg(c) for c in self.components))
-
-    def scaled(self, factor: "Expr | float") -> "VectorField":
-        f = sx.as_expr(factor)
-        return VectorField(self.domain, tuple(sx.mul(f, c) for c in self.components))
 
     def value_at(self, x: np.ndarray) -> np.ndarray:
         """The components at points ``x`` (N, dim), in domain order, as

@@ -76,7 +76,9 @@ class ParseError(ExprError):
 
 
 class Expr:
-    """Base expression node.  Use the module constructors, not raw nodes.
+    """Base expression node.  Build expressions with the module constructors
+    (:func:`add`, :func:`mul`, :func:`neg`, :func:`pow_`, :func:`sqrt`, ...),
+    not raw nodes; nodes define no arithmetic operators.
 
     Nodes are interned: constructing a node returns the one live node with
     the same fields (``Const`` keyed on its float bits), so ``==`` and
@@ -86,37 +88,6 @@ class Expr:
 
     __slots__ = ("__weakref__",)
     _fields: tuple[str, ...] = ()
-
-    # -- arithmetic sugar ---------------------------------------------------
-    def __add__(self, other: ExprLike) -> "Expr":
-        return add(self, as_expr(other))
-
-    def __radd__(self, other: ExprLike) -> "Expr":
-        return add(as_expr(other), self)
-
-    def __sub__(self, other: ExprLike) -> "Expr":
-        return add(self, neg(as_expr(other)))
-
-    def __rsub__(self, other: ExprLike) -> "Expr":
-        return add(as_expr(other), neg(self))
-
-    def __mul__(self, other: ExprLike) -> "Expr":
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other: ExprLike) -> "Expr":
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other: ExprLike) -> "Expr":
-        return mul(self, pow_(as_expr(other), -1))
-
-    def __rtruediv__(self, other: ExprLike) -> "Expr":
-        return mul(as_expr(other), pow_(self, -1))
-
-    def __pow__(self, exponent: Number) -> "Expr":
-        return pow_(self, exponent)
-
-    def __neg__(self) -> "Expr":
-        return neg(self)
 
     def __str__(self) -> str:
         return to_string(self)

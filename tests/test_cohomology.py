@@ -256,9 +256,9 @@ def test_betti_task_ranks_each_coboundary_once_as_a_matrix(monkeypatch):
     exact = coh.matrix_rank_qr
     shapes = []
 
-    def counting(M, block_rows, budget=coh.DENSE_BUDGET):
+    def counting(M, block_rows):
         shapes.append((M.shape, block_rows))
-        return exact(M, block_rows, budget)
+        return exact(M, block_rows)
 
     def refused(*args, **kwargs):
         raise AssertionError("the torus path ranks through cohomology.matrix_rank_qr only")
@@ -270,17 +270,20 @@ def test_betti_task_ranks_each_coboundary_once_as_a_matrix(monkeypatch):
     assert shapes == [((1536, 1), 3), ((1536, 3), 3), ((512, 3), 1)]
 
 
-def test_memory_budget_error_mentions_resolution():
+def test_memory_budget_error_mentions_resolution(monkeypatch):
     C = coh.build_torus_complex(2, 32)  # D_0 stacks 1024 blocks of 2 x 1
+    monkeypatch.setattr(coh, "DENSE_BUDGET", 1000)  # read at each call
     with pytest.raises(coh.CohomologyError, match="smaller grid resolution"):
-        coh.twisted_betti(C, budget=1000)
+        coh.twisted_betti(C)
 
 
-def test_build_refuses_exactly_the_largest_coboundary_over_budget():
+def test_build_refuses_exactly_the_largest_coboundary_over_budget(monkeypatch):
     # on (Z/4)^3 the largest Koszul stack is that of D_1: 64 blocks of 3 x 3
-    assert coh.build_torus_complex(3, 4, budget=576).cells == (64, 192, 192, 64)
+    monkeypatch.setattr(coh, "DENSE_BUDGET", 576)
+    assert coh.build_torus_complex(3, 4).cells == (64, 192, 192, 64)
+    monkeypatch.setattr(coh, "DENSE_BUDGET", 575)
     with pytest.raises(coh.CohomologyError, match=r"64 blocks of 3 x 3 \(576 entries\) exceed the budget of 575"):
-        coh.build_torus_complex(3, 4, budget=575)
+        coh.build_torus_complex(3, 4)
 
 
 @pytest.mark.parametrize(

@@ -356,12 +356,11 @@ def product_embedding():
 def test_product_embedding_three_identities(product_embedding):
     S, res = product_embedding
     assert res.passed
-    # the two prerequisites are listed beside the three pullbacks, chart by chart
+    # the potential is listed beside the three pullbacks, chart by chart
     for chart in S.charts:
         labels = {lbl for name, lbl, _ in res.certifications if name == chart.name}
         assert {
             "one-form vs potential",
-            "d(tau) - lee",
             "pullback(scale * eta) - alpha",
             "pullback(d theta) - lee",
             "pullback(scale * twisted form) - phi",
@@ -455,15 +454,22 @@ def test_a_product_chart_without_a_parametrization_is_refused():
         embed.build_lcs_embedding(bare, prob, tau, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10))
 
 
-def test_product_embedding_rejects_bad_tau():
+def test_product_embedding_rejects_bad_tau(monkeypatch):
     S = models.model_sphere_circle(2, q=1.0)
     prob, tau = embed.problem_from_sphere_circle(S)
     bad = dict(tau)
     first = S.charts[0].name
     bad[first] = sx.mul(sx.Const(2.0), sx.var("theta"))  # differential is 2 d(theta)
+    settings = embed.EmbedSettings(samples=60, tol=1e-8, pairs=10)
+    # the left inverse reads the circle coordinate from tau, so it refuses first
     with pytest.raises(embed.CertificationError) as err:
-        embed.build_lcs_embedding(S, prob, bad, embed.EmbedSettings(samples=60, tol=1e-8, pairs=10))
-    assert err.value.where == f"d(tau) - lee on chart {first!r}"
+        embed.build_lcs_embedding(S, prob, bad, settings)
+    assert err.value.where == f"left inverse: L∘psi - P on chart {first!r}"
+    # without it, the pullback of d(theta), which is d(tau), refuses tau
+    monkeypatch.setattr(embed, "_left_inverse_checks", lambda *args: [])
+    with pytest.raises(embed.CertificationError) as err:
+        embed.build_lcs_embedding(S, prob, bad, settings)
+    assert err.value.where == f"pullback(d theta) - lee on chart {first!r}"
 
 
 def test_product_embedding_rejects_mismatched_potential():

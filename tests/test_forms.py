@@ -154,7 +154,7 @@ def test_wedge_beyond_top_degree_is_zero():
 
 
 def test_extd_of_function_is_gradient():
-    f = forms.function_form(R3, sx.var("x") * sx.var("y") + sx.var("z"))
+    f = forms.function_form(R3, sx.add(sx.mul(sx.var("x"), sx.var("y")), sx.var("z")))
     df = ext_d(f)
     assert str(df.coefficient((0,))) == "y"
     assert str(df.coefficient((1,))) == "x"
@@ -193,7 +193,7 @@ def test_extd_leibniz_rule():
 
 def test_interior_is_evaluation_in_first_slot():
     a = random_polynomial_form(R3, 2, seed=91)
-    X = VectorField(R3, (sx.var("y"), sx.Const(2.0), sx.var("x") * sx.var("z")))
+    X = VectorField(R3, (sx.var("y"), sx.Const(2.0), sx.mul(sx.var("x"), sx.var("z"))))
     ia = interior(X, a)
     x = np.array([0.4, 0.1, -0.7])
     v = _vectors(3, 1, 92)[0]
@@ -231,24 +231,24 @@ def test_lie_derivative_matches_flow_oracle():
 
 
 def test_lie_derivative_of_function_is_directional_derivative():
-    f = forms.function_form(R2, sx.var("x") ** 2 * sx.var("y"))
+    f = forms.function_form(R2, sx.mul(sx.pow_(sx.var("x"), 2), sx.var("y")))
     X = VectorField(R2, (sx.ONE, sx.var("x")))
     lf = lie_derivative(X, f)
-    want = 2 * sx.var("x") * sx.var("y") + sx.var("x") * sx.var("x") ** 2
+    want = sx.add(sx.mul(2, sx.var("x"), sx.var("y")), sx.mul(sx.var("x"), sx.pow_(sx.var("x"), 2)))
     assert form_is_zero(lf - forms.function_form(R2, want), samples=40, seed=3).passed
 
 
 def test_lie_bracket_against_second_derivatives():
-    X = VectorField(R2, (sx.var("y"), sx.var("x") * sx.var("y")))
-    Y = VectorField(R2, (sx.Const(1.0), sx.var("x") ** 2))
-    f = sx.var("x") * sx.exp(sx.var("y"))
+    X = VectorField(R2, (sx.var("y"), sx.mul(sx.var("x"), sx.var("y"))))
+    Y = VectorField(R2, (sx.Const(1.0), sx.pow_(sx.var("x"), 2)))
+    f = sx.mul(sx.var("x"), sx.exp(sx.var("y")))
 
     def directional(Z, g):
         return sx.add(*(sx.mul(c, sx.diff(g, n)) for c, n in zip(Z.components, R2.names)))
 
     lhs = directional(lie_bracket(X, Y), f)
-    rhs = directional(X, directional(Y, f)) - directional(Y, directional(X, f))
-    assert oracle.expr_is_zero(lhs - rhs, R2, samples=60, tol=1e-9, seed=6).passed
+    rhs = sx.add(directional(X, directional(Y, f)), sx.neg(directional(Y, directional(X, f))))
+    assert oracle.expr_is_zero(sx.add(lhs, sx.neg(rhs)), R2, samples=60, tol=1e-9, seed=6).passed
 
 
 def test_cartan_formula_consistency():
@@ -269,33 +269,43 @@ def _sample_map(seed):
     return SmoothMap(
         R2,
         R3,
-        (x * y, sx.sin(x), x + y**2),
+        (sx.mul(x, y), sx.sin(x), sx.add(x, sx.pow_(y, 2))),
     )
 
 
+def _solid_map():
+    """A map with a three-dimensional source: a 3-form pulls back through the
+    3 x 3 minors of its Jacobian."""
+    x, y, z = sx.var("x"), sx.var("y"), sx.var("z")
+    return SmoothMap(R3, R4, (sx.mul(x, y), sx.sin(z), sx.add(x, sx.pow_(y, 2)), sx.add(sx.mul(z, x), y)))
+
+
 def test_pullback_matches_fd_chain_oracle():
-    F = _sample_map(0)
-    for degree, seed in [(1, 121), (2, 122)]:
-        a = random_polynomial_form(R3, degree, seed=seed)
-        fa = pullback(F, a)
-        x = np.array([0.37, -0.21])
-        vs = _vectors(2, degree, seed)
+    for F in (_sample_map(0), _solid_map()):
+        names = F.source.names
+        x = np.array([0.37, -0.21, 0.52][: len(names)])
 
         def map_func(p):
-            env = {"x": p[0], "y": p[1]}
+            env = dict(zip(names, p))
             return np.array([sx.evaluate(c, env) for c in F.components])
 
-        got = oracle.eval_form_on_vectors(_form_at(fa)(x), vs)
-        want = oracle.pullback_on_vectors(_form_at(a), map_func, x, vs)
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-7)
+        for degree in range(len(names) + 1):  # functions up to top-degree forms
+            seed = 120 + degree
+            a = random_polynomial_form(F.target, degree, seed=seed)
+            fa = pullback(F, a)
+            assert fa.coeffs  # no degree pulls back to zero here
+            vs = _vectors(len(names), degree, seed)
+            got = oracle.eval_form_on_vectors(_form_at(fa)(x), vs)
+            want = oracle.pullback_on_vectors(_form_at(a), map_func, x, vs)
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-7)
 
 
 def test_pullback_of_function_composes():
     F = _sample_map(0)
-    g = forms.function_form(R3, sx.var("z") * sx.var("x"))
+    g = forms.function_form(R3, sx.mul(sx.var("z"), sx.var("x")))
     back = pullback(F, g)
     x, y = sx.var("x"), sx.var("y")
-    want = forms.function_form(R2, (x + y**2) * (x * y))
+    want = forms.function_form(R2, sx.mul(sx.add(x, sx.pow_(y, 2)), sx.mul(x, y)))
     assert form_is_zero(back - want, samples=40, seed=2).passed
 
 
@@ -309,7 +319,7 @@ def test_pullback_commutes_with_d():
 
 def test_pullback_functoriality():
     x, y, z = sx.var("x"), sx.var("y"), sx.var("z")
-    G = SmoothMap(R3, R2, (x + z, y * z))
+    G = SmoothMap(R3, R2, (sx.add(x, z), sx.mul(y, z)))
     F = _sample_map(0)  # R2 -> R3
     a = random_polynomial_form(R2, 1, seed=141)
     lhs = pullback(F, pullback(G, a))  # (G o F)^* in two steps
@@ -325,7 +335,7 @@ def test_pullback_through_identity_is_identity():
 def test_angular_targets_wrap_mod_one():
     circle = forms.make_domain("s1", [("t", ANGULAR)])
     line = linear_domain("line", ["s"], 0.0, 1.0)
-    F = SmoothMap(line, circle, (sx.var("s") + sx.Const(0.75),))
+    F = SmoothMap(line, circle, (sx.add(sx.var("s"), sx.Const(0.75)),))
     values, _, _ = sx.jets(F.components, {"s": np.array([0.5, 0.1])})
     assert np.allclose(values, [[1.25, 0.85]])
     assert np.allclose(numeric.wrap_point(circle, values.T).T, [[0.25, 0.85]])
@@ -401,7 +411,7 @@ def test_evaluate_form_values():
     assert np.allclose(vals[(0,)], [2.0, 3.0])
 
 
-_CONSTANT_AND_POLY = DifferentialForm(R4, 2, {(0, 2): sx.Const(0.75), (1, 3): sx.var("x") * sx.var("w")})
+_CONSTANT_AND_POLY = DifferentialForm(R4, 2, {(0, 2): sx.Const(0.75), (1, 3): sx.mul(sx.var("x"), sx.var("w"))})
 
 
 @pytest.mark.parametrize("phi", [random_polynomial_form(R4, 2, seed=5), _CONSTANT_AND_POLY])
@@ -425,7 +435,7 @@ def test_form_values_two_form_against_multilinear_oracle(phi):
 
 def test_evaluate_jacobian_against_finite_differences():
     x, y = sx.var("x"), sx.var("y")
-    F = SmoothMap(R2, R3, (x * y, sx.Const(2.0), sx.sin(x) + y))
+    F = SmoothMap(R2, R3, (sx.mul(x, y), sx.Const(2.0), sx.add(sx.sin(x), y)))
     env = R2.sample_points(5, seed=1)
     _, jets_J, _ = sx.jets(F.components, env)
     assert jets_J.shape == (3, 2, 5)

@@ -187,7 +187,7 @@ def first_kind_one_test_per_identity(S, samples, tol, seed):
             ("d_lee(alpha) - phi", twisted.d_twisted(chart.lee, chart.alpha) - chart.phi),
             ("i_B(phi) + alpha", forms.interior(B, chart.phi) + chart.alpha),
             ("i_E(phi) + lee", forms.interior(E, chart.phi) + chart.lee),
-            ("lee(B) - 1", forms.function_form(dom, _pairing(chart.lee, B) - sx.ONE)),
+            ("lee(B) - 1", forms.function_form(dom, sx.add(_pairing(chart.lee, B), sx.neg(sx.ONE)))),
             ("lee(E)", forms.function_form(dom, _pairing(chart.lee, E))),
             ("L_B(phi)", oracle_utils.lie_derivative(B, chart.phi)),
             ("d(lee)", forms.ext_d(chart.lee)),

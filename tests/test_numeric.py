@@ -32,7 +32,7 @@ def test_flow_of_rotation_matches_closed_form():
 
 
 def test_flow_jacobian_matches_fd_oracle():
-    X = VectorField(R2, (sx.var("x") * sx.var("y"), sx.sin(sx.var("x"))))
+    X = VectorField(R2, (sx.mul(sx.var("x"), sx.var("y")), sx.sin(sx.var("x"))))
     x0 = np.array([0.3, 0.2])
     t = 0.4
     res = _flow_one(X, x0, t, with_jacobian=True)
@@ -293,7 +293,7 @@ def test_patching_module_evaluate_sees_symbolic_and_flow_tasks(monkeypatch, task
 
 def test_numeric_pullback_agrees_with_symbolic():
     x, y = sx.var("x"), sx.var("y")
-    F = SmoothMap(R2, R3, (x * y, sx.sin(x), x + y**2))
+    F = SmoothMap(R2, R3, (sx.mul(x, y), sx.sin(x), sx.add(x, sx.pow_(y, 2))))
     a = random_polynomial_form(R3, 2, seed=7)
     sym = pullback(F, a)
     pm = oracle.JetsPointMap(F)
@@ -310,9 +310,9 @@ def test_composed_point_map_chain_rule():
     # the two-stage check's composition: a point map's images pushed through a
     # walked symbolic map, with DF = DG·DF, against the symbolic composite
     x, y = sx.var("x"), sx.var("y")
-    F = SmoothMap(R2, R3, (x * y, sx.sin(x), x + y**2))
+    F = SmoothMap(R2, R3, (sx.mul(x, y), sx.sin(x), sx.add(x, sx.pow_(y, 2))))
     z = sx.var("z")
-    G = SmoothMap(R3, R2, (sx.var("x") + z, sx.var("y") * z))
+    G = SmoothMap(R3, R2, (sx.add(sx.var("x"), z), sx.mul(sx.var("y"), z)))
     env = {"x": np.array([0.25, -1.5]), "y": np.array([-0.5, 0.75])}
     kept, f_env, JF = reduction._images(oracle.JetsPointMap(F), env, 2)
     _, g_env, JG = reduction._images(G, f_env, 2)
@@ -326,7 +326,7 @@ def test_composed_point_map_chain_rule():
 
 @pytest.mark.parametrize("with_jacobian", [False, True])
 def test_flow_domain_error_keeps_tree_walk_message_and_witness(with_jacobian):
-    radicand = sx.var("x") - sx.Const(0.5)
+    radicand = sx.add(sx.var("x"), sx.neg(sx.Const(0.5)))
     X = VectorField(R2, (sx.sqrt(radicand), sx.var("y")))
     x0 = np.array([0.25, -0.75])
     with pytest.raises(sx.EvaluationDomainError) as want:
@@ -344,7 +344,7 @@ def test_flow_of_field_naming_a_missing_coordinate_raises():
 
 
 def test_jet_at_is_built_once_per_field():
-    X = VectorField(R2, (sx.var("x") * sx.var("y"), sx.sin(sx.var("x"))))
+    X = VectorField(R2, (sx.mul(sx.var("x"), sx.var("y")), sx.sin(sx.var("x"))))
     _flow_one(X, [0.3, 0.2], 0.4, with_jacobian=True)
     jet = X.jet_at
     _flow_one(X, [0.1, 0.2], 0.4, with_jacobian=True)
@@ -452,7 +452,7 @@ def test_jacobian_min_rank_is_the_minimum_over_samples():
     # DF of (x, y) -> (x, x*y, y**2) has rank 2 except where x = y = 0
     R2 = linear_domain("R2", ["x", "y"], -1.0, 1.0)
     x, y = sx.var("x"), sx.var("y")
-    F = SmoothMap(R2, linear_domain("R3", ["a", "b", "c"]), (x, x * y, y * y))
+    F = SmoothMap(R2, linear_domain("R3", ["a", "b", "c"]), (x, sx.mul(x, y), sx.mul(y, y)))
     env = R2.sample_points(6, seed=2)
     _, J, _ = sx.jets(F.components, env)
     assert numeric.jacobian_min_rank(J) == numeric.jacobian_min_rank(oracle.evaluate_jacobian(F, env)) == 2

@@ -37,8 +37,13 @@ def _two_form(i, j, coefficient):
     return DifferentialForm(DOM, 2, {(_at(i), _at(j)): coefficient})
 
 
-def _field(**components):
-    return VectorField(DOM, tuple(components.get(n, sx.ZERO) for n in DOM.names))
+def _plus(X, **components):
+    """``X`` plus the field with ``components`` by coordinate name (zero elsewhere)."""
+    return VectorField(X.domain, tuple(sx.add(c, components.get(n, sx.ZERO)) for c, n in zip(X.components, X.domain.names)))
+
+
+def _scaled(X, factor):
+    return VectorField(X.domain, tuple(sx.mul(factor, c) for c in X.components))
 
 
 def _eps(eps, expr=sx.ONE):
@@ -53,13 +58,13 @@ DEFECTS = {
     "d_lee(alpha) - phi": lambda c, e: dataclasses.replace(c, alpha=c.alpha + DOM.one_form("s").scaled(_eps(e))),
     "i_B(phi) + alpha": lambda c, e: dataclasses.replace(c, alpha=c.alpha + DOM.one_form("t1").scaled(_eps(e))),
     # i_(d/dt1) phi = dpt1 - pt1 lee
-    "i_E(phi) + lee": lambda c, e: dataclasses.replace(c, anti_lee=c.anti_lee + _field(t1=_eps(e))),
-    "lee(B) - 1": lambda c, e: dataclasses.replace(c, b_field=c.b_field.scaled(sx.Const(1.0 + e))),
-    "lee(E)": lambda c, e: dataclasses.replace(c, anti_lee=c.anti_lee + _field(s=_eps(e))),
+    "i_E(phi) + lee": lambda c, e: dataclasses.replace(c, anti_lee=_plus(c.anti_lee, t1=_eps(e))),
+    "lee(B) - 1": lambda c, e: dataclasses.replace(c, b_field=_scaled(c.b_field, sx.Const(1.0 + e))),
+    "lee(E)": lambda c, e: dataclasses.replace(c, anti_lee=_plus(c.anti_lee, s=_eps(e))),
     # L_(u d/du) phi = du ^ lee
-    "L_B(phi)": lambda c, e: dataclasses.replace(c, b_field=c.b_field + _field(u=_eps(e, sx.var("u")))),
+    "L_B(phi)": lambda c, e: dataclasses.replace(c, b_field=_plus(c.b_field, u=_eps(e, sx.var("u")))),
     # [d/ds, eps s d/du] = eps d/du
-    "[B, E]": lambda c, e: dataclasses.replace(c, anti_lee=c.anti_lee + _field(u=_eps(e, sx.var("s")))),
+    "[B, E]": lambda c, e: dataclasses.replace(c, anti_lee=_plus(c.anti_lee, u=_eps(e, sx.var("s")))),
     "d(lee)": lambda c, e: dataclasses.replace(c, lee=c.lee + DOM.one_form("pt1").scaled(_eps(e, sx.var("t1")))),
 }
 

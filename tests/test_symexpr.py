@@ -29,7 +29,7 @@ def _as_func(e):
 
 
 def test_diff_matches_central_difference_at_cited_point():
-    e = sx.sin(X) * sx.exp(Y)
+    e = sx.mul(sx.sin(X), sx.exp(Y))
     sym = sx.evaluate(sx.diff(e, "x"), {"x": 0.7, "y": 0.2})
     fd = central_difference(_as_func(e), {"x": 0.7, "y": 0.2}, "x")
     assert abs(sym - fd) < 1e-8
@@ -38,11 +38,11 @@ def test_diff_matches_central_difference_at_cited_point():
 @pytest.mark.parametrize(
     "expr,name",
     [
-        (X**3 + 2 * X * Y, "x"),
-        (sx.sqrt(1 + X**2 + Y**2), "y"),
-        (sx.exp(X * Y) * sx.cos(X), "x"),
-        (X / (1 + Y**2), "y"),
-        (sx.pow_(1 + X**2, Fraction(3, 2)), "x"),
+        (sx.add(sx.pow_(X, 3), sx.mul(2, X, Y)), "x"),
+        (sx.sqrt(sx.add(1, sx.pow_(X, 2), sx.pow_(Y, 2))), "y"),
+        (sx.mul(sx.exp(sx.mul(X, Y)), sx.cos(X)), "x"),
+        (sx.mul(X, sx.pow_(sx.add(1, sx.pow_(Y, 2)), -1)), "y"),
+        (sx.pow_(sx.add(1, sx.pow_(X, 2)), Fraction(3, 2)), "x"),
     ],
 )
 def test_diff_matches_central_difference(expr, name):
@@ -55,7 +55,7 @@ def test_diff_matches_central_difference(expr, name):
 
 
 def test_diff_second_order_matches_oracle():
-    e = sx.sin(X) * sx.exp(Y)
+    e = sx.mul(sx.sin(X), sx.exp(Y))
     d2 = sx.diff(sx.diff(e, "x"), "x")
     pt = {"x": 0.3, "y": -0.4}
     fd = central_difference(_as_func(sx.diff(e, "x")), pt, "x")
@@ -76,7 +76,7 @@ def test_sqrt_of_negative_is_domain_error_with_point():
 
 def test_division_by_zero_is_domain_error():
     with pytest.raises(sx.EvaluationDomainError):
-        sx.evaluate(1 / X, {"x": np.array([1.0, 0.0, 2.0])})
+        sx.evaluate(sx.pow_(X, -1), {"x": np.array([1.0, 0.0, 2.0])})
 
 
 def test_non_finite_constant_prints_and_raises_domain_error():
@@ -93,9 +93,15 @@ def test_to_string_of_non_finite_constants():
     assert sx.to_string(sx.Const(-math.inf)) == "-inf"
 
 
+def test_repr_shows_the_node_fields():
+    assert repr(X) == "Var(name='x')"
+    assert repr(sx.mul(X, Y)) == "Mul(factors=(Var(name='x'), Var(name='y')))"
+    assert str(sx.mul(X, Y)) == "x * y"
+
+
 def test_unknown_coordinate_error():
     with pytest.raises(sx.UnknownCoordinateError):
-        sx.evaluate(X + Y, {"x": 1.0})
+        sx.evaluate(sx.add(X, Y), {"x": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -121,37 +127,37 @@ def test_is_zero_judges_arrays_of_any_leading_shape():
 
 
 def test_is_zero_pythagorean_identity():
-    check = oracle.expr_is_zero(sx.sin(X) ** 2 + sx.cos(X) ** 2 - 1, BOX, samples=200, tol=1e-12, seed=3)
+    check = oracle.expr_is_zero(sx.add(sx.pow_(sx.sin(X), 2), sx.pow_(sx.cos(X), 2), -1), BOX, samples=200, tol=1e-12, seed=3)
     assert check.passed
     assert check.max_residual < 1e-12
 
 
 def test_is_zero_binomial_identity():
-    e = (X + Y) ** 2 - X**2 - 2 * X * Y - Y**2
+    e = sx.add(sx.pow_(sx.add(X, Y), 2), sx.neg(sx.pow_(X, 2)), sx.neg(sx.mul(2, X, Y)), sx.neg(sx.pow_(Y, 2)))
     assert oracle.expr_is_zero(e, BOX, samples=100, tol=1e-12, seed=5).passed
 
 
 def test_is_zero_sine_addition_identity():
-    e = sx.sin(X + Y) - sx.sin(X) * sx.cos(Y) - sx.cos(X) * sx.sin(Y)
+    e = sx.add(sx.sin(sx.add(X, Y)), sx.neg(sx.mul(sx.sin(X), sx.cos(Y))), sx.neg(sx.mul(sx.cos(X), sx.sin(Y))))
     assert oracle.expr_is_zero(e, BOX, seed=9).passed
 
 
 def test_is_zero_rejects_nonzero_and_reports_worst_point():
-    check = oracle.expr_is_zero(X**2, BOX, samples=500, tol=1e-9, seed=1)
+    check = oracle.expr_is_zero(sx.pow_(X, 2), BOX, samples=500, tol=1e-9, seed=1)
     assert not check.passed
     assert 0.5 < check.max_residual <= 1.0
     assert abs(check.worst_point["x"] ** 2 - check.max_residual) < 1e-15
 
 
 def test_is_zero_deterministic_given_seed():
-    e = sx.sin(X) * Y
+    e = sx.mul(sx.sin(X), Y)
     a = oracle.expr_is_zero(e, BOX, samples=64, tol=1e-9, seed=42)
     b = oracle.expr_is_zero(e, BOX, samples=64, tol=1e-9, seed=42)
     assert a == b
 
 
 def test_is_zero_accepts_iterables():
-    checks = oracle.expr_is_zero([X - X, sx.ZERO], BOX, samples=10, seed=0)
+    checks = oracle.expr_is_zero([sx.add(X, sx.neg(X)), sx.ZERO], BOX, samples=10, seed=0)
     assert checks.passed and checks.max_residual == 0.0
 
 
@@ -258,15 +264,15 @@ def test_parse_error_mentions_position():
 @pytest.mark.parametrize(
     "e",
     [
-        X + Y * 2,
-        sx.sin(X) * sx.exp(Y) - sx.sqrt(1 + X**2),
-        sx.pow_(1 + Y**2, Fraction(-3, 2)),
-        -X * Y + sx.cos(X * Y),
+        sx.add(X, sx.mul(Y, 2)),
+        sx.add(sx.mul(sx.sin(X), sx.exp(Y)), sx.neg(sx.sqrt(sx.add(1, sx.pow_(X, 2))))),
+        sx.pow_(sx.add(1, sx.pow_(Y, 2)), Fraction(-3, 2)),
+        sx.add(sx.mul(sx.neg(X), Y), sx.cos(sx.mul(X, Y))),
     ],
 )
 def test_to_string_round_trips(e):
     back = sx.parse(str(e))
-    delta = e - back
+    delta = sx.add(e, sx.neg(back))
     assert oracle.expr_is_zero(delta, BOX, samples=50, seed=2).passed
 
 
@@ -293,7 +299,7 @@ _expr_strategy = st.recursive(_leaf, _combine, max_leaves=8)
 @settings(max_examples=40, deadline=None)
 @given(_expr_strategy)
 def test_mixed_partials_commute(e):
-    mixed = sx.diff(sx.diff(e, "x"), "y") - sx.diff(sx.diff(e, "y"), "x")
+    mixed = sx.add(sx.diff(sx.diff(e, "x"), "y"), sx.neg(sx.diff(sx.diff(e, "y"), "x")))
     assert oracle.expr_is_zero(mixed, BOX, samples=40, tol=1e-8, seed=7).passed
 
 
@@ -301,7 +307,7 @@ def test_mixed_partials_commute(e):
 @given(_expr_strategy)
 def test_parse_of_printed_tree_matches(e):
     back = sx.parse(sx.to_string(e))
-    assert oracle.expr_is_zero(e - back, BOX, samples=30, tol=1e-9, seed=13).passed
+    assert oracle.expr_is_zero(sx.add(e, sx.neg(back)), BOX, samples=30, tol=1e-9, seed=13).passed
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,9 +335,9 @@ def _build_dag(steps, leaves):
     for op, i, j in steps:
         a, b = pool[i % len(pool)], pool[j % len(pool)]
         if op == "add":
-            e = a + b
+            e = sx.add(a, b)
         elif op == "mul":
-            e = a * b
+            e = sx.mul(a, b)
         elif op == "sin":
             e = sx.sin(a)
         elif op == "cos":
@@ -339,11 +345,11 @@ def _build_dag(steps, leaves):
         elif op == "exp":
             e = sx.exp(sx.sin(a))
         elif op == "root":  # rational power of a positive base
-            e = sx.pow_(1 + a * a, Fraction(1 + j % 5, 2 + i % 3))
+            e = sx.pow_(sx.add(1, sx.mul(a, a)), Fraction(1 + j % 5, 2 + i % 3))
         elif op == "power":
             e = sx.pow_(a, 2 + j % 2)
         else:
-            e = sx.pow_(1 + a * a, -(1 + j % 2))
+            e = sx.pow_(sx.add(1, sx.mul(a, a)), -(1 + j % 2))
         pool.append(e)
     return pool
 
@@ -358,7 +364,7 @@ _dag_steps = st.lists(
 
 
 def test_field_value_domain_error_keeps_message_and_witness():
-    exprs = (X + Y, sx.sqrt(X) * sx.exp(Y), sx.pow_(X, -1))
+    exprs = (sx.add(X, Y), sx.mul(sx.sqrt(X), sx.exp(Y)), sx.pow_(X, -1))
     point = {"x": -0.25, "y": 0.5, "z": 0.0}
     with pytest.raises(sx.EvaluationDomainError) as want:
         sx.evaluate(exprs[1], point)
@@ -369,9 +375,9 @@ def test_field_value_domain_error_keeps_message_and_witness():
 
 
 def test_field_value_shares_subexpressions_and_constants():
-    shared = sx.sin(X * Y)
-    decay = sx.exp(sx.Const(-math.inf) * X)  # a non-finite constant inside a finite value
-    field = VectorField(linear_domain("xyzw", ["x", "y", "z", "w"]), (shared, shared * shared, sx.Const(-2.0), decay))
+    shared = sx.sin(sx.mul(X, Y))
+    decay = sx.exp(sx.mul(sx.Const(-math.inf), X))  # a non-finite constant inside a finite value
+    field = VectorField(linear_domain("xyzw", ["x", "y", "z", "w"]), (shared, sx.mul(shared, shared), sx.Const(-2.0), decay))
     got = field.value_at(np.array([[0.3, 0.7, 0.0, 0.0]] * 3))
     s = math.sin(0.3 * 0.7)
     assert got.tolist() == [[s, s * s, -2.0, 0.0]] * 3  # a constant component fills the batch
@@ -399,7 +405,7 @@ def test_batched_evaluate_has_batch_shape_and_matches_scalar_walks(steps, points
     T = sx.var("t")
     pool = _build_dag(steps, (X, Y, T, sx.Const(0.5), sx.Const(-1.5)))
     # bare and folded constants, plus the newest entries (which share subtrees)
-    exprs = (sx.Const(2.0), sx.sin(sx.Const(0.5)) * 3, *pool[-3:])
+    exprs = (sx.Const(2.0), sx.mul(sx.sin(sx.Const(0.5)), 3), *pool[-3:])
     columns = np.array(points, dtype=float).T
     env = dict(zip(MIX.names, columns))
     n = len(points)
@@ -457,9 +463,9 @@ def _build_raw_dag(steps):
     for op, i, j in steps:
         a, b = pool[i % len(pool)], pool[j % len(pool)]
         if op == "add":
-            e = a + b
+            e = sx.add(a, b)
         elif op == "mul":
-            e = a * b
+            e = sx.mul(a, b)
         elif op == "sin":  # raw: a constant argument stays unfolded
             e = sx.Call("sin", a)
         elif op == "exp":
@@ -559,19 +565,8 @@ def test_no_node_outlives_a_run():
     assert _live_nodes() == before
 
 
-def test_operators_build_the_constructor_nodes():
-    # the package builds with the constructors; the operators are sugar for them
-    x, y = sx.var("x"), sx.var("y")
-    assert x + y is sx.add(x, y) and 2 + x is sx.add(2, x)
-    assert x - y is sx.add(x, sx.neg(y)) and 2 - x is sx.add(2, sx.neg(x))
-    assert x * y is sx.mul(x, y) and 2 * x is sx.mul(2, x)
-    assert x / y is sx.mul(x, sx.pow_(y, -1)) and 2 / x is sx.mul(2, sx.pow_(x, -1))
-    assert x**2 is sx.pow_(x, 2) and -x is sx.neg(x)
-    assert repr(x) == "Var(name='x')" and str(x * y) == "x * y"
-
-
 def test_nodes_copy_and_pickle_to_themselves():
-    e = sx.exp(sx.sqrt(1 + X**2)) * sx.sin(Y) - sx.Const(-0.0) * X
+    e = sx.add(sx.mul(sx.exp(sx.sqrt(sx.add(1, sx.pow_(X, 2)))), sx.sin(Y)), sx.neg(sx.mul(sx.Const(-0.0), X)))
     assert copy.copy(e) is e
     assert copy.deepcopy(e) is e
     assert copy.deepcopy([e, {"k": e}])[1]["k"] is e
@@ -580,7 +575,7 @@ def test_nodes_copy_and_pickle_to_themselves():
 
 
 def test_nodes_are_immutable():
-    e = X * Y + 1
+    e = sx.add(sx.mul(X, Y), 1)
     for node, field in ((e, "terms"), (sx.ONE, "value"), (X, "name"), (sx.sin(X), "other")):
         with pytest.raises(AttributeError):
             setattr(node, field, None)
@@ -597,8 +592,8 @@ def test_evaluate_computes_a_shared_subtree_once(monkeypatch):
         return real_sin(a)
 
     monkeypatch.setattr(np, "sin", counting_sin)
-    shared = sx.sin(X * Y)
-    e = shared + shared * shared + sx.sin(X * Y) ** 2
+    shared = sx.sin(sx.mul(X, Y))
+    e = sx.add(shared, sx.mul(shared, shared), sx.pow_(sx.sin(sx.mul(X, Y)), 2))
     env = {"x": np.array([0.3, -0.8]), "y": np.array([0.7, 0.2])}
     got = sx.evaluate(e, env)
     assert len(calls) == 1
@@ -661,7 +656,7 @@ def test_evaluate_all_equals_one_evaluate_per_expression(steps, points, scalar, 
     # picks repeat pool entries, and later entries share subtrees with earlier ones
     exprs = [pool[i % len(pool)] for i in picks] + [sx.Const(2.0)]
     # a radicand that is negative on part of the domain, at a drawn position
-    exprs.insert(bad_at % (len(exprs) + 1), sx.sqrt(X) * pool[-1])
+    exprs.insert(bad_at % (len(exprs) + 1), sx.mul(sx.sqrt(X), pool[-1]))
     env = _env(points, scalar)
     want = _outcome(lambda: [sx.evaluate(e, env) for e in exprs])
     got = _outcome(lambda: sx.evaluate_all(exprs, env))
@@ -678,7 +673,7 @@ def test_evaluate_all_equals_one_evaluate_per_expression(steps, points, scalar, 
 def test_evaluate_all_raises_unknown_coordinate_where_the_loop_does(steps, points, scalar, at):
     pool = _build_dag(steps, (X, Y, sx.var("t"), sx.Const(0.5), sx.Const(-1.5)))
     exprs = [*pool[-4:], sx.sqrt(X)]
-    exprs.insert(at % (len(exprs) + 1), pool[-1] * sx.var("z"))
+    exprs.insert(at % (len(exprs) + 1), sx.mul(pool[-1], sx.var("z")))
     env = _env(points, scalar)
     want = _outcome(lambda: [sx.evaluate(e, env) for e in exprs])
     assert want[0] in (sx.UnknownCoordinateError, sx.EvaluationDomainError)
@@ -687,7 +682,7 @@ def test_evaluate_all_raises_unknown_coordinate_where_the_loop_does(steps, point
 
 def test_evaluate_all_names_the_first_non_finite_before_a_later_unbound_variable():
     env = {"x": np.array([0.5, -0.25, -1.0]), "y": np.array([1.0, 2.0, 3.0])}
-    exprs = [X * Y, sx.sqrt(X), X * sx.var("z")]
+    exprs = [sx.mul(X, Y), sx.sqrt(X), sx.mul(X, sx.var("z"))]
     with pytest.raises(sx.EvaluationDomainError) as err:
         sx.evaluate_all(exprs, env)
     assert err.value.point == {"x": -0.25, "y": 2.0}
@@ -705,18 +700,18 @@ def test_evaluate_all_broadcasts_each_constant_value_once():
 def test_evaluate_all_of_nothing_and_of_scalars():
     nothing = sx.evaluate_all([], {"x": np.zeros(3)})
     _is_block(nothing, 0, {"x": np.zeros(3)})
-    got = sx.evaluate_all([X * Y, sx.Const(3.0)], {"x": 2.0, "y": 0.25})
+    got = sx.evaluate_all([sx.mul(X, Y), sx.Const(3.0)], {"x": 2.0, "y": 0.25})
     _is_block(got, 2, {"x": 2.0})
     assert got.tolist() == [0.5, 3.0]
-    value = sx.evaluate(X * Y, {"x": 2.0, "y": 0.25})
+    value = sx.evaluate(sx.mul(X, Y), {"x": 2.0, "y": 0.25})
     assert type(value) is float and value == 0.5
 
 
 def test_evaluate_all_never_enters_jet_mode(monkeypatch):
-    shared = sx.sin(X) * Y  # walked once, from both expressions
+    shared = sx.mul(sx.sin(X), Y)  # walked once, from both expressions
     exprs = [
-        shared + sx.cos(shared),
-        sx.exp(shared) * sx.pow_(1 + X * X, Fraction(1, 2)) - sx.pow_(Y, 3),
+        sx.add(shared, sx.cos(shared)),
+        sx.add(sx.mul(sx.exp(shared), sx.pow_(sx.add(1, sx.mul(X, X)), Fraction(1, 2))), sx.neg(sx.pow_(Y, 3))),
         X,
         sx.Const(2.0),
     ]
@@ -750,7 +745,7 @@ def test_evaluate_all_never_enters_jet_mode(monkeypatch):
 )
 def test_zero_checks_equal_one_is_zero_per_group(steps, group_picks, seed, with_bad):
     pool = _build_dag(steps, (X, Y, sx.var("t"), sx.Const(0.5), sx.Const(-1.5)))
-    extras = [sx.ZERO, pool[-1] - pool[-1]]  # structural zeros are skipped
+    extras = [sx.ZERO, sx.add(pool[-1], sx.neg(pool[-1]))]  # structural zeros are skipped
     if with_bad:
         extras.append(sx.sqrt(X))
     candidates = pool + extras
@@ -829,11 +824,11 @@ def test_jets_equal_the_tree_walk_of_diff(steps, points):
 
 
 def test_jets_of_scalars_and_constants():
-    values, partials, structural = sx.jets([X * Y, sx.Const(3.0), sx.sin(X)], {"x": 2.0, "y": 0.25})
+    values, partials, structural = sx.jets([sx.mul(X, Y), sx.Const(3.0), sx.sin(X)], {"x": 2.0, "y": 0.25})
     assert values.tolist() == [0.5, 3.0, math.sin(2.0)]
     assert partials.tolist() == [[0.25, 2.0], [0.0, 0.0], [math.cos(2.0), 0.0]]
     assert [sorted(s) for s in structural] == [[0, 1], [], [0]]
-    values, partials, structural = sx.jets([sx.Const(3.0) * X], {"y": np.ones(4), "x": np.zeros(4)})
+    values, partials, structural = sx.jets([sx.mul(sx.Const(3.0), X)], {"y": np.ones(4), "x": np.zeros(4)})
     assert values.shape == (1, 4) and partials.shape == (1, 2, 4)
     assert partials[0].tolist() == [[0.0] * 4, [3.0] * 4]  # columns in env order
     assert structural == [[1]]
@@ -842,8 +837,8 @@ def test_jets_of_scalars_and_constants():
 def test_jets_domain_error_keeps_message_and_witness_of_the_tree_walk():
     # a graph chart of the unit sphere on a box that reaches outside the ball
     box = linear_domain("box", ["x", "y", "z"])
-    radicand = 1 - X**2 - Y**2 - sx.var("z") ** 2
-    exprs = [X * Y, sx.sqrt(radicand), sx.sqrt(radicand) * X]
+    radicand = sx.add(1, sx.neg(sx.pow_(X, 2)), sx.neg(sx.pow_(Y, 2)), sx.neg(sx.pow_(sx.var("z"), 2)))
+    exprs = [sx.mul(X, Y), sx.sqrt(radicand), sx.mul(sx.sqrt(radicand), X)]
     env = box.sample_points(50, seed=3)
     with pytest.raises(sx.EvaluationDomainError) as want:
         sx.evaluate_all(exprs, env)
@@ -862,7 +857,7 @@ def test_jets_name_a_non_finite_derivative():
 
 def test_jets_raise_unknown_coordinate():
     with pytest.raises(sx.UnknownCoordinateError, match="'z'"):
-        sx.jets([X, X * sx.var("z")], {"x": np.array([0.5]), "y": np.array([0.5])})
+        sx.jets([X, sx.mul(X, sx.var("z"))], {"x": np.array([0.5]), "y": np.array([0.5])})
 
 
 @settings(max_examples=40, deadline=None)
@@ -870,7 +865,7 @@ def test_jets_raise_unknown_coordinate():
 def test_jets_raise_unknown_coordinate_where_the_tree_walk_does(steps, points, scalar, at):
     pool = _build_dag(steps, (X, Y, sx.var("t"), sx.Const(0.5), sx.Const(-1.5)))
     exprs = [*pool[-4:], sx.Const(2.0)]
-    exprs.insert(at % (len(exprs) + 1), pool[-1] * sx.var("z"))
+    exprs.insert(at % (len(exprs) + 1), sx.mul(pool[-1], sx.var("z")))
     env = _env(points, scalar)
     want = _outcome(lambda: sx.evaluate_all(exprs, env))
     got = _outcome(lambda: sx.jets(exprs, env))

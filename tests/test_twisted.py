@@ -47,7 +47,7 @@ def _torus_loop(which: int) -> SmoothMap:
 
 
 def test_twisted_differential_squares_to_zero_for_closed_twist():
-    omega = ext_d(function_form(R4, sx.var("s") * sx.var("t")))  # exact, hence closed
+    omega = ext_d(function_form(R4, sx.mul(sx.var("s"), sx.var("t"))))  # exact, hence closed
     a = random_polynomial_form(R4, 1, seed=5)
     dd = twisted.d_twisted(omega, twisted.d_twisted(omega, a))
     assert form_is_zero(dd, samples=80, tol=1e-9, seed=1).passed
@@ -81,7 +81,7 @@ def test_conformal_rescale_intertwines_twisted_differentials():
     # d_(omega + df)(e^f a) = e^f d_omega(a)
     omega = random_polynomial_form(R4, 1, seed=11)
     a = random_polynomial_form(R4, 1, seed=12)
-    f = sx.Const(0.3) * sx.var("s") * sx.var("u")
+    f = sx.mul(sx.Const(0.3), sx.var("s"), sx.var("u"))
     new_a = a.scaled(sx.exp(f))
     new_omega = omega + ext_d(function_form(R4, f))
     lhs = twisted.d_twisted(new_omega, new_a)
@@ -91,7 +91,7 @@ def test_conformal_rescale_intertwines_twisted_differentials():
 
 def test_conformal_rescale_shifts_lee_form_by_df():
     # d(phi) = ds ^ phi, so e^f phi has Lee form ds + df: d_(ds + df)(e^f phi) = 0
-    f = sx.var("s") ** 2
+    f = sx.pow_(sx.var("s"), 2)
     rescaled = _lcs_phi().scaled(sx.exp(f))
     shifted = R4.one_form("s") + ext_d(function_form(R4, f))
     assert form_is_zero(twisted.d_twisted(shifted, rescaled), samples=20, seed=1).passed
@@ -102,7 +102,7 @@ def test_twisted_pullback_naturality():
     # the corrected pullback e^(-f) F* intertwines d_omega when omega = F* omega' - df
     th1 = sx.var("th1")
     F = forms.identity_map(T2)
-    f = sx.Const(0.2) * sx.sin(2 * sx.Const(np.pi) * th1)
+    f = sx.mul(sx.Const(0.2), sx.sin(sx.mul(2, sx.Const(np.pi), th1)))
     omega_target = DifferentialForm(T2, 1, {(0,): sx.ONE})
     omega_source = omega_target - ext_d(function_form(T2, f))
     beta = random_polynomial_form(T2, 1, seed=17)
@@ -193,8 +193,8 @@ def test_period_against_simpson_oracle():
     r2 = linear_domain("plane", ["x", "y"], -2.0, 2.0)
     omega = DifferentialForm(r2, 1, {(0,): sx.var("y")})
     t = sx.var("t")
-    two_pi = 2 * sx.Const(np.pi)
-    loop = SmoothMap(UNIT, r2, (sx.cos(two_pi * t), sx.sin(two_pi * t)))
+    two_pi = sx.mul(2, sx.Const(np.pi))
+    loop = SmoothMap(UNIT, r2, (sx.cos(sx.mul(two_pi, t)), sx.sin(sx.mul(two_pi, t))))
     got = twisted.period(omega, loop)
 
     def integrand(tt):
@@ -216,7 +216,7 @@ def _circle_period(integrand: sx.Expr, source) -> float:
 
 
 def _cos_wave(cycles: float) -> sx.Expr:
-    return sx.cos(sx.Const(2.0 * np.pi * cycles) * sx.var("th"))
+    return sx.cos(sx.mul(sx.Const(2.0 * np.pi * cycles), sx.var("th")))
 
 
 def test_unconverged_period_raises():
@@ -231,7 +231,7 @@ def test_unconverged_period_raises():
 @pytest.mark.parametrize("source", [UNIT, TURN], ids=["interval", "angular"])
 def test_five_hundred_bumps_integrate_to_bessel_i0(source):
     # exp(cos(1000 pi th)) over a turn is I_0(1), whatever the bump count
-    bumps = sx.exp(sx.cos(sx.Const(1000.0 * np.pi) * sx.var("th")))
+    bumps = sx.exp(sx.cos(sx.mul(sx.Const(1000.0 * np.pi), sx.var("th"))))
     assert _circle_period(bumps, source) == pytest.approx(scipy.special.i0(1.0), abs=1e-11)
 
 
@@ -470,7 +470,7 @@ def test_identity_is_strict_and_full():
 
 
 def test_conformal_but_not_strict():
-    f = sx.Const(0.2) * sx.sin(2 * sx.Const(np.pi) * sx.var("th1"))
+    f = sx.mul(sx.Const(0.2), sx.sin(sx.mul(2, sx.Const(np.pi), sx.var("th1"))))
     source_lee = _lee(1, 0) + ext_d(function_form(T2, f))
     rep = twisted.classify_morphism(
         forms.identity_map(T2), source_lee, _lee(1, 0),
@@ -483,7 +483,7 @@ def test_conformal_but_not_strict():
 
 def test_doubling_map_is_not_conformal():
     th1, th2 = sx.var("th1"), sx.var("th2")
-    F = SmoothMap(T2, T2, (2 * th1, th2))
+    F = SmoothMap(T2, T2, (sx.mul(2, th1), th2))
     rep = twisted.classify_morphism(
         F, _lee(1, 0), _lee(1, 0),
         [_torus_loop(0), _torus_loop(1)], [_torus_loop(0), _torus_loop(1)],
