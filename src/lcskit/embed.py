@@ -17,13 +17,17 @@ generator back to the given one-form exactly:
 
 Each check is labelled ``stage2:`` or ``stage3:`` by the stage that made it,
 so each unit-sphere map is certified once, on the target it is delivered on.
+Each target is a box of interleaved coordinates x1, y1, ..., xN, yN
+carrying :func:`models.contact_form`, the one definition of the generator,
+from which the bundled sphere problems also read their one-forms.
 
 ``build_lcs_embedding`` combines the unit-sphere map with a circle-valued
 function into a product embedding certified to pull back the potential,
 the Lee form, and the twisted two-form of a first-kind structure, and
 certified an injective immersion by a linear left inverse read from the
 pipeline's layout, which takes each map and its Jacobian to the chart's
-parametrization and its Jacobian.
+parametrization and its Jacobian.  The target's two-form is the twisted
+differential (:func:`twisted.d_twisted`) of the scaled generator by d(theta).
 
 Every pullback identity is certified at sample points from one
 :func:`symexpr.jets` walk per chart and sample set, on an env drawn from
@@ -47,14 +51,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import forms, models, symexpr as sx, twisted
-from .forms import (
-    Coordinate,
-    CoordinateDomain,
-    DifferentialForm,
-    SmoothMap,
-    ext_d,
-    wedge,
-)
+from .forms import CoordinateDomain, DifferentialForm, SmoothMap
+from .models import contact_form
 from .symexpr import Expr, ZeroCheck
 
 
@@ -181,27 +179,6 @@ def radius_bound(
     return rho * sup
 
 
-# ---------------------------------------------------------------------------
-# target spheres
-
-
-def _sphere_target(name: str, pairs: int, half_width: float) -> CoordinateDomain:
-    coords = [
-        Coordinate(n, "linear", -half_width, half_width)
-        for n in models.interleaved_names(pairs)
-    ]
-    return CoordinateDomain(name, tuple(coords))
-
-
-def _eta_on(domain: CoordinateDomain, pairs: int, scale: float = 1.0) -> DifferentialForm:
-    """(scale/2) sum (y_j dx_j - x_j dy_j) on a domain with interleaved names."""
-    coeffs: dict[tuple[int, ...], Expr] = {}
-    for j in range(1, pairs + 1):
-        coeffs[(domain.index(f"x{j}"),)] = sx.mul(sx.Const(0.5 * scale), sx.var(f"y{j}"))
-        coeffs[(domain.index(f"y{j}"),)] = sx.mul(sx.Const(-0.5 * scale), sx.var(f"x{j}"))
-    return DifferentialForm(domain, 1, coeffs)
-
-
 def _sum_squares(exprs: Sequence[Expr]) -> Expr:
     return sx.add(*(sx.pow_(e, 2) for e in exprs)) if exprs else sx.ZERO
 
@@ -322,8 +299,8 @@ def build_psi2(problem: EmbeddingProblem, settings: EmbedSettings, doubled_pair:
         pieces.append((F.source, exprs))
     r2 = radius_bound(pieces, settings.rho, settings.samples, settings.seed)
     p = len(problem.coefficients)
-    target = _sphere_target(f"{problem.name}_stage2", p + 2, r2)
-    eta = _eta_on(target, p + 2)
+    target = forms.linear_domain(f"{problem.name}_stage2", models.interleaved_names(p + 2), -r2, r2)
+    eta = contact_form(target, p + 2, 1.0)
     maps = []
     certs = []
     defects = []
@@ -398,10 +375,10 @@ def build_psi3(solution: EmbeddingSolution, settings: EmbedSettings) -> Embeddin
     if N < solution.pairs:
         raise TargetTooSmallError(f"target with {N} pairs cannot hold an image using {solution.pairs}")
     problem, r2 = solution.problem, solution.r2
-    target = _sphere_target(f"{problem.name}_stage3", N, 1.0)
+    target = forms.linear_domain(f"{problem.name}_stage3", models.interleaved_names(N), -1.0, 1.0)
     maps = _scaled_maps(solution.maps, target, 1.0 / r2)
     c = r2 * r2
-    eta_c = _eta_on(target, N, scale=c)
+    eta_c = contact_form(target, N, c)
     certs = list(solution.certifications)
     for cname, psi in maps:
         env = psi.source.sample_points(settings.samples, settings.seed + 1)
@@ -432,11 +409,9 @@ class ProductEmbedding:
     every check passed, the left-inverse identities among them, and the
     circle function is a strict, full morphism."""
 
-    structure_name: str
     solution: EmbeddingSolution
     target: CoordinateDomain
     maps: tuple[tuple[str, SmoothMap], ...]
-    scale: float
     certifications: tuple[tuple[str, str, ZeroCheck], ...]
     morphism: twisted.MorphismReport
 
@@ -505,9 +480,9 @@ def build_lcs_embedding(
     solution = build_sphere_pipeline(problem, pipeline)
     N, c = pipeline.pairs, solution.scale
     target = models.sphere_circle_ambient(N)
-    eta_c = _eta_on(target, N, scale=c)
+    eta_c = contact_form(target, N, c)
     circle_form = target.one_form("theta")
-    phi_target = ext_d(eta_c) - wedge(circle_form, eta_c)
+    phi_target = twisted.d_twisted(circle_form, eta_c)
 
     # L reads the ambient's sphere coordinates from the pipeline's slots and
     # its circle coordinate from tau, which follows them
@@ -565,7 +540,7 @@ def build_lcs_embedding(
         tol=tol,
         seed=seed,
     )
-    return ProductEmbedding(structure.name, solution, target, tuple(maps), c, tuple(certs), morphism)
+    return ProductEmbedding(solution, target, tuple(maps), tuple(certs), morphism)
 
 
 # ---------------------------------------------------------------------------
@@ -595,18 +570,11 @@ def problem_torus() -> EmbeddingProblem:
     )
 
 
-def problem_sphere3(q: float = 1.0) -> EmbeddingProblem:
-    """Round three-sphere in R^4 carrying q times the contact generator."""
+def problem_sphere3() -> EmbeddingProblem:
+    """Round three-sphere in R^4 carrying the contact generator."""
     amb = forms.linear_domain("r4_pairs", models.interleaved_names(2))
-    charts = tuple(
-        (name, P) for name, P in models.sphere_graph_charts(2, amb, with_circle=False)
-    )
-    coeffs = (
-        ("x1", sx.mul(sx.Const(0.5 * q), sx.var("y1"))),
-        ("y1", sx.mul(sx.Const(-0.5 * q), sx.var("x1"))),
-        ("x2", sx.mul(sx.Const(0.5 * q), sx.var("y2"))),
-        ("y2", sx.mul(sx.Const(-0.5 * q), sx.var("x2"))),
-    )
+    charts = tuple(models.sphere_graph_charts(2, amb, with_circle=False))
+    coeffs = tuple((amb.names[i], c) for (i,), c in contact_form(amb, 2, 1.0).coeffs.items())
     return EmbeddingProblem("sphere3_contact", amb, charts, coeffs)
 
 
@@ -640,9 +608,6 @@ def problem_from_sphere_circle(structure: models.LcsStructure) -> tuple[Embeddin
         )
         charts.append((chart.name, SmoothMap(chart.domain, sphere_amb, comps)))
         tau[chart.name] = chart.domain.var("theta")
-    coeffs = []
-    for j in range(1, Nm + 1):
-        coeffs.append((f"x{j}", sx.mul(sx.Const(0.5 * q), sx.var(f"y{j}"))))
-        coeffs.append((f"y{j}", sx.mul(sx.Const(-0.5 * q), sx.var(f"x{j}"))))
-    problem = EmbeddingProblem(f"{structure.name}_potential", sphere_amb, tuple(charts), tuple(coeffs))
+    coeffs = tuple((sphere_amb.names[i], c) for (i,), c in contact_form(sphere_amb, Nm, q).coeffs.items())
+    problem = EmbeddingProblem(f"{structure.name}_potential", sphere_amb, tuple(charts), coeffs)
     return problem, tau

@@ -14,6 +14,10 @@ Two model families are provided:
   structures on R x (1-jets of functions on T^k x R^N), one global chart,
   with Lee form ds + sum mu_j d(theta_j).
 
+``contact_form`` is the one definition of the contact generator, from which
+the sphere x circle potential and every target of :mod:`lcskit.embed` are
+built; ``reeb_components`` is its Reeb field R, with eta(R) = |z|^2.
+
 ``model_liouville(n)`` builds the exact symplectic plane R^(2n) (zero Lee
 form).  It is no catalog entry: no task can use a structure without ``B``.
 
@@ -145,6 +149,16 @@ def model_liouville(n: int) -> LcsStructure:
     return LcsStructure(f"liouville_{n}", EXACT, (chart,), metadata={"n": n})
 
 
+def contact_form(domain: CoordinateDomain, N: int, scale: float) -> DifferentialForm:
+    """The contact generator (scale/2) sum (y_j dx_j - x_j dy_j) on a domain
+    with the interleaved coordinates x1, y1, ..., xN, yN."""
+    coeffs: dict[tuple[int, ...], Expr] = {}
+    for j in range(1, N + 1):
+        coeffs[(domain.index(f"x{j}"),)] = sx.mul(sx.Const(0.5 * scale), sx.var(f"y{j}"))
+        coeffs[(domain.index(f"y{j}"),)] = sx.mul(sx.Const(-0.5 * scale), sx.var(f"x{j}"))
+    return DifferentialForm(domain, 1, coeffs)
+
+
 def reeb_components(N: int) -> dict[str, Expr]:
     """Ambient components of the contact Reeb field 2 sum (y_j d/dx_j - x_j d/dy_j)."""
     comps: dict[str, Expr] = {}
@@ -215,14 +229,7 @@ def model_sphere_circle(N: int, q: float = 1.0) -> LcsStructure:
         raise ModelError("the contact scale q must be nonzero")
     ambient = sphere_circle_ambient(N)
     # the contact generator on the product ambient, so pullbacks line up by name
-    eta_amb = DifferentialForm(
-        ambient,
-        1,
-        {
-            (ambient.index(name),): coeff
-            for (name, coeff) in _eta_named_coeffs(N)
-        },
-    )
+    eta_amb = contact_form(ambient, N, 1.0)
     q_deta = ext_d(eta_amb).scaled(sx.Const(q))
     reeb = reeb_components(N)
     charts = LazyCharts(
@@ -259,14 +266,6 @@ def _sphere_circle_chart(
         domain=dom, phi=phi, lee=lee, alpha=alpha,
         b_field=b_field, anti_lee=anti_lee, parametrization=P, name=label,
     )
-
-
-def _eta_named_coeffs(N: int) -> list[tuple[str, Expr]]:
-    out = []
-    for j in range(1, N + 1):
-        out.append((f"x{j}", sx.mul(sx.Const(0.5), sx.var(f"y{j}"))))
-        out.append((f"y{j}", sx.mul(sx.Const(-0.5), sx.var(f"x{j}"))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -364,8 +364,6 @@ class LeeDecomposition:
 class DecompositionReport:
     sum_residual: float
     piece_residuals: tuple[float, ...]
-    period_offsets: tuple[float, ...]
-    passed: bool
 
 
 def certify_decomposition(
@@ -410,17 +408,14 @@ def certify_decomposition(
         raise DecompositionError(
             f"declared pieces do not reassemble the Lee form (residual {sum_check.max_residual:.3e})"
         )
-    offsets = []
     for loop in decomp.loops:
         for j, piece in enumerate(decomp.pieces):
             p = twisted.period(piece.omega, loop)
-            off = abs(p - round(p))
-            offsets.append(off)
-            if off > INTEGER_PERIOD_TOL:
+            if abs(p - round(p)) > INTEGER_PERIOD_TOL:
                 raise DecompositionError(
                     f"piece {j} has non-integer period {p:.6f} over loop {loop.source.name!r}"
                 )
-    return DecompositionReport(sum_check.max_residual, tuple(piece_residuals), tuple(offsets), True)
+    return DecompositionReport(sum_check.max_residual, tuple(piece_residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +453,6 @@ class StepResult:
 
     name: str
     chart: StructureChart
-    structure: models.LcsStructure
     data: ReducibleData | None
     report: StrongReducibilityReport | None
     first_kind: models.FirstKindReport
@@ -540,7 +534,7 @@ def build_step1(chart: StructureChart, decomp: LeeDecomposition, settings: Chain
         ("decomposition_pieces", max(dec_report.piece_residuals, default=0.0)),
     )
     return StepResult(
-        "cotangent_torus_extension", m1_chart, structure, data, report, first_kind, extras,
+        "cotangent_torus_extension", m1_chart, data, report, first_kind, extras,
         report.passed and first_kind.passed,
     )
 
@@ -648,7 +642,7 @@ def build_step2(m1_chart: StructureChart, settings: ChainSettings) -> StepResult
     first_kind = models.validate_first_kind(structure, samples=min(samples, FIRST_KIND_CAP), tol=tol, seed=seed)
     extras = (("momentum_bound", p_bound),)
     return StepResult(
-        "jet_space_extension", m2_chart, structure, data, report, first_kind, extras,
+        "jet_space_extension", m2_chart, data, report, first_kind, extras,
         report.passed and first_kind.passed,
     )
 
@@ -713,7 +707,7 @@ def build_step3(m2_chart: StructureChart, decomp: LeeDecomposition, settings: Ch
     extras = tuple((f"shear_{label}", c.max_residual) for label, c in checks.items())
     extras += (("shear_determinant", det_offset),)
     return StepResult(
-        "shear_normalization", m3_chart, structure, None, None, first_kind, extras,
+        "shear_normalization", m3_chart, None, None, first_kind, extras,
         first_kind.passed,
     )
 
@@ -811,7 +805,7 @@ def build_step4(
     )
     extras = (("transplant_rank", float(rank)),)
     return StepResult(
-        "universal_transplant", u_chart, universal, data, report, first_kind, extras,
+        "universal_transplant", u_chart, data, report, first_kind, extras,
         report.passed and first_kind.passed,
     )
 

@@ -189,6 +189,16 @@ def kunneth_betti(n: int, mu) -> list[int]:
     return [0] * (n + 1)
 
 
+def contact_coefficients(z: np.ndarray, scale: float) -> np.ndarray:
+    """Coefficients (scale/2)(y_1, -x_1, ..., y_N, -x_N) of the contact
+    generator on dx_1, dy_1, ..., dx_N, dy_N at the points ``z``, of shape
+    (2N, ...) in the interleaved order x_1, y_1, ..., x_N, y_N."""
+    out = np.empty_like(z)
+    out[0::2] = z[1::2]
+    out[1::2] = -z[0::2]
+    return 0.5 * scale * out
+
+
 def quad_line_integral(component_func, a: float, b: float, n: int = 2001) -> float:
     """Composite Simpson quadrature of a scalar function on [a, b]."""
     if n % 2 == 0:

@@ -45,7 +45,7 @@ def test_criterion_1_contact_corpus_pipeline():
         sol = embed.build_sphere_pipeline(factory(), embed.EmbedSettings().corpus_stages())
         assert sol.passed and sol.stage == 3, f"{name}: pipeline not certified"
         # independent re-certification at 1000 fresh seeded samples
-        eta_c = embed._eta_on(sol.ambient, sol.pairs, scale=sol.scale)
+        eta_c = models.contact_form(sol.ambient, sol.pairs, sol.scale)
         chart_domains = dict(sol.problem.charts)
         for cname, psi in sol.maps:
             theta = chart_form(sol.problem, chart_domains[cname])
@@ -207,17 +207,15 @@ def test_criterion_8_selftest_determinism():
     _announce(8, "bundled self-test deterministic modulo timestamps")
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-_PRINT_SELFTEST = (
-    "import json, sys\n"
-    "from lcskit import report\n"
-    "rep = report.run_manifest(report.load_manifest('selftest'))\n"
-    "sys.stdout.write(json.dumps(rep.stable_dict(), sort_keys=True))\n"
-)
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
-def test_selftest_identical_across_blas_thread_counts():
-    reports = {}
+def test_stable_dumps_identical_across_blas_thread_counts(tmp_path):
+    """Every bundled run's stable report, as ``tests/stable_dumps.py`` writes
+    it (the self-test and each benchmark workload at its seeds), is
+    byte-identical with one and with two BLAS threads."""
+    dumps = {}
     for threads in ("1", "2"):
         path = os.environ.get("PYTHONPATH")
         env = dict(
@@ -226,10 +224,14 @@ def test_selftest_identical_across_blas_thread_counts():
             OMP_NUM_THREADS=threads,
             PYTHONPATH=SRC + (os.pathsep + path if path else ""),
         )
+        out = tmp_path / threads
         done = subprocess.run(
-            [sys.executable, "-c", _PRINT_SELFTEST], env=env, capture_output=True, text=True, timeout=600
+            [sys.executable, os.path.join(TESTS, "stable_dumps.py"), str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
         )
         assert done.returncode == 0, done.stderr[-2000:]
-        reports[threads] = done.stdout
-    assert json.loads(reports["1"])["records"]
-    assert reports["1"] == reports["2"], "self-test report depends on the BLAS thread count"
+        dumps[threads] = {p.name: p.read_text() for p in out.iterdir()}
+    assert len(dumps["1"]) == 13 and all(json.loads(text)["records"] for text in dumps["1"].values())
+    assert dumps["1"] == dumps["2"], "reports depend on the BLAS thread count: " + ", ".join(
+        sorted(name for name in dumps["1"] if dumps["1"][name] != dumps["2"].get(name))
+    )

@@ -108,7 +108,7 @@ def test_psi2_half_pair_defect_is_half_dphi():
     # from zero even though it matches (1/2) d(phi) to 1e-9
     prob = sol.problem
     _name, psi = sol.maps[0]
-    eta = embed._eta_on(sol.ambient, sol.pairs)
+    eta = models.contact_form(sol.ambient, sol.pairs, 1.0)
     gap = chart_form(prob, prob.charts[0][1]) - forms.pullback(psi, eta)
     assert not oracle_utils.form_is_zero(gap, 200, 1e-3, 1).passed
 
@@ -117,7 +117,7 @@ def test_psi2_zero_form_both_variants():
     for doubled in (True, False):
         sol = embed.build_psi2(embed.problem_zero_form(), CORPUS, doubled_pair=doubled)
         _name, psi = sol.maps[0]
-        eta = embed._eta_on(sol.ambient, sol.pairs)
+        eta = models.contact_form(sol.ambient, sol.pairs, 1.0)
         assert oracle_utils.form_is_zero(forms.pullback(psi, eta), 150, 1e-12, 2).passed
 
 
@@ -239,10 +239,10 @@ def test_psi3_oracle_route():
 def test_homothety_scaling_law():
     # dividing coordinates by r scales the pulled-back generator by 1/r^2
     sol = embed.build_psi2(embed.problem_circle(), CORPUS, doubled_pair=True)
-    target = embed._sphere_target("scaled", sol.pairs, sol.r2 / 2.0)
+    target = forms.linear_domain("scaled", models.interleaved_names(sol.pairs), -sol.r2 / 2.0, sol.r2 / 2.0)
     halved = embed._scaled_maps(sol.maps, target, 0.5)
-    eta_small = embed._eta_on(target, sol.pairs)
-    eta_big = embed._eta_on(sol.ambient, sol.pairs)
+    eta_small = models.contact_form(target, sol.pairs, 1.0)
+    eta_big = models.contact_form(sol.ambient, sol.pairs, 1.0)
     _n, psi = sol.maps[0]
     _n2, psi_h = halved[0]
     a = forms.pullback(psi_h, eta_small)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from run_census import code_location
+from run_census import code_location, executable_lines, line_ranges
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lcskit"
 MODULES = sorted(SRC.glob("*.py"))
@@ -1042,6 +1042,31 @@ def test_census_names_functions_by_their_code_object_tree():
     }
     assert found["forms.flow.rhs[2]"][:3] == ("forms.py", 15, "rhs")
     assert found["forms.<lambda>"] != found["forms.<lambda>[2]"]
+
+
+def test_line_census_counts_code_lines_but_not_raise_or_except():
+    # the module's own entry (line 0), the docstring, the except and else:
+    # lines and the raise statement with its continuation lines count no line
+    source = (
+        "import math\n"
+        "def f(x):\n"
+        "    \"\"\"Doc.\"\"\"\n"
+        "    if x > 0:\n"
+        "        return math.sqrt(x)\n"
+        "    try:\n"
+        "        y = 1 / x\n"
+        "    except ZeroDivisionError:\n"
+        "        raise ValueError(\n"
+        "            f'bad {x}'\n"
+        "        )\n"
+        "    else:\n"
+        "        y += 1\n"
+        "    return [y for _ in range(2)]\n"
+        "g = lambda v: v\n"
+    )
+    lines = executable_lines(source, "planted.py")
+    assert sorted(lines) == [1, 2, 4, 5, 6, 7, 13, 14, 15]
+    assert line_ranges(lines - {5}) == "1-2, 4, 6-7, 13-15"
 
 
 @pytest.fixture(scope="module")

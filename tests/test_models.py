@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcskit.forms as forms
 import lcskit.models as models
@@ -297,10 +299,8 @@ def test_sphere_potential_matches_ambient_oracle():
         x = np.array([float(env[n][i]) for n in names])
         J = fd_jacobian(map_func, x, 1e-6)
         img = map_func(x)
-        coeff = {}
-        for j in (1, 2):
-            coeff[(amb_names.index(f"x{j}"),)] = 0.5 * q * img[amb_names.index(f"y{j}")]
-            coeff[(amb_names.index(f"y{j}"),)] = -0.5 * q * img[amb_names.index(f"x{j}")]
+        assert amb_names[-1] == "theta"  # x1, y1, x2, y2 lead
+        coeff = {(k,): c for k, c in enumerate(oracle_utils.contact_coefficients(img[:-1], q))}
         point = {n: float(env[n][i]) for n in names}
         alpha_vec = np.array(
             [
@@ -312,6 +312,27 @@ def test_sphere_potential_matches_ambient_oracle():
             v = rng.normal(size=dom.dim)
             oracle = eval_form_on_vectors(coeff, [J @ v])
             assert abs(float(alpha_vec @ v) - oracle) < 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.floats(0.1, 10.0), st.booleans(), st.integers(0, 2**31 - 1))
+def test_contact_form_is_the_generator_the_reeb_field_normalises(N, size, negative, seed):
+    """contact_form's values are (scale/2)(y_j, -x_j), read from the
+    coordinates alone; with the Reeb field R of reeb_components,
+    eta(R) = scale |z|^2 and i_R d(eta) = -scale d|z|^2."""
+    scale = -size if negative else size
+    dom = forms.linear_domain("r2n", models.interleaved_names(N), -2.0, 2.0)
+    z = np.random.default_rng(seed).uniform(-2.0, 2.0, (dom.dim, 8))
+    env = dict(zip(dom.names, z))
+    eta_form = models.contact_form(dom, N, scale)
+    reeb = models.reeb_components(N)
+    eta, R = forms.sample_jets([eta_form, forms.VectorField(dom, tuple(reeb[n] for n in dom.names))], env)
+    np.testing.assert_allclose(forms.form_values(eta_form, env), oracle_utils.contact_coefficients(z, scale), rtol=1e-15)
+    tol = 1e-13 * abs(scale)
+    np.testing.assert_allclose(forms.sampled_interior(R, eta).values[()], scale * np.sum(z * z, axis=0), rtol=1e-13, atol=tol)
+    i_r_deta = forms.sampled_interior(R, forms.sampled_d(eta)).values
+    assert sorted(i_r_deta) == [(i,) for i in range(dom.dim)]
+    np.testing.assert_allclose(np.array([i_r_deta[(i,)] for i in range(dom.dim)]), -2.0 * scale * z, rtol=1e-13, atol=tol)
 
 
 def test_anti_lee_contraction_matrix_route():
